@@ -2,8 +2,7 @@
 
 Subcommands emit tables (CSV) or reports (JSON); figures are always data
 files for external plotting.  Identical invocations produce byte-identical
-output; grid cells may be evaluated by worker threads (capped by the
-GCMS_THREADS environment variable) but are always assembled in grid order.
+output.
 """
 
 from __future__ import annotations
@@ -13,20 +12,15 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from . import measures as ms
 from . import thermo as th
 from . import verification as vf
 from .cylinders import Cyl, decompose, intersect_many, parse_expression
-from .matrices import TransitionMatrix, from_dict, from_json
+from .matrices import KINDS, TransitionMatrix, from_dict, from_json
 from .words import format_word
-
-LOG2 = math.log(2.0)
-PAIR_CRITICAL = math.log(1.0 + math.sqrt(2.0))
 
 
 def _fmt(x: float) -> str:
@@ -59,10 +53,7 @@ def _load_matrix(args: argparse.Namespace) -> TransitionMatrix:
             return from_json(fh.read())
     if not getattr(args, "kind", None):
         raise SystemExit("either --kind or --matrix-file is required")
-    d = {"kind": args.kind}
-    if args.kind == "prime_renewal":
-        d["prime_bound"] = getattr(args, "prime_bound", 7)
-    return from_dict(d)
+    return from_dict({"kind": args.kind, "prime_bound": getattr(args, "prime_bound", 7)})
 
 
 def _emit(args: argparse.Namespace, header: Sequence[str], rows: Iterable[Sequence],
@@ -80,19 +71,16 @@ def _emit(args: argparse.Namespace, header: Sequence[str], rows: Iterable[Sequen
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
         text = buf.getvalue()
+    _write(args, text)
+
+
+def _write(args: argparse.Namespace, text: str) -> None:
+    """Write ``text`` to the ``--out`` file, or to stdout without one."""
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _thread_map(fn: Callable, items: Sequence) -> list:
-    workers = int(os.environ.get("GCMS_THREADS", "1") or "1")
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _potential(name: str) -> th.Potential:
@@ -123,31 +111,25 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 def _phase_row(A: TransitionMatrix, potential: th.Potential, beta: float,
                tol: float) -> tuple:
+    known = ms.KIND_MEASURES.get(A.kind)
     if isinstance(potential, th.Constant):
-        y_exists: str
-        sigma: str
-        if A.kind == "renewal":
-            y_exists = "1 measure" if beta > LOG2 else "absent"
-            sigma = "1 measure" if abs(beta - LOG2) <= tol else "absent"
-            crit = LOG2
-        elif A.kind == "pair_renewal":
-            y_exists = "2 extremal" if beta > PAIR_CRITICAL else "absent"
-            sigma = "1 measure" if abs(beta - PAIR_CRITICAL) <= tol else "absent"
-            crit = PAIR_CRITICAL
-        elif A.kind == "prime_renewal":
-            if beta > math.log(3.0):
-                y_exists = "1 per family (countably many)"
-            elif beta <= LOG2:
-                y_exists = "absent"
-            else:
-                y_exists = "inconclusive"
-            sigma = "not classified"
-            crit = math.log(3.0)
-        else:
+        if known is None:
             raise SystemExit(f"no phase table for kind {A.kind}")
+        # the y-measures exist above log(upper growth) and not below log(lower growth)
+        crit = A.spec.critical_beta
+        if beta > crit:
+            y_exists = known.boundary
+        elif beta <= math.log(A.spec.growth[0]):
+            y_exists = "absent"
+        else:
+            y_exists = "inconclusive"
+        if known.critical is None:
+            sigma = "not classified"
+        else:
+            sigma = "1 measure" if abs(beta - crit) <= tol else "absent"
         return (beta, y_exists, sigma, crit)
     # log-ratio potential: the renewal eigenmeasure switches support
-    if A.kind != "renewal":
+    if known is None or not known.log_ratio:
         raise SystemExit("the log-ratio phase table is specific to --kind renewal")
     bc = th.beta_c_log()
     support = "boundary family" if beta > bc else "sequence space"
@@ -158,7 +140,7 @@ def cmd_phase(args: argparse.Namespace) -> int:
     A = _load_matrix(args)
     potential = _potential(args.potential)
     grid = _grid(args.beta_grid)
-    rows = _thread_map(lambda b: _phase_row(A, potential, b, args.tol), grid)
+    rows = [_phase_row(A, potential, b, args.tol) for b in grid]
     if isinstance(potential, th.Constant):
         header = ["beta", "boundary_measures", "sequence_measures", "critical_beta"]
     else:
@@ -196,24 +178,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         raise SystemExit(f"unknown suite {args.suite!r}")
     report["ok"] = ok
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, json.dumps(report, sort_keys=True, indent=2) + "\n")
     return 0 if ok else 1
 
 
 def _converge_models(A: TransitionMatrix, potential: th.Potential):
     if isinstance(potential, th.Constant):
-        if A.kind == "renewal":
-            target = ms.sarig_measure_renewal(A)
-            return LOG2, (lambda b: ms.y_measure(A, 1, potential, b)), target
-        if A.kind == "pair_renewal":
-            target = ms.pair_renewal_critical_measure(A)
-            return PAIR_CRITICAL, (lambda b: ms.y_measure(A, 1, potential, b)), target
-        raise SystemExit(f"no convergence construction for kind {A.kind}")
+        known = ms.KIND_MEASURES.get(A.kind)
+        if known is None or known.critical is None:
+            raise SystemExit(f"no convergence construction for kind {A.kind}")
+        _, build = known.critical
+        return A.spec.critical_beta, (lambda b: ms.y_measure(A, 1, potential, b)), build(A)
     bc = th.beta_c_log()
     return bc, (lambda b: ms.log_eigenmeasure(b, A)), ms.log_eigenmeasure(bc, A)
 
@@ -257,12 +232,7 @@ def cmd_measure(args: argparse.Namespace) -> int:
                                      lam=2.0 * math.exp(-args.beta))
     else:
         rep = ms.verify_conformality(m, cyls)
-    text = ms.measure_report_json(m, rep.max_residual) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, ms.measure_report_json(m, rep.max_residual) + "\n")
     return 0
 
 
@@ -279,12 +249,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         "families": [f"prefix={format_word(f.prefix)};symbols={_family_desc(f)}"
                      for f in expr.families],
     }
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return 0
 
 
@@ -298,13 +263,11 @@ def cmd_pressure(args: argparse.Namespace) -> int:
     potential = _potential(args.potential)
     grid = _grid(args.beta_grid)
 
-    def rows_for(beta: float) -> list[tuple]:
+    rows = []
+    for beta in grid:
         est = th.gurevich_pressure(A, potential if not isinstance(potential, th.Constant)
                                    else th.Constant(-1.0), beta, 1, args.n_max)
-        return [(beta, n, v, est.extrapolated, est.certificate) for n, v in est.values]
-
-    blocks = _thread_map(rows_for, grid)
-    rows = [row for block in blocks for row in block]
+        rows.extend((beta, n, v, est.extrapolated, est.certificate) for n, v in est.values)
     _emit(args, ["beta", "n", "log_Zn_over_n", "extrapolated", "certificate"], rows)
     return 0
 
@@ -314,8 +277,7 @@ def cmd_pressure(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kind", choices=["renewal", "pair_renewal", "prime_renewal",
-                                      "alternating_renewal", "full_shift", "explicit"])
+    p.add_argument("--kind", choices=list(KINDS))
     p.add_argument("--matrix-file", help="JSON matrix specification file")
     p.add_argument("--prime-bound", type=int, default=7)
     p.add_argument("--beta", type=float, default=1.2)

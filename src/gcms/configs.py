@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .matrices import AccumulationColumn, Symbol, TransitionMatrix
+from .matrices import AccumulationColumn, IntegerInterval, Symbol, TransitionMatrix
 from .words import Word, format_word, is_admissible, is_prefix
 
 
@@ -302,50 +302,15 @@ def preimages(c: BoundedConfig, n: int,
     return [BoundedConfig(A, w, c.root) for w in current]
 
 
-@dataclass(frozen=True)
-class IntegerInterval:
-    lower: int
-    upper: int
-
-    def __contains__(self, value: int) -> bool:
-        return self.lower <= value <= self.upper
-
-
-_PAIR_STEP = ((1, 2), (1, 1))  # odd/even branch counts per generation
-
-
-def _pair_family1_count(n: int) -> int:
-    """Exact size of generation n of the first pair-renewal family.
-
-    Integer iteration of the 2x2 branching matrix; equals
-    ((1-sqrt2)^n + (1-sqrt2)^{n+1} + (1+sqrt2)^n + (1+sqrt2)^{n+1}) / 4.
-    """
-    if n == 0:
-        return 1
-    r, s = 1, 1
-    for _ in range(n - 1):
-        r, s = r + 2 * s, r + s
-    return r + s
-
-
 def count_preimages_closed_form(A: TransitionMatrix, family_id: int,
                                 n: int) -> int | IntegerInterval:
     """Closed-form (or interval) size of the n-th preimage generation."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if A.kind == "renewal":
-        return 1 if n == 0 else 2 ** (n - 1)
-    if A.kind == "pair_renewal":
-        if family_id == 1:
-            return _pair_family1_count(n)
-        if family_id == 2:
-            return 1 if n == 0 else _pair_family1_count(n - 1)
-        raise ValueError(f"pair renewal has families 1 and 2, not {family_id}")
-    if A.kind == "prime_renewal":
-        if n == 0:
-            return 1
-        return IntegerInterval(2 ** (n - 1), 3 ** n)
-    raise ValueError(f"no closed-form preimage count for kind {A.kind}")
+    counts = A.spec.counts if A.spec is not None else None
+    if counts is None:
+        raise ValueError(f"no closed-form preimage count for kind {A.kind}")
+    return counts(family_id, n)
 
 
 @dataclass

@@ -5,23 +5,26 @@ The built-in families (renewal, pair renewal, prime renewal, alternating
 renewal) are infinite matrices defined by closed-form rules and are never
 materialized; explicit finite matrices store their rows.
 
-Besides entry queries, a matrix knows
-
-* the finite support of each column (``predecessors``), which makes
-  backward word enumeration exact on every built-in kind,
-* its catalog of column accumulation points, which classifies the
-  boundary configurations the shift space acquires beyond the
-  sequence space,
-* a normal form for each row as a symbol set (finite, cofinite, or an
-  irregular row kept symbolic), used by the cylinder algebra.
+Each rule-defined family is one :class:`MatrixKind` entry of ``KINDS``,
+with the fields ``entry`` (the rule), ``predecessors`` (the finite column
+supports, which make backward word enumeration exact), ``is_irregular``
+and ``irregular_meet`` (the rows kept symbolic by the cylinder algebra),
+``catalog`` (the column accumulation points: the roots of the boundary
+configurations the shift space acquires beyond the sequence space),
+``cover`` (rows that tile the alphabet), ``growth`` (generation growth
+rates), ``counts`` (closed-form generation counts) and ``truncated``
+(whether the catalog is cut at ``prime_bound``).
+:class:`TransitionMatrix` answers every query by looking its kind up,
+never by branching on the kind's name.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 Symbol = int
 
@@ -74,28 +77,179 @@ class AccumulationColumn:
             raise ValueError("accumulation column must have non-empty support")
 
 
+@dataclass(frozen=True)
+class IntegerInterval:
+    lower: int
+    upper: int
+
+    def __contains__(self, value: int) -> bool:
+        return self.lower <= value <= self.upper
+
+
+@dataclass(frozen=True)
+class MatrixKind:
+    """What one rule-defined matrix family knows.
+
+    * ``entry(i, j)``: A(i, j) for symbols i, j >= 1.
+    * ``predecessors(j)``: the column support { i : A(i, j) = 1 }, sorted.
+    * ``is_irregular(i)``: whether row i is neither finite nor cofinite.
+      Every other row is cofinite (everything) for i = 1 and the single
+      descent {i - 1} otherwise.
+    * ``irregular_meet(i, j)``: the finite support intersection of two
+      distinct irregular rows; None when the kind has fewer than two.
+    * ``catalog(prime_bound)``: the accumulation columns; ``truncated``
+      when the catalog is infinite and only columns up to ``prime_bound``
+      are built.
+    * ``cover``: rows whose supports tile the alphabet.
+    * ``growth = (lower, upper)``: generation sizes are at most
+      const * upper**n, and infinitely often at least const * lower**n.
+    * ``counts(family_id, n)``: closed-form (or interval) size of
+      generation n >= 0 of a family's preimage tree; None when unknown.
+    """
+
+    entry: Callable[[Symbol, Symbol], int]
+    predecessors: Callable[[Symbol], tuple[Symbol, ...]]
+    is_irregular: Callable[[Symbol], bool]
+    irregular_meet: Callable[[Symbol, Symbol], frozenset[Symbol]] | None
+    catalog: Callable[[int], tuple[AccumulationColumn, ...]]
+    cover: tuple[Symbol, ...]
+    growth: tuple[float, float]
+    counts: Callable[[int, int], int | IntegerInterval] | None
+    truncated: bool = False
+
+    @property
+    def critical_beta(self) -> float:
+        """log(upper growth): above it the constant-potential series converge."""
+        return math.log(self.growth[1])
+
+
+def _column(col_id: int, support: set[Symbol]) -> AccumulationColumn:
+    return AccumulationColumn(col_id, frozenset(support), frozenset(support))
+
+
+def _pair_family1_count(n: int) -> int:
+    """Exact size of generation n of the first pair-renewal family.
+
+    Integer iteration of the 2x2 branching matrix; equals
+    ((1-sqrt2)^n + (1-sqrt2)^{n+1} + (1+sqrt2)^n + (1+sqrt2)^{n+1}) / 4.
+    """
+    if n == 0:
+        return 1
+    r, s = 1, 1
+    for _ in range(n - 1):
+        r, s = r + 2 * s, r + s
+    return r + s
+
+
+def _pair_counts(family_id: int, n: int) -> int:
+    if family_id == 1:
+        return _pair_family1_count(n)
+    if family_id == 2:
+        return 1 if n == 0 else _pair_family1_count(n - 1)
+    raise ValueError(f"pair renewal has families 1 and 2, not {family_id}")
+
+
+def _prime_entry(i: Symbol, j: Symbol) -> int:
+    if i == 1 or i == j + 1:
+        return 1
+    return 1 if (_is_prime(i) and _prime_power_base(j) == i) else 0
+
+
+def _prime_predecessors(j: Symbol) -> tuple[Symbol, ...]:
+    p = _prime_power_base(j)
+    return (1, j + 1) if p is None else (1, p, j + 1)
+
+
+def _prime_meet(i: Symbol, j: Symbol) -> frozenset[Symbol]:
+    # prime powers of distinct primes differ, so only the descents {i-1}
+    # and {j-1} can be shared
+    return frozenset(c for c in (i - 1, j - 1)
+                     if c >= 1 and _prime_entry(i, c) and _prime_entry(j, c))
+
+
+def _prime_catalog(prime_bound: int) -> tuple[AccumulationColumn, ...]:
+    """Column {1} plus the column {1, p} of every prime p <= prime_bound.
+
+    The full catalog is countably infinite; ``prime_bound`` truncates it.
+    """
+    if prime_bound < 2:
+        raise ValueError("prime_bound must be >= 2")
+    return (_column(1, {1}),) + tuple(_column(p, {1, p}) for p in range(2, prime_bound + 1)
+                                      if _is_prime(p))
+
+
+#: the rule-defined families, keyed by kind name
+KINDS: dict[str, MatrixKind] = {
+    "renewal": MatrixKind(
+        entry=lambda i, j: 1 if (i == 1 or i == j + 1) else 0,
+        predecessors=lambda j: (1, j + 1),
+        is_irregular=lambda i: False,
+        irregular_meet=None,
+        catalog=lambda prime_bound: (_column(1, {1}),),
+        cover=(1,),
+        growth=(2.0, 2.0),
+        counts=lambda family_id, n: 1 if n == 0 else 2 ** (n - 1)),
+    "pair_renewal": MatrixKind(
+        entry=lambda i, j: 1 if (i == 1 or i == j + 1 or (i == 2 and j % 2 == 0)) else 0,
+        predecessors=lambda j: (1, 2, j + 1) if j % 2 == 0 else (1, j + 1),
+        is_irregular=lambda i: i == 2,
+        irregular_meet=None,
+        catalog=lambda prime_bound: (_column(1, {1, 2}), _column(2, {1})),
+        cover=(1,),
+        growth=(1.0 + math.sqrt(2.0), 1.0 + math.sqrt(2.0)),
+        counts=_pair_counts),
+    "prime_renewal": MatrixKind(
+        entry=_prime_entry,
+        predecessors=_prime_predecessors,
+        is_irregular=_is_prime,
+        irregular_meet=_prime_meet,
+        catalog=_prime_catalog,
+        cover=(1,),
+        growth=(2.0, 3.0),
+        counts=lambda family_id, n: 1 if n == 0 else IntegerInterval(2 ** (n - 1), 3 ** n),
+        truncated=True),
+    # rows 1 and 2 take the even and the odd columns
+    "alternating_renewal": MatrixKind(
+        entry=lambda i, j: 1 if (i == j + 1 or i == 1 + j % 2) else 0,
+        predecessors=lambda j: (2,) if j == 1 else (1 + j % 2, j + 1),
+        is_irregular=lambda i: i in (1, 2),
+        irregular_meet=lambda i, j: frozenset(),
+        catalog=lambda prime_bound: (_column(1, {1}), _column(2, {2})),
+        cover=(1, 2),
+        growth=(math.sqrt(3.0), math.sqrt(3.0)),
+        counts=None),
+}
+
+
 class TransitionMatrix:
     """Queryable 0/1 transition matrix over the alphabet of positive integers.
 
     Use the module-level constructors (:func:`renewal`, :func:`pair_renewal`,
     :func:`prime_renewal`, :func:`alternating_renewal`, :func:`full_shift`,
-    :func:`explicit`) rather than instantiating directly.
+    :func:`explicit`) rather than instantiating directly.  ``spec`` is the
+    kind's :class:`MatrixKind`, or None for a stored finite matrix.
     """
 
     def __init__(self, kind: str, *, rows: tuple[tuple[int, ...], ...] | None = None,
                  prime_bound: int = 7):
         self.kind = kind
         self._rows = rows
-        self.prime_bound = prime_bound
-        if kind in ("full_shift", "explicit"):
-            assert rows is not None
-            self.size: int | None = len(rows)
-            self._validate_explicit()
+        self.prime_bound: int | None = None
+        if rows is None:
+            self.spec: MatrixKind | None = KINDS[kind]
+            if self.spec.truncated:
+                self.prime_bound = prime_bound
+            self.size: int | None = None
+            self._entry, self._predecessors = self.spec.entry, self.spec.predecessors
+            self._catalog = self.spec.catalog(prime_bound)
         else:
-            self.size = None
-        self._catalog = self._build_catalog()
+            self.spec = None
+            self.size = len(rows)
+            self._validate_explicit()
+            self._entry, self._predecessors = self._stored_entry, self._stored_predecessors
+            self._catalog = ()
 
-    # -- construction helpers -------------------------------------------------
+    # -- stored finite matrices -------------------------------------------------
 
     def _validate_explicit(self) -> None:
         rows = self._rows
@@ -113,26 +267,17 @@ class TransitionMatrix:
             if not any(rows[i][j] for i in range(n)):
                 raise ValueError(f"column {j + 1} is all zero")
 
-    def _build_catalog(self) -> tuple[AccumulationColumn, ...]:
-        if self.kind == "renewal":
-            return (AccumulationColumn(1, frozenset({1}), frozenset({1})),)
-        if self.kind == "pair_renewal":
-            return (
-                AccumulationColumn(1, frozenset({1, 2}), frozenset({1, 2})),
-                AccumulationColumn(2, frozenset({1}), frozenset({1})),
-            )
-        if self.kind == "prime_renewal":
-            cols = [AccumulationColumn(1, frozenset({1}), frozenset({1}))]
-            for p in range(2, self.prime_bound + 1):
-                if _is_prime(p):
-                    cols.append(AccumulationColumn(p, frozenset({1, p}), frozenset({1, p})))
-            return tuple(cols)
-        if self.kind == "alternating_renewal":
-            return (
-                AccumulationColumn(1, frozenset({1}), frozenset({1})),
-                AccumulationColumn(2, frozenset({2}), frozenset({2})),
-            )
-        return ()
+    def _stored_entry(self, i: Symbol, j: Symbol) -> int:
+        rows = self._rows
+        if i > len(rows) or j > len(rows):
+            raise IndexError(f"index ({i},{j}) out of range for size {len(rows)}")
+        return rows[i - 1][j - 1]
+
+    def _stored_predecessors(self, j: Symbol) -> tuple[Symbol, ...]:
+        rows = self._rows
+        if j > len(rows):
+            raise IndexError(f"column {j} out of range")
+        return tuple(i + 1 for i in range(len(rows)) if rows[i][j - 1] == 1)
 
     # -- basic queries --------------------------------------------------------
 
@@ -140,28 +285,7 @@ class TransitionMatrix:
         """Matrix entry A(i, j), exact for all i, j on built-in kinds."""
         if i < 1 or j < 1:
             raise ValueError("symbols are positive integers")
-        k = self.kind
-        if k == "renewal":
-            return 1 if (i == 1 or i == j + 1) else 0
-        if k == "pair_renewal":
-            return 1 if (i == 1 or i == j + 1 or (i == 2 and j % 2 == 0)) else 0
-        if k == "prime_renewal":
-            if i == 1 or i == j + 1:
-                return 1
-            return 1 if (_is_prime(i) and _prime_power_base(j) == i) else 0
-        if k == "alternating_renewal":
-            if i == j + 1:
-                return 1
-            if i == 1 and j % 2 == 0:
-                return 1
-            if i == 2 and j % 2 == 1:
-                return 1
-            return 0
-        rows = self._rows
-        assert rows is not None
-        if i > len(rows) or j > len(rows):
-            raise IndexError(f"index ({i},{j}) out of range for size {len(rows)}")
-        return rows[i - 1][j - 1]
+        return self._entry(i, j)
 
     def emitters(self, i: Symbol, bound: Symbol) -> set[Symbol]:
         """Truncated row support { j <= bound : A(i,j) = 1 }."""
@@ -171,44 +295,13 @@ class TransitionMatrix:
 
     def is_infinite_emitter(self, i: Symbol) -> bool:
         """Whether row i has infinitely many ones."""
-        k = self.kind
-        if k == "renewal":
-            return i == 1
-        if k == "pair_renewal":
-            return i in (1, 2)
-        if k == "prime_renewal":
-            return i == 1 or _is_prime(i)
-        if k == "alternating_renewal":
-            return i in (1, 2)
-        return False
+        return self.row_structure(i)[0] != "finite"
 
     def predecessors(self, j: Symbol) -> tuple[Symbol, ...]:
         """Column support { i : A(i,j) = 1 }, finite for every supported kind."""
         if j < 1:
             raise ValueError("symbols are positive integers")
-        k = self.kind
-        if k == "renewal":
-            return (1, j + 1)
-        if k == "pair_renewal":
-            base = {1, j + 1}
-            if j % 2 == 0:
-                base.add(2)
-            return tuple(sorted(base))
-        if k == "prime_renewal":
-            base = {1, j + 1}
-            p = _prime_power_base(j)
-            if p is not None:
-                base.add(p)
-            return tuple(sorted(base))
-        if k == "alternating_renewal":
-            base = {j + 1}
-            base.add(1 if j % 2 == 0 else 2)
-            return tuple(sorted(base))
-        rows = self._rows
-        assert rows is not None
-        if j > len(rows):
-            raise IndexError(f"column {j} out of range")
-        return tuple(i + 1 for i in range(len(rows)) if rows[i][j - 1] == 1)
+        return self._predecessors(j)
 
     # -- row structure for the cylinder algebra -------------------------------
 
@@ -220,28 +313,13 @@ class TransitionMatrix:
         ``("irregular", frozenset())`` when both the support and its
         complement are infinite (the row stays symbolic).
         """
-        k = self.kind
-        if k == "renewal":
-            return ("cofinite", frozenset()) if i == 1 else ("finite", frozenset({i - 1}))
-        if k == "pair_renewal":
-            if i == 1:
-                return ("cofinite", frozenset())
-            if i == 2:
-                return ("irregular", frozenset())
-            return ("finite", frozenset({i - 1}))
-        if k == "prime_renewal":
-            if i == 1:
-                return ("cofinite", frozenset())
-            if _is_prime(i):
-                return ("irregular", frozenset())
-            return ("finite", frozenset({i - 1}))
-        if k == "alternating_renewal":
-            if i in (1, 2):
-                return ("irregular", frozenset())
-            return ("finite", frozenset({i - 1}))
-        rows = self._rows
-        assert rows is not None
-        return ("finite", frozenset(j + 1 for j in range(len(rows)) if rows[i - 1][j] == 1))
+        if self._rows is not None:
+            return ("finite", frozenset(j + 1 for j, v in enumerate(self._rows[i - 1]) if v == 1))
+        if self.spec.is_irregular(i):
+            return ("irregular", frozenset())
+        if i == 1:
+            return ("cofinite", frozenset())
+        return ("finite", frozenset({i - 1}))
 
     def irregular_rows_intersection(self, i: Symbol, j: Symbol) -> frozenset[Symbol]:
         """Support of row i intersected with row j, both irregular, i != j.
@@ -251,20 +329,10 @@ class TransitionMatrix:
         """
         if i == j:
             raise ValueError("rows must differ")
-        k = self.kind
-        if k == "pair_renewal":
-            raise ValueError("pair renewal has a single irregular row")
-        if k == "alternating_renewal":
-            # evens vs odds
-            return frozenset()
-        if k == "prime_renewal":
-            out = set()
-            # candidates are the finite pieces {i-1} and {j-1}
-            for cand in (i - 1, j - 1):
-                if cand >= 1 and self.entry(i, cand) and self.entry(j, cand):
-                    out.add(cand)
-            return frozenset(out)
-        raise ValueError(f"kind {self.kind} has no irregular rows")
+        meet = self.spec.irregular_meet if self.spec is not None else None
+        if meet is None:
+            raise ValueError(f"kind {self.kind} has fewer than two irregular rows")
+        return meet(i, j)
 
     # -- catalog ---------------------------------------------------------------
 
@@ -281,7 +349,7 @@ class TransitionMatrix:
     # -- identity / serialization ----------------------------------------------
 
     def _key(self) -> tuple:
-        return (self.kind, self._rows, self.prime_bound if self.kind == "prime_renewal" else None)
+        return (self.kind, self._rows, self.prime_bound)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, TransitionMatrix) and self._key() == other._key()
@@ -290,21 +358,21 @@ class TransitionMatrix:
         return hash(self._key())
 
     def __repr__(self) -> str:
-        if self.kind == "prime_renewal":
+        if self.prime_bound is not None:
             return f"TransitionMatrix(kind={self.kind!r}, prime_bound={self.prime_bound})"
         if self.size is not None:
             return f"TransitionMatrix(kind={self.kind!r}, size={self.size})"
         return f"TransitionMatrix(kind={self.kind!r})"
 
     def to_dict(self) -> dict:
-        if self.kind == "prime_renewal":
-            return {"kind": "prime_renewal", "prime_bound": self.prime_bound}
-        if self.kind == "full_shift":
-            return {"kind": "full_shift", "size": self.size}
+        d: dict = {"kind": self.kind}
+        if self.prime_bound is not None:
+            d["prime_bound"] = self.prime_bound
+        if self.size is not None:
+            d["size"] = self.size
         if self.kind == "explicit":
-            assert self._rows is not None
-            return {"kind": "explicit", "size": self.size, "rows": [list(r) for r in self._rows]}
-        return {"kind": self.kind}
+            d["rows"] = [list(r) for r in self._rows]
+        return d
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -326,8 +394,6 @@ def prime_renewal(prime_bound: int = 7) -> TransitionMatrix:
     The accumulation-column catalog is countably infinite; only columns for
     primes up to ``prime_bound`` are materialized.
     """
-    if prime_bound < 2:
-        raise ValueError("prime_bound must be >= 2")
     return TransitionMatrix("prime_renewal", prime_bound=prime_bound)
 
 
@@ -351,19 +417,13 @@ def explicit(rows: Sequence[Sequence[int]]) -> TransitionMatrix:
 
 def from_dict(d: dict) -> TransitionMatrix:
     kind = d["kind"]
-    if kind == "renewal":
-        return renewal()
-    if kind == "pair_renewal":
-        return pair_renewal()
-    if kind == "prime_renewal":
-        return prime_renewal(d.get("prime_bound", 7))
-    if kind == "alternating_renewal":
-        return alternating_renewal()
     if kind == "full_shift":
         return full_shift(d["size"])
     if kind == "explicit":
         return explicit(d["rows"])
-    raise ValueError(f"unknown matrix kind {kind!r}")
+    if kind not in KINDS:
+        raise ValueError(f"unknown matrix kind {kind!r}")
+    return TransitionMatrix(kind, prime_bound=d.get("prime_bound", 7))
 
 
 def from_json(text: str) -> TransitionMatrix:
@@ -373,6 +433,4 @@ def from_json(text: str) -> TransitionMatrix:
 @lru_cache(maxsize=None)
 def by_kind(kind: str, prime_bound: int = 7) -> TransitionMatrix:
     """Shared instance of a built-in kind, for CLI and tests."""
-    if kind == "prime_renewal":
-        return prime_renewal(prime_bound)
-    return from_dict({"kind": kind})
+    return from_dict({"kind": kind, "prime_bound": prime_bound})

@@ -41,21 +41,10 @@ import numpy as np
 from . import symbolsets as ss
 from .configs import BoundedConfig
 from .cylinders import CylFamily, SetExpr, normalize
-from .matrices import AccumulationColumn, Symbol, TransitionMatrix
+from .matrices import KINDS, AccumulationColumn, Symbol, TransitionMatrix
 from .thermo import (Constant, GDiff, LogRatio, Potential, beta_c_log,
                      normalization_series, pressure_log_potential, zeta)
 from .words import Word, forced_extension, is_admissible
-
-SQRT2 = math.sqrt(2.0)
-
-#: certified generation growth: count(n) <= upper**n, and count infinitely
-#: often >= const * lower**n (sharp alternatives except the prime gap)
-GROWTH_BOUNDS = {
-    "renewal": (2.0, 2.0),
-    "pair_renewal": (1.0 + SQRT2, 1.0 + SQRT2),
-    "prime_renewal": (2.0, 3.0),
-    "alternating_renewal": (math.sqrt(3.0), math.sqrt(3.0)),
-}
 
 NEG_LOG_RATIO = GDiff(lambda s: -math.log(s), "-log", sup_value=math.log(2.0))
 
@@ -108,7 +97,7 @@ def _pair_tails(u: float, terminals: frozenset[Symbol]) -> dict[Symbol, float]:
     rows are 1 (everything) and 2 (one plus the evens); the geometric
     pieces over the forced descents are summed analytically.
     """
-    if (1.0 + SQRT2) * u >= 1.0:
+    if KINDS["pair_renewal"].growth[1] * u >= 1.0:
         raise AbsenceOfMeasure("continuation series diverges on the pair renewal matrix")
     h = float(len(terminals))
     e2 = 1.0 if 2 in terminals else 0.0
@@ -145,9 +134,9 @@ def normalizer(A: TransitionMatrix, family: AccumulationColumn, weight: Potentia
     """
     if isinstance(weight, Constant):
         x = math.exp(beta * weight.c) / lam
-        lower, upper = GROWTH_BOUNDS[A.kind] if A.kind in GROWTH_BOUNDS else (None, None)
-        if lower is None:
+        if A.spec is None:
             raise Inconclusive(f"no certified growth rate for kind {A.kind}")
+        lower, upper = A.spec.growth
         if lower * x >= 1.0:
             return NormalizerResult(math.inf, math.inf, "divergent")
         if upper * x >= 1.0:
@@ -262,7 +251,7 @@ class YFamilyMeasure:
             raise Inconclusive(
                 f"continuation sums on kind {self.matrix.kind} need a constant weight")
         A = self.matrix
-        _, upper = GROWTH_BOUNDS[A.kind]
+        _, upper = A.spec.growth
         u = self._u(1)
         rho = upper * u
         if rho >= 1.0:
@@ -305,16 +294,13 @@ class YFamilyMeasure:
         """Sum of letter weights over a sieve symbol set.
 
         Uses T(j) = sum over the row of j of the letter weights, plus
-        inclusion-exclusion over the (finitely intersecting) zero rows.
+        inclusion-exclusion over the (finitely intersecting) zero rows; the
+        whole alphabet is the union of the matrix's cover rows.
         """
-        A = self.matrix
         if s.one_row is not None:
             total = self._tail(s.one_row)
         elif not s.zero_rows:
-            total = self._tail(1) if A.kind != "alternating_renewal" else None
-            if total is None:
-                # no full row on the alternating matrix: sum the two parities
-                total = self._tail_union((1, 2))
+            total = self._tail_union(self.matrix.spec.cover)
         else:
             total = self._sieve_sum(ss.Sieve(None, frozenset(), frozenset()))
             total -= self._tail_union(tuple(sorted(s.zero_rows)))
@@ -425,7 +411,7 @@ class PairRenewalCritical:
         if A.kind != "pair_renewal":
             raise MeasureError("this measure is specific to the pair renewal matrix")
         self.matrix = A
-        self.beta = math.log(1.0 + SQRT2)
+        self.beta = A.spec.critical_beta
         self.weight: Potential = Constant(-1.0)
         self.lam = 1.0
         self.convention = "exp(beta)-conformal on the sequence space at the critical beta"
@@ -646,6 +632,33 @@ def log_eigenmeasure(beta: float, A: TransitionMatrix | None = None) -> MeasureM
     return LogEigenSigma(A, beta)
 
 
+@dataclass(frozen=True)
+class KindMeasures:
+    """The measures constructed on one matrix family.
+
+    With the constant potential the boundary families carry y-measures
+    above the critical beta ``A.spec.critical_beta``: ``boundary`` says how
+    many for the phase table, and ``y_families`` lists (suite key, family)
+    for the conformality suite.  ``critical`` is (suite key, constructor)
+    of the sequence-space measure at the critical beta, when one is known.
+    ``log_ratio`` tells whether the log-ratio eigenmeasures are built.
+    """
+
+    boundary: str
+    y_families: tuple[tuple[str, int], ...]
+    critical: tuple[str, Callable[[TransitionMatrix], MeasureModel]] | None
+    log_ratio: bool = False
+
+
+KIND_MEASURES: dict[str, KindMeasures] = {
+    "renewal": KindMeasures("1 measure", (("y_family", 1),),
+                            ("sarig_renewal_const", sarig_measure_renewal), log_ratio=True),
+    "pair_renewal": KindMeasures("2 extremal", (("y_family_1", 1), ("y_family_2", 2)),
+                                 ("pair_critical", pair_renewal_critical_measure)),
+    "prime_renewal": KindMeasures("1 per family (countably many)", (), None),
+}
+
+
 def extend_by_conformality(m: MeasureModel, alpha: Word, weight: Potential | None = None,
                            beta: float | None = None, lam: float | None = None) -> float:
     """Cylinder mass by peeling first letters through the conformality relation.
@@ -670,7 +683,7 @@ def extend_by_conformality(m: MeasureModel, alpha: Word, weight: Potential | Non
 # evaluation on set expressions
 # --------------------------------------------------------------------------
 
-def measure_setexpr(m: MeasureModel, s: SetExpr, tol: float = 1e-12) -> float:
+def measure_setexpr(m: MeasureModel, s: SetExpr) -> float:
     """Measure of a normalized set expression: points + cylinders + families."""
     if s.matrix != m.matrix:
         raise MeasureError("set expression over a different matrix")

@@ -47,12 +47,6 @@ def all_except(symbols) -> Sieve:
     return Sieve(None, frozenset(), frozenset(symbols))
 
 
-def _zero_rows_cover_alphabet(A: TransitionMatrix, zero_rows: frozenset[Symbol]) -> bool:
-    # Only the alternating matrix has irregular rows whose supports tile
-    # the whole alphabet (evens and odds).
-    return A.kind == "alternating_renewal" and {1, 2} <= zero_rows
-
-
 def row_one(A: TransitionMatrix, j: Symbol) -> SymbolSet:
     """{ k : A(j, k) = 1 } in normal form."""
     shape, support = A.row_structure(j)
@@ -109,7 +103,9 @@ def _canonical_sieve(A: TransitionMatrix, one_row: Symbol | None,
             extra |= A.irregular_rows_intersection(one_row, j)
         excluded = excluded | frozenset(extra)
         zero_rows = frozenset()
-    if one_row is None and _zero_rows_cover_alphabet(A, zero_rows):
+    if one_row is None and zero_rows and zero_rows.issuperset(A.spec.cover):
+        # no symbol avoids every row of a cover; zero rows are irregular,
+        # so only rule-defined kinds get here
         return EMPTY_SET
     base = Sieve(one_row, zero_rows, frozenset())
     excluded = frozenset(k for k in excluded if _base_contains(A, base, k))

@@ -283,27 +283,26 @@ def cylinder_words_up_to(A: TransitionMatrix, max_len: int, sym_bound: Symbol) -
 def conformality_suite(A: TransitionMatrix, beta: float, max_len: int = 6,
                        sym_bound: Symbol = 7) -> dict[str, float]:
     """Worst conformality residual per measure available on this matrix."""
+    known = ms.KIND_MEASURES.get(A.kind)
+    if known is None or known.critical is None:
+        raise ms.MeasureError(f"no measure constructions for kind {A.kind}")
     cyls = cylinder_words_up_to(A, max_len, sym_bound)
-    out: dict[str, float] = {}
-    if A.kind == "renewal":
-        nu = ms.sarig_measure_renewal(A)
-        out["sarig_renewal_const"] = ms.verify_conformality(
-            nu, cyls, weight=th.Constant(-1.0), beta=beta,
-            lam=2.0 * math.exp(-beta)).max_residual
-        if beta > math.log(2.0):
-            out["y_family"] = ms.verify_conformality(
-                ms.y_measure(A, 1, th.Constant(1.0), beta), cyls).max_residual
+    name, build = known.critical
+    nu = build(A)
+    if isinstance(nu, ms.SarigRenewalConst):
+        # one eigenmeasure for every beta, with eigenvalue 2 exp(-beta)
+        rep = ms.verify_conformality(nu, cyls, weight=th.Constant(-1.0), beta=beta,
+                                     lam=2.0 * math.exp(-beta))
+    else:
+        rep = ms.verify_conformality(nu, cyls)
+    out = {name: rep.max_residual}
+    if beta > A.spec.critical_beta:
+        for key, fam in known.y_families:
+            out[key] = ms.verify_conformality(
+                ms.y_measure(A, fam, th.Constant(1.0), beta), cyls).max_residual
+    if known.log_ratio:
         out["log_eigenmeasure"] = ms.verify_conformality(
             ms.log_eigenmeasure(beta if beta > 1.0 else 1.3, A), cyls).max_residual
-    elif A.kind == "pair_renewal":
-        out["pair_critical"] = ms.verify_conformality(
-            ms.pair_renewal_critical_measure(A), cyls).max_residual
-        if beta > math.log(1.0 + math.sqrt(2.0)):
-            for fam in (1, 2):
-                mu = ms.y_measure(A, fam, th.Constant(1.0), beta)
-                out[f"y_family_{fam}"] = ms.verify_conformality(mu, cyls).max_residual
-    else:
-        raise ms.MeasureError(f"no measure constructions for kind {A.kind}")
     return out
 
 

@@ -194,7 +194,7 @@ def check_transitive(A: TransitionMatrix, bound: Symbol, path_len: int = 0) -> T
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    if A.kind in ("renewal", "pair_renewal", "prime_renewal", "alternating_renewal"):
+    if A.size is None:
         return TransitivityReport("confirmed", note="rule-defined family, transitive by construction")
     size = A.size or bound
     limit = path_len if path_len >= 1 else size + bound

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -138,19 +139,42 @@ def test_pressure_sweep(capsys):
     assert all(r.endswith("exact") for r in rows[1:])
 
 
-def test_outputs_are_deterministic(capsys, tmp_path, monkeypatch):
+def test_outputs_are_deterministic(capsys):
     args = ["count", "--kind", "pair_renewal", "--n", "6"]
     _, out1 = run_cli(args, capsys)
     _, out2 = run_cli(args, capsys)
     assert out1 == out2
-    # thread fan-out keeps grid order
-    monkeypatch.setenv("GCMS_THREADS", "4")
-    _, a = run_cli(["phase", "--kind", "renewal", "--beta-grid", "0.5:1.5:0.1",
-                    "--potential", "const"], capsys)
-    monkeypatch.setenv("GCMS_THREADS", "1")
-    _, b = run_cli(["phase", "--kind", "renewal", "--beta-grid", "0.5:1.5:0.1",
-                    "--potential", "const"], capsys)
-    assert a == b
+
+
+# The README commands, under their names in perfbench/workloads.py, whose
+# stdout is stored in perfbench/reference/<name>.out.  The cylinder and
+# pressure suites are left out: they take seconds, and the acceptance
+# criteria check their results.
+README_COMMANDS = {
+    "count-renewal": ["count", "--kind", "renewal", "--n", "8"],
+    "count-pair_renewal": ["count", "--kind", "pair_renewal", "--family", "1", "--n", "6"],
+    "phase-renewal-const": ["phase", "--kind", "renewal", "--potential", "const",
+                            "--beta-grid", "0.5:1.0:0.05"],
+    "phase-renewal-log": ["phase", "--kind", "renewal", "--potential", "log",
+                          "--beta-grid", "1.2,1.73,2.2"],
+    "verify-conformality-pair_renewal": ["verify", "--suite", "conformality", "--kind",
+                                         "pair_renewal", "--beta", "1.2", "--tol", "1e-10"],
+    "converge-renewal-const": ["converge", "--kind", "renewal", "--potential", "const",
+                               "--approach", "1e-2,1e-3,1e-4,1e-5", "--depth", "4"],
+    "measure-renewal-log": ["measure", "--kind", "renewal", "--measure", "log", "--beta", "2.0"],
+    "decompose-pair_renewal": ["decompose", "--kind", "pair_renewal", "--expr", "C[;inv=2]"],
+    "decompose-renewal": ["decompose", "--kind", "renewal", "--expr", "C[1] & !C[1.2]"],
+    "pressure-renewal-const": ["pressure", "--kind", "renewal", "--potential", "const",
+                               "--beta-grid", "0.2:1.2:0.2", "--n-max", "12"],
+}
+REFERENCE_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
+
+
+@pytest.mark.parametrize("name", sorted(README_COMMANDS))
+def test_readme_outputs_are_byte_identical(name, capsys):
+    code, out = run_cli(README_COMMANDS[name], capsys)
+    assert code == 0
+    assert out.encode("utf-8") == (REFERENCE_DIR / f"{name}.out").read_bytes()
 
 
 def test_output_file_and_matrix_file(tmp_path, capsys):

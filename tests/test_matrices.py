@@ -109,3 +109,31 @@ def test_builtin_json_round_trip(renewal, pair):
 
 def test_prime_bound_controls_catalog():
     assert len(prime_renewal(11).accumulation_catalog) == 6  # {1} + primes 2,3,5,7,11
+
+
+@pytest.mark.parametrize("kind", sorted(matrices.KINDS))
+def test_kind_table_consistency(kind):
+    A = matrices.by_kind(kind)
+    window = set(range(1, 200))
+    rows = {i: {j for j in window if A.entry(i, j)} for i in range(1, 14)}
+    for i, row in rows.items():
+        shape, support = A.row_structure(i)
+        if shape == "finite":
+            assert row == support
+        elif shape == "cofinite":
+            assert row == window - support
+        else:
+            assert row - {i - 1} and window - row
+        assert A.is_infinite_emitter(i) == (shape != "finite")
+    irregular = [i for i in rows if A.row_structure(i)[0] == "irregular"]
+    for i in irregular:
+        for j in irregular:
+            if i != j:
+                assert A.irregular_rows_intersection(i, j) == rows[i] & rows[j]
+    if len(irregular) < 2:
+        with pytest.raises(ValueError):
+            A.irregular_rows_intersection(1, 2)
+    # the cover rows tile the alphabet
+    cover = [rows[i] for i in A.spec.cover]
+    assert set().union(*cover) == window
+    assert sum(len(r) for r in cover) == len(window)

@@ -61,7 +61,7 @@ def test_normalizer_matches_enumeration(pair, prime, alternating):
         res = ms.normalizer(A, col, Constant(-1.0), beta)
         counts = ms.family_generation_counts(A, col, depth)
         partial = math.fsum(c * math.exp(-beta * n) for n, c in enumerate(counts))
-        rho = ms.GROWTH_BOUNDS[A.kind][1] * math.exp(-beta)
+        rho = A.spec.growth[1] * math.exp(-beta)
         tail = rho ** (depth + 1) / (1.0 - rho)
         assert partial <= res.value + 1e-12
         assert abs(res.value - partial) <= tail + 1e-10 * res.value
