@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 from . import measures as ms
 from . import thermo as th
 from . import verification as vf
-from .cylinders import Cyl, decompose, intersect_many, parse_expression
+from .cylinders import Subbasis, decompose, intersect_many, parse_expression
 from .matrices import KINDS, TransitionMatrix, from_dict, from_json
 from .words import format_word
 
@@ -198,7 +198,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
     potential = _potential(args.potential)
     beta_c, model_of, target = _converge_models(A, potential)
     offsets = [float(x) for x in args.approach.split(",")]
-    basis = [(format_word(w), decompose(Cyl(A, w)))
+    basis = [(format_word(w), decompose(Subbasis(A, w)))
              for w in vf.cylinder_words_up_to(A, args.depth, args.symbol_bound)]
     rows = []
     for off in offsets:
@@ -344,8 +344,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one subcommand; a domain or input error exits 2 with one line on stderr."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except KeyError as exc:
+        message = f"missing key {exc}"
+    except ValueError as exc:    # includes MeasureError and DomainError
+        message = str(exc)
+    print(f"gcms: error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .matrices import AccumulationColumn, IntegerInterval, Symbol, TransitionMatrix
-from .words import Word, format_word, is_admissible, is_prefix
+from .words import Word, backward_words, format_word, is_admissible, is_prefix
 
 
 class _Vanishing:
@@ -273,33 +273,19 @@ def family_of(c: BoundedConfig) -> int:
     return c.root.id
 
 
-def preimages(c: BoundedConfig, n: int,
-              symbol_bound: Symbol | None = None) -> list[BoundedConfig]:
+def preimages(c: BoundedConfig, n: int) -> list[BoundedConfig]:
     """All configurations mapped onto ``c`` by n applications of the shift.
 
     Exact on the built-in kinds: column supports are finite and the first
     prepended symbol of an empty stem is constrained by the root's terminal
-    set.  A ``symbol_bound`` only filters the (already complete) result.
+    set.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     A = c.matrix
-    current = [c.stem]
-    depth = 0
-    if not c.stem and n > 0:
-        current = [(t,) for t in sorted(c.root.allowed_terminal_symbols)]
-        depth = 1
-    while depth < n:
-        nxt = []
-        for w in current:
-            for p in A.predecessors(w[0]):
-                nxt.append((p,) + w)
-        current = nxt
-        depth += 1
-    if symbol_bound is not None:
-        current = [w for w in current if all(s <= symbol_bound for s in w)]
-    current.sort()
-    return [BoundedConfig(A, w, c.root) for w in current]
+    seeds = A.predecessors(c.stem[0]) if c.stem else c.root.allowed_terminal_symbols
+    stems = sorted(head + c.stem for head in backward_words(A, n, seeds))
+    return [BoundedConfig(A, w, c.root) for w in stems]
 
 
 def count_preimages_closed_form(A: TransitionMatrix, family_id: int,

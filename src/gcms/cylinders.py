@@ -19,8 +19,8 @@ every identity is verified against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import Iterable, Sequence
 
 from . import symbolsets as ss
 from .configs import BoundedConfig, Configuration, GroupWord
@@ -34,106 +34,41 @@ from .words import (Word, forced_extension, format_word, is_admissible, is_prefi
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Cyl:
-    matrix: TransitionMatrix
-    alpha: Word
+class Subbasis:
+    """Cylinder on ``alpha`` or on ``alpha inv^{-1}``, or its complement.
 
-    def __post_init__(self) -> None:
-        _check_word(self.matrix, self.alpha)
-
-    def complement(self) -> "CylC":
-        return CylC(self.matrix, self.alpha)
-
-    def __repr__(self) -> str:
-        return f"C[{format_word(self.alpha)}]"
-
-
-@dataclass(frozen=True)
-class CylC:
-    matrix: TransitionMatrix
-    alpha: Word
-
-    def __post_init__(self) -> None:
-        _check_word(self.matrix, self.alpha)
-
-    def complement(self) -> Cyl:
-        return Cyl(self.matrix, self.alpha)
-
-    def __repr__(self) -> str:
-        return f"!C[{format_word(self.alpha)}]"
-
-
-@dataclass(frozen=True)
-class InvCyl:
-    """Cylinder on ``alpha j^{-1}``; only a single inverse letter is stored."""
-
-    matrix: TransitionMatrix
-    alpha: Word
-    j: Symbol
-
-    def __post_init__(self) -> None:
-        _check_word(self.matrix, self.alpha)
-        if self.j < 1:
-            raise ValueError("symbols are positive integers")
-
-    def complement(self) -> "InvCylC":
-        return InvCylC(self.matrix, self.alpha, self.j)
-
-    def __repr__(self) -> str:
-        return f"C[{format_word(self.alpha)};inv={self.j}]"
-
-
-@dataclass(frozen=True)
-class InvCylC:
-    matrix: TransitionMatrix
-    alpha: Word
-    j: Symbol
-
-    def __post_init__(self) -> None:
-        _check_word(self.matrix, self.alpha)
-        if self.j < 1:
-            raise ValueError("symbols are positive integers")
-
-    def complement(self) -> InvCyl:
-        return InvCyl(self.matrix, self.alpha, self.j)
-
-    def __repr__(self) -> str:
-        return f"!C[{format_word(self.alpha)};inv={self.j}]"
-
-
-SubbasisElem = Union[Cyl, CylC, InvCyl, InvCylC]
-
-
-def _check_word(A: TransitionMatrix, w: Word) -> None:
-    if any(s < 1 for s in w):
-        raise ValueError("symbols are positive integers")
-    if not is_admissible(A, w):
-        raise ValueError(f"word {format_word(w)} is not admissible")
-
-
-def from_group_word(A: TransitionMatrix, g: GroupWord, complement: bool = False) -> SubbasisElem:
-    """Subbasis element for a cylinder on an arbitrary alpha*beta^{-1} word.
-
-    Inverse tails reduce to their last letter: C on ``alpha gamma^{-1}``
-    equals C on ``alpha gamma[-1]^{-1}``.
+    Only a single inverse letter is stored: the cylinder on
+    ``alpha gamma^{-1}`` equals the one on ``alpha gamma[-1]^{-1}``.
     """
-    if not g.neg:
-        return CylC(A, g.pos) if complement else Cyl(A, g.pos)
-    j = g.neg[-1]
-    return InvCylC(A, g.pos, j) if complement else InvCyl(A, g.pos, j)
+
+    matrix: TransitionMatrix
+    alpha: Word
+    inv: Symbol | None = None
+    complemented: bool = False
+
+    def __post_init__(self) -> None:
+        if any(s < 1 for s in self.alpha) or (self.inv is not None and self.inv < 1):
+            raise ValueError("symbols are positive integers")
+        if not is_admissible(self.matrix, self.alpha):
+            raise ValueError(f"word {format_word(self.alpha)} is not admissible")
+
+    def complement(self) -> "Subbasis":
+        return replace(self, complemented=not self.complemented)
+
+    def __repr__(self) -> str:
+        inv = "" if self.inv is None else f";inv={self.inv}"
+        return f"{'!' if self.complemented else ''}C[{format_word(self.alpha)}{inv}]"
 
 
-def raw_member(c: Configuration, e: SubbasisElem) -> bool:
+def from_group_word(A: TransitionMatrix, g: GroupWord, complement: bool = False) -> Subbasis:
+    """Subbasis element for a cylinder on an arbitrary alpha*beta^{-1} word."""
+    return Subbasis(A, g.pos, g.neg[-1] if g.neg else None, complement)
+
+
+def raw_member(c: Configuration, e: Subbasis) -> bool:
     """Membership straight from the configuration evaluation (the oracle)."""
-    if isinstance(e, (Cyl, CylC)):
-        value = c.eval(GroupWord(e.alpha, ()))
-        return value == 1 if isinstance(e, Cyl) else value == 0
-    if e.alpha and e.alpha[-1] == e.j:
-        g = GroupWord(e.alpha[:-1], ())
-    else:
-        g = GroupWord(e.alpha, (e.j,))
-    value = c.eval(g)
-    return value == 1 if isinstance(e, InvCyl) else value == 0
+    g = GroupWord(e.alpha, () if e.inv is None else (e.inv,))
+    return c.eval(g) == (0 if e.complemented else 1)
 
 
 # --------------------------------------------------------------------------
@@ -319,39 +254,34 @@ def stem_points(A: TransitionMatrix, alpha: Word, need: frozenset[Symbol] = froz
 # decomposition of a subbasis element
 # --------------------------------------------------------------------------
 
-def decompose(e: SubbasisElem) -> SetExpr:
+def decompose(e: Subbasis) -> SetExpr:
     """Normal form of one subbasis element.
 
-    Inverse cylinders split into the stem-exactly boundary part plus the
-    family of admissible continuations; complements split along every
-    prefix position.
+    Complements split along every prefix position; inverse cylinders add
+    the stem-exactly boundary part plus the family of continuations, both
+    decided by the inverse letter's row.
     """
-    A = e.matrix
-    if isinstance(e, Cyl):
-        if not e.alpha:
-            return whole_space_expr(A)
-        return normalize(A, atoms=[e.alpha])
-    if isinstance(e, CylC):
-        if not e.alpha:
-            return empty_expr(A)
-        fams = [CylFamily(e.alpha[:m], ss.all_except({e.alpha[m]}))
-                for m in range(len(e.alpha))]
-        return normalize(A, points=prefix_points(A, e.alpha), families=fams)
-    if isinstance(e, InvCyl):
-        if e.alpha and e.alpha[-1] == e.j:
-            return decompose(Cyl(A, e.alpha[:-1]))
-        return normalize(A,
-                         points=stem_points(A, e.alpha, need=frozenset({e.j})),
-                         families=[CylFamily(e.alpha, ss.row_one(A, e.j))])
-    if isinstance(e, InvCylC):
-        if e.alpha and e.alpha[-1] == e.j:
-            return decompose(CylC(A, e.alpha[:-1]))
-        points = stem_points(A, e.alpha, avoid=frozenset({e.j})) + prefix_points(A, e.alpha)
-        fams = [CylFamily(e.alpha[:m], ss.all_except({e.alpha[m]}))
-                for m in range(len(e.alpha))]
-        fams.append(CylFamily(e.alpha, ss.row_zero(A, e.j)))
-        return normalize(A, points=points, families=fams)
-    raise TypeError(f"not a subbasis element: {e!r}")
+    A, alpha, inv = e.matrix, e.alpha, e.inv
+    if inv is not None and alpha and alpha[-1] == inv:
+        alpha, inv = alpha[:-1], None    # alpha j j^{-1} reduces to alpha
+    if inv is None and not alpha:
+        return empty_expr(A) if e.complemented else whole_space_expr(A)
+    if inv is None and not e.complemented:
+        return normalize(A, atoms=[alpha])
+    points: list[BoundedConfig] = []
+    fams: list[CylFamily] = []
+    if e.complemented:
+        points = prefix_points(A, alpha)
+        fams = [CylFamily(alpha[:m], ss.all_except({alpha[m]})) for m in range(len(alpha))]
+    if inv is not None:
+        j = frozenset({inv})
+        if e.complemented:
+            points += stem_points(A, alpha, avoid=j)
+            fams.append(CylFamily(alpha, ss.row_zero(A, inv)))
+        else:
+            points += stem_points(A, alpha, need=j)
+            fams.append(CylFamily(alpha, ss.row_one(A, inv)))
+    return normalize(A, points=points, families=fams)
 
 
 # --------------------------------------------------------------------------
@@ -449,14 +379,14 @@ def meet(s: SetExpr, t: SetExpr) -> SetExpr:
     return normalize(A, points=points, atoms=atoms, families=families)
 
 
-def intersect(a: SubbasisElem, b: SubbasisElem) -> SetExpr:
+def intersect(a: Subbasis, b: Subbasis) -> SetExpr:
     """Normalized intersection of two subbasis elements."""
     if a.matrix != b.matrix:
         raise ValueError("subbasis elements over different matrices")
     return meet(decompose(a), decompose(b))
 
 
-def intersect_many(elems: Sequence[SubbasisElem]) -> SetExpr:
+def intersect_many(elems: Sequence[Subbasis]) -> SetExpr:
     """Left fold of pairwise intersection; the result is again normal."""
     if not elems:
         raise ValueError("need at least one subbasis element")
@@ -506,7 +436,7 @@ class IdentityReport:
         return self.ok
 
 
-def verify_identity(lhs: tuple[SubbasisElem, SubbasisElem] | SubbasisElem,
+def verify_identity(lhs: tuple[Subbasis, Subbasis] | Subbasis,
                     rhs: SetExpr, sample: Iterable[Configuration]) -> IdentityReport:
     """Check rhs against raw membership of lhs on every sampled configuration.
 
@@ -531,7 +461,7 @@ def verify_identity(lhs: tuple[SubbasisElem, SubbasisElem] | SubbasisElem,
 # CLI expression grammar
 # --------------------------------------------------------------------------
 
-def parse_elem(A: TransitionMatrix, text: str) -> SubbasisElem:
+def parse_elem(A: TransitionMatrix, text: str) -> Subbasis:
     """Parse ``C[3.2.1]``, ``!C[3.2.1]``, ``C[2.1;inv=3]``, ``!C[2.1;inv=3]``."""
     text = text.strip()
     complement = text.startswith("!")
@@ -549,11 +479,9 @@ def parse_elem(A: TransitionMatrix, text: str) -> SubbasisElem:
     else:
         word_part = inner
     alpha = () if word_part.strip() in ("", "e") else parse_word(word_part)
-    if inv is None:
-        return CylC(A, alpha) if complement else Cyl(A, alpha)
-    return InvCylC(A, alpha, inv) if complement else InvCyl(A, alpha, inv)
+    return Subbasis(A, alpha, inv, complement)
 
 
-def parse_expression(A: TransitionMatrix, text: str) -> list[SubbasisElem]:
+def parse_expression(A: TransitionMatrix, text: str) -> list[Subbasis]:
     """Parse an ``&``-separated chain of subbasis elements."""
     return [parse_elem(A, chunk) for chunk in text.split("&")]

@@ -42,21 +42,17 @@ from . import symbolsets as ss
 from .configs import BoundedConfig
 from .cylinders import CylFamily, SetExpr, normalize
 from .matrices import KINDS, AccumulationColumn, Symbol, TransitionMatrix
-from .thermo import (Constant, GDiff, LogRatio, Potential, beta_c_log,
+from .thermo import (LOG_POTENTIAL, Constant, GDiff, Potential, beta_c_log,
                      normalization_series, pressure_log_potential, zeta)
 from .words import Word, forced_extension, is_admissible
 
-NEG_LOG_RATIO = GDiff(lambda s: -math.log(s), "-log", sup_value=math.log(2.0))
-
 
 def negate(F: Potential) -> Potential:
+    """The potential -F; a difference potential negates its g and its name."""
     if isinstance(F, Constant):
         return Constant(-F.c)
-    if isinstance(F, LogRatio):
-        return NEG_LOG_RATIO
-    if isinstance(F, GDiff) and F.name == "-log":
-        return LogRatio()
-    raise ValueError(f"cannot negate potential {F!r}")
+    name = F.name[1:] if F.name.startswith("-") else "-" + F.name
+    return GDiff(lambda s, g=F.g: -g(s), name)
 
 
 class MeasureError(ValueError):
@@ -156,7 +152,7 @@ def normalizer(A: TransitionMatrix, family: AccumulationColumn, weight: Potentia
         value = math.fsum(c * x ** n for n, c in enumerate(counts))
         tail = rho ** (depth + 1) / (1.0 - rho)
         return NormalizerResult(value, tail, "finite")
-    if A.kind == "renewal" and isinstance(weight, LogRatio) and lam == 1.0:
+    if A.kind == "renewal" and weight == LOG_POTENTIAL and lam == 1.0:
         # eigenmeasure weights: the stem series sums to 1/(2 - zeta) - 1
         if beta <= 1.0 or zeta(beta) >= 2.0:
             return NormalizerResult(math.inf, math.inf, "divergent")
@@ -484,7 +480,7 @@ class LogEigenSigma:
                                "the sequence space")
         self.matrix = A
         self.beta = beta
-        self.weight: Potential = LogRatio()
+        self.weight: Potential = LOG_POTENTIAL
         if beta < bc:
             self.lam = math.exp(pressure_log_potential(beta))
             self.unit_sum = normalization_series(beta, self.lam)
@@ -627,7 +623,7 @@ def log_eigenmeasure(beta: float, A: TransitionMatrix | None = None) -> MeasureM
         raise ValueError("beta must be positive")
     if beta > beta_c_log():
         c_e = 2.0 - zeta(beta)
-        return YFamilyMeasure(A, A.column_by_id(1), LogRatio(), beta, lam=1.0, c_e=c_e,
+        return YFamilyMeasure(A, A.column_by_id(1), LOG_POTENTIAL, beta, lam=1.0, c_e=c_e,
                               convention="eigenmeasure of the transfer operator, eigenvalue 1")
     return LogEigenSigma(A, beta)
 

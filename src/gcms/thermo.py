@@ -47,25 +47,6 @@ class Constant:
 
 
 @dataclass(frozen=True)
-class LogRatio:
-    """F(x) = log(x0) - log(x0 + 1); increasing in x0 with supremum 0."""
-
-    def value(self, s: Symbol) -> float:
-        return math.log(s) - math.log(s + 1)
-
-    @property
-    def sup(self) -> float:
-        return 0.0  # limit value, not attained
-
-    @property
-    def inf(self) -> float:
-        return math.log(1.0) - math.log(2.0)
-
-    def __repr__(self) -> str:
-        return "LogRatio()"
-
-
-@dataclass(frozen=True)
 class GDiff:
     """F(x) = g(x0) - g(x0 + 1) for a user-supplied g.
 
@@ -96,9 +77,17 @@ class GDiff:
         return hash(("GDiff", self.name))
 
 
-Potential = Constant | LogRatio | GDiff
+Potential = Constant | GDiff
 
 LOG_POTENTIAL = GDiff(math.log, "log", sup_value=0.0)
+
+
+def LogRatio() -> GDiff:
+    """The log-ratio potential F(x) = log(x0) - log(x0 + 1), i.e. ``LOG_POTENTIAL``.
+
+    Increasing in x0 with supremum 0, which is not attained.
+    """
+    return LOG_POTENTIAL
 
 
 def birkhoff_sum(F: Potential, beta: float, w: Word) -> float:
@@ -169,7 +158,7 @@ def z_n_transfer(A: TransitionMatrix, F: Potential, beta: float, base: Symbol, n
 
 
 def pointwise_z(A: TransitionMatrix, F: Potential, beta: float, x: Configuration,
-                n: int, symbol_bound: Symbol | None = None) -> ZValue:
+                n: int) -> ZValue:
     """Weighted count of the n-step shift preimages of the point ``x``.
 
     A preimage prepends a length-n admissible head to ``x``; for a
@@ -185,14 +174,8 @@ def pointwise_z(A: TransitionMatrix, F: Potential, beta: float, x: Configuration
         seeds = A.predecessors(x.stem[0])
     else:
         seeds = A.predecessors(x.symbol_at(0))
-    terms: list[float] = []
-    dropped = 0
-    for head in backward_words(A, n, seeds):
-        if symbol_bound is not None and any(s > symbol_bound for s in head):
-            dropped += 1
-            continue
-        terms.append(math.exp(birkhoff_sum(F, beta, head)))
-    return ZValue(math.fsum(terms), len(terms), dropped == 0)
+    terms = [math.exp(birkhoff_sum(F, beta, head)) for head in backward_words(A, n, seeds)]
+    return ZValue(math.fsum(terms), len(terms), True)
 
 
 def superadditivity_check(A: TransitionMatrix, F: Potential, beta: float, base: Symbol,
@@ -248,7 +231,7 @@ def gurevich_pressure(A: TransitionMatrix, F: Potential, beta: float, base: Symb
         values.append((n, logs[-1] / n))
     if A.kind == "renewal" and base == 1 and isinstance(F, Constant):
         return PressureEstimate(beta, values, math.log(2.0) + beta * F.c, "exact")
-    if A.kind == "renewal" and base == 1 and isinstance(F, LogRatio):
+    if A.kind == "renewal" and base == 1 and F == LOG_POTENTIAL:
         return PressureEstimate(beta, values, pressure_log_potential(beta), "exact")
     finite = [v for v in logs if math.isfinite(v)]
     extrap = finite[-1] - finite[-2] if len(finite) >= 2 else values[-1][1]
@@ -362,7 +345,7 @@ def discriminant_log(beta: float, head: int = 14) -> DiscriminantResult:
     """
     from .matrices import by_kind
     A = by_kind("renewal")
-    F = LogRatio()
+    F = LOG_POTENTIAL
     if beta <= 1.0:
         return DiscriminantResult(beta, True, math.inf, math.inf, 1.0)
     zs = [z_n_star(A, F, beta, 1, k).value for k in range(1, head + 1)]

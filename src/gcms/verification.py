@@ -26,8 +26,7 @@ from . import symbolsets as sset
 from . import thermo as th
 from .configs import (BoundedConfig, Configuration, UnboundedConfig, count_preimages_closed_form,
                       empty_stem_config, preimages, IntegerInterval)
-from .cylinders import (Cyl, CylC, InvCyl, InvCylC, SetExpr, SubbasisElem, decompose,
-                        meet, raw_member)
+from .cylinders import SetExpr, Subbasis, decompose, meet, raw_member
 from .matrices import Symbol, TransitionMatrix
 from .words import Word, enumerate_words, iter_cycles
 
@@ -169,21 +168,13 @@ class OracleReport:
 
 
 def subbasis_elements(A: TransitionMatrix, word_len: int, sym_bound: Symbol,
-                      inv_bound: Symbol) -> list[SubbasisElem]:
+                      inv_bound: Symbol) -> list[Subbasis]:
     """All four element shapes over admissible words up to the bounds,
     including the empty word."""
-    words: list[Word] = [()]
-    for n in range(1, word_len + 1):
-        for last in range(1, sym_bound + 1):
-            words.extend(enumerate_words(A, n, {last}, sym_bound).words)
-    elems: list[SubbasisElem] = []
-    for w in words:
-        elems.append(Cyl(A, w))
-        elems.append(CylC(A, w))
-        for j in range(1, inv_bound + 1):
-            elems.append(InvCyl(A, w, j))
-            elems.append(InvCylC(A, w, j))
-    return elems
+    return [Subbasis(A, w, inv, complemented)
+            for w in [()] + cylinder_words_up_to(A, word_len, sym_bound)
+            for inv in (None, *range(1, inv_bound + 1))
+            for complemented in (False, True)]
 
 
 def cylinder_oracle(A: TransitionMatrix, word_len: int = 3, sym_bound: Symbol = 4,
@@ -325,7 +316,7 @@ def pressure_identity_rows(A: TransitionMatrix, beta: float, n_max: int = 20
 def first_return_rows(A: TransitionMatrix, beta: float, n_max: int = 14
                       ) -> list[tuple[int, float, float]]:
     """(n, Z*_n for the log-ratio potential, (n+1)^-beta)."""
-    return [(n, th.z_n_star(A, th.LogRatio(), beta, 1, n).value, (n + 1.0) ** (-beta))
+    return [(n, th.z_n_star(A, th.LOG_POTENTIAL, beta, 1, n).value, (n + 1.0) ** (-beta))
             for n in range(1, n_max + 1)]
 
 
@@ -335,8 +326,8 @@ def pressure_suite(A: TransitionMatrix, beta: float = 0.7) -> dict[str, float]:
     worst_id = max(abs(l - r) for _, l, r in pressure_identity_rows(A, beta))
     worst_star = max(abs(l - r) / r for _, l, r in first_return_rows(A, 2.0))
     th.superadditivity_check(A, th.Constant(1.0), beta, 1, 16)
-    numerator = th.z_n_transfer(A, th.LogRatio(), 1.0, 1, 8, 10)
-    direct = th.z_n(A, th.LogRatio(), 1.0, 1, 8).value
+    numerator = th.z_n_transfer(A, th.LOG_POTENTIAL, 1.0, 1, 8, 10)
+    direct = th.z_n(A, th.LOG_POTENTIAL, 1.0, 1, 8).value
     return {
         "pressure_identity_max_residual": worst_id,
         "first_return_max_rel_residual": worst_star,

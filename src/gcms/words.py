@@ -92,7 +92,7 @@ def backward_words(A: TransitionMatrix, n: int, seeds: Iterable[Symbol],
         if length == n:
             yield suffix
             continue
-        for p in sorted(A.predecessors(suffix[0]), reverse=True):
+        for p in reversed(A.predecessors(suffix[0])):
             if keep is not None and not keep(p):
                 continue
             stack.append(((p,) + suffix, length + 1))

@@ -187,6 +187,25 @@ def test_output_file_and_matrix_file(tmp_path, capsys):
     assert json.loads(out_file.read_text())["ok"] is True
 
 
+@pytest.mark.parametrize("args, message", [
+    (["verify", "--suite", "counting", "--kind", "alternating_renewal"],
+     "no closed-form preimage count for kind alternating_renewal"),
+    (["measure", "--measure", "y", "--kind", "renewal", "--beta", "0.5"],
+     "normalizing series diverges"),
+    (["decompose", "--kind", "renewal", "--expr", "C[2.3]"], "word 2.3 is not admissible"),
+    (["count", "--matrix-file", "MATRIX"], "missing key 'rows'"),
+])
+def test_errors_exit_2_with_one_line(args, message, tmp_path, capsys):
+    spec = tmp_path / "matrix.json"
+    spec.write_text('{"kind": "explicit"}')
+    code = main([str(spec) if a == "MATRIX" else a for a in args])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("gcms: error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+
+
 def test_count_exit_code_on_mismatch(capsys, monkeypatch):
     import gcms.verification as vf
     monkeypatch.setattr("gcms.cli.vf.counting_suite",

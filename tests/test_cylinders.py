@@ -3,9 +3,9 @@ from hypothesis import given, settings, strategies as st
 
 from gcms import symbolsets as sset
 from gcms.configs import GroupWord, bounded, empty_stem_config, unbounded
-from gcms.cylinders import (Cyl, CylC, InvCyl, InvCylC, decompose, intersect,
-                            intersect_many, member, membership_count, parse_elem,
-                            parse_expression, raw_member, verify_identity)
+from gcms.cylinders import (Subbasis, decompose, intersect, intersect_many, member,
+                            membership_count, parse_elem, parse_expression, raw_member,
+                            verify_identity)
 from gcms.verification import build_universe, subbasis_elements, whole_space_cover_check
 
 
@@ -13,14 +13,14 @@ from gcms.verification import build_universe, subbasis_elements, whole_space_cov
 
 def test_inverse_cylinder_reduces_to_plain_cylinder(renewal):
     # appending the inverse of 3 after "2.1" lands on the cylinder of "2.1.2"
-    got = decompose(InvCyl(renewal, (2, 1), 3))
-    want = decompose(Cyl(renewal, (2, 1, 2)))
+    got = decompose(Subbasis(renewal, (2, 1), 3))
+    want = decompose(Subbasis(renewal, (2, 1, 2)))
     assert got == want
     assert not got.points and not got.families
 
 
 def test_complement_of_first_cylinder(renewal):
-    got = decompose(CylC(renewal, (1,)))
+    got = decompose(Subbasis(renewal, (1,), complemented=True))
     assert [p.stem for p in got.points] == [()]
     assert len(got.families) == 1
     fam = got.families[0]
@@ -29,7 +29,7 @@ def test_complement_of_first_cylinder(renewal):
 
 def test_pair_inverse_on_empty_word(pair):
     # C_{2^-1} = {empty-stem config of family 1} |_| C_1 |_| the even cylinders
-    got = decompose(InvCyl(pair, (), 2))
+    got = decompose(Subbasis(pair, (), 2))
     assert [(p.stem, p.root.id) for p in got.points] == [((), 1)]
     assert len(got.families) == 1
     s = got.families[0].symbols
@@ -39,49 +39,52 @@ def test_pair_inverse_on_empty_word(pair):
 
 def test_degenerate_inverse_letter(renewal):
     # the inverse of the stem's own last letter cancels
-    assert decompose(InvCyl(renewal, (2, 1), 1)) == decompose(Cyl(renewal, (2,)))
-    assert decompose(InvCylC(renewal, (2, 1), 1)) == decompose(CylC(renewal, (2,)))
-    assert decompose(InvCyl(renewal, (), 1)).whole_space  # row 1 accepts everything
-    assert decompose(InvCylC(renewal, (), 1)).is_empty
+    assert decompose(Subbasis(renewal, (2, 1), 1)) == decompose(Subbasis(renewal, (2,)))
+    assert (decompose(Subbasis(renewal, (2, 1), 1, complemented=True))
+            == decompose(Subbasis(renewal, (2,), complemented=True)))
+    assert decompose(Subbasis(renewal, (), 1)).whole_space  # row 1 accepts everything
+    assert decompose(Subbasis(renewal, (), 1, complemented=True)).is_empty
 
 
 def test_whole_space_and_empty(renewal):
-    assert decompose(Cyl(renewal, ())).whole_space
-    assert decompose(CylC(renewal, ())).is_empty
+    assert decompose(Subbasis(renewal, ())).whole_space
+    assert decompose(Subbasis(renewal, (), complemented=True)).is_empty
 
 
 def test_non_admissible_words_rejected(renewal):
     with pytest.raises(ValueError):
-        Cyl(renewal, (2, 3))
+        Subbasis(renewal, (2, 3))
 
 
 def test_from_group_word_stores_last_inverse_letter(renewal):
     # cylinders on long inverse tails reduce to the tail's last letter
     from gcms.cylinders import from_group_word
     g = GroupWord((2, 1), (4, 3))
-    assert from_group_word(renewal, g) == InvCyl(renewal, (2, 1), 3)
-    assert from_group_word(renewal, g, complement=True) == InvCylC(renewal, (2, 1), 3)
-    assert from_group_word(renewal, GroupWord((1, 2), ())) == Cyl(renewal, (1, 2))
+    assert from_group_word(renewal, g) == Subbasis(renewal, (2, 1), 3)
+    assert (from_group_word(renewal, g, complement=True)
+            == Subbasis(renewal, (2, 1), 3, complemented=True))
+    assert from_group_word(renewal, GroupWord((1, 2), ())) == Subbasis(renewal, (1, 2))
 
 
 # -- intersections -------------------------------------------------------------
 
 def test_intersect_idempotent(renewal):
-    a = Cyl(renewal, (1,))
+    a = Subbasis(renewal, (1,))
     assert intersect(a, a) == decompose(a)
 
 
 def test_intersect_nested_prefixes(renewal):
-    got = intersect_many([Cyl(renewal, (1,)), Cyl(renewal, (1, 2)), Cyl(renewal, (1, 2, 1))])
-    assert got == decompose(Cyl(renewal, (1, 2, 1)))
+    got = intersect_many([Subbasis(renewal, (1,)), Subbasis(renewal, (1, 2)),
+                          Subbasis(renewal, (1, 2, 1))])
+    assert got == decompose(Subbasis(renewal, (1, 2, 1)))
 
 
 def test_intersect_disjoint_words(renewal):
-    assert intersect(Cyl(renewal, (2, 1)), Cyl(renewal, (3, 2))).is_empty
+    assert intersect(Subbasis(renewal, (2, 1)), Subbasis(renewal, (3, 2))).is_empty
 
 
 def test_intersect_cylinder_with_complement(renewal):
-    got = intersect(Cyl(renewal, (1,)), CylC(renewal, (1, 2)))
+    got = intersect(Subbasis(renewal, (1,)), Subbasis(renewal, (1, 2), complemented=True))
     assert [p.stem for p in got.points] == [(1,)]
     assert len(got.families) == 1
     fam = got.families[0]
@@ -91,7 +94,9 @@ def test_intersect_cylinder_with_complement(renewal):
 def test_intersect_many_three_way(renewal):
     # starting with 1 but avoiding both 1.2 and 1.1 leaves the length-one
     # stem plus the continuations through letters above 2
-    got = intersect_many([Cyl(renewal, (1,)), CylC(renewal, (1, 2)), CylC(renewal, (1, 1))])
+    got = intersect_many([Subbasis(renewal, (1,)),
+                          Subbasis(renewal, (1, 2), complemented=True),
+                          Subbasis(renewal, (1, 1), complemented=True)])
     assert [p.stem for p in got.points] == [(1,)]
     assert len(got.families) == 1
     fam = got.families[0]
@@ -99,21 +104,22 @@ def test_intersect_many_three_way(renewal):
     # verify against the three-way raw membership directly
     universe = build_universe(renewal, 5, 6, 30).configs
     for c in universe:
-        want = (raw_member(c, Cyl(renewal, (1,)))
-                and raw_member(c, CylC(renewal, (1, 2)))
-                and raw_member(c, CylC(renewal, (1, 1))))
+        want = (raw_member(c, Subbasis(renewal, (1,)))
+                and raw_member(c, Subbasis(renewal, (1, 2), complemented=True))
+                and raw_member(c, Subbasis(renewal, (1, 1), complemented=True)))
         assert member(c, got) == want
 
 
 def test_intersect_requires_same_matrix(renewal, pair):
     with pytest.raises(ValueError):
-        intersect(Cyl(renewal, (1,)), Cyl(pair, (1,)))
+        intersect(Subbasis(renewal, (1,)), Subbasis(pair, (1,)))
 
 
 def test_intersect_commutative_on_universe(renewal):
     universe = build_universe(renewal, 4, 5, 20)
-    elems = [Cyl(renewal, (1,)), CylC(renewal, (2, 1)), InvCyl(renewal, (1, 1), 2),
-             InvCylC(renewal, (2, 1), 3), CylC(renewal, (1, 2, 1))]
+    elems = [Subbasis(renewal, (1,)), Subbasis(renewal, (2, 1), complemented=True),
+             Subbasis(renewal, (1, 1), 2), Subbasis(renewal, (2, 1), 3, complemented=True),
+             Subbasis(renewal, (1, 2, 1), complemented=True)]
     for a in elems:
         for b in elems:
             ab, ba = intersect(a, b), intersect(b, a)
@@ -124,10 +130,10 @@ def test_intersect_commutative_on_universe(renewal):
 
 def test_member_examples(renewal):
     xi0 = empty_stem_config(renewal, 1)
-    assert member(xi0, decompose(CylC(renewal, (1,))))
-    assert member(bounded(renewal, (3, 2, 1), 1), decompose(Cyl(renewal, (3, 2))))
-    assert not member(bounded(renewal, (1,), 1), decompose(Cyl(renewal, (1, 2))))
-    assert member(unbounded(renewal, (), (1,)), decompose(Cyl(renewal, (1, 1))))
+    assert member(xi0, decompose(Subbasis(renewal, (1,), complemented=True)))
+    assert member(bounded(renewal, (3, 2, 1), 1), decompose(Subbasis(renewal, (3, 2))))
+    assert not member(bounded(renewal, (1,), 1), decompose(Subbasis(renewal, (1, 2))))
+    assert member(unbounded(renewal, (), (1,)), decompose(Subbasis(renewal, (1, 1))))
 
 
 def test_reduction_soundness(renewal):
@@ -149,14 +155,14 @@ def test_reduction_soundness(renewal):
 
 def test_verify_identity_pass_and_disjoint(renewal):
     universe = build_universe(renewal, 4, 5, 25).configs
-    a, b = Cyl(renewal, (1,)), CylC(renewal, (1, 2))
+    a, b = Subbasis(renewal, (1,)), Subbasis(renewal, (1, 2), complemented=True)
     rep = verify_identity((a, b), intersect(a, b), universe)
     assert rep.ok and rep.checked == len(universe)
 
 
 def test_verify_identity_detects_corruption(renewal):
     universe = build_universe(renewal, 4, 5, 25).configs
-    a, b = Cyl(renewal, (1,)), CylC(renewal, (1, 2))
+    a, b = Subbasis(renewal, (1,)), Subbasis(renewal, (1, 2), complemented=True)
     good = intersect(a, b)
     # drop the family part: membership must now fail somewhere
     from gcms.cylinders import SetExpr
@@ -220,15 +226,22 @@ def test_explicit_matrix_oracle():
 # -- grammar -------------------------------------------------------------------
 
 def test_parse_expressions(renewal):
-    assert parse_elem(renewal, "C[3.2.1]") == Cyl(renewal, (3, 2, 1))
-    assert parse_elem(renewal, "!C[3.2.1]") == CylC(renewal, (3, 2, 1))
-    assert parse_elem(renewal, "C[2.1;inv=3]") == InvCyl(renewal, (2, 1), 3)
-    assert parse_elem(renewal, "!C[2.1;inv=3]") == InvCylC(renewal, (2, 1), 3)
-    assert parse_elem(renewal, "C[e]") == Cyl(renewal, ())
+    assert parse_elem(renewal, "C[3.2.1]") == Subbasis(renewal, (3, 2, 1))
+    assert parse_elem(renewal, "!C[3.2.1]") == Subbasis(renewal, (3, 2, 1), complemented=True)
+    assert parse_elem(renewal, "C[2.1;inv=3]") == Subbasis(renewal, (2, 1), 3)
+    assert parse_elem(renewal, "!C[2.1;inv=3]") == Subbasis(renewal, (2, 1), 3, complemented=True)
+    assert parse_elem(renewal, "C[e]") == Subbasis(renewal, ())
     chain = parse_expression(renewal, "C[1] & !C[1.2]")
-    assert chain == [Cyl(renewal, (1,)), CylC(renewal, (1, 2))]
+    assert chain == [Subbasis(renewal, (1,)), Subbasis(renewal, (1, 2), complemented=True)]
     with pytest.raises(ValueError):
         parse_elem(renewal, "D[1]")
+
+
+def test_repr_round_trips_through_parser(renewal, pair):
+    # the oracle's mismatch messages spell elements in the grammar
+    for A in (renewal, pair):
+        for e in subbasis_elements(A, 3, 4, 4):
+            assert parse_elem(A, repr(e)) == e
 
 
 # -- property test: membership agrees with raw evaluation ------------------------

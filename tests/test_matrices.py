@@ -82,6 +82,7 @@ def test_explicit_round_trip():
     assert A == B
     assert B.to_json() == text      # bit-exact round trip
     assert A.entry(1, 2) == 1 and A.entry(3, 2) == 0
+    assert [A.predecessors(j) for j in (1, 2, 3)] == [(1, 3), (1, 2), (2,)]
     with pytest.raises(IndexError):
         A.entry(4, 1)
 
@@ -133,6 +134,10 @@ def test_kind_table_consistency(kind):
     if len(irregular) < 2:
         with pytest.raises(ValueError):
             A.irregular_rows_intersection(1, 2)
+    # predecessors come back strictly ascending; the backward word walk relies on it
+    for j in range(1, 30):
+        preds = A.predecessors(j)
+        assert isinstance(preds, tuple) and list(preds) == sorted(set(preds))
     # the cover rows tile the alphabet
     cover = [rows[i] for i in A.spec.cover]
     assert set().union(*cover) == window

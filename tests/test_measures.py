@@ -4,14 +4,21 @@ import pytest
 
 from gcms import measures as ms
 from gcms.configs import bounded, empty_stem_config
-from gcms.cylinders import Cyl, CylC, InvCyl, decompose, intersect
-from gcms.thermo import Constant, LogRatio, beta_c_log, zeta
+from gcms.cylinders import Subbasis, decompose, intersect
+from gcms.thermo import LOG_POTENTIAL, Constant, LogRatio, beta_c_log, zeta
 from gcms.verification import cylinder_words_up_to
 from gcms.words import enumerate_words
 
 LOG2 = math.log(2.0)
 LOG3 = math.log(3.0)
 PAIR_BC = math.log(1.0 + math.sqrt(2.0))
+
+
+def test_negate_is_an_involution():
+    for F in (Constant(1.0), LOG_POTENTIAL):
+        assert ms.negate(ms.negate(F)) == F
+    neg = ms.negate(LOG_POTENTIAL)
+    assert all(neg.value(s) == -LOG_POTENTIAL.value(s) for s in range(1, 200))
 
 
 # -- normalizer --------------------------------------------------------------------
@@ -209,25 +216,25 @@ def test_log_eigenmeasure_values(renewal):
 
 def test_measure_setexpr(renewal):
     mu = ms.y_measure(renewal, 1, Constant(1.0), LOG3)
-    assert ms.measure_setexpr(mu, decompose(Cyl(renewal, (2, 1)))) == pytest.approx(1.0 / 9)
+    assert ms.measure_setexpr(mu, decompose(Subbasis(renewal, (2, 1)))) == pytest.approx(1.0 / 9)
     nu = ms.sarig_measure_renewal(renewal)
-    assert ms.measure_setexpr(nu, decompose(Cyl(renewal, (2, 1)))) == pytest.approx(0.25)
+    assert ms.measure_setexpr(nu, decompose(Subbasis(renewal, (2, 1)))) == pytest.approx(0.25)
     # whole space and complements
     for m in (mu, nu):
-        assert ms.measure_setexpr(m, decompose(Cyl(renewal, ()))) == pytest.approx(1.0)
-        total = (ms.measure_setexpr(m, decompose(Cyl(renewal, (1,))))
-                 + ms.measure_setexpr(m, decompose(CylC(renewal, (1,)))))
+        assert ms.measure_setexpr(m, decompose(Subbasis(renewal, ()))) == pytest.approx(1.0)
+        total = (ms.measure_setexpr(m, decompose(Subbasis(renewal, (1,))))
+                 + ms.measure_setexpr(m, decompose(Subbasis(renewal, (1,), complemented=True))))
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_measure_additivity_on_intersections(pair):
     mu = ms.y_measure(pair, 1, Constant(1.0), 1.2)
-    a, b = Cyl(pair, (1,)), CylC(pair, (1, 2))
+    a, b = Subbasis(pair, (1,)), Subbasis(pair, (1, 2), complemented=True)
     inter = intersect(a, b)
     # mu(C_1) = mu(C_1 minus C_12) + mu(C_12)
     assert ms.measure_setexpr(mu, decompose(a)) == pytest.approx(
         ms.measure_setexpr(mu, inter) + mu.cyl_mass((1, 2)), rel=1e-12)
-    inv = decompose(InvCyl(pair, (), 2))
+    inv = decompose(Subbasis(pair, (), 2))
     direct = mu.point_mass(empty_stem_config(pair, 1)) + mu.cyl_mass((1,)) + math.fsum(
         mu.cyl_mass((2 * k,)) for k in range(1, 200))
     assert ms.measure_setexpr(mu, inv) == pytest.approx(direct, rel=1e-10)
@@ -274,7 +281,7 @@ def test_convex_combination(pair):
 def test_weak_star_renewal_constant(renewal):
     basis_words = [w for n in range(1, 5)
                    for w in enumerate_words(renewal, n, {1}, 6).words]
-    basis = [(str(w), decompose(Cyl(renewal, w))) for w in basis_words]
+    basis = [(str(w), decompose(Subbasis(renewal, w))) for w in basis_words]
     target = ms.sarig_measure_renewal(renewal)
     grid = [LOG2 + off for off in (0.5, 0.1, 0.01, 1e-3, 1e-4)]
     rows, monotone = ms.weak_star_sweep(
@@ -296,7 +303,7 @@ def test_weak_star_log_potential(renewal):
     bc = beta_c_log()
     target = ms.log_eigenmeasure(bc)
     words = [w for n in range(1, 4) for w in enumerate_words(renewal, n, {1}, 5).words]
-    basis = [(str(w), decompose(Cyl(renewal, w))) for w in words]
+    basis = [(str(w), decompose(Subbasis(renewal, w))) for w in words]
     rows, monotone = ms.weak_star_sweep(
         lambda b: ms.log_eigenmeasure(b), target, basis,
         [bc + off for off in (0.3, 0.1, 0.01, 1e-3)])

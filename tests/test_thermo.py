@@ -25,7 +25,6 @@ def test_birkhoff_examples():
 
 def test_potential_bounds():
     assert LogRatio().sup == 0.0
-    assert LogRatio().inf == pytest.approx(-math.log(2))
     assert Constant(3.0).sup == 3.0
     assert LOG_POTENTIAL.value(3) == pytest.approx(math.log(3) - math.log(4))
     with pytest.raises(ValueError):
@@ -126,6 +125,13 @@ def test_gurevich_upper_bound(renewal):
     for beta in (0.4, 1.0, 2.0):
         est = gurevich_pressure(renewal, LogRatio(), beta, 1, 8)
         assert est.extrapolated <= math.log(2) + beta * LogRatio().sup + 1e-12
+
+
+def test_gurevich_log_potential_has_one_spelling(renewal):
+    est = gurevich_pressure(renewal, LOG_POTENTIAL, 1.3, 1, 6)
+    assert est.certificate == "exact"
+    assert est.extrapolated == pressure_log_potential(1.3)
+    assert est == gurevich_pressure(renewal, LogRatio(), 1.3, 1, 6)
 
 
 def test_gurevich_above_critical_is_zero(renewal):
