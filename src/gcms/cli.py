@@ -97,8 +97,7 @@ def _potential(name: str) -> th.Potential:
 
 def cmd_count(args: argparse.Namespace) -> int:
     A = _load_matrix(args)
-    families = ([args.family] if args.family else
-                [c.id for c in A.accumulation_catalog])
+    families = [args.family] if args.family else vf.counted_families(A)
     rows = []
     all_match = True
     for fam in families:
@@ -169,7 +168,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         report["residuals"] = resid
         ok = all(v <= args.tol for v in resid.values())
     elif args.suite == "counting":
-        fams = [c.id for c in A.accumulation_catalog]
+        fams = vf.counted_families(A)
         mismatch = [f for f in fams
                     if not all(r.match for r in vf.counting_suite(A, f, 10))]
         report["families_checked"] = fams
@@ -197,18 +196,12 @@ def cmd_converge(args: argparse.Namespace) -> int:
     A = _load_matrix(args)
     potential = _potential(args.potential)
     beta_c, model_of, target = _converge_models(A, potential)
-    offsets = [float(x) for x in args.approach.split(",")]
+    grid = [beta_c + float(x) for x in args.approach.split(",")]
     basis = [(format_word(w), decompose(Subbasis(A, w)))
              for w in vf.cylinder_words_up_to(A, args.depth, args.symbol_bound)]
-    rows = []
-    for off in offsets:
-        b = beta_c + off
-        mb = model_of(b)
-        for set_id, expr in basis:
-            val = ms.measure_setexpr(mb, expr)
-            tgt = ms.measure_setexpr(target, expr)
-            rows.append((b, set_id, val, tgt, abs(val - tgt)))
-    _emit(args, ["beta", "set", "value", "target", "abs_diff"], rows)
+    rows, _ = ms.weak_star_sweep(model_of, target, basis, grid)
+    _emit(args, ["beta", "set", "value", "target", "abs_diff"],
+          [(r.beta, r.set_id, r.value, r.target, r.diff) for r in rows])
     return 0
 
 
@@ -344,13 +337,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Run one subcommand; a domain or input error exits 2 with one line on stderr."""
+    """Run one subcommand; a domain, input or file error exits 2 with one line on stderr."""
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except KeyError as exc:
         message = f"missing key {exc}"
-    except ValueError as exc:    # includes MeasureError and DomainError
+    except (ValueError, OSError) as exc:    # ValueError includes MeasureError and DomainError
         message = str(exc)
     print(f"gcms: error: {message}", file=sys.stderr)
     return 2

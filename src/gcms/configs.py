@@ -114,9 +114,6 @@ class BoundedConfig:
     def bounded(self) -> bool:
         return True
 
-    def stem_word(self) -> Word:
-        return self.stem
-
     def symbol_at(self, i: int) -> Symbol | None:
         return self.stem[i] if i < len(self.stem) else None
 
@@ -350,13 +347,9 @@ def rules_check(c: Configuration, depth: int, symbol_bound: int | None = None) -
             return RulesReport(False, "R3", g)
         if len(extensions) == 1:
             y = extensions[0]
-            A = _matrix_of(c)
+            A = c.matrix
             for x in range(1, bound + 1):
                 lhs = c.eval(g.times_inv(x))
                 if lhs != A.entry(x, y):
                     return RulesReport(False, "R4", g.times_inv(x))
     return RulesReport(True)
-
-
-def _matrix_of(c: Configuration) -> TransitionMatrix:
-    return c.matrix

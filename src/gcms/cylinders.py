@@ -288,15 +288,6 @@ def decompose(e: Subbasis) -> SetExpr:
 # intersection of normal forms
 # --------------------------------------------------------------------------
 
-def _meet_point_atom(p: BoundedConfig, a: Word) -> bool:
-    return p.has_prefix(a)
-
-def _meet_point_family(p: BoundedConfig, f: CylFamily, A: TransitionMatrix) -> bool:
-    n = len(f.prefix)
-    return (len(p.stem) > n and p.stem[:n] == f.prefix
-            and ss.contains(A, f.symbols, p.stem[n]))
-
-
 def _meet_atoms(a: Word, b: Word) -> Word | None:
     if is_prefix(a, b):
         return b
@@ -316,9 +307,9 @@ def _meet_atom_family(A: TransitionMatrix, a: Word, f: CylFamily):
     return None
 
 
-def _meet_families(A: TransitionMatrix, f: CylFamily, g: CylFamily):
+def _meet_families(A: TransitionMatrix, f: CylFamily, g: CylFamily) -> CylFamily | None:
     if f.prefix == g.prefix:
-        return ("merge", CylFamily(f.prefix, ss.intersect(A, f.symbols, g.symbols)))
+        return CylFamily(f.prefix, ss.intersect(A, f.symbols, g.symbols))
     if is_prefix(f.prefix, g.prefix):
         outer, inner = f, g
     elif is_prefix(g.prefix, f.prefix):
@@ -327,7 +318,7 @@ def _meet_families(A: TransitionMatrix, f: CylFamily, g: CylFamily):
         return None
     k = inner.prefix[len(outer.prefix)]
     if ss.contains(A, outer.symbols, k):
-        return ("family", inner)
+        return inner
     return None
 
 
@@ -375,7 +366,7 @@ def meet(s: SetExpr, t: SetExpr) -> SetExpr:
         for g in t.families:
             hit = _meet_families(A, f, g)
             if hit is not None:
-                families.append(hit[1])
+                families.append(hit)
     return normalize(A, points=points, atoms=atoms, families=families)
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -44,7 +44,17 @@ from .cylinders import CylFamily, SetExpr, normalize
 from .matrices import KINDS, AccumulationColumn, Symbol, TransitionMatrix
 from .thermo import (LOG_POTENTIAL, Constant, GDiff, Potential, beta_c_log,
                      normalization_series, pressure_log_potential, zeta)
-from .words import Word, forced_extension, is_admissible
+from .words import Word, generation_layers, is_admissible
+
+
+@dataclass(frozen=True)
+class _Negated:
+    """s -> -g(s), compared by g so that negating twice gives back g."""
+
+    g: Callable[[Symbol], float]
+
+    def __call__(self, s: Symbol) -> float:
+        return -self.g(s)
 
 
 def negate(F: Potential) -> Potential:
@@ -52,7 +62,7 @@ def negate(F: Potential) -> Potential:
     if isinstance(F, Constant):
         return Constant(-F.c)
     name = F.name[1:] if F.name.startswith("-") else "-" + F.name
-    return GDiff(lambda s, g=F.g: -g(s), name)
+    return GDiff(F.g.g if isinstance(F.g, _Negated) else _Negated(F.g), name)
 
 
 class MeasureError(ValueError):
@@ -68,23 +78,8 @@ class Inconclusive(MeasureError):
 
 
 # --------------------------------------------------------------------------
-# generation counts and the normalizer
+# the normalizer
 # --------------------------------------------------------------------------
-
-def family_generation_counts(A: TransitionMatrix, family: AccumulationColumn,
-                             n_max: int) -> list[int]:
-    """Exact generation sizes of the family's preimage tree, n = 0..n_max."""
-    counts = [1]
-    layer: dict[Symbol, int] = {t: 1 for t in sorted(family.allowed_terminal_symbols)}
-    for _ in range(n_max):
-        counts.append(sum(layer.values()))
-        nxt: dict[Symbol, int] = {}
-        for sym, c in layer.items():
-            for p in A.predecessors(sym):
-                nxt[p] = nxt.get(p, 0) + c
-        layer = nxt
-    return counts
-
 
 def _pair_tails(u: float, terminals: frozenset[Symbol]) -> dict[Symbol, float]:
     """Continuation sums T(1), T(2), T(3) for the pair renewal matrix.
@@ -123,10 +118,10 @@ def normalizer(A: TransitionMatrix, family: AccumulationColumn, weight: Potentia
                length_cap: int = 400) -> NormalizerResult:
     """1/c_e = 1 + sum over non-empty family stems of their letter weights.
 
-    Closed forms on the renewal and pair renewal matrices; enumeration with
-    a geometric tail certificate elsewhere.  Divergence is certified by the
-    lower growth bound; the prime-renewal band between the bounds raises
-    ``Inconclusive``.
+    Closed forms on the renewal and pair renewal matrices; exact generation
+    counts with a geometric tail certificate elsewhere.  Divergence is
+    certified by the lower growth bound; the prime-renewal band between the
+    bounds raises ``Inconclusive``.
     """
     if isinstance(weight, Constant):
         x = math.exp(beta * weight.c) / lam
@@ -148,7 +143,8 @@ def normalizer(A: TransitionMatrix, family: AccumulationColumn, weight: Potentia
         rho = upper * x
         depth = min(length_cap, max(8, int(math.log(tail_tol * (1 - rho))
                                            / math.log(rho)) + 2))
-        counts = family_generation_counts(A, family, depth)
+        counts = [1] + [sum(layer.values()) for layer in
+                        generation_layers(A, family.allowed_terminal_symbols, depth)]
         value = math.fsum(c * x ** n for n, c in enumerate(counts))
         tail = rho ** (depth + 1) / (1.0 - rho)
         return NormalizerResult(value, tail, "finite")
@@ -161,10 +157,45 @@ def normalizer(A: TransitionMatrix, family: AccumulationColumn, weight: Potentia
 
 
 # --------------------------------------------------------------------------
+# the mass evaluator
+# --------------------------------------------------------------------------
+
+class Measure:
+    """Masses of points, cylinders and cylinder families under one measure.
+
+    The rules every measure shares live here: the empty word is the whole
+    space, an inadmissible word or prefix has mass 0, a finite family is
+    the sum of its cylinders, and points carry no mass unless a subclass
+    says otherwise.  A subclass sets ``matrix``, ``weight``, ``beta``,
+    ``lam`` and ``convention``, and supplies ``_cyl_mass(alpha)`` for an
+    admissible non-empty word, ``_sieve_mass(prefix, sieve)`` for a sieve
+    family below an admissible prefix, ``total_mass()`` and ``report()``.
+    """
+
+    def point_mass(self, c: BoundedConfig) -> float:
+        return 0.0
+
+    def cyl_mass(self, alpha: Word) -> float:
+        return self._mass(alpha) if alpha else self.total_mass()
+
+    def family_mass(self, prefix: Word, symbols: ss.SymbolSet) -> float:
+        """Mass of the union of the cylinders on prefix + (k,), k in ``symbols``."""
+        if isinstance(symbols, ss.FiniteSet):
+            return math.fsum(self.cyl_mass(prefix + (k,)) for k in sorted(symbols.symbols))
+        return self._mass(prefix, symbols)
+
+    def _mass(self, w: Word, sieve: ss.Sieve | None = None) -> float:
+        """The cylinder on ``w``, or the sieve family below it; 0 unless w is admissible."""
+        if not is_admissible(self.matrix, w):
+            return 0.0
+        return self._cyl_mass(w) if sieve is None else self._sieve_mass(w, sieve)
+
+
+# --------------------------------------------------------------------------
 # atomic measures on a boundary family
 # --------------------------------------------------------------------------
 
-class YFamilyMeasure:
+class YFamilyMeasure(Measure):
     """Probability carried by the stems of one boundary family."""
 
     kind = "y_family"
@@ -198,20 +229,24 @@ class YFamilyMeasure:
     def _u(self, s: Symbol) -> float:
         return math.exp(self.beta * self.weight.value(s)) / self.lam
 
-    def stem_mass(self, w: Word) -> float:
-        """Mass of the configuration with stem ``w`` (0 if no such stem)."""
-        if w and (not is_admissible(self.matrix, w)
-                  or w[-1] not in self.family.allowed_terminal_symbols):
-            return 0.0
+    def _head(self, w: Word) -> float:
+        """c_e times the letter weights of ``w``: the mass the stem ``w`` would carry."""
         m = self.c_e
         for s in w:
             m *= self._u(s)
         return m
 
+    def stem_mass(self, w: Word) -> float:
+        """Mass of the configuration with stem ``w`` (0 if no such stem)."""
+        try:
+            return self.point_mass(BoundedConfig(self.matrix, w, self.family))
+        except ValueError:
+            return 0.0
+
     def point_mass(self, c: BoundedConfig) -> float:
         if c.matrix != self.matrix or c.root != self.family:
             return 0.0
-        return self.stem_mass(c.stem)
+        return self._head(c.stem)
 
     # -- continuation sums ----------------------------------------------------
 
@@ -240,7 +275,12 @@ class YFamilyMeasure:
         return t
 
     def _generic_cont(self) -> tuple[dict[Symbol, float], float]:
-        """T(j) for all relevant j by a generation walk, plus the tail bound."""
+        """T(j) for all relevant j from the generation layers, plus the tail bound.
+
+        At first letter j, layer k + 1 holds u times the weight of the
+        length-k words admissible after j, so T(j) is the sum of layers
+        2, 3, ... at j, over u.
+        """
         if self._cont is not None:
             return self._cont
         if not isinstance(self.weight, Constant):
@@ -255,31 +295,20 @@ class YFamilyMeasure:
         p_max = 3.0
         depth = max(8, int(math.log(self.tail_tol * (1.0 - rho) / p_max)
                            / math.log(rho)) + 2)
-        cont: dict[Symbol, float] = {}
-        layer = {t: u for t in self.family.allowed_terminal_symbols}
-        for _ in range(depth):
-            nxt: dict[Symbol, float] = {}
-            for sym, x in layer.items():
-                for p in A.predecessors(sym):
-                    cont[p] = cont.get(p, 0.0) + x
-                    nxt[p] = nxt.get(p, 0.0) + u * x
-            layer = nxt
+        sums: dict[Symbol, float] = {}
+        for layer in generation_layers(A, self.family.allowed_terminal_symbols,
+                                       depth + 1, weight=u)[1:]:
+            for j, x in layer.items():
+                sums[j] = sums.get(j, 0.0) + x
         tail_bound = p_max * rho ** (depth + 1) / (1.0 - rho)
-        self._cont = (cont, tail_bound)
+        self._cont = ({j: x / u for j, x in sums.items()}, tail_bound)
         return self._cont
 
     # -- cylinder and family masses --------------------------------------------
 
-    def cyl_mass(self, alpha: Word) -> float:
-        if not alpha:
-            return self.total_mass()
-        if not is_admissible(self.matrix, alpha):
-            return 0.0
-        head = self.c_e
-        for s in alpha:
-            head *= self._u(s)
+    def _cyl_mass(self, alpha: Word) -> float:
         terminal = 1.0 if alpha[-1] in self.family.allowed_terminal_symbols else 0.0
-        return head * (terminal + self._tail(alpha[-1]))
+        return self._head(alpha) * (terminal + self._tail(alpha[-1]))
 
     def _letter_weight(self, k: Symbol) -> float:
         """u(k) * ([k terminal] + T(k)): total stem weight below one letter."""
@@ -298,7 +327,7 @@ class YFamilyMeasure:
         elif not s.zero_rows:
             total = self._tail_union(self.matrix.spec.cover)
         else:
-            total = self._sieve_sum(ss.Sieve(None, frozenset(), frozenset()))
+            total = self._sieve_sum(ss.ALL)
             total -= self._tail_union(tuple(sorted(s.zero_rows)))
         return total - math.fsum(self._letter_weight(k) for k in s.excluded)
 
@@ -320,16 +349,8 @@ class YFamilyMeasure:
                 total -= (mult - 1) * self._letter_weight(k)
         return total
 
-    def family_mass(self, prefix: Word, symbols: ss.SymbolSet) -> float:
-        if prefix and not is_admissible(self.matrix, prefix):
-            return 0.0
-        if isinstance(symbols, ss.FiniteSet):
-            return math.fsum(self.cyl_mass(prefix + (k,))
-                             for k in sorted(symbols.symbols))
-        head = self.c_e
-        for s in prefix:
-            head *= self._u(s)
-        return head * self._sieve_sum(symbols)
+    def _sieve_mass(self, prefix: Word, symbols: ss.Sieve) -> float:
+        return self._head(prefix) * self._sieve_sum(symbols)
 
     def total_mass(self) -> float:
         return self.c_e * self.normalizer_value
@@ -339,22 +360,42 @@ class YFamilyMeasure:
                 "lambda": self.lam, "c_e": self.c_e, "convention": self.convention}
 
 
-def _plain_sieve_excluded(symbols: ss.Sieve) -> frozenset[Symbol]:
-    """Complement description of a sieve on a matrix without irregular rows."""
-    if symbols.one_row is not None or symbols.zero_rows:
-        raise MeasureError("unexpected row predicate on this matrix")
-    return symbols.excluded
-
-
 # --------------------------------------------------------------------------
 # measures carried by the sequence space
 # --------------------------------------------------------------------------
 
-class SarigRenewalConst:
+class SequenceMeasure(Measure):
+    """A sequence-space measure given by its length-one masses.
+
+    A subclass supplies ``base_value(n)``, the mass of the cylinder on the
+    letter n, and ``peel(head)``, the factor conformality contributes for
+    the letters of ``head``.  The cylinder on alpha then has mass
+    ``peel(alpha[:-1]) * base_value(alpha[-1])``, and a sieve family below
+    ``prefix`` has mass ``peel(prefix)`` times the sieve's total base value.
+    """
+
+    def sieve_total(self, s: ss.Sieve) -> float:
+        """Base-value sum over the sieve's rows, exclusions aside; without
+        irregular rows only the plain sieve, every symbol, arises."""
+        if s.one_row is not None or s.zero_rows:
+            raise MeasureError(f"unsupported sieve {s!r} for {self.kind}")
+        return self.total_mass()
+
+    def _cyl_mass(self, alpha: Word) -> float:
+        return self.peel(alpha[:-1]) * self.base_value(alpha[-1])
+
+    def _sieve_mass(self, prefix: Word, symbols: ss.Sieve) -> float:
+        excluded = math.fsum(self.base_value(k) for k in symbols.excluded)
+        return self.peel(prefix) * (self.sieve_total(symbols) - excluded)
+
+
+class SarigRenewalConst(SequenceMeasure):
     """The renewal eigenmeasure for constant potentials: 2^-(reduced length).
 
-    Independent of beta; for the potential -beta it is the eigenmeasure
-    with eigenvalue 2 exp(-beta), so the conformality factor is exactly 2.
+    The reduced length |alpha| - 1 + alpha[-1] is that of the forced
+    extension of alpha down to the letter 1.  Independent of beta; for the
+    potential -beta it is the eigenmeasure with eigenvalue 2 exp(-beta), so
+    the conformality factor is exactly 2.
     """
 
     kind = "sarig_renewal_const"
@@ -369,25 +410,11 @@ class SarigRenewalConst:
         self.convention = ("eigenmeasure of the transfer operator for -beta*1, "
                            "eigenvalue 2*exp(-beta)")
 
-    def point_mass(self, c: BoundedConfig) -> float:
-        return 0.0
+    def peel(self, head: Word) -> float:
+        return 2.0 ** (-len(head))
 
-    def cyl_mass(self, alpha: Word) -> float:
-        if not alpha:
-            return 1.0
-        if not is_admissible(self.matrix, alpha):
-            return 0.0
-        return 2.0 ** (-len(forced_extension(self.matrix, alpha)))
-
-    def family_mass(self, prefix: Word, symbols: ss.SymbolSet) -> float:
-        if prefix and not is_admissible(self.matrix, prefix):
-            return 0.0
-        if isinstance(symbols, ss.FiniteSet):
-            return math.fsum(self.cyl_mass(prefix + (k,)) for k in sorted(symbols.symbols))
-        excl = _plain_sieve_excluded(symbols)
-        # the reduced length of prefix + (k,) is |prefix| + k, so the full
-        # sum over k telescopes to 2^-|prefix|
-        return 2.0 ** (-len(prefix)) * (1.0 - math.fsum(2.0 ** (-k) for k in excl))
+    def base_value(self, n: Symbol) -> float:
+        return 2.0 ** (-n)
 
     def total_mass(self) -> float:
         return 1.0
@@ -397,7 +424,7 @@ class SarigRenewalConst:
                 "convention": self.convention}
 
 
-class PairRenewalCritical:
+class PairRenewalCritical(SequenceMeasure):
     """The unique sequence-space conformal probability of the pair renewal
     matrix with unit potential, at the critical inverse temperature."""
 
@@ -417,40 +444,25 @@ class PairRenewalCritical:
             2: math.exp(-b) * (1.0 - math.exp(-2.0 * b)) / (2.0 * math.sinh(b) - 1.0),
         }
 
+    def peel(self, head: Word) -> float:
+        return math.exp(-self.beta * len(head))
+
     def base_value(self, n: Symbol) -> float:
         if n in self.base_values:
             return self.base_values[n]
         return math.exp(-self.beta * (n - 2)) * self.base_values[2]
 
-    def point_mass(self, c: BoundedConfig) -> float:
-        return 0.0
-
-    def cyl_mass(self, alpha: Word) -> float:
-        if not alpha:
-            return 1.0
-        if not is_admissible(self.matrix, alpha):
-            return 0.0
-        return math.exp(-self.beta * (len(alpha) - 1)) * self.base_value(alpha[-1])
-
     def _even_sum(self) -> float:
         return self.base_values[2] / (1.0 - math.exp(-2.0 * self.beta))
 
-    def family_mass(self, prefix: Word, symbols: ss.SymbolSet) -> float:
-        if prefix and not is_admissible(self.matrix, prefix):
-            return 0.0
-        if isinstance(symbols, ss.FiniteSet):
-            return math.fsum(self.cyl_mass(prefix + (k,)) for k in sorted(symbols.symbols))
-        scale = math.exp(-self.beta * len(prefix))
-        s = symbols
+    def sieve_total(self, s: ss.Sieve) -> float:
         if s.one_row is None and not s.zero_rows:
-            total = 1.0
-        elif s.one_row == 2 and not s.zero_rows:
-            total = self.base_value(1) + self._even_sum()
-        elif s.one_row is None and s.zero_rows == frozenset({2}):
-            total = 1.0 - self.base_value(1) - self._even_sum()
-        else:  # pragma: no cover - no other sieves arise on this matrix
-            raise MeasureError(f"unsupported sieve {s!r} for the pair renewal measure")
-        return scale * (total - math.fsum(self.base_value(k) for k in s.excluded))
+            return 1.0
+        if s.one_row == 2 and not s.zero_rows:
+            return self.base_value(1) + self._even_sum()
+        if s.one_row is None and s.zero_rows == frozenset({2}):
+            return 1.0 - self.base_value(1) - self._even_sum()
+        raise MeasureError(f"unsupported sieve {s!r} for {self.kind}")  # pragma: no cover
 
     def total_mass(self) -> float:
         return self.base_value(1) + self.base_values[2] / (1.0 - math.exp(-self.beta))
@@ -461,7 +473,7 @@ class PairRenewalCritical:
                 "convention": self.convention}
 
 
-class LogEigenSigma:
+class LogEigenSigma(SequenceMeasure):
     """Sequence-space eigenmeasure of the log-ratio potential for beta <= beta_c.
 
     Length-one masses are lam^-n (n+1)^-beta with lam = exp(pressure);
@@ -490,33 +502,14 @@ class LogEigenSigma:
         self.convention = ("eigenmeasure of the transfer operator for beta*F, "
                            "eigenvalue exp(pressure)")
 
-    def base_value(self, n: Symbol) -> float:
-        return self.lam ** (-n) * (n + 1.0) ** (-self.beta)
-
-    def point_mass(self, c: BoundedConfig) -> float:
-        return 0.0
-
-    def _peel(self, head: Word) -> float:
+    def peel(self, head: Word) -> float:
         m = 1.0
         for s in head:
             m *= math.exp(self.beta * self.weight.value(s)) / self.lam
         return m
 
-    def cyl_mass(self, alpha: Word) -> float:
-        if not alpha:
-            return self.total_mass()
-        if not is_admissible(self.matrix, alpha):
-            return 0.0
-        return self._peel(alpha[:-1]) * self.base_value(alpha[-1])
-
-    def family_mass(self, prefix: Word, symbols: ss.SymbolSet) -> float:
-        if prefix and not is_admissible(self.matrix, prefix):
-            return 0.0
-        if isinstance(symbols, ss.FiniteSet):
-            return math.fsum(self.cyl_mass(prefix + (k,)) for k in sorted(symbols.symbols))
-        excl = _plain_sieve_excluded(symbols)
-        return self._peel(prefix) * (self.unit_sum
-                                     - math.fsum(self.base_value(k) for k in excl))
+    def base_value(self, n: Symbol) -> float:
+        return self.lam ** (-n) * (n + 1.0) ** (-self.beta)
 
     def total_mass(self) -> float:
         return self.unit_sum
@@ -526,12 +519,12 @@ class LogEigenSigma:
                 "convention": self.convention}
 
 
-class ConvexCombination:
+class ConvexCombination(Measure):
     """Nonnegative convex combination of measures over the same matrix."""
 
     kind = "convex_combination"
 
-    def __init__(self, parts: Sequence[tuple[float, "MeasureModel"]]):
+    def __init__(self, parts: Sequence[tuple[float, Measure]]):
         if not parts:
             raise MeasureError("empty combination")
         if any(w < 0 for w, _ in parts):
@@ -550,21 +543,17 @@ class ConvexCombination:
     def point_mass(self, c: BoundedConfig) -> float:
         return math.fsum(w * m.point_mass(c) for w, m in self.parts)
 
-    def cyl_mass(self, alpha: Word) -> float:
-        return math.fsum(w * m.cyl_mass(alpha) for w, m in self.parts)
+    def _cyl_mass(self, alpha: Word) -> float:
+        return math.fsum(w * m._cyl_mass(alpha) for w, m in self.parts)
 
-    def family_mass(self, prefix: Word, symbols: ss.SymbolSet) -> float:
-        return math.fsum(w * m.family_mass(prefix, symbols) for w, m in self.parts)
+    def _sieve_mass(self, prefix: Word, symbols: ss.Sieve) -> float:
+        return math.fsum(w * m._sieve_mass(prefix, symbols) for w, m in self.parts)
 
     def total_mass(self) -> float:
         return math.fsum(w * m.total_mass() for w, m in self.parts)
 
     def report(self) -> dict:
         return {"kind": self.kind, "parts": [[w, m.report()] for w, m in self.parts]}
-
-
-MeasureModel = Union[YFamilyMeasure, SarigRenewalConst, PairRenewalCritical,
-                     LogEigenSigma, ConvexCombination]
 
 
 # --------------------------------------------------------------------------
@@ -609,7 +598,7 @@ def pair_renewal_normalization_root(tol: float = 1e-12) -> float:
     return 0.5 * (lo + hi)
 
 
-def log_eigenmeasure(beta: float, A: TransitionMatrix | None = None) -> MeasureModel:
+def log_eigenmeasure(beta: float, A: TransitionMatrix | None = None) -> Measure:
     """The unique probability eigenmeasure of the renewal log-ratio potential.
 
     Above the critical inverse temperature it is atomic on the boundary
@@ -642,7 +631,7 @@ class KindMeasures:
 
     boundary: str
     y_families: tuple[tuple[str, int], ...]
-    critical: tuple[str, Callable[[TransitionMatrix], MeasureModel]] | None
+    critical: tuple[str, Callable[[TransitionMatrix], Measure]] | None
     log_ratio: bool = False
 
 
@@ -655,7 +644,7 @@ KIND_MEASURES: dict[str, KindMeasures] = {
 }
 
 
-def extend_by_conformality(m: MeasureModel, alpha: Word, weight: Potential | None = None,
+def extend_by_conformality(m: Measure, alpha: Word, weight: Potential | None = None,
                            beta: float | None = None, lam: float | None = None) -> float:
     """Cylinder mass by peeling first letters through the conformality relation.
 
@@ -679,7 +668,7 @@ def extend_by_conformality(m: MeasureModel, alpha: Word, weight: Potential | Non
 # evaluation on set expressions
 # --------------------------------------------------------------------------
 
-def measure_setexpr(m: MeasureModel, s: SetExpr) -> float:
+def measure_setexpr(m: Measure, s: SetExpr) -> float:
     """Measure of a normalized set expression: points + cylinders + families."""
     if s.matrix != m.matrix:
         raise MeasureError("set expression over a different matrix")
@@ -719,7 +708,7 @@ class ConformalityReport:
     rows: list[tuple[Word, float, float, float]]  # word, lhs, rhs, residual
 
 
-def verify_conformality(m: MeasureModel, test_cylinders: Iterable[Word],
+def verify_conformality(m: Measure, test_cylinders: Iterable[Word],
                         weight: Potential | None = None, beta: float | None = None,
                         lam: float | None = None) -> ConformalityReport:
     """Residuals of mu(shift(C)) = lam exp(-beta*weight(first letter)) mu(C).
@@ -761,8 +750,8 @@ class SweepRow:
         return abs(self.value - self.target)
 
 
-def weak_star_sweep(model_of_beta: Callable[[float], MeasureModel],
-                    target: MeasureModel, basis: Sequence[tuple[str, SetExpr]],
+def weak_star_sweep(model_of_beta: Callable[[float], Measure],
+                    target: Measure, basis: Sequence[tuple[str, SetExpr]],
                     beta_grid: Sequence[float]) -> tuple[list[SweepRow], bool]:
     """Evaluate a net of measures against a target on basis sets.
 
@@ -785,7 +774,7 @@ def weak_star_sweep(model_of_beta: Callable[[float], MeasureModel],
     return rows, monotone
 
 
-def measure_report_json(m: MeasureModel, max_du_residual: float | None = None) -> str:
+def measure_report_json(m: Measure, max_du_residual: float | None = None) -> str:
     d = m.report()
     d["total_mass"] = m.total_mass()
     if max_du_residual is not None:

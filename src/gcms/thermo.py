@@ -11,7 +11,7 @@ geometric ratio bound or an Euler-Maclaurin remainder bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -52,11 +52,12 @@ class GDiff:
 
     ``sup_value`` must be declared when known (for increasing concave g it
     is the limit of the differences); it feeds the pressure upper bound.
+    Two of them are equal when their g and name are; sup is not compared.
     """
 
     g: Callable[[Symbol], float]
     name: str = "g"
-    sup_value: float | None = None
+    sup_value: float | None = field(default=None, compare=False)
 
     def value(self, s: Symbol) -> float:
         return self.g(s) - self.g(s + 1)
@@ -69,12 +70,6 @@ class GDiff:
 
     def __repr__(self) -> str:
         return f"GDiff({self.name})"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, GDiff) and self.name == other.name
-
-    def __hash__(self) -> int:
-        return hash(("GDiff", self.name))
 
 
 Potential = Constant | GDiff

@@ -25,10 +25,10 @@ from . import measures as ms
 from . import symbolsets as sset
 from . import thermo as th
 from .configs import (BoundedConfig, Configuration, UnboundedConfig, count_preimages_closed_form,
-                      empty_stem_config, preimages, IntegerInterval)
+                      empty_stem_config, IntegerInterval)
 from .cylinders import SetExpr, Subbasis, decompose, meet, raw_member
 from .matrices import Symbol, TransitionMatrix
-from .words import Word, enumerate_words, iter_cycles
+from .words import Word, enumerate_words, generation_layers, iter_cycles
 
 
 # --------------------------------------------------------------------------
@@ -245,12 +245,24 @@ class CountRow:
     match: bool
 
 
+def counted_families(A: TransitionMatrix) -> list[int]:
+    """Ids of the boundary families whose preimage counts can be checked.
+
+    A matrix without accumulation columns has no boundary configurations,
+    so a count over it would check nothing; that is an input error.
+    """
+    ids = [c.id for c in A.accumulation_catalog]
+    if not ids:
+        raise ValueError(f"kind {A.kind} has no boundary families to count")
+    return ids
+
+
 def counting_suite(A: TransitionMatrix, family_id: int, n_max: int) -> list[CountRow]:
-    """Enumerated generation sizes against the closed forms or bounds."""
-    base = empty_stem_config(A, family_id)
+    """Generation sizes of the family's preimage tree against the closed forms or bounds."""
+    terminals = A.column_by_id(family_id).allowed_terminal_symbols
     rows: list[CountRow] = []
-    for n in range(1, n_max + 1):
-        got = len(preimages(base, n))
+    for n, layer in enumerate(generation_layers(A, terminals, n_max), 1):
+        got = sum(layer.values())
         want = count_preimages_closed_form(A, family_id, n)
         if isinstance(want, IntegerInterval):
             rows.append(CountRow(n, got, f"[{want.lower}, {want.upper}]", got in want))

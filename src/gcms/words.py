@@ -98,6 +98,27 @@ def backward_words(A: TransitionMatrix, n: int, seeds: Iterable[Symbol],
             stack.append(((p,) + suffix, length + 1))
 
 
+def generation_layers(A: TransitionMatrix, seeds: Iterable[Symbol], n: int,
+                      weight: float = 1) -> list[dict[Symbol, float]]:
+    """Layers 1..n of the backward walk from ``seeds``, one dict per length.
+
+    Layer k maps a first letter to the total ``weight**k`` over the
+    admissible words of length k that start with that letter and end in a
+    seed; with ``weight=1`` the totals are exact integer counts.  The walk
+    keeps one entry per first letter, so it never builds the words that
+    ``backward_words`` yields.
+    """
+    layers = [{s: weight for s in sorted(seeds)}] if n >= 1 else []
+    while len(layers) < n:
+        nxt: dict[Symbol, float] = {}
+        for sym, x in layers[-1].items():
+            x *= weight
+            for p in A.predecessors(sym):
+                nxt[p] = nxt.get(p, 0) + x
+        layers.append(nxt)
+    return layers
+
+
 def enumerate_words(A: TransitionMatrix, n: int, last_in: Iterable[Symbol],
                     symbol_bound: Symbol) -> Enumeration:
     """Admissible words of length n over symbols <= symbol_bound ending in ``last_in``.

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -179,7 +180,7 @@ def test_readme_outputs_are_byte_identical(name, capsys):
 
 def test_output_file_and_matrix_file(tmp_path, capsys):
     spec = tmp_path / "matrix.json"
-    spec.write_text('{"kind": "explicit", "size": 2, "rows": [[1, 1], [1, 0]]}')
+    spec.write_text('{"kind": "renewal"}')
     out_file = tmp_path / "out.csv"
     code, _ = run_cli(["verify", "--suite", "counting", "--matrix-file", str(spec),
                        "--out", str(out_file)], capsys)
@@ -194,11 +195,19 @@ def test_output_file_and_matrix_file(tmp_path, capsys):
      "normalizing series diverges"),
     (["decompose", "--kind", "renewal", "--expr", "C[2.3]"], "word 2.3 is not admissible"),
     (["count", "--matrix-file", "MATRIX"], "missing key 'rows'"),
+    # a matrix without boundary families leaves the counting checks nothing to count
+    (["verify", "--suite", "counting", "--matrix-file", "EXPLICIT"],
+     "kind explicit has no boundary families to count"),
+    (["count", "--matrix-file", "EXPLICIT"], "kind explicit has no boundary families to count"),
+    (["count", "--matrix-file", "MISSING"], "No such file or directory"),
 ])
 def test_errors_exit_2_with_one_line(args, message, tmp_path, capsys):
-    spec = tmp_path / "matrix.json"
-    spec.write_text('{"kind": "explicit"}')
-    code = main([str(spec) if a == "MATRIX" else a for a in args])
+    files = {"MATRIX": '{"kind": "explicit"}',
+             "EXPLICIT": '{"kind": "explicit", "size": 2, "rows": [[1, 1], [1, 0]]}'}
+    for name, text in files.items():
+        (tmp_path / f"{name}.json").write_text(text)
+    code = main([str(tmp_path / f"{a}.json") if a in (*files, "MISSING") else a
+                 for a in args])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -215,7 +224,11 @@ def test_count_exit_code_on_mismatch(capsys, monkeypatch):
 
 
 def test_console_entry_point():
+    # the child finds the package from a source checkout as well as from an install
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "gcms.cli", "count", "--kind",
-                           "renewal", "--n", "3"], capture_output=True, text=True)
+                           "renewal", "--n", "3"], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "1,3,4,4,ok" in proc.stdout

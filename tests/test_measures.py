@@ -3,11 +3,12 @@ import math
 import pytest
 
 from gcms import measures as ms
+from gcms import symbolsets as ss
 from gcms.configs import bounded, empty_stem_config
 from gcms.cylinders import Subbasis, decompose, intersect
 from gcms.thermo import LOG_POTENTIAL, Constant, LogRatio, beta_c_log, zeta
 from gcms.verification import cylinder_words_up_to
-from gcms.words import enumerate_words
+from gcms.words import enumerate_words, generation_layers
 
 LOG2 = math.log(2.0)
 LOG3 = math.log(3.0)
@@ -66,7 +67,8 @@ def test_normalizer_matches_enumeration(pair, prime, alternating):
                          (alternating, 1, 0.9)):
         col = A.column_by_id(fam)
         res = ms.normalizer(A, col, Constant(-1.0), beta)
-        counts = ms.family_generation_counts(A, col, depth)
+        counts = [1] + [sum(layer.values()) for layer in
+                        generation_layers(A, col.allowed_terminal_symbols, depth)]
         partial = math.fsum(c * math.exp(-beta * n) for n, c in enumerate(counts))
         rho = A.spec.growth[1] * math.exp(-beta)
         tail = rho ** (depth + 1) / (1.0 - rho)
@@ -145,9 +147,33 @@ def test_pair_y_measure_against_generation_walk(pair):
 
 def test_prime_y_measure_probability(prime):
     mu = ms.y_measure(prime, 3, Constant(1.0), 1.3)
-    counts = ms.family_generation_counts(prime, prime.column_by_id(3), 80)
+    counts = [1] + [sum(layer.values()) for layer in generation_layers(
+        prime, prime.column_by_id(3).allowed_terminal_symbols, 80)]
     partial = mu.c_e * math.fsum(c * math.exp(-1.3 * n) for n, c in enumerate(counts))
     assert partial == pytest.approx(1.0, abs=1e-9)
+
+
+# -- the shared mass rules ------------------------------------------------------------------
+
+def test_measure_rules_hold_for_every_measure(renewal, pair):
+    y_pair = [ms.y_measure(pair, fam, Constant(1.0), 1.2) for fam in (1, 2)]
+    measures = [ms.y_measure(renewal, 1, Constant(1.0), 1.1), ms.sarig_measure_renewal(renewal),
+                ms.pair_renewal_critical_measure(pair), ms.log_eigenmeasure(1.4),
+                ms.ConvexCombination([(0.25, y_pair[0]), (0.75, y_pair[1])])]
+    assert len({type(m) for m in measures}) == 5
+    for m in measures:
+        # (2, 3) is inadmissible on both matrices: A(2, 3) = 0
+        assert m.cyl_mass((2, 3)) == 0.0
+        assert m.family_mass((2, 3), ss.ALL) == 0.0
+        assert m.family_mass((2, 3, 1), ss.exactly({1, 2})) == 0.0
+        assert m.cyl_mass(()) == m.total_mass()
+        for prefix in ((), (1,), (1, 1)):
+            finite = ss.exactly({1, 2, 3, 5})
+            assert m.family_mass(prefix, finite) == math.fsum(
+                m.cyl_mass(prefix + (k,)) for k in (1, 2, 3, 5)), (m.kind, prefix)
+            # row 1 is full, so a sieve and its finite complement split the prefix's cylinder
+            assert m.family_mass(prefix, ss.all_except({1, 2, 3, 5})) + m.family_mass(
+                prefix, finite) == pytest.approx(m.family_mass(prefix, ss.ALL), rel=1e-12)
 
 
 # -- sequence-space measures ------------------------------------------------------------

@@ -134,6 +134,15 @@ def test_gurevich_log_potential_has_one_spelling(renewal):
     assert est == gurevich_pressure(renewal, LogRatio(), 1.3, 1, 6)
 
 
+def test_gdiff_equality_compares_g(renewal):
+    # a potential that only borrows the name "log" gets no log-ratio closed form
+    impostor = GDiff(math.sqrt, "log", 0.0)
+    assert impostor != LOG_POTENTIAL
+    assert GDiff(math.log, "log") == LOG_POTENTIAL and hash(GDiff(math.log, "log")) == hash(
+        LOG_POTENTIAL)
+    assert gurevich_pressure(renewal, impostor, 1.3, 1, 6).certificate != "exact"
+
+
 def test_gurevich_above_critical_is_zero(renewal):
     assert gurevich_pressure(renewal, LogRatio(), 2.0, 1, 6).extrapolated == 0.0
 

@@ -1,9 +1,12 @@
+from collections import Counter
+
 import pytest
 
-from gcms.matrices import explicit
-from gcms.words import (check_transitive, enumerate_cycles, enumerate_words,
+from gcms.configs import empty_stem_config, preimages
+from gcms.matrices import KINDS, by_kind, explicit
+from gcms.words import (backward_words, check_transitive, enumerate_cycles, enumerate_words,
                         enumerate_words_with_suffix, forced_extension, format_word,
-                        is_admissible, word)
+                        generation_layers, is_admissible, word)
 
 
 def test_word_parsing():
@@ -96,3 +99,29 @@ def test_transitivity(renewal, prime):
     assert rep.failing_pair is not None
     ok = explicit([[0, 1], [1, 1]])
     assert check_transitive(ok, 2).verdict == "confirmed"
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_generation_layers_count_preimages(kind):
+    # the enumerated preimage tree is the oracle: per first letter, for n <= 12
+    A = by_kind(kind)
+    for col in A.accumulation_catalog:
+        layers = generation_layers(A, col.allowed_terminal_symbols, 12)
+        assert len(layers) == 12
+        for n, layer in enumerate(layers, 1):
+            configs = preimages(empty_stem_config(A, col.id), n)
+            assert sum(layer.values()) == len(configs), (col.id, n)
+            assert layer == Counter(c.stem[0] for c in configs), (col.id, n)
+            assert all(type(c) is int for c in layer.values())
+
+
+def test_generation_layers_weighted(pair, prime):
+    u = 0.37
+    for A, seeds in ((pair, {1, 2}), (prime, {1, 3})):
+        for n, layer in enumerate(generation_layers(A, seeds, 9, weight=u), 1):
+            want: dict[int, float] = {}
+            for w in backward_words(A, n, seeds):
+                want[w[0]] = want.get(w[0], 0.0) + u ** len(w)
+            assert layer.keys() == want.keys()
+            assert all(layer[f] == pytest.approx(want[f], rel=1e-13) for f in want)
+    assert generation_layers(pair, {1}, 0) == []
