@@ -34,7 +34,7 @@ def _grid(spec: str) -> list[float]:
     if ":" in spec:
         start, stop, step = (float(p) for p in spec.split(":"))
         if step <= 0:
-            raise SystemExit("grid step must be positive")
+            raise ValueError("grid step must be positive")
         out = []
         v = start
         while v <= stop + 1e-12:
@@ -43,7 +43,7 @@ def _grid(spec: str) -> list[float]:
     else:
         out = [float(p) for p in spec.split(",") if p.strip()]
     if not out:
-        raise SystemExit("empty beta grid")
+        raise ValueError("empty beta grid")
     return out
 
 
@@ -52,7 +52,7 @@ def _load_matrix(args: argparse.Namespace) -> TransitionMatrix:
         with open(args.matrix_file, "r", encoding="utf-8") as fh:
             return from_json(fh.read())
     if not getattr(args, "kind", None):
-        raise SystemExit("either --kind or --matrix-file is required")
+        raise ValueError("either --kind or --matrix-file is required")
     return from_dict({"kind": args.kind, "prime_bound": getattr(args, "prime_bound", 7)})
 
 
@@ -88,7 +88,7 @@ def _potential(name: str) -> th.Potential:
         return th.Constant(1.0)
     if name in ("log", "log_ratio"):
         return th.LogRatio()
-    raise SystemExit(f"unknown potential {name!r} (use 'const' or 'log')")
+    raise ValueError(f"unknown potential {name!r} (use 'const' or 'log')")
 
 
 # --------------------------------------------------------------------------
@@ -113,7 +113,7 @@ def _phase_row(A: TransitionMatrix, potential: th.Potential, beta: float,
     known = ms.KIND_MEASURES.get(A.kind)
     if isinstance(potential, th.Constant):
         if known is None:
-            raise SystemExit(f"no phase table for kind {A.kind}")
+            raise ValueError(f"no phase table for kind {A.kind}")
         # the y-measures exist above log(upper growth) and not below log(lower growth)
         crit = A.spec.critical_beta
         if beta > crit:
@@ -129,7 +129,7 @@ def _phase_row(A: TransitionMatrix, potential: th.Potential, beta: float,
         return (beta, y_exists, sigma, crit)
     # log-ratio potential: the renewal eigenmeasure switches support
     if known is None or not known.log_ratio:
-        raise SystemExit("the log-ratio phase table is specific to --kind renewal")
+        raise ValueError("the log-ratio phase table is specific to --kind renewal")
     bc = th.beta_c_log()
     support = "boundary family" if beta > bc else "sequence space"
     return (beta, support, "1 eigenmeasure for every beta", bc)
@@ -151,7 +151,6 @@ def cmd_phase(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     A = _load_matrix(args)
     report: dict = {"kind": A.kind, "suite": args.suite}
-    ok = True
     if args.suite == "cylinders":
         rep = vf.cylinder_oracle(A)
         report.update({"elements": rep.n_elems, "pairs": rep.n_pairs,
@@ -167,15 +166,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         resid = vf.pressure_suite(A, args.beta)
         report["residuals"] = resid
         ok = all(v <= args.tol for v in resid.values())
-    elif args.suite == "counting":
+    else:   # counting
         fams = vf.counted_families(A)
         mismatch = [f for f in fams
                     if not all(r.match for r in vf.counting_suite(A, f, 10))]
         report["families_checked"] = fams
         report["families_mismatching"] = mismatch
         ok = not mismatch
-    else:
-        raise SystemExit(f"unknown suite {args.suite!r}")
     report["ok"] = ok
     _write(args, json.dumps(report, sort_keys=True, indent=2) + "\n")
     return 0 if ok else 1
@@ -185,7 +182,7 @@ def _converge_models(A: TransitionMatrix, potential: th.Potential):
     if isinstance(potential, th.Constant):
         known = ms.KIND_MEASURES.get(A.kind)
         if known is None or known.critical is None:
-            raise SystemExit(f"no convergence construction for kind {A.kind}")
+            raise ValueError(f"no convergence construction for kind {A.kind}")
         _, build = known.critical
         return A.spec.critical_beta, (lambda b: ms.y_measure(A, 1, potential, b)), build(A)
     bc = th.beta_c_log()
@@ -215,16 +212,10 @@ def cmd_measure(args: argparse.Namespace) -> int:
         m = ms.sarig_measure_renewal(A)
     elif name == "pair_critical":
         m = ms.pair_renewal_critical_measure(A)
-    elif name == "log":
+    else:   # log
         m = ms.log_eigenmeasure(args.beta, A)
-    else:
-        raise SystemExit(f"unknown measure {name!r}")
     cyls = vf.cylinder_words_up_to(A, min(args.depth, 6), args.symbol_bound)
-    if name == "sarig":
-        rep = ms.verify_conformality(m, cyls, weight=th.Constant(-1.0), beta=args.beta,
-                                     lam=2.0 * math.exp(-args.beta))
-    else:
-        rep = ms.verify_conformality(m, cyls)
+    rep = ms.verify_conformality(m, cyls)
     _write(args, ms.measure_report_json(m, rep.max_residual) + "\n")
     return 0
 
@@ -341,11 +332,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except KeyError as exc:
-        message = f"missing key {exc}"
     except (ValueError, OSError) as exc:    # ValueError includes MeasureError and DomainError
-        message = str(exc)
-    print(f"gcms: error: {message}", file=sys.stderr)
+        print(f"gcms: error: {exc}", file=sys.stderr)
     return 2
 
 

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 from . import symbolsets as ss
 from .configs import BoundedConfig, Configuration, GroupWord
-from .matrices import Symbol, TransitionMatrix
+from .matrices import AccumulationColumn, Symbol, TransitionMatrix
 from .words import (Word, forced_extension, format_word, is_admissible, is_prefix,
                     word as parse_word)
 
@@ -102,12 +102,6 @@ class SetExpr:
     def is_empty(self) -> bool:
         return not (self.whole_space or self.points or self.atoms or self.families)
 
-    def parts(self) -> list:
-        out: list = list(self.points)
-        out.extend(("atom", a) for a in self.atoms)
-        out.extend(self.families)
-        return out
-
     def __repr__(self) -> str:
         if self.whole_space:
             return "SetExpr[X]"
@@ -125,69 +119,27 @@ def _point_key(p: BoundedConfig) -> tuple:
 
 
 def normalize(A: TransitionMatrix, points: Iterable[BoundedConfig] = (),
-              atoms: Iterable[Word] = (), families: Iterable[CylFamily] = (),
-              whole_space: bool = False) -> SetExpr:
+              atoms: Iterable[Word] = (), families: Iterable[CylFamily] = ()) -> SetExpr:
     """Canonical SetExpr: forced-extended atoms, effective finite-free families.
 
-    Families whose effective symbol set is finite are expanded into atoms;
-    families over the same prefix with complementary row predicates merge
-    into a plain exclusion set.  Duplicate parts indicate a broken disjoint
-    decomposition and raise.
+    Families whose effective symbol set is finite are expanded into atoms.
+    Duplicate parts indicate a broken disjoint decomposition and raise.
     """
-    if whole_space:
-        return SetExpr(A, True, (), (), ())
-    out_atoms: list[Word] = []
+    out_atoms = [forced_extension(A, a) for a in atoms]
     out_fams: dict[tuple, CylFamily] = {}
-
-    def add_family(prefix: Word, symbols: ss.SymbolSet) -> None:
-        if prefix:
-            symbols = ss.intersect(A, symbols, ss.row_one(A, prefix[-1]))
-        if ss.is_definitely_empty(A, symbols):
-            return
-        if isinstance(symbols, ss.FiniteSet):
-            for k in sorted(symbols.symbols):
-                out_atoms.append(forced_extension(A, prefix + (k,)))
-            return
-        key = (prefix, ss.sort_key(symbols))
-        if key in out_fams:
-            raise RuntimeError(f"duplicate family on prefix {format_word(prefix)}")
-        out_fams[key] = CylFamily(prefix, symbols)
-
     for f in families:
-        add_family(f.prefix, f.symbols)
-    for a in atoms:
-        out_atoms.append(forced_extension(A, a))
-
-    # merge complementary sieves on a shared prefix: (one_row=j) U (zero_rows={j})
-    merged = True
-    while merged:
-        merged = False
-        fams = list(out_fams.values())
-        for i in range(len(fams)):
-            for j_ in range(i + 1, len(fams)):
-                f, g = fams[i], fams[j_]
-                if f.prefix != g.prefix:
-                    continue
-                sf, sg = f.symbols, g.symbols
-                if not (isinstance(sf, ss.Sieve) and isinstance(sg, ss.Sieve)):
-                    continue
-                if sf.excluded != sg.excluded:
-                    continue
-                pair = None
-                if sf.one_row is not None and not sf.zero_rows and \
-                        sg.one_row is None and sg.zero_rows == frozenset({sf.one_row}):
-                    pair = (f, g)
-                elif sg.one_row is not None and not sg.zero_rows and \
-                        sf.one_row is None and sf.zero_rows == frozenset({sg.one_row}):
-                    pair = (g, f)
-                if pair is not None:
-                    del out_fams[(f.prefix, ss.sort_key(sf))]
-                    del out_fams[(g.prefix, ss.sort_key(sg))]
-                    add_family(f.prefix, ss.all_except(sf.excluded))
-                    merged = True
-                    break
-            if merged:
-                break
+        prefix, symbols = f.prefix, f.symbols
+        if prefix and isinstance(symbols, ss.Sieve):
+            symbols = ss.intersect(A, symbols, ss.row_one(A, prefix[-1]))
+        elif prefix:
+            symbols = ss.exactly(k for k in symbols.symbols if A.entry(prefix[-1], k) == 1)
+        if isinstance(symbols, ss.FiniteSet):
+            out_atoms.extend(forced_extension(A, prefix + (k,)) for k in symbols.symbols)
+        elif not ss.is_definitely_empty(A, symbols):
+            key = (prefix, ss.sort_key(symbols))
+            if key in out_fams:
+                raise RuntimeError(f"duplicate family on prefix {format_word(prefix)}")
+            out_fams[key] = CylFamily(prefix, symbols)
 
     out_points = sorted(points, key=_point_key)
     for p, q in zip(out_points, out_points[1:]):
@@ -209,78 +161,42 @@ def normalize(A: TransitionMatrix, points: Iterable[BoundedConfig] = (),
     return SetExpr(A, False, tuple(out_points), tuple(out_atoms), fams_sorted)
 
 
-def empty_expr(A: TransitionMatrix) -> SetExpr:
-    return SetExpr(A, False, (), (), ())
-
-
-def whole_space_expr(A: TransitionMatrix) -> SetExpr:
-    return SetExpr(A, True, (), (), ())
-
-
-# --------------------------------------------------------------------------
-# boundary point sets (resolved through the accumulation catalog)
-# --------------------------------------------------------------------------
-
-def _valid_roots(A: TransitionMatrix, stem: Word):
-    for col in A.accumulation_catalog:
-        if not stem or stem[-1] in col.allowed_terminal_symbols:
-            yield col
-
-
-def configs_with_stem(A: TransitionMatrix, stem: Word) -> list[BoundedConfig]:
-    if not is_admissible(A, stem):
-        return []
-    return [BoundedConfig(A, stem, col) for col in _valid_roots(A, stem)]
-
-
-def prefix_points(A: TransitionMatrix, alpha: Word, include_alpha: bool = False) -> list[BoundedConfig]:
-    """Boundary configurations whose stem is a (proper) prefix of ``alpha``."""
-    out: list[BoundedConfig] = []
-    top = len(alpha) + 1 if include_alpha else len(alpha)
-    for m in range(top):
-        out.extend(configs_with_stem(A, alpha[:m]))
-    return out
-
-
-def stem_points(A: TransitionMatrix, alpha: Word, need: frozenset[Symbol] = frozenset(),
-                avoid: frozenset[Symbol] = frozenset()) -> list[BoundedConfig]:
-    """Configurations with stem exactly ``alpha`` whose root contains ``need``
-    and avoids ``avoid``."""
-    return [c for c in configs_with_stem(A, alpha)
-            if need <= c.root.support and not (avoid & c.root.support)]
-
-
 # --------------------------------------------------------------------------
 # decomposition of a subbasis element
 # --------------------------------------------------------------------------
 
+def _roots(A: TransitionMatrix, stem: Word) -> list[AccumulationColumn]:
+    """Accumulation columns that root a boundary configuration on ``stem``."""
+    return [col for col in A.accumulation_catalog
+            if not stem or stem[-1] in col.allowed_terminal_symbols]
+
+
 def decompose(e: Subbasis) -> SetExpr:
     """Normal form of one subbasis element.
 
-    Complements split along every prefix position; inverse cylinders add
-    the stem-exactly boundary part plus the family of continuations, both
+    Complements split along every prefix position, each contributing the
+    boundary points with that proper prefix as stem; inverse cylinders add
+    the stem-exactly boundary points plus the family of continuations, both
     decided by the inverse letter's row.
     """
     A, alpha, inv = e.matrix, e.alpha, e.inv
     if inv is not None and alpha and alpha[-1] == inv:
         alpha, inv = alpha[:-1], None    # alpha j j^{-1} reduces to alpha
     if inv is None and not alpha:
-        return empty_expr(A) if e.complemented else whole_space_expr(A)
+        return SetExpr(A, not e.complemented, (), (), ())
     if inv is None and not e.complemented:
         return normalize(A, atoms=[alpha])
     points: list[BoundedConfig] = []
     fams: list[CylFamily] = []
     if e.complemented:
-        points = prefix_points(A, alpha)
+        points = [BoundedConfig(A, alpha[:m], col)
+                  for m in range(len(alpha)) for col in _roots(A, alpha[:m])]
         fams = [CylFamily(alpha[:m], ss.all_except({alpha[m]})) for m in range(len(alpha))]
     if inv is not None:
-        j = frozenset({inv})
-        if e.complemented:
-            points += stem_points(A, alpha, avoid=j)
-            fams.append(CylFamily(alpha, ss.row_zero(A, inv)))
-        else:
-            points += stem_points(A, alpha, need=j)
-            fams.append(CylFamily(alpha, ss.row_one(A, inv)))
+        points += [BoundedConfig(A, alpha, col) for col in _roots(A, alpha)
+                   if (inv in col.support) != e.complemented]
+        row = ss.row_zero if e.complemented else ss.row_one
+        fams.append(CylFamily(alpha, row(A, inv)))
     return normalize(A, points=points, families=fams)
 
 
@@ -372,9 +288,7 @@ def meet(s: SetExpr, t: SetExpr) -> SetExpr:
 
 def intersect(a: Subbasis, b: Subbasis) -> SetExpr:
     """Normalized intersection of two subbasis elements."""
-    if a.matrix != b.matrix:
-        raise ValueError("subbasis elements over different matrices")
-    return meet(decompose(a), decompose(b))
+    return intersect_many([a, b])
 
 
 def intersect_many(elems: Sequence[Subbasis]) -> SetExpr:

@@ -344,7 +344,7 @@ class TransitionMatrix:
         for c in self._catalog:
             if c.id == col_id:
                 return c
-        raise KeyError(f"no accumulation column with id {col_id} for kind {self.kind}")
+        raise ValueError(f"no accumulation column with id {col_id} for kind {self.kind}")
 
     # -- identity / serialization ----------------------------------------------
 
@@ -415,12 +415,18 @@ def explicit(rows: Sequence[Sequence[int]]) -> TransitionMatrix:
     return TransitionMatrix("explicit", rows=tuple(tuple(r) for r in rows))
 
 
+def _required(d: dict, key: str):
+    if key not in d:
+        raise ValueError(f"missing key {key!r}")
+    return d[key]
+
+
 def from_dict(d: dict) -> TransitionMatrix:
-    kind = d["kind"]
+    kind = _required(d, "kind")
     if kind == "full_shift":
-        return full_shift(d["size"])
+        return full_shift(_required(d, "size"))
     if kind == "explicit":
-        return explicit(d["rows"])
+        return explicit(_required(d, "rows"))
     if kind not in KINDS:
         raise ValueError(f"unknown matrix kind {kind!r}")
     return TransitionMatrix(kind, prime_bound=d.get("prime_bound", 7))

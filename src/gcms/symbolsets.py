@@ -83,15 +83,6 @@ def contains(A: TransitionMatrix, s: SymbolSet, k: Symbol) -> bool:
     return all(A.entry(j, k) == 0 for j in s.zero_rows)
 
 
-def _base_contains(A: TransitionMatrix, s: Sieve, k: Symbol) -> bool:
-    # membership ignoring the finite exclusions
-    if A.size is not None and k > A.size:
-        return False
-    if s.one_row is not None and A.entry(s.one_row, k) != 1:
-        return False
-    return all(A.entry(j, k) == 0 for j in s.zero_rows)
-
-
 def _canonical_sieve(A: TransitionMatrix, one_row: Symbol | None,
                      zero_rows: frozenset[Symbol], excluded: frozenset[Symbol]) -> SymbolSet:
     if one_row is not None and one_row in zero_rows:
@@ -107,8 +98,9 @@ def _canonical_sieve(A: TransitionMatrix, one_row: Symbol | None,
         # no symbol avoids every row of a cover; zero rows are irregular,
         # so only rule-defined kinds get here
         return EMPTY_SET
+    # keep only the exclusions that dent the row constraints (all are >= 1)
     base = Sieve(one_row, zero_rows, frozenset())
-    excluded = frozenset(k for k in excluded if _base_contains(A, base, k))
+    excluded = frozenset(k for k in excluded if contains(A, base, k))
     return Sieve(one_row, zero_rows, excluded)
 
 
@@ -119,8 +111,8 @@ def intersect(A: TransitionMatrix, s: SymbolSet, t: SymbolSet) -> SymbolSet:
         return intersect(A, t, s)
     if s.one_row is not None and t.one_row is not None and s.one_row != t.one_row:
         cand = A.irregular_rows_intersection(s.one_row, t.one_row)
-        merged = Sieve(None, s.zero_rows | t.zero_rows, s.excluded | t.excluded)
-        return FiniteSet(frozenset(k for k in cand if contains(A, merged, k)))
+        rest = Sieve(None, s.zero_rows | t.zero_rows, s.excluded | t.excluded)
+        return FiniteSet(frozenset(k for k in cand if contains(A, rest, k)))
     one = s.one_row if s.one_row is not None else t.one_row
     return _canonical_sieve(A, one, s.zero_rows | t.zero_rows, s.excluded | t.excluded)
 

@@ -291,14 +291,7 @@ def conformality_suite(A: TransitionMatrix, beta: float, max_len: int = 6,
         raise ms.MeasureError(f"no measure constructions for kind {A.kind}")
     cyls = cylinder_words_up_to(A, max_len, sym_bound)
     name, build = known.critical
-    nu = build(A)
-    if isinstance(nu, ms.SarigRenewalConst):
-        # one eigenmeasure for every beta, with eigenvalue 2 exp(-beta)
-        rep = ms.verify_conformality(nu, cyls, weight=th.Constant(-1.0), beta=beta,
-                                     lam=2.0 * math.exp(-beta))
-    else:
-        rep = ms.verify_conformality(nu, cyls)
-    out = {name: rep.max_residual}
+    out = {name: ms.verify_conformality(build(A), cyls).max_residual}
     if beta > A.spec.critical_beta:
         for key, fam in known.y_families:
             out[key] = ms.verify_conformality(

@@ -200,6 +200,11 @@ def test_output_file_and_matrix_file(tmp_path, capsys):
      "kind explicit has no boundary families to count"),
     (["count", "--matrix-file", "EXPLICIT"], "kind explicit has no boundary families to count"),
     (["count", "--matrix-file", "MISSING"], "No such file or directory"),
+    (["count", "--kind", "renewal", "--family", "3"], "error: no accumulation column with id 3"),
+    (["count"], "either --kind or --matrix-file is required"),
+    (["phase", "--kind", "prime_renewal", "--potential", "log"],
+     "the log-ratio phase table is specific to --kind renewal"),
+    (["phase", "--kind", "renewal", "--beta-grid", "1:2:0"], "grid step must be positive"),
 ])
 def test_errors_exit_2_with_one_line(args, message, tmp_path, capsys):
     files = {"MATRIX": '{"kind": "explicit"}',

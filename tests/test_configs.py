@@ -111,7 +111,7 @@ def test_family_of(pair, renewal):
 
 
 def test_invalid_roots_rejected(renewal, pair):
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError):
         bounded(renewal, (1,), 2)          # renewal has a single column
     with pytest.raises(ValueError):
         bounded(pair, (1, 2), 2)           # family 2 stems must end in 1

@@ -189,6 +189,15 @@ def test_small_oracle(kind):
     assert rep.ok, rep.mismatches
 
 
+def test_full_oracle_alternating_renewal():
+    # renewal and pair_renewal run the full-size oracle in the acceptance suite
+    from gcms.matrices import by_kind
+    from gcms.verification import cylinder_oracle
+    rep = cylinder_oracle(by_kind("alternating_renewal"))
+    assert rep.ok, rep.mismatches
+    assert (rep.n_elems, rep.n_pairs) == (200, 20100)
+
+
 @pytest.mark.parametrize("kind", ["renewal", "pair_renewal", "prime_renewal",
                                   "alternating_renewal"])
 def test_random_triple_intersections(kind):
@@ -211,6 +220,8 @@ def test_random_triple_intersections(kind):
         expected = raw[i] & raw[j] & raw[k]
         assert not (counts > 1).any(), (elems[i], elems[j], elems[k])
         assert ((counts == 1) == expected).all(), (elems[i], elems[j], elems[k])
+        # the normal form is canonical, so the meet is associative on the nose
+        assert expr == meet(dec[i], meet(dec[j], dec[k])), (elems[i], elems[j], elems[k])
 
 
 def test_explicit_matrix_oracle():
