@@ -129,10 +129,8 @@ def normalize(A: TransitionMatrix, points: Iterable[BoundedConfig] = (),
     out_fams: dict[tuple, CylFamily] = {}
     for f in families:
         prefix, symbols = f.prefix, f.symbols
-        if prefix and isinstance(symbols, ss.Sieve):
+        if prefix:
             symbols = ss.intersect(A, symbols, ss.row_one(A, prefix[-1]))
-        elif prefix:
-            symbols = ss.exactly(k for k in symbols.symbols if A.entry(prefix[-1], k) == 1)
         if isinstance(symbols, ss.FiniteSet):
             out_atoms.extend(forced_extension(A, prefix + (k,)) for k in symbols.symbols)
         elif not ss.is_definitely_empty(A, symbols):

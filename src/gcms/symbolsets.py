@@ -111,8 +111,8 @@ def intersect(A: TransitionMatrix, s: SymbolSet, t: SymbolSet) -> SymbolSet:
         return intersect(A, t, s)
     if s.one_row is not None and t.one_row is not None and s.one_row != t.one_row:
         cand = A.irregular_rows_intersection(s.one_row, t.one_row)
-        rest = Sieve(None, s.zero_rows | t.zero_rows, s.excluded | t.excluded)
-        return FiniteSet(frozenset(k for k in cand if contains(A, rest, k)))
+        merged = Sieve(None, s.zero_rows | t.zero_rows, s.excluded | t.excluded)
+        return FiniteSet(frozenset(k for k in cand if contains(A, merged, k)))
     one = s.one_row if s.one_row is not None else t.one_row
     return _canonical_sieve(A, one, s.zero_rows | t.zero_rows, s.excluded | t.excluded)
 

@@ -88,6 +88,23 @@ def test_verify_conformality(capsys):
     assert max(payload["max_residuals"].values()) <= 1e-10
 
 
+@pytest.mark.parametrize("beta", ["0.5", "1.5"])
+def test_renewal_sarig_conformality(beta, capsys):
+    code, out = run_cli(["verify", "--suite", "conformality", "--kind", "renewal",
+                         "--beta", beta, "--tol", "1e-10"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["ok"] is True
+    assert payload["max_residuals"]["sarig_renewal_const"] <= 1e-10
+    assert max(payload["max_residuals"].values()) <= 1e-10
+    code, out = run_cli(["measure", "--kind", "renewal", "--measure", "sarig",
+                         "--beta", beta], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["max_DU_residual"] <= 1e-10
+    assert payload["total_mass"] == pytest.approx(1.0, abs=1e-10)
+
+
 def test_verify_pressure(capsys):
     code, out = run_cli(["verify", "--suite", "pressure", "--kind", "renewal",
                          "--tol", "1e-10"], capsys)
