@@ -48,12 +48,12 @@ def _grid(spec: str) -> list[float]:
 
 
 def _load_matrix(args: argparse.Namespace) -> TransitionMatrix:
-    if getattr(args, "matrix_file", None):
+    if args.matrix_file:
         with open(args.matrix_file, "r", encoding="utf-8") as fh:
             return from_json(fh.read())
-    if not getattr(args, "kind", None):
+    if not args.kind:
         raise ValueError("either --kind or --matrix-file is required")
-    return from_dict({"kind": args.kind, "prime_bound": getattr(args, "prime_bound", 7)})
+    return from_dict({"kind": args.kind, "prime_bound": args.prime_bound})
 
 
 def _emit(args: argparse.Namespace, header: Sequence[str], rows: Iterable[Sequence],
@@ -206,8 +206,7 @@ def cmd_measure(args: argparse.Namespace) -> int:
     A = _load_matrix(args)
     name = args.measure
     if name == "y":
-        m = ms.y_measure(A, args.family, _potential(args.potential), args.beta,
-                         length_cap=args.length_cap)
+        m = ms.y_measure(A, args.family, _potential(args.potential), args.beta)
     elif name == "sarig":
         m = ms.sarig_measure_renewal(A)
     elif name == "pair_critical":
@@ -260,19 +259,28 @@ def cmd_pressure(args: argparse.Namespace) -> int:
 # argument wiring
 # --------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+# options beyond the matrix and --out ones; each subcommand takes those it reads
+_OPTIONS: dict[str, dict] = {
+    "--beta": dict(type=float, default=1.2),
+    "--beta-grid": dict(default="1.0:2.0:0.25", help="start:stop:step or comma-separated values"),
+    "--tol": dict(type=float, default=1e-9),
+    "--symbol-bound": dict(type=int, default=6),
+    "--depth": dict(type=int, default=4),
+    "--potential": dict(default="const"),
+    "--format": dict(choices=["csv", "json"], default="csv"),
+}
+
+
+def _subcommand(sub, name: str, fn, summary: str, *options: str) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, help=summary)
     p.add_argument("--kind", choices=list(KINDS))
     p.add_argument("--matrix-file", help="JSON matrix specification file")
     p.add_argument("--prime-bound", type=int, default=7)
-    p.add_argument("--beta", type=float, default=1.2)
-    p.add_argument("--beta-grid", default="1.0:2.0:0.25",
-                   help="start:stop:step or comma-separated values")
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--symbol-bound", type=int, default=6)
-    p.add_argument("--length-cap", type=int, default=400)
-    p.add_argument("--depth", type=int, default=4)
     p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
+    for option in options:
+        p.add_argument(option, **_OPTIONS[option])
+    p.set_defaults(fn=fn)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -281,48 +289,35 @@ def build_parser() -> argparse.ArgumentParser:
         description="thermodynamic formalism on generalized countable Markov shifts")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("count", help="generation counts against closed forms")
-    _add_common(p)
+    p = _subcommand(sub, "count", cmd_count, "generation counts against closed forms",
+                    "--format")
     p.add_argument("--family", type=int)
     p.add_argument("--n", type=int, default=8)
-    p.set_defaults(fn=cmd_count)
 
-    p = sub.add_parser("phase", help="existence table over a beta grid")
-    _add_common(p)
-    p.add_argument("--potential", default="const")
-    p.set_defaults(fn=cmd_phase)
+    _subcommand(sub, "phase", cmd_phase, "existence table over a beta grid",
+                "--potential", "--beta-grid", "--tol", "--format")
 
-    p = sub.add_parser("verify", help="run a verification suite")
-    _add_common(p)
+    p = _subcommand(sub, "verify", cmd_verify, "run a verification suite", "--beta", "--tol")
     p.add_argument("--suite", required=True,
                    choices=["cylinders", "conformality", "pressure", "counting"])
-    p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("converge", help="measure convergence toward the critical point")
-    _add_common(p)
-    p.add_argument("--potential", default="const")
+    p = _subcommand(sub, "converge", cmd_converge, "measure convergence toward the critical point",
+                    "--potential", "--depth", "--symbol-bound", "--format")
     p.add_argument("--approach", default="1e-1,1e-2,1e-3,1e-4,1e-5",
                    help="comma-separated offsets above the critical beta")
-    p.set_defaults(fn=cmd_converge)
 
-    p = sub.add_parser("measure", help="construct a measure and report it")
-    _add_common(p)
+    p = _subcommand(sub, "measure", cmd_measure, "construct a measure and report it",
+                    "--potential", "--beta", "--depth", "--symbol-bound")
     p.add_argument("--measure", required=True, choices=["y", "sarig", "pair_critical", "log"])
     p.add_argument("--family", type=int, default=1)
-    p.add_argument("--potential", default="const")
-    p.set_defaults(fn=cmd_measure)
 
-    p = sub.add_parser("decompose", help="normalize a cylinder expression")
-    _add_common(p)
+    p = _subcommand(sub, "decompose", cmd_decompose, "normalize a cylinder expression")
     p.add_argument("--expr", required=True,
                    help="e.g. 'C[3.2.1] & !C[2.1;inv=3]'")
-    p.set_defaults(fn=cmd_decompose)
 
-    p = sub.add_parser("pressure", help="partition-function pressure sweep (CSV)")
-    _add_common(p)
-    p.add_argument("--potential", default="const")
+    p = _subcommand(sub, "pressure", cmd_pressure, "partition-function pressure sweep (CSV)",
+                    "--potential", "--beta-grid", "--format")
     p.add_argument("--n-max", type=int, default=10)
-    p.set_defaults(fn=cmd_pressure)
 
     return parser
 

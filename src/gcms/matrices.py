@@ -149,6 +149,26 @@ def _pair_counts(family_id: int, n: int) -> int:
     raise ValueError(f"pair renewal has families 1 and 2, not {family_id}")
 
 
+def _alternating_counts(family_id: int, n: int) -> int:
+    """Exact size of generation n of an alternating-renewal family.
+
+    Letter 1 has the one predecessor 2, an even letter s the odd ones 1 and
+    s + 1, an odd s >= 3 the even ones 2 and s + 1.  If E_n, O_n and N_n
+    count the layer-n words of family 1 starting even, odd and with 1, then
+    O_(n+1) = 2 E_n and N_(n+1) = E_n, so E_(n+1) = 2 O_n - N_n = 3 E_(n-1).
+    From E_1 = 0, O_1 = E_2 = 1 the layers alternate in parity: c(2k) =
+    3^(k-1), c(2k+1) = 2 * 3^(k-1).  Family 2's seed 2 is layer 2 of family
+    1, so c_2(n) = c_1(n + 1).
+    """
+    if family_id not in (1, 2):
+        raise ValueError(f"alternating renewal has families 1 and 2, not {family_id}")
+    n += family_id - 1
+    if n <= 1:
+        return 1
+    k, odd = divmod(n, 2)
+    return (2 if odd else 1) * 3 ** (k - 1)
+
+
 def _prime_entry(i: Symbol, j: Symbol) -> int:
     if i == 1 or i == j + 1:
         return 1
@@ -217,7 +237,7 @@ KINDS: dict[str, MatrixKind] = {
         catalog=lambda prime_bound: (_column(1, {1}), _column(2, {2})),
         cover=(1, 2),
         growth=(math.sqrt(3.0), math.sqrt(3.0)),
-        counts=None),
+        counts=_alternating_counts),
 }
 
 
@@ -412,6 +432,9 @@ def full_shift(size: int) -> TransitionMatrix:
 
 def explicit(rows: Sequence[Sequence[int]]) -> TransitionMatrix:
     """Finite matrix with the given dense 0/1 rows (no accumulation columns)."""
+    if not isinstance(rows, (list, tuple)) or not rows or not all(
+            isinstance(r, (list, tuple)) for r in rows):
+        raise ValueError(f"rows must be a non-empty list of lists, not {rows!r}")
     return TransitionMatrix("explicit", rows=tuple(tuple(r) for r in rows))
 
 
@@ -421,15 +444,24 @@ def _required(d: dict, key: str):
     return d[key]
 
 
+def _integer(key: str, value) -> int:
+    if type(value) is not int:
+        raise ValueError(f"{key!r} must be an integer, not {value!r}")
+    return value
+
+
 def from_dict(d: dict) -> TransitionMatrix:
+    """The matrix a JSON specification names; a malformed one raises ValueError."""
+    if not isinstance(d, dict):
+        raise ValueError(f"a matrix specification is a JSON object, not {d!r}")
     kind = _required(d, "kind")
     if kind == "full_shift":
-        return full_shift(_required(d, "size"))
+        return full_shift(_integer("size", _required(d, "size")))
     if kind == "explicit":
         return explicit(_required(d, "rows"))
-    if kind not in KINDS:
+    if not isinstance(kind, str) or kind not in KINDS:
         raise ValueError(f"unknown matrix kind {kind!r}")
-    return TransitionMatrix(kind, prime_bound=d.get("prime_bound", 7))
+    return TransitionMatrix(kind, prime_bound=_integer("prime_bound", d.get("prime_bound", 7)))
 
 
 def from_json(text: str) -> TransitionMatrix:

@@ -77,6 +77,9 @@ class Inconclusive(MeasureError):
     """Neither the convergence nor the divergence certificate applies."""
 
 
+TAIL_TOL = 1e-13   # certified bound on the truncated tail of every stem series
+
+
 # --------------------------------------------------------------------------
 # the normalizer
 # --------------------------------------------------------------------------
@@ -114,8 +117,7 @@ class NormalizerResult:
 
 
 def normalizer(A: TransitionMatrix, family: AccumulationColumn, weight: Potential,
-               beta: float, lam: float = 1.0, tail_tol: float = 1e-13,
-               length_cap: int = 400) -> NormalizerResult:
+               beta: float) -> NormalizerResult:
     """1/c_e = 1 + sum over non-empty family stems of their letter weights.
 
     Closed forms on the renewal and pair renewal matrices; exact generation
@@ -124,7 +126,7 @@ def normalizer(A: TransitionMatrix, family: AccumulationColumn, weight: Potentia
     bounds raises ``Inconclusive``.
     """
     if isinstance(weight, Constant):
-        x = math.exp(beta * weight.c) / lam
+        x = math.exp(beta * weight.c)
         if A.spec is None:
             raise Inconclusive(f"no certified growth rate for kind {A.kind}")
         lower, upper = A.spec.growth
@@ -141,14 +143,14 @@ def normalizer(A: TransitionMatrix, family: AccumulationColumn, weight: Potentia
             tails = _pair_tails(x, family.allowed_terminal_symbols)
             return NormalizerResult(1.0 + tails[1], 0.0, "finite")
         rho = upper * x
-        depth = min(length_cap, max(8, int(math.log(tail_tol * (1 - rho))
-                                           / math.log(rho)) + 2))
+        depth = min(400, max(8, int(math.log(TAIL_TOL * (1 - rho))
+                                    / math.log(rho)) + 2))
         counts = [1] + [sum(layer.values()) for layer in
                         generation_layers(A, family.allowed_terminal_symbols, depth)]
         value = math.fsum(c * x ** n for n, c in enumerate(counts))
         tail = rho ** (depth + 1) / (1.0 - rho)
         return NormalizerResult(value, tail, "finite")
-    if A.kind == "renewal" and weight == LOG_POTENTIAL and lam == 1.0:
+    if A.kind == "renewal" and weight == LOG_POTENTIAL:
         # eigenmeasure weights: the stem series sums to 1/(2 - zeta) - 1
         if beta <= 1.0 or zeta(beta) >= 2.0:
             return NormalizerResult(math.inf, math.inf, "divergent")
@@ -196,28 +198,25 @@ class Measure:
 # --------------------------------------------------------------------------
 
 class YFamilyMeasure(Measure):
-    """Probability carried by the stems of one boundary family."""
+    """Probability carried by the stems of one boundary family (lam = 1)."""
 
     kind = "y_family"
 
-    def __init__(self, A: TransitionMatrix, family: AccumulationColumn,
-                 weight: Potential, beta: float, lam: float = 1.0,
-                 c_e: float | None = None, convention: str = "",
-                 tail_tol: float = 1e-13, length_cap: int = 400):
+    def __init__(self, A: TransitionMatrix, family: AccumulationColumn, weight: Potential,
+                 beta: float, c_e: float | None = None, convention: str = ""):
         self.matrix = A
         self.family = family
         self.weight = weight
         self.beta = beta
-        self.lam = lam
-        self.tail_tol = tail_tol
+        self.lam = 1.0
         self.convention = convention
         if c_e is None:
-            res = normalizer(A, family, weight, beta, lam, tail_tol, length_cap)
+            res = normalizer(A, family, weight, beta)
             if res.divergent:
                 raise AbsenceOfMeasure(
                     f"normalizing series diverges on family {family.id} at beta={beta}")
-            if res.tail_bound > tail_tol:
-                raise Inconclusive("normalizer tail exceeds the requested tolerance")
+            if res.tail_bound > TAIL_TOL:
+                raise Inconclusive("normalizer tail exceeds the certified tolerance")
             c_e = 1.0 / res.value
         self.c_e = c_e
         self.normalizer_value = 1.0 / c_e
@@ -227,7 +226,7 @@ class YFamilyMeasure(Measure):
     # -- stem weights ---------------------------------------------------------
 
     def _u(self, s: Symbol) -> float:
-        return math.exp(self.beta * self.weight.value(s)) / self.lam
+        return math.exp(self.beta * self.weight.value(s))
 
     def _head(self, w: Word) -> float:
         """c_e times the letter weights of ``w``: the mass the stem ``w`` would carry."""
@@ -293,7 +292,7 @@ class YFamilyMeasure(Measure):
         if rho >= 1.0:
             raise AbsenceOfMeasure("continuation series diverges")
         p_max = 3.0
-        depth = max(8, int(math.log(self.tail_tol * (1.0 - rho) / p_max)
+        depth = max(8, int(math.log(TAIL_TOL * (1.0 - rho) / p_max)
                            / math.log(rho)) + 2)
         sums: dict[Symbol, float] = {}
         for layer in generation_layers(A, self.family.allowed_terminal_symbols,
@@ -560,17 +559,15 @@ class ConvexCombination(Measure):
 # constructors
 # --------------------------------------------------------------------------
 
-def y_measure(A: TransitionMatrix, family_id: int, F: Potential, beta: float,
-              tail_tol: float = 1e-13, length_cap: int = 400) -> YFamilyMeasure:
+def y_measure(A: TransitionMatrix, family_id: int, F: Potential, beta: float) -> YFamilyMeasure:
     """The exp(beta*F)-conformal probability on one boundary family.
 
     Exists iff the normalizing series converges; stem masses are
     c(w) = exp(-beta * F-sum over w) * c(e).
     """
     family = A.column_by_id(family_id)
-    return YFamilyMeasure(A, family, negate(F), beta, lam=1.0,
-                          convention=f"exp(beta*F)-conformal on family {family_id}",
-                          tail_tol=tail_tol, length_cap=length_cap)
+    return YFamilyMeasure(A, family, negate(F), beta,
+                          convention=f"exp(beta*F)-conformal on family {family_id}")
 
 
 def sarig_measure_renewal(A: TransitionMatrix | None = None) -> SarigRenewalConst:
@@ -583,7 +580,7 @@ def pair_renewal_critical_measure(A: TransitionMatrix | None = None) -> PairRene
     return PairRenewalCritical(A if A is not None else by_kind("pair_renewal"))
 
 
-def pair_renewal_normalization_root(tol: float = 1e-12) -> float:
+def pair_renewal_normalization_root() -> float:
     """Root y = exp(-beta) of the probability normalization y^2 + 2y - 1 = 0,
     found by bisection; equals sqrt(2) - 1."""
     lo, hi = 0.0, 1.0
@@ -593,7 +590,7 @@ def pair_renewal_normalization_root(tol: float = 1e-12) -> float:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= tol * 0.5:
+        if hi - lo <= 0.5e-12:
             break
     return 0.5 * (lo + hi)
 
@@ -612,7 +609,7 @@ def log_eigenmeasure(beta: float, A: TransitionMatrix | None = None) -> Measure:
         raise ValueError("beta must be positive")
     if beta > beta_c_log():
         c_e = 2.0 - zeta(beta)
-        return YFamilyMeasure(A, A.column_by_id(1), LOG_POTENTIAL, beta, lam=1.0, c_e=c_e,
+        return YFamilyMeasure(A, A.column_by_id(1), LOG_POTENTIAL, beta, c_e=c_e,
                               convention="eigenmeasure of the transfer operator, eigenvalue 1")
     return LogEigenSigma(A, beta)
 
@@ -644,23 +641,19 @@ KIND_MEASURES: dict[str, KindMeasures] = {
 }
 
 
-def extend_by_conformality(m: Measure, alpha: Word, weight: Potential | None = None,
-                           beta: float | None = None, lam: float | None = None) -> float:
+def extend_by_conformality(m: Measure, alpha: Word) -> float:
     """Cylinder mass by peeling first letters through the conformality relation.
 
     mu(C_alpha) = lam^-1 exp(beta*weight(alpha0)) mu(C_(alpha minus its first
-    letter)), iterated down to the length-one base value.  Defaults to the
-    measure's own parameters; used as an independent recursion against
-    ``cyl_mass``.
+    letter)), iterated down to the length-one base value, with the
+    measure's own weight, beta and lam; used as an independent recursion
+    against ``cyl_mass``.
     """
     if not alpha:
         raise ValueError("need a non-empty word")
-    weight = weight if weight is not None else m.weight
-    beta = beta if beta is not None else m.beta
-    lam = lam if lam is not None else m.lam
     value = m.cyl_mass(alpha[-1:])
     for s in reversed(alpha[:-1]):
-        value *= math.exp(beta * weight.value(s)) / lam
+        value *= math.exp(m.beta * m.weight.value(s)) / m.lam
     return value
 
 
@@ -708,18 +701,14 @@ class ConformalityReport:
     rows: list[tuple[Word, float, float, float]]  # word, lhs, rhs, residual
 
 
-def verify_conformality(m: Measure, test_cylinders: Iterable[Word],
-                        weight: Potential | None = None, beta: float | None = None,
-                        lam: float | None = None) -> ConformalityReport:
-    """Residuals of mu(shift(C)) = lam exp(-beta*weight(first letter)) mu(C).
+def verify_conformality(m: Measure, test_cylinders: Iterable[Word]) -> ConformalityReport:
+    """Residuals of mu(shift(C)) = lam exp(-beta*weight(first letter)) mu(C),
+    with the measure's own weight, beta and lam.
 
     Cylinders are special sets, and the shift image of a cylinder is again
     expressible in the normal form, so both sides are closed-form or
     certified series evaluations.
     """
-    weight = weight if weight is not None else m.weight
-    beta = beta if beta is not None else m.beta
-    lam = lam if lam is not None else m.lam
     A = m.matrix
     rows = []
     worst = 0.0
@@ -727,7 +716,7 @@ def verify_conformality(m: Measure, test_cylinders: Iterable[Word],
         if not alpha:
             raise ValueError("conformality needs non-empty cylinder words")
         lhs = measure_setexpr(m, shift_image_of_cylinder(A, alpha))
-        rhs = lam * math.exp(-beta * weight.value(alpha[0])) * m.cyl_mass(alpha)
+        rhs = m.lam * math.exp(-m.beta * m.weight.value(alpha[0])) * m.cyl_mass(alpha)
         resid = abs(lhs - rhs)
         worst = max(worst, resid)
         rows.append((alpha, lhs, rhs, resid))

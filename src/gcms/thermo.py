@@ -18,7 +18,7 @@ import numpy as np
 
 from .configs import BoundedConfig, Configuration
 from .matrices import Symbol, TransitionMatrix
-from .words import Word, backward_words, enumerate_words, enumerate_words_with_suffix, iter_cycles
+from .words import Word, backward_words, enumerate_words_with_suffix, iter_cycles
 
 
 # --------------------------------------------------------------------------
@@ -107,36 +107,21 @@ class ZValue:
 
 
 def _cycle_sum(A: TransitionMatrix, F: Potential, beta: float, base: Symbol, n: int,
-               symbol_bound: Symbol | None, first_return: bool) -> ZValue:
-    terms: list[float] = []
-    dropped = 0
-    for w in iter_cycles(A, n, base, first_return=first_return):
-        if symbol_bound is not None and any(s > symbol_bound for s in w):
-            dropped += 1
-            continue
-        terms.append(math.exp(birkhoff_sum(F, beta, w)))
-    return ZValue(math.fsum(terms), len(terms), dropped == 0)
+               first_return: bool) -> ZValue:
+    terms = [math.exp(birkhoff_sum(F, beta, w))
+             for w in iter_cycles(A, n, base, first_return=first_return)]
+    return ZValue(math.fsum(terms), len(terms), True)
 
 
-def z_n(A: TransitionMatrix, F: Potential, beta: float, base: Symbol, n: int,
-        symbol_bound: Symbol | None = None) -> ZValue:
-    """Partition function over length-n cycles through ``base``.
-
-    Exact whenever ``symbol_bound`` is omitted (backward enumeration over
-    column supports is complete); a bound only filters terms out and then
-    clears the ``exact`` flag.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _cycle_sum(A, F, beta, base, n, symbol_bound, first_return=False)
+def z_n(A: TransitionMatrix, F: Potential, beta: float, base: Symbol, n: int) -> ZValue:
+    """Partition function over length-n cycles through ``base``; exact, since
+    backward enumeration over the finite column supports visits every cycle."""
+    return _cycle_sum(A, F, beta, base, n, first_return=False)
 
 
-def z_n_star(A: TransitionMatrix, F: Potential, beta: float, base: Symbol, n: int,
-             symbol_bound: Symbol | None = None) -> ZValue:
+def z_n_star(A: TransitionMatrix, F: Potential, beta: float, base: Symbol, n: int) -> ZValue:
     """Partition function restricted to cycles whose first return is exactly n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _cycle_sum(A, F, beta, base, n, symbol_bound, first_return=True)
+    return _cycle_sum(A, F, beta, base, n, first_return=True)
 
 
 def z_n_transfer(A: TransitionMatrix, F: Potential, beta: float, base: Symbol, n: int,
@@ -277,14 +262,14 @@ def power_sum_tail(beta: float, start: int, tol: float = 1e-14) -> float:
     return head + tail
 
 
-def zeta(beta: float, tol: float = 1e-13) -> float:
-    """Riemann zeta on (1, inf), absolute error below ``tol``."""
+def zeta(beta: float) -> float:
+    """Riemann zeta on (1, inf), absolute error below 1e-13."""
     if beta <= 1.0 + 1e-9:
         raise DomainError("zeta(beta) requires beta > 1")
-    return power_sum_tail(beta, 1, tol)
+    return power_sum_tail(beta, 1, 1e-13)
 
 
-def critical_beta_log(tol: float = 1e-13) -> float:
+def critical_beta_log() -> float:
     """The inverse temperature where zeta equals 2 (about 1.72865)."""
     lo, hi = 1.1, 3.0
     for _ in range(200):
@@ -293,7 +278,7 @@ def critical_beta_log(tol: float = 1e-13) -> float:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= tol:
+        if hi - lo <= 1e-13:
             break
     return 0.5 * (lo + hi)
 
@@ -328,7 +313,7 @@ def _extrapolate_at_zero(hs: Sequence[float], values: Sequence[float]) -> float:
     return tab[0]
 
 
-def discriminant_log(beta: float, head: int = 14) -> DiscriminantResult:
+def discriminant_log(beta: float) -> DiscriminantResult:
     """Discriminant of the renewal log-ratio potential, two ways.
 
     The head of the first-return series comes from enumerated cycles; the
@@ -343,6 +328,7 @@ def discriminant_log(beta: float, head: int = 14) -> DiscriminantResult:
     F = LOG_POTENTIAL
     if beta <= 1.0:
         return DiscriminantResult(beta, True, math.inf, math.inf, 1.0)
+    head = 14   # enumerated cycle lengths of the first-return series
     zs = [z_n_star(A, F, beta, 1, k).value for k in range(1, head + 1)]
     for k, z in enumerate(zs, start=1):
         expected = (k + 1.0) ** (-beta)
@@ -368,16 +354,16 @@ class RecurrenceVerdict:
     delta: float
 
 
-def classify_recurrence_log(beta: float, tol: float = 1e-8) -> RecurrenceVerdict:
+def classify_recurrence_log(beta: float) -> RecurrenceVerdict:
     """Sign of the discriminant classifies the renewal log-ratio potential."""
     if beta <= 0:
         raise ValueError("beta must be positive")
     if beta <= 1.0:
         return RecurrenceVerdict("positive_recurrent", math.inf)
     d = discriminant_log(beta).closed_form
-    if d > tol:
+    if d > 1e-8:
         return RecurrenceVerdict("positive_recurrent", d)
-    if d < -tol:
+    if d < -1e-8:
         return RecurrenceVerdict("transient", d)
     return RecurrenceVerdict("null_recurrent_or_boundary", d)
 
@@ -386,16 +372,16 @@ def classify_recurrence_log(beta: float, tol: float = 1e-8) -> RecurrenceVerdict
 # pressure of the log-ratio potential
 # --------------------------------------------------------------------------
 
-def normalization_series(beta: float, lam: float, tol: float = 1e-15) -> float:
+def normalization_series(beta: float, lam: float) -> float:
     """Phi(lam) = sum over n >= 1 of lam^-n (n+1)^-beta, for lam > 1.
 
-    Truncated where the geometric tail bound drops below ``tol``; summed in
+    Truncated where the geometric tail bound drops below 1e-15; summed in
     numpy chunks because lam near 1 needs millions of terms.
     """
     if lam <= 1.0:
         raise ValueError("the geometric certificate needs lam > 1")
     log_lam = math.log(lam)
-    n_needed = int(math.ceil((math.log(1.0 / tol)
+    n_needed = int(math.ceil((math.log(1e15)
                               - math.log1p(-1.0 / lam)) / log_lam)) + 2
     if n_needed > 1 << 28:  # pragma: no cover - outside supported range
         raise RuntimeError("normalization series needs too many terms at this lam")
@@ -420,8 +406,7 @@ def beta_c_log() -> float:
     return _BETA_C_CACHE["v"]
 
 
-def pressure_log_potential(beta: float, residual_tol: float = 1e-11,
-                           p_tol: float = 0.0) -> float:
+def pressure_log_potential(beta: float, p_tol: float = 0.0) -> float:
     """Gurevich pressure of the renewal log-ratio potential.
 
     Zero at and above the critical inverse temperature; below it, the log
@@ -443,7 +428,7 @@ def pressure_log_potential(beta: float, residual_tol: float = 1e-11,
             break
         mid = 0.5 * (lo + hi)
         val = normalization_series(beta, mid)
-        if abs(val - 1.0) <= 0.1 * residual_tol:
+        if abs(val - 1.0) <= 1e-12:
             return math.log(mid)
         if val > 1.0:
             lo = mid
@@ -491,7 +476,7 @@ def jn_tn(A: TransitionMatrix, x: BoundedConfig, n: int,
         raise ValueError("x must have a non-empty stem")
     if n < 1:
         raise ValueError("n must be >= 1")
-    w_n_1 = enumerate_words(A, n, {1}, symbol_bound=10 ** 9).words
+    w_n_1 = sorted(backward_words(A, n, (1,)))
     j_image = sorted(alpha + x.stem for alpha in w_n_1)
     t_image = sorted(_t_map(alpha, x.stem) for alpha in w_n_1)
     target = enumerate_words_with_suffix(A, n + len(x.stem), x.stem).words

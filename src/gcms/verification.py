@@ -60,9 +60,8 @@ def all_bounded_configs(A: TransitionMatrix, stem_len: int, sym_bound: Symbol) -
     return out
 
 
-def periodic_points(A: TransitionMatrix, count: int, max_period: int = 5,
-                    max_symbol: Symbol = 6) -> list[UnboundedConfig]:
-    """A deterministic batch of eventually periodic sequence points."""
+def periodic_points(A: TransitionMatrix, count: int) -> list[UnboundedConfig]:
+    """A deterministic batch of eventually periodic points (periods <= 5, symbols <= 6)."""
     out: list[UnboundedConfig] = []
     seen: set[tuple[Word, Word]] = set()
 
@@ -76,14 +75,14 @@ def periodic_points(A: TransitionMatrix, count: int, max_period: int = 5,
             seen.add(key)
             out.append(cfg)
 
-    for n in range(1, max_period + 1):
+    for n in range(1, 6):
         for through in range(1, 4):
             for cyc in iter_cycles(A, n, through):
-                if any(s > max_symbol for s in cyc):
+                if any(s > 6 for s in cyc):
                     continue
                 push((), cyc)
                 for p in A.predecessors(cyc[0]):
-                    if p <= max_symbol:
+                    if p <= 6:
                         push((p,), cyc)
                 if len(out) >= 3 * count:
                     break
@@ -91,10 +90,10 @@ def periodic_points(A: TransitionMatrix, count: int, max_period: int = 5,
 
 
 def build_universe(A: TransitionMatrix, stem_len: int, sym_bound: Symbol,
-                   n_periodic: int, depth: int | None = None) -> ConfigUniverse:
+                   n_periodic: int) -> ConfigUniverse:
     configs: list[Configuration] = list(all_bounded_configs(A, stem_len, sym_bound))
     configs.extend(periodic_points(A, n_periodic))
-    depth = depth if depth is not None else stem_len + 6
+    depth = stem_len + 6
     n = len(configs)
     sym_at = np.zeros((n, depth), dtype=np.int64)
     length = np.zeros(n, dtype=np.int64)
@@ -220,12 +219,12 @@ def cylinder_oracle(A: TransitionMatrix, word_len: int = 3, sym_bound: Symbol = 
                         time.time() - t0)
 
 
-def whole_space_cover_check(A: TransitionMatrix, stem_len: int = 4,
-                            sym_bound: Symbol = 5, n_periodic: int = 25) -> bool:
-    """Every configuration is covered exactly once by the empty-stem points
-    plus the single-letter cylinders."""
+def whole_space_cover_check(A: TransitionMatrix) -> bool:
+    """Every configuration of a small universe (stems up to 4 over symbols up
+    to 5, 25 periodic points) is covered exactly once by the empty-stem
+    points plus the single-letter cylinders."""
     from .cylinders import CylFamily, normalize
-    u = build_universe(A, stem_len, sym_bound, n_periodic)
+    u = build_universe(A, 4, 5, 25)
     points = [empty_stem_config(A, col.id) for col in A.accumulation_catalog]
     expr = normalize(A, points=points,
                      families=[CylFamily((), sset.all_except(set()))])
@@ -283,13 +282,13 @@ def cylinder_words_up_to(A: TransitionMatrix, max_len: int, sym_bound: Symbol) -
     return sorted(set(out))
 
 
-def conformality_suite(A: TransitionMatrix, beta: float, max_len: int = 6,
-                       sym_bound: Symbol = 7) -> dict[str, float]:
-    """Worst conformality residual per measure available on this matrix."""
+def conformality_suite(A: TransitionMatrix, beta: float) -> dict[str, float]:
+    """Worst conformality residual per measure available on this matrix,
+    over the cylinders of length up to 6 on symbols up to 7."""
     known = ms.KIND_MEASURES.get(A.kind)
     if known is None or known.critical is None:
         raise ms.MeasureError(f"no measure constructions for kind {A.kind}")
-    cyls = cylinder_words_up_to(A, max_len, sym_bound)
+    cyls = cylinder_words_up_to(A, 6, 7)
     name, build = known.critical
     out = {name: ms.verify_conformality(build(A), cyls).max_residual}
     if beta > A.spec.critical_beta:
@@ -306,11 +305,10 @@ def conformality_suite(A: TransitionMatrix, beta: float, max_len: int = 6,
 # pressure suite
 # --------------------------------------------------------------------------
 
-def pressure_identity_rows(A: TransitionMatrix, beta: float, n_max: int = 20
-                           ) -> list[tuple[int, float, float]]:
-    """(n, (1/n) log Z_n for the constant potential -1, closed form)."""
+def pressure_identity_rows(A: TransitionMatrix, beta: float) -> list[tuple[int, float, float]]:
+    """(n, (1/n) log Z_n for the constant potential -1, closed form), n <= 20."""
     rows = []
-    for n in range(1, n_max + 1):
+    for n in range(1, 21):
         z = th.z_n(A, th.Constant(-1.0), beta, 1, n)
         lhs = math.log(z.value) / n
         rhs = math.log(2.0) - beta - math.log(2.0) / n
@@ -318,11 +316,10 @@ def pressure_identity_rows(A: TransitionMatrix, beta: float, n_max: int = 20
     return rows
 
 
-def first_return_rows(A: TransitionMatrix, beta: float, n_max: int = 14
-                      ) -> list[tuple[int, float, float]]:
-    """(n, Z*_n for the log-ratio potential, (n+1)^-beta)."""
+def first_return_rows(A: TransitionMatrix, beta: float) -> list[tuple[int, float, float]]:
+    """(n, Z*_n for the log-ratio potential, (n+1)^-beta), n <= 14."""
     return [(n, th.z_n_star(A, th.LOG_POTENTIAL, beta, 1, n).value, (n + 1.0) ** (-beta))
-            for n in range(1, n_max + 1)]
+            for n in range(1, 15)]
 
 
 def pressure_suite(A: TransitionMatrix, beta: float = 0.7) -> dict[str, float]:

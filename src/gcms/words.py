@@ -2,9 +2,9 @@
 
 Words are tuples of positive integers; the empty word is ``()``.
 Enumeration runs backward along the (finite) column supports, so on the
-built-in matrix kinds it is exact: the ``symbol_bound`` argument only
-filters the result, and each result records whether the filter removed
-anything.
+built-in matrix kinds it is exact: ``symbol_bound`` only filters what
+``enumerate_words`` and ``enumerate_cycles`` return, recording whether it
+removed anything; partition-function cycles (``iter_cycles``) are never filtered.
 """
 
 from __future__ import annotations

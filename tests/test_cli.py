@@ -79,6 +79,15 @@ def test_verify_counting(capsys):
     assert json.loads(out)["ok"] is True
 
 
+def test_verify_counting_alternating_renewal(capsys):
+    code, out = run_cli(["verify", "--suite", "counting", "--kind", "alternating_renewal"],
+                        capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["ok"] is True
+    assert payload["families_checked"] == [1, 2] and payload["families_mismatching"] == []
+
+
 def test_verify_conformality(capsys):
     code, out = run_cli(["verify", "--suite", "conformality", "--kind", "pair_renewal",
                          "--beta", "1.2", "--tol", "1e-10"], capsys)
@@ -206,8 +215,7 @@ def test_output_file_and_matrix_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("args, message", [
-    (["verify", "--suite", "counting", "--kind", "alternating_renewal"],
-     "no closed-form preimage count for kind alternating_renewal"),
+    (["count", "--matrix-file", "SCALAR"], "a matrix specification is a JSON object, not 3"),
     (["measure", "--measure", "y", "--kind", "renewal", "--beta", "0.5"],
      "normalizing series diverges"),
     (["decompose", "--kind", "renewal", "--expr", "C[2.3]"], "word 2.3 is not admissible"),
@@ -222,10 +230,12 @@ def test_output_file_and_matrix_file(tmp_path, capsys):
     (["phase", "--kind", "prime_renewal", "--potential", "log"],
      "the log-ratio phase table is specific to --kind renewal"),
     (["phase", "--kind", "renewal", "--beta-grid", "1:2:0"], "grid step must be positive"),
+    (["count", "--matrix-file", "ROWS"], "rows must be a non-empty list of lists, not 5"),
 ])
 def test_errors_exit_2_with_one_line(args, message, tmp_path, capsys):
     files = {"MATRIX": '{"kind": "explicit"}',
-             "EXPLICIT": '{"kind": "explicit", "size": 2, "rows": [[1, 1], [1, 0]]}'}
+             "EXPLICIT": '{"kind": "explicit", "size": 2, "rows": [[1, 1], [1, 0]]}',
+             "SCALAR": "3", "ROWS": '{"kind": "explicit", "rows": 5}'}
     for name, text in files.items():
         (tmp_path / f"{name}.json").write_text(text)
     code = main([str(tmp_path / f"{a}.json") if a in (*files, "MISSING") else a
@@ -235,6 +245,22 @@ def test_errors_exit_2_with_one_line(args, message, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("gcms: error: ") and captured.err.count("\n") == 1
     assert message in captured.err
+
+
+@pytest.mark.parametrize("args", [
+    ["count", "--kind", "renewal", "--depth", "3"],
+    ["phase", "--kind", "renewal", "--symbol-bound", "3"],
+    ["verify", "--suite", "cylinders", "--kind", "renewal", "--format", "csv"],
+    ["converge", "--kind", "renewal", "--tol", "1e-3"],
+    ["measure", "--kind", "renewal", "--measure", "sarig", "--length-cap", "10"],
+    ["decompose", "--kind", "renewal", "--expr", "C[1]", "--beta", "2"],
+    ["pressure", "--kind", "renewal", "--depth", "3"],
+], ids=lambda args: args[0])
+def test_flags_a_subcommand_does_not_read_are_rejected(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_count_exit_code_on_mismatch(capsys, monkeypatch):

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from gcms.configs import (EmptyStemError, GroupWord, IDENTITY, VANISHING, IntegerInterval,
                           bounded, count_preimages_closed_form, empty_stem_config, family_of,
                           parse_config, preimages, rules_check, shift, shift_n, unbounded)
+from gcms.matrices import full_shift
 
 
 # -- group words -------------------------------------------------------------
@@ -150,6 +151,22 @@ def test_pair_counts_closed_form(pair, family):
             == count_preimages_closed_form(pair, family, n)
 
 
+@pytest.mark.parametrize("family", [1, 2])
+def test_alternating_counts_closed_form(alternating, family):
+    for n in range(0, 15):
+        assert len(preimages(empty_stem_config(alternating, family), n)) \
+            == count_preimages_closed_form(alternating, family, n)
+
+
+def test_alternating_closed_form_values(alternating):
+    # c1(2k) = 3^(k-1), c1(2k+1) = 2 * 3^(k-1), c2(n) = c1(n+1)
+    assert [count_preimages_closed_form(alternating, 1, n) for n in range(8)] \
+        == [1, 1, 1, 2, 3, 6, 9, 18]
+    assert count_preimages_closed_form(alternating, 2, 7) == 27
+    with pytest.raises(ValueError):
+        count_preimages_closed_form(alternating, 3, 2)
+
+
 def test_pair_closed_form_values(pair):
     assert count_preimages_closed_form(pair, 1, 2) == 5
     assert count_preimages_closed_form(pair, 2, 1) == 1
@@ -164,9 +181,10 @@ def test_prime_counts_within_interval(prime):
             assert len(preimages(empty_stem_config(prime, fam), n)) in interval
 
 
-def test_closed_form_unsupported(alternating):
-    with pytest.raises(ValueError):
-        count_preimages_closed_form(alternating, 1, 3)
+def test_closed_form_unsupported():
+    # stored finite matrices have no boundary families and no closed form
+    with pytest.raises(ValueError, match="no closed-form preimage count"):
+        count_preimages_closed_form(full_shift(2), 1, 3)
 
 
 def test_family_invariant_under_shift(pair):

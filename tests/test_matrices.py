@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gcms import matrices
 from gcms.matrices import alternating_renewal, explicit, from_json, full_shift, prime_renewal
@@ -92,6 +93,8 @@ def test_explicit_rejects_zero_rows_and_columns():
         explicit([[0, 0], [1, 1]])
     with pytest.raises(ValueError):
         explicit([[1, 0], [1, 0]])
+    with pytest.raises(ValueError):
+        explicit([])
 
 
 def test_full_shift():
@@ -106,6 +109,29 @@ def test_builtin_json_round_trip(renewal, pair):
               {"kind": "alternating_renewal"}, {"kind": "full_shift", "size": 4}):
         A = matrices.from_dict(d)
         assert matrices.from_json(A.to_json()) == A
+
+
+# JSON values of every shape; integers stay small so that a valid full_shift
+# size or prime_bound never allocates much
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-50, 50) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=4),
+    max_leaves=10)
+_SPECS = _JSON | st.fixed_dictionaries(
+    {"kind": st.sampled_from([*matrices.KINDS, "full_shift", "explicit", "other"]) | _JSON},
+    optional={"size": _JSON, "prime_bound": _JSON,
+              "rows": _JSON | st.lists(st.lists(st.integers(-1, 2), max_size=3), max_size=3)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SPECS)
+def test_from_dict_gives_a_matrix_or_value_error(spec):
+    try:
+        A = matrices.from_dict(spec)
+    except ValueError:
+        return
+    assert isinstance(A, matrices.TransitionMatrix)
 
 
 def test_prime_bound_controls_catalog():

@@ -54,7 +54,7 @@ def test_z_n_logratio_by_hand(renewal):
 def test_z_n_transfer_oracle(renewal, pair):
     for A, base in ((renewal, 1), (pair, 2)):
         for n in (2, 4, 6):
-            direct = z_n(A, LogRatio(), 1.3, base, n, symbol_bound=12).value
+            direct = z_n(A, LogRatio(), 1.3, base, n).value
             via_matrix = z_n_transfer(A, LogRatio(), 1.3, base, n, 12)
             assert direct == pytest.approx(via_matrix, rel=1e-12)
 
@@ -65,13 +65,6 @@ def test_z_n_star(renewal):
     assert z_n_star(renewal, LogRatio(), 1.0, 1, 1).value == pytest.approx(0.5)
     # unique first-return cycle per length on the renewal matrix
     assert z_n_star(renewal, LogRatio(), 1.0, 1, 8).n_terms == 1
-
-
-def test_symbol_bound_flags(renewal):
-    full = z_n(renewal, Constant(-1.0), 1.0, 1, 6)
-    cut = z_n(renewal, Constant(-1.0), 1.0, 1, 6, symbol_bound=3)
-    assert full.exact and not cut.exact
-    assert cut.value < full.value
 
 
 def test_pointwise_z(renewal):
