@@ -287,17 +287,17 @@ class TransitionMatrix:
             if not any(rows[i][j] for i in range(n)):
                 raise ValueError(f"column {j + 1} is all zero")
 
+    def _in_range(self, *symbols: Symbol) -> None:
+        if max(symbols) > self.size:
+            raise ValueError(f"symbol {max(symbols)} out of range for size {self.size}")
+
     def _stored_entry(self, i: Symbol, j: Symbol) -> int:
-        rows = self._rows
-        if i > len(rows) or j > len(rows):
-            raise IndexError(f"index ({i},{j}) out of range for size {len(rows)}")
-        return rows[i - 1][j - 1]
+        self._in_range(i, j)
+        return self._rows[i - 1][j - 1]
 
     def _stored_predecessors(self, j: Symbol) -> tuple[Symbol, ...]:
-        rows = self._rows
-        if j > len(rows):
-            raise IndexError(f"column {j} out of range")
-        return tuple(i + 1 for i in range(len(rows)) if rows[i][j - 1] == 1)
+        self._in_range(j)
+        return tuple(i + 1 for i, row in enumerate(self._rows) if row[j - 1] == 1)
 
     # -- basic queries --------------------------------------------------------
 
@@ -334,6 +334,7 @@ class TransitionMatrix:
         complement are infinite (the row stays symbolic).
         """
         if self._rows is not None:
+            self._in_range(i)
             return ("finite", frozenset(j + 1 for j, v in enumerate(self._rows[i - 1]) if v == 1))
         if self.spec.is_irregular(i):
             return ("irregular", frozenset())

@@ -2,23 +2,28 @@
 
 Potentials depend on the first coordinate only, so all higher variations
 vanish and the super-additivity of partition functions holds without a
-correction constant.  Partition functions are computed by exact backward
-enumeration of cycles (column supports are finite on every built-in
-matrix); series with infinite tails carry explicit certificates, either a
-geometric ratio bound or an Euler-Maclaurin remainder bound.
+correction constant.  Partition functions are exact (column supports are
+finite on every built-in matrix).  A constant potential gives all N words
+of length n one term t, so the first-letter walk ``generation_layers``
+counts them, and N * t rounded once is bit for bit the ``math.fsum`` of
+their terms; other potentials enumerate the words.  Series with infinite
+tails carry explicit certificates, either a geometric ratio bound or an
+Euler-Maclaurin remainder bound.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .configs import BoundedConfig, Configuration
 from .matrices import Symbol, TransitionMatrix
-from .words import Word, backward_words, enumerate_words_with_suffix, iter_cycles
+from .words import (Word, backward_words, enumerate_words_with_suffix, generation_layers,
+                    iter_cycles)
 
 
 # --------------------------------------------------------------------------
@@ -106,21 +111,40 @@ class ZValue:
         return self.value
 
 
+def _constant_sum(F: Constant, beta: float, n: int, count: int) -> ZValue:
+    """The ``math.fsum`` of ``count`` copies of the term t of a length-n word: the
+    exact product rounded once, which ``float(count) * t`` is only below 2**53."""
+    if count == 0:
+        return ZValue(0.0, 0, True)
+    t = math.exp(birkhoff_sum(F, beta, (1,) * n))
+    return ZValue(float(Fraction(t) * count), count, True)
+
+
 def _cycle_sum(A: TransitionMatrix, F: Potential, beta: float, base: Symbol, n: int,
                first_return: bool) -> ZValue:
-    terms = [math.exp(birkhoff_sum(F, beta, w))
-             for w in iter_cycles(A, n, base, first_return=first_return)]
-    return ZValue(math.fsum(terms), len(terms), True)
+    if not isinstance(F, Constant):
+        terms = [math.exp(birkhoff_sum(F, beta, w))
+                 for w in iter_cycles(A, n, base, first_return=first_return)]
+        return ZValue(math.fsum(terms), len(terms), True)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    # as in iter_cycles: base, then a tail from a successor to a predecessor of base
+    keep = (lambda s: s != base) if first_return else None
+    seeds = [s for s in A.predecessors(base) if not (first_return and s == base)]
+    firsts = generation_layers(A, seeds, n - 1, keep=keep)[-1] if n > 1 else {base: 1}
+    return _constant_sum(F, beta, n, sum(c for s, c in firsts.items() if A.entry(base, s) == 1))
 
 
 def z_n(A: TransitionMatrix, F: Potential, beta: float, base: Symbol, n: int) -> ZValue:
-    """Partition function over length-n cycles through ``base``; exact, since
-    backward enumeration over the finite column supports visits every cycle."""
+    """Partition function over length-n cycles through ``base``; exact, since the
+    backward walk over the finite column supports reaches every cycle, and for a
+    constant potential counted, not enumerated (see the module docstring)."""
     return _cycle_sum(A, F, beta, base, n, first_return=False)
 
 
 def z_n_star(A: TransitionMatrix, F: Potential, beta: float, base: Symbol, n: int) -> ZValue:
-    """Partition function restricted to cycles whose first return is exactly n."""
+    """Partition function restricted to cycles whose first return is exactly n;
+    counted, not enumerated, for a constant potential."""
     return _cycle_sum(A, F, beta, base, n, first_return=True)
 
 
@@ -143,7 +167,7 @@ def pointwise_z(A: TransitionMatrix, F: Potential, beta: float, x: Configuration
 
     A preimage prepends a length-n admissible head to ``x``; for a
     boundary point with empty stem the head itself must end in one of the
-    root's terminal letters.
+    root's terminal letters.  A constant potential counts the heads.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -154,6 +178,8 @@ def pointwise_z(A: TransitionMatrix, F: Potential, beta: float, x: Configuration
         seeds = A.predecessors(x.stem[0])
     else:
         seeds = A.predecessors(x.symbol_at(0))
+    if isinstance(F, Constant):
+        return _constant_sum(F, beta, n, sum(generation_layers(A, seeds, n)[-1].values()))
     terms = [math.exp(birkhoff_sum(F, beta, head)) for head in backward_words(A, n, seeds)]
     return ZValue(math.fsum(terms), len(terms), True)
 

@@ -98,15 +98,15 @@ def backward_words(A: TransitionMatrix, n: int, seeds: Iterable[Symbol],
             stack.append(((p,) + suffix, length + 1))
 
 
-def generation_layers(A: TransitionMatrix, seeds: Iterable[Symbol], n: int,
-                      weight: float = 1) -> list[dict[Symbol, float]]:
+def generation_layers(A: TransitionMatrix, seeds: Iterable[Symbol], n: int, weight: float = 1,
+                      keep: Callable[[Symbol], bool] | None = None) -> list[dict[Symbol, float]]:
     """Layers 1..n of the backward walk from ``seeds``, one dict per length.
 
     Layer k maps a first letter to the total ``weight**k`` over the
     admissible words of length k that start with that letter and end in a
     seed; with ``weight=1`` the totals are exact integer counts.  The walk
     keeps one entry per first letter, so it never builds the words that
-    ``backward_words`` yields.
+    ``backward_words`` yields; ``keep`` prunes the letters as it does there.
     """
     layers = [{s: weight for s in sorted(seeds)}] if n >= 1 else []
     while len(layers) < n:
@@ -114,7 +114,8 @@ def generation_layers(A: TransitionMatrix, seeds: Iterable[Symbol], n: int,
         for sym, x in layers[-1].items():
             x *= weight
             for p in A.predecessors(sym):
-                nxt[p] = nxt.get(p, 0) + x
+                if keep is None or keep(p):
+                    nxt[p] = nxt.get(p, 0) + x
         layers.append(nxt)
     return layers
 

@@ -231,6 +231,8 @@ def test_output_file_and_matrix_file(tmp_path, capsys):
      "the log-ratio phase table is specific to --kind renewal"),
     (["phase", "--kind", "renewal", "--beta-grid", "1:2:0"], "grid step must be positive"),
     (["count", "--matrix-file", "ROWS"], "rows must be a non-empty list of lists, not 5"),
+    (["decompose", "--matrix-file", "EXPLICIT", "--expr", "C[3]"],
+     "symbol 3 out of range for size 2"),
 ])
 def test_errors_exit_2_with_one_line(args, message, tmp_path, capsys):
     files = {"MATRIX": '{"kind": "explicit"}',

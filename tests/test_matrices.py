@@ -84,8 +84,11 @@ def test_explicit_round_trip():
     assert B.to_json() == text      # bit-exact round trip
     assert A.entry(1, 2) == 1 and A.entry(3, 2) == 0
     assert [A.predecessors(j) for j in (1, 2, 3)] == [(1, 3), (1, 2), (2,)]
-    with pytest.raises(IndexError):
-        A.entry(4, 1)
+    # symbols above the size are domain errors, as in every query
+    for query in (lambda: A.entry(4, 1), lambda: A.entry(1, 4), lambda: A.predecessors(4),
+                  lambda: A.row_structure(4)):
+        with pytest.raises(ValueError, match="symbol 4 out of range for size 3"):
+            query()
 
 
 def test_explicit_rejects_zero_rows_and_columns():

@@ -3,12 +3,14 @@ import math
 import mpmath
 import pytest
 
-from gcms.configs import bounded, empty_stem_config, unbounded
-from gcms.thermo import (Constant, DomainError, GDiff, LOG_POTENTIAL, LogRatio, beta_c_log,
-                         birkhoff_sum, classify_recurrence_log, critical_beta_log,
+from gcms import matrices
+from gcms.configs import BoundedConfig, bounded, empty_stem_config, unbounded
+from gcms.thermo import (Constant, DomainError, GDiff, LOG_POTENTIAL, LogRatio, ZValue,
+                         beta_c_log, birkhoff_sum, classify_recurrence_log, critical_beta_log,
                          discriminant_log, gurevich_pressure, jn_tn, normalization_series,
                          pointwise_z, power_sum_tail, pressure_log_potential,
                          superadditivity_check, z_n, z_n_star, z_n_transfer, zeta)
+from gcms.words import backward_words, iter_cycles
 
 
 # -- potentials and Birkhoff sums ------------------------------------------------
@@ -91,6 +93,88 @@ def test_pointwise_ratio_bound(renewal):
                 ratio = (pointwise_z(renewal, LOG_POTENTIAL, beta, x, n).value
                          / z_n(renewal, LOG_POTENTIAL, beta, 1, n).value)
                 assert 1.0 < ratio <= bound + 1e-12
+
+
+# the constant-potential count path against the enumeration it replaces: each
+# case is (matrix, largest n, points for pointwise_z)
+COUNT_CASES = {
+    "renewal": (matrices.renewal(), 12, lambda A: [empty_stem_config(A, 1), bounded(A, (3, 2, 1), 1),
+                                                   unbounded(A, (), (1,))]),
+    "pair_renewal": (matrices.pair_renewal(), 12, lambda A: [
+        empty_stem_config(A, 1), empty_stem_config(A, 2), bounded(A, (2,), 1)]),
+    "prime_renewal": (matrices.prime_renewal(), 12, lambda A: [
+        empty_stem_config(A, 3), bounded(A, (4, 3, 2, 1), 1), unbounded(A, (), (1,))]),
+    "alternating_renewal": (matrices.alternating_renewal(), 12, lambda A: [
+        empty_stem_config(A, 1), empty_stem_config(A, 2), unbounded(A, (), (1, 2))]),
+    # 3**(n-1) cycles per base: n = 12 would enumerate 177k of them
+    "full_shift": (matrices.full_shift(3), 8, lambda A: [unbounded(A, (), (2,))]),
+    "explicit": (matrices.explicit([[1, 1, 0], [0, 1, 1], [1, 0, 1]]), 12,
+                 lambda A: [unbounded(A, (3,), (1,))]),
+}
+COUNT_POTENTIALS = [(Constant(c), beta) for c in (-1.0, 1.0, 0.37) for beta in (0.31, 0.7, 1.3)]
+
+
+def _enumerated(F, beta, words):
+    terms = [math.exp(birkhoff_sum(F, beta, w)) for w in words]
+    return math.fsum(terms), len(terms)
+
+
+def _heads(A, x, n):
+    if isinstance(x, BoundedConfig) and not x.stem:
+        seeds = sorted(x.root.allowed_terminal_symbols)
+    else:
+        seeds = A.predecessors(x.symbol_at(0))
+    return list(backward_words(A, n, seeds))
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_CASES))
+def test_constant_count_is_bit_identical_to_enumeration(name):
+    A, n_max, points = COUNT_CASES[name]
+    for n in range(1, n_max + 1):
+        for base in (1, 2, 3):
+            for first_return, z in ((False, z_n), (True, z_n_star)):
+                cycles = list(iter_cycles(A, n, base, first_return=first_return))
+                for F, beta in COUNT_POTENTIALS:
+                    got = z(A, F, beta, base, n)
+                    assert (got.value, got.n_terms) == _enumerated(F, beta, cycles)
+        for x in points(A):
+            heads = _heads(A, x, n)
+            for F, beta in COUNT_POTENTIALS:
+                got = pointwise_z(A, F, beta, x, n)
+                assert (got.value, got.n_terms) == _enumerated(F, beta, heads)
+
+
+def test_constant_count_edge_cases(renewal):
+    # the 2-cycle has no odd cycles: a zero count sums nothing, so a term
+    # that would overflow is never formed
+    swap = matrices.explicit([[0, 1], [1, 0]])
+    assert list(iter_cycles(swap, 3, 1)) == []
+    assert z_n(swap, Constant(1e6), 1.0, 1, 3) == ZValue(0.0, 0, True)
+    assert z_n_star(renewal, Constant(1e6), 1.0, 2, 1) == ZValue(0.0, 0, True)
+    for z in (z_n, z_n_star):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            z(renewal, Constant(1.0), 0.7, 1, 0)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        pointwise_z(renewal, Constant(1.0), 0.7, empty_stem_config(renewal, 1), 0)
+
+
+@pytest.mark.parametrize("n", [60, 400])
+@pytest.mark.parametrize("beta", [0.37, 0.7, 1.1])
+def test_renewal_counts_beyond_enumeration(renewal, n, beta):
+    z = z_n(renewal, Constant(-1.0), beta, 1, n)
+    assert z.n_terms == 2 ** (n - 1)
+    assert abs(math.log(z.value) / n - (math.log(2) - beta - math.log(2) / n)) <= 1e-12
+
+
+def test_pair_renewal_count_rounds_once(pair):
+    # 1e153 cycles: far past 2**53, where float(N) * t already rounds twice
+    n, F, beta = 400, Constant(-1.0), 0.7
+    z = z_n(pair, F, beta, 1, n)
+    t = math.exp(birkhoff_sum(F, beta, (1,) * n))
+    mantissa, scale = t.as_integer_ratio()     # scale is a power of two
+    exact = math.ldexp(float(z.n_terms * mantissa), 1 - scale.bit_length())
+    assert z.value == exact
+    assert float(z.n_terms) * t != exact
 
 
 def test_superadditivity(renewal):
