@@ -272,7 +272,7 @@ _OPTIONS: dict[str, dict] = {
 
 
 def _subcommand(sub, name: str, fn, summary: str, *options: str) -> argparse.ArgumentParser:
-    p = sub.add_parser(name, help=summary)
+    p = sub.add_parser(name, help=summary, allow_abbrev=False)
     p.add_argument("--kind", choices=list(KINDS))
     p.add_argument("--matrix-file", help="JSON matrix specification file")
     p.add_argument("--prime-bound", type=int, default=7)
@@ -285,7 +285,7 @@ def _subcommand(sub, name: str, fn, summary: str, *options: str) -> argparse.Arg
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="gcms",
+        prog="gcms", allow_abbrev=False,
         description="thermodynamic formalism on generalized countable Markov shifts")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -323,12 +323,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Run one subcommand; a domain, input or file error exits 2 with one line on stderr."""
+    """Run one subcommand; a domain, input or file error, or a float overflow
+    (a beta too large in size for its terms), exits 2 with one line on stderr."""
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:    # ValueError includes MeasureError and DomainError
         print(f"gcms: error: {exc}", file=sys.stderr)
+    except OverflowError as exc:
+        print(f"gcms: error: float overflow: {exc}", file=sys.stderr)
     return 2
 
 

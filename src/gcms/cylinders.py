@@ -12,9 +12,11 @@ to the disjoint form
 
 where a family is a prefix together with a symbol set for the following
 letter.  ``decompose`` produces the normal form of one element,
-``meet``/``intersect`` close the normal forms under finite intersection,
-and ``member`` decides membership of a configuration, which is the oracle
-every identity is verified against.
+``meet``/``intersect`` close the normal forms under finite intersection.
+``part_contains`` decides membership of a configuration in one part, and
+membership in a normal form is the number of parts containing it
+(``membership_count``, ``member``).  Every identity is verified against raw
+membership (``raw_member``), read off the configuration's evaluation.
 """
 
 from __future__ import annotations
@@ -305,6 +307,18 @@ def intersect_many(elems: Sequence[Subbasis]) -> SetExpr:
 # membership / verification
 # --------------------------------------------------------------------------
 
+def part_contains(c: Configuration, part: BoundedConfig | Word | CylFamily) -> bool:
+    """Whether ``c`` lies in one part of a normal form: a boundary point, the
+    cylinder on an atom word, or a cylinder family."""
+    if isinstance(part, BoundedConfig):
+        return part == c
+    if isinstance(part, CylFamily):
+        nxt = c.symbol_at(len(part.prefix))
+        return (nxt is not None and c.has_prefix(part.prefix)
+                and ss.contains(c.matrix, part.symbols, nxt))
+    return c.has_prefix(part)
+
+
 def member(c: Configuration, s: SetExpr) -> bool:
     return membership_count(c, s) > 0
 
@@ -313,19 +327,7 @@ def membership_count(c: Configuration, s: SetExpr) -> int:
     """Number of parts of ``s`` containing ``c`` (must be 0 or 1 when disjoint)."""
     if s.whole_space:
         return 1
-    A = s.matrix
-    n = 0
-    if isinstance(c, BoundedConfig):
-        n += sum(1 for p in s.points if p == c)
-    n += sum(1 for a in s.atoms if c.has_prefix(a))
-    for f in s.families:
-        k = len(f.prefix)
-        if not c.has_prefix(f.prefix):
-            continue
-        nxt = c.symbol_at(k)
-        if nxt is not None and ss.contains(A, f.symbols, nxt):
-            n += 1
-    return n
+    return sum(part_contains(c, part) for part in (*s.points, *s.atoms, *s.families))
 
 
 @dataclass

@@ -6,7 +6,10 @@ The oracle enumerates every boundary configuration up to a stem length
 plus a batch of eventually periodic points, precomputes raw membership of
 every subbasis element as a boolean vector, and then checks each pairwise
 intersection both for pointwise agreement and for disjointness of the
-normalized parts (membership multiplicity at most one).
+normalized parts (membership multiplicity at most one).  A normal form is
+evaluated on the universe as the sum of its parts' membership rows; each
+row is computed once per universe with ``cylinders.part_contains`` and
+cached, so the oracle and ``cylinders.member`` share one membership rule.
 
 The counting, conformality, and pressure suites used by the command line
 and the acceptance tests live here as plain functions returning report
@@ -26,7 +29,7 @@ from . import symbolsets as sset
 from . import thermo as th
 from .configs import (BoundedConfig, Configuration, UnboundedConfig, count_preimages_closed_form,
                       empty_stem_config, IntegerInterval)
-from .cylinders import SetExpr, Subbasis, decompose, meet, raw_member
+from .cylinders import SetExpr, Subbasis, decompose, meet, part_contains, raw_member
 from .matrices import Symbol, TransitionMatrix
 from .words import Word, enumerate_words, generation_layers, iter_cycles
 
@@ -39,11 +42,8 @@ from .words import Word, enumerate_words, generation_layers, iter_cycles
 class ConfigUniverse:
     matrix: TransitionMatrix
     configs: list[Configuration]
-    depth: int
-    sym_at: np.ndarray        # (n, depth) symbols, 0-padded
-    length: np.ndarray        # stem length; depth+1 marks unbounded
-    root_id: np.ndarray       # 0 for unbounded
-    index_of_point: dict[tuple[Word, int], int] = field(default_factory=dict)
+    # one membership row per normal-form part, filled by setexpr_count_vec
+    _rows: dict = field(default_factory=dict, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.configs)
@@ -93,58 +93,20 @@ def build_universe(A: TransitionMatrix, stem_len: int, sym_bound: Symbol,
                    n_periodic: int) -> ConfigUniverse:
     configs: list[Configuration] = list(all_bounded_configs(A, stem_len, sym_bound))
     configs.extend(periodic_points(A, n_periodic))
-    depth = stem_len + 6
-    n = len(configs)
-    sym_at = np.zeros((n, depth), dtype=np.int64)
-    length = np.zeros(n, dtype=np.int64)
-    root_id = np.zeros(n, dtype=np.int64)
-    index_of_point: dict[tuple[Word, int], int] = {}
-    for i, c in enumerate(configs):
-        if isinstance(c, BoundedConfig):
-            length[i] = len(c.stem)
-            root_id[i] = c.root.id
-            for k, s in enumerate(c.stem[:depth]):
-                sym_at[i, k] = s
-            index_of_point[(c.stem, c.root.id)] = i
-        else:
-            length[i] = depth + 1
-            for k in range(depth):
-                sym_at[i, k] = c.symbol_at(k)
-    return ConfigUniverse(A, configs, depth, sym_at, length, root_id, index_of_point)
-
-
-def _prefix_vec(u: ConfigUniverse, w: Word) -> np.ndarray:
-    if not w:
-        return np.ones(len(u), dtype=bool)
-    if len(w) > u.depth:
-        raise ValueError("universe depth too small for this prefix")
-    v = np.ones(len(u), dtype=bool)
-    for k, s in enumerate(w):
-        v &= u.sym_at[:, k] == s
-    return v
+    return ConfigUniverse(A, configs)
 
 
 def setexpr_count_vec(u: ConfigUniverse, s: SetExpr) -> np.ndarray:
     """Membership multiplicity of every universe configuration in ``s``."""
-    n = len(u)
     if s.whole_space:
-        return np.ones(n, dtype=np.int64)
-    counts = np.zeros(n, dtype=np.int64)
-    for p in s.points:
-        idx = u.index_of_point.get((p.stem, p.root.id))
-        if idx is not None:
-            counts[idx] += 1
-    for a in s.atoms:
-        counts += _prefix_vec(u, a)
-    A = u.matrix
-    for f in s.families:
-        base = _prefix_vec(u, f.prefix)
-        pos = len(f.prefix)
-        nxt = u.sym_at[:, pos]
-        vals = np.unique(nxt[base])
-        allowed = np.array([v for v in vals if v >= 1 and sset.contains(A, f.symbols, int(v))])
-        if allowed.size:
-            counts += base & np.isin(nxt, allowed)
+        return np.ones(len(u), dtype=np.int64)
+    counts = np.zeros(len(u), dtype=np.int64)
+    for part in (*s.points, *s.atoms, *s.families):
+        row = u._rows.get(part)
+        if row is None:
+            row = u._rows[part] = np.fromiter((part_contains(c, part) for c in u.configs),
+                                              dtype=bool, count=len(u))
+        counts += row
     return counts
 
 
@@ -258,6 +220,8 @@ def counted_families(A: TransitionMatrix) -> list[int]:
 
 def counting_suite(A: TransitionMatrix, family_id: int, n_max: int) -> list[CountRow]:
     """Generation sizes of the family's preimage tree against the closed forms or bounds."""
+    if n_max < 1:
+        raise ValueError(f"the count needs n >= 1, not {n_max}")
     terminals = A.column_by_id(family_id).allowed_terminal_symbols
     rows: list[CountRow] = []
     for n, layer in enumerate(generation_layers(A, terminals, n_max), 1):

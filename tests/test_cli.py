@@ -233,6 +233,13 @@ def test_output_file_and_matrix_file(tmp_path, capsys):
     (["count", "--matrix-file", "ROWS"], "rows must be a non-empty list of lists, not 5"),
     (["decompose", "--matrix-file", "EXPLICIT", "--expr", "C[3]"],
      "symbol 3 out of range for size 2"),
+    # a count that checks no generation
+    (["count", "--kind", "renewal", "--n", "0"], "the count needs n >= 1, not 0"),
+    # a beta this large in size overflows the partition function's and the
+    # normalizer's terms
+    (["pressure", "--kind", "renewal", "--beta-grid=-1000"], "float overflow"),
+    (["verify", "--suite", "pressure", "--kind", "renewal", "--beta=-1000"], "float overflow"),
+    (["measure", "--kind", "renewal", "--measure", "y", "--beta=-1000"], "float overflow"),
 ])
 def test_errors_exit_2_with_one_line(args, message, tmp_path, capsys):
     files = {"MATRIX": '{"kind": "explicit"}',
@@ -257,6 +264,8 @@ def test_errors_exit_2_with_one_line(args, message, tmp_path, capsys):
     ["measure", "--kind", "renewal", "--measure", "sarig", "--length-cap", "10"],
     ["decompose", "--kind", "renewal", "--expr", "C[1]", "--beta", "2"],
     ["pressure", "--kind", "renewal", "--depth", "3"],
+    # an abbreviation is not read as the flag it abbreviates (--beta-grid)
+    pytest.param(["pressure", "--kind", "renewal", "--beta", "-100"], id="pressure-abbrev"),
 ], ids=lambda args: args[0])
 def test_flags_a_subcommand_does_not_read_are_rejected(args, capsys):
     with pytest.raises(SystemExit) as exc:

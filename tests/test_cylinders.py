@@ -6,7 +6,8 @@ from gcms.configs import GroupWord, bounded, empty_stem_config, unbounded
 from gcms.cylinders import (Subbasis, decompose, intersect, intersect_many, member,
                             membership_count, parse_elem, parse_expression, raw_member,
                             verify_identity)
-from gcms.verification import build_universe, subbasis_elements, whole_space_cover_check
+from gcms.verification import (build_universe, setexpr_count_vec, subbasis_elements,
+                                whole_space_cover_check)
 
 
 # -- decompositions against worked cases --------------------------------------
@@ -124,6 +125,10 @@ def test_intersect_commutative_on_universe(renewal):
         for b in elems:
             ab, ba = intersect(a, b), intersect(b, a)
             assert ab == ba, (a, b)
+            counts = setexpr_count_vec(universe, ab)
+            want = [raw_member(c, a) and raw_member(c, b) for c in universe.configs]
+            assert counts.max(initial=0) <= 1, (a, b)
+            assert (counts == 1).tolist() == want, (a, b)
 
 
 # -- membership ----------------------------------------------------------------
@@ -189,13 +194,28 @@ def test_small_oracle(kind):
     assert rep.ok, rep.mismatches
 
 
-def test_full_oracle_alternating_renewal():
+@pytest.mark.parametrize("kind, n_elems, n_pairs", [("alternating_renewal", 200, 20100),
+                                                    ("prime_renewal", 400, 80200)])
+def test_full_oracle(kind, n_elems, n_pairs):
     # renewal and pair_renewal run the full-size oracle in the acceptance suite
     from gcms.matrices import by_kind
     from gcms.verification import cylinder_oracle
-    rep = cylinder_oracle(by_kind("alternating_renewal"))
+    rep = cylinder_oracle(by_kind(kind))
     assert rep.ok, rep.mismatches
-    assert (rep.n_elems, rep.n_pairs) == (200, 20100)
+    assert (rep.n_elems, rep.n_pairs) == (n_elems, n_pairs)
+
+
+def test_oracle_reports_a_corrupted_decompose(monkeypatch):
+    # the oracle can fail: decompose losing a boundary point must show up
+    from gcms import cylinders
+    from gcms.matrices import by_kind
+    from gcms.verification import cylinder_oracle
+    roots = cylinders._roots
+    monkeypatch.setattr(cylinders, "_roots", lambda A, stem: roots(A, stem)[1:])
+    rep = cylinder_oracle(by_kind("pair_renewal"), word_len=2, sym_bound=3, inv_bound=3,
+                          stem_len=4, universe_syms=5, n_periodic=20)
+    assert not rep.ok
+    assert all(m.startswith("decompose(") for m in rep.mismatches), rep.mismatches
 
 
 @pytest.mark.parametrize("kind", ["renewal", "pair_renewal", "prime_renewal",
@@ -206,7 +226,6 @@ def test_random_triple_intersections(kind):
     import numpy as np
     from gcms.cylinders import meet
     from gcms.matrices import by_kind
-    from gcms.verification import setexpr_count_vec
     random.seed(20240809)
     A = by_kind(kind)
     u = build_universe(A, 4, 5, 20)
