@@ -29,10 +29,18 @@ def _fmt(x: float) -> str:
     return str(x)
 
 
+def _finite(values: Iterable[float]) -> list[float]:
+    out = list(values)
+    for v in out:
+        if not math.isfinite(v):
+            raise ValueError(f"grid values must be finite, not {v}")
+    return out
+
+
 def _grid(spec: str) -> list[float]:
-    """Parse ``start:stop:step`` or a comma list into a non-empty float grid."""
+    """Parse ``start:stop:step`` or a comma list into a non-empty grid of finite floats."""
     if ":" in spec:
-        start, stop, step = (float(p) for p in spec.split(":"))
+        start, stop, step = _finite(float(p) for p in spec.split(":"))
         if step <= 0:
             raise ValueError("grid step must be positive")
         out = []
@@ -41,7 +49,7 @@ def _grid(spec: str) -> list[float]:
             out.append(round(v, 12))
             v += step
     else:
-        out = [float(p) for p in spec.split(",") if p.strip()]
+        out = _finite(float(p) for p in spec.split(",") if p.strip())
     if not out:
         raise ValueError("empty beta grid")
     return out
@@ -81,6 +89,14 @@ def _write(args: argparse.Namespace, text: str) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _cylinder_words(A: TransitionMatrix, depth: int, symbol_bound: int) -> list:
+    """The cylinder words a check runs over; a check over none would read as a pass."""
+    for flag, v in (("--depth", depth), ("--symbol-bound", symbol_bound)):
+        if v < 1:
+            raise ValueError(f"{flag} must be >= 1, not {v}")
+    return vf.cylinder_words_up_to(A, depth, symbol_bound)
 
 
 def _potential(name: str) -> th.Potential:
@@ -195,7 +211,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
     beta_c, model_of, target = _converge_models(A, potential)
     grid = [beta_c + float(x) for x in args.approach.split(",")]
     basis = [(format_word(w), decompose(Subbasis(A, w)))
-             for w in vf.cylinder_words_up_to(A, args.depth, args.symbol_bound)]
+             for w in _cylinder_words(A, args.depth, args.symbol_bound)]
     rows, _ = ms.weak_star_sweep(model_of, target, basis, grid)
     _emit(args, ["beta", "set", "value", "target", "abs_diff"],
           [(r.beta, r.set_id, r.value, r.target, r.diff) for r in rows])
@@ -213,7 +229,7 @@ def cmd_measure(args: argparse.Namespace) -> int:
         m = ms.pair_renewal_critical_measure(A)
     else:   # log
         m = ms.log_eigenmeasure(args.beta, A)
-    cyls = vf.cylinder_words_up_to(A, min(args.depth, 6), args.symbol_bound)
+    cyls = _cylinder_words(A, min(args.depth, 6), args.symbol_bound)
     rep = ms.verify_conformality(m, cyls)
     _write(args, ms.measure_report_json(m, rep.max_residual) + "\n")
     return 0

@@ -7,8 +7,9 @@ finite on every built-in matrix).  A constant potential gives all N words
 of length n one term t, so the first-letter walk ``generation_layers``
 counts them, and N * t rounded once is bit for bit the ``math.fsum`` of
 their terms; other potentials enumerate the words.  Series with infinite
-tails carry explicit certificates, either a geometric ratio bound or an
-Euler-Maclaurin remainder bound.
+tails carry an explicit Euler-Maclaurin remainder bound: the power sums
+behind zeta, and the log-ratio normalization series, whose tail is summed
+in closed form through the incomplete gamma function.
 """
 
 from __future__ import annotations
@@ -398,28 +399,123 @@ def classify_recurrence_log(beta: float) -> RecurrenceVerdict:
 # pressure of the log-ratio potential
 # --------------------------------------------------------------------------
 
+_EULER_GAMMA = 0.5772156649015329
+# (-1)^k zeta(k) / k for k = 2 .. 59, the Taylor coefficients of lgamma(1+s)/s
+_LGAMMA_COEFFS = tuple((-1) ** k * power_sum_tail(k, 1, 1e-17) / k for k in range(2, 60))
+
+
+def _expm1_ratio(x: float) -> float:
+    """expm1(x) / x, continued by 1 at x = 0."""
+    return math.expm1(x) / x if x else 1.0
+
+
+def _gamma_minus_pole(s: float, log_z: float) -> float:
+    """Gamma(s) - z^s / s for |s| < 1/2, free of the cancellation at s = 0.
+
+    It is (Gamma(1+s) - 1)/s - expm1(s log z)/s, where log Gamma(1+s) is
+    -gamma s + sum over k >= 2 of (-1)^k zeta(k) s^k / k; at s = 0 it is
+    -gamma - log z.
+    """
+    lg_over_s = 0.0
+    for c in reversed(_LGAMMA_COEFFS):
+        lg_over_s = lg_over_s * s + c
+    lg_over_s = lg_over_s * s - _EULER_GAMMA
+    return (lg_over_s * _expm1_ratio(s * lg_over_s)
+            - log_z * _expm1_ratio(s * log_z))
+
+
+def _scaled_upper_gamma(s: float, a: float, m: int) -> float:
+    """a^-s Gamma(s, a m), the upper incomplete gamma function, for a > 0.
+
+    For z = a m >= 1.5 a Lentz continued fraction; below it Gamma(s) minus
+    the lower series for s >= 1/2, the same with its pole term taken out
+    near s = 0 (``_gamma_minus_pole``), and the recurrence
+    s Gamma(s, z) = Gamma(s+1, z) - z^s e^-z from there down.  The scale
+    a^-s z^s = m^s keeps small ``a`` from overflowing.
+    """
+    z = a * m
+    if z >= 1.5:
+        tiny = 1e-300
+        b = z + 1.0 - s
+        c, d = 1.0 / tiny, 1.0 / b
+        h = d
+        for i in range(1, 1000):
+            an = -i * (i - s)
+            b += 2.0
+            d = an * d + b
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = b + an / c
+            c = c if abs(c) > tiny else tiny
+            h *= d * c
+            if abs(d * c - 1.0) <= 1e-16:
+                return m ** s * math.exp(-z) * h
+        raise RuntimeError("incomplete gamma continued fraction did not converge")  # pragma: no cover
+    if s <= -0.5:
+        steps = int(-0.5 - s) + 1
+        g = _scaled_upper_gamma(s + steps, a, m)
+        for t in range(steps - 1, -1, -1):
+            g = (a * g - m ** (s + t) * math.exp(-z)) / (s + t)
+        return g
+    # the lower series: z^s times the sum over k of (-z)^k / (k! (s + k)),
+    # whose k = 0 term goes to _gamma_minus_pole near s = 0
+    near_zero = abs(s) < 0.5
+    lower, term = 0.0, 1.0
+    for k in range(200):
+        if k or not near_zero:
+            lower += term / (s + k)
+        term *= -z / (k + 1)
+        if abs(term) <= 1e-18 * abs(lower):
+            break
+    if near_zero:
+        head = a ** -s * _gamma_minus_pole(s, math.log(z))
+    else:
+        head = a ** -s * math.gamma(s)
+    return head - m ** s * lower
+
+
+def _phi(beta: float, a: float) -> tuple[float, float]:
+    """(Phi, remainder bound) for Phi = sum over n >= 1 of e^-an (n+1)^-beta, a > 0.
+
+    The terms n < N = 40 are summed directly.  The rest is the integral of
+    f(x) = e^-ax (x+1)^-beta from N, which is e^a a^(beta-1) Gamma(1-beta, a(N+1)),
+    plus f(N)/2 and six Euler-Maclaurin corrections, the derivatives of f at N
+    taken by the Leibniz rule.  For beta >= 0, f is completely monotone, so the
+    remainder is at most 2 zeta(12)/(2 pi)^12 |f^(11)(N)| = |B_12|/12! |f^(11)(N)|.
+    """
+    N, m = 40, 41
+    terms = [math.exp(-a * n) * (n + 1.0) ** -beta for n in range(1, N)]
+    terms.append(math.exp(a) * _scaled_upper_gamma(1.0 - beta, a, m))
+    f_n = math.exp(-a * N) * m ** -beta
+    terms.append(0.5 * f_n)
+    # (-1)^j f^(j)(N) / f(N) = sum over i <= j of C(j, i) a^(j-i) (beta)_i (N+1)^-i
+    corrections = len(_BERNOULLI) - 1          # B_2 .. B_12
+    order = 2 * corrections - 1
+    rising = [1.0]
+    for i in range(order):
+        rising.append(rising[-1] * (beta + i) / m)
+    powers = [a ** i for i in range(order + 1)]
+    for k in range(corrections):
+        j = 2 * k + 1
+        deriv = f_n * math.fsum(math.comb(j, i) * powers[j - i] * rising[i]
+                                for i in range(j + 1))
+        terms.append(_BERNOULLI[k] / _FACT[k] * deriv)
+    bound = abs(_BERNOULLI[-2] / _FACT[-2] * deriv)
+    return math.fsum(terms), bound
+
+
 def normalization_series(beta: float, lam: float) -> float:
     """Phi(lam) = sum over n >= 1 of lam^-n (n+1)^-beta, for lam > 1.
 
-    Truncated where the geometric tail bound drops below 1e-15; summed in
-    numpy chunks because lam near 1 needs millions of terms.
+    Constant cost at every lam: 39 terms summed directly and an
+    Euler-Maclaurin tail in closed form (see ``_phi``).  For beta >= 0 the
+    tail's remainder has a certified bound, which stays below 1e-20.
     """
+    if not (math.isfinite(beta) and math.isfinite(lam)):
+        raise ValueError(f"the normalization series needs finite beta and lam, "
+                         f"not {beta} and {lam}")
     if lam <= 1.0:
-        raise ValueError("the geometric certificate needs lam > 1")
-    log_lam = math.log(lam)
-    n_needed = int(math.ceil((math.log(1e15)
-                              - math.log1p(-1.0 / lam)) / log_lam)) + 2
-    if n_needed > 1 << 28:  # pragma: no cover - outside supported range
-        raise RuntimeError("normalization series needs too many terms at this lam")
-    total = 0.0
-    chunk = 1 << 20
-    n0 = 1
-    while n0 <= n_needed:
-        n1 = min(n_needed, n0 + chunk - 1)
-        ns = np.arange(n0, n1 + 1, dtype=np.float64)
-        total += float(np.sum(np.exp(-ns * log_lam) * (ns + 1.0) ** (-beta)))
-        n0 = n1 + 1
-    return total
+        raise ValueError("the normalization series needs lam > 1")
+    return _phi(beta, math.log(lam))[0]
 
 
 _BETA_C_CACHE: dict[str, float] = {}
@@ -432,37 +528,51 @@ def beta_c_log() -> float:
     return _BETA_C_CACHE["v"]
 
 
-def pressure_log_potential(beta: float, p_tol: float = 0.0) -> float:
+def pressure_log_potential(beta: float) -> float:
     """Gurevich pressure of the renewal log-ratio potential.
 
-    Zero at and above the critical inverse temperature; below it, the log
-    of the root of the normalization series, found by bisection (the
-    series is strictly decreasing in lam, and the root sits inside
-    (1, 2] by the pressure upper bound log 2 + beta * sup F = log 2).
-
-    A positive ``p_tol`` allows an early exit once the bracket certifies
-    the pressure to that absolute accuracy; very close to the critical
-    temperature this avoids series evaluations with 1e8 terms.
+    Zero at and above the critical inverse temperature.  Below it, the root
+    a = log lam of Phi(e^a) = 1, which lies in (0, log 2] by the pressure
+    upper bound log 2 + beta * sup F = log 2.  Phi is convex and decreasing
+    in a with derivative -(Phi_{beta-1} - Phi_beta), since
+    n (n+1)^-beta = (n+1)^(1-beta) - (n+1)^-beta.  Steps of a factor 16 down
+    from log 2 find a point left of the root; Newton steps from there rise
+    monotonically to it, and a step that leaves the bracket is replaced by
+    bisection.  The root is returned only if |Phi - 1| plus the series'
+    remainder bound is at most 1e-11, and a RuntimeError is raised otherwise.
     """
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, not {beta}")
     if beta <= 0:
         raise ValueError("beta must be positive")
     if beta >= beta_c_log():
         return 0.0
-    lo, hi = 1.0 + 1e-12, 2.0
-    for _ in range(300):
-        if p_tol > 0.0 and math.log(hi / lo) <= p_tol:
+    lo, hi = 0.0, math.log(2.0)      # Phi > 1 just right of lo, Phi < 1 at hi
+    a = hi
+    phi, bound = _phi(beta, a)
+    # a root below 1e-30 would put beta closer to beta_c than doubles there are spaced
+    while phi < 1.0 and a > 1e-30:
+        hi, a = a, a / 16.0
+        phi, bound = _phi(beta, a)
+    for _ in range(100):
+        if phi > 1.0:
+            lo = a
+        elif phi < 1.0 and lo > 0.0:
+            hi = a
+        else:       # the root, or no point left of it above 1e-30
             break
-        mid = 0.5 * (lo + hi)
-        val = normalization_series(beta, mid)
-        if abs(val - 1.0) <= 1e-12:
-            return math.log(mid)
-        if val > 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if math.log(hi / lo) <= 1e-13:
+        nxt = a + (phi - 1.0) / (_phi(beta - 1.0, a)[0] - phi)
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        done = abs(nxt - a) <= 1e-15 * a
+        a = nxt
+        phi, bound = _phi(beta, a)
+        if done:
             break
-    return math.log(0.5 * (lo + hi))
+    if abs(phi - 1.0) + bound > 1e-11:
+        raise RuntimeError(f"log-ratio pressure at beta={beta} not certified: "
+                           f"|Phi - 1| = {abs(phi - 1.0):.3g}, remainder bound {bound:.3g}")
+    return a
 
 
 # --------------------------------------------------------------------------

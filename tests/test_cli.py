@@ -240,6 +240,19 @@ def test_output_file_and_matrix_file(tmp_path, capsys):
     (["pressure", "--kind", "renewal", "--beta-grid=-1000"], "float overflow"),
     (["verify", "--suite", "pressure", "--kind", "renewal", "--beta=-1000"], "float overflow"),
     (["measure", "--kind", "renewal", "--measure", "y", "--beta=-1000"], "float overflow"),
+    # a grid value that is not a number, or infinite, gives no row to read
+    (["phase", "--kind", "renewal", "--beta-grid=nan"], "grid values must be finite, not nan"),
+    (["phase", "--kind", "renewal", "--beta-grid=inf"], "grid values must be finite, not inf"),
+    (["pressure", "--kind", "renewal", "--beta-grid", "1:inf:0.5"],
+     "grid values must be finite, not inf"),
+    # a check over no cylinder would read as a pass
+    (["converge", "--kind", "renewal", "--depth", "0"], "--depth must be >= 1, not 0"),
+    (["converge", "--kind", "renewal", "--symbol-bound", "0"],
+     "--symbol-bound must be >= 1, not 0"),
+    (["measure", "--kind", "renewal", "--measure", "sarig", "--depth", "0"],
+     "--depth must be >= 1, not 0"),
+    (["measure", "--kind", "renewal", "--measure", "sarig", "--symbol-bound", "-1"],
+     "--symbol-bound must be >= 1, not -1"),
 ])
 def test_errors_exit_2_with_one_line(args, message, tmp_path, capsys):
     files = {"MATRIX": '{"kind": "explicit"}',

@@ -3,7 +3,7 @@ import math
 import mpmath
 import pytest
 
-from gcms import matrices
+from gcms import matrices, thermo
 from gcms.configs import BoundedConfig, bounded, empty_stem_config, unbounded
 from gcms.thermo import (Constant, DomainError, GDiff, LOG_POTENTIAL, LogRatio, ZValue,
                          beta_c_log, birkhoff_sum, classify_recurrence_log, critical_beta_log,
@@ -306,10 +306,83 @@ def test_pressure_monotone():
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
+def _polylog_phi(beta: float, lam: float) -> mpmath.mpf:
+    """Phi_beta(lam) = lam (Li_beta(1/lam) - 1/lam), at 40 digits; at mpmath's
+    default 15 digits Li_beta itself is off by 5.6e-11 at lam = 1 + 1e-7."""
+    with mpmath.workdps(40):
+        z = 1 / mpmath.mpf(lam)
+        return (mpmath.polylog(beta, z) - z) / z
+
+
+def _polylog_residual(beta: float, p: float) -> float:
+    with mpmath.workdps(40):
+        return float(abs(_polylog_phi(beta, mpmath.e ** mpmath.mpf(p)) - 1))
+
+
+SERIES_LAMS = (1 + 1e-7, 1 + 1e-4, 1.01, 1.3, 1.9)
+
+
+@pytest.mark.parametrize("beta", [0.3, 0.7, 1 - 1e-9, 1.0, 1 + 1e-9, 1.1, 1.5, 1.7])
+def test_normalization_series_against_polylog(beta):
+    # Phi_beta, and Phi_{beta-1}, which gives the Newton derivative of the pressure
+    for b in (beta, beta - 1.0):
+        for lam in SERIES_LAMS:
+            want = float(_polylog_phi(b, lam))
+            assert normalization_series(b, lam) == pytest.approx(want, rel=1e-14, abs=0), (b, lam)
+
+
+@pytest.mark.parametrize("beta, lam", [(math.nan, 1.5), (math.inf, 1.5), (1.2, math.nan),
+                                       (1.2, math.inf), (1.2, 1.0)])
+def test_normalization_series_rejects_bad_arguments(beta, lam):
+    with pytest.raises(ValueError):
+        normalization_series(beta, lam)
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+def test_pressure_rejects_non_finite_beta(beta):
+    with pytest.raises(ValueError):
+        pressure_log_potential(beta)
+
+
+NEAR_CRITICAL = (1e-1, 1e-2, 1e-3, 1e-4, 1e-6)
+
+
+def test_pressure_residual_near_critical():
+    bc = beta_c_log()
+    values = []
+    for delta in NEAR_CRITICAL:
+        p = pressure_log_potential(bc - delta)
+        assert _polylog_residual(bc - delta, p) <= 1e-11, delta
+        values.append(p)
+    # beta rises along NEAR_CRITICAL, so the pressure falls
+    assert all(a > b > 0.0 for a, b in zip(values, values[1:]))
+
+
+def test_pressure_cost_is_bounded(monkeypatch):
+    # constant work per root, however close beta is to beta_c
+    calls = []
+    series = thermo._phi
+    monkeypatch.setattr(thermo, "_phi", lambda b, a: calls.append(a) or series(b, a))
+    for beta in (0.01, 0.5, 1.0, 1.5) + tuple(beta_c_log() - d for d in NEAR_CRITICAL):
+        calls.clear()
+        pressure_log_potential(beta)
+        assert len(calls) <= 40, beta
+
+
+def test_pressure_raises_when_not_certified(monkeypatch):
+    series = thermo._phi
+    monkeypatch.setattr(thermo, "_phi", lambda b, a: (series(b, a)[0], 1e-10))
+    with pytest.raises(RuntimeError, match="not certified"):
+        pressure_log_potential(1.2)
+
+
 def test_pressure_continuity_at_critical():
-    # bracket-certified coarse solve: P within 1e-4 of the true root
-    p = pressure_log_potential(beta_c_log() - 1e-4, p_tol=1e-4)
-    assert 0.0 <= p <= 1e-2
+    # full-accuracy roots next to beta_c: small, and certified against polylog
+    for delta in (1e-4, 1e-6):
+        beta = beta_c_log() - delta
+        p = pressure_log_potential(beta)
+        assert 0.0 <= p <= 1e-2
+        assert _polylog_residual(beta, p) <= 1e-11
 
 
 # -- the two-piece word partition ------------------------------------------------------
