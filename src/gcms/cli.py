@@ -29,12 +29,19 @@ def _fmt(x: float) -> str:
     return str(x)
 
 
-def _finite(values: Iterable[float]) -> list[float]:
+def _finite(values: Iterable[float], what: str = "grid values") -> list[float]:
     out = list(values)
     for v in out:
         if not math.isfinite(v):
-            raise ValueError(f"grid values must be finite, not {v}")
+            raise ValueError(f"{what} must be finite, not {v}")
     return out
+
+
+def _beta(args: argparse.Namespace) -> float:
+    return _finite([args.beta], "--beta")[0]
+
+
+_MAX_GRID_POINTS = 100_000
 
 
 def _grid(spec: str) -> list[float]:
@@ -43,11 +50,13 @@ def _grid(spec: str) -> list[float]:
         start, stop, step = _finite(float(p) for p in spec.split(":"))
         if step <= 0:
             raise ValueError("grid step must be positive")
-        out = []
-        v = start
-        while v <= stop + 1e-12:
-            out.append(round(v, 12))
-            v += step
+        if start + step == start:
+            raise ValueError(f"grid step {step} does not move the value {start}")
+        # count the points before building any, so no step makes the list run away
+        span = (stop + 1e-12 - start) / step
+        if span >= _MAX_GRID_POINTS:
+            raise ValueError(f"grid has more than {_MAX_GRID_POINTS} points")
+        out = [round(start + k * step, 12) for k in range(math.floor(span) + 1)]
     else:
         out = _finite(float(p) for p in spec.split(",") if p.strip())
     if not out:
@@ -175,11 +184,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         report["whole_space_cover"] = vf.whole_space_cover_check(A)
         ok = rep.ok and report["whole_space_cover"]
     elif args.suite == "conformality":
-        resid = vf.conformality_suite(A, args.beta)
+        resid = vf.conformality_suite(A, _beta(args))
         report["max_residuals"] = resid
         ok = all(v <= args.tol for v in resid.values())
     elif args.suite == "pressure":
-        resid = vf.pressure_suite(A, args.beta)
+        resid = vf.pressure_suite(A, _beta(args))
         report["residuals"] = resid
         ok = all(v <= args.tol for v in resid.values())
     else:   # counting
@@ -209,7 +218,8 @@ def cmd_converge(args: argparse.Namespace) -> int:
     A = _load_matrix(args)
     potential = _potential(args.potential)
     beta_c, model_of, target = _converge_models(A, potential)
-    grid = [beta_c + float(x) for x in args.approach.split(",")]
+    offsets = _finite((float(x) for x in args.approach.split(",")), "--approach offsets")
+    grid = [beta_c + x for x in offsets]
     basis = [(format_word(w), decompose(Subbasis(A, w)))
              for w in _cylinder_words(A, args.depth, args.symbol_bound)]
     rows, _ = ms.weak_star_sweep(model_of, target, basis, grid)
@@ -222,13 +232,13 @@ def cmd_measure(args: argparse.Namespace) -> int:
     A = _load_matrix(args)
     name = args.measure
     if name == "y":
-        m = ms.y_measure(A, args.family, _potential(args.potential), args.beta)
+        m = ms.y_measure(A, args.family, _potential(args.potential), _beta(args))
     elif name == "sarig":
         m = ms.sarig_measure_renewal(A)
     elif name == "pair_critical":
         m = ms.pair_renewal_critical_measure(A)
     else:   # log
-        m = ms.log_eigenmeasure(args.beta, A)
+        m = ms.log_eigenmeasure(_beta(args), A)
     cyls = _cylinder_words(A, min(args.depth, 6), args.symbol_bound)
     rep = ms.verify_conformality(m, cyls)
     _write(args, ms.measure_report_json(m, rep.max_residual) + "\n")

@@ -291,7 +291,7 @@ def power_sum_tail(beta: float, start: int, tol: float = 1e-14) -> float:
 
 def zeta(beta: float) -> float:
     """Riemann zeta on (1, inf), absolute error below 1e-13."""
-    if beta <= 1.0 + 1e-9:
+    if not beta > 1.0 + 1e-9:    # nan included
         raise DomainError("zeta(beta) requires beta > 1")
     return power_sum_tail(beta, 1, 1e-13)
 

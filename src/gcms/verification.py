@@ -6,10 +6,16 @@ The oracle enumerates every boundary configuration up to a stem length
 plus a batch of eventually periodic points, precomputes raw membership of
 every subbasis element as a boolean vector, and then checks each pairwise
 intersection both for pointwise agreement and for disjointness of the
-normalized parts (membership multiplicity at most one).  A normal form is
-evaluated on the universe as the sum of its parts' membership rows; each
-row is computed once per universe with ``cylinders.part_contains`` and
-cached, so the oracle and ``cylinders.member`` share one membership rule.
+normalized parts (membership multiplicity at most one).  The pair check
+runs only once every element agrees with its own normal form, so two
+elements with equal normal forms have equal raw rows; as ``meet`` is a
+pure function of its arguments, an ordered pair of distinct normal forms
+fixes both the meet and the expected row.  The oracle therefore meets and
+checks each such pair once, and still counts, and reports a mismatch for,
+every pair of elements.  A normal form is evaluated on the universe as the
+sum of its parts' membership rows; each row is computed once per universe
+with ``cylinders.part_contains`` and cached, so the oracle and
+``cylinders.member`` share one membership rule.
 
 The counting, conformality, and pressure suites used by the command line
 and the acceptance tests live here as plain functions returning report
@@ -138,10 +144,25 @@ def subbasis_elements(A: TransitionMatrix, word_len: int, sym_bound: Symbol,
             for complemented in (False, True)]
 
 
+def _meet_fault(u: ConfigUniverse, expr: SetExpr, expected: np.ndarray) -> tuple[int, str] | None:
+    """The first configuration where ``expr`` covers a point twice or
+    disagrees with the expected membership row, with the reason; None if
+    there is none."""
+    counts = setexpr_count_vec(u, expr)
+    if (counts > 1).any():
+        k = int(np.argmax(counts > 1))
+        return k, f"covered {int(counts[k])} times"
+    if ((counts == 1) != expected).any():
+        k = int(np.argmax((counts == 1) != expected))
+        return k, f"raw={bool(expected[k])} normalized={bool(counts[k] == 1)}"
+    return None
+
+
 def cylinder_oracle(A: TransitionMatrix, word_len: int = 3, sym_bound: Symbol = 4,
                     inv_bound: Symbol = 4, stem_len: int = 5, universe_syms: Symbol = 6,
                     n_periodic: int = 50, max_report: int = 5) -> OracleReport:
-    """Exhaustively verify pairwise intersections against raw membership."""
+    """Exhaustively verify pairwise intersections against raw membership,
+    meeting once per ordered pair of distinct normal forms."""
     import time
     t0 = time.time()
     u = build_universe(A, stem_len, universe_syms, n_periodic)
@@ -160,21 +181,25 @@ def cylinder_oracle(A: TransitionMatrix, word_len: int = 3, sym_bound: Symbol = 
                 break
     n_pairs = 0
     if not mismatches:
+        # every element matched its normal form, so equal normal forms have
+        # equal raw rows, and an ordered pair of classes fixes both the meet
+        # and the expected row: meet and check each class pair once
+        ids: dict[SetExpr, int] = {}
+        cls = [ids.setdefault(d, len(ids)) for d in decomposed]
+        done = np.zeros((len(ids), len(ids)), dtype=bool)
+        failed: dict[tuple[int, int], tuple[int, str]] = {}
         for i, j in combinations_with_replacement(range(len(elems)), 2):
             n_pairs += 1
-            expr = meet(decomposed[i], decomposed[j])
-            counts = setexpr_count_vec(u, expr)
-            expected = raw[i] & raw[j]
-            if (counts > 1).any():
-                k = int(np.argmax(counts > 1))
-                mismatches.append(
-                    f"{elems[i]!r} & {elems[j]!r}: config {u.configs[k]!r} covered "
-                    f"{int(counts[k])} times")
-            elif ((counts == 1) != expected).any():
-                k = int(np.argmax((counts == 1) != expected))
-                mismatches.append(
-                    f"{elems[i]!r} & {elems[j]!r}: config {u.configs[k]!r} "
-                    f"raw={bool(expected[k])} normalized={bool(counts[k] == 1)}")
+            key = (cls[i], cls[j])
+            if not done[key]:
+                done[key] = True
+                fault = _meet_fault(u, meet(decomposed[i], decomposed[j]), raw[i] & raw[j])
+                if fault is not None:
+                    failed[key] = fault
+            if key in failed:
+                k, reason = failed[key]
+                mismatches.append(f"{elems[i]!r} & {elems[j]!r}: config {u.configs[k]!r} "
+                                  f"{reason}")
             if len(mismatches) >= max_report:
                 break
     return OracleReport(A.kind, len(elems), n_pairs, len(u), mismatches,

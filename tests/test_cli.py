@@ -253,6 +253,17 @@ def test_output_file_and_matrix_file(tmp_path, capsys):
      "--depth must be >= 1, not 0"),
     (["measure", "--kind", "renewal", "--measure", "sarig", "--symbol-bound", "-1"],
      "--symbol-bound must be >= 1, not -1"),
+    # a non-finite inverse temperature or offset is no number to check
+    (["verify", "--suite", "conformality", "--kind", "renewal", "--beta", "nan"],
+     "--beta must be finite, not nan"),
+    (["verify", "--suite", "pressure", "--kind", "renewal", "--beta", "inf"],
+     "--beta must be finite, not inf"),
+    (["measure", "--kind", "renewal", "--measure", "y", "--beta", "nan"],
+     "--beta must be finite, not nan"),
+    (["measure", "--kind", "renewal", "--measure", "log", "--beta", "nan"],
+     "--beta must be finite, not nan"),
+    (["converge", "--kind", "renewal", "--approach", "1e-2,nan"],
+     "--approach offsets must be finite, not nan"),
 ])
 def test_errors_exit_2_with_one_line(args, message, tmp_path, capsys):
     files = {"MATRIX": '{"kind": "explicit"}',
@@ -285,6 +296,21 @@ def test_flags_a_subcommand_does_not_read_are_rejected(args, capsys):
         main(args)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("1:2:1e-17", "grid step 1e-17 does not move the value 1.0"),
+    ("1:2:1e-7", "grid has more than 100000 points"),
+])
+def test_grid_is_rejected_before_any_point_is_built(spec, message, capsys, monkeypatch):
+    # a regression fails at its first grid point instead of looping or filling memory
+    import gcms.cli
+
+    def no_point(*args):
+        raise AssertionError(f"grid {spec} built a point")
+    monkeypatch.setattr(gcms.cli, "round", no_point, raising=False)
+    assert main(["phase", "--kind", "renewal", "--beta-grid", spec]) == 2
+    assert capsys.readouterr().err == f"gcms: error: {message}\n"
 
 
 def test_count_exit_code_on_mismatch(capsys, monkeypatch):

@@ -218,6 +218,84 @@ def test_oracle_reports_a_corrupted_decompose(monkeypatch):
     assert all(m.startswith("decompose(") for m in rep.mismatches), rep.mismatches
 
 
+def _all_pairs_oracle(A, word_len, sym_bound, inv_bound, stem_len, universe_syms, n_periodic,
+                      max_report=5):
+    # the oracle's pair phase as it was before it met once per class pair:
+    # one meet and one check for every pair of elements
+    import numpy as np
+    from itertools import combinations_with_replacement
+    from gcms.cylinders import meet
+    u = build_universe(A, stem_len, universe_syms, n_periodic)
+    elems = subbasis_elements(A, word_len, sym_bound, inv_bound)
+    raw = np.array([[raw_member(c, e) for c in u.configs] for e in elems], dtype=bool)
+    decomposed = [decompose(e) for e in elems]
+    mismatches = []
+    for i, e in enumerate(elems):
+        counts = setexpr_count_vec(u, decomposed[i])
+        if (counts > 1).any() or ((counts == 1) != raw[i]).any():
+            mismatches.append(f"decompose({e!r}) disagrees with raw membership")
+            if len(mismatches) >= max_report:
+                break
+    n_pairs = 0
+    if not mismatches:
+        for i, j in combinations_with_replacement(range(len(elems)), 2):
+            n_pairs += 1
+            counts = setexpr_count_vec(u, meet(decomposed[i], decomposed[j]))
+            expected = raw[i] & raw[j]
+            if (counts > 1).any():
+                k = int(np.argmax(counts > 1))
+                mismatches.append(
+                    f"{elems[i]!r} & {elems[j]!r}: config {u.configs[k]!r} covered "
+                    f"{int(counts[k])} times")
+            elif ((counts == 1) != expected).any():
+                k = int(np.argmax((counts == 1) != expected))
+                mismatches.append(
+                    f"{elems[i]!r} & {elems[j]!r}: config {u.configs[k]!r} "
+                    f"raw={bool(expected[k])} normalized={bool(counts[k] == 1)}")
+            if len(mismatches) >= max_report:
+                break
+    return len(elems), n_pairs, len(u), mismatches
+
+
+@pytest.mark.parametrize("name", ["renewal", "pair_renewal", "prime_renewal",
+                                  "alternating_renewal", "explicit", "full_shift"])
+@pytest.mark.parametrize("faulty", [False, True], ids=["clean", "faulty_meet"])
+def test_oracle_matches_the_all_pairs_loop(name, faulty, monkeypatch):
+    # meeting once per class pair reports what meeting every element pair does,
+    # message for message, on a sound meet and on one that keeps the first of
+    # two families on a shared prefix
+    from gcms import cylinders
+    from gcms.matrices import by_kind, explicit, full_shift
+    from gcms.verification import cylinder_oracle
+    A = {"explicit": lambda: explicit([[1, 1, 0], [0, 1, 1], [1, 0, 1]]),
+         "full_shift": lambda: full_shift(3)}.get(name, lambda: by_kind(name))()
+    if faulty:
+        meet_families = cylinders._meet_families
+        monkeypatch.setattr(cylinders, "_meet_families", lambda A, f, g: (
+            f if f.prefix == g.prefix else meet_families(A, f, g)))
+    # the default report cut-off, and none: every pair, in both orders of a
+    # class pair that a faulty meet tells apart, is then reported
+    for max_report in (5, 10 ** 6):
+        sizes = dict(word_len=2, sym_bound=3, inv_bound=3, stem_len=4, universe_syms=5,
+                     n_periodic=20, max_report=max_report)
+        rep = cylinder_oracle(A, **sizes)
+        slow = _all_pairs_oracle(A, **sizes)
+        assert (rep.n_elems, rep.n_pairs, rep.n_configs, rep.mismatches) == slow
+        assert bool(slow[3]) == faulty, slow[3]
+
+
+@pytest.mark.parametrize("kind, n_configs, n_pairs", [("renewal", 178, 31375),
+                                                      ("pair_renewal", 1035, 61425)])
+def test_oracle_on_a_wider_universe(kind, n_configs, n_pairs):
+    # the full-size element set against stems up to 7 over symbols up to 8,
+    # several times the universe of the default sizes
+    from gcms.matrices import by_kind
+    from gcms.verification import cylinder_oracle
+    rep = cylinder_oracle(by_kind(kind), stem_len=7, universe_syms=8)
+    assert rep.ok, rep.mismatches
+    assert (rep.n_configs, rep.n_pairs) == (n_configs, n_pairs)
+
+
 @pytest.mark.parametrize("kind", ["renewal", "pair_renewal", "prime_renewal",
                                   "alternating_renewal"])
 def test_random_triple_intersections(kind):

@@ -247,6 +247,8 @@ def test_zeta_domain():
         zeta(1.0)
     with pytest.raises(DomainError):
         zeta(0.99)
+    with pytest.raises(DomainError):
+        zeta(float("nan"))
 
 
 def test_power_sum_tail():
