@@ -27,13 +27,19 @@ through the continuation sums
 which close into exact linear systems on the renewal and pair renewal
 matrices and are otherwise summed by a generation dynamic program with a
 certified geometric tail.
+
+Measures carried by the sequence space follow from the same relation and
+the masses of their end letters.  A letter n with a single successor n'
+has C_n = C_(n n'), so nu(C_n) = lam^-1 exp(beta * weight(n)) nu(C_n'),
+and the forced extension of n ends on a letter whose row branches, whose
+mass the construction supplies (see ``SequenceMeasure``).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -41,10 +47,10 @@ import numpy as np
 from . import symbolsets as ss
 from .configs import BoundedConfig
 from .cylinders import CylFamily, SetExpr, normalize
-from .matrices import KINDS, AccumulationColumn, Symbol, TransitionMatrix
+from .matrices import KINDS, AccumulationColumn, Symbol, TransitionMatrix, by_kind
 from .thermo import (LOG_POTENTIAL, Constant, GDiff, Potential, beta_c_log,
                      normalization_series, pressure_log_potential, zeta)
-from .words import Word, generation_layers, is_admissible
+from .words import Word, forced_extension, generation_layers, is_admissible
 
 
 @dataclass(frozen=True)
@@ -150,11 +156,6 @@ def normalizer(A: TransitionMatrix, family: AccumulationColumn, weight: Potentia
         value = math.fsum(c * x ** n for n, c in enumerate(counts))
         tail = rho ** (depth + 1) / (1.0 - rho)
         return NormalizerResult(value, tail, "finite")
-    if A.kind == "renewal" and weight == LOG_POTENTIAL:
-        # eigenmeasure weights: the stem series sums to 1/(2 - zeta) - 1
-        if beta <= 1.0 or zeta(beta) >= 2.0:
-            return NormalizerResult(math.inf, math.inf, "divergent")
-        return NormalizerResult(1.0 / (2.0 - zeta(beta)), 1e-13, "finite")
     raise Inconclusive(f"no certificate for weight {weight!r} on kind {A.kind}")
 
 
@@ -363,159 +364,69 @@ class YFamilyMeasure(Measure):
 # measures carried by the sequence space
 # --------------------------------------------------------------------------
 
+@dataclass(eq=False)
 class SequenceMeasure(Measure):
-    """A sequence-space measure given by its length-one masses.
+    """A conformal measure carried by the sequence space.
 
-    A subclass supplies ``base_value(n)``, the mass of the cylinder on the
-    letter n, and ``peel(head)``, the factor conformality contributes for
-    the letters of ``head``.  The cylinder on alpha then has mass
-    ``peel(alpha[:-1]) * base_value(alpha[-1])``, and a sieve family below
-    ``prefix`` has mass ``peel(prefix)`` times the sieve's total base value.
+    Conformality fixes it from the masses of its end letters, those whose
+    rows branch: with ext = forced_extension(A, (n,)), the cylinder on the
+    letter n has mass
+
+        base_value(n) = peel(ext[:-1]) * end_masses[ext[-1]],
+
+    the cylinder on alpha has ``peel(alpha[:-1]) * base_value(alpha[-1])``,
+    and a sieve family below ``prefix`` has ``peel(prefix)`` times the
+    sieve's base-value sum less its exclusions.  A construction supplies
+    only data: its weight, beta and lam, the end-letter masses, the total
+    mass, the base-value sums of the sieves it supports, keyed by
+    (one_row, zero_rows), and the entries its report adds.  Base values
+    are kept per instance, so the end-letter masses are read once per letter.
     """
 
-    def sieve_total(self, s: ss.Sieve) -> float:
-        """Base-value sum over the sieve's rows, exclusions aside; without
-        irregular rows only the plain sieve, every symbol, arises."""
-        if s.one_row is not None or s.zero_rows:
-            raise MeasureError(f"unsupported sieve {s!r} for {self.kind}")
-        return self.total_mass()
-
-    def _cyl_mass(self, alpha: Word) -> float:
-        return self.peel(alpha[:-1]) * self.base_value(alpha[-1])
-
-    def _sieve_mass(self, prefix: Word, symbols: ss.Sieve) -> float:
-        excluded = math.fsum(self.base_value(k) for k in symbols.excluded)
-        return self.peel(prefix) * (self.sieve_total(symbols) - excluded)
-
-
-class SarigRenewalConst(SequenceMeasure):
-    """The renewal eigenmeasure for constant potentials: 2^-(reduced length).
-
-    The reduced length |alpha| - 1 + alpha[-1] is that of the forced
-    extension of alpha down to the letter 1.  Independent of beta; for the
-    potential -beta it is the eigenmeasure with eigenvalue 2 exp(-beta), so
-    the conformality factor is exactly 2.
-    """
-
-    kind = "sarig_renewal_const"
-
-    def __init__(self, A: TransitionMatrix):
-        if A.kind != "renewal":
-            raise MeasureError("this measure is specific to the renewal matrix")
-        self.matrix = A
-        self.weight: Potential = Constant(-1.0)
-        self.beta = 0.0
-        self.lam = 2.0   # lam * exp(-beta * weight) is 2 for every beta
-        self.convention = ("eigenmeasure of the transfer operator for -beta*1, "
-                           "eigenvalue 2*exp(-beta)")
+    kind: str
+    matrix: TransitionMatrix
+    weight: Potential
+    beta: float
+    lam: float
+    end_masses: dict[Symbol, float]
+    total: float
+    sieve_totals: dict[tuple, float]
+    convention: str
+    info: dict
+    _base: dict[Symbol, float] = field(default_factory=dict, init=False, repr=False)
 
     def peel(self, head: Word) -> float:
-        return 2.0 ** (-len(head))
-
-    def base_value(self, n: Symbol) -> float:
-        return 2.0 ** (-n)
-
-    def total_mass(self) -> float:
-        return 1.0
-
-    def report(self) -> dict:
-        return {"kind": self.kind, "lambda_role": "2*exp(-beta)",
-                "convention": self.convention}
-
-
-class PairRenewalCritical(SequenceMeasure):
-    """The unique sequence-space conformal probability of the pair renewal
-    matrix with unit potential, at the critical inverse temperature."""
-
-    kind = "pair_renewal_critical"
-
-    def __init__(self, A: TransitionMatrix):
-        if A.kind != "pair_renewal":
-            raise MeasureError("this measure is specific to the pair renewal matrix")
-        self.matrix = A
-        self.beta = A.spec.critical_beta
-        self.weight: Potential = Constant(-1.0)
-        self.lam = 1.0
-        self.convention = "exp(beta)-conformal on the sequence space at the critical beta"
-        b = self.beta
-        self.base_values: dict[Symbol, float] = {
-            1: math.exp(-b),
-            2: math.exp(-b) * (1.0 - math.exp(-2.0 * b)) / (2.0 * math.sinh(b) - 1.0),
-        }
-
-    def peel(self, head: Word) -> float:
-        return math.exp(-self.beta * len(head))
-
-    def base_value(self, n: Symbol) -> float:
-        if n in self.base_values:
-            return self.base_values[n]
-        return math.exp(-self.beta * (n - 2)) * self.base_values[2]
-
-    def _even_sum(self) -> float:
-        return self.base_values[2] / (1.0 - math.exp(-2.0 * self.beta))
-
-    def sieve_total(self, s: ss.Sieve) -> float:
-        if s.one_row is None and not s.zero_rows:
-            return 1.0
-        if s.one_row == 2 and not s.zero_rows:
-            return self.base_value(1) + self._even_sum()
-        if s.one_row is None and s.zero_rows == frozenset({2}):
-            return 1.0 - self.base_value(1) - self._even_sum()
-        raise MeasureError(f"unsupported sieve {s!r} for {self.kind}")  # pragma: no cover
-
-    def total_mass(self) -> float:
-        return self.base_value(1) + self.base_values[2] / (1.0 - math.exp(-self.beta))
-
-    def report(self) -> dict:
-        return {"kind": self.kind, "beta": self.beta, "lambda": self.lam,
-                "base_values": {str(k): self.base_values[k] for k in (1, 2)},
-                "convention": self.convention}
-
-
-class LogEigenSigma(SequenceMeasure):
-    """Sequence-space eigenmeasure of the log-ratio potential for beta <= beta_c.
-
-    Length-one masses are lam^-n (n+1)^-beta with lam = exp(pressure);
-    longer cylinders peel first letters off through the conformality
-    relation.
-    """
-
-    kind = "log_eigen_sigma"
-
-    def __init__(self, A: TransitionMatrix, beta: float):
-        if A.kind != "renewal":
-            raise MeasureError("this measure is specific to the renewal matrix")
-        bc = beta_c_log()
-        if beta > bc:
-            raise MeasureError("above the critical beta the eigenmeasure leaves "
-                               "the sequence space")
-        self.matrix = A
-        self.beta = beta
-        self.weight: Potential = LOG_POTENTIAL
-        if beta < bc:
-            self.lam = math.exp(pressure_log_potential(beta))
-            self.unit_sum = normalization_series(beta, self.lam)
-        else:
-            self.lam = 1.0
-            self.unit_sum = zeta(beta) - 1.0
-        self.convention = ("eigenmeasure of the transfer operator for beta*F, "
-                           "eigenvalue exp(pressure)")
-
-    def peel(self, head: Word) -> float:
+        """The factor lam^-1 exp(beta*weight(s)) of every letter s of ``head``:
+        in closed form for a constant weight, letter by letter otherwise."""
+        if isinstance(self.weight, Constant):
+            k = len(head)
+            return math.exp(self.beta * self.weight.c * k) / self.lam ** k
         m = 1.0
         for s in head:
             m *= math.exp(self.beta * self.weight.value(s)) / self.lam
         return m
 
     def base_value(self, n: Symbol) -> float:
-        return self.lam ** (-n) * (n + 1.0) ** (-self.beta)
+        if n not in self._base:
+            ext = forced_extension(self.matrix, (n,))
+            self._base[n] = self.peel(ext[:-1]) * self.end_masses[ext[-1]]
+        return self._base[n]
+
+    def _cyl_mass(self, alpha: Word) -> float:
+        return self.peel(alpha[:-1]) * self.base_value(alpha[-1])
+
+    def _sieve_mass(self, prefix: Word, symbols: ss.Sieve) -> float:
+        total = self.sieve_totals.get((symbols.one_row, symbols.zero_rows))
+        if total is None:
+            raise MeasureError(f"unsupported sieve {symbols!r} for {self.kind}")
+        excluded = math.fsum(self.base_value(k) for k in symbols.excluded)
+        return self.peel(prefix) * (total - excluded)
 
     def total_mass(self) -> float:
-        return self.unit_sum
+        return self.total
 
     def report(self) -> dict:
-        return {"kind": self.kind, "beta": self.beta, "lambda": self.lam,
-                "convention": self.convention}
+        return {"kind": self.kind, **self.info, "convention": self.convention}
 
 
 class ConvexCombination(Measure):
@@ -570,14 +481,51 @@ def y_measure(A: TransitionMatrix, family_id: int, F: Potential, beta: float) ->
                           convention=f"exp(beta*F)-conformal on family {family_id}")
 
 
-def sarig_measure_renewal(A: TransitionMatrix | None = None) -> SarigRenewalConst:
-    from .matrices import by_kind
-    return SarigRenewalConst(A if A is not None else by_kind("renewal"))
+_PLAIN = (None, frozenset())   # the sieve key of every symbol, exclusions aside
 
 
-def pair_renewal_critical_measure(A: TransitionMatrix | None = None) -> PairRenewalCritical:
-    from .matrices import by_kind
-    return PairRenewalCritical(A if A is not None else by_kind("pair_renewal"))
+def _matrix(A: TransitionMatrix | None, kind: str) -> TransitionMatrix:
+    if A is None:
+        return by_kind(kind)
+    if A.kind != kind:
+        raise MeasureError(f"this measure is specific to the {kind.replace('_', ' ')} matrix")
+    return A
+
+
+def sarig_measure_renewal(A: TransitionMatrix | None = None) -> SequenceMeasure:
+    """The renewal eigenmeasure for constant potentials: 2^-(reduced length).
+
+    The reduced length |alpha| - 1 + alpha[-1] is that of the forced
+    extension of alpha down to the letter 1.  Independent of beta; for the
+    potential -beta it is the eigenmeasure with eigenvalue 2 exp(-beta), so
+    lam * exp(-beta * weight) is 2 for every beta.
+    """
+    return SequenceMeasure(
+        "sarig_renewal_const", _matrix(A, "renewal"), Constant(-1.0), 0.0, 2.0,
+        end_masses={1: 0.5}, total=1.0, sieve_totals={_PLAIN: 1.0},
+        convention="eigenmeasure of the transfer operator for -beta*1, eigenvalue 2*exp(-beta)",
+        info={"lambda_role": "2*exp(-beta)"})
+
+
+def pair_renewal_critical_measure(A: TransitionMatrix | None = None) -> SequenceMeasure:
+    """The unique sequence-space conformal probability of the pair renewal
+    matrix with unit potential, at the critical inverse temperature.
+
+    Rows 1 and 2 branch; the even letters, which row 2 also admits, sum
+    geometrically from the mass of the letter 2.
+    """
+    A = _matrix(A, "pair_renewal")
+    b = A.spec.critical_beta
+    nu1 = math.exp(-b)
+    nu2 = math.exp(-b) * (1.0 - math.exp(-2.0 * b)) / (2.0 * math.sinh(b) - 1.0)
+    evens = nu2 / (1.0 - math.exp(-2.0 * b))
+    return SequenceMeasure(
+        "pair_renewal_critical", A, Constant(-1.0), b, 1.0, end_masses={1: nu1, 2: nu2},
+        total=nu1 + nu2 / (1.0 - math.exp(-b)),
+        sieve_totals={_PLAIN: 1.0, (2, frozenset()): nu1 + evens,
+                      (None, frozenset({2})): 1.0 - nu1 - evens},
+        convention="exp(beta)-conformal on the sequence space at the critical beta",
+        info={"beta": b, "lambda": 1.0, "base_values": {"1": nu1, "2": nu2}})
 
 
 def pair_renewal_normalization_root() -> float:
@@ -599,19 +547,24 @@ def log_eigenmeasure(beta: float, A: TransitionMatrix | None = None) -> Measure:
     """The unique probability eigenmeasure of the renewal log-ratio potential.
 
     Above the critical inverse temperature it is atomic on the boundary
-    family with c(e) = 2 - zeta(beta); at and below, it lives on the
-    sequence space with eigenvalue exp(pressure).
+    family with c(e) = 2 - zeta(beta).  At and below, it lives on the
+    sequence space with eigenvalue lam = exp(pressure), and the letter 1
+    has mass 2^-beta / lam, so the letter n has lam^-n (n+1)^-beta.
     """
-    from .matrices import by_kind
-    if A is None:
-        A = by_kind("renewal")
-    if beta <= 0:
+    A = _matrix(A, "renewal")
+    if not beta > 0:
         raise ValueError("beta must be positive")
-    if beta > beta_c_log():
-        c_e = 2.0 - zeta(beta)
-        return YFamilyMeasure(A, A.column_by_id(1), LOG_POTENTIAL, beta, c_e=c_e,
+    bc = beta_c_log()
+    if beta > bc:
+        return YFamilyMeasure(A, A.column_by_id(1), LOG_POTENTIAL, beta, c_e=2.0 - zeta(beta),
                               convention="eigenmeasure of the transfer operator, eigenvalue 1")
-    return LogEigenSigma(A, beta)
+    lam = math.exp(pressure_log_potential(beta)) if beta < bc else 1.0
+    total = normalization_series(beta, lam) if beta < bc else zeta(beta) - 1.0
+    return SequenceMeasure(
+        "log_eigen_sigma", A, LOG_POTENTIAL, beta, lam, end_masses={1: 2.0 ** -beta / lam},
+        total=total, sieve_totals={_PLAIN: total},
+        convention="eigenmeasure of the transfer operator for beta*F, eigenvalue exp(pressure)",
+        info={"beta": beta, "lambda": lam})
 
 
 @dataclass(frozen=True)
@@ -639,22 +592,6 @@ KIND_MEASURES: dict[str, KindMeasures] = {
                                  ("pair_critical", pair_renewal_critical_measure)),
     "prime_renewal": KindMeasures("1 per family (countably many)", (), None),
 }
-
-
-def extend_by_conformality(m: Measure, alpha: Word) -> float:
-    """Cylinder mass by peeling first letters through the conformality relation.
-
-    mu(C_alpha) = lam^-1 exp(beta*weight(alpha0)) mu(C_(alpha minus its first
-    letter)), iterated down to the length-one base value, with the
-    measure's own weight, beta and lam; used as an independent recursion
-    against ``cyl_mass``.
-    """
-    if not alpha:
-        raise ValueError("need a non-empty word")
-    value = m.cyl_mass(alpha[-1:])
-    for s in reversed(alpha[:-1]):
-        value *= math.exp(m.beta * m.weight.value(s)) / m.lam
-    return value
 
 
 # --------------------------------------------------------------------------
@@ -707,7 +644,10 @@ def verify_conformality(m: Measure, test_cylinders: Iterable[Word]) -> Conformal
 
     Cylinders are special sets, and the shift image of a cylinder is again
     expressible in the normal form, so both sides are closed-form or
-    certified series evaluations.
+    certified series evaluations.  For a sequence measure the rows of
+    length >= 2 are near-tautologies, since its masses are built by the
+    same peel; the length-one rows, which weigh end-letter masses against
+    sieve sums and point masses, are the independent check.
     """
     A = m.matrix
     rows = []

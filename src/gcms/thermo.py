@@ -223,6 +223,9 @@ def gurevich_pressure(A: TransitionMatrix, F: Potential, beta: float, base: Symb
     The certificate is "exact" when a closed form pins the limit: the
     renewal matrix with a constant potential gives log 2 + beta*c, and with
     the log-ratio potential the root of the normalization series.
+    Otherwise it is "limit", and the extrapolation is the slope of log Z_n
+    between the last two n with Z_n > 0, which are p apart on a matrix of
+    period p.
     """
     if n_max < 4:
         raise ValueError("n_max must be >= 4")
@@ -240,8 +243,12 @@ def gurevich_pressure(A: TransitionMatrix, F: Potential, beta: float, base: Symb
         return PressureEstimate(beta, values, math.log(2.0) + beta * F.c, "exact")
     if A.kind == "renewal" and base == 1 and F == LOG_POTENTIAL:
         return PressureEstimate(beta, values, pressure_log_potential(beta), "exact")
-    finite = [v for v in logs if math.isfinite(v)]
-    extrap = finite[-1] - finite[-2] if len(finite) >= 2 else values[-1][1]
+    finite = [(n, v) for n, v in enumerate(logs, 1) if math.isfinite(v)]
+    if len(finite) >= 2:
+        (n2, l2), (n1, l1) = finite[-2:]
+        extrap = (l1 - l2) / (n1 - n2)
+    else:
+        extrap = values[-1][1]
     return PressureEstimate(beta, values, extrap, "limit")
 
 

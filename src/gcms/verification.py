@@ -273,7 +273,9 @@ def cylinder_words_up_to(A: TransitionMatrix, max_len: int, sym_bound: Symbol) -
 
 def conformality_suite(A: TransitionMatrix, beta: float) -> dict[str, float]:
     """Worst conformality residual per measure available on this matrix,
-    over the cylinders of length up to 6 on symbols up to 7."""
+    over the cylinders of length up to 6 on symbols up to 7.  The y-measures
+    are checked at ``beta`` above the critical beta, the log eigenmeasure at
+    ``beta`` always, so it must be positive."""
     known = ms.KIND_MEASURES.get(A.kind)
     if known is None or known.critical is None:
         raise ms.MeasureError(f"no measure constructions for kind {A.kind}")
@@ -286,7 +288,7 @@ def conformality_suite(A: TransitionMatrix, beta: float) -> dict[str, float]:
                 ms.y_measure(A, fam, th.Constant(1.0), beta), cyls).max_residual
     if known.log_ratio:
         out["log_eigenmeasure"] = ms.verify_conformality(
-            ms.log_eigenmeasure(beta if beta > 1.0 else 1.3, A), cyls).max_residual
+            ms.log_eigenmeasure(beta, A), cyls).max_residual
     return out
 
 

@@ -7,7 +7,7 @@ from gcms import symbolsets as ss
 from gcms.configs import bounded, empty_stem_config
 from gcms.cylinders import Subbasis, decompose, intersect
 from gcms.thermo import LOG_POTENTIAL, Constant, LogRatio, beta_c_log, zeta
-from gcms.verification import cylinder_words_up_to
+from gcms.verification import conformality_suite, cylinder_words_up_to
 from gcms.words import enumerate_words, generation_layers
 
 LOG2 = math.log(2.0)
@@ -160,7 +160,7 @@ def test_measure_rules_hold_for_every_measure(renewal, pair):
     measures = [ms.y_measure(renewal, 1, Constant(1.0), 1.1), ms.sarig_measure_renewal(renewal),
                 ms.pair_renewal_critical_measure(pair), ms.log_eigenmeasure(1.4),
                 ms.ConvexCombination([(0.25, y_pair[0]), (0.75, y_pair[1])])]
-    assert len({type(m) for m in measures}) == 5
+    assert len({m.kind for m in measures}) == 5
     for m in measures:
         # (2, 3) is inadmissible on both matrices: A(2, 3) = 0
         assert m.cyl_mass((2, 3)) == 0.0
@@ -192,23 +192,69 @@ def test_pair_critical_values(pair):
     mu = ms.pair_renewal_critical_measure(pair)
     assert mu.beta == pytest.approx(PAIR_BC)
     assert mu.cyl_mass((1,)) == pytest.approx(math.sqrt(2) - 1, abs=1e-14)
-    assert mu.cyl_mass((3,)) == pytest.approx(math.exp(-mu.beta) * mu.base_values[2], rel=1e-14)
+    assert mu.cyl_mass((3,)) == pytest.approx(math.exp(-mu.beta) * mu.end_masses[2], rel=1e-14)
     assert mu.total_mass() == pytest.approx(1.0, abs=1e-12)
+
+
+# the hand-coded base values the sequence measures had before conformality
+# derived them from their end-letter masses: the oracle of ``base_value``
+
+def test_sarig_base_values_are_powers_of_two(renewal):
+    nu = ms.sarig_measure_renewal(renewal)
+    assert all(nu.base_value(n) == 2.0 ** (-n) for n in range(1, 201))
+
+
+def test_pair_critical_base_values(pair):
+    mu = ms.pair_renewal_critical_measure(pair)
+    b = pair.spec.critical_beta
+    nu1 = math.exp(-b)
+    nu2 = math.exp(-b) * (1.0 - math.exp(-2.0 * b)) / (2.0 * math.sinh(b) - 1.0)
+    assert mu.base_value(1) == nu1
+    assert all(mu.base_value(n) == math.exp(-b * (n - 2)) * nu2 for n in range(2, 201))
+
+
+@pytest.mark.parametrize("beta", [0.3, 0.9, 1.2, 1.5, "beta_c"])
+def test_log_eigen_sigma_base_values(beta, renewal):
+    beta = beta_c_log() if beta == "beta_c" else beta
+    m = ms.log_eigenmeasure(beta, renewal)
+    assert m.kind == "log_eigen_sigma"
+    for n in range(1, 41):
+        assert m.base_value(n) == pytest.approx(
+            m.lam ** (-n) * (n + 1.0) ** (-beta), rel=1e-14, abs=0.0), n
+
+
+def test_sequence_measures_are_specific_to_their_matrix(renewal, pair):
+    for build, wrong in ((ms.sarig_measure_renewal, pair), (ms.pair_renewal_critical_measure,
+                                                             renewal)):
+        with pytest.raises(ms.MeasureError, match="this measure is specific to the"):
+            build(wrong)
+    with pytest.raises(ms.MeasureError, match="specific to the renewal matrix"):
+        ms.log_eigenmeasure(1.2, pair)
 
 
 def test_pair_normalization_root():
     assert ms.pair_renewal_normalization_root() == pytest.approx(math.sqrt(2) - 1, abs=1e-10)
 
 
+def extend_by_conformality(m, alpha):
+    """Cylinder mass by peeling first letters through the conformality relation,
+    one letter at a time, down to the length-one mass: an oracle for
+    ``SequenceMeasure.peel``, which sums a constant weight in closed form."""
+    value = m.cyl_mass(alpha[-1:])
+    for s in reversed(alpha[:-1]):
+        value *= math.exp(m.beta * m.weight.value(s)) / m.lam
+    return value
+
+
 def test_extend_by_conformality(pair, renewal):
     mu = ms.pair_renewal_critical_measure(pair)
-    assert ms.extend_by_conformality(mu, (1, 2)) == pytest.approx(
-        math.exp(-mu.beta) * mu.base_values[2], rel=1e-14)
-    assert ms.extend_by_conformality(mu, (2,)) == mu.base_values[2]
+    assert extend_by_conformality(mu, (1, 2)) == pytest.approx(
+        math.exp(-mu.beta) * mu.end_masses[2], rel=1e-14)
+    assert extend_by_conformality(mu, (2,)) == mu.end_masses[2]
     m = ms.log_eigenmeasure(1.4)
     for alpha in [(1, 1), (2, 1), (1, 2, 1), (3, 2, 1, 1), (1, 1, 2, 1, 1)]:
         want = m.cyl_mass(alpha)
-        got = ms.extend_by_conformality(m, alpha)
+        got = extend_by_conformality(m, alpha)
         assert got == pytest.approx(want, rel=1e-12)
         # closed form: peeled letter weights over lam^(last + len - 1)
         n = len(alpha)
@@ -220,8 +266,8 @@ def test_extend_by_conformality(pair, renewal):
 def test_log_eigenmeasure_dispatch():
     bc = beta_c_log()
     assert isinstance(ms.log_eigenmeasure(2.0), ms.YFamilyMeasure)
-    assert isinstance(ms.log_eigenmeasure(bc), ms.LogEigenSigma)
-    assert isinstance(ms.log_eigenmeasure(1.2), ms.LogEigenSigma)
+    assert ms.log_eigenmeasure(bc).kind == "log_eigen_sigma"
+    assert ms.log_eigenmeasure(1.2).kind == "log_eigen_sigma"
     with pytest.raises(ValueError):
         ms.log_eigenmeasure(-1.0)
 
@@ -279,9 +325,15 @@ def test_verify_conformality_residuals(renewal, pair):
     assert rep.max_residual <= 1e-12
 
 
+def test_conformality_suite_checks_the_log_eigenmeasure_at_the_beta_given(renewal):
+    want = ms.verify_conformality(ms.log_eigenmeasure(0.5, renewal),
+                                  cylinder_words_up_to(renewal, 6, 7)).max_residual
+    assert conformality_suite(renewal, 0.5)["log_eigenmeasure"] == want
+
+
 def test_conformality_detects_corruption(pair):
     mu = ms.pair_renewal_critical_measure(pair)
-    mu.base_values[2] += 1e-3
+    mu.end_masses[2] += 1e-3
     rep = ms.verify_conformality(mu, cylinder_words_up_to(pair, 4, 5))
     assert rep.max_residual >= 1e-4
 

@@ -231,6 +231,26 @@ def test_gurevich_limit_certificate(pair):
     assert est.extrapolated == pytest.approx(math.log(1 + math.sqrt(2)) - 0.5, abs=1e-2)
 
 
+def test_gurevich_limit_divides_by_the_gap(alternating):
+    # period 2: Z_n = 0 at odd n, so the last two finite points are two steps
+    # apart, and the entropy is log sqrt3, not log 3
+    est = gurevich_pressure(alternating, Constant(-1.0), 0.0, 1, 10)
+    assert est.certificate == "limit"
+    assert est.extrapolated == pytest.approx(0.5 * math.log(3.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("kind, beta", [("pair_renewal", 0.5), ("pair_renewal", 0.0),
+                                        ("prime_renewal", 0.7)])
+def test_gurevich_limit_of_aperiodic_kinds(kind, beta):
+    # with consecutive finite points the slope is the plain difference of the
+    # last two log Z_n
+    A = matrices.by_kind(kind)
+    F = Constant(-1.0)
+    est = gurevich_pressure(A, F, beta, 1, 10)
+    last = [math.log(z_n(A, F, beta, 1, n).value) for n in (9, 10)]
+    assert est.extrapolated == last[1] - last[0]
+
+
 # -- zeta ------------------------------------------------------------------------
 
 def test_zeta_known_value():
