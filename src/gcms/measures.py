@@ -22,11 +22,13 @@ cylinders and cylinder families are series over stems; they are evaluated
 through the continuation sums
 
     T(j) = sum over words d admissible after j, ending in a terminal,
-           of their letter-weight products,
+           of their letter-weight products.
 
-which close into exact linear systems on the renewal and pair renewal
-matrices and are otherwise summed by a generation dynamic program with a
-certified geometric tail.
+The stems behind 1/c(e) are the same sums, so ``normalizer`` computes both
+at once: a closed form on the renewal matrix (whose T recurs from
+T(1) = 1/c(e) - 1), one linear solve on the pair renewal matrix, and
+otherwise one generation walk whose single geometric tail bound
+certifies 1/c(e) and every T(j).
 
 Measures carried by the sequence space follow from the same relation and
 the masses of their end letters.  A letter n with a single successor n'
@@ -47,7 +49,7 @@ import numpy as np
 from . import symbolsets as ss
 from .configs import BoundedConfig
 from .cylinders import CylFamily, SetExpr, normalize
-from .matrices import KINDS, AccumulationColumn, Symbol, TransitionMatrix, by_kind
+from .matrices import AccumulationColumn, Symbol, TransitionMatrix, by_kind
 from .thermo import (LOG_POTENTIAL, Constant, GDiff, Potential, beta_c_log,
                      normalization_series, pressure_log_potential, zeta)
 from .words import Word, forced_extension, generation_layers, is_admissible
@@ -95,10 +97,9 @@ def _pair_tails(u: float, terminals: frozenset[Symbol]) -> dict[Symbol, float]:
 
     T(j >= 4) = u^(j-3) T(3).  The sums close because the only branching
     rows are 1 (everything) and 2 (one plus the evens); the geometric
-    pieces over the forced descents are summed analytically.
+    pieces over the forced descents are summed analytically.  The caller
+    has checked convergence, (1 + sqrt 2) u < 1.
     """
-    if KINDS["pair_renewal"].growth[1] * u >= 1.0:
-        raise AbsenceOfMeasure("continuation series diverges on the pair renewal matrix")
     h = float(len(terminals))
     e2 = 1.0 if 2 in terminals else 0.0
     M = np.array([
@@ -113,9 +114,13 @@ def _pair_tails(u: float, terminals: frozenset[Symbol]) -> dict[Symbol, float]:
 
 @dataclass
 class NormalizerResult:
+    """1/c_e, the bound on its truncated tail, and the continuation sums
+    T(j) that the same solve or walk gave (none on renewal)."""
+
     value: float
     tail_bound: float
     status: str          # "finite" | "divergent"
+    tails: dict[Symbol, float] = field(default_factory=dict)
 
     @property
     def divergent(self) -> bool:
@@ -124,12 +129,17 @@ class NormalizerResult:
 
 def normalizer(A: TransitionMatrix, family: AccumulationColumn, weight: Potential,
                beta: float) -> NormalizerResult:
-    """1/c_e = 1 + sum over non-empty family stems of their letter weights.
+    """1/c_e = 1 + sum over non-empty family stems of their letter weights,
+    with the continuation sums T(j) over the same stems.
 
-    Closed forms on the renewal and pair renewal matrices; exact generation
-    counts with a geometric tail certificate elsewhere.  Divergence is
-    certified by the lower growth bound; the prime-renewal band between the
-    bounds raises ``Inconclusive``.
+    Divergence is certified by the lower growth bound; the prime-renewal
+    band between the bounds raises ``Inconclusive``.  Renewal has a closed
+    form; pair renewal solves for T(1), T(2), T(3), and 1/c_e = 1 + T(1).
+    Other kinds walk the generation layers once, to depth + 1: at most
+    upper^n stems have length n and the continuations of j are stems, so
+    rho^(depth+1) / (1 - rho), rho = upper * exp(beta * c), bounds the tail
+    of 1/c_e and of every T(j).  The 400-layer cap leaves a rho near 1 with
+    a tail above ``TAIL_TOL``, which the measure refuses.
     """
     if isinstance(weight, Constant):
         x = math.exp(beta * weight.c)
@@ -147,15 +157,18 @@ def normalizer(A: TransitionMatrix, family: AccumulationColumn, weight: Potentia
             return NormalizerResult(1.0 + 0.5 * r / (1.0 - r), 0.0, "finite")
         if A.kind == "pair_renewal":
             tails = _pair_tails(x, family.allowed_terminal_symbols)
-            return NormalizerResult(1.0 + tails[1], 0.0, "finite")
+            return NormalizerResult(1.0 + tails[1], 0.0, "finite", tails)
         rho = upper * x
         depth = min(400, max(8, int(math.log(TAIL_TOL * (1 - rho))
                                     / math.log(rho)) + 2))
-        counts = [1] + [sum(layer.values()) for layer in
-                        generation_layers(A, family.allowed_terminal_symbols, depth)]
-        value = math.fsum(c * x ** n for n, c in enumerate(counts))
-        tail = rho ** (depth + 1) / (1.0 - rho)
-        return NormalizerResult(value, tail, "finite")
+        layers = generation_layers(A, family.allowed_terminal_symbols, depth + 1, weight=x)
+        sums: dict[Symbol, float] = {}
+        for layer in layers[1:]:
+            for j, w in layer.items():
+                sums[j] = sums.get(j, 0.0) + w
+        value = 1.0 + math.fsum(w for layer in layers for w in layer.values())
+        return NormalizerResult(value, rho ** (depth + 1) / (1.0 - rho), "finite",
+                                {j: w / x for j, w in sums.items()})
     raise Inconclusive(f"no certificate for weight {weight!r} on kind {A.kind}")
 
 
@@ -199,7 +212,13 @@ class Measure:
 # --------------------------------------------------------------------------
 
 class YFamilyMeasure(Measure):
-    """Probability carried by the stems of one boundary family (lam = 1)."""
+    """Probability carried by the stems of one boundary family (lam = 1).
+
+    The stem w has mass c_e times its letter weights.  Cylinder and family
+    masses read the continuation sums T(j), which ``normalizer`` hands over
+    with 1/c_e from the one solve or walk that certifies both.  A given
+    ``c_e`` is the renewal closed form, from which T recurs.
+    """
 
     kind = "y_family"
 
@@ -211,6 +230,7 @@ class YFamilyMeasure(Measure):
         self.beta = beta
         self.lam = 1.0
         self.convention = convention
+        self._tails: dict[Symbol, float] = {}
         if c_e is None:
             res = normalizer(A, family, weight, beta)
             if res.divergent:
@@ -218,11 +238,11 @@ class YFamilyMeasure(Measure):
                     f"normalizing series diverges on family {family.id} at beta={beta}")
             if res.tail_bound > TAIL_TOL:
                 raise Inconclusive("normalizer tail exceeds the certified tolerance")
-            c_e = 1.0 / res.value
+            c_e, self._tails = 1.0 / res.value, res.tails
+        elif A.kind != "renewal":
+            raise MeasureError("a given c_e needs the renewal recursion of the continuation sums")
         self.c_e = c_e
         self.normalizer_value = 1.0 / c_e
-        self._tails: dict[Symbol, float] = {}
-        self._cont: tuple[dict[Symbol, float], float] | None = None
 
     # -- stem weights ---------------------------------------------------------
 
@@ -251,58 +271,25 @@ class YFamilyMeasure(Measure):
     # -- continuation sums ----------------------------------------------------
 
     def _tail(self, j: Symbol) -> float:
-        """T(j): total weight of admissible continuations after letter j."""
+        """T(j): total weight of admissible continuations after letter j.
+
+        Renewal recurs from T(1) = 1/c_e - 1 and pair renewal descends
+        from T(3) as u^(j-3) T(3); on other kinds a letter that the
+        normalizer's walk did not reach has no continuation within its depth.
+        """
         if j in self._tails:
             return self._tails[j]
-        A = self.matrix
-        if A.kind == "renewal":
+        if self.matrix.kind == "renewal":
             if j == 1:
                 t = self.normalizer_value - 1.0
             else:
                 t = self._u(j - 1) * (self._tail(j - 1) + (1.0 if j - 1 == 1 else 0.0))
-        elif A.kind == "pair_renewal":
-            if not isinstance(self.weight, Constant):
-                raise Inconclusive("pair renewal continuation sums need a constant weight")
-            base = _pair_tails(self._u(1), self.family.allowed_terminal_symbols)
-            self._tails.update(base)
-            if j in self._tails:
-                return self._tails[j]
-            t = self._u(1) ** (j - 3) * base[3]
+        elif self.matrix.kind == "pair_renewal":
+            t = self._u(1) ** (j - 3) * self._tails[3]
         else:
-            cont, _ = self._generic_cont()
-            t = cont.get(j, 0.0)
+            return 0.0
         self._tails[j] = t
         return t
-
-    def _generic_cont(self) -> tuple[dict[Symbol, float], float]:
-        """T(j) for all relevant j from the generation layers, plus the tail bound.
-
-        At first letter j, layer k + 1 holds u times the weight of the
-        length-k words admissible after j, so T(j) is the sum of layers
-        2, 3, ... at j, over u.
-        """
-        if self._cont is not None:
-            return self._cont
-        if not isinstance(self.weight, Constant):
-            raise Inconclusive(
-                f"continuation sums on kind {self.matrix.kind} need a constant weight")
-        A = self.matrix
-        _, upper = A.spec.growth
-        u = self._u(1)
-        rho = upper * u
-        if rho >= 1.0:
-            raise AbsenceOfMeasure("continuation series diverges")
-        p_max = 3.0
-        depth = max(8, int(math.log(TAIL_TOL * (1.0 - rho) / p_max)
-                           / math.log(rho)) + 2)
-        sums: dict[Symbol, float] = {}
-        for layer in generation_layers(A, self.family.allowed_terminal_symbols,
-                                       depth + 1, weight=u)[1:]:
-            for j, x in layer.items():
-                sums[j] = sums.get(j, 0.0) + x
-        tail_bound = p_max * rho ** (depth + 1) / (1.0 - rho)
-        self._cont = ({j: x / u for j, x in sums.items()}, tail_bound)
-        return self._cont
 
     # -- cylinder and family masses --------------------------------------------
 

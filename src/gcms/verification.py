@@ -55,6 +55,11 @@ class ConfigUniverse:
         return len(self.configs)
 
 
+def _letters(A: TransitionMatrix, bound: Symbol) -> range:
+    """The letters 1..bound, clamped to the alphabet of a stored matrix."""
+    return range(1, (bound if A.size is None else min(bound, A.size)) + 1)
+
+
 def all_bounded_configs(A: TransitionMatrix, stem_len: int, sym_bound: Symbol) -> list[BoundedConfig]:
     """Every boundary configuration with stem length and symbols bounded."""
     out: list[BoundedConfig] = []
@@ -82,7 +87,7 @@ def periodic_points(A: TransitionMatrix, count: int) -> list[UnboundedConfig]:
             out.append(cfg)
 
     for n in range(1, 6):
-        for through in range(1, 4):
+        for through in _letters(A, 3):
             for cyc in iter_cycles(A, n, through):
                 if any(s > 6 for s in cyc):
                     continue
@@ -140,7 +145,7 @@ def subbasis_elements(A: TransitionMatrix, word_len: int, sym_bound: Symbol,
     including the empty word."""
     return [Subbasis(A, w, inv, complemented)
             for w in [()] + cylinder_words_up_to(A, word_len, sym_bound)
-            for inv in (None, *range(1, inv_bound + 1))
+            for inv in (None, *_letters(A, inv_bound))
             for complemented in (False, True)]
 
 
@@ -266,7 +271,7 @@ def counting_suite(A: TransitionMatrix, family_id: int, n_max: int) -> list[Coun
 def cylinder_words_up_to(A: TransitionMatrix, max_len: int, sym_bound: Symbol) -> list[Word]:
     out: list[Word] = []
     for n in range(1, max_len + 1):
-        for last in range(1, sym_bound + 1):
+        for last in _letters(A, sym_bound):
             out.extend(enumerate_words(A, n, {last}, sym_bound).words)
     return sorted(set(out))
 

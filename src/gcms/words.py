@@ -9,6 +9,7 @@ removed anything; partition-function cycles (``iter_cycles``) are never filtered
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -44,20 +45,27 @@ def forced_extension(A: TransitionMatrix, w: Word) -> Word:
     """Extend ``w`` while its last symbol has a single allowed successor.
 
     Cylinders on ``w`` and on its forced extension contain exactly the same
-    configurations, so the extension is the canonical representative.
+    configurations, so the extension is the canonical representative.  On
+    a stored matrix a run of more than ``A.size`` forced letters has
+    entered a cycle, and the cylinder is one periodic point: the extension
+    stops once the word's trailing forced run is that long, so extending
+    the result again returns it unchanged.
     """
     if not w:
         return w
     out = list(w)
-    while True:
+    room = math.inf
+    if A.size is not None:   # every row of a stored matrix is finite
+        run = 1
+        while run < len(w) and len(A.row_structure(w[-run - 1])[1]) == 1:
+            run += 1
+        room = A.size + 1 - run
+    while room > 0:
         shape, support = A.row_structure(out[-1])
-        if shape == "finite" and len(support) == 1:
-            (nxt,) = support
-            out.append(nxt)
-        else:
+        if shape != "finite" or len(support) != 1:
             break
-        if len(out) > len(w) + 10_000:  # pragma: no cover - guards malformed matrices
-            raise RuntimeError("runaway forced extension")
+        out.extend(support)
+        room -= 1
     return tuple(out)
 
 

@@ -207,6 +207,23 @@ def test_output_file_and_matrix_file(tmp_path, capsys):
     assert json.loads(out_file.read_text())["ok"] is True
 
 
+@pytest.mark.parametrize("rows, expr, cylinder", [
+    ([[0, 1], [1, 0]], "C[1]", "1.2.1"),
+    ([[1, 1, 0], [1, 1, 1], [0, 0, 1]], "C[3]", "3.3.3.3"),
+])
+def test_stored_matrix_with_a_forced_cycle(rows, expr, cylinder, tmp_path, capsys):
+    # the cylinder on a forced cycle is one periodic point; the cylinder
+    # suite's letters stay inside an alphabet smaller than its bounds
+    spec = tmp_path / "matrix.json"
+    spec.write_text(json.dumps({"kind": "explicit", "rows": rows}))
+    code, out = run_cli(["decompose", "--matrix-file", str(spec), "--expr", expr], capsys)
+    assert code == 0
+    assert json.loads(out)["cylinders"] == [cylinder]
+    code, out = run_cli(["verify", "--suite", "cylinders", "--matrix-file", str(spec)], capsys)
+    assert code == 0
+    assert '"ok": true' in out
+
+
 @pytest.mark.parametrize("args, message", [
     (["count", "--matrix-file", "SCALAR"], "a matrix specification is a JSON object, not 3"),
     (["measure", "--measure", "y", "--kind", "renewal", "--beta", "0.5"],

@@ -331,6 +331,25 @@ def test_explicit_matrix_oracle():
     assert rep.ok, rep.mismatches
 
 
+@st.composite
+def stored_matrices(draw):
+    n = draw(st.integers(min_value=2, max_value=5))
+    return draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                         min_size=n, max_size=n)
+                .filter(lambda r: all(map(any, r)) and all(map(any, zip(*r)))))
+
+
+@given(stored_matrices())
+@settings(max_examples=60, deadline=None)
+def test_stored_matrices_through_the_oracle(rows):
+    # forced cycles and alphabets smaller than the oracle's bounds included
+    from gcms.matrices import explicit
+    from gcms.verification import cylinder_oracle
+    rep = cylinder_oracle(explicit(rows), word_len=2, sym_bound=3, inv_bound=3, stem_len=3,
+                          universe_syms=4, n_periodic=20)
+    assert rep.ok, rep.mismatches
+
+
 # -- grammar -------------------------------------------------------------------
 
 def test_parse_expressions(renewal):

@@ -6,6 +6,7 @@ from gcms import measures as ms
 from gcms import symbolsets as ss
 from gcms.configs import bounded, empty_stem_config
 from gcms.cylinders import Subbasis, decompose, intersect
+from gcms.matrices import by_kind
 from gcms.thermo import LOG_POTENTIAL, Constant, LogRatio, beta_c_log, zeta
 from gcms.verification import conformality_suite, cylinder_words_up_to
 from gcms.words import enumerate_words, generation_layers
@@ -126,23 +127,68 @@ def test_point_mass_routing(pair):
     assert mu1.point_mass(bounded(pair, (2, 1), 2)) == 0.0
 
 
-def test_pair_y_measure_against_generation_walk(pair):
-    # independent oracle: weighted generation counts of stems with a fixed prefix
-    b = 1.2
-    for fam, terminals in ((1, frozenset({1, 2})), (2, frozenset({1}))):
-        mu = ms.y_measure(pair, fam, Constant(1.0), b)
+WALK_BETA = {"pair_renewal": 1.2, "prime_renewal": 1.3, "alternating_renewal": 0.9}
+
+
+@pytest.mark.parametrize("kind", sorted(WALK_BETA))
+def test_y_measure_against_generation_walk(kind):
+    # independent oracle: weighted generation counts of stems with a fixed
+    # first letter, walked until the geometric tail is below 1e-16
+    A, beta = by_kind(kind), WALK_BETA[kind]
+    x = math.exp(-beta)
+    rho = A.spec.growth[1] * x
+    depth = int(math.log(1e-16 * (1.0 - rho)) / math.log(rho)) + 1
+    for col in A.accumulation_catalog:
+        mu = ms.y_measure(A, col.id, Constant(1.0), beta)
         for first in (1, 2, 3):
             total = 0.0
-            layer = {t: 1 for t in terminals}
-            for n in range(1, 110):
-                total += layer.get(first, 0) * math.exp(-b * n)
+            layer = {t: 1 for t in col.allowed_terminal_symbols}
+            for n in range(1, depth + 1):
+                total += layer.get(first, 0) * x ** n
                 nxt: dict[int, int] = {}
                 for sym, c in layer.items():
-                    for p in pair.predecessors(sym):
+                    for p in A.predecessors(sym):
                         nxt[p] = nxt.get(p, 0) + c
                 layer = nxt
             assert mu.cyl_mass((first,)) == pytest.approx(
-                mu.c_e * total, rel=1e-12), (fam, first)
+                mu.c_e * total, rel=1e-12), (col.id, first)
+
+
+def test_one_stem_walk_per_y_measure(prime, pair, monkeypatch):
+    # the normalizer's walk (or solve) is the only source of the continuation sums
+    calls = {"walk": 0, "solve": 0}
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ms, "generation_layers", counted("walk", ms.generation_layers))
+    monkeypatch.setattr(ms, "_pair_tails", counted("solve", ms._pair_tails))
+    ms.verify_conformality(ms.y_measure(prime, 2, Constant(1.0), 1.3),
+                           cylinder_words_up_to(prime, 3, 6))
+    ms.verify_conformality(ms.y_measure(pair, 1, Constant(1.0), 1.2),
+                           cylinder_words_up_to(pair, 3, 6))
+    assert calls == {"walk": 1, "solve": 1}
+    # a c_e given without the sums is the renewal closed form only
+    with pytest.raises(ms.MeasureError, match="renewal recursion"):
+        ms.YFamilyMeasure(prime, prime.column_by_id(1), Constant(-1.0), 1.3, c_e=0.5)
+
+
+# the largest beta whose walk of 400 layers certifies the tail, on each side
+CAP_BOUNDARY = {"prime_renewal": (1.1796271583639042, 1.179627158363904),
+                "alternating_renewal": (0.6303210140298492, 0.6303210140298491)}
+
+
+@pytest.mark.parametrize("kind", sorted(CAP_BOUNDARY))
+def test_layer_cap_boundary(kind):
+    A = by_kind(kind)
+    accepted, refused = CAP_BOUNDARY[kind]
+    mu = ms.y_measure(A, 1, Constant(1.0), accepted)
+    assert ms.verify_conformality(mu, cylinder_words_up_to(A, 2, 4)).max_residual <= 1e-10
+    with pytest.raises(ms.Inconclusive, match="normalizer tail"):
+        ms.y_measure(A, 1, Constant(1.0), refused)
 
 
 def test_prime_y_measure_probability(prime):
