@@ -44,6 +44,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
 def _prime_power_base(j: int) -> int | None:
     """Return p if j = p**k for a prime p and k >= 1, else None."""
     if j < 2:

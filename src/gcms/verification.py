@@ -3,19 +3,24 @@
 The cylinder algebra is verified against raw membership: a configuration
 belongs to a cylinder iff its evaluation at the defining group word is 1.
 The oracle enumerates every boundary configuration up to a stem length
-plus a batch of eventually periodic points, precomputes raw membership of
-every subbasis element as a boolean vector, and then checks each pairwise
-intersection both for pointwise agreement and for disjointness of the
-normalized parts (membership multiplicity at most one).  The pair check
-runs only once every element agrees with its own normal form, so two
-elements with equal normal forms have equal raw rows; as ``meet`` is a
-pure function of its arguments, an ordered pair of distinct normal forms
-fixes both the meet and the expected row.  The oracle therefore meets and
-checks each such pair once, and still counts, and reports a mismatch for,
-every pair of elements.  A normal form is evaluated on the universe as the
-sum of its parts' membership rows; each row is computed once per universe
-with ``cylinders.part_contains`` and cached, so the oracle and
-``cylinders.member`` share one membership rule.
+plus a batch of eventually periodic points and stores each membership
+row over that universe as an integer bit row (bit k for configuration k).
+Raw membership is evaluated once per ``(alpha, inv)``, on the
+uncomplemented cylinder; as evaluation is 0 or 1, the complement's row is
+its negation.  The oracle then checks each pairwise intersection both for
+pointwise agreement and for disjointness of the normalized parts
+(membership multiplicity at most one).  The pair check runs only once
+every element agrees with its own normal form, so two elements with equal
+normal forms have equal raw rows; as ``meet`` is a pure function of its
+arguments, an ordered pair of distinct normal forms fixes both the meet
+and the expected row.  The oracle therefore meets and checks each such
+pair once, and still counts, and reports a mismatch for, every pair of
+elements.  A meet is checked with a few bitwise operations: its parts'
+rows are folded into the points covered and the points covered twice, and
+the first faulty configuration is the lowest set bit.  Each part's row is
+computed once per universe with ``cylinders.part_contains`` and cached,
+so the oracle, ``setexpr_count_vec`` and ``cylinders.member`` share one
+membership rule.
 
 The counting, conformality, and pressure suites used by the command line
 and the acceptance tests live here as plain functions returning report
@@ -25,8 +30,10 @@ dictionaries.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -35,7 +42,8 @@ from . import symbolsets as sset
 from . import thermo as th
 from .configs import (BoundedConfig, Configuration, UnboundedConfig, count_preimages_closed_form,
                       empty_stem_config, IntegerInterval)
-from .cylinders import SetExpr, Subbasis, decompose, meet, part_contains, raw_member
+from .cylinders import (SetExpr, Subbasis, decompose, meet, membership_count, part_contains,
+                        raw_member)
 from .matrices import Symbol, TransitionMatrix
 from .words import Word, enumerate_words, generation_layers, iter_cycles
 
@@ -44,15 +52,44 @@ from .words import Word, enumerate_words, generation_layers, iter_cycles
 # configuration universes
 # --------------------------------------------------------------------------
 
+def _pack(flags: Iterable[bool], n: int) -> int:
+    """The bit row of ``n`` flags: bit k is set iff flag k is true."""
+    packed = np.packbits(np.fromiter(flags, dtype=bool, count=n), bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
+
+
+def _unpack(row: int, n: int) -> np.ndarray:
+    """The ``n`` bits of a bit row as a 0/1 vector."""
+    data = np.frombuffer(row.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(data, count=n, bitorder="little")
+
+
+def _lowest_bit(row: int) -> int:
+    return (row & -row).bit_length() - 1
+
+
 @dataclass
 class ConfigUniverse:
     matrix: TransitionMatrix
     configs: list[Configuration]
-    # one membership row per normal-form part, filled by setexpr_count_vec
+    # one membership bit row per normal-form part, filled by part_row
     _rows: dict = field(default_factory=dict, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.configs)
+
+    @property
+    def full(self) -> int:
+        """The bit row of the whole universe."""
+        return (1 << len(self.configs)) - 1
+
+    def part_row(self, part) -> int:
+        """Membership bit row of one normal-form part, computed once."""
+        row = self._rows.get(part)
+        if row is None:
+            row = self._rows[part] = _pack((part_contains(c, part) for c in self.configs),
+                                           len(self))
+        return row
 
 
 def _letters(A: TransitionMatrix, bound: Symbol) -> range:
@@ -113,11 +150,7 @@ def setexpr_count_vec(u: ConfigUniverse, s: SetExpr) -> np.ndarray:
         return np.ones(len(u), dtype=np.int64)
     counts = np.zeros(len(u), dtype=np.int64)
     for part in (*s.points, *s.atoms, *s.families):
-        row = u._rows.get(part)
-        if row is None:
-            row = u._rows[part] = np.fromiter((part_contains(c, part) for c in u.configs),
-                                              dtype=bool, count=len(u))
-        counts += row
+        counts += _unpack(u.part_row(part), len(u))
     return counts
 
 
@@ -149,17 +182,39 @@ def subbasis_elements(A: TransitionMatrix, word_len: int, sym_bound: Symbol,
             for complemented in (False, True)]
 
 
-def _meet_fault(u: ConfigUniverse, expr: SetExpr, expected: np.ndarray) -> tuple[int, str] | None:
+def raw_rows(u: ConfigUniverse, elems: Sequence[Subbasis]) -> list[int]:
+    """Raw membership bit row of every element.
+
+    ``raw_member`` runs once per ``(alpha, inv)``, on the uncomplemented
+    element; a complement's row is the negation of that row, because a
+    configuration's evaluation at a group word is 0 or 1.
+    """
+    plain: dict[tuple, int] = {}
+    rows = []
+    for e in elems:
+        key = (e.alpha, e.inv)
+        if key not in plain:
+            cyl = e.complement() if e.complemented else e
+            plain[key] = _pack((raw_member(c, cyl) for c in u.configs), len(u))
+        rows.append(plain[key] ^ u.full if e.complemented else plain[key])
+    return rows
+
+
+def _meet_fault(u: ConfigUniverse, expr: SetExpr, expected: int) -> tuple[int, str] | None:
     """The first configuration where ``expr`` covers a point twice or
-    disagrees with the expected membership row, with the reason; None if
-    there is none."""
-    counts = setexpr_count_vec(u, expr)
-    if (counts > 1).any():
-        k = int(np.argmax(counts > 1))
-        return k, f"covered {int(counts[k])} times"
-    if ((counts == 1) != expected).any():
-        k = int(np.argmax((counts == 1) != expected))
-        return k, f"raw={bool(expected[k])} normalized={bool(counts[k] == 1)}"
+    disagrees with the expected membership bit row, with the reason; None
+    if there is none."""
+    seen, dup = (u.full, 0) if expr.whole_space else (0, 0)
+    for part in (*expr.points, *expr.atoms, *expr.families):
+        row = u.part_row(part)
+        dup |= seen & row
+        seen |= row
+    if dup:
+        k = _lowest_bit(dup)
+        return k, f"covered {membership_count(u.configs[k], expr)} times"
+    if seen != expected:
+        k = _lowest_bit(seen ^ expected)
+        return k, f"raw={bool(expected >> k & 1)} normalized={bool(seen >> k & 1)}"
     return None
 
 
@@ -168,19 +223,16 @@ def cylinder_oracle(A: TransitionMatrix, word_len: int = 3, sym_bound: Symbol = 
                     n_periodic: int = 50, max_report: int = 5) -> OracleReport:
     """Exhaustively verify pairwise intersections against raw membership,
     meeting once per ordered pair of distinct normal forms."""
-    import time
-    t0 = time.time()
+    t0 = time.perf_counter()
     u = build_universe(A, stem_len, universe_syms, n_periodic)
     elems = subbasis_elements(A, word_len, sym_bound, inv_bound)
-    raw = np.zeros((len(elems), len(u)), dtype=bool)
-    for i, e in enumerate(elems):
-        raw[i] = [raw_member(c, e) for c in u.configs]
+    raw = raw_rows(u, elems)
     decomposed = [decompose(e) for e in elems]
     # sanity: each element alone matches its normal form
     mismatches: list[str] = []
     for i, e in enumerate(elems):
         counts = setexpr_count_vec(u, decomposed[i])
-        if (counts > 1).any() or ((counts == 1) != raw[i]).any():
+        if (counts > 1).any() or ((counts == 1) != _unpack(raw[i], len(u))).any():
             mismatches.append(f"decompose({e!r}) disagrees with raw membership")
             if len(mismatches) >= max_report:
                 break
@@ -208,7 +260,7 @@ def cylinder_oracle(A: TransitionMatrix, word_len: int = 3, sym_bound: Symbol = 
             if len(mismatches) >= max_report:
                 break
     return OracleReport(A.kind, len(elems), n_pairs, len(u), mismatches,
-                        time.time() - t0)
+                        time.perf_counter() - t0)
 
 
 def whole_space_cover_check(A: TransitionMatrix) -> bool:

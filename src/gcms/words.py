@@ -9,7 +9,6 @@ removed anything; partition-function cycles (``iter_cycles``) are never filtered
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -45,27 +44,40 @@ def forced_extension(A: TransitionMatrix, w: Word) -> Word:
     """Extend ``w`` while its last symbol has a single allowed successor.
 
     Cylinders on ``w`` and on its forced extension contain exactly the same
-    configurations, so the extension is the canonical representative.  On
-    a stored matrix a run of more than ``A.size`` forced letters has
-    entered a cycle, and the cylinder is one periodic point: the extension
-    stops once the word's trailing forced run is that long, so extending
-    the result again returns it unchanged.
+    configurations, so the extension is the canonical representative.  The
+    trailing forced run of a word is its longest suffix in which every
+    letter but the last has a single allowed successor.  A run that repeats
+    a letter has entered a cycle, and the cylinder is one periodic point:
+    the run is cut at its first repeated letter, in ``w`` and in the
+    extension alike, so every word naming that point gives the same result
+    and extending the result again returns it unchanged.
+
+    The matrices of the rule kinds never reach the cut: ``row_structure``
+    gives them no finite row other than row i = {i - 1}, so along a forced
+    run every letter is one less than the letter before, and no letter
+    repeats.  Only a stored matrix can have a forced cycle.
     """
+    def successor(s: Symbol) -> Symbol | None:
+        shape, support = A.row_structure(s)
+        return next(iter(support)) if shape == "finite" and len(support) == 1 else None
+
     if not w:
         return w
-    out = list(w)
-    room = math.inf
-    if A.size is not None:   # every row of a stored matrix is finite
-        run = 1
-        while run < len(w) and len(A.row_structure(w[-run - 1])[1]) == 1:
-            run += 1
-        room = A.size + 1 - run
-    while room > 0:
-        shape, support = A.row_structure(out[-1])
-        if shape != "finite" or len(support) != 1:
+    start = len(w) - 1
+    while start > 0 and successor(w[start - 1]) is not None:
+        start -= 1
+    out = list(w[:start])
+    run: set[Symbol] = set()
+    for s in w[start:]:
+        out.append(s)
+        if s in run:
+            return tuple(out)
+        run.add(s)
+    while (nxt := successor(out[-1])) is not None:
+        out.append(nxt)
+        if nxt in run:
             break
-        out.extend(support)
-        room -= 1
+        run.add(nxt)
     return tuple(out)
 
 

@@ -209,7 +209,7 @@ def test_output_file_and_matrix_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("rows, expr, cylinder", [
     ([[0, 1], [1, 0]], "C[1]", "1.2.1"),
-    ([[1, 1, 0], [1, 1, 1], [0, 0, 1]], "C[3]", "3.3.3.3"),
+    ([[1, 1, 0], [1, 1, 1], [0, 0, 1]], "C[3]", "3.3"),
 ])
 def test_stored_matrix_with_a_forced_cycle(rows, expr, cylinder, tmp_path, capsys):
     # the cylinder on a forced cycle is one periodic point; the cylinder

@@ -284,6 +284,58 @@ def test_oracle_matches_the_all_pairs_loop(name, faulty, monkeypatch):
         assert bool(slow[3]) == faulty, slow[3]
 
 
+def test_raw_rows_match_raw_membership(monkeypatch):
+    # one raw_member row per (alpha, inv); a complement's row is its negation
+    from gcms import verification
+    from gcms.matrices import by_kind
+    A = by_kind("pair_renewal")
+    u = build_universe(A, 4, 5, 20)
+    elems = subbasis_elements(A, 2, 3, 3)
+    calls = []
+    member = verification.raw_member
+    monkeypatch.setattr(verification, "raw_member",
+                        lambda c, e: calls.append(e) or member(c, e))
+    rows = verification.raw_rows(u, elems)
+    assert len(calls) == len(u) * len({(e.alpha, e.inv) for e in elems}) == len(u) * len(elems) // 2
+    assert not any(e.complemented for e in calls)
+    for e, row in zip(elems, rows):
+        assert row >> len(u) == 0
+        assert [bool(row >> k & 1) for k in range(len(u))] == [raw_member(c, e) for c in u.configs]
+
+
+def test_oracle_builds_each_part_row_once(monkeypatch):
+    # every part of every decomposition and every meet gets one row, once
+    from gcms import verification
+    from gcms.cylinders import meet
+    from gcms.matrices import by_kind
+    A = by_kind("pair_renewal")
+    calls = []
+    contains = verification.part_contains
+    monkeypatch.setattr(verification, "part_contains",
+                        lambda c, part: calls.append(part) or contains(c, part))
+    rep = verification.cylinder_oracle(A, word_len=2, sym_bound=3, inv_bound=3, stem_len=4,
+                                       universe_syms=5, n_periodic=20)
+    assert rep.ok, rep.mismatches
+    dec = [decompose(e) for e in subbasis_elements(A, 2, 3, 3)]
+    exprs = dec + [meet(d, e) for i, d in enumerate(dec) for e in dec[i:]]
+    parts = {p for s in exprs for p in (*s.points, *s.atoms, *s.families)}
+    assert len(calls) == rep.n_configs * len(parts)
+
+
+def test_count_vectors_match_uncached_membership():
+    # setexpr_count_vec reads cached bit rows; membership_count asks
+    # part_contains directly
+    import random
+    from gcms.cylinders import meet
+    from gcms.matrices import by_kind
+    A = by_kind("pair_renewal")
+    u = build_universe(A, 5, 6, 50)    # the universe of the full-size oracle
+    dec = [decompose(e) for e in subbasis_elements(A, 3, 4, 4)]
+    rng = random.Random(20240809)
+    for s in dec + [meet(rng.choice(dec), rng.choice(dec)) for _ in range(300)]:
+        assert setexpr_count_vec(u, s).tolist() == [membership_count(c, s) for c in u.configs], s
+
+
 @pytest.mark.parametrize("kind, n_configs, n_pairs", [("renewal", 178, 31375),
                                                       ("pair_renewal", 1035, 61425)])
 def test_oracle_on_a_wider_universe(kind, n_configs, n_pairs):
@@ -348,6 +400,35 @@ def test_stored_matrices_through_the_oracle(rows):
     rep = cylinder_oracle(explicit(rows), word_len=2, sym_bound=3, inv_bound=3, stem_len=3,
                           universe_syms=4, n_periodic=20)
     assert rep.ok, rep.mismatches
+
+
+def test_forced_cycle_normal_forms_are_unique():
+    # C[1] and C[1.2.1.2] are the one periodic point (12)^inf
+    from gcms.matrices import explicit
+    A = explicit([[0, 1], [1, 0]])
+    got = decompose(Subbasis(A, (1,)))
+    assert got == decompose(Subbasis(A, (1, 2, 1, 2)))
+    assert got.atoms == ((1, 2, 1),)
+
+
+@given(stored_matrices())
+@settings(max_examples=60, deadline=None)
+def test_forced_extension_is_canonical_on_stored_matrices(rows):
+    # appending a forced letter names the same cylinder, so it must give the
+    # same forced extension, also after the run has gone round a cycle
+    from gcms.matrices import explicit
+    from gcms.words import enumerate_words, forced_extension
+    A = explicit(rows)
+    for n in (1, 2, 3):
+        for w in enumerate_words(A, n, range(1, A.size + 1), A.size):
+            ext = forced_extension(A, w)
+            assert forced_extension(A, ext) == ext, (w, ext)
+            for _ in range(2 * A.size):
+                _, support = A.row_structure(w[-1])
+                if len(support) != 1:
+                    break
+                w += tuple(support)
+                assert forced_extension(A, w) == ext, (w, ext)
 
 
 # -- grammar -------------------------------------------------------------------

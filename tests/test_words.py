@@ -92,13 +92,16 @@ def test_forced_extension(renewal, pair):
 @pytest.mark.parametrize("rows, w, want", [
     ([[0, 1], [1, 0]], (1,), (1, 2, 1)),
     ([[0, 1], [1, 0]], (2, 1, 2), (2, 1, 2)),
-    ([[1, 1, 0], [1, 1, 1], [0, 0, 1]], (3,), (3, 3, 3, 3)),
-    ([[1, 1, 0], [1, 1, 1], [0, 0, 1]], (2, 3), (2, 3, 3, 3, 3)),
+    ([[1, 1, 0], [1, 1, 1], [0, 0, 1]], (3,), (3, 3)),
+    ([[1, 1, 0], [1, 1, 1], [0, 0, 1]], (2, 3), (2, 3, 3)),
     ([[1, 1, 0], [1, 1, 1], [0, 0, 1]], (1,), (1,)),
+    ([[0, 1], [1, 0]], (1, 2, 1, 2), (1, 2, 1)),
+    ([[1, 1, 0], [1, 1, 1], [0, 0, 1]], (2, 3, 3, 3, 3), (2, 3, 3)),
 ])
 def test_forced_extension_stops_on_a_forced_cycle(rows, w, want):
-    # a forced run of more than size letters has entered a cycle: the
-    # cylinder is one periodic point, and extending again changes nothing
+    # a forced run that repeats a letter has entered a cycle: the cylinder
+    # is one periodic point, named by the run cut at its first repeated
+    # letter, and extending again changes nothing
     A = explicit(rows)
     got = forced_extension(A, w)
     assert got == want
