@@ -228,6 +228,9 @@ def cmd_converge(args: argparse.Namespace) -> int:
     return 0
 
 
+_MAX_MEASURE_DEPTH = 6   # the longest cylinder words `measure` checks
+
+
 def cmd_measure(args: argparse.Namespace) -> int:
     A = _load_matrix(args)
     name = args.measure
@@ -239,7 +242,9 @@ def cmd_measure(args: argparse.Namespace) -> int:
         m = ms.pair_renewal_critical_measure(A)
     else:   # log
         m = ms.log_eigenmeasure(_beta(args), A)
-    cyls = _cylinder_words(A, min(args.depth, 6), args.symbol_bound)
+    if args.depth > _MAX_MEASURE_DEPTH:
+        raise ValueError(f"--depth must be <= {_MAX_MEASURE_DEPTH}, not {args.depth}")
+    cyls = _cylinder_words(A, args.depth, args.symbol_bound)
     rep = ms.verify_conformality(m, cyls)
     _write(args, ms.measure_report_json(m, rep.max_residual) + "\n")
     return 0

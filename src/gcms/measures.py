@@ -42,6 +42,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -217,7 +218,9 @@ class YFamilyMeasure(Measure):
     The stem w has mass c_e times its letter weights.  Cylinder and family
     masses read the continuation sums T(j), which ``normalizer`` hands over
     with 1/c_e from the one solve or walk that certifies both.  A given
-    ``c_e`` is the renewal closed form, from which T recurs.
+    ``c_e`` is the renewal closed form, from which T recurs.  Letter
+    factors are kept per instance, next to the sums T(j), so each
+    exp(beta * weight(s)) is evaluated once per letter.
     """
 
     kind = "y_family"
@@ -231,6 +234,7 @@ class YFamilyMeasure(Measure):
         self.lam = 1.0
         self.convention = convention
         self._tails: dict[Symbol, float] = {}
+        self._factors: dict[Symbol, float] = {}
         if c_e is None:
             res = normalizer(A, family, weight, beta)
             if res.divergent:
@@ -247,7 +251,10 @@ class YFamilyMeasure(Measure):
     # -- stem weights ---------------------------------------------------------
 
     def _u(self, s: Symbol) -> float:
-        return math.exp(self.beta * self.weight.value(s))
+        u = self._factors.get(s)
+        if u is None:
+            u = self._factors[s] = math.exp(self.beta * self.weight.value(s))
+        return u
 
     def _head(self, w: Word) -> float:
         """c_e times the letter weights of ``w``: the mass the stem ``w`` would carry."""
@@ -367,7 +374,8 @@ class SequenceMeasure(Measure):
     only data: its weight, beta and lam, the end-letter masses, the total
     mass, the base-value sums of the sieves it supports, keyed by
     (one_row, zero_rows), and the entries its report adds.  Base values
-    are kept per instance, so the end-letter masses are read once per letter.
+    and letter factors are kept per instance, so the end-letter masses are
+    read, and each lam^-1 exp(beta*weight(s)) evaluated, once per letter.
     """
 
     kind: str
@@ -381,6 +389,7 @@ class SequenceMeasure(Measure):
     convention: str
     info: dict
     _base: dict[Symbol, float] = field(default_factory=dict, init=False, repr=False)
+    _factors: dict[Symbol, float] = field(default_factory=dict, init=False, repr=False)
 
     def peel(self, head: Word) -> float:
         """The factor lam^-1 exp(beta*weight(s)) of every letter s of ``head``:
@@ -390,7 +399,10 @@ class SequenceMeasure(Measure):
             return math.exp(self.beta * self.weight.c * k) / self.lam ** k
         m = 1.0
         for s in head:
-            m *= math.exp(self.beta * self.weight.value(s)) / self.lam
+            f = self._factors.get(s)
+            if f is None:
+                f = self._factors[s] = math.exp(self.beta * self.weight.value(s)) / self.lam
+            m *= f
         return m
 
     def base_value(self, n: Symbol) -> float:
@@ -601,6 +613,7 @@ def measure_setexpr(m: Measure, s: SetExpr) -> float:
 # conformality verification
 # --------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def shift_image_of_cylinder(A: TransitionMatrix, alpha: Word) -> SetExpr:
     """The forward shift image of C_alpha as a normalized set expression.
 
@@ -608,6 +621,12 @@ def shift_image_of_cylinder(A: TransitionMatrix, alpha: Word) -> SetExpr:
     letter; for a single letter it is the union of the admissible follower
     cylinders plus the empty-stem configurations whose family admits the
     letter as a terminal.
+
+    Memoized per (matrix, word), like ``matrices.by_kind``: the image
+    depends on nothing else (``TransitionMatrix`` hashes and compares by
+    value), and the ``SetExpr`` it returns, with its points, families and
+    symbol sets, is frozen, so one shared copy is safe.  The unmemoized
+    function is ``shift_image_of_cylinder.__wrapped__``.
     """
     if not alpha:
         raise ValueError("the shift is not defined on the whole space")
@@ -634,7 +653,9 @@ def verify_conformality(m: Measure, test_cylinders: Iterable[Word]) -> Conformal
     certified series evaluations.  For a sequence measure the rows of
     length >= 2 are near-tautologies, since its masses are built by the
     same peel; the length-one rows, which weigh end-letter masses against
-    sieve sums and point masses, are the independent check.
+    sieve sums and point masses, are the independent check.  The images
+    do not depend on the measure, so ``shift_image_of_cylinder`` builds
+    each one once and every later check of the same word reuses it.
     """
     A = m.matrix
     rows = []

@@ -277,6 +277,9 @@ def test_stored_matrix_with_a_forced_cycle(rows, expr, cylinder, tmp_path, capsy
     # the log eigenmeasure is checked at the beta given, and it needs beta > 0
     (["verify", "--suite", "conformality", "--kind", "renewal", "--beta=-5"],
      "beta must be positive"),
+    # a depth the check would not reach is not silently cut down
+    (["measure", "--kind", "renewal", "--measure", "sarig", "--depth", "9"],
+     "--depth must be <= 6, not 9"),
 ])
 def test_errors_exit_2_with_one_line(args, message, tmp_path, capsys):
     files = {"MATRIX": '{"kind": "explicit"}',

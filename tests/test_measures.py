@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -6,7 +7,7 @@ from gcms import measures as ms
 from gcms import symbolsets as ss
 from gcms.configs import bounded, empty_stem_config
 from gcms.cylinders import Subbasis, decompose, intersect
-from gcms.matrices import by_kind
+from gcms.matrices import by_kind, explicit
 from gcms.thermo import LOG_POTENTIAL, Constant, LogRatio, beta_c_log, zeta
 from gcms.verification import conformality_suite, cylinder_words_up_to
 from gcms.words import enumerate_words, generation_layers
@@ -375,6 +376,78 @@ def test_conformality_suite_checks_the_log_eigenmeasure_at_the_beta_given(renewa
     want = ms.verify_conformality(ms.log_eigenmeasure(0.5, renewal),
                                   cylinder_words_up_to(renewal, 6, 7)).max_residual
     assert conformality_suite(renewal, 0.5)["log_eigenmeasure"] == want
+
+
+def test_one_shift_image_per_distinct_word(pair, monkeypatch):
+    # the images depend on the word only, so three measures share them
+    calls = 0
+    normalize = ms.normalize
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return normalize(*args, **kwargs)
+
+    ms.shift_image_of_cylinder.cache_clear()
+    monkeypatch.setattr(ms, "normalize", counted)
+    assert set(conformality_suite(pair, 1.2)) == {"pair_critical", "y_family_1", "y_family_2"}
+    assert calls == len(cylinder_words_up_to(pair, 6, 7)) == 867
+
+
+def test_shift_image_memo_matches_a_fresh_build():
+    # one cache across the matrices, so a word shared by two of them is a
+    # cache key that must still tell them apart
+    cases = [(by_kind("renewal"), 6, 7), (by_kind("pair_renewal"), 6, 7),
+             (by_kind("prime_renewal"), 4, 6), (by_kind("alternating_renewal"), 4, 6),
+             (explicit([[0, 1], [1, 0]]), 4, 2)]
+    for A, max_len, sym_bound in cases:
+        words = cylinder_words_up_to(A, max_len, sym_bound)
+        assert words
+        for w in words:
+            image = ms.shift_image_of_cylinder(A, w)
+            assert ms.shift_image_of_cylinder(A, w) is image
+            assert image == ms.shift_image_of_cylinder.__wrapped__(A, w), (A, w)
+
+
+def unkept(m):
+    """A copy of ``m`` that evaluates every letter factor afresh by
+    ``math.exp``, on every use, as the measures did before they kept them:
+    the oracle for the factors kept per instance."""
+    if isinstance(m, ms.YFamilyMeasure):
+        c_e = m.c_e if m.matrix.kind == "renewal" else None   # the others need the walk's sums
+        fresh = ms.YFamilyMeasure(m.matrix, m.family, m.weight, m.beta, c_e)
+        fresh._u = lambda s: math.exp(m.beta * m.weight.value(s))
+        return fresh
+
+    def peel(head):
+        x = 1.0
+        for s in head:
+            x *= math.exp(m.beta * m.weight.value(s)) / m.lam
+        return x
+
+    fresh = dataclasses.replace(m)
+    fresh.peel = peel
+    return fresh
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ms.log_eigenmeasure(0.5), lambda: ms.log_eigenmeasure(1.2),
+    lambda: ms.log_eigenmeasure(beta_c_log()), lambda: ms.log_eigenmeasure(2.0),
+    lambda: ms.y_measure(by_kind("renewal"), 1, Constant(1.0), 1.2),
+    lambda: ms.y_measure(by_kind("pair_renewal"), 1, Constant(1.0), 1.2),
+    lambda: ms.y_measure(by_kind("pair_renewal"), 2, Constant(1.0), 1.2),
+    lambda: ms.y_measure(by_kind("prime_renewal"), 2, Constant(1.0), 1.3)],
+    ids=["log-0.5", "log-1.2", "log-beta_c", "log-2.0",
+         "y-renewal", "y-pair-1", "y-pair-2", "y-prime-2"])
+def test_letter_factors_kept_per_instance_are_bit_identical(build):
+    m = build()
+    oracle = unkept(m)
+    words = cylinder_words_up_to(m.matrix, 5, 6)
+    # the kept factors are read back on the second pass
+    for _ in range(2):
+        for w in words:
+            assert m.cyl_mass(w) == oracle.cyl_mass(w), w
+    assert m._factors and not oracle._factors
 
 
 def test_conformality_detects_corruption(pair):
