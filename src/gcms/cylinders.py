@@ -13,6 +13,12 @@ to the disjoint form
 where a family is a prefix together with a symbol set for the following
 letter.  ``decompose`` produces the normal form of one element,
 ``meet``/``intersect`` close the normal forms under finite intersection.
+Building a normal form has two halves: ``normalize`` canonicalizes raw
+parts (it forced-extends each atom and cuts each family to the row of its
+prefix's last letter), and ``_assemble`` turns canonical parts into a
+``SetExpr`` (finite families expanded, empty ones dropped, duplicates
+rejected, parts sorted, the whole space folded).  ``meet`` only assembles:
+every part it keeps comes from a normal form and is already canonical.
 ``part_contains`` decides membership of a configuration in one part, and
 membership in a normal form is the number of parts containing it
 (``membership_count``, ``member``).  Every identity is verified against raw
@@ -22,6 +28,7 @@ membership (``raw_member``), read off the configuration's evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import symbolsets as ss
@@ -41,6 +48,9 @@ class Subbasis:
 
     Only a single inverse letter is stored: the cylinder on
     ``alpha gamma^{-1}`` equals the one on ``alpha gamma[-1]^{-1}``.
+    The group word ``alpha inv^{-1}`` is built once per element, on first
+    use (``group_word``); it is not a field, so it takes no part in
+    equality or hashing.
     """
 
     matrix: TransitionMatrix
@@ -57,6 +67,11 @@ class Subbasis:
     def complement(self) -> "Subbasis":
         return replace(self, complemented=not self.complemented)
 
+    @cached_property
+    def group_word(self) -> GroupWord:
+        """The reduced group word ``alpha inv^{-1}`` the cylinder is defined by."""
+        return GroupWord(self.alpha, () if self.inv is None else (self.inv,))
+
     def __repr__(self) -> str:
         inv = "" if self.inv is None else f";inv={self.inv}"
         return f"{'!' if self.complemented else ''}C[{format_word(self.alpha)}{inv}]"
@@ -68,9 +83,9 @@ def from_group_word(A: TransitionMatrix, g: GroupWord, complement: bool = False)
 
 
 def raw_member(c: Configuration, e: Subbasis) -> bool:
-    """Membership straight from the configuration evaluation (the oracle)."""
-    g = GroupWord(e.alpha, () if e.inv is None else (e.inv,))
-    return c.eval(g) == (0 if e.complemented else 1)
+    """Membership straight from the configuration evaluation (the oracle),
+    at the element's group word; it reads nothing of the normal forms."""
+    return c.eval(e.group_word) == (0 if e.complemented else 1)
 
 
 # --------------------------------------------------------------------------
@@ -122,24 +137,36 @@ def _point_key(p: BoundedConfig) -> tuple:
 
 def normalize(A: TransitionMatrix, points: Iterable[BoundedConfig] = (),
               atoms: Iterable[Word] = (), families: Iterable[CylFamily] = ()) -> SetExpr:
-    """Canonical SetExpr: forced-extended atoms, effective finite-free families.
+    """Canonical SetExpr from raw parts: forced-extended atoms, effective families.
 
-    Families whose effective symbol set is finite are expanded into atoms.
-    Duplicate parts indicate a broken disjoint decomposition and raise.
+    Each atom is replaced by its forced extension and each family's symbols
+    are cut to the row of its prefix's last letter; ``_assemble`` does the
+    rest.
     """
-    out_atoms = [forced_extension(A, a) for a in atoms]
+    atoms = [forced_extension(A, a) for a in atoms]
+    families = [CylFamily(f.prefix, ss.intersect(A, f.symbols, ss.row_one(A, f.prefix[-1])))
+                if f.prefix else f for f in families]
+    return _assemble(A, points, atoms, families)
+
+
+def _assemble(A: TransitionMatrix, points: Iterable[BoundedConfig], atoms: Iterable[Word],
+              families: Iterable[CylFamily]) -> SetExpr:
+    """SetExpr from canonical parts: forced-extended atoms, effective families.
+
+    Families whose symbol set is finite are expanded into atoms and empty
+    ones dropped.  Duplicate parts indicate a broken disjoint decomposition
+    and raise.
+    """
+    out_atoms = list(atoms)
     out_fams: dict[tuple, CylFamily] = {}
     for f in families:
-        prefix, symbols = f.prefix, f.symbols
-        if prefix:
-            symbols = ss.intersect(A, symbols, ss.row_one(A, prefix[-1]))
-        if isinstance(symbols, ss.FiniteSet):
-            out_atoms.extend(forced_extension(A, prefix + (k,)) for k in symbols.symbols)
-        elif not ss.is_definitely_empty(A, symbols):
-            key = (prefix, ss.sort_key(symbols))
+        if isinstance(f.symbols, ss.FiniteSet):
+            out_atoms.extend(forced_extension(A, f.prefix + (k,)) for k in f.symbols.symbols)
+        elif not ss.is_definitely_empty(A, f.symbols):
+            key = (f.prefix, ss.sort_key(f.symbols))
             if key in out_fams:
-                raise RuntimeError(f"duplicate family on prefix {format_word(prefix)}")
-            out_fams[key] = CylFamily(prefix, symbols)
+                raise RuntimeError(f"duplicate family on prefix {format_word(f.prefix)}")
+            out_fams[key] = f
 
     out_points = sorted(points, key=_point_key)
     for p, q in zip(out_points, out_points[1:]):
@@ -204,25 +231,6 @@ def decompose(e: Subbasis) -> SetExpr:
 # intersection of normal forms
 # --------------------------------------------------------------------------
 
-def _meet_atoms(a: Word, b: Word) -> Word | None:
-    if is_prefix(a, b):
-        return b
-    if is_prefix(b, a):
-        return a
-    return None
-
-
-def _meet_atom_family(A: TransitionMatrix, a: Word, f: CylFamily):
-    """Intersection of C_a with a family; returns ("family", f), ("atom", a) or None."""
-    if is_prefix(a, f.prefix):
-        return ("family", f)
-    if is_prefix(f.prefix, a) and len(a) > len(f.prefix):
-        if ss.contains(A, f.symbols, a[len(f.prefix)]):
-            return ("atom", a)
-        return None
-    return None
-
-
 def _meet_families(A: TransitionMatrix, f: CylFamily, g: CylFamily) -> CylFamily | None:
     if f.prefix == g.prefix:
         return CylFamily(f.prefix, ss.intersect(A, f.symbols, g.symbols))
@@ -241,9 +249,12 @@ def _meet_families(A: TransitionMatrix, f: CylFamily, g: CylFamily) -> CylFamily
 def meet(s: SetExpr, t: SetExpr) -> SetExpr:
     """Intersection of two normal forms, again in normal form.
 
-    Every part-against-part case is decidable; a pair this function cannot
-    resolve would mean the normal form is not closed, which is an internal
-    error.
+    The operands must be normal forms (from ``decompose``, ``normalize`` or
+    ``meet``): every part kept is one of theirs, or the same-prefix meet of
+    two effective families, which is effective, so the parts are assembled
+    without being canonicalized again.  Every part-against-part case is
+    decidable; a pair this function cannot resolve would mean the normal
+    form is not closed, which is an internal error.
     """
     if s.matrix != t.matrix:
         raise ValueError("set expressions over different matrices")
@@ -264,26 +275,29 @@ def meet(s: SetExpr, t: SetExpr) -> SetExpr:
         if q not in s.points and member(q, s):
             points.append(q)
 
+    # of two nested cylinders the longer word survives
     for a in s.atoms:
         for b in t.atoms:
-            w = _meet_atoms(a, b)
-            if w is not None:
-                atoms.append(w)
-        for g in t.families:
-            hit = _meet_atom_family(A, a, g)
-            if hit is not None:
-                (atoms if hit[0] == "atom" else families).append(hit[1])
-    for b in t.atoms:
-        for f in s.families:
-            hit = _meet_atom_family(A, b, f)
-            if hit is not None:
-                (atoms if hit[0] == "atom" else families).append(hit[1])
+            if is_prefix(a, b):
+                atoms.append(b)
+            elif is_prefix(b, a):
+                atoms.append(a)
+    # a family inside the cylinder survives whole; a cylinder inside the
+    # family survives if its next letter is one of the family's symbols
+    for own, other in ((s.atoms, t.families), (t.atoms, s.families)):
+        for a in own:
+            for f in other:
+                if is_prefix(a, f.prefix):
+                    families.append(f)
+                elif (len(a) > len(f.prefix) and is_prefix(f.prefix, a)
+                      and ss.contains(A, f.symbols, a[len(f.prefix)])):
+                    atoms.append(a)
     for f in s.families:
         for g in t.families:
             hit = _meet_families(A, f, g)
             if hit is not None:
                 families.append(hit)
-    return normalize(A, points=points, atoms=atoms, families=families)
+    return _assemble(A, points, atoms, families)
 
 
 def intersect(a: Subbasis, b: Subbasis) -> SetExpr:
@@ -366,24 +380,33 @@ def verify_identity(lhs: tuple[Subbasis, Subbasis] | Subbasis,
 # CLI expression grammar
 # --------------------------------------------------------------------------
 
+_MAX_LETTER = 100_000    # the largest letter an expression may name
+
+
 def parse_elem(A: TransitionMatrix, text: str) -> Subbasis:
-    """Parse ``C[3.2.1]``, ``!C[3.2.1]``, ``C[2.1;inv=3]``, ``!C[2.1;inv=3]``."""
+    """Parse ``C[3.2.1]``, ``!C[3.2.1]``, ``C[2.1;inv=3]``, ``!C[2.1;inv=3]``.
+
+    Letters above ``_MAX_LETTER`` are rejected before the element is built:
+    on the renewal kinds the normal form of a letter ``s`` is a forced word
+    of about ``s`` letters.
+    """
     text = text.strip()
     complement = text.startswith("!")
     body = text[1:] if complement else text
     if not (body.startswith("C[") and body.endswith("]")):
         raise ValueError(f"cannot parse cylinder expression {text!r}")
-    inner = body[2:-1]
-    inv: Symbol | None = None
-    if ";" in inner:
-        word_part, _, inv_part = inner.partition(";")
-        key, _, value = inv_part.partition("=")
-        if key.strip() != "inv":
-            raise ValueError(f"unknown modifier in {text!r}")
-        inv = int(value)
-    else:
-        word_part = inner
-    alpha = () if word_part.strip() in ("", "e") else parse_word(word_part)
+    word_part, modified, modifier = body[2:-1].partition(";")
+    key, _, value = modifier.partition("=")
+    if modified and key.strip() != "inv":
+        raise ValueError(f"unknown modifier in {text!r}")
+    try:
+        inv: Symbol | None = int(value) if modified else None
+        alpha = () if word_part.strip() in ("", "e") else parse_word(word_part)
+    except ValueError:
+        raise ValueError(f"cannot parse cylinder expression {text!r}") from None
+    for s in (*alpha, *(() if inv is None else (inv,))):
+        if s > _MAX_LETTER:
+            raise ValueError(f"symbol {s} is above {_MAX_LETTER}")
     return Subbasis(A, alpha, inv, complement)
 
 

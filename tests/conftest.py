@@ -30,3 +30,30 @@ def prime():
 @pytest.fixture(scope="session")
 def alternating():
     return matrices.alternating_renewal()
+
+
+@pytest.fixture(scope="session")
+def oracle_classes():
+    """The cylinder oracle's class pairs, enumerated once per session.
+
+    ``oracle_classes(A, word_len, sym_bound, inv_bound)`` (the oracle's
+    default bounds unless given) returns the distinct normal forms of
+    ``subbasis_elements``, in the order the oracle numbers them, and the
+    ordered pairs of their indices that ``cylinder_oracle`` meets.
+    """
+    from itertools import combinations_with_replacement
+    from gcms.cylinders import decompose
+    from gcms.verification import subbasis_elements
+    cache = {}
+
+    def get(A, word_len=3, sym_bound=4, inv_bound=4):
+        key = (A, word_len, sym_bound, inv_bound)
+        if key not in cache:
+            ids = {}
+            cls = [ids.setdefault(decompose(e), len(ids))
+                   for e in subbasis_elements(A, word_len, sym_bound, inv_bound)]
+            pairs = dict.fromkeys((cls[i], cls[j]) for i, j in
+                                  combinations_with_replacement(range(len(cls)), 2))
+            cache[key] = list(ids), list(pairs)
+        return cache[key]
+    return get

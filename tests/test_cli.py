@@ -280,6 +280,17 @@ def test_stored_matrix_with_a_forced_cycle(rows, expr, cylinder, tmp_path, capsy
     # a depth the check would not reach is not silently cut down
     (["measure", "--kind", "renewal", "--measure", "sarig", "--depth", "9"],
      "--depth must be <= 6, not 9"),
+    # the normal form of a renewal letter s is a forced word of s letters, so
+    # a letter above the limit is rejected before anything is built
+    (["decompose", "--kind", "renewal", "--expr", "C[100001]"],
+     "symbol 100001 is above 100000"),
+    (["decompose", "--kind", "renewal", "--expr", "C[1] & !C[;inv=100001]"],
+     "symbol 100001 is above 100000"),
+    # a letter that is no integer names the expression, not int()
+    (["decompose", "--kind", "renewal", "--expr", "C[1.]"],
+     "cannot parse cylinder expression 'C[1.]'"),
+    (["decompose", "--kind", "renewal", "--expr", "C[1;inv=2;inv=3]"],
+     "cannot parse cylinder expression 'C[1;inv=2;inv=3]'"),
 ])
 def test_errors_exit_2_with_one_line(args, message, tmp_path, capsys):
     files = {"MATRIX": '{"kind": "explicit"}',

@@ -431,6 +431,108 @@ def test_forced_extension_is_canonical_on_stored_matrices(rows):
                 assert forced_extension(A, w) == ext, (w, ext)
 
 
+# -- meet assembles its operands' canonical parts ------------------------------
+
+def _meet_by_normalize(s, t):
+    # the reference meet: it takes no part of its operands as canonical and
+    # sends every part it keeps through normalize again
+    from gcms import cylinders
+    from gcms.words import is_prefix
+    if s.matrix != t.matrix:
+        raise ValueError("set expressions over different matrices")
+    A = s.matrix
+    if s.whole_space:
+        return t
+    if t.whole_space:
+        return s
+    points = [p for p in s.points if cylinders.member(p, t)]
+    points += [q for q in t.points if q not in s.points and cylinders.member(q, s)]
+    atoms, families = [], []
+
+    def meet_atom_family(a, f):
+        if is_prefix(a, f.prefix):
+            families.append(f)
+        elif (is_prefix(f.prefix, a) and len(a) > len(f.prefix)
+              and sset.contains(A, f.symbols, a[len(f.prefix)])):
+            atoms.append(a)
+
+    for a in s.atoms:
+        for b in t.atoms:
+            if is_prefix(a, b):
+                atoms.append(b)
+            elif is_prefix(b, a):
+                atoms.append(a)
+        for g in t.families:
+            meet_atom_family(a, g)
+    for b in t.atoms:
+        for f in s.families:
+            meet_atom_family(b, f)
+    for f in s.families:
+        for g in t.families:
+            hit = cylinders._meet_families(A, f, g)
+            if hit is not None:
+                families.append(hit)
+    return cylinders.normalize(A, points=points, atoms=atoms, families=families)
+
+
+def _check_class_pair_meets(classes, pairs):
+    from gcms.cylinders import meet
+    met = {(i, j): meet(classes[i], classes[j]) for i, j in pairs}
+    for (i, j), got in met.items():
+        s, t = classes[i], classes[j]
+        assert got == _meet_by_normalize(s, t), (s, t)
+        assert got == (met[j, i] if (j, i) in met else meet(t, s)), (s, t)
+
+
+@pytest.mark.parametrize("kind, word_len, n_pairs", [("renewal", 3, 3140),
+                                                     ("pair_renewal", 3, 11848),
+                                                     ("alternating_renewal", 3, 2303),
+                                                     ("prime_renewal", 2, 3775)])
+def test_meet_matches_meet_by_normalize(kind, word_len, n_pairs, oracle_classes):
+    # every class pair the oracle meets, at its full sizes (prime_renewal at
+    # word length 2: its full 23,241 pairs take seconds)
+    from gcms.matrices import by_kind
+    classes, pairs = oracle_classes(by_kind(kind), word_len)
+    assert len(pairs) == n_pairs
+    _check_class_pair_meets(classes, pairs)
+
+
+@given(stored_matrices())
+@settings(max_examples=10, deadline=None)
+def test_meet_matches_meet_by_normalize_on_stored_matrices(oracle_classes, rows):
+    from gcms.matrices import explicit
+    _check_class_pair_meets(*oracle_classes(explicit(rows), 2, 3, 3))
+
+
+def test_meet_calls_no_normalize(oracle_classes, monkeypatch):
+    # the operands of a meet are normal forms, so nothing is normalized again
+    from gcms import cylinders
+    from gcms.matrices import by_kind
+    classes, pairs = oracle_classes(by_kind("pair_renewal"))
+    calls = []
+    normalize = cylinders.normalize
+    monkeypatch.setattr(cylinders, "normalize",
+                        lambda *args, **kw: calls.append(args) or normalize(*args, **kw))
+    for i, j in pairs:
+        cylinders.meet(classes[i], classes[j])
+    assert not calls
+
+
+def test_raw_rows_build_each_group_word_once(monkeypatch):
+    # one group word per element raw_member evaluates, not one per configuration
+    from gcms import cylinders, verification
+    from gcms.matrices import by_kind
+    A = by_kind("pair_renewal")
+    u = build_universe(A, 5, 6, 50)
+    elems = subbasis_elements(A, 3, 4, 4)
+    built = []
+    group_word = cylinders.GroupWord
+    monkeypatch.setattr(cylinders, "GroupWord",
+                        lambda *args: built.append(args) or group_word(*args))
+    verification.raw_rows(u, elems)
+    assert len(built) == len(set(built)) == len({(e.alpha, e.inv) for e in elems})
+
+
 # -- grammar -------------------------------------------------------------------
 
 def test_parse_expressions(renewal):
