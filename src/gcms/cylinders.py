@@ -21,8 +21,10 @@ rejected, parts sorted, the whole space folded).  ``meet`` only assembles:
 every part it keeps comes from a normal form and is already canonical.
 ``part_contains`` decides membership of a configuration in one part, and
 membership in a normal form is the number of parts containing it
-(``membership_count``, ``member``).  Every identity is verified against raw
-membership (``raw_member``), read off the configuration's evaluation.
+(``membership_count``, ``member``).  Normal forms are checked against raw
+membership (``raw_member``, read off the configuration's evaluation) in one
+place: ``verification``'s oracle compares the bit rows of a normal form's
+parts with the raw membership row, for single elements and their meets.
 """
 
 from __future__ import annotations
@@ -75,11 +77,6 @@ class Subbasis:
     def __repr__(self) -> str:
         inv = "" if self.inv is None else f";inv={self.inv}"
         return f"{'!' if self.complemented else ''}C[{format_word(self.alpha)}{inv}]"
-
-
-def from_group_word(A: TransitionMatrix, g: GroupWord, complement: bool = False) -> Subbasis:
-    """Subbasis element for a cylinder on an arbitrary alpha*beta^{-1} word."""
-    return Subbasis(A, g.pos, g.neg[-1] if g.neg else None, complement)
 
 
 def raw_member(c: Configuration, e: Subbasis) -> bool:
@@ -318,7 +315,7 @@ def intersect_many(elems: Sequence[Subbasis]) -> SetExpr:
 
 
 # --------------------------------------------------------------------------
-# membership / verification
+# membership
 # --------------------------------------------------------------------------
 
 def part_contains(c: Configuration, part: BoundedConfig | Word | CylFamily) -> bool:
@@ -342,38 +339,6 @@ def membership_count(c: Configuration, s: SetExpr) -> int:
     if s.whole_space:
         return 1
     return sum(part_contains(c, part) for part in (*s.points, *s.atoms, *s.families))
-
-
-@dataclass
-class IdentityReport:
-    ok: bool
-    checked: int
-    counterexample: Configuration | None = None
-    reason: str = ""
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def verify_identity(lhs: tuple[Subbasis, Subbasis] | Subbasis,
-                    rhs: SetExpr, sample: Iterable[Configuration]) -> IdentityReport:
-    """Check rhs against raw membership of lhs on every sampled configuration.
-
-    Also checks the parts of rhs are pairwise disjoint on the sample
-    (membership multiplicity <= 1).  Returns the first counterexample.
-    """
-    elems = lhs if isinstance(lhs, tuple) else (lhs,)
-    checked = 0
-    for c in sample:
-        checked += 1
-        want = all(raw_member(c, e) for e in elems)
-        count = membership_count(c, rhs)
-        if count > 1:
-            return IdentityReport(False, checked, c, f"config covered {count} times")
-        if (count == 1) != want:
-            return IdentityReport(False, checked, c,
-                                  f"membership mismatch: raw={want}, normalized={count == 1}")
-    return IdentityReport(True, checked)
 
 
 # --------------------------------------------------------------------------

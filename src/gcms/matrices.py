@@ -308,16 +308,6 @@ class TransitionMatrix:
             raise ValueError("symbols are positive integers")
         return self._entry(i, j)
 
-    def emitters(self, i: Symbol, bound: Symbol) -> set[Symbol]:
-        """Truncated row support { j <= bound : A(i,j) = 1 }."""
-        if bound < 1:
-            raise ValueError("bound must be >= 1")
-        return {j for j in range(1, bound + 1) if self.entry(i, j) == 1}
-
-    def is_infinite_emitter(self, i: Symbol) -> bool:
-        """Whether row i has infinitely many ones."""
-        return self.row_structure(i)[0] != "finite"
-
     def predecessors(self, j: Symbol) -> tuple[Symbol, ...]:
         """Column support { i : A(i,j) = 1 }, finite for every supported kind."""
         if j < 1:
@@ -368,7 +358,7 @@ class TransitionMatrix:
                 return c
         raise ValueError(f"no accumulation column with id {col_id} for kind {self.kind}")
 
-    # -- identity / serialization ----------------------------------------------
+    # -- identity --------------------------------------------------------------
 
     def _key(self) -> tuple:
         return (self.kind, self._rows, self.prime_bound)
@@ -385,19 +375,6 @@ class TransitionMatrix:
         if self.size is not None:
             return f"TransitionMatrix(kind={self.kind!r}, size={self.size})"
         return f"TransitionMatrix(kind={self.kind!r})"
-
-    def to_dict(self) -> dict:
-        d: dict = {"kind": self.kind}
-        if self.prime_bound is not None:
-            d["prime_bound"] = self.prime_bound
-        if self.size is not None:
-            d["size"] = self.size
-        if self.kind == "explicit":
-            d["rows"] = [list(r) for r in self._rows]
-        return d
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def renewal() -> TransitionMatrix:

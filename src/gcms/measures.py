@@ -263,13 +263,6 @@ class YFamilyMeasure(Measure):
             m *= self._u(s)
         return m
 
-    def stem_mass(self, w: Word) -> float:
-        """Mass of the configuration with stem ``w`` (0 if no such stem)."""
-        try:
-            return self.point_mass(BoundedConfig(self.matrix, w, self.family))
-        except ValueError:
-            return 0.0
-
     def point_mass(self, c: BoundedConfig) -> float:
         if c.matrix != self.matrix or c.root != self.family:
             return 0.0
@@ -426,43 +419,6 @@ class SequenceMeasure(Measure):
 
     def report(self) -> dict:
         return {"kind": self.kind, **self.info, "convention": self.convention}
-
-
-class ConvexCombination(Measure):
-    """Nonnegative convex combination of measures over the same matrix."""
-
-    kind = "convex_combination"
-
-    def __init__(self, parts: Sequence[tuple[float, Measure]]):
-        if not parts:
-            raise MeasureError("empty combination")
-        if any(w < 0 for w, _ in parts):
-            raise MeasureError("weights must be nonnegative")
-        if abs(math.fsum(w for w, _ in parts) - 1.0) > 1e-12:
-            raise MeasureError("weights must sum to 1")
-        if len({m.matrix for _, m in parts}) != 1:
-            raise MeasureError("all components must live over the same matrix")
-        self.parts = list(parts)
-        self.matrix = parts[0][1].matrix
-        self.beta = parts[0][1].beta
-        self.weight = parts[0][1].weight
-        self.lam = parts[0][1].lam
-        self.convention = "convex combination"
-
-    def point_mass(self, c: BoundedConfig) -> float:
-        return math.fsum(w * m.point_mass(c) for w, m in self.parts)
-
-    def _cyl_mass(self, alpha: Word) -> float:
-        return math.fsum(w * m._cyl_mass(alpha) for w, m in self.parts)
-
-    def _sieve_mass(self, prefix: Word, symbols: ss.Sieve) -> float:
-        return math.fsum(w * m._sieve_mass(prefix, symbols) for w, m in self.parts)
-
-    def total_mass(self) -> float:
-        return math.fsum(w * m.total_mass() for w, m in self.parts)
-
-    def report(self) -> dict:
-        return {"kind": self.kind, "parts": [[w, m.report()] for w, m in self.parts]}
 
 
 # --------------------------------------------------------------------------

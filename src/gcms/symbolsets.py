@@ -16,7 +16,7 @@ All operations take the matrix as the first argument.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Union
 
 from .matrices import Symbol, TransitionMatrix
 
@@ -37,10 +37,6 @@ SymbolSet = Union[FiniteSet, Sieve]
 
 EMPTY_SET = FiniteSet(frozenset())
 ALL = Sieve(None, frozenset(), frozenset())
-
-
-def exactly(symbols) -> FiniteSet:
-    return FiniteSet(frozenset(symbols))
 
 
 def all_except(symbols) -> Sieve:
@@ -123,17 +119,6 @@ def is_definitely_empty(A: TransitionMatrix, s: SymbolSet) -> bool:
     if A.size is not None:
         return not any(contains(A, s, k) for k in range(1, A.size + 1))
     return False  # every canonical sieve over an infinite alphabet is infinite
-
-
-def iter_bounded(A: TransitionMatrix, s: SymbolSet, bound: Symbol) -> Iterator[Symbol]:
-    """Members of the set that are <= bound, ascending."""
-    if isinstance(s, FiniteSet):
-        yield from sorted(k for k in s.symbols if k <= bound)
-        return
-    top = min(bound, A.size) if A.size is not None else bound
-    for k in range(1, top + 1):
-        if contains(A, s, k):
-            yield k
 
 
 def sort_key(s: SymbolSet) -> tuple:

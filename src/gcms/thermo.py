@@ -15,7 +15,7 @@ in closed form through the incomplete gamma function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -40,14 +40,6 @@ class Constant:
     def value(self, s: Symbol) -> float:
         return self.c
 
-    @property
-    def sup(self) -> float:
-        return self.c
-
-    @property
-    def inf(self) -> float:
-        return self.c
-
     def __repr__(self) -> str:
         return f"Constant({self.c})"
 
@@ -56,23 +48,14 @@ class Constant:
 class GDiff:
     """F(x) = g(x0) - g(x0 + 1) for a user-supplied g.
 
-    ``sup_value`` must be declared when known (for increasing concave g it
-    is the limit of the differences); it feeds the pressure upper bound.
-    Two of them are equal when their g and name are; sup is not compared.
+    Two of them are equal when their g and name are.
     """
 
     g: Callable[[Symbol], float]
     name: str = "g"
-    sup_value: float | None = field(default=None, compare=False)
 
     def value(self, s: Symbol) -> float:
         return self.g(s) - self.g(s + 1)
-
-    @property
-    def sup(self) -> float:
-        if self.sup_value is None:
-            raise ValueError("sup of a GDiff potential must be declared")
-        return self.sup_value
 
     def __repr__(self) -> str:
         return f"GDiff({self.name})"
@@ -80,7 +63,7 @@ class GDiff:
 
 Potential = Constant | GDiff
 
-LOG_POTENTIAL = GDiff(math.log, "log", sup_value=0.0)
+LOG_POTENTIAL = GDiff(math.log, "log")
 
 
 def LogRatio() -> GDiff:
@@ -318,7 +301,7 @@ def critical_beta_log() -> float:
 
 
 # --------------------------------------------------------------------------
-# discriminant and recurrence classification for the log-ratio potential
+# discriminant of the log-ratio potential
 # --------------------------------------------------------------------------
 
 @dataclass
@@ -328,10 +311,6 @@ class DiscriminantResult:
     series_value: float
     closed_form: float
     radius_estimate: float
-
-    @property
-    def delta(self) -> float:
-        return math.inf if self.divergent else self.series_value
 
 
 def _extrapolate_at_zero(hs: Sequence[float], values: Sequence[float]) -> float:
@@ -380,26 +359,6 @@ def discriminant_log(beta: float) -> DiscriminantResult:
     tail = power_sum_tail(beta, head + 2)
     return DiscriminantResult(beta, False, math.log(head_sum + tail),
                               math.log(zeta(beta) - 1.0), radius)
-
-
-@dataclass
-class RecurrenceVerdict:
-    kind: str   # "positive_recurrent" | "null_recurrent_or_boundary" | "transient"
-    delta: float
-
-
-def classify_recurrence_log(beta: float) -> RecurrenceVerdict:
-    """Sign of the discriminant classifies the renewal log-ratio potential."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    if beta <= 1.0:
-        return RecurrenceVerdict("positive_recurrent", math.inf)
-    d = discriminant_log(beta).closed_form
-    if d > 1e-8:
-        return RecurrenceVerdict("positive_recurrent", d)
-    if d < -1e-8:
-        return RecurrenceVerdict("transient", d)
-    return RecurrenceVerdict("null_recurrent_or_boundary", d)
 
 
 # --------------------------------------------------------------------------

@@ -15,12 +15,12 @@ normal forms have equal raw rows; as ``meet`` is a pure function of its
 arguments, an ordered pair of distinct normal forms fixes both the meet
 and the expected row.  The oracle therefore meets and checks each such
 pair once, and still counts, and reports a mismatch for, every pair of
-elements.  A meet is checked with a few bitwise operations: its parts'
-rows are folded into the points covered and the points covered twice, and
-the first faulty configuration is the lowest set bit.  Each part's row is
-computed once per universe with ``cylinders.part_contains`` and cached,
-so the oracle, ``setexpr_count_vec`` and ``cylinders.member`` share one
-membership rule.
+elements.  An element's normal form and a meet are checked the same way,
+with a few bitwise operations: the parts' rows are folded into the points
+covered and the points covered twice, and the first faulty configuration
+is the lowest set bit.  Each part's row is computed once per universe
+with ``cylinders.part_contains`` and cached, so the oracle,
+``setexpr_count_vec`` and ``cylinders.member`` share one membership rule.
 
 The counting, conformality, and pressure suites used by the command line
 and the acceptance tests live here as plain functions returning report
@@ -42,8 +42,8 @@ from . import symbolsets as sset
 from . import thermo as th
 from .configs import (BoundedConfig, Configuration, UnboundedConfig, count_preimages_closed_form,
                       empty_stem_config, IntegerInterval)
-from .cylinders import (SetExpr, Subbasis, decompose, meet, membership_count, part_contains,
-                        raw_member)
+from .cylinders import (CylFamily, SetExpr, Subbasis, decompose, meet, membership_count,
+                        part_contains, raw_member)
 from .matrices import Symbol, TransitionMatrix
 from .words import Word, enumerate_words, generation_layers, iter_cycles
 
@@ -231,8 +231,7 @@ def cylinder_oracle(A: TransitionMatrix, word_len: int = 3, sym_bound: Symbol = 
     # sanity: each element alone matches its normal form
     mismatches: list[str] = []
     for i, e in enumerate(elems):
-        counts = setexpr_count_vec(u, decomposed[i])
-        if (counts > 1).any() or ((counts == 1) != _unpack(raw[i], len(u))).any():
+        if _meet_fault(u, decomposed[i], raw[i]) is not None:
             mismatches.append(f"decompose({e!r}) disagrees with raw membership")
             if len(mismatches) >= max_report:
                 break
@@ -266,14 +265,12 @@ def cylinder_oracle(A: TransitionMatrix, word_len: int = 3, sym_bound: Symbol = 
 def whole_space_cover_check(A: TransitionMatrix) -> bool:
     """Every configuration of a small universe (stems up to 4 over symbols up
     to 5, 25 periodic points) is covered exactly once by the empty-stem
-    points plus the single-letter cylinders."""
-    from .cylinders import CylFamily, normalize
+    points plus the single-letter cylinders.  The parts are checked as they
+    are, not assembled: assembly would fold them into the whole-space flag."""
     u = build_universe(A, 4, 5, 25)
-    points = [empty_stem_config(A, col.id) for col in A.accumulation_catalog]
-    expr = normalize(A, points=points,
-                     families=[CylFamily((), sset.all_except(set()))])
-    counts = setexpr_count_vec(u, expr)
-    return bool((counts == 1).all())
+    points = tuple(empty_stem_config(A, col.id) for col in A.accumulation_catalog)
+    expr = SetExpr(A, False, points, (), (CylFamily((), sset.ALL),))
+    return _meet_fault(u, expr, u.full) is None
 
 
 # --------------------------------------------------------------------------

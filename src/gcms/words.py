@@ -3,8 +3,8 @@
 Words are tuples of positive integers; the empty word is ``()``.
 Enumeration runs backward along the (finite) column supports, so on the
 built-in matrix kinds it is exact: ``symbol_bound`` only filters what
-``enumerate_words`` and ``enumerate_cycles`` return, recording whether it
-removed anything; partition-function cycles (``iter_cycles``) are never filtered.
+``enumerate_words`` returns, recording whether it removed anything;
+partition-function cycles (``iter_cycles``) are never filtered.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from typing import Callable, Iterable, Iterator
 from .matrices import Symbol, TransitionMatrix
 
 Word = tuple[Symbol, ...]
-
-EMPTY: Word = ()
 
 
 def word(text: str) -> Word:
@@ -199,60 +197,3 @@ def iter_cycles(A: TransitionMatrix, n: int, through: Symbol,
                                 keep=(lambda s: s != through) if first_return else None):
         if A.entry(through, tail[0]) == 1:
             yield (through,) + tail
-
-
-def enumerate_cycles(A: TransitionMatrix, n: int, through: Symbol,
-                     symbol_bound: Symbol) -> Enumeration:
-    """Cycles of length n through ``through``, filtered to symbols <= symbol_bound.
-
-    For the renewal matrix with ``through=1`` any bound >= n keeps everything:
-    a return to 1 from symbol s takes exactly s steps.
-    """
-    kept: list[Word] = []
-    dropped = 0
-    for w in iter_cycles(A, n, through):
-        if all(s <= symbol_bound for s in w):
-            kept.append(w)
-        else:
-            dropped += 1
-    kept.sort()
-    return Enumeration(kept, dropped == 0, dropped)
-
-
-@dataclass
-class TransitivityReport:
-    verdict: str  # "confirmed" | "inconclusive"
-    failing_pair: tuple[Symbol, Symbol] | None = None
-    note: str = ""
-
-
-def check_transitive(A: TransitionMatrix, bound: Symbol, path_len: int = 0) -> TransitivityReport:
-    """Search connecting words i -> j for all pairs i, j <= bound.
-
-    Built-in kinds are transitive by construction and short-circuit to
-    "confirmed".  For finite matrices a BFS over paths of length up to
-    ``path_len`` (default: matrix size + bound) either confirms or reports
-    the first unconnected pair as inconclusive.
-    """
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    if A.size is None:
-        return TransitivityReport("confirmed", note="rule-defined family, transitive by construction")
-    size = A.size or bound
-    limit = path_len if path_len >= 1 else size + bound
-    top = min(bound, size)
-    for i in range(1, top + 1):
-        # reachable sets by BFS, up to `limit` edges beyond the first step
-        reach: set[Symbol] = set()
-        frontier = {j for j in range(1, size + 1) if A.entry(i, j) == 1}
-        steps = 0
-        while frontier and steps <= limit:
-            reach |= frontier
-            frontier = {k for j in frontier for k in range(1, size + 1)
-                        if A.entry(j, k) == 1} - reach
-            steps += 1
-        for j in range(1, top + 1):
-            if j not in reach:
-                return TransitivityReport("inconclusive", failing_pair=(i, j),
-                                          note=f"no path {i} -> {j} within {limit} steps")
-    return TransitivityReport("confirmed")

@@ -1,10 +1,115 @@
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gcms.configs import (EmptyStemError, GroupWord, IDENTITY, VANISHING, IntegerInterval,
-                          bounded, count_preimages_closed_form, empty_stem_config, family_of,
-                          parse_config, preimages, rules_check, shift, shift_n, unbounded)
+from gcms.configs import (BoundedConfig, GroupWord, IntegerInterval, UnboundedConfig, bounded,
+                          count_preimages_closed_form, empty_stem_config, preimages)
 from gcms.matrices import full_shift
+
+
+# -- the reference model: group-word products, the shift and the local rules ----
+# The package never multiplies group words, shifts a configuration or checks
+# the rules that define a configuration; these checks of the model against
+# the paper live here.
+
+IDENTITY = GroupWord()
+
+
+def times_gen(g, y):
+    """g * y, reduced; None when the product is not of the form
+    alpha * beta^{-1}, as such a word evaluates to 0."""
+    if not g.neg:
+        return GroupWord(g.pos + (y,), ())
+    if g.neg[0] == y:
+        return GroupWord(g.pos, g.neg[1:])
+    return None
+
+
+def times_inv(g, x):
+    """g * x^{-1}, reduced."""
+    if not g.neg and g.pos and g.pos[-1] == x:
+        return GroupWord(g.pos[:-1], ())
+    return GroupWord(g.pos, (x,) + g.neg)
+
+
+def parent(g):
+    """g with its last written letter removed; None at the identity."""
+    if g.neg:
+        return GroupWord(g.pos, g.neg[1:])
+    if g.pos:
+        return GroupWord(g.pos[:-1], ())
+    return None
+
+
+def evaluate(c, g):
+    """c at the group word g, where None (a vanishing product) is 0."""
+    return 0 if g is None else c.eval(g)
+
+
+def shift(c):
+    """Drop the first letter; the root is preserved."""
+    if isinstance(c, BoundedConfig):
+        if not c.stem:
+            raise ValueError("shift is undefined on an empty stem")
+        return BoundedConfig(c.matrix, c.stem[1:], c.root)
+    if c.preperiod:
+        return UnboundedConfig(c.matrix, c.preperiod[1:], c.period)
+    return UnboundedConfig(c.matrix, (), c.period[1:] + c.period[:1])
+
+
+def shift_n(c, n):
+    for _ in range(n):
+        c = shift(c)
+    return c
+
+
+@dataclass
+class RulesReport:
+    ok: bool
+    violated: str | None = None
+    witness: GroupWord | None = None
+
+
+def _group_words_up_to(depth, symbol_bound):
+    """All pos/neg words with |pos| + |neg| <= depth over bounded symbols."""
+    def words_up_to(max_len):
+        out, layer = [()], [()]
+        for _ in range(max_len):
+            layer = [w + (s,) for w in layer for s in range(1, symbol_bound + 1)]
+            out.extend(layer)
+        return out
+
+    for pos in words_up_to(depth):
+        for neg in words_up_to(depth - len(pos)):
+            if not (pos and neg and pos[-1] == neg[-1]):
+                yield GroupWord(pos, neg)
+
+
+def rules_check(c, depth, symbol_bound=None):
+    """The defining local rules on all group words up to ``depth``.
+
+    In order: R1 filled at the identity; R2 convexity (every filled word has
+    its parent filled); R3 at most one forward extension of any filled word;
+    R4 the matrix-compatibility equivalence for inverse letters.  Words
+    range over symbols up to ``symbol_bound`` (default: ``depth``).
+    """
+    bound = symbol_bound if symbol_bound is not None else depth
+    if c.eval(IDENTITY) != 1:
+        return RulesReport(False, "R1", IDENTITY)
+    filled = [g for g in _group_words_up_to(depth, bound) if c.eval(g) == 1]
+    for g in filled:
+        if parent(g) is not None and c.eval(parent(g)) != 1:
+            return RulesReport(False, "R2", g)
+    for g in filled:
+        extensions = [y for y in range(1, bound + 1) if evaluate(c, times_gen(g, y)) == 1]
+        if len(extensions) > 1:
+            return RulesReport(False, "R3", g)
+        for y in extensions:
+            for x in range(1, bound + 1):
+                if c.eval(times_inv(g, x)) != c.matrix.entry(x, y):
+                    return RulesReport(False, "R4", times_inv(g, x))
+    return RulesReport(True)
 
 
 # -- group words -------------------------------------------------------------
@@ -17,19 +122,19 @@ def test_group_word_reduction():
 
 def test_group_word_multiplication():
     g = GroupWord((1, 2), ())
-    assert g.times_gen(3) == GroupWord((1, 2, 3), ())
-    h = g.times_inv(5)
+    assert times_gen(g, 3) == GroupWord((1, 2, 3), ())
+    h = times_inv(g, 5)
     assert h == GroupWord((1, 2), (5,))
-    assert h.times_gen(5) == g            # cancels back
-    assert h.times_gen(4) is VANISHING
-    assert GroupWord((1, 2), ()).times_inv(2) == GroupWord((1,), ())
-    assert h.times_inv(7) == GroupWord((1, 2), (7, 5))
+    assert times_gen(h, 5) == g            # cancels back
+    assert times_gen(h, 4) is None         # 1.2.5^-1.4 vanishes
+    assert times_inv(GroupWord((1, 2), ()), 2) == GroupWord((1,), ())
+    assert times_inv(h, 7) == GroupWord((1, 2), (7, 5))
 
 
 def test_group_word_parent():
-    assert GroupWord((1, 2), (5,)).parent() == GroupWord((1, 2), ())
-    assert GroupWord((1,), ()).parent() == IDENTITY
-    assert IDENTITY.parent() is None
+    assert parent(GroupWord((1, 2), (5,))) == GroupWord((1, 2), ())
+    assert parent(GroupWord((1,), ())) == IDENTITY
+    assert parent(IDENTITY) is None
 
 
 # -- evaluation --------------------------------------------------------------
@@ -42,7 +147,6 @@ def test_eval_bounded_examples(renewal):
     assert c.eval(GroupWord((3, 2), (1,))) == 1           # next stem letter 1, A(1,1)=1
     assert c.eval(GroupWord((3, 2), (4,))) == 0           # A(4,1) = 0
     assert c.eval(IDENTITY) == 1
-    assert c.eval(VANISHING) == 0
 
 
 def test_eval_strict_prefix_rule(renewal):
@@ -57,7 +161,7 @@ def test_eval_strict_prefix_rule(renewal):
 
 
 def test_eval_unbounded(renewal):
-    u = unbounded(renewal, (), (1,))
+    u = UnboundedConfig(renewal, (), (1,))
     assert u.eval(GroupWord((1, 1, 1))) == 1
     assert u.eval(GroupWord((2,))) == 0
     assert u.eval(GroupWord((1,), (2,))) == 1             # A(2, 1) = 1
@@ -67,7 +171,7 @@ def test_eval_unbounded(renewal):
 def test_eval_consistency_bounded_vs_unbounded(renewal):
     # group words with positive part a strict prefix of the stem agree
     c = bounded(renewal, (4, 3, 2, 1), 1)
-    u = unbounded(renewal, (4, 3, 2), (1,))
+    u = UnboundedConfig(renewal, (4, 3, 2), (1,))
     for pos_len in range(0, 4):
         pos = (4, 3, 2, 1)[:pos_len]
         for j in range(1, 7):
@@ -84,31 +188,31 @@ def test_shift(renewal):
     assert shift(c).stem == (2, 1)
     assert shift(shift(shift(c))).stem == ()
     assert shift(c).root is c.root
-    with pytest.raises(EmptyStemError):
+    with pytest.raises(ValueError):
         shift(empty_stem_config(renewal, 1))
 
 
 def test_shift_unbounded(renewal):
-    u = unbounded(renewal, (3, 2), (1,))
+    u = UnboundedConfig(renewal, (3, 2), (1,))
     assert shift(u).preperiod == (2,)
-    v = unbounded(renewal, (), (2, 1))
+    v = UnboundedConfig(renewal, (), (2, 1))
     assert shift(v).symbol_at(0) == 1
 
 
 def test_canonical_eventually_periodic(renewal):
-    a = unbounded(renewal, (1,), (1,))
-    b = unbounded(renewal, (), (1,))
+    a = UnboundedConfig(renewal, (1,), (1,))
+    b = UnboundedConfig(renewal, (), (1,))
     assert a == b                          # preperiod absorbed
-    c = unbounded(renewal, (), (1, 1))
+    c = UnboundedConfig(renewal, (), (1, 1))
     assert c == b                          # period made primitive
 
 
 # -- families and preimages ---------------------------------------------------
 
 def test_family_of(pair, renewal):
-    assert family_of(bounded(pair, (1, 2), 1)) == 1
-    assert family_of(bounded(pair, (1,), 2)) == 2
-    assert family_of(bounded(renewal, (2, 1), 1)) == 1
+    assert bounded(pair, (1, 2), 1).root.id == 1
+    assert bounded(pair, (1,), 2).root.id == 2
+    assert bounded(renewal, (2, 1), 1).root.id == 1
 
 
 def test_invalid_roots_rejected(renewal, pair):
@@ -191,7 +295,7 @@ def test_family_invariant_under_shift(pair):
     for p in preimages(empty_stem_config(pair, 1), 3):
         q = p
         while q.stem:
-            assert family_of(q) == 1
+            assert q.root.id == 1
             q = shift(q)
 
 
@@ -203,8 +307,8 @@ def test_rules_check_constructed_configs(renewal, pair):
         bounded(renewal, (3, 2, 1), 1),
         bounded(pair, (2, 2), 1),
         bounded(pair, (2, 1), 2),
-        unbounded(renewal, (3, 2), (1,)),
-        unbounded(pair, (), (2,)),
+        UnboundedConfig(renewal, (3, 2), (1,)),
+        UnboundedConfig(pair, (), (2,)),
     ]
     for c in samples:
         report = rules_check(c, depth=4)
@@ -222,8 +326,6 @@ def test_rules_check_catches_violations(renewal):
         matrix = renewal
 
         def eval(self, g):
-            if g is VANISHING:
-                return 0
             return 1 if (g.neg == () and g.pos in ((), (1,), (2,))) else 0
 
     rep = rules_check(TwoForward(), depth=3)
@@ -233,8 +335,6 @@ def test_rules_check_catches_violations(renewal):
         matrix = renewal
 
         def eval(self, g):
-            if g is VANISHING:
-                return 0
             return 1 if g.pos == (1, 1) and g.neg == () or g == IDENTITY else 0
 
     rep = rules_check(NotConvex(), depth=3)
@@ -264,23 +364,12 @@ def test_shift_is_a_tree_translation(renewal, pair):
 
     samples = [bounded(renewal, (3, 2, 1), 1), bounded(renewal, (1, 1), 1),
                bounded(pair, (2, 2), 1), bounded(pair, (2, 1), 2),
-               unbounded(renewal, (2,), (1,)), unbounded(pair, (), (2,))]
+               UnboundedConfig(renewal, (2,), (1,)), UnboundedConfig(pair, (), (2,))]
     for c in samples:
         sc = shift(c)
         x0 = c.stem[0] if hasattr(c, "stem") else c.symbol_at(0)
         for g in group_words(4):
             assert sc.eval(g) == c.eval(left_mult(x0, g)), (c, g)
-
-
-# -- literals ------------------------------------------------------------------
-
-def test_parse_config(renewal):
-    c = parse_config(renewal, "stem=3.2.1;root=1")
-    assert c.stem == (3, 2, 1) and c.root.id == 1
-    u = parse_config(renewal, "pre=;per=1")
-    assert u.period == (1,) and u.preperiod == ()
-    with pytest.raises(ValueError):
-        parse_config(renewal, "nonsense")
 
 
 # -- property tests -------------------------------------------------------------

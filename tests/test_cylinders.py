@@ -2,12 +2,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gcms import symbolsets as sset
-from gcms.configs import GroupWord, bounded, empty_stem_config, unbounded
-from gcms.cylinders import (Subbasis, decompose, intersect, intersect_many, member,
-                            membership_count, parse_elem, parse_expression, raw_member,
-                            verify_identity)
-from gcms.verification import (build_universe, setexpr_count_vec, subbasis_elements,
-                                whole_space_cover_check)
+from gcms.configs import GroupWord, UnboundedConfig, bounded, empty_stem_config
+from gcms.cylinders import (CylFamily, SetExpr, Subbasis, decompose, intersect, intersect_many,
+                            member, membership_count, parse_elem, parse_expression, raw_member)
+from gcms.verification import (_meet_fault, build_universe, raw_rows, setexpr_count_vec,
+                                subbasis_elements, whole_space_cover_check)
 
 
 # -- decompositions against worked cases --------------------------------------
@@ -55,16 +54,6 @@ def test_whole_space_and_empty(renewal):
 def test_non_admissible_words_rejected(renewal):
     with pytest.raises(ValueError):
         Subbasis(renewal, (2, 3))
-
-
-def test_from_group_word_stores_last_inverse_letter(renewal):
-    # cylinders on long inverse tails reduce to the tail's last letter
-    from gcms.cylinders import from_group_word
-    g = GroupWord((2, 1), (4, 3))
-    assert from_group_word(renewal, g) == Subbasis(renewal, (2, 1), 3)
-    assert (from_group_word(renewal, g, complement=True)
-            == Subbasis(renewal, (2, 1), 3, complemented=True))
-    assert from_group_word(renewal, GroupWord((1, 2), ())) == Subbasis(renewal, (1, 2))
 
 
 # -- intersections -------------------------------------------------------------
@@ -138,14 +127,14 @@ def test_member_examples(renewal):
     assert member(xi0, decompose(Subbasis(renewal, (1,), complemented=True)))
     assert member(bounded(renewal, (3, 2, 1), 1), decompose(Subbasis(renewal, (3, 2))))
     assert not member(bounded(renewal, (1,), 1), decompose(Subbasis(renewal, (1, 2))))
-    assert member(unbounded(renewal, (), (1,)), decompose(Subbasis(renewal, (1, 1))))
+    assert member(UnboundedConfig(renewal, (), (1,)), decompose(Subbasis(renewal, (1, 1))))
 
 
 def test_reduction_soundness(renewal):
     # evaluation only sees the last inverse letter: alpha gamma^-1 = alpha gamma[-1]^-1
     configs = [empty_stem_config(renewal, 1), bounded(renewal, (2, 1), 1),
-               bounded(renewal, (1, 1), 1), unbounded(renewal, (3, 2), (1,)),
-               unbounded(renewal, (), (1,))]
+               bounded(renewal, (1, 1), 1), UnboundedConfig(renewal, (3, 2), (1,)),
+               UnboundedConfig(renewal, (), (1,))]
     gammas = [(2, 1), (3, 2), (1, 1), (4, 3, 2)]
     alphas = [(), (1,), (2, 1), (1, 2)]
     for c in configs:
@@ -159,27 +148,43 @@ def test_reduction_soundness(renewal):
 
 
 def test_verify_identity_pass_and_disjoint(renewal):
-    universe = build_universe(renewal, 4, 5, 25).configs
+    # the normal form of a meet covers each configuration at most once, and
+    # exactly those of both raw membership rows
+    u = build_universe(renewal, 4, 5, 25)
     a, b = Subbasis(renewal, (1,)), Subbasis(renewal, (1, 2), complemented=True)
-    rep = verify_identity((a, b), intersect(a, b), universe)
-    assert rep.ok and rep.checked == len(universe)
+    row_a, row_b = raw_rows(u, [a, b])
+    assert row_a & row_b
+    assert _meet_fault(u, intersect(a, b), row_a & row_b) is None
 
 
 def test_verify_identity_detects_corruption(renewal):
-    universe = build_universe(renewal, 4, 5, 25).configs
+    u = build_universe(renewal, 4, 5, 25)
     a, b = Subbasis(renewal, (1,)), Subbasis(renewal, (1, 2), complemented=True)
+    row_a, row_b = raw_rows(u, [a, b])
     good = intersect(a, b)
     # drop the family part: membership must now fail somewhere
-    from gcms.cylinders import SetExpr
     corrupted = SetExpr(good.matrix, False, good.points, good.atoms, ())
-    rep = verify_identity((a, b), corrupted, universe)
-    assert not rep.ok
-    assert rep.counterexample is not None
+    k, reason = _meet_fault(u, corrupted, row_a & row_b)
+    assert reason == "raw=True normalized=False"
+    assert raw_member(u.configs[k], a) and raw_member(u.configs[k], b)
 
 
-def test_whole_space_decomposition(renewal, pair):
-    assert whole_space_cover_check(renewal)
-    assert whole_space_cover_check(pair)
+def test_whole_space_decomposition(renewal, pair, prime, alternating, monkeypatch):
+    from gcms import verification
+    for A in (renewal, pair, prime, alternating):
+        assert whole_space_cover_check(A)
+    # the cover's parts are checked as they are, not folded into the
+    # whole-space flag: a dropped empty-stem point is reported, and so is a
+    # first-letter family that misses every configuration starting with 1
+    u = build_universe(pair, 4, 5, 25)
+    points = tuple(empty_stem_config(pair, col.id) for col in pair.accumulation_catalog)
+    family = CylFamily((), sset.ALL)
+    assert _meet_fault(u, SetExpr(pair, False, points, (), (family,)), u.full) is None
+    assert _meet_fault(u, SetExpr(pair, False, points[1:], (), (family,)), u.full)
+    contains = verification.part_contains
+    monkeypatch.setattr(verification, "part_contains", lambda c, part: (
+        contains(c, part) and not (part == family and c.symbol_at(0) == 1)))
+    assert not whole_space_cover_check(renewal)
 
 
 # -- reduced oracle (the exhaustive one runs in the acceptance suite) ----------
@@ -259,20 +264,27 @@ def _all_pairs_oracle(A, word_len, sym_bound, inv_bound, stem_len, universe_syms
 
 @pytest.mark.parametrize("name", ["renewal", "pair_renewal", "prime_renewal",
                                   "alternating_renewal", "explicit", "full_shift"])
-@pytest.mark.parametrize("faulty", [False, True], ids=["clean", "faulty_meet"])
+@pytest.mark.parametrize("faulty", ["clean", "faulty_meet", "faulty_decompose"])
 def test_oracle_matches_the_all_pairs_loop(name, faulty, monkeypatch):
     # meeting once per class pair reports what meeting every element pair does,
-    # message for message, on a sound meet and on one that keeps the first of
-    # two families on a shared prefix
+    # message for message, on a sound meet, on one that keeps the first of
+    # two families on a shared prefix, and on a decompose that loses a
+    # boundary point, which the element phase reports
     from gcms import cylinders
     from gcms.matrices import by_kind, explicit, full_shift
     from gcms.verification import cylinder_oracle
     A = {"explicit": lambda: explicit([[1, 1, 0], [0, 1, 1], [1, 0, 1]]),
          "full_shift": lambda: full_shift(3)}.get(name, lambda: by_kind(name))()
-    if faulty:
+    if faulty == "faulty_meet":
         meet_families = cylinders._meet_families
         monkeypatch.setattr(cylinders, "_meet_families", lambda A, f, g: (
             f if f.prefix == g.prefix else meet_families(A, f, g)))
+    if faulty == "faulty_decompose":
+        roots = cylinders._roots
+        monkeypatch.setattr(cylinders, "_roots", lambda A, stem: roots(A, stem)[1:])
+    # a stored matrix has no boundary points for decompose to lose
+    expect_fault = {"clean": False, "faulty_meet": True,
+                    "faulty_decompose": bool(A.accumulation_catalog)}[faulty]
     # the default report cut-off, and none: every pair, in both orders of a
     # class pair that a faulty meet tells apart, is then reported
     for max_report in (5, 10 ** 6):
@@ -281,7 +293,7 @@ def test_oracle_matches_the_all_pairs_loop(name, faulty, monkeypatch):
         rep = cylinder_oracle(A, **sizes)
         slow = _all_pairs_oracle(A, **sizes)
         assert (rep.n_elems, rep.n_pairs, rep.n_configs, rep.mismatches) == slow
-        assert bool(slow[3]) == faulty, slow[3]
+        assert bool(slow[3]) == expect_fault, slow[3]
 
 
 def test_raw_rows_match_raw_membership(monkeypatch):

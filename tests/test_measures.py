@@ -5,7 +5,7 @@ import pytest
 
 from gcms import measures as ms
 from gcms import symbolsets as ss
-from gcms.configs import bounded, empty_stem_config
+from gcms.configs import BoundedConfig, bounded, empty_stem_config
 from gcms.cylinders import Subbasis, decompose, intersect
 from gcms.matrices import by_kind, explicit
 from gcms.thermo import LOG_POTENTIAL, Constant, LogRatio, beta_c_log, zeta
@@ -15,6 +15,39 @@ from gcms.words import enumerate_words, generation_layers
 LOG2 = math.log(2.0)
 LOG3 = math.log(3.0)
 PAIR_BC = math.log(1.0 + math.sqrt(2.0))
+
+
+class ConvexCombination(ms.Measure):
+    """Nonnegative convex combination of measures over the same matrix: the
+    conformal measures at one beta form a simplex."""
+
+    kind = "convex_combination"
+
+    def __init__(self, parts):
+        if not parts:
+            raise ms.MeasureError("empty combination")
+        if any(w < 0 for w, _ in parts):
+            raise ms.MeasureError("weights must be nonnegative")
+        if abs(math.fsum(w for w, _ in parts) - 1.0) > 1e-12:
+            raise ms.MeasureError("weights must sum to 1")
+        if len({m.matrix for _, m in parts}) != 1:
+            raise ms.MeasureError("all components must live over the same matrix")
+        self.parts = list(parts)
+        first = parts[0][1]
+        self.matrix, self.beta, self.weight, self.lam = (first.matrix, first.beta,
+                                                         first.weight, first.lam)
+
+    def point_mass(self, c):
+        return math.fsum(w * m.point_mass(c) for w, m in self.parts)
+
+    def _cyl_mass(self, alpha):
+        return math.fsum(w * m._cyl_mass(alpha) for w, m in self.parts)
+
+    def _sieve_mass(self, prefix, symbols):
+        return math.fsum(w * m._sieve_mass(prefix, symbols) for w, m in self.parts)
+
+    def total_mass(self):
+        return math.fsum(w * m.total_mass() for w, m in self.parts)
 
 
 def test_negate_is_an_involution():
@@ -83,7 +116,7 @@ def test_normalizer_matches_enumeration(pair, prime, alternating):
 def test_y_measure_renewal_examples(renewal):
     mu = ms.y_measure(renewal, 1, Constant(1.0), LOG3)
     assert mu.c_e == pytest.approx(0.5)
-    assert mu.stem_mass((1,)) == pytest.approx(1.0 / 6.0)
+    assert mu.point_mass(BoundedConfig(renewal, (1,), mu.family)) == pytest.approx(1.0 / 6.0)
     assert mu.cyl_mass((2, 1)) == pytest.approx(1.0 / 9.0, rel=1e-13)
 
 
@@ -115,8 +148,9 @@ def test_atomic_conformality_identity(renewal, pair):
         for n in range(1, 6):
             stems += enumerate_words(A, n, mu.family.allowed_terminal_symbols, 7).words
         for w in stems:
-            lhs = mu.stem_mass(w) * mu.lam * math.exp(-mu.beta * mu.weight.value(w[0]))
-            rhs = mu.stem_mass(w[1:])
+            lhs = (mu.point_mass(BoundedConfig(A, w, mu.family)) * mu.lam
+                   * math.exp(-mu.beta * mu.weight.value(w[0])))
+            rhs = mu.point_mass(BoundedConfig(A, w[1:], mu.family))
             assert lhs == pytest.approx(rhs, rel=1e-12), (mu.kind, w)
 
 
@@ -206,16 +240,16 @@ def test_measure_rules_hold_for_every_measure(renewal, pair):
     y_pair = [ms.y_measure(pair, fam, Constant(1.0), 1.2) for fam in (1, 2)]
     measures = [ms.y_measure(renewal, 1, Constant(1.0), 1.1), ms.sarig_measure_renewal(renewal),
                 ms.pair_renewal_critical_measure(pair), ms.log_eigenmeasure(1.4),
-                ms.ConvexCombination([(0.25, y_pair[0]), (0.75, y_pair[1])])]
+                ConvexCombination([(0.25, y_pair[0]), (0.75, y_pair[1])])]
     assert len({m.kind for m in measures}) == 5
     for m in measures:
         # (2, 3) is inadmissible on both matrices: A(2, 3) = 0
         assert m.cyl_mass((2, 3)) == 0.0
         assert m.family_mass((2, 3), ss.ALL) == 0.0
-        assert m.family_mass((2, 3, 1), ss.exactly({1, 2})) == 0.0
+        assert m.family_mass((2, 3, 1), ss.FiniteSet(frozenset({1, 2}))) == 0.0
         assert m.cyl_mass(()) == m.total_mass()
         for prefix in ((), (1,), (1, 1)):
-            finite = ss.exactly({1, 2, 3, 5})
+            finite = ss.FiniteSet(frozenset({1, 2, 3, 5}))
             assert m.family_mass(prefix, finite) == math.fsum(
                 m.cyl_mass(prefix + (k,)) for k in (1, 2, 3, 5)), (m.kind, prefix)
             # row 1 is full, so a sieve and its finite complement split the prefix's cylinder
@@ -322,7 +356,7 @@ def test_log_eigenmeasure_dispatch():
 def test_log_eigenmeasure_values(renewal):
     m2 = ms.log_eigenmeasure(2.0)
     assert m2.c_e == pytest.approx(2.0 - math.pi ** 2 / 6, abs=1e-12)
-    assert m2.stem_mass((1,)) == pytest.approx(2.0 ** -2.0 * (2 - zeta(2.0)), rel=1e-12)
+    assert m2.point_mass(BoundedConfig(renewal, (1,), m2.family)) == pytest.approx(2.0 ** -2.0 * (2 - zeta(2.0)), rel=1e-12)
     mbc = ms.log_eigenmeasure(beta_c_log())
     assert mbc.total_mass() == pytest.approx(1.0, abs=1e-10)
     assert mbc.point_mass(empty_stem_config(renewal, 1)) == 0.0
@@ -460,14 +494,14 @@ def test_conformality_detects_corruption(pair):
 def test_convex_combination(pair):
     m1 = ms.y_measure(pair, 1, Constant(1.0), 1.2)
     m2 = ms.y_measure(pair, 2, Constant(1.0), 1.2)
-    comb = ms.ConvexCombination([(0.25, m1), (0.75, m2)])
+    comb = ConvexCombination([(0.25, m1), (0.75, m2)])
     assert comb.total_mass() == pytest.approx(1.0, abs=1e-12)
     rep = ms.verify_conformality(comb, cylinder_words_up_to(pair, 5, 6))
     assert rep.max_residual <= 1e-10
     with pytest.raises(ms.MeasureError):
-        ms.ConvexCombination([(0.4, m1), (0.4, m2)])
+        ConvexCombination([(0.4, m1), (0.4, m2)])
     with pytest.raises(ms.MeasureError):
-        ms.ConvexCombination([(-0.5, m1), (1.5, m2)])
+        ConvexCombination([(-0.5, m1), (1.5, m2)])
 
 
 # -- weak-star sweeps ----------------------------------------------------------------------

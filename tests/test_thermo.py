@@ -4,9 +4,9 @@ import mpmath
 import pytest
 
 from gcms import matrices, thermo
-from gcms.configs import BoundedConfig, bounded, empty_stem_config, unbounded
+from gcms.configs import BoundedConfig, UnboundedConfig, bounded, empty_stem_config
 from gcms.thermo import (Constant, DomainError, GDiff, LOG_POTENTIAL, LogRatio, ZValue,
-                         beta_c_log, birkhoff_sum, classify_recurrence_log, critical_beta_log,
+                         beta_c_log, birkhoff_sum, critical_beta_log,
                          discriminant_log, gurevich_pressure, jn_tn, normalization_series,
                          pointwise_z, power_sum_tail, pressure_log_potential,
                          superadditivity_check, z_n, z_n_star, z_n_transfer, zeta)
@@ -26,11 +26,10 @@ def test_birkhoff_examples():
 
 
 def test_potential_bounds():
-    assert LogRatio().sup == 0.0
-    assert Constant(3.0).sup == 3.0
+    assert Constant(3.0).value(7) == 3.0
     assert LOG_POTENTIAL.value(3) == pytest.approx(math.log(3) - math.log(4))
-    with pytest.raises(ValueError):
-        GDiff(math.sqrt).sup
+    # the log ratio increases towards its supremum 0, which it never attains
+    assert all(LOG_POTENTIAL.value(s) < LOG_POTENTIAL.value(s + 1) < 0 for s in range(1, 50))
 
 
 # -- partition functions -----------------------------------------------------------
@@ -79,7 +78,7 @@ def test_pointwise_z(renewal):
         zb = z_n(renewal, LOG_POTENTIAL, 1.0, 1, n).value
         assert zp > zb
     # sequence points accept any admissible head, not only terminal-ended ones
-    u = unbounded(renewal, (), (1,))
+    u = UnboundedConfig(renewal, (), (1,))
     assert pointwise_z(renewal, LogRatio(), 0.0, u, 3).value == pytest.approx(8.0)
 
 
@@ -99,17 +98,17 @@ def test_pointwise_ratio_bound(renewal):
 # case is (matrix, largest n, points for pointwise_z)
 COUNT_CASES = {
     "renewal": (matrices.renewal(), 12, lambda A: [empty_stem_config(A, 1), bounded(A, (3, 2, 1), 1),
-                                                   unbounded(A, (), (1,))]),
+                                                   UnboundedConfig(A, (), (1,))]),
     "pair_renewal": (matrices.pair_renewal(), 12, lambda A: [
         empty_stem_config(A, 1), empty_stem_config(A, 2), bounded(A, (2,), 1)]),
     "prime_renewal": (matrices.prime_renewal(), 12, lambda A: [
-        empty_stem_config(A, 3), bounded(A, (4, 3, 2, 1), 1), unbounded(A, (), (1,))]),
+        empty_stem_config(A, 3), bounded(A, (4, 3, 2, 1), 1), UnboundedConfig(A, (), (1,))]),
     "alternating_renewal": (matrices.alternating_renewal(), 12, lambda A: [
-        empty_stem_config(A, 1), empty_stem_config(A, 2), unbounded(A, (), (1, 2))]),
+        empty_stem_config(A, 1), empty_stem_config(A, 2), UnboundedConfig(A, (), (1, 2))]),
     # 3**(n-1) cycles per base: n = 12 would enumerate 177k of them
-    "full_shift": (matrices.full_shift(3), 8, lambda A: [unbounded(A, (), (2,))]),
+    "full_shift": (matrices.full_shift(3), 8, lambda A: [UnboundedConfig(A, (), (2,))]),
     "explicit": (matrices.explicit([[1, 1, 0], [0, 1, 1], [1, 0, 1]]), 12,
-                 lambda A: [unbounded(A, (3,), (1,))]),
+                 lambda A: [UnboundedConfig(A, (3,), (1,))]),
 }
 COUNT_POTENTIALS = [(Constant(c), beta) for c in (-1.0, 1.0, 0.37) for beta in (0.31, 0.7, 1.3)]
 
@@ -201,7 +200,8 @@ def test_gurevich_exact_certificate(renewal):
 def test_gurevich_upper_bound(renewal):
     for beta in (0.4, 1.0, 2.0):
         est = gurevich_pressure(renewal, LogRatio(), beta, 1, 8)
-        assert est.extrapolated <= math.log(2) + beta * LogRatio().sup + 1e-12
+        # log 2 + beta * sup F, and the log ratio's supremum is 0
+        assert est.extrapolated <= math.log(2) + 1e-12
 
 
 def test_gurevich_log_potential_has_one_spelling(renewal):
@@ -213,7 +213,7 @@ def test_gurevich_log_potential_has_one_spelling(renewal):
 
 def test_gdiff_equality_compares_g(renewal):
     # a potential that only borrows the name "log" gets no log-ratio closed form
-    impostor = GDiff(math.sqrt, "log", 0.0)
+    impostor = GDiff(math.sqrt, "log")
     assert impostor != LOG_POTENTIAL
     assert GDiff(math.log, "log") == LOG_POTENTIAL and hash(GDiff(math.log, "log")) == hash(
         LOG_POTENTIAL)
@@ -303,10 +303,15 @@ def test_discriminant_signs():
 
 
 def test_classification():
-    assert classify_recurrence_log(1.2).kind == "positive_recurrent"
-    assert classify_recurrence_log(0.5).kind == "positive_recurrent"
-    assert classify_recurrence_log(2.5).kind == "transient"
-    assert classify_recurrence_log(beta_c_log()).kind == "null_recurrent_or_boundary"
+    # the sign of the discriminant classifies the renewal log-ratio potential:
+    # positive recurrent below beta_c, transient above it, zero at it; for
+    # beta <= 1 the first-return series diverges and the discriminant is +inf
+    assert discriminant_log(1.2).closed_form > 0
+    assert discriminant_log(2.5).closed_form < 0
+    assert abs(discriminant_log(beta_c_log()).closed_form) <= 1e-8
+    for b in (0.5, 1.0):
+        d = discriminant_log(b)
+        assert d.divergent and d.series_value == math.inf
 
 
 # -- pressure of the log-ratio potential ---------------------------------------------
