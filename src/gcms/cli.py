@@ -73,13 +73,9 @@ def _load_matrix(args: argparse.Namespace) -> TransitionMatrix:
     return from_dict({"kind": args.kind, "prime_bound": args.prime_bound})
 
 
-def _emit(args: argparse.Namespace, header: Sequence[str], rows: Iterable[Sequence],
-          json_payload: dict | None = None) -> None:
+def _emit(args: argparse.Namespace, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     if args.format == "json":
-        payload = json_payload if json_payload is not None else {
-            "header": list(header),
-            "rows": [[_fmt(v) for v in row] for row in rows],
-        }
+        payload = {"header": list(header), "rows": [[_fmt(v) for v in row] for row in rows]}
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
         buf = io.StringIO()
@@ -222,7 +218,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
     grid = [beta_c + x for x in offsets]
     basis = [(format_word(w), decompose(Subbasis(A, w)))
              for w in _cylinder_words(A, args.depth, args.symbol_bound)]
-    rows, _ = ms.weak_star_sweep(model_of, target, basis, grid)
+    rows = ms.weak_star_sweep(model_of, target, basis, grid)
     _emit(args, ["beta", "set", "value", "target", "abs_diff"],
           [(r.beta, r.set_id, r.value, r.target, r.diff) for r in rows])
     return 0

@@ -12,7 +12,8 @@ to the disjoint form
 
 where a family is a prefix together with a symbol set for the following
 letter.  ``decompose`` produces the normal form of one element,
-``meet``/``intersect`` close the normal forms under finite intersection.
+``meet`` closes the normal forms under finite intersection, and
+``intersect_many`` folds it over a chain of elements.
 Building a normal form has two halves: ``normalize`` canonicalizes raw
 parts (it forced-extends each atom and cuts each family to the row of its
 prefix's last letter), and ``_assemble`` turns canonical parts into a
@@ -295,11 +296,6 @@ def meet(s: SetExpr, t: SetExpr) -> SetExpr:
             if hit is not None:
                 families.append(hit)
     return _assemble(A, points, atoms, families)
-
-
-def intersect(a: Subbasis, b: Subbasis) -> SetExpr:
-    """Normalized intersection of two subbasis elements."""
-    return intersect_many([a, b])
 
 
 def intersect_many(elems: Sequence[Subbasis]) -> SetExpr:

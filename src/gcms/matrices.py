@@ -448,6 +448,6 @@ def from_json(text: str) -> TransitionMatrix:
 
 
 @lru_cache(maxsize=None)
-def by_kind(kind: str, prime_bound: int = 7) -> TransitionMatrix:
+def by_kind(kind: str) -> TransitionMatrix:
     """Shared instance of a built-in kind, for CLI and tests."""
-    return from_dict({"kind": kind, "prime_bound": prime_bound})
+    return from_dict({"kind": kind})

@@ -25,10 +25,11 @@ through the continuation sums
            of their letter-weight products.
 
 The stems behind 1/c(e) are the same sums, so ``normalizer`` computes both
-at once: a closed form on the renewal matrix (whose T recurs from
-T(1) = 1/c(e) - 1), one linear solve on the pair renewal matrix, and
-otherwise one generation walk whose single geometric tail bound
-certifies 1/c(e) and every T(j).
+at once: a closed form on the renewal matrix, one linear solve on the pair
+renewal matrix, and otherwise one generation walk whose single geometric
+tail bound certifies 1/c(e) and every T(j).  One row rule gives the sums
+they leave out: T(j) = 1/c(e) - 1 on a row that holds every letter, and
+T(j) = u(j-1) ([j-1 terminal] + T(j-1)) on a forced descent j -> j-1.
 
 Measures carried by the sequence space follow from the same relation and
 the masses of their end letters.  A letter n with a single successor n'
@@ -217,8 +218,9 @@ class YFamilyMeasure(Measure):
 
     The stem w has mass c_e times its letter weights.  Cylinder and family
     masses read the continuation sums T(j), which ``normalizer`` hands over
-    with 1/c_e from the one solve or walk that certifies both.  A given
-    ``c_e`` is the renewal closed form, from which T recurs.  Letter
+    with 1/c_e from the one solve or walk that certifies both; one row rule
+    (``_tail``) fills the letters it does not name.  A given ``c_e`` is the
+    renewal closed form, on which that rule gives every T(j).  Letter
     factors are kept per instance, next to the sums T(j), so each
     exp(beta * weight(s)) is evaluated once per letter.
     """
@@ -226,7 +228,7 @@ class YFamilyMeasure(Measure):
     kind = "y_family"
 
     def __init__(self, A: TransitionMatrix, family: AccumulationColumn, weight: Potential,
-                 beta: float, c_e: float | None = None, convention: str = ""):
+                 beta: float, convention: str, c_e: float | None = None):
         self.matrix = A
         self.family = family
         self.weight = weight
@@ -273,23 +275,24 @@ class YFamilyMeasure(Measure):
     def _tail(self, j: Symbol) -> float:
         """T(j): total weight of admissible continuations after letter j.
 
-        Renewal recurs from T(1) = 1/c_e - 1 and pair renewal descends
-        from T(3) as u^(j-3) T(3); on other kinds a letter that the
-        normalizer's walk did not reach has no continuation within its depth.
+        One row rule fills the sums that the normalizer did not hand over.
+        A row that holds every letter is followed by every non-empty stem,
+        so T(j) = 1/c_e - 1; a forced descent j -> j-1 gives
+        T(j) = u(j-1) * ([j-1 terminal] + T(j-1)).  T is filled upward, in a
+        loop, from the first letter below j whose sum is known.  A prime row
+        of prime renewal past the normalizer's walk counts its descent only:
+        its other continuations are longer than the walk's depth, so the
+        walk's tail bound covers them.
         """
-        if j in self._tails:
-            return self._tails[j]
-        if self.matrix.kind == "renewal":
-            if j == 1:
-                t = self.normalizer_value - 1.0
-            else:
-                t = self._u(j - 1) * (self._tail(j - 1) + (1.0 if j - 1 == 1 else 0.0))
-        elif self.matrix.kind == "pair_renewal":
-            t = self._u(1) ** (j - 3) * self._tails[3]
-        else:
-            return 0.0
-        self._tails[j] = t
-        return t
+        tails = self._tails
+        if j not in tails:
+            k = next(k for k in range(j, 0, -1)
+                     if k in tails or self.matrix.row_structure(k) == ("cofinite", frozenset()))
+            if k not in tails:
+                tails[k] = self.normalizer_value - 1.0
+            for i in range(k + 1, j + 1):
+                tails[i] = self._letter_weight(i - 1)
+        return tails[j]
 
     # -- cylinder and family masses --------------------------------------------
 
@@ -386,10 +389,15 @@ class SequenceMeasure(Measure):
 
     def peel(self, head: Word) -> float:
         """The factor lam^-1 exp(beta*weight(s)) of every letter s of ``head``:
-        in closed form for a constant weight, letter by letter otherwise."""
+        in closed form for a constant weight, letter by letter otherwise.
+        Where lam^k passes the largest double, the product, which may still
+        be one, is taken as a single exponential."""
         if isinstance(self.weight, Constant):
             k = len(head)
-            return math.exp(self.beta * self.weight.c * k) / self.lam ** k
+            try:
+                return math.exp(self.beta * self.weight.c * k) / self.lam ** k
+            except OverflowError:
+                return math.exp(self.beta * self.weight.c * k - k * math.log(self.lam))
         m = 1.0
         for s in head:
             f = self._factors.get(s)
@@ -433,7 +441,7 @@ def y_measure(A: TransitionMatrix, family_id: int, F: Potential, beta: float) ->
     """
     family = A.column_by_id(family_id)
     return YFamilyMeasure(A, family, negate(F), beta,
-                          convention=f"exp(beta*F)-conformal on family {family_id}")
+                          f"exp(beta*F)-conformal on family {family_id}")
 
 
 _PLAIN = (None, frozenset())   # the sieve key of every symbol, exclusions aside
@@ -511,8 +519,9 @@ def log_eigenmeasure(beta: float, A: TransitionMatrix | None = None) -> Measure:
         raise ValueError("beta must be positive")
     bc = beta_c_log()
     if beta > bc:
-        return YFamilyMeasure(A, A.column_by_id(1), LOG_POTENTIAL, beta, c_e=2.0 - zeta(beta),
-                              convention="eigenmeasure of the transfer operator, eigenvalue 1")
+        return YFamilyMeasure(A, A.column_by_id(1), LOG_POTENTIAL, beta,
+                              "eigenmeasure of the transfer operator, eigenvalue 1",
+                              c_e=2.0 - zeta(beta))
     lam = math.exp(pressure_log_potential(beta)) if beta < bc else 1.0
     total = normalization_series(beta, lam) if beta < bc else zeta(beta) - 1.0
     return SequenceMeasure(
@@ -597,7 +606,6 @@ def shift_image_of_cylinder(A: TransitionMatrix, alpha: Word) -> SetExpr:
 @dataclass
 class ConformalityReport:
     max_residual: float
-    rows: list[tuple[Word, float, float, float]]  # word, lhs, rhs, residual
 
 
 def verify_conformality(m: Measure, test_cylinders: Iterable[Word]) -> ConformalityReport:
@@ -614,17 +622,14 @@ def verify_conformality(m: Measure, test_cylinders: Iterable[Word]) -> Conformal
     each one once and every later check of the same word reuses it.
     """
     A = m.matrix
-    rows = []
     worst = 0.0
     for alpha in test_cylinders:
         if not alpha:
             raise ValueError("conformality needs non-empty cylinder words")
         lhs = measure_setexpr(m, shift_image_of_cylinder(A, alpha))
         rhs = m.lam * math.exp(-m.beta * m.weight.value(alpha[0])) * m.cyl_mass(alpha)
-        resid = abs(lhs - rhs)
-        worst = max(worst, resid)
-        rows.append((alpha, lhs, rhs, resid))
-    return ConformalityReport(worst, rows)
+        worst = max(worst, abs(lhs - rhs))
+    return ConformalityReport(worst)
 
 
 # --------------------------------------------------------------------------
@@ -645,31 +650,20 @@ class SweepRow:
 
 def weak_star_sweep(model_of_beta: Callable[[float], Measure],
                     target: Measure, basis: Sequence[tuple[str, SetExpr]],
-                    beta_grid: Sequence[float]) -> tuple[list[SweepRow], bool]:
-    """Evaluate a net of measures against a target on basis sets.
-
-    Returns the table and a flag telling whether the worst deviation
-    decreases monotonically along the grid.
-    """
+                    beta_grid: Sequence[float]) -> list[SweepRow]:
+    """Evaluate a net of measures against a target on basis sets, one row
+    per (beta, basis set)."""
     rows: list[SweepRow] = []
-    worst_per_beta: list[float] = []
     for b in beta_grid:
         mb = model_of_beta(b)
-        worst = 0.0
         for set_id, expr in basis:
-            val = measure_setexpr(mb, expr)
-            tgt = measure_setexpr(target, expr)
-            rows.append(SweepRow(b, set_id, val, tgt))
-            worst = max(worst, abs(val - tgt))
-        worst_per_beta.append(worst)
-    monotone = all(worst_per_beta[i + 1] <= worst_per_beta[i] + 1e-15
-                   for i in range(len(worst_per_beta) - 1))
-    return rows, monotone
+            rows.append(SweepRow(b, set_id, measure_setexpr(mb, expr),
+                                 measure_setexpr(target, expr)))
+    return rows
 
 
-def measure_report_json(m: Measure, max_du_residual: float | None = None) -> str:
+def measure_report_json(m: Measure, max_du_residual: float) -> str:
     d = m.report()
     d["total_mass"] = m.total_mass()
-    if max_du_residual is not None:
-        d["max_DU_residual"] = max_du_residual
+    d["max_DU_residual"] = max_du_residual
     return json.dumps(d, sort_keys=True)

@@ -23,8 +23,7 @@ import numpy as np
 
 from .configs import BoundedConfig, Configuration
 from .matrices import Symbol, TransitionMatrix
-from .words import (Word, backward_words, enumerate_words_with_suffix, generation_layers,
-                    iter_cycles)
+from .words import Word, backward_words, generation_layers, iter_cycles
 
 
 # --------------------------------------------------------------------------
@@ -247,13 +246,14 @@ _BERNOULLI = [1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30, 5.0 / 66, -691.0 / 2730, 
 _FACT = [math.factorial(2 * (k + 1)) for k in range(len(_BERNOULLI))]
 
 
-def _em_tail(beta: float, N: int, terms: int = 6) -> tuple[float, float]:
+def _em_tail(beta: float, N: int) -> tuple[float, float]:
     """(sum over n >= N of n^-beta, remainder bound), anchored at N.
 
     For real exponents the remainder after the k-th Bernoulli correction is
     bounded by the magnitude of the first omitted correction.
     """
     tail = N ** (1.0 - beta) / (beta - 1.0) + 0.5 * N ** (-beta)
+    terms = len(_BERNOULLI) - 1          # B_2 .. B_12, as in ``_phi``
     rising = beta
     corr = 0.0
     for k in range(terms):
@@ -310,7 +310,6 @@ class DiscriminantResult:
     divergent: bool
     series_value: float
     closed_form: float
-    radius_estimate: float
 
 
 def _extrapolate_at_zero(hs: Sequence[float], values: Sequence[float]) -> float:
@@ -340,7 +339,7 @@ def discriminant_log(beta: float) -> DiscriminantResult:
     A = by_kind("renewal")
     F = LOG_POTENTIAL
     if beta <= 1.0:
-        return DiscriminantResult(beta, True, math.inf, math.inf, 1.0)
+        return DiscriminantResult(beta, True, math.inf, math.inf)
     head = 14   # enumerated cycle lengths of the first-return series
     zs = [z_n_star(A, F, beta, 1, k).value for k in range(1, head + 1)]
     for k, z in enumerate(zs, start=1):
@@ -358,7 +357,7 @@ def discriminant_log(beta: float) -> DiscriminantResult:
     head_sum = math.fsum(zs)  # radius 1, so the head weights are exactly 1
     tail = power_sum_tail(beta, head + 2)
     return DiscriminantResult(beta, False, math.log(head_sum + tail),
-                              math.log(zeta(beta) - 1.0), radius)
+                              math.log(zeta(beta) - 1.0))
 
 
 # --------------------------------------------------------------------------
@@ -547,11 +546,6 @@ def pressure_log_potential(beta: float) -> float:
 
 @dataclass
 class JnTnReport:
-    n: int
-    x_stem: Word
-    j_image: list[Word]
-    t_image: list[Word]
-    target: list[Word]
     ok: bool
     max_transport_residual: float
 
@@ -578,10 +572,11 @@ def jn_tn(A: TransitionMatrix, x: BoundedConfig, n: int,
         raise ValueError("x must have a non-empty stem")
     if n < 1:
         raise ValueError("n must be >= 1")
-    w_n_1 = sorted(backward_words(A, n, (1,)))
-    j_image = sorted(alpha + x.stem for alpha in w_n_1)
-    t_image = sorted(_t_map(alpha, x.stem) for alpha in w_n_1)
-    target = enumerate_words_with_suffix(A, n + len(x.stem), x.stem).words
+    w_n_1 = list(backward_words(A, n, (1,)))
+    j_image = [alpha + x.stem for alpha in w_n_1]
+    t_image = [_t_map(alpha, x.stem) for alpha in w_n_1]
+    # the words of length n + |stem| that end in the stem
+    target = [head + x.stem for head in backward_words(A, n, A.predecessors(x.stem[0]))]
     ok = (len(set(j_image)) == len(j_image)
           and len(set(t_image)) == len(t_image)
           and not set(j_image) & set(t_image)
@@ -596,4 +591,4 @@ def jn_tn(A: TransitionMatrix, x: BoundedConfig, n: int,
             rhs = (math.fsum(potential.value(s) for s in alpha)
                    + g(x0 + 1) - g(x0 + alpha[0] + 1) + g(alpha[0] + 1) - g(1))
             max_resid = max(max_resid, abs(lhs - rhs))
-    return JnTnReport(n, x.stem, j_image, t_image, target, ok, max_resid)
+    return JnTnReport(ok, max_resid)

@@ -160,7 +160,6 @@ def setexpr_count_vec(u: ConfigUniverse, s: SetExpr) -> np.ndarray:
 
 @dataclass
 class OracleReport:
-    matrix_kind: str
     n_elems: int
     n_pairs: int
     n_configs: int
@@ -258,7 +257,7 @@ def cylinder_oracle(A: TransitionMatrix, word_len: int = 3, sym_bound: Symbol = 
                                   f"{reason}")
             if len(mismatches) >= max_report:
                 break
-    return OracleReport(A.kind, len(elems), n_pairs, len(u), mismatches,
+    return OracleReport(len(elems), n_pairs, len(u), mismatches,
                         time.perf_counter() - t0)
 
 

@@ -81,17 +81,10 @@ def forced_extension(A: TransitionMatrix, w: Word) -> Word:
 
 @dataclass
 class Enumeration:
-    """Enumeration output plus its completeness certificate."""
+    """Enumerated words and how many the symbol bound dropped (0: complete)."""
 
     words: list[Word]
-    complete: bool
-    dropped: int = 0
-
-    def __iter__(self) -> Iterator[Word]:
-        return iter(self.words)
-
-    def __len__(self) -> int:
-        return len(self.words)
+    dropped: int
 
 
 def backward_words(A: TransitionMatrix, n: int, seeds: Iterable[Symbol],
@@ -144,13 +137,13 @@ def enumerate_words(A: TransitionMatrix, n: int, last_in: Iterable[Symbol],
 
     Output is in lexicographic order and duplicate-free.  The enumeration
     itself is exact; words containing symbols above the bound are dropped
-    and counted, clearing the ``complete`` flag.
+    and counted.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     seeds = sorted(set(last_in))
     if n == 0:
-        return Enumeration([()], True)
+        return Enumeration([()], 0)
     kept: list[Word] = []
     dropped = 0
     total_seeds = [s for s in seeds if s <= symbol_bound]
@@ -161,22 +154,7 @@ def enumerate_words(A: TransitionMatrix, n: int, last_in: Iterable[Symbol],
         else:
             dropped += 1
     kept.sort()
-    return Enumeration(kept, dropped == 0, dropped)
-
-
-def enumerate_words_with_suffix(A: TransitionMatrix, n: int, suffix: Word) -> Enumeration:
-    """Admissible words of length n whose last ``len(suffix)`` symbols equal ``suffix``."""
-    if n < len(suffix):
-        return Enumeration([], True)
-    if not is_admissible(A, suffix):
-        return Enumeration([], True)
-    if n == len(suffix):
-        return Enumeration([suffix], True)
-    out: list[Word] = []
-    for head in backward_words(A, n - len(suffix), A.predecessors(suffix[0])):
-        out.append(head + suffix)
-    out.sort()
-    return Enumeration(out, True)
+    return Enumeration(kept, dropped)
 
 
 def iter_cycles(A: TransitionMatrix, n: int, through: Symbol,

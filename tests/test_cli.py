@@ -115,6 +115,16 @@ def test_renewal_sarig_conformality(beta, capsys):
     assert payload["total_mass"] == pytest.approx(1.0, abs=1e-10)
 
 
+def test_sarig_measure_on_letters_past_the_power_range(capsys):
+    # 2**(n - 1) overflows a double from n = 1025 on; the masses 2**-n do not
+    code, out = run_cli(["measure", "--kind", "renewal", "--measure", "sarig",
+                         "--symbol-bound", "1030", "--depth", "1"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["max_DU_residual"] <= 1e-10
+    assert payload["total_mass"] == 1.0
+
+
 def test_verify_pressure(capsys):
     code, out = run_cli(["verify", "--suite", "pressure", "--kind", "renewal",
                          "--tol", "1e-10"], capsys)

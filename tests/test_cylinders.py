@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from gcms import symbolsets as sset
 from gcms.configs import GroupWord, UnboundedConfig, bounded, empty_stem_config
-from gcms.cylinders import (CylFamily, SetExpr, Subbasis, decompose, intersect, intersect_many,
+from gcms.cylinders import (CylFamily, SetExpr, Subbasis, decompose, intersect_many,
                             member, membership_count, parse_elem, parse_expression, raw_member)
 from gcms.verification import (_meet_fault, build_universe, raw_rows, setexpr_count_vec,
                                 subbasis_elements, whole_space_cover_check)
@@ -60,7 +60,7 @@ def test_non_admissible_words_rejected(renewal):
 
 def test_intersect_idempotent(renewal):
     a = Subbasis(renewal, (1,))
-    assert intersect(a, a) == decompose(a)
+    assert intersect_many([a, a]) == decompose(a)
 
 
 def test_intersect_nested_prefixes(renewal):
@@ -70,11 +70,11 @@ def test_intersect_nested_prefixes(renewal):
 
 
 def test_intersect_disjoint_words(renewal):
-    assert intersect(Subbasis(renewal, (2, 1)), Subbasis(renewal, (3, 2))).is_empty
+    assert intersect_many([Subbasis(renewal, (2, 1)), Subbasis(renewal, (3, 2))]).is_empty
 
 
 def test_intersect_cylinder_with_complement(renewal):
-    got = intersect(Subbasis(renewal, (1,)), Subbasis(renewal, (1, 2), complemented=True))
+    got = intersect_many([Subbasis(renewal, (1,)), Subbasis(renewal, (1, 2), complemented=True)])
     assert [p.stem for p in got.points] == [(1,)]
     assert len(got.families) == 1
     fam = got.families[0]
@@ -102,7 +102,7 @@ def test_intersect_many_three_way(renewal):
 
 def test_intersect_requires_same_matrix(renewal, pair):
     with pytest.raises(ValueError):
-        intersect(Subbasis(renewal, (1,)), Subbasis(pair, (1,)))
+        intersect_many([Subbasis(renewal, (1,)), Subbasis(pair, (1,))])
 
 
 def test_intersect_commutative_on_universe(renewal):
@@ -112,7 +112,7 @@ def test_intersect_commutative_on_universe(renewal):
              Subbasis(renewal, (1, 2, 1), complemented=True)]
     for a in elems:
         for b in elems:
-            ab, ba = intersect(a, b), intersect(b, a)
+            ab, ba = intersect_many([a, b]), intersect_many([b, a])
             assert ab == ba, (a, b)
             counts = setexpr_count_vec(universe, ab)
             want = [raw_member(c, a) and raw_member(c, b) for c in universe.configs]
@@ -154,14 +154,14 @@ def test_verify_identity_pass_and_disjoint(renewal):
     a, b = Subbasis(renewal, (1,)), Subbasis(renewal, (1, 2), complemented=True)
     row_a, row_b = raw_rows(u, [a, b])
     assert row_a & row_b
-    assert _meet_fault(u, intersect(a, b), row_a & row_b) is None
+    assert _meet_fault(u, intersect_many([a, b]), row_a & row_b) is None
 
 
 def test_verify_identity_detects_corruption(renewal):
     u = build_universe(renewal, 4, 5, 25)
     a, b = Subbasis(renewal, (1,)), Subbasis(renewal, (1, 2), complemented=True)
     row_a, row_b = raw_rows(u, [a, b])
-    good = intersect(a, b)
+    good = intersect_many([a, b])
     # drop the family part: membership must now fail somewhere
     corrupted = SetExpr(good.matrix, False, good.points, good.atoms, ())
     k, reason = _meet_fault(u, corrupted, row_a & row_b)
@@ -432,7 +432,7 @@ def test_forced_extension_is_canonical_on_stored_matrices(rows):
     from gcms.words import enumerate_words, forced_extension
     A = explicit(rows)
     for n in (1, 2, 3):
-        for w in enumerate_words(A, n, range(1, A.size + 1), A.size):
+        for w in enumerate_words(A, n, range(1, A.size + 1), A.size).words:
             ext = forced_extension(A, w)
             assert forced_extension(A, ext) == ext, (w, ext)
             for _ in range(2 * A.size):
@@ -581,7 +581,7 @@ def test_random_pairs_against_oracle(i, j):
     elems = subbasis_elements(A, word_len=2, sym_bound=3, inv_bound=3)
     a, b = elems[i % len(elems)], elems[j % len(elems)]
     universe = build_universe(A, 4, 5, 15).configs
-    expr = intersect(a, b)
+    expr = intersect_many([a, b])
     for c in universe:
         want = raw_member(c, a) and raw_member(c, b)
         count = membership_count(c, expr)

@@ -1,18 +1,31 @@
 """The library holds only what the package, the benchmark or the acceptance
 criteria use: every public name in ``src/gcms`` has a caller outside the
-unit tests."""
+unit tests, and every public dataclass field has a reader.
+
+A top-level name counts as referenced only where the reference resolves to
+its module: a bare name inside the module itself, ``from .m import name``
+or ``from gcms.m import name``, an attribute on an alias of the module
+(``th.z_n`` after ``from gcms import thermo as th``), or a dotted string
+``"m.name"``, which is how the benchmark's tracer names what it wraps.
+Methods and fields keep the bare-name match: the receiver of ``obj.n`` is
+not resolved, so it counts for every method or field named ``n``.
+"""
 
 import ast
 import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "gcms"
+MODULES = frozenset(p.stem for p in SRC.glob("*.py"))
+CALLERS = [*sorted(SRC.glob("*.py")), *sorted((ROOT / "perfbench").rglob("*.py")),
+           ROOT / "tests" / "test_acceptance.py", ROOT / "tests" / "conftest.py"]
 _DOTTED = re.compile(r"[A-Za-z_][\w.]*")
 
 
-def _public_definitions(path: Path):
-    """(name, node) of each public top-level definition and public method."""
-    for node in ast.parse(path.read_text()).body:
+def _public_definitions(tree: ast.Module):
+    """(qualified name, node) of each public top-level definition and public method."""
+    for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node
         if isinstance(node, ast.ClassDef):
@@ -23,11 +36,47 @@ def _public_definitions(path: Path):
             yield from ((t.id, node) for t in targets if isinstance(t, ast.Name))
 
 
-def _references(path: Path):
-    """(identifier, line) of every name, attribute, import and dotted string
-    in a file; a string such as ``"verification.setexpr_count_vec"`` names
-    what the benchmark's tracer wraps."""
-    for node in ast.walk(ast.parse(path.read_text())):
+def _gcms_module(dotted: str | None) -> str | None:
+    """``m`` for ``gcms.m``, "" for ``gcms`` itself, None outside the package."""
+    package, _, module = (dotted or "").partition(".")
+    return module if package == "gcms" else None
+
+
+def _source_module(node: ast.ImportFrom) -> str | None:
+    """The gcms module a ``from`` import reads: "" for the package, None outside it."""
+    return (node.module or "") if node.level == 1 else _gcms_module(node.module)
+
+
+def _module_references(path: Path, tree: ast.Module):
+    """((module, name), line) of every reference in a file that resolves to
+    a top-level name of a gcms module."""
+    aliases: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (src := _source_module(node)) is not None:
+            for a in node.names:
+                if src:
+                    yield (src, a.name), node.lineno
+                elif a.name in MODULES:
+                    aliases[a.asname or a.name] = a.name
+        elif isinstance(node, ast.Import):
+            aliases.update((a.asname, _gcms_module(a.name)) for a in node.names
+                           if a.asname and _gcms_module(a.name) in MODULES)
+    own = path.stem if path.parent == SRC else None
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and own:
+            yield (own, node.id), node.lineno
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in aliases):
+            yield (aliases[node.value.id], node.attr), node.lineno
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and _DOTTED.fullmatch(node.value) and "." in node.value
+              and node.value.split(".")[0] in MODULES):
+            yield tuple(node.value.split(".")[:2]), node.lineno
+
+
+def _bare_references(tree: ast.Module):
+    """(identifier, line) of every name, attribute, import and dotted-string part."""
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
         elif isinstance(node, ast.Attribute):
@@ -39,22 +88,44 @@ def _references(path: Path):
             yield from ((part, node.lineno) for part in node.value.split("."))
 
 
+def _trees(paths):
+    return {path: ast.parse(path.read_text()) for path in paths}
+
+
 def test_every_public_name_has_a_caller():
-    src = sorted((ROOT / "src" / "gcms").glob("*.py"))
-    callers = [*src, *sorted((ROOT / "perfbench").rglob("*.py")),
-               ROOT / "tests" / "test_acceptance.py", ROOT / "tests" / "conftest.py"]
-    refs: dict[str, list[tuple[Path, int]]] = {}
-    for path in callers:
-        for name, line in _references(path):
-            refs.setdefault(name, []).append((path, line))
+    trees = _trees(CALLERS)
+    refs: dict[object, list[tuple[Path, int]]] = {}
+    for path, tree in trees.items():
+        for key, line in (*_module_references(path, tree), *_bare_references(tree)):
+            refs.setdefault(key, []).append((path, line))
     unused = []
-    for path in src:
-        for qualname, node in _public_definitions(path):
+    for path in sorted(SRC.glob("*.py")):
+        for qualname, node in _public_definitions(trees[path]):
             name = qualname.rsplit(".", 1)[-1]
             if name.startswith("_"):
                 continue
+            key = name if "." in qualname else (path.stem, name)
             # a reference inside the definition itself is no caller
             if not any(not (where == path and node.lineno <= line <= node.end_lineno)
-                       for where, line in refs.get(name, [])):
+                       for where, line in refs.get(key, [])):
                 unused.append(f"{path.stem}.{qualname}")
     assert not unused, f"public names only the unit tests use: {unused}"
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass" for d in node.decorator_list)
+
+
+def test_every_dataclass_field_is_read():
+    trees = _trees(CALLERS)
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{path.stem}.{cls.name}.{item.target.id}"
+              for path in sorted(SRC.glob("*.py")) for cls in trees[path].body
+              if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+              for item in cls.body
+              if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+              and not item.target.id.startswith("_") and item.target.id not in read]
+    assert not unread, f"dataclass fields nothing reads: {unread}"

@@ -6,7 +6,7 @@ import pytest
 from gcms import measures as ms
 from gcms import symbolsets as ss
 from gcms.configs import BoundedConfig, bounded, empty_stem_config
-from gcms.cylinders import Subbasis, decompose, intersect
+from gcms.cylinders import Subbasis, decompose, intersect_many
 from gcms.matrices import by_kind, explicit
 from gcms.thermo import LOG_POTENTIAL, Constant, LogRatio, beta_c_log, zeta
 from gcms.verification import conformality_suite, cylinder_words_up_to
@@ -208,7 +208,43 @@ def test_one_stem_walk_per_y_measure(prime, pair, monkeypatch):
     assert calls == {"walk": 1, "solve": 1}
     # a c_e given without the sums is the renewal closed form only
     with pytest.raises(ms.MeasureError, match="renewal recursion"):
-        ms.YFamilyMeasure(prime, prime.column_by_id(1), Constant(-1.0), 1.3, c_e=0.5)
+        ms.YFamilyMeasure(prime, prime.column_by_id(1), Constant(-1.0), 1.3, "", c_e=0.5)
+
+
+# -- continuation sums ---------------------------------------------------------------------
+
+def test_renewal_tails_are_the_recursion_from_t1(renewal):
+    # T(1) = 1/c_e - 1, T(j) = u(j-1) (T(j-1) + [j-1 = 1]), with c_e from the
+    # normalizer and with c_e given
+    for m in (ms.y_measure(renewal, 1, Constant(1.0), 1.2), ms.log_eigenmeasure(2.0)):
+        want = [None, m.normalizer_value - 1.0]
+        for j in range(2, 201):
+            u = math.exp(m.beta * m.weight.value(j - 1))
+            want.append(u * (want[j - 1] + (1.0 if j - 1 == 1 else 0.0)))
+        assert [m._tail(j) for j in range(200, 0, -1)] == want[:0:-1]
+
+
+def test_pair_tails_descend_geometrically_from_t3(pair):
+    for fam in (1, 2):
+        m = ms.y_measure(pair, fam, Constant(1.0), 1.2)
+        tails = [m._tail(j) for j in range(40, 2, -1)]
+        u, t3 = math.exp(-1.2), tails[-1]
+        assert tails == pytest.approx([u ** (j - 3) * t3 for j in range(40, 2, -1)],
+                                      rel=1e-14, abs=0)
+
+
+def test_a_letter_far_past_the_known_sums_has_its_mass(renewal):
+    # T(5000) is filled upward from T(1), in a loop
+    assert ms.y_measure(renewal, 1, Constant(1.0), 1.2).cyl_mass((5000,)) == 0.0   # e^-6000
+    # above beta_c the log eigenmeasure gives the letter n the mass (n+1)^-beta
+    assert ms.log_eigenmeasure(2.0).cyl_mass((5000,)) == pytest.approx(5001.0 ** -2, rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [1025, 1030])
+def test_sarig_mass_past_the_double_range_of_lam_powers(n):
+    # lam^(n-1) = 2^(n-1) overflows a double; the mass 2^-n does not
+    got = ms.sarig_measure_renewal().cyl_mass((n,))
+    assert got == pytest.approx(math.ldexp(1.0, -n), rel=1e-12)
 
 
 # the largest beta whose walk of 400 layers certifies the tail, on each side
@@ -383,7 +419,7 @@ def test_measure_setexpr(renewal):
 def test_measure_additivity_on_intersections(pair):
     mu = ms.y_measure(pair, 1, Constant(1.0), 1.2)
     a, b = Subbasis(pair, (1,)), Subbasis(pair, (1, 2), complemented=True)
-    inter = intersect(a, b)
+    inter = intersect_many([a, b])
     # mu(C_1) = mu(C_1 minus C_12) + mu(C_12)
     assert ms.measure_setexpr(mu, decompose(a)) == pytest.approx(
         ms.measure_setexpr(mu, inter) + mu.cyl_mass((1, 2)), rel=1e-12)
@@ -449,7 +485,7 @@ def unkept(m):
     the oracle for the factors kept per instance."""
     if isinstance(m, ms.YFamilyMeasure):
         c_e = m.c_e if m.matrix.kind == "renewal" else None   # the others need the walk's sums
-        fresh = ms.YFamilyMeasure(m.matrix, m.family, m.weight, m.beta, c_e)
+        fresh = ms.YFamilyMeasure(m.matrix, m.family, m.weight, m.beta, m.convention, c_e)
         fresh._u = lambda s: math.exp(m.beta * m.weight.value(s))
         return fresh
 
@@ -506,15 +542,25 @@ def test_convex_combination(pair):
 
 # -- weak-star sweeps ----------------------------------------------------------------------
 
+def worst_decreases(rows):
+    """Whether the worst |value - target| of each beta of a sweep is at most
+    that of the beta before it, up to 1e-15."""
+    worst = {}
+    for r in rows:
+        worst[r.beta] = max(worst.get(r.beta, 0.0), r.diff)
+    w = list(worst.values())
+    return all(b <= a + 1e-15 for a, b in zip(w, w[1:]))
+
+
 def test_weak_star_renewal_constant(renewal):
     basis_words = [w for n in range(1, 5)
                    for w in enumerate_words(renewal, n, {1}, 6).words]
     basis = [(str(w), decompose(Subbasis(renewal, w))) for w in basis_words]
     target = ms.sarig_measure_renewal(renewal)
     grid = [LOG2 + off for off in (0.5, 0.1, 0.01, 1e-3, 1e-4)]
-    rows, monotone = ms.weak_star_sweep(
+    rows = ms.weak_star_sweep(
         lambda b: ms.y_measure(renewal, 1, Constant(1.0), b), target, basis, grid)
-    assert monotone
+    assert worst_decreases(rows)
     last = [r for r in rows if r.beta == grid[-1]]
     assert max(r.diff for r in last) <= 1e-3
 
@@ -532,10 +578,10 @@ def test_weak_star_log_potential(renewal):
     target = ms.log_eigenmeasure(bc)
     words = [w for n in range(1, 4) for w in enumerate_words(renewal, n, {1}, 5).words]
     basis = [(str(w), decompose(Subbasis(renewal, w))) for w in words]
-    rows, monotone = ms.weak_star_sweep(
+    rows = ms.weak_star_sweep(
         lambda b: ms.log_eigenmeasure(b), target, basis,
         [bc + off for off in (0.3, 0.1, 0.01, 1e-3)])
-    assert monotone
+    assert worst_decreases(rows)
 
 
 def test_complementarity_prime_renewal(prime):

@@ -4,9 +4,8 @@ import pytest
 
 from gcms.configs import empty_stem_config, preimages
 from gcms.matrices import KINDS, by_kind, explicit
-from gcms.words import (backward_words, enumerate_words, enumerate_words_with_suffix,
-                        forced_extension, format_word, generation_layers, is_admissible,
-                        iter_cycles, word)
+from gcms.words import (backward_words, enumerate_words, forced_extension, format_word,
+                        generation_layers, is_admissible, iter_cycles, word)
 
 
 def test_word_parsing():
@@ -27,14 +26,14 @@ def test_admissibility(renewal):
 def test_enumerate_words_basic(renewal):
     got = enumerate_words(renewal, 2, {1}, 10)
     assert got.words == [(1, 1), (2, 1)]
-    assert got.complete
-    assert len(enumerate_words(renewal, 3, {1}, 10)) == 4
+    assert got.dropped == 0
+    assert len(enumerate_words(renewal, 3, {1}, 10).words) == 4
     assert enumerate_words(renewal, 0, set(), 5).words == [()]
 
 
 @pytest.mark.parametrize("n", range(1, 15))
 def test_renewal_word_counts(renewal, n):
-    assert len(enumerate_words(renewal, n, {1}, n)) == 2 ** (n - 1)
+    assert len(enumerate_words(renewal, n, {1}, n).words) == 2 ** (n - 1)
 
 
 def test_enumerate_words_is_stable_and_duplicate_free(renewal, pair):
@@ -50,8 +49,8 @@ def test_enumerate_words_is_stable_and_duplicate_free(renewal, pair):
 def test_symbol_bound_truncates(renewal):
     full = enumerate_words(renewal, 5, {1}, 5)
     cut = enumerate_words(renewal, 5, {1}, 3)
-    assert full.complete and not cut.complete
-    assert cut.dropped == len(full) - len(cut)
+    assert full.dropped == 0 and cut.dropped > 0
+    assert cut.dropped == len(full.words) - len(cut.words)
 
 
 @pytest.mark.parametrize("n", range(1, 15))
@@ -73,14 +72,6 @@ def test_cycles_are_cycles(pair):
         assert w[0] == 2
         assert is_admissible(pair, w)
         assert pair.entry(w[-1], w[0]) == 1
-
-
-def test_suffix_enumeration(renewal):
-    got = enumerate_words_with_suffix(renewal, 3, (1,))
-    assert got.words == enumerate_words(renewal, 3, {1}, 100).words
-    got2 = enumerate_words_with_suffix(renewal, 4, (2, 1))
-    assert all(w[-2:] == (2, 1) for w in got2)
-    assert len(got2) == 2 ** 2  # |W_{n+|a|}^a| doubles per extra letter
 
 
 def test_forced_extension(renewal, pair):
