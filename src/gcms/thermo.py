@@ -3,27 +3,29 @@
 Potentials depend on the first coordinate only, so all higher variations
 vanish and the super-additivity of partition functions holds without a
 correction constant.  Partition functions are exact (column supports are
-finite on every built-in matrix).  A constant potential gives all N words
-of length n one term t, so the first-letter walk ``generation_layers``
-counts them, and N * t rounded once is bit for bit the ``math.fsum`` of
-their terms; other potentials enumerate the words.  Series with infinite
-tails carry an explicit Euler-Maclaurin remainder bound: the power sums
-behind zeta, and the log-ratio normalization series, whose tail is summed
-in closed form through the incomplete gamma function.
+finite on every built-in matrix).  A word's term exp(beta * sum of F)
+depends only on the exact sum of F over its letters, and every double is an
+integer multiple of 2**-1074, so one backward walk counts the words by first
+letter and exact integer sum (``_partition_sum``), for every potential.
+Each distinct sum forms its term once, from the correctly rounded sum that
+``math.fsum`` gives, and count times term is added exactly and rounded once:
+the result is bit for bit the ``math.fsum`` of the enumerated words' terms.
+Series with infinite tails carry an explicit Euler-Maclaurin remainder
+bound: the power sums behind zeta, and the log-ratio normalization series,
+whose tail is summed in closed form through the incomplete gamma function.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .configs import BoundedConfig, Configuration
 from .matrices import Symbol, TransitionMatrix
-from .words import Word, backward_words, generation_layers, iter_cycles
+from .words import Word, backward_words
 
 
 # --------------------------------------------------------------------------
@@ -73,16 +75,19 @@ def LogRatio() -> GDiff:
     return LOG_POTENTIAL
 
 
-def birkhoff_sum(F: Potential, beta: float, w: Word) -> float:
-    """beta times the sum of F over the letters of ``w``."""
-    if not w:
-        raise ValueError("Birkhoff sum of the empty word")
-    return beta * math.fsum(F.value(s) for s in w)
-
-
 # --------------------------------------------------------------------------
 # partition functions
 # --------------------------------------------------------------------------
+
+_SCALE = 1 << 1074      # every finite double is an integer multiple of 2**-1074
+_INDEX_BITS = 32        # a key's low bits: its first letter's index (far below 2**32)
+
+
+def _scaled(x: float) -> int:
+    """x * 2**1074, an exact integer for every finite double x."""
+    num, den = x.as_integer_ratio()      # den is a power of two, at most 2**1074
+    return num << (1075 - den.bit_length())
+
 
 @dataclass
 class ZValue:
@@ -94,40 +99,88 @@ class ZValue:
         return self.value
 
 
-def _constant_sum(F: Constant, beta: float, n: int, count: int) -> ZValue:
-    """The ``math.fsum`` of ``count`` copies of the term t of a length-n word: the
-    exact product rounded once, which ``float(count) * t`` is only below 2**53."""
-    if count == 0:
-        return ZValue(0.0, 0, True)
-    t = math.exp(birkhoff_sum(F, beta, (1,) * n))
-    return ZValue(float(Fraction(t) * count), count, True)
+def _partition_sum(A: TransitionMatrix, F: Potential, beta: float, seeds: Iterable[Symbol],
+                   n: int, keep: Callable[[Symbol], bool] | None = None,
+                   first: Callable[[Symbol], bool] | None = None) -> ZValue:
+    """Sum of exp(beta * sum of F) over the admissible words of length n that
+    end in a seed and start with a letter ``first`` admits, bit for bit the
+    ``math.fsum`` over the enumerated words (see the module docstring).
+
+    The backward walk prepends every predecessor that ``keep`` admits (the
+    seed position is not pruned).  A key holds a word's exact sum of F less
+    len * F(1), in units of 2**-1074, above the index of its first letter:
+    one integer addition per edge moves both, and a constant potential keeps
+    every key small.  A sum over 2**1074 is a correctly rounded int division,
+    so it is the ``math.fsum`` of F over the word.  No word forms no term,
+    so a term that would overflow is never formed.
+    """
+    f1 = F.value(1)
+    ref = _scaled(f1)
+    mask = (1 << _INDEX_BITS) - 1
+    letters: list[Symbol] = []
+    index: dict[Symbol, int] = {}
+    rel_f: list[int] = []                   # scaled F(s) - F(1), by index
+    rows: list[list[int] | None] = []
+
+    def index_of(s: Symbol) -> int:
+        if s not in index:
+            index[s] = len(letters)
+            letters.append(s)
+            f = F.value(s)
+            rel_f.append(0 if f == f1 else _scaled(f) - ref)
+            rows.append(None)
+        return index[s]
+
+    def row(i: int) -> list[int]:
+        steps = []
+        for p in A.predecessors(letters[i]):
+            if keep is None or keep(p):
+                j = index_of(p)
+                steps.append((rel_f[j] << _INDEX_BITS) + j - i)
+        rows[i] = steps
+        return steps
+
+    layer = {(rel_f[i] << _INDEX_BITS) + i: 1 for i in map(index_of, seeds)}
+    for _ in range(n - 1):
+        nxt: dict[int, int] = {}
+        for key, count in layer.items():
+            steps = rows[key & mask]
+            if steps is None:
+                steps = row(key & mask)
+            for step in steps:
+                k = key + step
+                nxt[k] = nxt.get(k, 0) + count
+        layer = nxt
+    counts: dict[int, int] = {}
+    for key, count in layer.items():
+        if first is None or first(letters[key & mask]):
+            rel = key >> _INDEX_BITS
+            counts[rel] = counts.get(rel, 0) + count
+    exact = sum(count * _scaled(math.exp(beta * ((rel + n * ref) / _SCALE)))
+                for rel, count in counts.items())
+    return ZValue(exact / _SCALE, sum(counts.values()), True)
 
 
 def _cycle_sum(A: TransitionMatrix, F: Potential, beta: float, base: Symbol, n: int,
                first_return: bool) -> ZValue:
-    if not isinstance(F, Constant):
-        terms = [math.exp(birkhoff_sum(F, beta, w))
-                 for w in iter_cycles(A, n, base, first_return=first_return)]
-        return ZValue(math.fsum(terms), len(terms), True)
     if n < 1:
         raise ValueError("n must be >= 1")
-    # as in iter_cycles: base, then a tail from a successor to a predecessor of base
+    # a cycle (base, t_1, ..., t_n-1) sums F as its rotation (t_1, ..., t_n-1, base)
+    # does: a word ending in base whose first letter base may precede
     keep = (lambda s: s != base) if first_return else None
-    seeds = [s for s in A.predecessors(base) if not (first_return and s == base)]
-    firsts = generation_layers(A, seeds, n - 1, keep=keep)[-1] if n > 1 else {base: 1}
-    return _constant_sum(F, beta, n, sum(c for s, c in firsts.items() if A.entry(base, s) == 1))
+    return _partition_sum(A, F, beta, (base,), n, keep, lambda s: A.entry(base, s) == 1)
 
 
 def z_n(A: TransitionMatrix, F: Potential, beta: float, base: Symbol, n: int) -> ZValue:
     """Partition function over length-n cycles through ``base``; exact, since the
-    backward walk over the finite column supports reaches every cycle, and for a
-    constant potential counted, not enumerated (see the module docstring)."""
+    backward walk over the finite column supports reaches every cycle, which
+    it counts by exact Birkhoff sum (see the module docstring)."""
     return _cycle_sum(A, F, beta, base, n, first_return=False)
 
 
 def z_n_star(A: TransitionMatrix, F: Potential, beta: float, base: Symbol, n: int) -> ZValue:
     """Partition function restricted to cycles whose first return is exactly n;
-    counted, not enumerated, for a constant potential."""
+    counted by exact Birkhoff sum as in ``z_n``."""
     return _cycle_sum(A, F, beta, base, n, first_return=True)
 
 
@@ -150,21 +203,19 @@ def pointwise_z(A: TransitionMatrix, F: Potential, beta: float, x: Configuration
 
     A preimage prepends a length-n admissible head to ``x``; for a
     boundary point with empty stem the head itself must end in one of the
-    root's terminal letters.  A constant potential counts the heads.
+    root's terminal letters.  The heads are counted by exact Birkhoff sum
+    as in ``z_n``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if isinstance(x, BoundedConfig) and not x.stem:
         # heads become the whole stem, so they must end in a terminal letter
-        seeds: tuple[Symbol, ...] = tuple(sorted(x.root.allowed_terminal_symbols))
+        seeds: Iterable[Symbol] = x.root.allowed_terminal_symbols
     elif isinstance(x, BoundedConfig):
         seeds = A.predecessors(x.stem[0])
     else:
         seeds = A.predecessors(x.symbol_at(0))
-    if isinstance(F, Constant):
-        return _constant_sum(F, beta, n, sum(generation_layers(A, seeds, n)[-1].values()))
-    terms = [math.exp(birkhoff_sum(F, beta, head)) for head in backward_words(A, n, seeds)]
-    return ZValue(math.fsum(terms), len(terms), True)
+    return _partition_sum(A, F, beta, seeds, n)
 
 
 def superadditivity_check(A: TransitionMatrix, F: Potential, beta: float, base: Symbol,
@@ -328,7 +379,7 @@ def _extrapolate_at_zero(hs: Sequence[float], values: Sequence[float]) -> float:
 def discriminant_log(beta: float) -> DiscriminantResult:
     """Discriminant of the renewal log-ratio potential, two ways.
 
-    The head of the first-return series comes from enumerated cycles; the
+    The head of the first-return series comes from ``z_n_star``; the
     convergence radius is extrapolated from their successive ratios (the
     exact limit is 1 and the extrapolation certifies it); the tail follows
     the verified head pattern and is summed under the Euler-Maclaurin
@@ -340,7 +391,7 @@ def discriminant_log(beta: float) -> DiscriminantResult:
     F = LOG_POTENTIAL
     if beta <= 1.0:
         return DiscriminantResult(beta, True, math.inf, math.inf)
-    head = 14   # enumerated cycle lengths of the first-return series
+    head = 14   # cycle lengths of the first-return series summed exactly
     zs = [z_n_star(A, F, beta, 1, k).value for k in range(1, head + 1)]
     for k, z in enumerate(zs, start=1):
         expected = (k + 1.0) ** (-beta)

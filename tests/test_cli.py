@@ -177,6 +177,15 @@ def test_pressure_sweep(capsys):
     assert all(r.endswith("exact") for r in rows[1:])
 
 
+def test_pressure_log_potential_past_enumeration(capsys):
+    # 1.6e7 cycles of length 20 on pair_renewal, counted by exact Birkhoff sum
+    code, out = run_cli(["pressure", "--kind", "pair_renewal", "--potential", "log",
+                         "--beta-grid", "1.3", "--n-max", "20"], capsys)
+    assert code == 0
+    rows = out.strip().splitlines()
+    assert len(rows) == 21 and rows[-1].startswith("1.3,20,")
+
+
 def test_outputs_are_deterministic(capsys):
     args = ["count", "--kind", "pair_renewal", "--n", "6"]
     _, out1 = run_cli(args, capsys)

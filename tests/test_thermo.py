@@ -6,7 +6,7 @@ import pytest
 from gcms import matrices, thermo
 from gcms.configs import BoundedConfig, UnboundedConfig, bounded, empty_stem_config
 from gcms.thermo import (Constant, DomainError, GDiff, LOG_POTENTIAL, LogRatio, ZValue,
-                         beta_c_log, birkhoff_sum, critical_beta_log,
+                         beta_c_log, critical_beta_log,
                          discriminant_log, gurevich_pressure, jn_tn, normalization_series,
                          pointwise_z, power_sum_tail, pressure_log_potential,
                          superadditivity_check, z_n, z_n_star, z_n_transfer, zeta)
@@ -14,6 +14,14 @@ from gcms.words import backward_words, iter_cycles
 
 
 # -- potentials and Birkhoff sums ------------------------------------------------
+
+def birkhoff_sum(F, beta, w):
+    """beta times the sum of F over the letters of ``w``: the term of one
+    enumerated word, which the partition functions must reproduce bit for bit."""
+    if not w:
+        raise ValueError("Birkhoff sum of the empty word")
+    return beta * math.fsum(F.value(s) for s in w)
+
 
 def test_birkhoff_examples():
     # descending first-return word: the log-ratio sums telescope to -log(n+1)
@@ -94,8 +102,8 @@ def test_pointwise_ratio_bound(renewal):
                 assert 1.0 < ratio <= bound + 1e-12
 
 
-# the constant-potential count path against the enumeration it replaces: each
-# case is (matrix, largest n, points for pointwise_z)
+# the exact-sum walk against the enumeration it replaces: each case is
+# (matrix, largest n, points for pointwise_z)
 COUNT_CASES = {
     "renewal": (matrices.renewal(), 12, lambda A: [empty_stem_config(A, 1), bounded(A, (3, 2, 1), 1),
                                                    UnboundedConfig(A, (), (1,))]),
@@ -110,12 +118,20 @@ COUNT_CASES = {
     "explicit": (matrices.explicit([[1, 1, 0], [0, 1, 1], [1, 0, 1]]), 12,
                  lambda A: [UnboundedConfig(A, (3,), (1,))]),
 }
-COUNT_POTENTIALS = [(Constant(c), beta) for c in (-1.0, 1.0, 0.37) for beta in (0.31, 0.7, 1.3)]
+# besides the log ratio, g = 1/s: a difference potential whose terms are not
+# products of rational powers
+INVERSE = GDiff(lambda s: 1.0 / s, "inv")
+COUNT_POTENTIALS = ([(Constant(c), beta) for c in (-1.0, 1.0, 0.37) for beta in (0.31, 0.7, 1.3)]
+                    + [(LOG_POTENTIAL, 0.7), (LOG_POTENTIAL, 1.3), (INVERSE, 0.9)])
 
 
-def _enumerated(F, beta, words):
-    terms = [math.exp(birkhoff_sum(F, beta, w)) for w in words]
-    return math.fsum(terms), len(terms)
+def _enumerated(words):
+    """{(F, beta): (math.fsum of the words' terms, number of words)} over
+    COUNT_POTENTIALS.  Each word's sum of F is taken once per F: beta times
+    birkhoff_sum(F, 1.0, w) is birkhoff_sum(F, beta, w) bit for bit."""
+    sums = {F: [birkhoff_sum(F, 1.0, w) for w in words] for F in dict(COUNT_POTENTIALS)}
+    return {(F, beta): (math.fsum([math.exp(beta * x) for x in sums[F]]), len(words))
+            for F, beta in COUNT_POTENTIALS}
 
 
 def _heads(A, x, n):
@@ -127,20 +143,20 @@ def _heads(A, x, n):
 
 
 @pytest.mark.parametrize("name", sorted(COUNT_CASES))
-def test_constant_count_is_bit_identical_to_enumeration(name):
+def test_partition_functions_are_bit_identical_to_enumeration(name):
     A, n_max, points = COUNT_CASES[name]
     for n in range(1, n_max + 1):
         for base in (1, 2, 3):
             for first_return, z in ((False, z_n), (True, z_n_star)):
-                cycles = list(iter_cycles(A, n, base, first_return=first_return))
+                want = _enumerated(list(iter_cycles(A, n, base, first_return=first_return)))
                 for F, beta in COUNT_POTENTIALS:
                     got = z(A, F, beta, base, n)
-                    assert (got.value, got.n_terms) == _enumerated(F, beta, cycles)
+                    assert (got.value, got.n_terms) == want[F, beta]
         for x in points(A):
-            heads = _heads(A, x, n)
+            want = _enumerated(_heads(A, x, n))
             for F, beta in COUNT_POTENTIALS:
                 got = pointwise_z(A, F, beta, x, n)
-                assert (got.value, got.n_terms) == _enumerated(F, beta, heads)
+                assert (got.value, got.n_terms) == want[F, beta]
 
 
 def test_constant_count_edge_cases(renewal):
@@ -148,13 +164,25 @@ def test_constant_count_edge_cases(renewal):
     # that would overflow is never formed
     swap = matrices.explicit([[0, 1], [1, 0]])
     assert list(iter_cycles(swap, 3, 1)) == []
-    assert z_n(swap, Constant(1e6), 1.0, 1, 3) == ZValue(0.0, 0, True)
-    assert z_n_star(renewal, Constant(1e6), 1.0, 2, 1) == ZValue(0.0, 0, True)
-    for z in (z_n, z_n_star):
+    for F in (Constant(1e6), LOG_POTENTIAL):
+        assert z_n(swap, F, 1.0, 1, 3) == ZValue(0.0, 0, True)
+        # letter 2 of the renewal matrix has no self-loop
+        assert z_n_star(renewal, F, 1.0, 2, 1) == ZValue(0.0, 0, True)
+        for z in (z_n, z_n_star):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                z(renewal, F, 0.7, 1, 0)
         with pytest.raises(ValueError, match="n must be >= 1"):
-            z(renewal, Constant(1.0), 0.7, 1, 0)
-    with pytest.raises(ValueError, match="n must be >= 1"):
-        pointwise_z(renewal, Constant(1.0), 0.7, empty_stem_config(renewal, 1), 0)
+            pointwise_z(renewal, F, 0.7, empty_stem_config(renewal, 1), 0)
+
+
+@pytest.mark.parametrize("kind,n", [("pair_renewal", 24), ("alternating_renewal", 30),
+                                    ("renewal", 30)])
+def test_gdiff_partition_functions_beyond_enumeration(kind, n):
+    # 2**29 cycles on renewal at n = 30: out of reach of the enumeration
+    A = matrices.by_kind(kind)
+    z = z_n(A, LOG_POTENTIAL, 1.0, 1, n)
+    assert z.value == pytest.approx(z_n_transfer(A, LOG_POTENTIAL, 1.0, 1, n, n + 2), rel=1e-12)
+    assert z.n_terms == z_n(A, Constant(1.0), 1.0, 1, n).n_terms
 
 
 @pytest.mark.parametrize("n", [60, 400])
