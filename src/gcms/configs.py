@@ -164,19 +164,35 @@ def empty_stem_config(A: TransitionMatrix, root_id: int) -> BoundedConfig:
     return BoundedConfig(A, (), A.column_by_id(root_id))
 
 
+def _config(A: TransitionMatrix, stem: Word, root: AccumulationColumn) -> BoundedConfig:
+    """A ``BoundedConfig`` built without its constructor's checks; the caller
+    has made them."""
+    c = object.__new__(BoundedConfig)
+    object.__setattr__(c, "matrix", A)
+    object.__setattr__(c, "stem", stem)
+    object.__setattr__(c, "root", root)
+    return c
+
+
 def preimages(c: BoundedConfig, n: int) -> list[BoundedConfig]:
     """All configurations mapped onto ``c`` by n applications of the shift.
 
     Exact on the built-in kinds: column supports are finite and the first
     prepended symbol of an empty stem is constrained by the root's terminal
-    set.
+    set.  The constructor's checks hold without re-running them: the root
+    and the last letter are those of ``c`` (or, for an empty stem, a seed
+    from the root's terminal set), and ``backward_words`` checks each new
+    edge once, the junction into the stem included, because a non-empty
+    stem's walk starts one letter further, at ``c.stem[0]``.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    A = c.matrix
-    seeds = A.predecessors(c.stem[0]) if c.stem else c.root.allowed_terminal_symbols
-    stems = sorted(head + c.stem for head in backward_words(A, n, seeds))
-    return [BoundedConfig(A, w, c.root) for w in stems]
+    A, root = c.matrix, c.root
+    if c.stem:
+        heads, tail = backward_words(A, n + 1, (c.stem[0],)), c.stem[1:]
+    else:
+        heads, tail = backward_words(A, n, root.allowed_terminal_symbols), ()
+    return [_config(A, w + tail, root) for w in sorted(heads)]
 
 
 def count_preimages_closed_form(A: TransitionMatrix, family_id: int,

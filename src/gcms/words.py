@@ -4,7 +4,12 @@ Words are tuples of positive integers; the empty word is ``()``.
 Enumeration runs backward along the (finite) column supports, so on the
 built-in matrix kinds it is exact: ``symbol_bound`` only filters what
 ``enumerate_words`` returns, recording whether it removed anything;
-partition-function cycles (``iter_cycles``) are never filtered.
+the cycles through a letter (``iter_cycles``) are never filtered.
+``backward_words`` checks each letter it prepends against ``entry``, so
+every word it yields (and every word of ``enumerate_words`` and
+``iter_cycles``) is admissible edge by edge, with no second pass over the
+word; a column support that lists a letter whose entry is 0 raises
+``ValueError`` naming the pair.
 """
 
 from __future__ import annotations
@@ -30,8 +35,11 @@ def format_word(w: Word) -> str:
 
 
 def is_admissible(A: TransitionMatrix, w: Word) -> bool:
-    """True iff every consecutive transition is allowed; length <= 1 is admissible."""
-    return all(A.entry(w[i], w[i + 1]) == 1 for i in range(len(w) - 1))
+    """True iff every consecutive transition is allowed; length <= 1 is admissible.
+
+    ``entry`` returns 0 or 1, so its truth value is the ``== 1`` test.
+    """
+    return all(map(A.entry, w, w[1:]))
 
 
 def is_prefix(p: Word, w: Word) -> bool:
@@ -92,7 +100,11 @@ def backward_words(A: TransitionMatrix, n: int, seeds: Iterable[Symbol],
     """All admissible words of length n whose last symbol is in ``seeds``.
 
     Walks column supports right to left; ``keep`` prunes intermediate and
-    first symbols (not the seed position).
+    first symbols (not the seed position).  Each letter ``p`` prepended to
+    a suffix starting with ``first`` is checked once, on that edge:
+    ``A(p, first)`` must be 1, else ``ValueError`` names the pair.  So
+    ``entry`` has passed every transition of every yielded word, which is
+    what ``is_admissible`` asserts.
     """
     if n == 0:
         yield ()
@@ -103,9 +115,13 @@ def backward_words(A: TransitionMatrix, n: int, seeds: Iterable[Symbol],
         if length == n:
             yield suffix
             continue
-        for p in reversed(A.predecessors(suffix[0])):
+        first = suffix[0]
+        for p in reversed(A.predecessors(first)):
             if keep is not None and not keep(p):
                 continue
+            if A.entry(p, first) != 1:
+                raise ValueError(
+                    f"{p} listed as a predecessor of {first}, but A({p}, {first}) = 0")
             stack.append(((p,) + suffix, length + 1))
 
 

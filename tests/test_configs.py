@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from gcms.configs import (BoundedConfig, GroupWord, IntegerInterval, UnboundedConfig, bounded,
                           count_preimages_closed_form, empty_stem_config, preimages)
-from gcms.matrices import full_shift
+from gcms.matrices import KINDS, by_kind, full_shift
+from gcms.words import backward_words
 
 
 # -- the reference model: group-word products, the shift and the local rules ----
@@ -232,6 +233,27 @@ def test_preimages_examples(renewal, pair):
     assert sorted(stems) == [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2)]
     c = bounded(renewal, (1,), 1)
     assert preimages(c, 0) == [c]
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_preimages_match_validated_oracle(kind):
+    # the oracle prepends the old walk's heads to the stem and builds each
+    # configuration through the validating constructor
+    A = by_kind(kind)
+    for col in A.accumulation_catalog:
+        seeds = col.allowed_terminal_symbols
+        stems = [()]
+        for k in (1, 2, 3):
+            heads = sorted(backward_words(A, k, seeds))
+            stems.append(heads[len(heads) // 2])
+        for stem in stems:
+            c = BoundedConfig(A, stem, col)
+            assert preimages(c, 0) == [c]
+            first = A.predecessors(stem[0]) if stem else seeds
+            for n in range(9):
+                want = [BoundedConfig(A, h + stem, col)
+                        for h in sorted(backward_words(A, n, first))]
+                assert preimages(c, n) == want, (col.id, stem, n)
 
 
 def test_shift_inverts_preimages(renewal, pair):

@@ -7,8 +7,12 @@ its module: a bare name inside the module itself, ``from .m import name``
 or ``from gcms.m import name``, an attribute on an alias of the module
 (``th.z_n`` after ``from gcms import thermo as th``), or a dotted string
 ``"m.name"``, which is how the benchmark's tracer names what it wraps.
-Methods and fields keep the bare-name match: the receiver of ``obj.n`` is
-not resolved, so it counts for every method or field named ``n``.
+A method counts as referenced only through an attribute access
+``<expr>.name`` or a string constant equal to its name (the tracer's
+``METHODS`` tuples); a bare name, an import alias or a dotted string is a
+top-level name's reference, not a method's.  The receiver of ``obj.n`` is
+not resolved, so it counts for every method named ``n``.  A field counts
+where an attribute of its name is read.
 """
 
 import ast
@@ -74,18 +78,14 @@ def _module_references(path: Path, tree: ast.Module):
             yield tuple(node.value.split(".")[:2]), node.lineno
 
 
-def _bare_references(tree: ast.Module):
-    """(identifier, line) of every name, attribute, import and dotted-string part."""
+def _method_references(tree: ast.Module):
+    """(identifier, line) of every attribute access and identifier string."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id, node.lineno
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute):
             yield node.attr, node.lineno
-        elif isinstance(node, ast.alias):
-            yield node.name.rsplit(".", 1)[-1], node.lineno
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-              and _DOTTED.fullmatch(node.value)):
-            yield from ((part, node.lineno) for part in node.value.split("."))
+              and node.value.isidentifier()):
+            yield node.value, node.lineno
 
 
 def _trees(paths):
@@ -96,7 +96,7 @@ def test_every_public_name_has_a_caller():
     trees = _trees(CALLERS)
     refs: dict[object, list[tuple[Path, int]]] = {}
     for path, tree in trees.items():
-        for key, line in (*_module_references(path, tree), *_bare_references(tree)):
+        for key, line in (*_module_references(path, tree), *_method_references(tree)):
             refs.setdefault(key, []).append((path, line))
     unused = []
     for path in sorted(SRC.glob("*.py")):

@@ -2,8 +2,9 @@ from collections import Counter
 
 import pytest
 
-from gcms.configs import empty_stem_config, preimages
-from gcms.matrices import KINDS, by_kind, explicit
+from gcms import matrices
+from gcms.configs import bounded, empty_stem_config, preimages
+from gcms.matrices import KINDS, by_kind, explicit, full_shift
 from gcms.words import (backward_words, enumerate_words, forced_extension, format_word,
                         generation_layers, is_admissible, iter_cycles, word)
 
@@ -21,6 +22,30 @@ def test_admissibility(renewal):
     assert not is_admissible(renewal, (2, 3))   # A(2,3) = 0
     assert is_admissible(renewal, ())
     assert is_admissible(renewal, (7,))
+
+
+def test_entry_is_zero_or_one():
+    # is_admissible reads entry's truth value as A(i, j) == 1
+    stored = explicit([[int((i + 2 * j) % 3 != 0) for j in range(40)] for i in range(40)])
+    for A in (*(by_kind(kind) for kind in sorted(KINDS)), stored, full_shift(3)):
+        top = min(40, A.size or 40)
+        assert {A.entry(i, j) for i in range(1, top + 1) for j in range(1, top + 1)} <= {0, 1}
+
+
+def test_walk_rejects_a_listed_predecessor_that_is_no_transition(monkeypatch):
+    # a renewal matrix whose column supports also list j + 2, where A(j + 2, j) = 0
+    A = matrices.renewal()
+    monkeypatch.setattr(A, "_predecessors", lambda j: (1, j + 1, j + 2))
+    one_line = r"^3 listed as a predecessor of 1, but A\(3, 1\) = 0$"
+    with pytest.raises(ValueError, match=one_line):
+        list(backward_words(A, 2, (1,)))
+    with pytest.raises(ValueError, match=one_line):
+        enumerate_words(A, 2, {1}, 10)
+    with pytest.raises(ValueError, match=one_line):
+        preimages(empty_stem_config(A, 1), 2)
+    # the junction into a non-empty stem is an edge of the walk too
+    with pytest.raises(ValueError, match=r"^4 listed as a predecessor of 2, but A\(4, 2\) = 0$"):
+        preimages(bounded(A, (2, 1), 1), 1)
 
 
 def test_enumerate_words_basic(renewal):
