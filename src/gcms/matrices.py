@@ -387,13 +387,14 @@ def pair_renewal() -> TransitionMatrix:
     return TransitionMatrix("pair_renewal")
 
 
-def prime_renewal(prime_bound: int = 7) -> TransitionMatrix:
+def prime_renewal() -> TransitionMatrix:
     """A(1,n) = A(n+1,n) = A(p, p^n) = 1 for primes p.
 
     The accumulation-column catalog is countably infinite; only columns for
-    primes up to ``prime_bound`` are materialized.
+    primes up to the default ``prime_bound`` 7 are materialized (``from_dict``
+    takes another bound).
     """
-    return TransitionMatrix("prime_renewal", prime_bound=prime_bound)
+    return TransitionMatrix("prime_renewal")
 
 
 def alternating_renewal() -> TransitionMatrix:

@@ -52,27 +52,14 @@ from . import symbolsets as ss
 from .configs import BoundedConfig
 from .cylinders import CylFamily, SetExpr, normalize
 from .matrices import AccumulationColumn, Symbol, TransitionMatrix, by_kind
-from .thermo import (LOG_POTENTIAL, Constant, GDiff, Potential, beta_c_log,
+from .thermo import (LOG_POTENTIAL, Constant, Potential, beta_c_log,
                      normalization_series, pressure_log_potential, zeta)
 from .words import Word, forced_extension, generation_layers, is_admissible
 
 
-@dataclass(frozen=True)
-class _Negated:
-    """s -> -g(s), compared by g so that negating twice gives back g."""
-
-    g: Callable[[Symbol], float]
-
-    def __call__(self, s: Symbol) -> float:
-        return -self.g(s)
-
-
-def negate(F: Potential) -> Potential:
-    """The potential -F; a difference potential negates its g and its name."""
-    if isinstance(F, Constant):
-        return Constant(-F.c)
-    name = F.name[1:] if F.name.startswith("-") else "-" + F.name
-    return GDiff(F.g.g if isinstance(F.g, _Negated) else _Negated(F.g), name)
+def negate(F: Constant) -> Constant:
+    """The constant potential -F."""
+    return Constant(-F.c)
 
 
 class MeasureError(ValueError):
@@ -129,7 +116,7 @@ class NormalizerResult:
         return self.status == "divergent"
 
 
-def normalizer(A: TransitionMatrix, family: AccumulationColumn, weight: Potential,
+def normalizer(A: TransitionMatrix, family: AccumulationColumn, weight: Constant,
                beta: float) -> NormalizerResult:
     """1/c_e = 1 + sum over non-empty family stems of their letter weights,
     with the continuation sums T(j) over the same stems.
@@ -143,35 +130,33 @@ def normalizer(A: TransitionMatrix, family: AccumulationColumn, weight: Potentia
     of 1/c_e and of every T(j).  The 400-layer cap leaves a rho near 1 with
     a tail above ``TAIL_TOL``, which the measure refuses.
     """
-    if isinstance(weight, Constant):
-        x = math.exp(beta * weight.c)
-        if A.spec is None:
-            raise Inconclusive(f"no certified growth rate for kind {A.kind}")
-        lower, upper = A.spec.growth
-        if lower * x >= 1.0:
-            return NormalizerResult(math.inf, math.inf, "divergent")
-        if upper * x >= 1.0:
-            raise Inconclusive(
-                "between the divergence bound (growth "
-                f"{lower:g}) and the convergence bound (growth {upper:g})")
-        if A.kind == "renewal":
-            r = 2.0 * x
-            return NormalizerResult(1.0 + 0.5 * r / (1.0 - r), 0.0, "finite")
-        if A.kind == "pair_renewal":
-            tails = _pair_tails(x, family.allowed_terminal_symbols)
-            return NormalizerResult(1.0 + tails[1], 0.0, "finite", tails)
-        rho = upper * x
-        depth = min(400, max(8, int(math.log(TAIL_TOL * (1 - rho))
-                                    / math.log(rho)) + 2))
-        layers = generation_layers(A, family.allowed_terminal_symbols, depth + 1, weight=x)
-        sums: dict[Symbol, float] = {}
-        for layer in layers[1:]:
-            for j, w in layer.items():
-                sums[j] = sums.get(j, 0.0) + w
-        value = 1.0 + math.fsum(w for layer in layers for w in layer.values())
-        return NormalizerResult(value, rho ** (depth + 1) / (1.0 - rho), "finite",
-                                {j: w / x for j, w in sums.items()})
-    raise Inconclusive(f"no certificate for weight {weight!r} on kind {A.kind}")
+    x = math.exp(beta * weight.c)
+    if A.spec is None:
+        raise Inconclusive(f"no certified growth rate for kind {A.kind}")
+    lower, upper = A.spec.growth
+    if lower * x >= 1.0:
+        return NormalizerResult(math.inf, math.inf, "divergent")
+    if upper * x >= 1.0:
+        raise Inconclusive(
+            "between the divergence bound (growth "
+            f"{lower:g}) and the convergence bound (growth {upper:g})")
+    if A.kind == "renewal":
+        r = 2.0 * x
+        return NormalizerResult(1.0 + 0.5 * r / (1.0 - r), 0.0, "finite")
+    if A.kind == "pair_renewal":
+        tails = _pair_tails(x, family.allowed_terminal_symbols)
+        return NormalizerResult(1.0 + tails[1], 0.0, "finite", tails)
+    rho = upper * x
+    depth = min(400, max(8, int(math.log(TAIL_TOL * (1 - rho))
+                                / math.log(rho)) + 2))
+    layers = generation_layers(A, family.allowed_terminal_symbols, depth + 1, weight=x)
+    sums: dict[Symbol, float] = {}
+    for layer in layers[1:]:
+        for j, w in layer.items():
+            sums[j] = sums.get(j, 0.0) + w
+    value = 1.0 + math.fsum(w for layer in layers for w in layer.values())
+    return NormalizerResult(value, rho ** (depth + 1) / (1.0 - rho), "finite",
+                            {j: w / x for j, w in sums.items()})
 
 
 # --------------------------------------------------------------------------
@@ -437,8 +422,12 @@ def y_measure(A: TransitionMatrix, family_id: int, F: Potential, beta: float) ->
     """The exp(beta*F)-conformal probability on one boundary family.
 
     Exists iff the normalizing series converges; stem masses are
-    c(w) = exp(-beta * F-sum over w) * c(e).
+    c(w) = exp(-beta * F-sum over w) * c(e).  Only a constant F has a
+    certified normalizer, so any other potential raises ``Inconclusive``.
     """
+    if not isinstance(F, Constant):
+        raise Inconclusive(f"no y-measure for potential {F!r} on kind {A.kind}: "
+                           "only constant potentials are certified")
     family = A.column_by_id(family_id)
     return YFamilyMeasure(A, family, negate(F), beta,
                           f"exp(beta*F)-conformal on family {family_id}")

@@ -17,15 +17,16 @@ whose tail is summed in closed form through the incomplete gamma function.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .configs import BoundedConfig, Configuration
-from .matrices import Symbol, TransitionMatrix
-from .words import Word, backward_words
+from .configs import BoundedConfig, Configuration, empty_stem_config, preimages
+from .matrices import Symbol, TransitionMatrix, by_kind
+from .words import Word
 
 
 # --------------------------------------------------------------------------
@@ -163,10 +164,13 @@ def _partition_sum(A: TransitionMatrix, F: Potential, beta: float, seeds: Iterab
 
 def _cycle_sum(A: TransitionMatrix, F: Potential, beta: float, base: Symbol, n: int,
                first_return: bool) -> ZValue:
+    """The partition function over ``words.iter_cycles(A, n, base)``, by its
+    one cycle rule: a cycle (base, t_1, ..., t_n-1) sums F as its rotation
+    (t_1, ..., t_n-1, base) does, a backward word ending in base whose first
+    letter base may precede.  A first-return cycle's rotation has no base
+    before its last letter, so the walk keeps no other."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    # a cycle (base, t_1, ..., t_n-1) sums F as its rotation (t_1, ..., t_n-1, base)
-    # does: a word ending in base whose first letter base may precede
     keep = (lambda s: s != base) if first_return else None
     return _partition_sum(A, F, beta, (base,), n, keep, lambda s: A.entry(base, s) == 1)
 
@@ -219,22 +223,17 @@ def pointwise_z(A: TransitionMatrix, F: Potential, beta: float, x: Configuration
 
 
 def superadditivity_check(A: TransitionMatrix, F: Potential, beta: float, base: Symbol,
-                          n_max: int) -> list[tuple[int, int, float, float]]:
-    """Verify Z_n * Z_m <= Z_{n+m} for all n + m <= n_max.
-
-    Returns the checked quadruples (n, m, product, bound); raises on the
+                          n_max: int) -> None:
+    """Verify Z_n * Z_m <= Z_{n+m} for all n + m <= n_max; raises on the
     first counterexample.  First-coordinate potentials have vanishing
     variations, so the inequality carries no slack constant.
     """
     zs = {n: z_n(A, F, beta, base, n).value for n in range(1, n_max + 1)}
-    rows = []
     for n in range(1, n_max):
         for m in range(1, n_max - n + 1):
             lhs, rhs = zs[n] * zs[m], zs[n + m]
             if lhs > rhs * (1 + 1e-12):
                 raise AssertionError(f"superadditivity fails at n={n}, m={m}: {lhs} > {rhs}")
-            rows.append((n, m, lhs, rhs))
-    return rows
 
 
 # --------------------------------------------------------------------------
@@ -243,7 +242,6 @@ def superadditivity_check(A: TransitionMatrix, F: Potential, beta: float, base: 
 
 @dataclass
 class PressureEstimate:
-    beta: float
     values: list[tuple[int, float]]        # (n, (1/n) log Z_n)
     extrapolated: float
     certificate: str                       # "exact" | "limit"
@@ -273,16 +271,16 @@ def gurevich_pressure(A: TransitionMatrix, F: Potential, beta: float, base: Symb
         logs.append(math.log(z.value))
         values.append((n, logs[-1] / n))
     if A.kind == "renewal" and base == 1 and isinstance(F, Constant):
-        return PressureEstimate(beta, values, math.log(2.0) + beta * F.c, "exact")
+        return PressureEstimate(values, math.log(2.0) + beta * F.c, "exact")
     if A.kind == "renewal" and base == 1 and F == LOG_POTENTIAL:
-        return PressureEstimate(beta, values, pressure_log_potential(beta), "exact")
+        return PressureEstimate(values, pressure_log_potential(beta), "exact")
     finite = [(n, v) for n, v in enumerate(logs, 1) if math.isfinite(v)]
     if len(finite) >= 2:
         (n2, l2), (n1, l1) = finite[-2:]
         extrap = (l1 - l2) / (n1 - n2)
     else:
         extrap = values[-1][1]
-    return PressureEstimate(beta, values, extrap, "limit")
+    return PressureEstimate(values, extrap, "limit")
 
 
 # --------------------------------------------------------------------------
@@ -357,8 +355,6 @@ def critical_beta_log() -> float:
 
 @dataclass
 class DiscriminantResult:
-    beta: float
-    divergent: bool
     series_value: float
     closed_form: float
 
@@ -386,11 +382,10 @@ def discriminant_log(beta: float) -> DiscriminantResult:
     certificate.  The closed form is log(zeta(beta) - 1).  For beta <= 1
     the series diverges and the discriminant is +infinity.
     """
-    from .matrices import by_kind
     A = by_kind("renewal")
     F = LOG_POTENTIAL
     if beta <= 1.0:
-        return DiscriminantResult(beta, True, math.inf, math.inf)
+        return DiscriminantResult(math.inf, math.inf)
     head = 14   # cycle lengths of the first-return series summed exactly
     zs = [z_n_star(A, F, beta, 1, k).value for k in range(1, head + 1)]
     for k, z in enumerate(zs, start=1):
@@ -407,8 +402,7 @@ def discriminant_log(beta: float) -> DiscriminantResult:
         raise RuntimeError(f"radius extrapolation {radius} is not 1")
     head_sum = math.fsum(zs)  # radius 1, so the head weights are exactly 1
     tail = power_sum_tail(beta, head + 2)
-    return DiscriminantResult(beta, False, math.log(head_sum + tail),
-                              math.log(zeta(beta) - 1.0))
+    return DiscriminantResult(math.log(head_sum + tail), math.log(zeta(beta) - 1.0))
 
 
 # --------------------------------------------------------------------------
@@ -534,14 +528,10 @@ def normalization_series(beta: float, lam: float) -> float:
     return _phi(beta, math.log(lam))[0]
 
 
-_BETA_C_CACHE: dict[str, float] = {}
-
-
+@functools.cache
 def beta_c_log() -> float:
     """Cached critical inverse temperature of the log-ratio potential."""
-    if "v" not in _BETA_C_CACHE:
-        _BETA_C_CACHE["v"] = critical_beta_log()
-    return _BETA_C_CACHE["v"]
+    return critical_beta_log()
 
 
 def pressure_log_potential(beta: float) -> float:
@@ -609,11 +599,14 @@ def _t_map(alpha: Word, x_stem: Word) -> Word:
 
 def jn_tn(A: TransitionMatrix, x: BoundedConfig, n: int,
           potential: GDiff | None = None) -> JnTnReport:
-    """Partition of the length n+|stem| words ending in the stem of ``x``.
+    """Partition of the stems of sigma^-n(x) into J_n and T_n.
 
-    One piece glues a length-n word ending in 1 directly onto the stem;
-    the other reroutes it through the descent above the stem's first
-    letter.  Checks injectivity, disjointness, and exact cover.  For
+    Both word sets are shift preimages from ``configs.preimages``: W_n(1),
+    the stems of sigma^-n of the empty-stem point, are the length-n words
+    ending in 1, and the target is the stems of sigma^-n(x), the length
+    n+|stem| words ending in the stem of ``x``.  J_n glues a word of W_n(1)
+    directly onto the stem; T_n reroutes it through the descent above the
+    stem's first letter.  Checks injectivity, disjointness, and exact cover.  For
     difference potentials the Birkhoff transport identity of rerouted
     words is evaluated and the worst residual reported.
     """
@@ -623,11 +616,10 @@ def jn_tn(A: TransitionMatrix, x: BoundedConfig, n: int,
         raise ValueError("x must have a non-empty stem")
     if n < 1:
         raise ValueError("n must be >= 1")
-    w_n_1 = list(backward_words(A, n, (1,)))
+    w_n_1 = [c.stem for c in preimages(empty_stem_config(A, 1), n)]
     j_image = [alpha + x.stem for alpha in w_n_1]
     t_image = [_t_map(alpha, x.stem) for alpha in w_n_1]
-    # the words of length n + |stem| that end in the stem
-    target = [head + x.stem for head in backward_words(A, n, A.predecessors(x.stem[0]))]
+    target = [c.stem for c in preimages(x, n)]
     ok = (len(set(j_image)) == len(j_image)
           and len(set(t_image)) == len(t_image)
           and not set(j_image) & set(t_image)

@@ -217,11 +217,15 @@ def _meet_fault(u: ConfigUniverse, expr: SetExpr, expected: int) -> tuple[int, s
     return None
 
 
+_MAX_REPORT = 5   # mismatches the oracle reports before it stops
+
+
 def cylinder_oracle(A: TransitionMatrix, word_len: int = 3, sym_bound: Symbol = 4,
                     inv_bound: Symbol = 4, stem_len: int = 5, universe_syms: Symbol = 6,
-                    n_periodic: int = 50, max_report: int = 5) -> OracleReport:
+                    n_periodic: int = 50) -> OracleReport:
     """Exhaustively verify pairwise intersections against raw membership,
-    meeting once per ordered pair of distinct normal forms."""
+    meeting once per ordered pair of distinct normal forms; the report
+    stops at ``_MAX_REPORT`` mismatches."""
     t0 = time.perf_counter()
     u = build_universe(A, stem_len, universe_syms, n_periodic)
     elems = subbasis_elements(A, word_len, sym_bound, inv_bound)
@@ -232,7 +236,7 @@ def cylinder_oracle(A: TransitionMatrix, word_len: int = 3, sym_bound: Symbol = 
     for i, e in enumerate(elems):
         if _meet_fault(u, decomposed[i], raw[i]) is not None:
             mismatches.append(f"decompose({e!r}) disagrees with raw membership")
-            if len(mismatches) >= max_report:
+            if len(mismatches) >= _MAX_REPORT:
                 break
     n_pairs = 0
     if not mismatches:
@@ -255,7 +259,7 @@ def cylinder_oracle(A: TransitionMatrix, word_len: int = 3, sym_bound: Symbol = 
                 k, reason = failed[key]
                 mismatches.append(f"{elems[i]!r} & {elems[j]!r}: config {u.configs[k]!r} "
                                   f"{reason}")
-            if len(mismatches) >= max_report:
+            if len(mismatches) >= _MAX_REPORT:
                 break
     return OracleReport(len(elems), n_pairs, len(u), mismatches,
                         time.perf_counter() - t0)

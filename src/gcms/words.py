@@ -3,19 +3,23 @@
 Words are tuples of positive integers; the empty word is ``()``.
 Enumeration runs backward along the (finite) column supports, so on the
 built-in matrix kinds it is exact: ``symbol_bound`` only filters what
-``enumerate_words`` returns, recording whether it removed anything;
-the cycles through a letter (``iter_cycles``) are never filtered.
+``enumerate_words`` returns, recording whether it removed anything.
 ``backward_words`` checks each letter it prepends against ``entry``, so
-every word it yields (and every word of ``enumerate_words`` and
-``iter_cycles``) is admissible edge by edge, with no second pass over the
-word; a column support that lists a letter whose entry is 0 raises
-``ValueError`` naming the pair.
+every word it yields is admissible edge by edge, with no second pass over
+the word; a column support that lists a letter whose entry is 0 raises
+``ValueError`` naming the pair.  Every walk over words goes through it:
+the n-th shift preimages (``configs.preimages``) and the cycles.  A cycle
+of length n through a letter b is one rule, written once in
+``iter_cycles``: the rotation (b,) + w[:-1] of a backward word w of length
+n that ends in b and whose first letter b may precede, so its closing edge
+is an edge of the walk too.  ``thermo``'s partition functions count the
+same words by the same rule without building them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .matrices import Symbol, TransitionMatrix
 
@@ -95,12 +99,10 @@ class Enumeration:
     dropped: int
 
 
-def backward_words(A: TransitionMatrix, n: int, seeds: Iterable[Symbol],
-                    keep: Callable[[Symbol], bool] | None = None) -> Iterator[Word]:
+def backward_words(A: TransitionMatrix, n: int, seeds: Iterable[Symbol]) -> Iterator[Word]:
     """All admissible words of length n whose last symbol is in ``seeds``.
 
-    Walks column supports right to left; ``keep`` prunes intermediate and
-    first symbols (not the seed position).  Each letter ``p`` prepended to
+    Walks column supports right to left.  Each letter ``p`` prepended to
     a suffix starting with ``first`` is checked once, on that edge:
     ``A(p, first)`` must be 1, else ``ValueError`` names the pair.  So
     ``entry`` has passed every transition of every yielded word, which is
@@ -117,23 +119,21 @@ def backward_words(A: TransitionMatrix, n: int, seeds: Iterable[Symbol],
             continue
         first = suffix[0]
         for p in reversed(A.predecessors(first)):
-            if keep is not None and not keep(p):
-                continue
             if A.entry(p, first) != 1:
                 raise ValueError(
                     f"{p} listed as a predecessor of {first}, but A({p}, {first}) = 0")
             stack.append(((p,) + suffix, length + 1))
 
 
-def generation_layers(A: TransitionMatrix, seeds: Iterable[Symbol], n: int, weight: float = 1,
-                      keep: Callable[[Symbol], bool] | None = None) -> list[dict[Symbol, float]]:
+def generation_layers(A: TransitionMatrix, seeds: Iterable[Symbol], n: int,
+                      weight: float = 1) -> list[dict[Symbol, float]]:
     """Layers 1..n of the backward walk from ``seeds``, one dict per length.
 
     Layer k maps a first letter to the total ``weight**k`` over the
     admissible words of length k that start with that letter and end in a
     seed; with ``weight=1`` the totals are exact integer counts.  The walk
     keeps one entry per first letter, so it never builds the words that
-    ``backward_words`` yields; ``keep`` prunes the letters as it does there.
+    ``backward_words`` yields.
     """
     layers = [{s: weight for s in sorted(seeds)}] if n >= 1 else []
     while len(layers) < n:
@@ -141,8 +141,7 @@ def generation_layers(A: TransitionMatrix, seeds: Iterable[Symbol], n: int, weig
         for sym, x in layers[-1].items():
             x *= weight
             for p in A.predecessors(sym):
-                if keep is None or keep(p):
-                    nxt[p] = nxt.get(p, 0) + x
+                nxt[p] = nxt.get(p, 0) + x
         layers.append(nxt)
     return layers
 
@@ -173,21 +172,16 @@ def enumerate_words(A: TransitionMatrix, n: int, last_in: Iterable[Symbol],
     return Enumeration(kept, dropped)
 
 
-def iter_cycles(A: TransitionMatrix, n: int, through: Symbol,
-                first_return: bool = False) -> Iterator[Word]:
-    """Admissible cycles w of length n with w[0] = through and A(w[-1], w[0]) = 1.
+def iter_cycles(A: TransitionMatrix, n: int, through: Symbol) -> Iterator[Word]:
+    """The cycles of length n through ``through``, each written from it.
 
-    With ``first_return`` the symbol ``through`` may not reappear inside the
-    cycle.  Exact (no truncation) on every supported kind.
+    The one cycle rule: (through,) + w[:-1] for each word w of
+    ``backward_words(A, n, (through,))`` with A(through, w[0]) = 1.  The
+    walk checks every edge against ``entry``, the closing edge into
+    ``through`` included.  Exact (no truncation) on every supported kind.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n == 1:
-        if A.entry(through, through) == 1:
-            yield (through,)
-        return
-    seeds = [s for s in A.predecessors(through) if not (first_return and s == through)]
-    for tail in backward_words(A, n - 1, seeds,
-                                keep=(lambda s: s != through) if first_return else None):
-        if A.entry(through, tail[0]) == 1:
-            yield (through,) + tail
+    for w in backward_words(A, n, (through,)):
+        if A.entry(through, w[0]) == 1:
+            yield (through,) + w[:-1]

@@ -310,6 +310,9 @@ def test_stored_matrix_with_a_forced_cycle(rows, expr, cylinder, tmp_path, capsy
      "cannot parse cylinder expression 'C[1.]'"),
     (["decompose", "--kind", "renewal", "--expr", "C[1;inv=2;inv=3]"],
      "cannot parse cylinder expression 'C[1;inv=2;inv=3]'"),
+    # only a constant potential has a certified y-measure normalizer
+    (["measure", "--kind", "renewal", "--measure", "y", "--potential", "log"],
+     "no y-measure for potential GDiff(log) on kind renewal"),
 ])
 def test_errors_exit_2_with_one_line(args, message, tmp_path, capsys):
     files = {"MATRIX": '{"kind": "explicit"}',

@@ -285,13 +285,15 @@ def test_oracle_matches_the_all_pairs_loop(name, faulty, monkeypatch):
     # a stored matrix has no boundary points for decompose to lose
     expect_fault = {"clean": False, "faulty_meet": True,
                     "faulty_decompose": bool(A.accumulation_catalog)}[faulty]
-    # the default report cut-off, and none: every pair, in both orders of a
-    # class pair that a faulty meet tells apart, is then reported
-    for max_report in (5, 10 ** 6):
-        sizes = dict(word_len=2, sym_bound=3, inv_bound=3, stem_len=4, universe_syms=5,
-                     n_periodic=20, max_report=max_report)
+    # the report cut-off, and none: every pair, in both orders of a class
+    # pair that a faulty meet tells apart, is then reported
+    from gcms import verification
+    sizes = dict(word_len=2, sym_bound=3, inv_bound=3, stem_len=4, universe_syms=5,
+                 n_periodic=20)
+    for max_report in (verification._MAX_REPORT, 10 ** 6):
+        monkeypatch.setattr(verification, "_MAX_REPORT", max_report)
         rep = cylinder_oracle(A, **sizes)
-        slow = _all_pairs_oracle(A, **sizes)
+        slow = _all_pairs_oracle(A, **sizes, max_report=max_report)
         assert (rep.n_elems, rep.n_pairs, rep.n_configs, rep.mismatches) == slow
         assert bool(slow[3]) == expect_fault, slow[3]
 

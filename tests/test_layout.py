@@ -1,6 +1,7 @@
 """The library holds only what the package, the benchmark or the acceptance
 criteria use: every public name in ``src/gcms`` has a caller outside the
-unit tests, and every public dataclass field has a reader.
+unit tests, every public dataclass field has a reader, and every parameter
+with a default is set by some call.
 
 A top-level name counts as referenced only where the reference resolves to
 its module: a bare name inside the module itself, ``from .m import name``
@@ -12,7 +13,9 @@ A method counts as referenced only through an attribute access
 ``METHODS`` tuples); a bare name, an import alias or a dotted string is a
 top-level name's reference, not a method's.  The receiver of ``obj.n`` is
 not resolved, so it counts for every method named ``n``.  A field counts
-where an attribute of its name is read.
+where an attribute of its name is read.  A parameter counts as set where a
+call of its function's name (its method's attribute name; its class's name
+for ``__init__``) passes it by keyword, by position or through ``*``/``**``.
 """
 
 import ast
@@ -129,3 +132,48 @@ def test_every_dataclass_field_is_read():
               if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
               and not item.target.id.startswith("_") and item.target.id not in read]
     assert not unread, f"dataclass fields nothing reads: {unread}"
+
+
+def _optional_parameters(tree: ast.Module):
+    """((name, is_method), parameter, positional index or None) of every
+    parameter with a default on a top-level function or a method.  An
+    ``__init__`` is keyed as its class is called, and a method's positional
+    index does not count ``self``."""
+    defs = [((node.name, False), 0, node) for node in tree.body
+            if isinstance(node, ast.FunctionDef)]
+    defs += [((cls.name, False) if sub.name == "__init__" else (sub.name, True), 1, sub)
+             for cls in tree.body if isinstance(cls, ast.ClassDef)
+             for sub in cls.body if isinstance(sub, ast.FunctionDef)]
+    for key, skip, node in defs:
+        a = node.args
+        positional = a.posonlyargs + a.args
+        first = len(positional) - len(a.defaults)
+        for i, p in enumerate(positional[first:], first):
+            yield key, p.arg, i - skip
+        for p, d in zip(a.kwonlyargs, a.kw_defaults):
+            if d is not None:
+                yield key, p.arg, None
+
+
+def test_every_optional_parameter_is_set():
+    calls: dict[tuple[str, bool], list[ast.Call]] = {}
+    for tree in _trees(CALLERS).values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                if isinstance(f, ast.Name):
+                    calls.setdefault((f.id, False), []).append(node)
+                elif isinstance(f, ast.Attribute):
+                    calls.setdefault((f.attr, False), []).append(node)
+                    calls.setdefault((f.attr, True), []).append(node)
+
+    def sets(call: ast.Call, param: str, index: int | None) -> bool:
+        return (any(k.arg in (param, None) for k in call.keywords)
+                or any(isinstance(a, ast.Starred) for a in call.args)
+                or index is not None and index < len(call.args))
+
+    unset = [f"{path.stem}.{key[0]}({param})"
+             for path in sorted(SRC.glob("*.py"))
+             for key, param, index in _optional_parameters(ast.parse(path.read_text()))
+             if not any(sets(c, param, index) for c in calls.get(key, []))]
+    assert not unset, f"optional parameters no caller sets: {unset}"

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gcms import matrices
-from gcms.matrices import alternating_renewal, explicit, from_json, full_shift, prime_renewal
+from gcms.matrices import alternating_renewal, explicit, from_json, full_shift
 
 
 def _to_json(A):
@@ -156,7 +156,9 @@ def test_from_dict_gives_a_matrix_or_value_error(spec):
 
 
 def test_prime_bound_controls_catalog():
-    assert len(prime_renewal(11).accumulation_catalog) == 6  # {1} + primes 2,3,5,7,11
+    # the bound reaches the matrix through from_dict, as a --matrix-file does
+    A = matrices.from_dict({"kind": "prime_renewal", "prime_bound": 11})
+    assert len(A.accumulation_catalog) == 6  # {1} + primes 2,3,5,7,11
 
 
 @pytest.mark.parametrize("kind", sorted(matrices.KINDS))

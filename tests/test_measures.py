@@ -51,10 +51,9 @@ class ConvexCombination(ms.Measure):
 
 
 def test_negate_is_an_involution():
-    for F in (Constant(1.0), LOG_POTENTIAL):
-        assert ms.negate(ms.negate(F)) == F
-    neg = ms.negate(LOG_POTENTIAL)
-    assert all(neg.value(s) == -LOG_POTENTIAL.value(s) for s in range(1, 200))
+    F = Constant(1.0)
+    assert ms.negate(F) == Constant(-1.0)
+    assert ms.negate(ms.negate(F)) == F
 
 
 # -- normalizer --------------------------------------------------------------------

@@ -41,6 +41,9 @@ def test_walk_rejects_a_listed_predecessor_that_is_no_transition(monkeypatch):
         list(backward_words(A, 2, (1,)))
     with pytest.raises(ValueError, match=one_line):
         enumerate_words(A, 2, {1}, 10)
+    # the closing edge of a cycle is an edge of the walk: 3 -> 1 is no transition
+    with pytest.raises(ValueError, match=one_line):
+        list(iter_cycles(A, 2, 1))
     with pytest.raises(ValueError, match=one_line):
         preimages(empty_stem_config(A, 1), 2)
     # the junction into a non-empty stem is an edge of the walk too
@@ -97,6 +100,42 @@ def test_cycles_are_cycles(pair):
         assert w[0] == 2
         assert is_admissible(pair, w)
         assert pair.entry(w[-1], w[0]) == 1
+
+
+def _seed_walk_cycles(A, n, through, first_return=False):
+    """The cycles as ``iter_cycles`` listed them before it walked back from
+    ``through``: a walk seeded from the predecessors of ``through``, which
+    never asks ``entry`` about the closing edge; with ``first_return`` the
+    walk never visits ``through`` again."""
+    if n == 1:
+        return [(through,)] if A.entry(through, through) == 1 else []
+    skip = {through} if first_return else set()
+    stack = [((s,), 1) for s in sorted(A.predecessors(through), reverse=True) if s not in skip]
+    out = []
+    while stack:
+        tail, length = stack.pop()
+        if length == n - 1:
+            if A.entry(through, tail[0]) == 1:
+                out.append((through,) + tail)
+            continue
+        stack.extend(((p,) + tail, length + 1)
+                     for p in reversed(A.predecessors(tail[0])) if p not in skip)
+    return out
+
+
+@pytest.mark.parametrize("name", [*sorted(KINDS), "explicit", "two_cycle", "full_shift"])
+def test_cycles_are_the_seed_walk_cycles(name):
+    # the one cycle rule lists the cycles of the seed walk, in the same order,
+    # and filtering out inner returns gives its first-return cycles
+    A = {"explicit": lambda: explicit([[1, 1, 0], [0, 1, 1], [1, 0, 1]]),
+         "two_cycle": lambda: explicit([[0, 1], [1, 0]]),
+         "full_shift": lambda: full_shift(3)}.get(name, lambda: by_kind(name))()
+    for through in range(1, min(5, A.size or 5) + 1):
+        for n in range(1, 10):
+            cycles = list(iter_cycles(A, n, through))
+            assert cycles == _seed_walk_cycles(A, n, through), (through, n)
+            assert ([c for c in cycles if through not in c[1:]]
+                    == _seed_walk_cycles(A, n, through, first_return=True)), (through, n)
 
 
 def test_forced_extension(renewal, pair):
