@@ -19,7 +19,7 @@ from . import measures as ms
 from . import thermo as th
 from . import verification as vf
 from .cylinders import Subbasis, decompose, intersect_many, parse_expression
-from .matrices import KINDS, TransitionMatrix, from_dict, from_json
+from .matrices import KINDS, TransitionMatrix, from_dict
 from .words import format_word
 
 
@@ -39,6 +39,14 @@ def _finite(values: Iterable[float], what: str = "grid values") -> list[float]:
 
 def _beta(args: argparse.Namespace) -> float:
     return _finite([args.beta], "--beta")[0]
+
+
+def _tol(args: argparse.Namespace) -> float:
+    """--tol; a nan, infinite or non-positive tolerance would check nothing."""
+    tol = _finite([args.tol], "--tol")[0]
+    if tol <= 0:
+        raise ValueError(f"--tol must be positive, not {tol}")
+    return tol
 
 
 _MAX_GRID_POINTS = 100_000
@@ -67,7 +75,11 @@ def _grid(spec: str) -> list[float]:
 def _load_matrix(args: argparse.Namespace) -> TransitionMatrix:
     if args.matrix_file:
         with open(args.matrix_file, "r", encoding="utf-8") as fh:
-            return from_json(fh.read())
+            try:
+                spec = json.load(fh)
+            except ValueError as exc:   # malformed JSON, or bytes that are not UTF-8
+                raise ValueError(f"{args.matrix_file} is not valid JSON: {exc}") from None
+        return from_dict(spec)
     if not args.kind:
         raise ValueError("either --kind or --matrix-file is required")
     return from_dict({"kind": args.kind, "prime_bound": args.prime_bound})
@@ -105,9 +117,9 @@ def _cylinder_words(A: TransitionMatrix, depth: int, symbol_bound: int) -> list:
 
 
 def _potential(name: str) -> th.Potential:
-    if name in ("const", "constant", "one"):
+    if name == "const":
         return th.Constant(1.0)
-    if name in ("log", "log_ratio"):
+    if name == "log":
         return th.LogRatio()
     raise ValueError(f"unknown potential {name!r} (use 'const' or 'log')")
 
@@ -160,7 +172,8 @@ def cmd_phase(args: argparse.Namespace) -> int:
     A = _load_matrix(args)
     potential = _potential(args.potential)
     grid = _grid(args.beta_grid)
-    rows = [_phase_row(A, potential, b, args.tol) for b in grid]
+    tol = _tol(args)
+    rows = [_phase_row(A, potential, b, tol) for b in grid]
     if isinstance(potential, th.Constant):
         header = ["beta", "boundary_measures", "sequence_measures", "critical_beta"]
     else:
@@ -171,6 +184,7 @@ def cmd_phase(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     A = _load_matrix(args)
+    tol = _tol(args)
     report: dict = {"kind": A.kind, "suite": args.suite}
     if args.suite == "cylinders":
         rep = vf.cylinder_oracle(A)
@@ -182,11 +196,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     elif args.suite == "conformality":
         resid = vf.conformality_suite(A, _beta(args))
         report["max_residuals"] = resid
-        ok = all(v <= args.tol for v in resid.values())
+        ok = all(v <= tol for v in resid.values())
     elif args.suite == "pressure":
         resid = vf.pressure_suite(A, _beta(args))
         report["residuals"] = resid
-        ok = all(v <= args.tol for v in resid.values())
+        ok = all(v <= tol for v in resid.values())
     else:   # counting
         fams = vf.counted_families(A)
         mismatch = [f for f in fams

@@ -200,7 +200,6 @@ def count_preimages_closed_form(A: TransitionMatrix, family_id: int,
     """Closed-form (or interval) size of the n-th preimage generation."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    counts = A.spec.counts if A.spec is not None else None
-    if counts is None:
+    if A.spec.counts is None:
         raise ValueError(f"no closed-form preimage count for kind {A.kind}")
-    return counts(family_id, n)
+    return A.spec.counts(family_id, n)

@@ -142,7 +142,7 @@ def normalize(A: TransitionMatrix, points: Iterable[BoundedConfig] = (),
     rest.
     """
     atoms = [forced_extension(A, a) for a in atoms]
-    families = [CylFamily(f.prefix, ss.intersect(A, f.symbols, ss.row_one(A, f.prefix[-1])))
+    families = [CylFamily(f.prefix, ss.intersect(A, f.symbols, A.row(f.prefix[-1])))
                 if f.prefix else f for f in families]
     return _assemble(A, points, atoms, families)
 
@@ -220,8 +220,7 @@ def decompose(e: Subbasis) -> SetExpr:
     if inv is not None:
         points += [BoundedConfig(A, alpha, col) for col in _roots(A, alpha)
                    if (inv in col.support) != e.complemented]
-        row = ss.row_zero if e.complemented else ss.row_one
-        fams.append(CylFamily(alpha, row(A, inv)))
+        fams.append(CylFamily(alpha, ss.row_zero(A, inv) if e.complemented else A.row(inv)))
     return normalize(A, points=points, families=fams)
 
 

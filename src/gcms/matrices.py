@@ -5,26 +5,21 @@ The built-in families (renewal, pair renewal, prime renewal, alternating
 renewal) are infinite matrices defined by closed-form rules and are never
 materialized; explicit finite matrices store their rows.
 
-Each rule-defined family is one :class:`MatrixKind` entry of ``KINDS``,
-with the fields ``entry`` (the rule), ``predecessors`` (the finite column
-supports, which make backward word enumeration exact), ``is_irregular``
-and ``irregular_meet`` (the rows kept symbolic by the cylinder algebra),
-``catalog`` (the column accumulation points: the roots of the boundary
-configurations the shift space acquires beyond the sequence space),
-``cover`` (rows that tile the alphabet), ``growth`` (generation growth
-rates), ``counts`` (closed-form generation counts) and ``truncated``
-(whether the catalog is cut at ``prime_bound``).
-:class:`TransitionMatrix` answers every query by looking its kind up,
-never by branching on the kind's name.
+Every matrix has one :class:`MatrixKind`, which holds every fact about
+it: each rule-defined family is an entry of ``KINDS``, and a stored finite
+matrix gets a kind built once from its rows.  :class:`TransitionMatrix`
+answers every query by looking its kind up, never by branching on the
+kind's name.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
+
+from .symbolsets import ALL, FiniteSet, Sieve, SymbolSet
 
 Symbol = int
 
@@ -89,32 +84,36 @@ class IntegerInterval:
 
 @dataclass(frozen=True)
 class MatrixKind:
-    """What one rule-defined matrix family knows.
+    """What one matrix family, or one stored finite matrix, knows.
 
     * ``entry(i, j)``: A(i, j) for symbols i, j >= 1.
-    * ``predecessors(j)``: the column support { i : A(i, j) = 1 }, sorted.
-    * ``is_irregular(i)``: whether row i is neither finite nor cofinite.
-      Every other row is cofinite (everything) for i = 1 and the single
-      descent {i - 1} otherwise.
+    * ``predecessors(j)``: the column support { i : A(i, j) = 1 }, sorted;
+      finite supports make backward word enumeration exact.
+    * ``row(i)``: the row support { k : A(i, k) = 1 } as a symbol set: a
+      ``FiniteSet``, ``ALL`` (the cofinite row 1 of the rule kinds), or
+      ``Sieve(i)`` when the row is irregular, neither finite nor cofinite,
+      and the cylinder algebra keeps it symbolic.
     * ``irregular_meet(i, j)``: the finite support intersection of two
       distinct irregular rows; None when the kind has fewer than two.
-    * ``catalog(prime_bound)``: the accumulation columns; ``truncated``
-      when the catalog is infinite and only columns up to ``prime_bound``
-      are built.
+    * ``catalog(prime_bound)``: the column accumulation points, the roots
+      of the boundary configurations beyond the sequence space;
+      ``truncated`` when the catalog is infinite and only columns up to
+      ``prime_bound`` are built.
     * ``cover``: rows whose supports tile the alphabet.
     * ``growth = (lower, upper)``: generation sizes are at most
-      const * upper**n, and infinitely often at least const * lower**n.
+      const * upper**n, and infinitely often at least const * lower**n;
+      None when no rate is certified.
     * ``counts(family_id, n)``: closed-form (or interval) size of
       generation n >= 0 of a family's preimage tree; None when unknown.
     """
 
     entry: Callable[[Symbol, Symbol], int]
     predecessors: Callable[[Symbol], tuple[Symbol, ...]]
-    is_irregular: Callable[[Symbol], bool]
+    row: Callable[[Symbol], SymbolSet]
     irregular_meet: Callable[[Symbol, Symbol], frozenset[Symbol]] | None
     catalog: Callable[[int], tuple[AccumulationColumn, ...]]
     cover: tuple[Symbol, ...]
-    growth: tuple[float, float]
+    growth: tuple[float, float] | None
     counts: Callable[[int, int], int | IntegerInterval] | None
     truncated: bool = False
 
@@ -122,6 +121,17 @@ class MatrixKind:
     def critical_beta(self) -> float:
         """log(upper growth): above it the constant-potential series converge."""
         return math.log(self.growth[1])
+
+
+def _rule_rows(irregular: Callable[[Symbol], bool]) -> Callable[[Symbol], SymbolSet]:
+    """The rule kinds' row i: symbolic if irregular, every letter if i = 1, else
+    {i - 1}.  Memoized: symbol sets are frozen, and walks ask letter by letter."""
+    @lru_cache(maxsize=None)
+    def row(i: Symbol) -> SymbolSet:
+        if irregular(i):
+            return Sieve(i, frozenset(), frozenset())
+        return ALL if i == 1 else FiniteSet(frozenset({i - 1}))
+    return row
 
 
 def _column(col_id: int, support: set[Symbol]) -> AccumulationColumn:
@@ -204,7 +214,7 @@ KINDS: dict[str, MatrixKind] = {
     "renewal": MatrixKind(
         entry=lambda i, j: 1 if (i == 1 or i == j + 1) else 0,
         predecessors=lambda j: (1, j + 1),
-        is_irregular=lambda i: False,
+        row=_rule_rows(lambda i: False),
         irregular_meet=None,
         catalog=lambda prime_bound: (_column(1, {1}),),
         cover=(1,),
@@ -213,7 +223,7 @@ KINDS: dict[str, MatrixKind] = {
     "pair_renewal": MatrixKind(
         entry=lambda i, j: 1 if (i == 1 or i == j + 1 or (i == 2 and j % 2 == 0)) else 0,
         predecessors=lambda j: (1, 2, j + 1) if j % 2 == 0 else (1, j + 1),
-        is_irregular=lambda i: i == 2,
+        row=_rule_rows(lambda i: i == 2),
         irregular_meet=None,
         catalog=lambda prime_bound: (_column(1, {1, 2}), _column(2, {1})),
         cover=(1,),
@@ -222,7 +232,7 @@ KINDS: dict[str, MatrixKind] = {
     "prime_renewal": MatrixKind(
         entry=_prime_entry,
         predecessors=_prime_predecessors,
-        is_irregular=_is_prime,
+        row=_rule_rows(_is_prime),
         irregular_meet=_prime_meet,
         catalog=_prime_catalog,
         cover=(1,),
@@ -233,7 +243,7 @@ KINDS: dict[str, MatrixKind] = {
     "alternating_renewal": MatrixKind(
         entry=lambda i, j: 1 if (i == j + 1 or i == 1 + j % 2) else 0,
         predecessors=lambda j: (2,) if j == 1 else (1 + j % 2, j + 1),
-        is_irregular=lambda i: i in (1, 2),
+        row=_rule_rows(lambda i: i in (1, 2)),
         irregular_meet=lambda i, j: frozenset(),
         catalog=lambda prime_bound: (_column(1, {1}), _column(2, {2})),
         cover=(1, 2),
@@ -242,65 +252,61 @@ KINDS: dict[str, MatrixKind] = {
 }
 
 
+def _stored_kind(rows: tuple[tuple[int, ...], ...]) -> MatrixKind:
+    """The kind of a stored finite matrix: no boundary, cover, growth or counts."""
+    n = len(rows)
+    for r in rows:
+        if len(r) != n:
+            raise ValueError("explicit matrix must be square")
+        if any(v not in (0, 1) for v in r):
+            raise ValueError("entries must be 0 or 1")
+    for i, r in enumerate(rows):
+        if not any(r):
+            raise ValueError(f"row {i + 1} is all zero")
+    columns = tuple(tuple(i + 1 for i in range(n) if rows[i][j]) for j in range(n))
+    for j, c in enumerate(columns):
+        if not c:
+            raise ValueError(f"column {j + 1} is all zero")
+    supports = tuple(FiniteSet(frozenset(j + 1 for j, v in enumerate(r) if v)) for r in rows)
+
+    def in_range(*symbols: Symbol) -> None:
+        if max(symbols) > n:
+            raise ValueError(f"symbol {max(symbols)} out of range for size {n}")
+
+    def entry(i: Symbol, j: Symbol) -> int:
+        in_range(i, j)
+        return rows[i - 1][j - 1]
+
+    def predecessors(j: Symbol) -> tuple[Symbol, ...]:
+        in_range(j)
+        return columns[j - 1]
+
+    def row(i: Symbol) -> SymbolSet:
+        in_range(i)
+        return supports[i - 1]
+
+    return MatrixKind(entry=entry, predecessors=predecessors, row=row, irregular_meet=None,
+                      catalog=lambda prime_bound: (), cover=(), growth=None, counts=None)
+
+
 class TransitionMatrix:
     """Queryable 0/1 transition matrix over the alphabet of positive integers.
 
-    Use the module-level constructors (:func:`renewal`, :func:`pair_renewal`,
-    :func:`prime_renewal`, :func:`alternating_renewal`, :func:`full_shift`,
-    :func:`explicit`) rather than instantiating directly.  ``spec`` is the
-    kind's :class:`MatrixKind`, or None for a stored finite matrix.
+    Built by :func:`by_kind`, :func:`from_dict`, :func:`full_shift` or
+    :func:`explicit`; ``spec`` is its :class:`MatrixKind`.  The catalog of
+    prime renewal is countably infinite: only the columns of the primes up
+    to ``prime_bound`` (7 unless the specification names another) are built.
     """
 
     def __init__(self, kind: str, *, rows: tuple[tuple[int, ...], ...] | None = None,
                  prime_bound: int = 7):
         self.kind = kind
         self._rows = rows
-        self.prime_bound: int | None = None
-        if rows is None:
-            self.spec: MatrixKind | None = KINDS[kind]
-            if self.spec.truncated:
-                self.prime_bound = prime_bound
-            self.size: int | None = None
-            self._entry, self._predecessors = self.spec.entry, self.spec.predecessors
-            self._catalog = self.spec.catalog(prime_bound)
-        else:
-            self.spec = None
-            self.size = len(rows)
-            self._validate_explicit()
-            self._entry, self._predecessors = self._stored_entry, self._stored_predecessors
-            self._catalog = ()
-
-    # -- stored finite matrices -------------------------------------------------
-
-    def _validate_explicit(self) -> None:
-        rows = self._rows
-        assert rows is not None
-        n = len(rows)
-        for r in rows:
-            if len(r) != n:
-                raise ValueError("explicit matrix must be square")
-            if any(v not in (0, 1) for v in r):
-                raise ValueError("entries must be 0 or 1")
-        for i, r in enumerate(rows):
-            if not any(r):
-                raise ValueError(f"row {i + 1} is all zero")
-        for j in range(n):
-            if not any(rows[i][j] for i in range(n)):
-                raise ValueError(f"column {j + 1} is all zero")
-
-    def _in_range(self, *symbols: Symbol) -> None:
-        if max(symbols) > self.size:
-            raise ValueError(f"symbol {max(symbols)} out of range for size {self.size}")
-
-    def _stored_entry(self, i: Symbol, j: Symbol) -> int:
-        self._in_range(i, j)
-        return self._rows[i - 1][j - 1]
-
-    def _stored_predecessors(self, j: Symbol) -> tuple[Symbol, ...]:
-        self._in_range(j)
-        return tuple(i + 1 for i, row in enumerate(self._rows) if row[j - 1] == 1)
-
-    # -- basic queries --------------------------------------------------------
+        self.spec = KINDS[kind] if rows is None else _stored_kind(rows)
+        self.size = None if rows is None else len(rows)
+        self.prime_bound = prime_bound if self.spec.truncated else None
+        self._entry, self._predecessors = self.spec.entry, self.spec.predecessors
+        self.accumulation_catalog = self.spec.catalog(prime_bound)
 
     def entry(self, i: Symbol, j: Symbol) -> int:
         """Matrix entry A(i, j), exact for all i, j on built-in kinds."""
@@ -314,24 +320,11 @@ class TransitionMatrix:
             raise ValueError("symbols are positive integers")
         return self._predecessors(j)
 
-    # -- row structure for the cylinder algebra -------------------------------
-
-    def row_structure(self, i: Symbol) -> tuple[str, frozenset[Symbol]]:
-        """Normal form of row i as a symbol set.
-
-        Returns ``("finite", S)`` when the row support is the finite set S,
-        ``("cofinite", S)`` when the support is everything except S, and
-        ``("irregular", frozenset())`` when both the support and its
-        complement are infinite (the row stays symbolic).
-        """
-        if self._rows is not None:
-            self._in_range(i)
-            return ("finite", frozenset(j + 1 for j, v in enumerate(self._rows[i - 1]) if v == 1))
-        if self.spec.is_irregular(i):
-            return ("irregular", frozenset())
-        if i == 1:
-            return ("cofinite", frozenset())
-        return ("finite", frozenset({i - 1}))
+    def row(self, i: Symbol) -> SymbolSet:
+        """Row support { k : A(i,k) = 1 } as a symbol set in normal form."""
+        if i < 1:
+            raise ValueError("symbols are positive integers")
+        return self.spec.row(i)
 
     def irregular_rows_intersection(self, i: Symbol, j: Symbol) -> frozenset[Symbol]:
         """Support of row i intersected with row j, both irregular, i != j.
@@ -341,19 +334,12 @@ class TransitionMatrix:
         """
         if i == j:
             raise ValueError("rows must differ")
-        meet = self.spec.irregular_meet if self.spec is not None else None
-        if meet is None:
+        if self.spec.irregular_meet is None:
             raise ValueError(f"kind {self.kind} has fewer than two irregular rows")
-        return meet(i, j)
-
-    # -- catalog ---------------------------------------------------------------
-
-    @property
-    def accumulation_catalog(self) -> tuple[AccumulationColumn, ...]:
-        return self._catalog
+        return self.spec.irregular_meet(i, j)
 
     def column_by_id(self, col_id: int) -> AccumulationColumn:
-        for c in self._catalog:
+        for c in self.accumulation_catalog:
             if c.id == col_id:
                 return c
         raise ValueError(f"no accumulation column with id {col_id} for kind {self.kind}")
@@ -377,37 +363,11 @@ class TransitionMatrix:
         return f"TransitionMatrix(kind={self.kind!r})"
 
 
-def renewal() -> TransitionMatrix:
-    """A(1,n) = A(n+1,n) = 1: full first row plus descent by one."""
-    return TransitionMatrix("renewal")
-
-
-def pair_renewal() -> TransitionMatrix:
-    """A(1,n) = A(2,2n) = A(n+1,n) = 1."""
-    return TransitionMatrix("pair_renewal")
-
-
-def prime_renewal() -> TransitionMatrix:
-    """A(1,n) = A(n+1,n) = A(p, p^n) = 1 for primes p.
-
-    The accumulation-column catalog is countably infinite; only columns for
-    primes up to the default ``prime_bound`` 7 are materialized (``from_dict``
-    takes another bound).
-    """
-    return TransitionMatrix("prime_renewal")
-
-
-def alternating_renewal() -> TransitionMatrix:
-    """A(1,2n) = A(2,2n-1) = A(n+1,n) = 1."""
-    return TransitionMatrix("alternating_renewal")
-
-
 def full_shift(size: int) -> TransitionMatrix:
     """Finite full shift: all transitions allowed on {1..size}."""
     if size < 1:
         raise ValueError("size must be >= 1")
-    rows = tuple(tuple(1 for _ in range(size)) for _ in range(size))
-    return TransitionMatrix("full_shift", rows=rows)
+    return TransitionMatrix("full_shift", rows=((1,) * size,) * size)
 
 
 def explicit(rows: Sequence[Sequence[int]]) -> TransitionMatrix:
@@ -442,10 +402,6 @@ def from_dict(d: dict) -> TransitionMatrix:
     if not isinstance(kind, str) or kind not in KINDS:
         raise ValueError(f"unknown matrix kind {kind!r}")
     return TransitionMatrix(kind, prime_bound=_integer("prime_bound", d.get("prime_bound", 7)))
-
-
-def from_json(text: str) -> TransitionMatrix:
-    return from_dict(json.loads(text))
 
 
 @lru_cache(maxsize=None)

@@ -131,7 +131,7 @@ def normalizer(A: TransitionMatrix, family: AccumulationColumn, weight: Constant
     a tail above ``TAIL_TOL``, which the measure refuses.
     """
     x = math.exp(beta * weight.c)
-    if A.spec is None:
+    if A.spec.growth is None:
         raise Inconclusive(f"no certified growth rate for kind {A.kind}")
     lower, upper = A.spec.growth
     if lower * x >= 1.0:
@@ -272,7 +272,7 @@ class YFamilyMeasure(Measure):
         tails = self._tails
         if j not in tails:
             k = next(k for k in range(j, 0, -1)
-                     if k in tails or self.matrix.row_structure(k) == ("cofinite", frozenset()))
+                     if k in tails or self.matrix.row(k) == ss.ALL)
             if k not in tails:
                 tails[k] = self.normalizer_value - 1.0
             for i in range(k + 1, j + 1):
@@ -589,7 +589,7 @@ def shift_image_of_cylinder(A: TransitionMatrix, alpha: Word) -> SetExpr:
     a = alpha[0]
     points = [BoundedConfig(A, (), col) for col in A.accumulation_catalog
               if a in col.allowed_terminal_symbols]
-    return normalize(A, points=points, families=[CylFamily((), ss.row_one(A, a))])
+    return normalize(A, points=points, families=[CylFamily((), A.row(a))])
 
 
 @dataclass

@@ -7,18 +7,20 @@ the index set is one of
 * ``Sieve``     -- everything passing row constraints, minus finitely many
   symbols.  ``one_row=j`` requires A(j, k) = 1, each element of
   ``zero_rows`` requires A(j, k) = 0.  Only rows whose support is neither
-  finite nor cofinite ("irregular" rows) are kept symbolic; all other rows
+  finite nor cofinite (irregular rows) are kept symbolic; all other rows
   are resolved eagerly, so intersections stay in this vocabulary.
 
+Row j is ``A.row(j)``, in this normal form, and ``row_zero`` its complement.
 All operations take the matrix as the first argument.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
-from .matrices import Symbol, TransitionMatrix
+if TYPE_CHECKING:
+    from .matrices import Symbol, TransitionMatrix
 
 
 @dataclass(frozen=True)
@@ -43,25 +45,15 @@ def all_except(symbols) -> Sieve:
     return Sieve(None, frozenset(), frozenset(symbols))
 
 
-def row_one(A: TransitionMatrix, j: Symbol) -> SymbolSet:
-    """{ k : A(j, k) = 1 } in normal form."""
-    shape, support = A.row_structure(j)
-    if shape == "finite":
-        return FiniteSet(support)
-    if shape == "cofinite":
-        return Sieve(None, frozenset(), support)
-    return Sieve(j, frozenset(), frozenset())
-
-
 def row_zero(A: TransitionMatrix, j: Symbol) -> SymbolSet:
-    """{ k : A(j, k) = 0 } in normal form."""
-    shape, support = A.row_structure(j)
-    if shape == "finite":
+    """{ k : A(j, k) = 0 } in normal form: the complement of ``A.row(j)``."""
+    row = A.row(j)
+    if isinstance(row, FiniteSet):
         if A.size is not None:
-            return FiniteSet(frozenset(range(1, A.size + 1)) - support)
-        return Sieve(None, frozenset(), support)
-    if shape == "cofinite":
-        return FiniteSet(support)
+            return FiniteSet(frozenset(range(1, A.size + 1)) - row.symbols)
+        return all_except(row.symbols)
+    if row.one_row is None:
+        return FiniteSet(row.excluded)
     return Sieve(None, frozenset({j}), frozenset())
 
 
@@ -84,7 +76,7 @@ def _canonical_sieve(A: TransitionMatrix, one_row: Symbol | None,
     if one_row is not None and one_row in zero_rows:
         return EMPTY_SET
     if one_row is not None and zero_rows:
-        # row_one cap row_zero(j) leaves a finite dent in row_one
+        # row(one_row) cap row_zero(j) leaves a finite dent in row(one_row)
         extra = set()
         for j in zero_rows:
             extra |= A.irregular_rows_intersection(one_row, j)

@@ -319,6 +319,8 @@ def power_sum_tail(beta: float, start: int, tol: float = 1e-14) -> float:
     N = max(start, 16)
     while True:
         tail, bound = _em_tail(beta, N)
+        if not math.isfinite(bound):
+            raise DomainError(f"the power-sum tail bound is not finite at beta = {beta:g}")
         if bound <= tol:
             break
         N *= 2

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .matrices import Symbol, TransitionMatrix
+from .symbolsets import FiniteSet
 
 Word = tuple[Symbol, ...]
 
@@ -62,14 +63,14 @@ def forced_extension(A: TransitionMatrix, w: Word) -> Word:
     extension alike, so every word naming that point gives the same result
     and extending the result again returns it unchanged.
 
-    The matrices of the rule kinds never reach the cut: ``row_structure``
-    gives them no finite row other than row i = {i - 1}, so along a forced
+    The matrices of the rule kinds never reach the cut: their kind gives
+    them no finite row other than ``A.row(i)`` = {i - 1}, so along a forced
     run every letter is one less than the letter before, and no letter
     repeats.  Only a stored matrix can have a forced cycle.
     """
     def successor(s: Symbol) -> Symbol | None:
-        shape, support = A.row_structure(s)
-        return next(iter(support)) if shape == "finite" and len(support) == 1 else None
+        row = A.row(s)
+        return min(row.symbols) if isinstance(row, FiniteSet) and len(row.symbols) == 1 else None
 
     if not w:
         return w

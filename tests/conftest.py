@@ -14,22 +14,22 @@ def fresh_shift_images():
 
 @pytest.fixture(scope="session")
 def renewal():
-    return matrices.renewal()
+    return matrices.by_kind("renewal")
 
 
 @pytest.fixture(scope="session")
 def pair():
-    return matrices.pair_renewal()
+    return matrices.by_kind("pair_renewal")
 
 
 @pytest.fixture(scope="session")
 def prime():
-    return matrices.prime_renewal()
+    return matrices.by_kind("prime_renewal")
 
 
 @pytest.fixture(scope="session")
 def alternating():
-    return matrices.alternating_renewal()
+    return matrices.by_kind("alternating_renewal")
 
 
 @pytest.fixture(scope="session")

@@ -313,13 +313,30 @@ def test_stored_matrix_with_a_forced_cycle(rows, expr, cylinder, tmp_path, capsy
     # only a constant potential has a certified y-measure normalizer
     (["measure", "--kind", "renewal", "--measure", "y", "--potential", "log"],
      "no y-measure for potential GDiff(log) on kind renewal"),
+    # a beta whose power-sum tail bound overflows has no certified zeta
+    (["measure", "--kind", "renewal", "--measure", "log", "--beta", "1e300"],
+     "the power-sum tail bound is not finite at beta = 1e+300"),
+    # a tolerance no residual can meet, or every residual meets, checks nothing
+    (["verify", "--suite", "pressure", "--kind", "renewal", "--tol", "nan"],
+     "--tol must be finite, not nan"),
+    (["verify", "--suite", "conformality", "--kind", "renewal", "--tol", "inf"],
+     "--tol must be finite, not inf"),
+    (["verify", "--suite", "pressure", "--kind", "renewal", "--tol=-1e-9"],
+     "--tol must be positive, not -1e-09"),
+    (["phase", "--kind", "renewal", "--tol", "0"], "--tol must be positive, not 0.0"),
+    # a matrix file that is no JSON is named as such
+    (["count", "--matrix-file", "EMPTY"], "EMPTY.json is not valid JSON"),
+    (["count", "--matrix-file", "LATIN1"], "LATIN1.json is not valid JSON"),
+    # only the two documented potential names
+    (["phase", "--kind", "renewal", "--potential", "one"], "unknown potential 'one'"),
 ])
 def test_errors_exit_2_with_one_line(args, message, tmp_path, capsys):
     files = {"MATRIX": '{"kind": "explicit"}',
              "EXPLICIT": '{"kind": "explicit", "size": 2, "rows": [[1, 1], [1, 0]]}',
-             "SCALAR": "3", "ROWS": '{"kind": "explicit", "rows": 5}'}
+             "SCALAR": "3", "ROWS": '{"kind": "explicit", "rows": 5}', "EMPTY": "",
+             "LATIN1": '{"kind": "\u00e9"}'}
     for name, text in files.items():
-        (tmp_path / f"{name}.json").write_text(text)
+        (tmp_path / f"{name}.json").write_bytes(text.encode("latin-1"))
     code = main([str(tmp_path / f"{a}.json") if a in (*files, "MISSING") else a
                  for a in args])
     captured = capsys.readouterr()

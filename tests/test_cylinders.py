@@ -438,7 +438,7 @@ def test_forced_extension_is_canonical_on_stored_matrices(rows):
             ext = forced_extension(A, w)
             assert forced_extension(A, ext) == ext, (w, ext)
             for _ in range(2 * A.size):
-                _, support = A.row_structure(w[-1])
+                support = A.row(w[-1]).symbols
                 if len(support) != 1:
                     break
                 w += tuple(support)

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gcms import matrices
-from gcms.matrices import alternating_renewal, explicit, from_json, full_shift
+from gcms import symbolsets as sset
+from gcms.matrices import explicit, full_shift
+from gcms.symbolsets import ALL, FiniteSet, Sieve
 
 
 def _to_json(A):
@@ -50,15 +52,15 @@ def test_alternating_entries(alternating):
 
 
 def test_emitters(renewal, pair):
-    assert renewal.row_structure(1) == ("cofinite", frozenset())
-    assert renewal.row_structure(4) == ("finite", frozenset({3}))
-    assert pair.row_structure(2) == ("irregular", frozenset())
+    assert renewal.row(1) == ALL
+    assert renewal.row(4) == FiniteSet(frozenset({3}))
+    assert pair.row(2) == Sieve(2, frozenset(), frozenset())
     assert {j for j in range(1, 8) if pair.entry(2, j)} == {1, 2, 4, 6}
 
 
 def test_infinite_emitters(renewal, pair, prime, alternating):
     def infinite(A, i):
-        return A.row_structure(i)[0] != "finite"
+        return not isinstance(A.row(i), FiniteSet)
 
     assert infinite(renewal, 1)
     assert not infinite(renewal, 2)
@@ -97,15 +99,18 @@ def test_explicit_round_trip():
     rows = [[1, 1, 0], [0, 1, 1], [1, 0, 0]]
     A = explicit(rows)
     text = _to_json(A)
-    B = from_json(text)
+    B = matrices.from_dict(json.loads(text))
     assert A == B
     assert _to_json(B) == text      # bit-exact round trip
     assert A.entry(1, 2) == 1 and A.entry(3, 2) == 0
     assert [A.predecessors(j) for j in (1, 2, 3)] == [(1, 3), (1, 2), (2,)]
     # symbols above the size are domain errors, as in every query
     for query in (lambda: A.entry(4, 1), lambda: A.entry(1, 4), lambda: A.predecessors(4),
-                  lambda: A.row_structure(4)):
+                  lambda: A.row(4)):
         with pytest.raises(ValueError, match="symbol 4 out of range for size 3"):
+            query()
+    for query in (lambda: A.entry(0, 1), lambda: A.predecessors(0), lambda: A.row(0)):
+        with pytest.raises(ValueError, match="symbols are positive integers"):
             query()
 
 
@@ -129,7 +134,7 @@ def test_builtin_json_round_trip(renewal, pair):
               {"kind": "prime_renewal", "prime_bound": 11},
               {"kind": "alternating_renewal"}, {"kind": "full_shift", "size": 4}):
         A = matrices.from_dict(d)
-        assert matrices.from_json(_to_json(A)) == A
+        assert matrices.from_dict(json.loads(_to_json(A))) == A
 
 
 # JSON values of every shape; integers stay small so that a valid full_shift
@@ -161,20 +166,34 @@ def test_prime_bound_controls_catalog():
     assert len(A.accumulation_catalog) == 6  # {1} + primes 2,3,5,7,11
 
 
-@pytest.mark.parametrize("kind", sorted(matrices.KINDS))
+# stored matrices get a kind built from their rows; the table holds for them too
+STORED = {"full_shift": lambda: full_shift(3),
+          "explicit": lambda: explicit([[1, 1, 0], [0, 1, 1], [1, 0, 1]]),
+          "two_cycle": lambda: explicit([[0, 1], [1, 0]])}
+
+
+def _is_irregular(row) -> bool:
+    return isinstance(row, Sieve) and row.one_row is not None
+
+
+@pytest.mark.parametrize("kind", [*sorted(matrices.KINDS), *STORED])
 def test_kind_table_consistency(kind):
-    A = matrices.by_kind(kind)
-    window = set(range(1, 200))
-    rows = {i: {j for j in window if A.entry(i, j)} for i in range(1, 14)}
+    A = STORED[kind]() if kind in STORED else matrices.by_kind(kind)
+    window = set(range(1, (A.size or 199) + 1))
+    rows = {i: {j for j in window if A.entry(i, j)} for i in range(1, min(13, len(window)) + 1)}
     for i, row in rows.items():
-        shape, support = A.row_structure(i)
-        if shape == "finite":
-            assert row == support
-        elif shape == "cofinite":
-            assert row == window - support
+        r = A.row(i)
+        assert {k for k in window if sset.contains(A, r, k)} == row
+        assert {k for k in window if sset.contains(A, sset.row_zero(A, i), k)} == window - row
+        if isinstance(r, FiniteSet):
+            assert row == r.symbols
+        elif not _is_irregular(r):
+            assert r.zero_rows == frozenset()
+            assert row == window - r.excluded
         else:
+            assert r == Sieve(i, frozenset(), frozenset())
             assert row - {i - 1} and window - row
-    irregular = [i for i in rows if A.row_structure(i)[0] == "irregular"]
+    irregular = [i for i in rows if _is_irregular(A.row(i))]
     for i in irregular:
         for j in irregular:
             if i != j:
@@ -183,9 +202,14 @@ def test_kind_table_consistency(kind):
         with pytest.raises(ValueError):
             A.irregular_rows_intersection(1, 2)
     # predecessors come back strictly ascending; the backward word walk relies on it
-    for j in range(1, 30):
+    for j in range(1, min(30, len(window) + 1)):
         preds = A.predecessors(j)
         assert isinstance(preds, tuple) and list(preds) == sorted(set(preds))
+    if A.size is not None:
+        # a stored matrix has no boundary, no cover and no certified rates
+        assert A.spec.cover == A.accumulation_catalog == ()
+        assert A.spec.growth is None and A.spec.counts is None
+        return
     # the cover rows tile the alphabet
     cover = [rows[i] for i in A.spec.cover]
     assert set().union(*cover) == window

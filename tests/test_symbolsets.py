@@ -8,7 +8,7 @@ def _atoms(A):
     out = [sset.ALL, sset.all_except({1}), sset.all_except({2, 4}), sset.FiniteSet(frozenset({1, 3})),
            sset.FiniteSet(frozenset())]
     for j in range(1, 7):
-        out.append(sset.row_one(A, j))
+        out.append(A.row(j))
         out.append(sset.row_zero(A, j))
     return out
 
@@ -44,7 +44,7 @@ def test_row_sets_match_entries():
     for kind in ("renewal", "pair_renewal", "prime_renewal", "alternating_renewal"):
         A = by_kind(kind)
         for j in range(1, 10):
-            one, zero = sset.row_one(A, j), sset.row_zero(A, j)
+            one, zero = A.row(j), sset.row_zero(A, j)
             for k in range(1, 40):
                 assert sset.contains(A, one, k) == (A.entry(j, k) == 1)
                 assert sset.contains(A, zero, k) == (A.entry(j, k) == 0)
@@ -69,5 +69,5 @@ def test_describe_forms():
     A = by_kind("pair_renewal")
     assert sset.describe(sset.FiniteSet(frozenset({2, 1}))) == "Exactly([1, 2])"
     assert sset.describe(sset.all_except({3})) == "AllExcept([3])"
-    assert "A(2,k)=1" in sset.describe(sset.row_one(A, 2))
+    assert "A(2,k)=1" in sset.describe(A.row(2))
     assert "A(2,k)=0" in sset.describe(sset.row_zero(A, 2))

@@ -105,13 +105,13 @@ def test_pointwise_ratio_bound(renewal):
 # the exact-sum walk against the enumeration it replaces: each case is
 # (matrix, largest n, points for pointwise_z)
 COUNT_CASES = {
-    "renewal": (matrices.renewal(), 12, lambda A: [empty_stem_config(A, 1), bounded(A, (3, 2, 1), 1),
-                                                   UnboundedConfig(A, (), (1,))]),
-    "pair_renewal": (matrices.pair_renewal(), 12, lambda A: [
+    "renewal": (matrices.by_kind("renewal"), 12, lambda A: [
+        empty_stem_config(A, 1), bounded(A, (3, 2, 1), 1), UnboundedConfig(A, (), (1,))]),
+    "pair_renewal": (matrices.by_kind("pair_renewal"), 12, lambda A: [
         empty_stem_config(A, 1), empty_stem_config(A, 2), bounded(A, (2,), 1)]),
-    "prime_renewal": (matrices.prime_renewal(), 12, lambda A: [
+    "prime_renewal": (matrices.by_kind("prime_renewal"), 12, lambda A: [
         empty_stem_config(A, 3), bounded(A, (4, 3, 2, 1), 1), UnboundedConfig(A, (), (1,))]),
-    "alternating_renewal": (matrices.alternating_renewal(), 12, lambda A: [
+    "alternating_renewal": (matrices.by_kind("alternating_renewal"), 12, lambda A: [
         empty_stem_config(A, 1), empty_stem_config(A, 2), UnboundedConfig(A, (), (1, 2))]),
     # 3**(n-1) cycles per base: n = 12 would enumerate 177k of them
     "full_shift": (matrices.full_shift(3), 8, lambda A: [UnboundedConfig(A, (), (2,))]),

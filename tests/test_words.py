@@ -34,7 +34,7 @@ def test_entry_is_zero_or_one():
 
 def test_walk_rejects_a_listed_predecessor_that_is_no_transition(monkeypatch):
     # a renewal matrix whose column supports also list j + 2, where A(j + 2, j) = 0
-    A = matrices.renewal()
+    A = matrices.from_dict({"kind": "renewal"})   # a fresh instance, patched below
     monkeypatch.setattr(A, "_predecessors", lambda j: (1, j + 1, j + 2))
     one_line = r"^3 listed as a predecessor of 1, but A\(3, 1\) = 0$"
     with pytest.raises(ValueError, match=one_line):
