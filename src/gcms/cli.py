@@ -128,8 +128,13 @@ def _potential(name: str) -> th.Potential:
 # subcommands
 # --------------------------------------------------------------------------
 
+_MAX_COUNT_N = 1_000   # the longest generation `count` checks; its counts are exact integers
+
+
 def cmd_count(args: argparse.Namespace) -> int:
     A = _load_matrix(args)
+    if args.n > _MAX_COUNT_N:
+        raise ValueError(f"--n must be <= {_MAX_COUNT_N}, not {args.n}")
     families = [args.family] if args.family else vf.counted_families(A)
     rows = []
     all_match = True

@@ -139,7 +139,10 @@ def normalize(A: TransitionMatrix, points: Iterable[BoundedConfig] = (),
 
     Each atom is replaced by its forced extension and each family's symbols
     are cut to the row of its prefix's last letter; ``_assemble`` does the
-    rest.
+    rest.  The raw atoms and family prefixes must be admissible words (a
+    ``Subbasis`` or the shift image has checked them): they are not checked
+    again, so every part of the result is admissible, which is what lets
+    the measures read the parts unchecked.
     """
     atoms = [forced_extension(A, a) for a in atoms]
     families = [CylFamily(f.prefix, ss.intersect(A, f.symbols, A.row(f.prefix[-1])))

@@ -93,6 +93,14 @@ class MatrixKind:
       ``FiniteSet``, ``ALL`` (the cofinite row 1 of the rule kinds), or
       ``Sieve(i)`` when the row is irregular, neither finite nor cofinite,
       and the cylinder algebra keeps it symbolic.
+    * ``descent_stop(s)``: where the forced descent from s stops, on the
+      rule kinds.  Their only finite rows are {i - 1}, so a letter whose
+      row does not branch is followed by the letter below it, and the
+      descent s, s - 1, ... stops at the largest letter <= s whose row
+      branches: row 1, or an irregular row.  That is 1 on renewal, 2 (for
+      s >= 2) on pair renewal and alternating renewal, and the largest
+      prime <= s, or 1, on prime renewal.  None on a stored matrix, whose
+      forced runs are walked letter by letter and may close a cycle.
     * ``irregular_meet(i, j)``: the finite support intersection of two
       distinct irregular rows; None when the kind has fewer than two.
     * ``catalog(prime_bound)``: the column accumulation points, the roots
@@ -110,6 +118,7 @@ class MatrixKind:
     entry: Callable[[Symbol, Symbol], int]
     predecessors: Callable[[Symbol], tuple[Symbol, ...]]
     row: Callable[[Symbol], SymbolSet]
+    descent_stop: Callable[[Symbol], Symbol] | None
     irregular_meet: Callable[[Symbol, Symbol], frozenset[Symbol]] | None
     catalog: Callable[[int], tuple[AccumulationColumn, ...]]
     cover: tuple[Symbol, ...]
@@ -132,6 +141,11 @@ def _rule_rows(irregular: Callable[[Symbol], bool]) -> Callable[[Symbol], Symbol
             return Sieve(i, frozenset(), frozenset())
         return ALL if i == 1 else FiniteSet(frozenset({i - 1}))
     return row
+
+
+def _largest_prime_up_to(s: Symbol) -> Symbol:
+    """The largest prime <= s, or 1 when there is none."""
+    return next(k for k in range(s, 0, -1) if k == 1 or _is_prime(k))
 
 
 def _column(col_id: int, support: set[Symbol]) -> AccumulationColumn:
@@ -215,6 +229,7 @@ KINDS: dict[str, MatrixKind] = {
         entry=lambda i, j: 1 if (i == 1 or i == j + 1) else 0,
         predecessors=lambda j: (1, j + 1),
         row=_rule_rows(lambda i: False),
+        descent_stop=lambda s: 1,
         irregular_meet=None,
         catalog=lambda prime_bound: (_column(1, {1}),),
         cover=(1,),
@@ -224,6 +239,7 @@ KINDS: dict[str, MatrixKind] = {
         entry=lambda i, j: 1 if (i == 1 or i == j + 1 or (i == 2 and j % 2 == 0)) else 0,
         predecessors=lambda j: (1, 2, j + 1) if j % 2 == 0 else (1, j + 1),
         row=_rule_rows(lambda i: i == 2),
+        descent_stop=lambda s: min(s, 2),
         irregular_meet=None,
         catalog=lambda prime_bound: (_column(1, {1, 2}), _column(2, {1})),
         cover=(1,),
@@ -233,6 +249,7 @@ KINDS: dict[str, MatrixKind] = {
         entry=_prime_entry,
         predecessors=_prime_predecessors,
         row=_rule_rows(_is_prime),
+        descent_stop=_largest_prime_up_to,
         irregular_meet=_prime_meet,
         catalog=_prime_catalog,
         cover=(1,),
@@ -244,6 +261,7 @@ KINDS: dict[str, MatrixKind] = {
         entry=lambda i, j: 1 if (i == j + 1 or i == 1 + j % 2) else 0,
         predecessors=lambda j: (2,) if j == 1 else (1 + j % 2, j + 1),
         row=_rule_rows(lambda i: i in (1, 2)),
+        descent_stop=lambda s: min(s, 2),
         irregular_meet=lambda i, j: frozenset(),
         catalog=lambda prime_bound: (_column(1, {1}), _column(2, {2})),
         cover=(1, 2),
@@ -253,7 +271,8 @@ KINDS: dict[str, MatrixKind] = {
 
 
 def _stored_kind(rows: tuple[tuple[int, ...], ...]) -> MatrixKind:
-    """The kind of a stored finite matrix: no boundary, cover, growth or counts."""
+    """The kind of a stored finite matrix: no boundary, cover, growth, counts or
+    descent rule."""
     n = len(rows)
     for r in rows:
         if len(r) != n:
@@ -285,8 +304,9 @@ def _stored_kind(rows: tuple[tuple[int, ...], ...]) -> MatrixKind:
         in_range(i)
         return supports[i - 1]
 
-    return MatrixKind(entry=entry, predecessors=predecessors, row=row, irregular_meet=None,
-                      catalog=lambda prime_bound: (), cover=(), growth=None, counts=None)
+    return MatrixKind(entry=entry, predecessors=predecessors, row=row, descent_stop=None,
+                      irregular_meet=None, catalog=lambda prime_bound: (), cover=(),
+                      growth=None, counts=None)
 
 
 class TransitionMatrix:

@@ -54,7 +54,7 @@ from .cylinders import CylFamily, SetExpr, normalize
 from .matrices import AccumulationColumn, Symbol, TransitionMatrix, by_kind
 from .thermo import (LOG_POTENTIAL, Constant, Potential, beta_c_log,
                      normalization_series, pressure_log_potential, zeta)
-from .words import Word, forced_extension, generation_layers, is_admissible
+from .words import Word, generation_layers, is_admissible
 
 
 def negate(F: Constant) -> Constant:
@@ -167,31 +167,36 @@ class Measure:
     """Masses of points, cylinders and cylinder families under one measure.
 
     The rules every measure shares live here: the empty word is the whole
-    space, an inadmissible word or prefix has mass 0, a finite family is
-    the sum of its cylinders, and points carry no mass unless a subclass
-    says otherwise.  A subclass sets ``matrix``, ``weight``, ``beta``,
-    ``lam`` and ``convention``, and supplies ``_cyl_mass(alpha)`` for an
-    admissible non-empty word, ``_sieve_mass(prefix, sieve)`` for a sieve
-    family below an admissible prefix, ``total_mass()`` and ``report()``.
+    space, an inadmissible word has mass 0, a finite family is the sum of
+    its cylinders, and points carry no mass unless a subclass says
+    otherwise.  A subclass sets ``matrix``, ``weight``, ``beta``, ``lam``
+    and ``convention``, and supplies ``_cyl_mass(alpha)`` for an admissible
+    non-empty word, ``_sieve_mass(prefix, sieve)`` for a sieve family below
+    an admissible prefix, ``total_mass()`` and ``report()``.
+
+    Admissibility is checked once, where a word enters: ``cyl_mass`` checks
+    the word a caller names.  The parts of a normal form need no check, so
+    ``measure_setexpr`` reads them unchecked (``_family_mass`` for a
+    family): a ``Subbasis`` checks its word, ``normalize`` and
+    ``_assemble`` only forced-extend admissible words, which keeps them
+    admissible, and a family's symbols are cut to the row of its prefix's
+    last letter.
     """
 
     def point_mass(self, c: BoundedConfig) -> float:
         return 0.0
 
     def cyl_mass(self, alpha: Word) -> float:
-        return self._mass(alpha) if alpha else self.total_mass()
+        if not alpha:
+            return self.total_mass()
+        return self._cyl_mass(alpha) if is_admissible(self.matrix, alpha) else 0.0
 
-    def family_mass(self, prefix: Word, symbols: ss.SymbolSet) -> float:
-        """Mass of the union of the cylinders on prefix + (k,), k in ``symbols``."""
-        if isinstance(symbols, ss.FiniteSet):
-            return math.fsum(self.cyl_mass(prefix + (k,)) for k in sorted(symbols.symbols))
-        return self._mass(prefix, symbols)
-
-    def _mass(self, w: Word, sieve: ss.Sieve | None = None) -> float:
-        """The cylinder on ``w``, or the sieve family below it; 0 unless w is admissible."""
-        if not is_admissible(self.matrix, w):
-            return 0.0
-        return self._cyl_mass(w) if sieve is None else self._sieve_mass(w, sieve)
+    def _family_mass(self, f: CylFamily) -> float:
+        """Mass of the union of the cylinders on f.prefix + (k,), k in f.symbols,
+        for a family of a normal form."""
+        if isinstance(f.symbols, ss.FiniteSet):
+            return math.fsum(self._cyl_mass(f.prefix + (k,)) for k in sorted(f.symbols.symbols))
+        return self._sieve_mass(f.prefix, f.symbols)
 
 
 # --------------------------------------------------------------------------
@@ -344,10 +349,11 @@ class SequenceMeasure(Measure):
     """A conformal measure carried by the sequence space.
 
     Conformality fixes it from the masses of its end letters, those whose
-    rows branch: with ext = forced_extension(A, (n,)), the cylinder on the
-    letter n has mass
+    rows branch.  Every construction lives on a rule kind, where the forced
+    extension of the letter n is the descent n, n - 1, ..., e down to
+    e = ``A.spec.descent_stop(n)``, so the cylinder on n has mass
 
-        base_value(n) = peel(ext[:-1]) * end_masses[ext[-1]],
+        base_value(n) = peel(range(n, e, -1)) * end_masses[e],
 
     the cylinder on alpha has ``peel(alpha[:-1]) * base_value(alpha[-1])``,
     and a sieve family below ``prefix`` has ``peel(prefix)`` times the
@@ -372,7 +378,7 @@ class SequenceMeasure(Measure):
     _base: dict[Symbol, float] = field(default_factory=dict, init=False, repr=False)
     _factors: dict[Symbol, float] = field(default_factory=dict, init=False, repr=False)
 
-    def peel(self, head: Word) -> float:
+    def peel(self, head: Sequence[Symbol]) -> float:
         """The factor lam^-1 exp(beta*weight(s)) of every letter s of ``head``:
         in closed form for a constant weight, letter by letter otherwise.
         Where lam^k passes the largest double, the product, which may still
@@ -392,9 +398,12 @@ class SequenceMeasure(Measure):
         return m
 
     def base_value(self, n: Symbol) -> float:
+        """The mass of the cylinder on n; the forced run is peeled as a
+        ``range``, in its own order, so a constant weight reads only its
+        length."""
         if n not in self._base:
-            ext = forced_extension(self.matrix, (n,))
-            self._base[n] = self.peel(ext[:-1]) * self.end_masses[ext[-1]]
+            end = self.matrix.spec.descent_stop(n)
+            self._base[n] = self.peel(range(n, end, -1)) * self.end_masses[end]
         return self._base[n]
 
     def _cyl_mass(self, alpha: Word) -> float:
@@ -552,14 +561,17 @@ KIND_MEASURES: dict[str, KindMeasures] = {
 # --------------------------------------------------------------------------
 
 def measure_setexpr(m: Measure, s: SetExpr) -> float:
-    """Measure of a normalized set expression: points + cylinders + families."""
+    """Measure of a normalized set expression: points + cylinders + families.
+
+    The parts of a normal form are admissible by construction, so no word
+    of them is checked again (see ``Measure``)."""
     if s.matrix != m.matrix:
         raise MeasureError("set expression over a different matrix")
     if s.whole_space:
         return m.total_mass()
     parts = [m.point_mass(p) for p in s.points]
-    parts += [m.cyl_mass(a) for a in s.atoms]
-    parts += [m.family_mass(f.prefix, f.symbols) for f in s.families]
+    parts += [m._cyl_mass(a) for a in s.atoms]
+    parts += [m._family_mass(f) for f in s.families]
     return math.fsum(parts)
 
 
@@ -574,7 +586,10 @@ def shift_image_of_cylinder(A: TransitionMatrix, alpha: Word) -> SetExpr:
     For longer words the image is the cylinder on the word minus its first
     letter; for a single letter it is the union of the admissible follower
     cylinders plus the empty-stem configurations whose family admits the
-    letter as a terminal.
+    letter as a terminal.  The cylinder on an inadmissible word is empty,
+    and so is its image: the word is checked here, once per (matrix,
+    word), so the parts of every image are admissible and
+    ``measure_setexpr`` reads them unchecked.
 
     Memoized per (matrix, word), like ``matrices.by_kind``: the image
     depends on nothing else (``TransitionMatrix`` hashes and compares by
@@ -585,7 +600,7 @@ def shift_image_of_cylinder(A: TransitionMatrix, alpha: Word) -> SetExpr:
     if not alpha:
         raise ValueError("the shift is not defined on the whole space")
     if len(alpha) >= 2:
-        return normalize(A, atoms=[alpha[1:]])
+        return normalize(A, atoms=[alpha[1:]] if is_admissible(A, alpha) else [])
     a = alpha[0]
     points = [BoundedConfig(A, (), col) for col in A.accumulation_catalog
               if a in col.allowed_terminal_symbols]
@@ -608,7 +623,9 @@ def verify_conformality(m: Measure, test_cylinders: Iterable[Word]) -> Conformal
     same peel; the length-one rows, which weigh end-letter masses against
     sieve sums and point masses, are the independent check.  The images
     do not depend on the measure, so ``shift_image_of_cylinder`` builds
-    each one once and every later check of the same word reuses it.
+    each one once and every later check of the same word reuses it.  Each
+    row checks its word's admissibility once, in ``cyl_mass`` on the
+    right-hand side; the image's parts are read unchecked.
     """
     A = m.matrix
     worst = 0.0

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .matrices import Symbol, TransitionMatrix
-from .symbolsets import FiniteSet
 
 Word = tuple[Symbol, ...]
 
@@ -52,28 +51,36 @@ def is_prefix(p: Word, w: Word) -> bool:
 
 
 def forced_extension(A: TransitionMatrix, w: Word) -> Word:
-    """Extend ``w`` while its last symbol has a single allowed successor.
+    """Extend the admissible word ``w`` while its last symbol has a single
+    allowed successor.
 
     Cylinders on ``w`` and on its forced extension contain exactly the same
-    configurations, so the extension is the canonical representative.  The
-    trailing forced run of a word is its longest suffix in which every
-    letter but the last has a single allowed successor.  A run that repeats
-    a letter has entered a cycle, and the cylinder is one periodic point:
-    the run is cut at its first repeated letter, in ``w`` and in the
-    extension alike, so every word naming that point gives the same result
-    and extending the result again returns it unchanged.
+    configurations, so the extension is the canonical representative.
 
-    The matrices of the rule kinds never reach the cut: their kind gives
-    them no finite row other than ``A.row(i)`` = {i - 1}, so along a forced
-    run every letter is one less than the letter before, and no letter
-    repeats.  Only a stored matrix can have a forced cycle.
+    On the rule kinds the forced run is the descent w[-1] - 1, ..., down to
+    ``A.spec.descent_stop(w[-1])``: their kind gives them no finite row
+    other than ``A.row(i)`` = {i - 1}, so along a forced run every letter
+    is one less than the letter before, no letter repeats, and the run is
+    one ``range``.
+
+    A stored matrix walks the run letter by letter.  Its trailing forced
+    run is the longest suffix of ``w`` in which every letter but the last
+    has a single allowed successor.  A run that repeats a letter has
+    entered a cycle, and the cylinder is one periodic point: the run is cut
+    at its first repeated letter, in ``w`` and in the extension alike, so
+    every word naming that point gives the same result and extending the
+    result again returns it unchanged.
     """
-    def successor(s: Symbol) -> Symbol | None:
-        row = A.row(s)
-        return min(row.symbols) if isinstance(row, FiniteSet) and len(row.symbols) == 1 else None
-
     if not w:
         return w
+    stop = A.spec.descent_stop
+    if stop is not None:
+        return w + tuple(range(w[-1] - 1, stop(w[-1]) - 1, -1))
+
+    def successor(s: Symbol) -> Symbol | None:
+        row = A.row(s)
+        return min(row.symbols) if len(row.symbols) == 1 else None
+
     start = len(w) - 1
     while start > 0 and successor(w[start - 1]) is not None:
         start -= 1
@@ -134,14 +141,19 @@ def generation_layers(A: TransitionMatrix, seeds: Iterable[Symbol], n: int,
     admissible words of length k that start with that letter and end in a
     seed; with ``weight=1`` the totals are exact integer counts.  The walk
     keeps one entry per first letter, so it never builds the words that
-    ``backward_words`` yields.
+    ``backward_words`` yields, and it reads each letter's column support
+    once, however many layers the letter appears in.
     """
     layers = [{s: weight for s in sorted(seeds)}] if n >= 1 else []
+    columns: dict[Symbol, tuple[Symbol, ...]] = {}
     while len(layers) < n:
         nxt: dict[Symbol, float] = {}
         for sym, x in layers[-1].items():
             x *= weight
-            for p in A.predecessors(sym):
+            preds = columns.get(sym)
+            if preds is None:
+                preds = columns[sym] = A.predecessors(sym)
+            for p in preds:
                 nxt[p] = nxt.get(p, 0) + x
         layers.append(nxt)
     return layers

@@ -5,8 +5,9 @@ from gcms import symbolsets as sset
 from gcms.configs import GroupWord, UnboundedConfig, bounded, empty_stem_config
 from gcms.cylinders import (CylFamily, SetExpr, Subbasis, decompose, intersect_many,
                             member, membership_count, parse_elem, parse_expression, raw_member)
-from gcms.verification import (_meet_fault, build_universe, raw_rows, setexpr_count_vec,
-                                subbasis_elements, whole_space_cover_check)
+from gcms.verification import (_meet_fault, build_universe, cylinder_words_up_to, raw_rows,
+                                setexpr_count_vec, subbasis_elements, whole_space_cover_check)
+from gcms.words import is_admissible
 
 
 # -- decompositions against worked cases --------------------------------------
@@ -443,6 +444,50 @@ def test_forced_extension_is_canonical_on_stored_matrices(rows):
                     break
                 w += tuple(support)
                 assert forced_extension(A, w) == ext, (w, ext)
+
+
+# -- normal-form parts are admissible -------------------------------------------
+
+def _assert_parts_admissible(A, expr):
+    # the measures read the parts of a normal form without checking them
+    # (measures.Measure): every atom and family prefix is admissible, and a
+    # family's symbols continue its prefix admissibly
+    for a in expr.atoms:
+        assert is_admissible(A, a), (expr, a)
+    for f in expr.families:
+        assert is_admissible(A, f.prefix), (expr, f)
+        for k in range(1, 13):
+            if sset.contains(A, f.symbols, k):
+                assert is_admissible(A, f.prefix + (k,)), (expr, f, k)
+
+
+def _check_emitted_parts(A, classes, pairs, word_len):
+    from gcms.cylinders import meet, normalize
+    from gcms.measures import shift_image_of_cylinder
+    for expr in classes:
+        _assert_parts_admissible(A, expr)
+        # normalize again: the canonical parts stay canonical
+        _assert_parts_admissible(A, normalize(A, expr.points, expr.atoms, expr.families))
+    for i, j in pairs:
+        _assert_parts_admissible(A, meet(classes[i], classes[j]))
+    for w in cylinder_words_up_to(A, word_len + 1, 6):
+        _assert_parts_admissible(A, shift_image_of_cylinder.__wrapped__(A, w))
+
+
+@pytest.mark.parametrize("kind, word_len", [("renewal", 3), ("pair_renewal", 3),
+                                            ("alternating_renewal", 3), ("prime_renewal", 2)])
+def test_emitted_parts_are_admissible(kind, word_len, oracle_classes):
+    from gcms.matrices import by_kind
+    A = by_kind(kind)
+    _check_emitted_parts(A, *oracle_classes(A, word_len), word_len)
+
+
+@given(stored_matrices())
+@settings(max_examples=20, deadline=None)
+def test_emitted_parts_are_admissible_on_stored_matrices(oracle_classes, rows):
+    from gcms.matrices import explicit
+    A = explicit(rows)
+    _check_emitted_parts(A, *oracle_classes(A, 2, 3, 3), 2)
 
 
 # -- meet assembles its operands' canonical parts ------------------------------

@@ -6,7 +6,7 @@ import pytest
 from gcms import measures as ms
 from gcms import symbolsets as ss
 from gcms.configs import BoundedConfig, bounded, empty_stem_config
-from gcms.cylinders import Subbasis, decompose, intersect_many
+from gcms.cylinders import CylFamily, SetExpr, Subbasis, decompose, intersect_many
 from gcms.matrices import by_kind, explicit
 from gcms.thermo import LOG_POTENTIAL, Constant, LogRatio, beta_c_log, zeta
 from gcms.verification import conformality_suite, cylinder_words_up_to
@@ -278,18 +278,22 @@ def test_measure_rules_hold_for_every_measure(renewal, pair):
                 ConvexCombination([(0.25, y_pair[0]), (0.75, y_pair[1])])]
     assert len({m.kind for m in measures}) == 5
     for m in measures:
-        # (2, 3) is inadmissible on both matrices: A(2, 3) = 0
+        def family_mass(prefix, symbols):
+            return ms.measure_setexpr(m, SetExpr(m.matrix, False, (), (), (
+                CylFamily(prefix, symbols),)))
+
+        # (2, 3) is inadmissible on both matrices: A(2, 3) = 0, and the
+        # empty cylinder on (1, 2, 3) has an empty shift image
         assert m.cyl_mass((2, 3)) == 0.0
-        assert m.family_mass((2, 3), ss.ALL) == 0.0
-        assert m.family_mass((2, 3, 1), ss.FiniteSet(frozenset({1, 2}))) == 0.0
+        assert ms.measure_setexpr(m, ms.shift_image_of_cylinder(m.matrix, (1, 2, 3))) == 0.0
         assert m.cyl_mass(()) == m.total_mass()
         for prefix in ((), (1,), (1, 1)):
             finite = ss.FiniteSet(frozenset({1, 2, 3, 5}))
-            assert m.family_mass(prefix, finite) == math.fsum(
+            assert family_mass(prefix, finite) == math.fsum(
                 m.cyl_mass(prefix + (k,)) for k in (1, 2, 3, 5)), (m.kind, prefix)
             # row 1 is full, so a sieve and its finite complement split the prefix's cylinder
-            assert m.family_mass(prefix, ss.all_except({1, 2, 3, 5})) + m.family_mass(
-                prefix, finite) == pytest.approx(m.family_mass(prefix, ss.ALL), rel=1e-12)
+            assert family_mass(prefix, ss.all_except({1, 2, 3, 5})) + family_mass(
+                prefix, finite) == pytest.approx(family_mass(prefix, ss.ALL), rel=1e-12)
 
 
 # -- sequence-space measures ------------------------------------------------------------

@@ -3,8 +3,11 @@ from collections import Counter
 import pytest
 
 from gcms import matrices
+from gcms import measures as ms
+from gcms import symbolsets as ss
 from gcms.configs import bounded, empty_stem_config, preimages
 from gcms.matrices import KINDS, by_kind, explicit, full_shift
+from gcms.verification import cylinder_words_up_to
 from gcms.words import (backward_words, enumerate_words, forced_extension, format_word,
                         generation_layers, is_admissible, iter_cycles, word)
 
@@ -145,6 +148,67 @@ def test_forced_extension(renewal, pair):
     assert forced_extension(pair, (2,)) == (2,)
 
 
+def _walked_extension(A, w):
+    # the letter walk: one row query per letter of the forced run, cut at
+    # the first repeated letter; the oracle of the rule kinds' descent rule
+    def successor(s):
+        row = A.row(s)
+        return min(row.symbols) if isinstance(row, ss.FiniteSet) and len(row.symbols) == 1 else None
+
+    if not w:
+        return w
+    start = len(w) - 1
+    while start > 0 and successor(w[start - 1]) is not None:
+        start -= 1
+    out = list(w[:start])
+    run = set()
+    for s in w[start:]:
+        out.append(s)
+        if s in run:
+            return tuple(out)
+        run.add(s)
+    while (nxt := successor(out[-1])) is not None:
+        out.append(nxt)
+        if nxt in run:
+            break
+        run.add(nxt)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_rule_forced_runs_are_the_letter_walk(kind):
+    A = by_kind(kind)
+    # every letter s <= 5000: the walk from s is walked once, from the
+    # highest letter of its run; a run repeats no letter, so the walk from
+    # any later letter of it is the rest of the run
+    walked = {}
+    for s in range(5000, 0, -1):
+        if s not in walked:
+            run = _walked_extension(A, (s,))
+            assert len(set(run)) == len(run), run[:5]
+            walked.update((t, (run, i)) for i, t in enumerate(run))
+        run, i = walked[s]
+        assert forced_extension(A, (s,)) == run[i:], s
+    # and the admissible words, whose own forced suffix the walk re-reads
+    for w in cylinder_words_up_to(A, 3, 30):
+        assert forced_extension(A, w) == _walked_extension(A, w), w
+
+
+def test_long_forced_runs_make_no_letter_queries(monkeypatch):
+    # the normal-form parts are read unchecked, and the forced run of a
+    # letter comes from the kind's rule, not from one row query per letter
+    A = matrices.from_dict({"kind": "renewal"})
+    nu = ms.sarig_measure_renewal(A)
+    image = ms.shift_image_of_cylinder(A, (3000,))
+    assert image.atoms == (tuple(range(2999, 0, -1)),)
+    calls = []
+    for name in ("entry", "row", "predecessors"):
+        monkeypatch.setattr(A, name, lambda *args, name=name: calls.append((name, args)))
+    ms.measure_setexpr(nu, image)
+    nu.base_value(3000)
+    assert not calls
+
+
 @pytest.mark.parametrize("rows, w, want", [
     ([[0, 1], [1, 0]], (1,), (1, 2, 1)),
     ([[0, 1], [1, 0]], (2, 1, 2), (2, 1, 2)),
@@ -176,6 +240,35 @@ def test_generation_layers_count_preimages(kind):
             assert sum(layer.values()) == len(configs), (col.id, n)
             assert layer == Counter(c.stem[0] for c in configs), (col.id, n)
             assert all(type(c) is int for c in layer.values())
+
+
+def _per_layer_walk(A, seeds, n, weight):
+    # the walk as it was: one column query per (layer, letter)
+    layers = [{s: weight for s in sorted(seeds)}] if n >= 1 else []
+    while len(layers) < n:
+        nxt = {}
+        for sym, x in layers[-1].items():
+            x *= weight
+            for p in A.predecessors(sym):
+                nxt[p] = nxt.get(p, 0) + x
+        layers.append(nxt)
+    return layers
+
+
+@pytest.mark.parametrize("weight", [1, 0.3])
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_generation_layers_read_each_column_once(kind, weight, monkeypatch):
+    A = matrices.from_dict({"kind": kind})
+    for col in A.accumulation_catalog:
+        want = _per_layer_walk(A, col.allowed_terminal_symbols, 40, weight)
+        asked = []
+        column = matrices.TransitionMatrix.predecessors
+        monkeypatch.setattr(A, "predecessors", lambda j: asked.append(j) or column(A, j))
+        got = generation_layers(A, col.allowed_terminal_symbols, 40, weight)
+        monkeypatch.undo()
+        # same keys in the same order, same sums bit for bit
+        assert [list(layer.items()) for layer in got] == [list(layer.items()) for layer in want]
+        assert len(asked) == len(set(asked)) == len(set().union(*got[:-1]))
 
 
 def test_generation_layers_weighted(pair, prime):
