@@ -70,6 +70,11 @@ class BoundedConfig:
                 raise ValueError(
                     f"stem may not end in {last} for accumulation column {self.root.id}")
 
+    def __hash__(self) -> int:
+        # equal configurations have equal stems and roots; the matrix and the
+        # root's supports need not be hashed
+        return hash((self.stem, self.root.id))
+
     def symbol_at(self, i: int) -> Symbol | None:
         return self.stem[i] if i < len(self.stem) else None
 

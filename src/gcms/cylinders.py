@@ -20,12 +20,17 @@ prefix's last letter), and ``_assemble`` turns canonical parts into a
 ``SetExpr`` (finite families expanded, empty ones dropped, duplicates
 rejected, parts sorted, the whole space folded).  ``meet`` only assembles:
 every part it keeps comes from a normal form and is already canonical.
-``part_contains`` decides membership of a configuration in one part, and
-membership in a normal form is the number of parts containing it
-(``membership_count``, ``member``).  Normal forms are checked against raw
-membership (``raw_member``, read off the configuration's evaluation) in one
-place: ``verification``'s oracle compares the bit rows of a normal form's
-parts with the raw membership row, for single elements and their meets.
+``part_contains`` decides membership of a configuration in one part;
+``member`` asks whether some part contains it and ``membership_count``
+counts the parts that do.  ``meet`` keeps a boundary point of one operand
+iff the other operand holds it, and one normal form meets many others on
+the same points, so each normal form remembers ``member``'s answer per
+point (``SetExpr._holds``).  The memo is exact: normal forms and points are
+frozen and ``part_contains`` is pure, so it only stores what ``member``
+says.  Normal forms are checked against raw membership (``raw_member``,
+read off the configuration's evaluation) in one place: ``verification``'s
+oracle compares the bit rows of a normal form's parts with the raw
+membership row, for single elements and their meets.
 """
 
 from __future__ import annotations
@@ -107,6 +112,13 @@ class CylFamily:
 
 @dataclass(frozen=True)
 class SetExpr:
+    """A normal form: the whole-space flag, or disjoint points, atoms and families.
+
+    ``_holds`` answers ``member`` for a boundary point and keeps the answer;
+    the memo is not a field, so it takes no part in equality, hashing or the
+    representation.
+    """
+
     matrix: TransitionMatrix
     whole_space: bool
     points: tuple[BoundedConfig, ...]
@@ -116,6 +128,21 @@ class SetExpr:
     @property
     def is_empty(self) -> bool:
         return not (self.whole_space or self.points or self.atoms or self.families)
+
+    @cached_property
+    def _point_memo(self) -> dict[BoundedConfig, bool]:
+        return {}
+
+    def _holds(self, p: BoundedConfig) -> bool:
+        """``member(p, self)``, decided once per point.  Exact: the normal form
+        and the point are frozen and ``part_contains`` is pure, so the answer
+        never changes; the memo is keyed by the point itself, so a point of
+        another matrix with the same stem and root id is a different key."""
+        memo = self._point_memo
+        hit = memo.get(p)
+        if hit is None:
+            hit = memo[p] = member(p, self)
+        return hit
 
     def __repr__(self) -> str:
         if self.whole_space:
@@ -252,9 +279,12 @@ def meet(s: SetExpr, t: SetExpr) -> SetExpr:
     The operands must be normal forms (from ``decompose``, ``normalize`` or
     ``meet``): every part kept is one of theirs, or the same-prefix meet of
     two effective families, which is effective, so the parts are assembled
-    without being canonicalized again.  Every part-against-part case is
-    decidable; a pair this function cannot resolve would mean the normal
-    form is not closed, which is an internal error.
+    without being canonicalized again.  A point of one operand survives iff
+    the other holds it (``SetExpr._holds``, which remembers ``member``'s
+    answer), so a normal form met many times decides each point once.
+    Every part-against-part case is decidable; a pair this function cannot
+    resolve would mean the normal form is not closed, which is an internal
+    error.
     """
     if s.matrix != t.matrix:
         raise ValueError("set expressions over different matrices")
@@ -263,17 +293,12 @@ def meet(s: SetExpr, t: SetExpr) -> SetExpr:
         return t
     if t.whole_space:
         return s
-    points: list[BoundedConfig] = []
     atoms: list[Word] = []
     families: list[CylFamily] = []
 
     # points survive iff they belong to the other expression
-    for p in s.points:
-        if member(p, t):
-            points.append(p)
-    for q in t.points:
-        if q not in s.points and member(q, s):
-            points.append(q)
+    points = [p for p in s.points if t._holds(p)]
+    points += [q for q in t.points if q not in s.points and s._holds(q)]
 
     # of two nested cylinders the longer word survives
     for a in s.atoms:
@@ -329,7 +354,10 @@ def part_contains(c: Configuration, part: BoundedConfig | Word | CylFamily) -> b
 
 
 def member(c: Configuration, s: SetExpr) -> bool:
-    return membership_count(c, s) > 0
+    """Whether some part of ``s`` contains ``c``: the one membership rule, which
+    ``SetExpr._holds`` only remembers."""
+    return s.whole_space or any(part_contains(c, part)
+                                for part in (*s.points, *s.atoms, *s.families))
 
 
 def membership_count(c: Configuration, s: SetExpr) -> int:

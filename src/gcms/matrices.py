@@ -321,12 +321,15 @@ class TransitionMatrix:
     def __init__(self, kind: str, *, rows: tuple[tuple[int, ...], ...] | None = None,
                  prime_bound: int = 7):
         self.kind = kind
-        self._rows = rows
         self.spec = KINDS[kind] if rows is None else _stored_kind(rows)
         self.size = None if rows is None else len(rows)
         self.prime_bound = prime_bound if self.spec.truncated else None
         self._entry, self._predecessors = self.spec.entry, self.spec.predecessors
         self.accumulation_catalog = self.spec.catalog(prime_bound)
+        # identity: a matrix is its kind, stored rows and catalog bound; the
+        # key and its hash are built once, as every cache over matrices reads them
+        self._key = (kind, rows, self.prime_bound)
+        self._hash = hash(self._key)
 
     def entry(self, i: Symbol, j: Symbol) -> int:
         """Matrix entry A(i, j), exact for all i, j on built-in kinds."""
@@ -366,14 +369,12 @@ class TransitionMatrix:
 
     # -- identity --------------------------------------------------------------
 
-    def _key(self) -> tuple:
-        return (self.kind, self._rows, self.prime_bound)
-
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, TransitionMatrix) and self._key() == other._key()
+        return self is other or (isinstance(other, TransitionMatrix)
+                                 and self._key == other._key)
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return self._hash
 
     def __repr__(self) -> str:
         if self.prime_bound is not None:

@@ -245,13 +245,15 @@ def cylinder_oracle(A: TransitionMatrix, word_len: int = 3, sym_bound: Symbol = 
         # and the expected row: meet and check each class pair once
         ids: dict[SetExpr, int] = {}
         cls = [ids.setdefault(d, len(ids)) for d in decomposed]
-        done = np.zeros((len(ids), len(ids)), dtype=bool)
-        failed: dict[tuple[int, int], tuple[int, str]] = {}
+        # one byte per ordered class pair (ci, cj), at ci * n_cls + cj
+        n_cls = len(ids)
+        done = bytearray(n_cls * n_cls)
+        failed: dict[int, tuple[int, str]] = {}
         for i, j in combinations_with_replacement(range(len(elems)), 2):
             n_pairs += 1
-            key = (cls[i], cls[j])
+            key = cls[i] * n_cls + cls[j]
             if not done[key]:
-                done[key] = True
+                done[key] = 1
                 fault = _meet_fault(u, meet(decomposed[i], decomposed[j]), raw[i] & raw[j])
                 if fault is not None:
                     failed[key] = fault

@@ -39,7 +39,10 @@ def oracle_classes():
     ``oracle_classes(A, word_len, sym_bound, inv_bound)`` (the oracle's
     default bounds unless given) returns the distinct normal forms of
     ``subbasis_elements``, in the order the oracle numbers them, and the
-    ordered pairs of their indices that ``cylinder_oracle`` meets.
+    ordered pairs of their indices that ``cylinder_oracle`` meets.  The
+    normal forms are shared by every test of the session, and with them what
+    each remembers of ``member`` (``SetExpr._holds``): a test that patches
+    the membership rule builds its own normal forms.
     """
     from itertools import combinations_with_replacement
     from gcms.cylinders import decompose

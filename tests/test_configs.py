@@ -416,3 +416,21 @@ def test_preimage_shift_roundtrip_property(stem, n):
     c = bounded(A, stem, 1)
     for p in preimages(c, n):
         assert shift_n(p, n) == c
+
+
+@given(st.sampled_from(sorted(KINDS)), st.data())
+@settings(max_examples=40, deadline=None)
+def test_equal_configurations_hash_equally(kind, data):
+    # preimages builds its configurations without the constructor
+    # (configs._config); each must equal, and hash like, the one the
+    # validating constructor builds over an equal matrix of its own
+    from gcms.matrices import from_dict
+    A, B = by_kind(kind), from_dict({"kind": kind})
+    assert A is not B and A == B and hash(A) == hash(B)
+    col = data.draw(st.sampled_from(A.accumulation_catalog))
+    n = data.draw(st.integers(min_value=0, max_value=5))
+    layer = preimages(empty_stem_config(A, col.id), n)
+    c = data.draw(st.sampled_from(layer))
+    d = BoundedConfig(B, c.stem, B.column_by_id(col.id))
+    assert c == d and hash(c) == hash(d)
+    assert {c: True}.get(d) and d in set(layer)

@@ -263,8 +263,18 @@ def _all_pairs_oracle(A, word_len, sym_bound, inv_bound, stem_len, universe_syms
     return len(elems), n_pairs, len(u), mismatches
 
 
-@pytest.mark.parametrize("name", ["renewal", "pair_renewal", "prime_renewal",
-                                  "alternating_renewal", "explicit", "full_shift"])
+ORACLE_MATRICES = ["renewal", "pair_renewal", "prime_renewal", "alternating_renewal",
+                   "explicit", "full_shift"]
+
+
+def _oracle_matrix(name):
+    # the four rule kinds, a stored 3x3 matrix and the full 3-shift
+    from gcms.matrices import by_kind, explicit, full_shift
+    return {"explicit": lambda: explicit([[1, 1, 0], [0, 1, 1], [1, 0, 1]]),
+            "full_shift": lambda: full_shift(3)}.get(name, lambda: by_kind(name))()
+
+
+@pytest.mark.parametrize("name", ORACLE_MATRICES)
 @pytest.mark.parametrize("faulty", ["clean", "faulty_meet", "faulty_decompose"])
 def test_oracle_matches_the_all_pairs_loop(name, faulty, monkeypatch):
     # meeting once per class pair reports what meeting every element pair does,
@@ -272,10 +282,9 @@ def test_oracle_matches_the_all_pairs_loop(name, faulty, monkeypatch):
     # two families on a shared prefix, and on a decompose that loses a
     # boundary point, which the element phase reports
     from gcms import cylinders
-    from gcms.matrices import by_kind, explicit, full_shift
+    from gcms.matrices import explicit
     from gcms.verification import cylinder_oracle
-    A = {"explicit": lambda: explicit([[1, 1, 0], [0, 1, 1], [1, 0, 1]]),
-         "full_shift": lambda: full_shift(3)}.get(name, lambda: by_kind(name))()
+    A = _oracle_matrix(name)
     if faulty == "faulty_meet":
         meet_families = cylinders._meet_families
         monkeypatch.setattr(cylinders, "_meet_families", lambda A, f, g: (
@@ -492,9 +501,11 @@ def test_emitted_parts_are_admissible_on_stored_matrices(oracle_classes, rows):
 
 # -- meet assembles its operands' canonical parts ------------------------------
 
-def _meet_by_normalize(s, t):
-    # the reference meet: it takes no part of its operands as canonical and
-    # sends every part it keeps through normalize again
+def _reference_meet(s, t, finish):
+    # meet as it was before its operands remembered their points: the point
+    # filter asks member for every point of every meet; ``finish`` builds the
+    # result from the parts kept (cylinders._assemble, as meet does, or
+    # cylinders.normalize, which takes no part of the operands as canonical)
     from gcms import cylinders
     from gcms.words import is_prefix
     if s.matrix != t.matrix:
@@ -531,15 +542,15 @@ def _meet_by_normalize(s, t):
             hit = cylinders._meet_families(A, f, g)
             if hit is not None:
                 families.append(hit)
-    return cylinders.normalize(A, points=points, atoms=atoms, families=families)
+    return finish(A, points, atoms, families)
 
 
 def _check_class_pair_meets(classes, pairs):
-    from gcms.cylinders import meet
+    from gcms.cylinders import meet, normalize
     met = {(i, j): meet(classes[i], classes[j]) for i, j in pairs}
     for (i, j), got in met.items():
         s, t = classes[i], classes[j]
-        assert got == _meet_by_normalize(s, t), (s, t)
+        assert got == _reference_meet(s, t, normalize), (s, t)
         assert got == (met[j, i] if (j, i) in met else meet(t, s)), (s, t)
 
 
@@ -561,6 +572,58 @@ def test_meet_matches_meet_by_normalize(kind, word_len, n_pairs, oracle_classes)
 def test_meet_matches_meet_by_normalize_on_stored_matrices(oracle_classes, rows):
     from gcms.matrices import explicit
     _check_class_pair_meets(*oracle_classes(explicit(rows), 2, 3, 3))
+
+
+# -- meet decides each boundary point once per normal form ---------------------
+
+def _check_point_filter(classes, pairs):
+    from gcms import cylinders
+    for i, j in pairs:
+        s, t = classes[i], classes[j]
+        assert cylinders.meet(s, t) == _reference_meet(s, t, cylinders._assemble), (s, t)
+
+
+@pytest.mark.parametrize("name", ORACLE_MATRICES)
+def test_meet_matches_the_member_point_filter(name, oracle_classes):
+    # every class pair of the full-size oracle: each operand remembers what
+    # member said of a point, and the meet equals the one that asks member
+    # every time
+    _check_point_filter(*oracle_classes(_oracle_matrix(name)))
+
+
+@given(stored_matrices())
+@settings(max_examples=10, deadline=None)
+def test_meet_matches_the_member_point_filter_on_stored_matrices(oracle_classes, rows):
+    from gcms.matrices import explicit
+    _check_point_filter(*oracle_classes(explicit(rows), 2, 3, 3))
+
+
+def test_point_memo_tells_matrices_apart(renewal, pair):
+    # a point of another matrix with the same stem and root id hashes like a
+    # remembered point, and is still no member
+    s = decompose(Subbasis(renewal, (1,), complemented=True))
+    p, q = empty_stem_config(renewal, 1), empty_stem_config(pair, 1)
+    assert p in s.points and hash(q) == hash(p) and q != p
+    assert s._holds(p)
+    assert not s._holds(q) and not member(q, s)
+    assert s._holds(p) and list(s._point_memo.items()) == [(p, True), (q, False)]
+
+
+def test_oracle_asks_member_once_per_point_and_normal_form(monkeypatch):
+    # counted, not timed: the oracle's 11,848 class-pair meets asked member
+    # 50,702 times when every meet asked it of every point
+    from collections import Counter
+    from gcms import cylinders
+    from gcms.matrices import by_kind
+    from gcms.verification import cylinder_oracle
+    asked = Counter()
+    ask = cylinders.member
+    monkeypatch.setattr(cylinders, "member",
+                        lambda c, s: asked.update([(c, id(s))]) or ask(c, s))
+    rep = cylinder_oracle(by_kind("pair_renewal"))
+    assert rep.ok and rep.n_pairs == 61425
+    assert max(asked.values()) == 1
+    assert sum(asked.values()) <= 5000
 
 
 def test_meet_calls_no_normalize(oracle_classes, monkeypatch):

@@ -166,6 +166,21 @@ def test_prime_bound_controls_catalog():
     assert len(A.accumulation_catalog) == 6  # {1} + primes 2,3,5,7,11
 
 
+def test_matrix_identity_is_kind_rows_and_bound():
+    # the key and its hash are built once per matrix; equal matrices built
+    # apart hash alike, and a kind, a row or a bound tells matrices apart
+    same = [(matrices.from_dict({"kind": "prime_renewal"}), matrices.by_kind("prime_renewal")),
+            (explicit([[1, 1], [1, 0]]), explicit(((1, 1), (1, 0)))),
+            (full_shift(2), matrices.from_dict({"kind": "full_shift", "size": 2}))]
+    for A, B in same:
+        assert A is not B and A == B and hash(A) == hash(B)
+    apart = [matrices.from_dict({"kind": "prime_renewal", "prime_bound": 11}),
+             matrices.by_kind("prime_renewal"), matrices.by_kind("renewal"),
+             explicit([[1, 1], [1, 1]]), explicit([[1, 1], [1, 0]]), full_shift(2)]
+    assert all(A != B for i, A in enumerate(apart) for B in apart[i + 1:])
+    assert matrices.by_kind("renewal") != "renewal"
+
+
 # stored matrices get a kind built from their rows; the table holds for them too
 STORED = {"full_shift": lambda: full_shift(3),
           "explicit": lambda: explicit([[1, 1, 0], [0, 1, 1], [1, 0, 1]]),
