@@ -229,8 +229,13 @@ def _converge_models(A: TransitionMatrix, potential: th.Potential):
     return bc, (lambda b: ms.log_eigenmeasure(b, A)), ms.log_eigenmeasure(bc, A)
 
 
+_MAX_CONVERGE_DEPTH = 10   # the longest basis words `converge` sweeps: 4x the rows per 2 levels
+
+
 def cmd_converge(args: argparse.Namespace) -> int:
     A = _load_matrix(args)
+    if args.depth > _MAX_CONVERGE_DEPTH:
+        raise ValueError(f"--depth must be <= {_MAX_CONVERGE_DEPTH}, not {args.depth}")
     potential = _potential(args.potential)
     beta_c, model_of, target = _converge_models(A, potential)
     offsets = _finite((float(x) for x in args.approach.split(",")), "--approach offsets")

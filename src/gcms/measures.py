@@ -175,7 +175,9 @@ class Measure:
     an admissible prefix, ``total_mass()`` and ``report()``.
 
     Admissibility is checked once, where a word enters: ``cyl_mass`` checks
-    the word a caller names.  The parts of a normal form need no check, so
+    the word a caller names, and ``verify_conformality`` reads it from the
+    word's memoized shift image, which checked it once per (matrix, word).
+    The parts of a normal form need no check, so
     ``measure_setexpr`` reads them unchecked (``_family_mass`` for a
     family): a ``Subbasis`` checks its word, ``normalize`` and
     ``_assemble`` only forced-extend admissible words, which keeps them
@@ -249,10 +251,14 @@ class YFamilyMeasure(Measure):
         return u
 
     def _head(self, w: Word) -> float:
-        """c_e times the letter weights of ``w``: the mass the stem ``w`` would carry."""
+        """c_e times the letter weights of ``w``: the mass the stem ``w`` would carry.
+
+        The kept factors are read inline; ``_u`` runs for an unseen letter only."""
+        factors = self._factors
         m = self.c_e
         for s in w:
-            m *= self._u(s)
+            u = factors.get(s)
+            m *= self._u(s) if u is None else u
         return m
 
     def point_mass(self, c: BoundedConfig) -> float:
@@ -623,18 +629,30 @@ def verify_conformality(m: Measure, test_cylinders: Iterable[Word]) -> Conformal
     same peel; the length-one rows, which weigh end-letter masses against
     sieve sums and point masses, are the independent check.  The images
     do not depend on the measure, so ``shift_image_of_cylinder`` builds
-    each one once and every later check of the same word reuses it.  Each
-    row checks its word's admissibility once, in ``cyl_mass`` on the
-    right-hand side; the image's parts are read unchecked.
+    each one once and every later check of the same word reuses it.
+
+    Admissibility is checked once per (matrix, word), where the image is
+    built, and never per measure: a single letter is admissible, and a
+    longer word is admissible exactly when its image is non-empty (the
+    image holds the atom alpha[1:]).  So the right-hand side reads
+    ``_cyl_mass`` unchecked, or 0 on an empty image, which is ``cyl_mass``
+    on every word; the image's parts are read unchecked too.  A check over
+    no cylinder would read as a pass, so an empty word list is refused.
     """
     A = m.matrix
     worst = 0.0
+    checked = False
     for alpha in test_cylinders:
         if not alpha:
             raise ValueError("conformality needs non-empty cylinder words")
-        lhs = measure_setexpr(m, shift_image_of_cylinder(A, alpha))
-        rhs = m.lam * math.exp(-m.beta * m.weight.value(alpha[0])) * m.cyl_mass(alpha)
+        image = shift_image_of_cylinder(A, alpha)
+        lhs = measure_setexpr(m, image)
+        mass = m._cyl_mass(alpha) if len(alpha) == 1 or not image.is_empty else 0.0
+        rhs = m.lam * math.exp(-m.beta * m.weight.value(alpha[0])) * mass
         worst = max(worst, abs(lhs - rhs))
+        checked = True
+    if not checked:
+        raise ValueError("conformality needs at least one cylinder word")
     return ConformalityReport(worst)
 
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Iterable, Sequence
 
@@ -323,11 +324,27 @@ def counting_suite(A: TransitionMatrix, family_id: int, n_max: int) -> list[Coun
 # --------------------------------------------------------------------------
 
 def cylinder_words_up_to(A: TransitionMatrix, max_len: int, sym_bound: Symbol) -> list[Word]:
+    """The admissible words of length 1..max_len on symbols <= sym_bound, sorted.
+
+    The words are enumerated once per (matrix, max_len, sym_bound) and
+    kept; each call returns a fresh list of them, which the caller may
+    extend or mutate without touching the kept copy.
+    """
+    return list(_cylinder_words(A, max_len, sym_bound))
+
+
+@lru_cache(maxsize=None)
+def _cylinder_words(A: TransitionMatrix, max_len: int, sym_bound: Symbol) -> tuple[Word, ...]:
+    """The words of ``cylinder_words_up_to``, memoized like
+    ``measures.shift_image_of_cylinder``: they depend on nothing else
+    (``TransitionMatrix`` hashes and compares by value), and a tuple of
+    tuples is frozen.  The unmemoized function is
+    ``_cylinder_words.__wrapped__``."""
     out: list[Word] = []
     for n in range(1, max_len + 1):
         for last in _letters(A, sym_bound):
             out.extend(enumerate_words(A, n, {last}, sym_bound).words)
-    return sorted(set(out))
+    return tuple(sorted(set(out)))
 
 
 def conformality_suite(A: TransitionMatrix, beta: float) -> dict[str, float]:

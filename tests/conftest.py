@@ -2,14 +2,17 @@ import pytest
 
 from gcms import matrices
 from gcms import measures as ms
+from gcms import verification as vf
 
 
 @pytest.fixture(autouse=True)
 def fresh_shift_images():
-    """Each test builds its own shift images: the memo is module-level state,
-    and a test that patches the cylinder algebra must not read an image an
-    earlier test built."""
+    """Each test builds its own shift images and cylinder word lists: the
+    memos are module-level state, and a test that patches the cylinder
+    algebra or the word enumeration must not read what an earlier test
+    built."""
     ms.shift_image_of_cylinder.cache_clear()
+    vf._cylinder_words.cache_clear()
 
 
 @pytest.fixture(scope="session")

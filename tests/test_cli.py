@@ -331,6 +331,8 @@ def test_stored_matrix_with_a_forced_cycle(rows, expr, cylinder, tmp_path, capsy
     (["phase", "--kind", "renewal", "--potential", "one"], "unknown potential 'one'"),
     # the counts are exact integers, thousands of digits long past the cap
     (["count", "--kind", "renewal", "--n", "1001"], "--n must be <= 1000, not 1001"),
+    # the sweep's rows grow about 4x per two levels of depth
+    (["converge", "--kind", "renewal", "--depth", "11"], "--depth must be <= 10, not 11"),
 ])
 def test_errors_exit_2_with_one_line(args, message, tmp_path, capsys):
     files = {"MATRIX": '{"kind": "explicit"}',

@@ -10,7 +10,7 @@ from gcms.cylinders import CylFamily, SetExpr, Subbasis, decompose, intersect_ma
 from gcms.matrices import by_kind, explicit
 from gcms.thermo import LOG_POTENTIAL, Constant, LogRatio, beta_c_log, zeta
 from gcms.verification import conformality_suite, cylinder_words_up_to
-from gcms.words import enumerate_words, generation_layers
+from gcms.words import enumerate_words, generation_layers, is_admissible
 
 LOG2 = math.log(2.0)
 LOG3 = math.log(3.0)
@@ -480,6 +480,92 @@ def test_shift_image_memo_matches_a_fresh_build():
             image = ms.shift_image_of_cylinder(A, w)
             assert ms.shift_image_of_cylinder(A, w) is image
             assert image == ms.shift_image_of_cylinder.__wrapped__(A, w), (A, w)
+
+
+def checked_row_residual(m, words):
+    """The conformality residual with each word checked by ``cyl_mass`` on
+    the right-hand side, as the rows were read before they took
+    admissibility from the shift image: the oracle for that reading."""
+    worst = 0.0
+    for alpha in words:
+        lhs = ms.measure_setexpr(m, ms.shift_image_of_cylinder(m.matrix, alpha))
+        rhs = m.lam * math.exp(-m.beta * m.weight.value(alpha[0])) * m.cyl_mass(alpha)
+        worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
+def suite_measures(A, beta):
+    """The measures ``conformality_suite(A, beta)`` checks, by its keys."""
+    known = ms.KIND_MEASURES[A.kind]
+    name, build = known.critical
+    out = {name: build(A)}
+    if beta > A.spec.critical_beta:
+        for key, fam in known.y_families:
+            out[key] = ms.y_measure(A, fam, Constant(1.0), beta)
+    if known.log_ratio:
+        out["log_eigenmeasure"] = ms.log_eigenmeasure(beta, A)
+    return out
+
+
+@pytest.mark.parametrize("kind", ["renewal", "pair_renewal"])
+@pytest.mark.parametrize("beta", [0.5, 1.1, 1.5, 2.0])
+def test_conformality_rows_read_admissibility_bit_identically(kind, beta):
+    A = by_kind(kind)
+    words = cylinder_words_up_to(A, 6, 7)
+    measures = suite_measures(A, beta)
+    got = conformality_suite(A, beta)
+    assert set(got) == set(measures)
+    for key, m in measures.items():
+        want = checked_row_residual(m, words)
+        assert ms.verify_conformality(m, words).max_residual == want, key
+        assert got[key] == want, key
+    # single letters past the bound, and inadmissible words whose tails
+    # are admissible: their images are empty, and so is their right side
+    extra = [(k,) for k in range(1, 13)]
+    extra += [(a,) + t for t in cylinder_words_up_to(A, 3, 5) for a in range(1, 7)]
+    assert any(not is_admissible(A, w) for w in extra)
+    for key, m in measures.items():
+        assert ms.verify_conformality(m, extra).max_residual == checked_row_residual(m, extra), key
+
+
+def test_prime_y_measure_rows_read_admissibility_bit_identically(prime):
+    words = cylinder_words_up_to(prime, 4, 6)
+    extra = words + [(a,) + t for t in cylinder_words_up_to(prime, 2, 6) for a in range(1, 8)]
+    assert any(not is_admissible(prime, w) for w in extra)
+    for beta in (1.25, 1.6, 2.0):
+        for root in prime.accumulation_catalog:
+            m = ms.y_measure(prime, root.id, Constant(1.0), beta)
+            for ws in (words, extra):
+                assert ms.verify_conformality(m, ws).max_residual == checked_row_residual(m, ws)
+
+
+def test_a_repeated_conformality_suite_checks_and_walks_no_word_again(pair, monkeypatch):
+    import gcms.verification as vf
+    counts = {"admissible": 0, "walks": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ms, "is_admissible", counted("admissible", ms.is_admissible))
+    monkeypatch.setattr(vf, "enumerate_words", counted("walks", vf.enumerate_words))
+    first = conformality_suite(pair, 1.2)
+    assert 0 < counts["admissible"] <= len(cylinder_words_up_to(pair, 6, 7)) == 867
+    assert counts["walks"] > 0
+    counts.update(admissible=0, walks=0)
+    second = conformality_suite(pair, 1.5)
+    assert counts == {"admissible": 0, "walks": 0}
+    assert set(first) == set(second)
+
+
+def test_conformality_over_no_cylinder_is_refused(renewal):
+    # a check over no word would read as a pass, with residual 0
+    mu = ms.sarig_measure_renewal(renewal)
+    for words in ([], iter(())):
+        with pytest.raises(ValueError, match="at least one cylinder word"):
+            ms.verify_conformality(mu, words)
 
 
 def unkept(m):

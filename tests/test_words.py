@@ -84,6 +84,24 @@ def test_symbol_bound_truncates(renewal):
     assert cut.dropped == len(full.words) - len(cut.words)
 
 
+def test_cylinder_word_memo_matches_a_fresh_enumeration():
+    # one cache across the matrices and bounds, so each key must still be
+    # told apart, and a caller's edits must not reach the kept words
+    from gcms.verification import _cylinder_words
+    cases = [(by_kind(kind), 4, 6) for kind in KINDS]
+    cases += [(by_kind("renewal"), 6, 7), (by_kind("pair_renewal"), 6, 7),
+              (explicit([[0, 1], [1, 0]]), 4, 2), (full_shift(3), 3, 3)]
+    for A, max_len, sym_bound in cases:
+        fresh = list(_cylinder_words.__wrapped__(A, max_len, sym_bound))
+        got = cylinder_words_up_to(A, max_len, sym_bound)
+        assert got == fresh and got, (A, max_len, sym_bound)
+        assert all(is_admissible(A, w) for w in got)
+        got[0] = (99,)
+        got.append(())
+        assert cylinder_words_up_to(A, max_len, sym_bound) == fresh
+    assert len(cylinder_words_up_to(by_kind("pair_renewal"), 6, 7)) == 867
+
+
 @pytest.mark.parametrize("n", range(1, 15))
 def test_renewal_cycle_counts(renewal, n):
     got = list(iter_cycles(renewal, n, 1))
