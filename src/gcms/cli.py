@@ -108,14 +108,6 @@ def _write(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _cylinder_words(A: TransitionMatrix, depth: int, symbol_bound: int) -> list:
-    """The cylinder words a check runs over; a check over none would read as a pass."""
-    for flag, v in (("--depth", depth), ("--symbol-bound", symbol_bound)):
-        if v < 1:
-            raise ValueError(f"{flag} must be >= 1, not {v}")
-    return vf.cylinder_words_up_to(A, depth, symbol_bound)
-
-
 def _potential(name: str) -> th.Potential:
     if name == "const":
         return th.Constant(1.0)
@@ -128,13 +120,8 @@ def _potential(name: str) -> th.Potential:
 # subcommands
 # --------------------------------------------------------------------------
 
-_MAX_COUNT_N = 1_000   # the longest generation `count` checks; its counts are exact integers
-
-
 def cmd_count(args: argparse.Namespace) -> int:
     A = _load_matrix(args)
-    if args.n > _MAX_COUNT_N:
-        raise ValueError(f"--n must be <= {_MAX_COUNT_N}, not {args.n}")
     families = [args.family] if args.family else vf.counted_families(A)
     rows = []
     all_match = True
@@ -229,26 +216,18 @@ def _converge_models(A: TransitionMatrix, potential: th.Potential):
     return bc, (lambda b: ms.log_eigenmeasure(b, A)), ms.log_eigenmeasure(bc, A)
 
 
-_MAX_CONVERGE_DEPTH = 10   # the longest basis words `converge` sweeps: 4x the rows per 2 levels
-
-
 def cmd_converge(args: argparse.Namespace) -> int:
     A = _load_matrix(args)
-    if args.depth > _MAX_CONVERGE_DEPTH:
-        raise ValueError(f"--depth must be <= {_MAX_CONVERGE_DEPTH}, not {args.depth}")
     potential = _potential(args.potential)
     beta_c, model_of, target = _converge_models(A, potential)
     offsets = _finite((float(x) for x in args.approach.split(",")), "--approach offsets")
     grid = [beta_c + x for x in offsets]
     basis = [(format_word(w), decompose(Subbasis(A, w)))
-             for w in _cylinder_words(A, args.depth, args.symbol_bound)]
+             for w in vf.cylinder_words_up_to(A, args.depth, args.symbol_bound)]
     rows = ms.weak_star_sweep(model_of, target, basis, grid)
     _emit(args, ["beta", "set", "value", "target", "abs_diff"],
           [(r.beta, r.set_id, r.value, r.target, r.diff) for r in rows])
     return 0
-
-
-_MAX_MEASURE_DEPTH = 6   # the longest cylinder words `measure` checks
 
 
 def cmd_measure(args: argparse.Namespace) -> int:
@@ -262,9 +241,7 @@ def cmd_measure(args: argparse.Namespace) -> int:
         m = ms.pair_renewal_critical_measure(A)
     else:   # log
         m = ms.log_eigenmeasure(_beta(args), A)
-    if args.depth > _MAX_MEASURE_DEPTH:
-        raise ValueError(f"--depth must be <= {_MAX_MEASURE_DEPTH}, not {args.depth}")
-    cyls = _cylinder_words(A, args.depth, args.symbol_bound)
+    cyls = vf.cylinder_words_up_to(A, args.depth, args.symbol_bound)
     rep = ms.verify_conformality(m, cyls)
     _write(args, ms.measure_report_json(m, rep.max_residual) + "\n")
     return 0
@@ -373,11 +350,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# (subcommand, flag) -> (least, greatest), checked before the subcommand runs.
+# A check over no word would read as a pass (`count` names its own least n);
+# counts are exact integers, thousands of digits long past n = 1000; tables
+# grow about fourfold per two levels; the normal forms kept per word hold
+# forced words of up to --symbol-bound letters, so memory grows with its square.
+_BOUNDS: dict[tuple[str, str], tuple[int | None, int]] = {
+    ("count", "--n"): (None, 1_000),
+    ("converge", "--depth"): (1, 10),
+    ("converge", "--symbol-bound"): (1, 12),
+    ("measure", "--depth"): (1, 6),
+    ("measure", "--symbol-bound"): (1, 1_100),   # past 1025, where 2**(n-1) overflows
+}
+
+
+def _check_bounds(args: argparse.Namespace) -> None:
+    for (command, flag), (least, greatest) in _BOUNDS.items():
+        if command == args.command:
+            v = getattr(args, flag[2:].replace("-", "_"))
+            if least is not None and v < least:
+                raise ValueError(f"{flag} must be >= {least}, not {v}")
+            if v > greatest:
+                raise ValueError(f"{flag} must be <= {greatest}, not {v}")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    """Run one subcommand; a domain, input or file error, or a float overflow
-    (a beta too large in size for its terms), exits 2 with one line on stderr."""
+    """Run one subcommand; a size flag out of bounds, a domain, input or file
+    error, or a float overflow (a beta too large in size for its terms),
+    exits 2 with one line on stderr."""
     args = build_parser().parse_args(argv)
     try:
+        _check_bounds(args)
         return args.fn(args)
     except (ValueError, OSError) as exc:    # ValueError includes MeasureError and DomainError
         print(f"gcms: error: {exc}", file=sys.stderr)

@@ -51,6 +51,24 @@ class GroupWord:
         return "*".join(parts)
 
 
+def _eval(c: Configuration, g: GroupWord) -> int:
+    """Value at ``alpha beta^{-1}`` of either kind of point (each binds this as
+    ``eval``): 1 iff ``alpha`` is a prefix and ``beta`` is empty, or admissible
+    with a last letter that may precede the letter after ``alpha``; past a
+    bounded stem there is none, and the root's support names those letters."""
+    alpha, beta = g.pos, g.neg
+    if not c.has_prefix(alpha):
+        return 0
+    if not beta:
+        return 1
+    if not is_admissible(c.matrix, beta):
+        return 0
+    nxt = c.symbol_at(len(alpha))
+    if nxt is None:
+        return 1 if beta[-1] in c.root.support else 0
+    return 1 if c.matrix.entry(beta[-1], nxt) == 1 else 0
+
+
 @dataclass(frozen=True)
 class BoundedConfig:
     """Finite-stem configuration: admissible stem plus catalog root."""
@@ -81,19 +99,7 @@ class BoundedConfig:
     def has_prefix(self, w: Word) -> bool:
         return is_prefix(w, self.stem)
 
-    def eval(self, g: GroupWord) -> int:
-        alpha, beta = g.pos, g.neg
-        if not beta:
-            return 1 if is_prefix(alpha, self.stem) else 0
-        if not is_admissible(self.matrix, beta):
-            return 0
-        b_last = beta[-1]
-        if alpha == self.stem:
-            return 1 if b_last in self.root.support else 0
-        if is_prefix(alpha, self.stem):
-            # alpha is a strict prefix; the next stem symbol constrains b_last
-            return 1 if self.matrix.entry(b_last, self.stem[len(alpha)]) == 1 else 0
-        return 0
+    eval = _eval
 
     def __repr__(self) -> str:
         return f"<stem={format_word(self.stem)};root={self.root.id}>"
@@ -127,15 +133,7 @@ class UnboundedConfig:
     def has_prefix(self, w: Word) -> bool:
         return all(self.symbol_at(i) == s for i, s in enumerate(w))
 
-    def eval(self, g: GroupWord) -> int:
-        alpha, beta = g.pos, g.neg
-        if not self.has_prefix(alpha):
-            return 0
-        if not beta:
-            return 1
-        if not is_admissible(self.matrix, beta):
-            return 0
-        return 1 if self.matrix.entry(beta[-1], self.symbol_at(len(alpha))) == 1 else 0
+    eval = _eval
 
     def __repr__(self) -> str:
         return f"<pre={format_word(self.preperiod)};per={format_word(self.period)}>"

@@ -21,13 +21,12 @@ prefix's last letter), and ``_assemble`` turns canonical parts into a
 rejected, parts sorted, the whole space folded).  ``meet`` only assembles:
 every part it keeps comes from a normal form and is already canonical.
 ``part_contains`` decides membership of a configuration in one part;
-``member`` asks whether some part contains it and ``membership_count``
-counts the parts that do.  ``meet`` keeps a boundary point of one operand
-iff the other operand holds it, and one normal form meets many others on
-the same points, so each normal form remembers ``member``'s answer per
-point (``SetExpr._holds``).  The memo is exact: normal forms and points are
-frozen and ``part_contains`` is pure, so it only stores what ``member``
-says.  Normal forms are checked against raw membership (``raw_member``,
+``member`` asks whether some part contains it.  ``meet`` keeps a boundary
+point of one operand iff the other operand holds it, and one normal form
+meets many others on the same points, so each normal form remembers
+``member``'s answer per point (``SetExpr._holds``).  The memo is exact:
+normal forms and points are frozen and ``part_contains`` is pure, so it
+only stores what ``member`` says.  Normal forms are checked against raw membership (``raw_member``,
 read off the configuration's evaluation) in one place: ``verification``'s
 oracle compares the bit rows of a normal form's parts with the raw
 membership row, for single elements and their meets.
@@ -358,13 +357,6 @@ def member(c: Configuration, s: SetExpr) -> bool:
     ``SetExpr._holds`` only remembers."""
     return s.whole_space or any(part_contains(c, part)
                                 for part in (*s.points, *s.atoms, *s.families))
-
-
-def membership_count(c: Configuration, s: SetExpr) -> int:
-    """Number of parts of ``s`` containing ``c`` (must be 0 or 1 when disjoint)."""
-    if s.whole_space:
-        return 1
-    return sum(part_contains(c, part) for part in (*s.points, *s.atoms, *s.families))
 
 
 # --------------------------------------------------------------------------

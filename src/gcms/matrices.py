@@ -215,10 +215,13 @@ def _prime_meet(i: Symbol, j: Symbol) -> frozenset[Symbol]:
 def _prime_catalog(prime_bound: int) -> tuple[AccumulationColumn, ...]:
     """Column {1} plus the column {1, p} of every prime p <= prime_bound.
 
-    The full catalog is countably infinite; ``prime_bound`` truncates it.
+    The full catalog is countably infinite; ``prime_bound`` truncates it,
+    at 100 at most, as the primes are found by trial division.
     """
     if prime_bound < 2:
         raise ValueError("prime_bound must be >= 2")
+    if prime_bound > 100:
+        raise ValueError(f"prime_bound must be <= 100, not {prime_bound}")
     return (_column(1, {1}),) + tuple(_column(p, {1, p}) for p in range(2, prime_bound + 1)
                                       if _is_prime(p))
 

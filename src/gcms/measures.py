@@ -51,8 +51,8 @@ import numpy as np
 from . import symbolsets as ss
 from .configs import BoundedConfig
 from .cylinders import CylFamily, SetExpr, normalize
-from .matrices import AccumulationColumn, Symbol, TransitionMatrix, by_kind
-from .thermo import (LOG_POTENTIAL, Constant, Potential, beta_c_log,
+from .matrices import AccumulationColumn, Symbol, TransitionMatrix
+from .thermo import (LOG_POTENTIAL, Constant, Potential, _bisect, _worst, beta_c_log,
                      normalization_series, pressure_log_potential, zeta)
 from .words import Word, generation_layers, is_admissible
 
@@ -169,10 +169,11 @@ class Measure:
     The rules every measure shares live here: the empty word is the whole
     space, an inadmissible word has mass 0, a finite family is the sum of
     its cylinders, and points carry no mass unless a subclass says
-    otherwise.  A subclass sets ``matrix``, ``weight``, ``beta``, ``lam``
-    and ``convention``, and supplies ``_cyl_mass(alpha)`` for an admissible
-    non-empty word, ``_sieve_mass(prefix, sieve)`` for a sieve family below
-    an admissible prefix, ``total_mass()`` and ``report()``.
+    otherwise.  A subclass sets ``matrix``, ``weight``, ``beta``, ``lam``,
+    ``convention`` and an empty ``_factors`` dict, and supplies
+    ``_cyl_mass(alpha)`` for an admissible non-empty word,
+    ``_sieve_mass(prefix, sieve)`` for a sieve family below an admissible
+    prefix, ``total_mass()`` and ``report()``.
 
     Admissibility is checked once, where a word enters: ``cyl_mass`` checks
     the word a caller names, and ``verify_conformality`` reads it from the
@@ -200,6 +201,22 @@ class Measure:
             return math.fsum(self._cyl_mass(f.prefix + (k,)) for k in sorted(f.symbols.symbols))
         return self._sieve_mass(f.prefix, f.symbols)
 
+    def _factor(self, s: Symbol) -> float:
+        """The letter factor lam^-1 exp(beta * weight(s)), kept per letter."""
+        f = self._factors.get(s)
+        if f is None:
+            f = self._factors[s] = math.exp(self.beta * self.weight.value(s)) / self.lam
+        return f
+
+    def _product(self, letters: Iterable[Symbol], start: float) -> float:
+        """``start`` times each letter's factor, left to right, kept ones read inline."""
+        factors = self._factors
+        m = start
+        for s in letters:
+            f = factors.get(s)
+            m *= self._factor(s) if f is None else f
+        return m
+
 
 # --------------------------------------------------------------------------
 # atomic measures on a boundary family
@@ -213,8 +230,8 @@ class YFamilyMeasure(Measure):
     with 1/c_e from the one solve or walk that certifies both; one row rule
     (``_tail``) fills the letters it does not name.  A given ``c_e`` is the
     renewal closed form, on which that rule gives every T(j).  Letter
-    factors are kept per instance, next to the sums T(j), so each
-    exp(beta * weight(s)) is evaluated once per letter.
+    factors are kept per instance (``Measure._factor``), next to the sums
+    T(j); as lam = 1 each is exp(beta * weight(s)).
     """
 
     kind = "y_family"
@@ -244,22 +261,9 @@ class YFamilyMeasure(Measure):
 
     # -- stem weights ---------------------------------------------------------
 
-    def _u(self, s: Symbol) -> float:
-        u = self._factors.get(s)
-        if u is None:
-            u = self._factors[s] = math.exp(self.beta * self.weight.value(s))
-        return u
-
     def _head(self, w: Word) -> float:
-        """c_e times the letter weights of ``w``: the mass the stem ``w`` would carry.
-
-        The kept factors are read inline; ``_u`` runs for an unseen letter only."""
-        factors = self._factors
-        m = self.c_e
-        for s in w:
-            u = factors.get(s)
-            m *= self._u(s) if u is None else u
-        return m
+        """c_e times the letter weights of ``w``: the mass the stem ``w`` would carry."""
+        return self._product(w, self.c_e)
 
     def point_mass(self, c: BoundedConfig) -> float:
         if c.matrix != self.matrix or c.root != self.family:
@@ -299,7 +303,7 @@ class YFamilyMeasure(Measure):
     def _letter_weight(self, k: Symbol) -> float:
         """u(k) * ([k terminal] + T(k)): total stem weight below one letter."""
         t = 1.0 if k in self.family.allowed_terminal_symbols else 0.0
-        return self._u(k) * (t + self._tail(k))
+        return self._factor(k) * (t + self._tail(k))
 
     def _sieve_sum(self, s: ss.Sieve) -> float:
         """Sum of letter weights over a sieve symbol set.
@@ -395,13 +399,7 @@ class SequenceMeasure(Measure):
                 return math.exp(self.beta * self.weight.c * k) / self.lam ** k
             except OverflowError:
                 return math.exp(self.beta * self.weight.c * k - k * math.log(self.lam))
-        m = 1.0
-        for s in head:
-            f = self._factors.get(s)
-            if f is None:
-                f = self._factors[s] = math.exp(self.beta * self.weight.value(s)) / self.lam
-            m *= f
-        return m
+        return self._product(head, 1.0)
 
     def base_value(self, n: Symbol) -> float:
         """The mass of the cylinder on n; the forced run is peeled as a
@@ -451,15 +449,13 @@ def y_measure(A: TransitionMatrix, family_id: int, F: Potential, beta: float) ->
 _PLAIN = (None, frozenset())   # the sieve key of every symbol, exclusions aside
 
 
-def _matrix(A: TransitionMatrix | None, kind: str) -> TransitionMatrix:
-    if A is None:
-        return by_kind(kind)
+def _matrix(A: TransitionMatrix, kind: str) -> TransitionMatrix:
     if A.kind != kind:
         raise MeasureError(f"this measure is specific to the {kind.replace('_', ' ')} matrix")
     return A
 
 
-def sarig_measure_renewal(A: TransitionMatrix | None = None) -> SequenceMeasure:
+def sarig_measure_renewal(A: TransitionMatrix) -> SequenceMeasure:
     """The renewal eigenmeasure for constant potentials: 2^-(reduced length).
 
     The reduced length |alpha| - 1 + alpha[-1] is that of the forced
@@ -474,7 +470,7 @@ def sarig_measure_renewal(A: TransitionMatrix | None = None) -> SequenceMeasure:
         info={"lambda_role": "2*exp(-beta)"})
 
 
-def pair_renewal_critical_measure(A: TransitionMatrix | None = None) -> SequenceMeasure:
+def pair_renewal_critical_measure(A: TransitionMatrix) -> SequenceMeasure:
     """The unique sequence-space conformal probability of the pair renewal
     matrix with unit potential, at the critical inverse temperature.
 
@@ -498,19 +494,10 @@ def pair_renewal_critical_measure(A: TransitionMatrix | None = None) -> Sequence
 def pair_renewal_normalization_root() -> float:
     """Root y = exp(-beta) of the probability normalization y^2 + 2y - 1 = 0,
     found by bisection; equals sqrt(2) - 1."""
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid * mid + 2.0 * mid - 1.0 < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 0.5e-12:
-            break
-    return 0.5 * (lo + hi)
+    return _bisect(lambda y: y * y + 2.0 * y - 1.0 < 0.0, 0.0, 1.0, 0.5e-12)
 
 
-def log_eigenmeasure(beta: float, A: TransitionMatrix | None = None) -> Measure:
+def log_eigenmeasure(beta: float, A: TransitionMatrix) -> Measure:
     """The unique probability eigenmeasure of the renewal log-ratio potential.
 
     Above the critical inverse temperature it is atomic on the boundary
@@ -637,11 +624,11 @@ def verify_conformality(m: Measure, test_cylinders: Iterable[Word]) -> Conformal
     image holds the atom alpha[1:]).  So the right-hand side reads
     ``_cyl_mass`` unchecked, or 0 on an empty image, which is ``cyl_mass``
     on every word; the image's parts are read unchecked too.  A check over
-    no cylinder would read as a pass, so an empty word list is refused.
+    no cylinder would read as a pass, so an empty word list is refused, and
+    a nan residual makes the worst residual nan.
     """
     A = m.matrix
-    worst = 0.0
-    checked = False
+    residuals = []
     for alpha in test_cylinders:
         if not alpha:
             raise ValueError("conformality needs non-empty cylinder words")
@@ -649,11 +636,10 @@ def verify_conformality(m: Measure, test_cylinders: Iterable[Word]) -> Conformal
         lhs = measure_setexpr(m, image)
         mass = m._cyl_mass(alpha) if len(alpha) == 1 or not image.is_empty else 0.0
         rhs = m.lam * math.exp(-m.beta * m.weight.value(alpha[0])) * mass
-        worst = max(worst, abs(lhs - rhs))
-        checked = True
-    if not checked:
+        residuals.append(abs(lhs - rhs))
+    if not residuals:
         raise ValueError("conformality needs at least one cylinder word")
-    return ConformalityReport(worst)
+    return ConformalityReport(_worst(residuals))
 
 
 # --------------------------------------------------------------------------

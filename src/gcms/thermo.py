@@ -222,17 +222,26 @@ def pointwise_z(A: TransitionMatrix, F: Potential, beta: float, x: Configuration
     return _partition_sum(A, F, beta, seeds, n)
 
 
+def _worst(residuals: Iterable[float]) -> float:
+    """The largest of non-negative residuals (0.0 over none), or nan if one is:
+    ``max`` keeps a nan only where it comes first, so it would read as a pass."""
+    worst = 0.0
+    for r in residuals:
+        worst = r if math.isnan(r) else max(worst, r)
+    return worst
+
+
 def superadditivity_check(A: TransitionMatrix, F: Potential, beta: float, base: Symbol,
                           n_max: int) -> None:
     """Verify Z_n * Z_m <= Z_{n+m} for all n + m <= n_max; raises on the
-    first counterexample.  First-coordinate potentials have vanishing
-    variations, so the inequality carries no slack constant.
+    first counterexample, a nan included.  First-coordinate potentials have
+    vanishing variations, so the inequality carries no slack constant.
     """
     zs = {n: z_n(A, F, beta, base, n).value for n in range(1, n_max + 1)}
     for n in range(1, n_max):
         for m in range(1, n_max - n + 1):
             lhs, rhs = zs[n] * zs[m], zs[n + m]
-            if lhs > rhs * (1 + 1e-12):
+            if not lhs <= rhs * (1 + 1e-12):    # a nan fails too
                 raise AssertionError(f"superadditivity fails at n={n}, m={m}: {lhs} > {rhs}")
 
 
@@ -247,8 +256,8 @@ class PressureEstimate:
     certificate: str                       # "exact" | "limit"
 
 
-def gurevich_pressure(A: TransitionMatrix, F: Potential, beta: float, base: Symbol = 1,
-                      n_max: int = 10) -> PressureEstimate:
+def gurevich_pressure(A: TransitionMatrix, F: Potential, beta: float, base: Symbol,
+                      n_max: int) -> PressureEstimate:
     """Finite-n pressure data plus an extrapolation.
 
     The certificate is "exact" when a closed form pins the limit: the
@@ -337,18 +346,24 @@ def zeta(beta: float) -> float:
     return power_sum_tail(beta, 1, 1e-13)
 
 
-def critical_beta_log() -> float:
-    """The inverse temperature where zeta equals 2 (about 1.72865)."""
-    lo, hi = 1.1, 3.0
+def _bisect(below: Callable[[float], bool], lo: float, hi: float, tol: float) -> float:
+    """The root in [lo, hi] of a function whose sign ``below`` tells (true
+    left of the root): the midpoint once the bracket is ``tol`` wide, or
+    after 200 halvings."""
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if zeta(mid) > 2.0:
+        if below(mid):
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-13:
+        if hi - lo <= tol:
             break
     return 0.5 * (lo + hi)
+
+
+def critical_beta_log() -> float:
+    """The inverse temperature where zeta equals 2 (about 1.72865)."""
+    return _bisect(lambda b: zeta(b) > 2.0, 1.1, 3.0, 1e-13)
 
 
 # --------------------------------------------------------------------------
@@ -599,8 +614,7 @@ def _t_map(alpha: Word, x_stem: Word) -> Word:
     return alpha[a0:] + descent + x_stem
 
 
-def jn_tn(A: TransitionMatrix, x: BoundedConfig, n: int,
-          potential: GDiff | None = None) -> JnTnReport:
+def jn_tn(A: TransitionMatrix, x: BoundedConfig, n: int, potential: GDiff) -> JnTnReport:
     """Partition of the stems of sigma^-n(x) into J_n and T_n.
 
     Both word sets are shift preimages from ``configs.preimages``: W_n(1),
@@ -608,9 +622,9 @@ def jn_tn(A: TransitionMatrix, x: BoundedConfig, n: int,
     ending in 1, and the target is the stems of sigma^-n(x), the length
     n+|stem| words ending in the stem of ``x``.  J_n glues a word of W_n(1)
     directly onto the stem; T_n reroutes it through the descent above the
-    stem's first letter.  Checks injectivity, disjointness, and exact cover.  For
-    difference potentials the Birkhoff transport identity of rerouted
-    words is evaluated and the worst residual reported.
+    stem's first letter.  Checks injectivity, disjointness, and exact cover,
+    and evaluates the Birkhoff transport identity of rerouted words under
+    the difference potential, reporting the worst residual.
     """
     if A.kind != "renewal":
         raise ValueError("the word-set partition is specific to the renewal matrix")
@@ -626,14 +640,8 @@ def jn_tn(A: TransitionMatrix, x: BoundedConfig, n: int,
           and len(set(t_image)) == len(t_image)
           and not set(j_image) & set(t_image)
           and sorted(j_image + t_image) == sorted(target))
-    max_resid = 0.0
-    if potential is not None:
-        g = potential.g
-        x0 = x.stem[0]
-        for alpha in w_n_1:
-            t_alpha = _t_map(alpha, x.stem)
-            lhs = math.fsum(potential.value(s) for s in t_alpha[:n])
-            rhs = (math.fsum(potential.value(s) for s in alpha)
-                   + g(x0 + 1) - g(x0 + alpha[0] + 1) + g(alpha[0] + 1) - g(1))
-            max_resid = max(max_resid, abs(lhs - rhs))
-    return JnTnReport(ok, max_resid)
+    g, x0 = potential.g, x.stem[0]
+    lhs = [math.fsum(potential.value(s) for s in t_alpha[:n]) for t_alpha in t_image]
+    rhs = [math.fsum(potential.value(s) for s in alpha)
+           + g(x0 + 1) - g(x0 + alpha[0] + 1) + g(alpha[0] + 1) - g(1) for alpha in w_n_1]
+    return JnTnReport(ok, _worst(abs(l - r) for l, r in zip(lhs, rhs)))

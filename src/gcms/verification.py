@@ -43,8 +43,7 @@ from . import symbolsets as sset
 from . import thermo as th
 from .configs import (BoundedConfig, Configuration, UnboundedConfig, count_preimages_closed_form,
                       empty_stem_config, IntegerInterval)
-from .cylinders import (CylFamily, SetExpr, Subbasis, decompose, meet, membership_count,
-                        part_contains, raw_member)
+from .cylinders import CylFamily, SetExpr, Subbasis, decompose, meet, part_contains, raw_member
 from .matrices import Symbol, TransitionMatrix
 from .words import Word, enumerate_words, generation_layers, iter_cycles
 
@@ -205,13 +204,14 @@ def _meet_fault(u: ConfigUniverse, expr: SetExpr, expected: int) -> tuple[int, s
     disagrees with the expected membership bit row, with the reason; None
     if there is none."""
     seen, dup = (u.full, 0) if expr.whole_space else (0, 0)
-    for part in (*expr.points, *expr.atoms, *expr.families):
+    parts = (*expr.points, *expr.atoms, *expr.families)
+    for part in parts:
         row = u.part_row(part)
         dup |= seen & row
         seen |= row
     if dup:
         k = _lowest_bit(dup)
-        return k, f"covered {membership_count(u.configs[k], expr)} times"
+        return k, f"covered {sum(u.part_row(p) >> k & 1 for p in parts)} times"
     if seen != expected:
         k = _lowest_bit(seen ^ expected)
         return k, f"raw={bool(expected >> k & 1)} normalized={bool(seen >> k & 1)}"
@@ -339,12 +339,11 @@ def _cylinder_words(A: TransitionMatrix, max_len: int, sym_bound: Symbol) -> tup
     ``measures.shift_image_of_cylinder``: they depend on nothing else
     (``TransitionMatrix`` hashes and compares by value), and a tuple of
     tuples is frozen.  The unmemoized function is
-    ``_cylinder_words.__wrapped__``."""
+    ``_cylinder_words.__wrapped__``.  One walk per length, from every letter."""
     out: list[Word] = []
     for n in range(1, max_len + 1):
-        for last in _letters(A, sym_bound):
-            out.extend(enumerate_words(A, n, {last}, sym_bound).words)
-    return tuple(sorted(set(out)))
+        out.extend(enumerate_words(A, n, _letters(A, sym_bound), sym_bound).words)
+    return tuple(sorted(out))
 
 
 def conformality_suite(A: TransitionMatrix, beta: float) -> dict[str, float]:
@@ -389,11 +388,11 @@ def first_return_rows(A: TransitionMatrix, beta: float) -> list[tuple[int, float
             for n in range(1, 15)]
 
 
-def pressure_suite(A: TransitionMatrix, beta: float = 0.7) -> dict[str, float]:
+def pressure_suite(A: TransitionMatrix, beta: float) -> dict[str, float]:
     if A.kind != "renewal":
         raise ValueError("the pressure identities are specific to the renewal matrix")
-    worst_id = max(abs(l - r) for _, l, r in pressure_identity_rows(A, beta))
-    worst_star = max(abs(l - r) / r for _, l, r in first_return_rows(A, 2.0))
+    worst_id = th._worst(abs(l - r) for _, l, r in pressure_identity_rows(A, beta))
+    worst_star = th._worst(abs(l - r) / r for _, l, r in first_return_rows(A, 2.0))
     th.superadditivity_check(A, th.Constant(1.0), beta, 1, 16)
     numerator = th.z_n_transfer(A, th.LOG_POTENTIAL, 1.0, 1, 8, 10)
     direct = th.z_n(A, th.LOG_POTENTIAL, 1.0, 1, 8).value

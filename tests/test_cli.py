@@ -333,12 +333,24 @@ def test_stored_matrix_with_a_forced_cycle(rows, expr, cylinder, tmp_path, capsy
     (["count", "--kind", "renewal", "--n", "1001"], "--n must be <= 1000, not 1001"),
     # the sweep's rows grow about 4x per two levels of depth
     (["converge", "--kind", "renewal", "--depth", "11"], "--depth must be <= 10, not 11"),
+    # each memoized shift image holds a forced word of up to --symbol-bound
+    # letters, so memory grows with the square of the bound
+    (["measure", "--kind", "renewal", "--measure", "sarig", "--depth", "1",
+      "--symbol-bound", "1101"],
+     "--symbol-bound must be <= 1100, not 1101"),
+    (["converge", "--kind", "renewal", "--symbol-bound", "13"],
+     "--symbol-bound must be <= 12, not 13"),
+    # the primes are found by trial division; the cap holds for a matrix file too
+    (["count", "--kind", "prime_renewal", "--prime-bound", "101"],
+     "prime_bound must be <= 100, not 101"),
+    (["count", "--matrix-file", "PRIME"], "prime_bound must be <= 100, not 1000"),
 ])
 def test_errors_exit_2_with_one_line(args, message, tmp_path, capsys):
     files = {"MATRIX": '{"kind": "explicit"}',
              "EXPLICIT": '{"kind": "explicit", "size": 2, "rows": [[1, 1], [1, 0]]}',
              "SCALAR": "3", "ROWS": '{"kind": "explicit", "rows": 5}', "EMPTY": "",
-             "LATIN1": '{"kind": "\u00e9"}'}
+             "LATIN1": '{"kind": "\u00e9"}',
+             "PRIME": '{"kind": "prime_renewal", "prime_bound": 1000}'}
     for name, text in files.items():
         (tmp_path / f"{name}.json").write_bytes(text.encode("latin-1"))
     code = main([str(tmp_path / f"{a}.json") if a in (*files, "MISSING") else a

@@ -1,7 +1,7 @@
 """The library holds only what the package, the benchmark or the acceptance
 criteria use: every public name in ``src/gcms`` has a caller outside the
 unit tests, every public dataclass field has a reader, and every parameter
-with a default is set by some call.
+with a default is set by some call and left out by another.
 
 A top-level name counts as referenced only where the reference resolves to
 its module: a bare name inside the module itself, ``from .m import name``
@@ -15,7 +15,8 @@ top-level name's reference, not a method's.  The receiver of ``obj.n`` is
 not resolved, so it counts for every method named ``n``.  A field counts
 where an attribute of its name is read.  A parameter counts as set where a
 call of its function's name (its method's attribute name; its class's name
-for ``__init__``) passes it by keyword, by position or through ``*``/``**``.
+for ``__init__``) passes it by keyword, by position or through ``*``/``**``,
+and its default counts as relied on where such a call does none of these.
 """
 
 import ast
@@ -155,7 +156,10 @@ def _optional_parameters(tree: ast.Module):
                 yield key, p.arg, None
 
 
-def test_every_optional_parameter_is_set():
+def _calls_by_name() -> dict[tuple[str, bool], list[ast.Call]]:
+    """Every call in ``CALLERS``, keyed as ``_optional_parameters`` keys a
+    definition: a call ``obj.n(...)`` counts for a function and a method
+    named ``n``."""
     calls: dict[tuple[str, bool], list[ast.Call]] = {}
     for tree in _trees(CALLERS).values():
         for node in ast.walk(tree):
@@ -166,14 +170,34 @@ def test_every_optional_parameter_is_set():
                 elif isinstance(f, ast.Attribute):
                     calls.setdefault((f.attr, False), []).append(node)
                     calls.setdefault((f.attr, True), []).append(node)
+    return calls
 
-    def sets(call: ast.Call, param: str, index: int | None) -> bool:
-        return (any(k.arg in (param, None) for k in call.keywords)
-                or any(isinstance(a, ast.Starred) for a in call.args)
-                or index is not None and index < len(call.args))
 
-    unset = [f"{path.stem}.{key[0]}({param})"
-             for path in sorted(SRC.glob("*.py"))
-             for key, param, index in _optional_parameters(ast.parse(path.read_text()))
-             if not any(sets(c, param, index) for c in calls.get(key, []))]
+def _sets(call: ast.Call, param: str, index: int | None) -> bool:
+    """Whether ``call`` may pass the parameter: by keyword, through ``*`` or
+    ``**``, or with enough positional arguments to reach it."""
+    return (any(k.arg in (param, None) for k in call.keywords)
+            or any(isinstance(a, ast.Starred) for a in call.args)
+            or index is not None and index < len(call.args))
+
+
+def _defaults_failing(check) -> list[str]:
+    """The defaulted parameters whose calls fail ``check(calls, param, index)``."""
+    calls = _calls_by_name()
+    return [f"{path.stem}.{key[0]}({param})"
+            for path in sorted(SRC.glob("*.py"))
+            for key, param, index in _optional_parameters(ast.parse(path.read_text()))
+            if not check(calls.get(key, []), param, index)]
+
+
+def test_every_optional_parameter_is_set():
+    unset = _defaults_failing(lambda calls, param, index:
+                            any(_sets(c, param, index) for c in calls))
     assert not unset, f"optional parameters no caller sets: {unset}"
+
+
+def test_every_default_is_relied_on():
+    # the dual: some call plainly leaves the parameter out, so its default is used
+    unused = _defaults_failing(lambda calls, param, index:
+                             any(not _sets(c, param, index) for c in calls))
+    assert not unused, f"defaults no caller relies on: {unused}"

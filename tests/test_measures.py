@@ -140,7 +140,7 @@ def test_atomic_conformality_identity(renewal, pair):
     cases = [ms.y_measure(renewal, 1, Constant(1.0), 1.1),
              ms.y_measure(pair, 1, Constant(1.0), 1.2),
              ms.y_measure(pair, 2, Constant(1.0), 1.2),
-             ms.log_eigenmeasure(2.0)]
+             ms.log_eigenmeasure(2.0, renewal)]
     for mu in cases:
         A = mu.matrix
         stems = []
@@ -215,7 +215,7 @@ def test_one_stem_walk_per_y_measure(prime, pair, monkeypatch):
 def test_renewal_tails_are_the_recursion_from_t1(renewal):
     # T(1) = 1/c_e - 1, T(j) = u(j-1) (T(j-1) + [j-1 = 1]), with c_e from the
     # normalizer and with c_e given
-    for m in (ms.y_measure(renewal, 1, Constant(1.0), 1.2), ms.log_eigenmeasure(2.0)):
+    for m in (ms.y_measure(renewal, 1, Constant(1.0), 1.2), ms.log_eigenmeasure(2.0, renewal)):
         want = [None, m.normalizer_value - 1.0]
         for j in range(2, 201):
             u = math.exp(m.beta * m.weight.value(j - 1))
@@ -236,13 +236,14 @@ def test_a_letter_far_past_the_known_sums_has_its_mass(renewal):
     # T(5000) is filled upward from T(1), in a loop
     assert ms.y_measure(renewal, 1, Constant(1.0), 1.2).cyl_mass((5000,)) == 0.0   # e^-6000
     # above beta_c the log eigenmeasure gives the letter n the mass (n+1)^-beta
-    assert ms.log_eigenmeasure(2.0).cyl_mass((5000,)) == pytest.approx(5001.0 ** -2, rel=1e-10)
+    assert ms.log_eigenmeasure(2.0, renewal).cyl_mass((5000,)) == pytest.approx(5001.0 ** -2,
+                                                                             rel=1e-10)
 
 
 @pytest.mark.parametrize("n", [1025, 1030])
 def test_sarig_mass_past_the_double_range_of_lam_powers(n):
     # lam^(n-1) = 2^(n-1) overflows a double; the mass 2^-n does not
-    got = ms.sarig_measure_renewal().cyl_mass((n,))
+    got = ms.sarig_measure_renewal(by_kind("renewal")).cyl_mass((n,))
     assert got == pytest.approx(math.ldexp(1.0, -n), rel=1e-12)
 
 
@@ -274,7 +275,7 @@ def test_prime_y_measure_probability(prime):
 def test_measure_rules_hold_for_every_measure(renewal, pair):
     y_pair = [ms.y_measure(pair, fam, Constant(1.0), 1.2) for fam in (1, 2)]
     measures = [ms.y_measure(renewal, 1, Constant(1.0), 1.1), ms.sarig_measure_renewal(renewal),
-                ms.pair_renewal_critical_measure(pair), ms.log_eigenmeasure(1.4),
+                ms.pair_renewal_critical_measure(pair), ms.log_eigenmeasure(1.4, renewal),
                 ConvexCombination([(0.25, y_pair[0]), (0.75, y_pair[1])])]
     assert len({m.kind for m in measures}) == 5
     for m in measures:
@@ -371,7 +372,7 @@ def test_extend_by_conformality(pair, renewal):
     assert extend_by_conformality(mu, (1, 2)) == pytest.approx(
         math.exp(-mu.beta) * mu.end_masses[2], rel=1e-14)
     assert extend_by_conformality(mu, (2,)) == mu.end_masses[2]
-    m = ms.log_eigenmeasure(1.4)
+    m = ms.log_eigenmeasure(1.4, renewal)
     for alpha in [(1, 1), (2, 1), (1, 2, 1), (3, 2, 1, 1), (1, 1, 2, 1, 1)]:
         want = m.cyl_mass(alpha)
         got = extend_by_conformality(m, alpha)
@@ -383,23 +384,23 @@ def test_extend_by_conformality(pair, renewal):
         assert got == pytest.approx(closed, rel=1e-12)
 
 
-def test_log_eigenmeasure_dispatch():
+def test_log_eigenmeasure_dispatch(renewal):
     bc = beta_c_log()
-    assert isinstance(ms.log_eigenmeasure(2.0), ms.YFamilyMeasure)
-    assert ms.log_eigenmeasure(bc).kind == "log_eigen_sigma"
-    assert ms.log_eigenmeasure(1.2).kind == "log_eigen_sigma"
+    assert isinstance(ms.log_eigenmeasure(2.0, renewal), ms.YFamilyMeasure)
+    assert ms.log_eigenmeasure(bc, renewal).kind == "log_eigen_sigma"
+    assert ms.log_eigenmeasure(1.2, renewal).kind == "log_eigen_sigma"
     with pytest.raises(ValueError):
-        ms.log_eigenmeasure(-1.0)
+        ms.log_eigenmeasure(-1.0, renewal)
 
 
 def test_log_eigenmeasure_values(renewal):
-    m2 = ms.log_eigenmeasure(2.0)
+    m2 = ms.log_eigenmeasure(2.0, renewal)
     assert m2.c_e == pytest.approx(2.0 - math.pi ** 2 / 6, abs=1e-12)
     assert m2.point_mass(BoundedConfig(renewal, (1,), m2.family)) == pytest.approx(2.0 ** -2.0 * (2 - zeta(2.0)), rel=1e-12)
-    mbc = ms.log_eigenmeasure(beta_c_log())
+    mbc = ms.log_eigenmeasure(beta_c_log(), renewal)
     assert mbc.total_mass() == pytest.approx(1.0, abs=1e-10)
     assert mbc.point_mass(empty_stem_config(renewal, 1)) == 0.0
-    m12 = ms.log_eigenmeasure(1.2)
+    m12 = ms.log_eigenmeasure(1.2, renewal)
     assert m12.total_mass() == pytest.approx(1.0, abs=1e-8)
     assert m12.lam > 1.0
 
@@ -539,6 +540,24 @@ def test_prime_y_measure_rows_read_admissibility_bit_identically(prime):
                 assert ms.verify_conformality(m, ws).max_residual == checked_row_residual(m, ws)
 
 
+def test_cylinder_words_take_one_walk_per_length(monkeypatch):
+    # one walk per length, seeded with every letter, gives the words of the
+    # per-letter enumeration, deduplicated and sorted
+    import gcms.verification as vf
+    cases = [(by_kind(kind), 6, 7) for kind in
+             ("renewal", "pair_renewal", "prime_renewal", "alternating_renewal")]
+    cases.append((explicit([[0, 1], [1, 0]]), 6, 7))
+    for A, max_len, sym_bound in cases:
+        letters = range(1, min(sym_bound, A.size or sym_bound) + 1)
+        want = sorted({w for n in range(1, max_len + 1) for last in letters
+                       for w in enumerate_words(A, n, {last}, sym_bound).words})
+        walks = []
+        monkeypatch.setattr(vf, "enumerate_words",
+                            lambda *args: walks.append(args) or enumerate_words(*args))
+        assert vf._cylinder_words.__wrapped__(A, max_len, sym_bound) == tuple(want), A
+        assert len(walks) == max_len
+
+
 def test_a_repeated_conformality_suite_checks_and_walks_no_word_again(pair, monkeypatch):
     import gcms.verification as vf
     counts = {"admissible": 0, "walks": 0}
@@ -575,7 +594,7 @@ def unkept(m):
     if isinstance(m, ms.YFamilyMeasure):
         c_e = m.c_e if m.matrix.kind == "renewal" else None   # the others need the walk's sums
         fresh = ms.YFamilyMeasure(m.matrix, m.family, m.weight, m.beta, m.convention, c_e)
-        fresh._u = lambda s: math.exp(m.beta * m.weight.value(s))
+        fresh._factor = lambda s: math.exp(m.beta * m.weight.value(s))
         return fresh
 
     def peel(head):
@@ -590,8 +609,10 @@ def unkept(m):
 
 
 @pytest.mark.parametrize("build", [
-    lambda: ms.log_eigenmeasure(0.5), lambda: ms.log_eigenmeasure(1.2),
-    lambda: ms.log_eigenmeasure(beta_c_log()), lambda: ms.log_eigenmeasure(2.0),
+    lambda: ms.log_eigenmeasure(0.5, by_kind("renewal")),
+    lambda: ms.log_eigenmeasure(1.2, by_kind("renewal")),
+    lambda: ms.log_eigenmeasure(beta_c_log(), by_kind("renewal")),
+    lambda: ms.log_eigenmeasure(2.0, by_kind("renewal")),
     lambda: ms.y_measure(by_kind("renewal"), 1, Constant(1.0), 1.2),
     lambda: ms.y_measure(by_kind("pair_renewal"), 1, Constant(1.0), 1.2),
     lambda: ms.y_measure(by_kind("pair_renewal"), 2, Constant(1.0), 1.2),
@@ -614,6 +635,14 @@ def test_conformality_detects_corruption(pair):
     mu.end_masses[2] += 1e-3
     rep = ms.verify_conformality(mu, cylinder_words_up_to(pair, 4, 5))
     assert rep.max_residual >= 1e-4
+
+
+def test_conformality_reports_a_nan_mass(pair):
+    # a nan mass makes the worst residual nan; max(0.0, nan) would give 0.0
+    mu = ms.pair_renewal_critical_measure(pair)
+    mu.end_masses[2] = math.nan
+    rep = ms.verify_conformality(mu, cylinder_words_up_to(pair, 4, 5))
+    assert math.isnan(rep.max_residual)
 
 
 def test_convex_combination(pair):
@@ -664,11 +693,11 @@ def test_weak_star_singletons_vanish(renewal):
 
 def test_weak_star_log_potential(renewal):
     bc = beta_c_log()
-    target = ms.log_eigenmeasure(bc)
+    target = ms.log_eigenmeasure(bc, renewal)
     words = [w for n in range(1, 4) for w in enumerate_words(renewal, n, {1}, 5).words]
     basis = [(str(w), decompose(Subbasis(renewal, w))) for w in words]
     rows = ms.weak_star_sweep(
-        lambda b: ms.log_eigenmeasure(b), target, basis,
+        lambda b: ms.log_eigenmeasure(b, renewal), target, basis,
         [bc + off for off in (0.3, 0.1, 0.01, 1e-3)])
     assert worst_decreases(rows)
 

@@ -219,6 +219,24 @@ def test_superadditivity(renewal):
     assert ratios[0] == pytest.approx(ratios[1], rel=1e-9)
 
 
+def test_superadditivity_fails_on_nan(renewal, monkeypatch):
+    # a nan compares false with everything, so it must fail the inequality
+    # rather than slip past it
+    real = thermo.z_n
+    monkeypatch.setattr(thermo, "z_n", lambda A, F, beta, base, n: (
+        ZValue(math.nan, 0, True) if n == 3 else real(A, F, beta, base, n)))
+    with pytest.raises(AssertionError, match="superadditivity fails"):
+        superadditivity_check(renewal, Constant(1.0), 0.8, 1, 6)
+
+
+def test_pressure_suite_reports_a_nan_residual(renewal, monkeypatch):
+    # max() keeps a nan only when it comes first; a later one must not read as a pass
+    from gcms import verification
+    monkeypatch.setattr(verification, "pressure_identity_rows",
+                        lambda A, beta: [(1, 0.5, 0.5), (2, math.nan, 0.5), (3, 0.5, 0.25)])
+    assert math.isnan(verification.pressure_suite(renewal, 0.7)["pressure_identity_max_residual"])
+
+
 # -- Gurevich pressure ----------------------------------------------------------
 
 def test_gurevich_exact_certificate(renewal):
@@ -448,13 +466,15 @@ def test_pressure_continuity_at_critical():
 
 def test_jn_tn_small(renewal):
     x = bounded(renewal, (1,), 1)
-    rep = jn_tn(renewal, x, 2)
+    # an integer-valued g makes every sum exact, so the transport identity
+    # holds with no residual at all
+    rep = jn_tn(renewal, x, 2, GDiff(lambda s: float(s * s), "square"))
     assert rep.ok
-    assert rep.max_transport_residual == 0.0   # no potential, no transport check
+    assert rep.max_transport_residual == 0.0
 
 
 def test_jn_tn_singletons(renewal):
-    rep = jn_tn(renewal, bounded(renewal, (2, 1), 1), 1)
+    rep = jn_tn(renewal, bounded(renewal, (2, 1), 1), 1, LOG_POTENTIAL)
     assert rep.ok
 
 
@@ -467,6 +487,15 @@ def test_jn_tn_transport_identity(renewal):
             assert rep.max_transport_residual <= 1e-12
 
 
+def test_jn_tn_reports_a_nan_residual(renewal):
+    # g is nan at 4 only, so a few rerouted words have a nan residual among
+    # finite ones; the worst residual is nan, not the largest finite one
+    g = GDiff(lambda s: math.nan if s == 4 else float(s * s), "nan at 4")
+    rep = jn_tn(renewal, bounded(renewal, (1,), 1), 4, g)
+    assert rep.ok
+    assert math.isnan(rep.max_transport_residual)
+
+
 def test_jn_tn_requires_renewal(pair):
     with pytest.raises(ValueError):
-        jn_tn(pair, bounded(pair, (1,), 2), 2)
+        jn_tn(pair, bounded(pair, (1,), 2), 2, LOG_POTENTIAL)
