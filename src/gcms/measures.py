@@ -169,11 +169,13 @@ class Measure:
     The rules every measure shares live here: the empty word is the whole
     space, an inadmissible word has mass 0, a finite family is the sum of
     its cylinders, and points carry no mass unless a subclass says
-    otherwise.  A subclass sets ``matrix``, ``weight``, ``beta``, ``lam``,
-    ``convention`` and an empty ``_factors`` dict, and supplies
-    ``_cyl_mass(alpha)`` for an admissible non-empty word,
-    ``_sieve_mass(prefix, sieve)`` for a sieve family below an admissible
-    prefix, ``total_mass()`` and ``report()``.
+    otherwise.  A sieve family weighs ``peel(prefix)`` times the sum of
+    ``base_value(k)`` over its symbols k, and one rule gives that sum for
+    every measure: inclusion-exclusion over the row sums ``_tail(j)``, the
+    sums of ``base_value`` over the row of j.  A subclass sets ``matrix``,
+    ``weight``, ``beta``, ``lam``, ``convention`` and an empty
+    ``_factors`` dict, and supplies ``_cyl_mass(alpha)`` for an admissible
+    non-empty word, those three numbers, ``total_mass()`` and ``report()``.
 
     Admissibility is checked once, where a word enters: ``cyl_mass`` checks
     the word a caller names, and ``verify_conformality`` reads it from the
@@ -201,6 +203,43 @@ class Measure:
             return math.fsum(self._cyl_mass(f.prefix + (k,)) for k in sorted(f.symbols.symbols))
         return self._sieve_mass(f.prefix, f.symbols)
 
+    def _sieve_mass(self, prefix: Word, symbols: ss.Sieve) -> float:
+        return self.peel(prefix) * self._sieve_sum(symbols)
+
+    def _sieve_sum(self, s: ss.Sieve) -> float:
+        """Sum of base values over a sieve symbol set.
+
+        Uses the row sums ``_tail(j)`` plus inclusion-exclusion over the
+        (finitely intersecting) zero rows; the whole alphabet is the union
+        of the matrix's cover rows.
+        """
+        if s.one_row is not None:
+            total = self._tail(s.one_row)
+        elif not s.zero_rows:
+            total = self._tail_union(self.matrix.spec.cover)
+        else:
+            total = self._sieve_sum(ss.ALL)
+            total -= self._tail_union(tuple(sorted(s.zero_rows)))
+        return total - math.fsum(self.base_value(k) for k in s.excluded)
+
+    def _tail_union(self, rows: tuple[Symbol, ...]) -> float:
+        """Base-value sum over the union of the given row supports.
+
+        Overlaps between irregular rows are finite explicit sets, so the
+        multiplicity of every shared symbol is corrected exactly.
+        """
+        A = self.matrix
+        total = math.fsum(self._tail(r) for r in rows)
+        shared: set[Symbol] = set()
+        for i, r in enumerate(rows):
+            for r2 in rows[i + 1:]:
+                shared |= A.irregular_rows_intersection(r, r2)
+        for k in shared:
+            mult = sum(1 for r in rows if A.entry(r, k) == 1)
+            if mult > 1:
+                total -= (mult - 1) * self.base_value(k)
+        return total
+
     def _factor(self, s: Symbol) -> float:
         """The letter factor lam^-1 exp(beta * weight(s)), kept per letter."""
         f = self._factors.get(s)
@@ -225,8 +264,10 @@ class Measure:
 class YFamilyMeasure(Measure):
     """Probability carried by the stems of one boundary family (lam = 1).
 
-    The stem w has mass c_e times its letter weights.  Cylinder and family
-    masses read the continuation sums T(j), which ``normalizer`` hands over
+    The stem w has mass ``peel(w)``, c_e times its letter weights, and
+    ``base_value(k)`` is the stem weight below the letter k.  Cylinder and
+    family masses read the continuation sums T(j), the base values summed
+    over the row of j, which ``normalizer`` hands over
     with 1/c_e from the one solve or walk that certifies both; one row rule
     (``_tail``) fills the letters it does not name.  A given ``c_e`` is the
     renewal closed form, on which that rule gives every T(j).  Letter
@@ -261,14 +302,14 @@ class YFamilyMeasure(Measure):
 
     # -- stem weights ---------------------------------------------------------
 
-    def _head(self, w: Word) -> float:
+    def peel(self, w: Word) -> float:
         """c_e times the letter weights of ``w``: the mass the stem ``w`` would carry."""
         return self._product(w, self.c_e)
 
     def point_mass(self, c: BoundedConfig) -> float:
         if c.matrix != self.matrix or c.root != self.family:
             return 0.0
-        return self._head(c.stem)
+        return self.peel(c.stem)
 
     # -- continuation sums ----------------------------------------------------
 
@@ -291,56 +332,19 @@ class YFamilyMeasure(Measure):
             if k not in tails:
                 tails[k] = self.normalizer_value - 1.0
             for i in range(k + 1, j + 1):
-                tails[i] = self._letter_weight(i - 1)
+                tails[i] = self.base_value(i - 1)
         return tails[j]
 
     # -- cylinder and family masses --------------------------------------------
 
     def _cyl_mass(self, alpha: Word) -> float:
         terminal = 1.0 if alpha[-1] in self.family.allowed_terminal_symbols else 0.0
-        return self._head(alpha) * (terminal + self._tail(alpha[-1]))
+        return self.peel(alpha) * (terminal + self._tail(alpha[-1]))
 
-    def _letter_weight(self, k: Symbol) -> float:
+    def base_value(self, k: Symbol) -> float:
         """u(k) * ([k terminal] + T(k)): total stem weight below one letter."""
         t = 1.0 if k in self.family.allowed_terminal_symbols else 0.0
         return self._factor(k) * (t + self._tail(k))
-
-    def _sieve_sum(self, s: ss.Sieve) -> float:
-        """Sum of letter weights over a sieve symbol set.
-
-        Uses T(j) = sum over the row of j of the letter weights, plus
-        inclusion-exclusion over the (finitely intersecting) zero rows; the
-        whole alphabet is the union of the matrix's cover rows.
-        """
-        if s.one_row is not None:
-            total = self._tail(s.one_row)
-        elif not s.zero_rows:
-            total = self._tail_union(self.matrix.spec.cover)
-        else:
-            total = self._sieve_sum(ss.ALL)
-            total -= self._tail_union(tuple(sorted(s.zero_rows)))
-        return total - math.fsum(self._letter_weight(k) for k in s.excluded)
-
-    def _tail_union(self, rows: tuple[Symbol, ...]) -> float:
-        """Letter-weight sum over the union of the given row supports.
-
-        Overlaps between irregular rows are finite explicit sets, so the
-        multiplicity of every shared symbol is corrected exactly.
-        """
-        A = self.matrix
-        total = math.fsum(self._tail(r) for r in rows)
-        shared: set[Symbol] = set()
-        for i, r in enumerate(rows):
-            for r2 in rows[i + 1:]:
-                shared |= A.irregular_rows_intersection(r, r2)
-        for k in shared:
-            mult = sum(1 for r in rows if A.entry(r, k) == 1)
-            if mult > 1:
-                total -= (mult - 1) * self._letter_weight(k)
-        return total
-
-    def _sieve_mass(self, prefix: Word, symbols: ss.Sieve) -> float:
-        return self._head(prefix) * self._sieve_sum(symbols)
 
     def total_mass(self) -> float:
         return self.c_e * self.normalizer_value
@@ -367,10 +371,10 @@ class SequenceMeasure(Measure):
 
     the cylinder on alpha has ``peel(alpha[:-1]) * base_value(alpha[-1])``,
     and a sieve family below ``prefix`` has ``peel(prefix)`` times the
-    sieve's base-value sum less its exclusions.  A construction supplies
-    only data: its weight, beta and lam, the end-letter masses, the total
-    mass, the base-value sums of the sieves it supports, keyed by
-    (one_row, zero_rows), and the entries its report adds.  Base values
+    sieve's base-value sum (``Measure._sieve_sum``).  A construction
+    supplies only data: its weight, beta and lam, the end-letter masses,
+    the total mass, the base-value sum over each infinite row (``row_sums``,
+    read by ``_tail``), and the entries its report adds.  Base values
     and letter factors are kept per instance, so the end-letter masses are
     read, and each lam^-1 exp(beta*weight(s)) evaluated, once per letter.
     """
@@ -382,7 +386,7 @@ class SequenceMeasure(Measure):
     lam: float
     end_masses: dict[Symbol, float]
     total: float
-    sieve_totals: dict[tuple, float]
+    row_sums: dict[Symbol, float]
     convention: str
     info: dict
     _base: dict[Symbol, float] = field(default_factory=dict, init=False, repr=False)
@@ -413,12 +417,9 @@ class SequenceMeasure(Measure):
     def _cyl_mass(self, alpha: Word) -> float:
         return self.peel(alpha[:-1]) * self.base_value(alpha[-1])
 
-    def _sieve_mass(self, prefix: Word, symbols: ss.Sieve) -> float:
-        total = self.sieve_totals.get((symbols.one_row, symbols.zero_rows))
-        if total is None:
-            raise MeasureError(f"unsupported sieve {symbols!r} for {self.kind}")
-        excluded = math.fsum(self.base_value(k) for k in symbols.excluded)
-        return self.peel(prefix) * (total - excluded)
+    def _tail(self, j: Symbol) -> float:
+        """The base values summed over the row of j, as the construction gave them."""
+        return self.row_sums[j]
 
     def total_mass(self) -> float:
         return self.total
@@ -446,9 +447,6 @@ def y_measure(A: TransitionMatrix, family_id: int, F: Potential, beta: float) ->
                           f"exp(beta*F)-conformal on family {family_id}")
 
 
-_PLAIN = (None, frozenset())   # the sieve key of every symbol, exclusions aside
-
-
 def _matrix(A: TransitionMatrix, kind: str) -> TransitionMatrix:
     if A.kind != kind:
         raise MeasureError(f"this measure is specific to the {kind.replace('_', ' ')} matrix")
@@ -465,7 +463,7 @@ def sarig_measure_renewal(A: TransitionMatrix) -> SequenceMeasure:
     """
     return SequenceMeasure(
         "sarig_renewal_const", _matrix(A, "renewal"), Constant(-1.0), 0.0, 2.0,
-        end_masses={1: 0.5}, total=1.0, sieve_totals={_PLAIN: 1.0},
+        end_masses={1: 0.5}, total=1.0, row_sums={1: 1.0},
         convention="eigenmeasure of the transfer operator for -beta*1, eigenvalue 2*exp(-beta)",
         info={"lambda_role": "2*exp(-beta)"})
 
@@ -485,8 +483,7 @@ def pair_renewal_critical_measure(A: TransitionMatrix) -> SequenceMeasure:
     return SequenceMeasure(
         "pair_renewal_critical", A, Constant(-1.0), b, 1.0, end_masses={1: nu1, 2: nu2},
         total=nu1 + nu2 / (1.0 - math.exp(-b)),
-        sieve_totals={_PLAIN: 1.0, (2, frozenset()): nu1 + evens,
-                      (None, frozenset({2})): 1.0 - nu1 - evens},
+        row_sums={1: 1.0, 2: nu1 + evens},
         convention="exp(beta)-conformal on the sequence space at the critical beta",
         info={"beta": b, "lambda": 1.0, "base_values": {"1": nu1, "2": nu2}})
 
@@ -517,7 +514,7 @@ def log_eigenmeasure(beta: float, A: TransitionMatrix) -> Measure:
     total = normalization_series(beta, lam) if beta < bc else zeta(beta) - 1.0
     return SequenceMeasure(
         "log_eigen_sigma", A, LOG_POTENTIAL, beta, lam, end_masses={1: 2.0 ** -beta / lam},
-        total=total, sieve_totals={_PLAIN: total},
+        total=total, row_sums={1: total},
         convention="eigenmeasure of the transfer operator for beta*F, eigenvalue exp(pressure)",
         info={"beta": beta, "lambda": lam})
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -333,8 +333,6 @@ def power_sum_tail(beta: float, start: int, tol: float = 1e-14) -> float:
         if bound <= tol:
             break
         N *= 2
-        if N > 1 << 26:  # pragma: no cover - certificate failed to tighten
-            raise RuntimeError("power-sum tail certificate did not reach tolerance")
     head = math.fsum(n ** (-beta) for n in range(start, N))
     return head + tail
 
@@ -361,11 +359,6 @@ def _bisect(below: Callable[[float], bool], lo: float, hi: float, tol: float) ->
     return 0.5 * (lo + hi)
 
 
-def critical_beta_log() -> float:
-    """The inverse temperature where zeta equals 2 (about 1.72865)."""
-    return _bisect(lambda b: zeta(b) > 2.0, 1.1, 3.0, 1e-13)
-
-
 # --------------------------------------------------------------------------
 # discriminant of the log-ratio potential
 # --------------------------------------------------------------------------
@@ -376,28 +369,15 @@ class DiscriminantResult:
     closed_form: float
 
 
-def _extrapolate_at_zero(hs: Sequence[float], values: Sequence[float]) -> float:
-    """Neville polynomial extrapolation of values(h) to h = 0."""
-    tab = list(values)
-    m = len(tab)
-    for level in range(1, m):
-        nxt = []
-        for i in range(m - level):
-            nxt.append((hs[i] * tab[i + 1] - hs[i + level] * tab[i])
-                       / (hs[i] - hs[i + level]))
-        tab = nxt
-    return tab[0]
-
-
 def discriminant_log(beta: float) -> DiscriminantResult:
     """Discriminant of the renewal log-ratio potential, two ways.
 
-    The head of the first-return series comes from ``z_n_star``; the
-    convergence radius is extrapolated from their successive ratios (the
-    exact limit is 1 and the extrapolation certifies it); the tail follows
-    the verified head pattern and is summed under the Euler-Maclaurin
-    certificate.  The closed form is log(zeta(beta) - 1).  For beta <= 1
-    the series diverges and the discriminant is +infinity.
+    The head of the first-return series comes from ``z_n_star`` and is
+    checked term by term against the pattern (k+1)^-beta, which fixes the
+    convergence radius at 1; the tail follows that pattern and is summed
+    under the Euler-Maclaurin certificate.  The closed form is
+    log(zeta(beta) - 1).  For beta <= 1 the series diverges and the
+    discriminant is +infinity.
     """
     A = by_kind("renewal")
     F = LOG_POTENTIAL
@@ -407,16 +387,8 @@ def discriminant_log(beta: float) -> DiscriminantResult:
     zs = [z_n_star(A, F, beta, 1, k).value for k in range(1, head + 1)]
     for k, z in enumerate(zs, start=1):
         expected = (k + 1.0) ** (-beta)
-        if abs(z - expected) > 1e-9 * expected:  # pragma: no cover
+        if abs(z - expected) > 1e-9 * expected:
             raise RuntimeError("first-return head does not match the power pattern")
-    ks = list(range(5, head))
-    hs = [1.0 / k for k in ks]
-    log_ratios = [math.log(zs[k - 1] / zs[k]) for k in ks]
-    radius = math.exp(_extrapolate_at_zero(hs, log_ratios))
-    # the verified head pattern already pins the radius at exactly 1; the
-    # extrapolation is a numeric confirmation with a ~1e-7 noise floor
-    if abs(radius - 1.0) > 1e-6:  # pragma: no cover
-        raise RuntimeError(f"radius extrapolation {radius} is not 1")
     head_sum = math.fsum(zs)  # radius 1, so the head weights are exactly 1
     tail = power_sum_tail(beta, head + 2)
     return DiscriminantResult(math.log(head_sum + tail), math.log(zeta(beta) - 1.0))
@@ -547,8 +519,9 @@ def normalization_series(beta: float, lam: float) -> float:
 
 @functools.cache
 def beta_c_log() -> float:
-    """Cached critical inverse temperature of the log-ratio potential."""
-    return critical_beta_log()
+    """The critical inverse temperature of the log-ratio potential, where
+    zeta equals 2 (about 1.72865), bisected once and kept."""
+    return _bisect(lambda b: zeta(b) > 2.0, 1.1, 3.0, 1e-13)
 
 
 def pressure_log_potential(beta: float) -> float:

@@ -12,7 +12,7 @@ import pytest
 from gcms import measures as ms
 from gcms.configs import bounded, count_preimages_closed_form, empty_stem_config, preimages
 from gcms.matrices import by_kind
-from gcms.thermo import (Constant, LOG_POTENTIAL, LogRatio, beta_c_log, critical_beta_log,
+from gcms.thermo import (Constant, LOG_POTENTIAL, LogRatio, beta_c_log,
                          discriminant_log, jn_tn, normalization_series, pointwise_z,
                          pressure_log_potential, superadditivity_check, z_n, z_n_star, zeta)
 from gcms.verification import cylinder_oracle, cylinder_words_up_to
@@ -164,7 +164,7 @@ def test_criterion_08_log_potential():
     for b in (1.2, 1.5, 1.72, 1.9, 2.5):
         d = discriminant_log(b)
         assert abs(d.series_value - d.closed_form) <= 1e-6, b
-    bc = critical_beta_log()
+    bc = beta_c_log()
     assert abs(bc - 1.72865) <= 5e-5
     assert abs(zeta(bc) - 2.0) <= 1e-10
     for b in (1.2, 1.5):

@@ -344,6 +344,9 @@ def test_stored_matrix_with_a_forced_cycle(rows, expr, cylinder, tmp_path, capsy
     (["count", "--kind", "prime_renewal", "--prime-bound", "101"],
      "prime_bound must be <= 100, not 101"),
     (["count", "--matrix-file", "PRIME"], "prime_bound must be <= 100, not 1000"),
+    # the cycle sums of a pressure sweep grow exponentially with --n-max
+    (["pressure", "--kind", "prime_renewal", "--potential", "log", "--beta-grid", "1.5",
+      "--n-max", "21"], "--n-max must be <= 20, not 21"),
 ])
 def test_errors_exit_2_with_one_line(args, message, tmp_path, capsys):
     files = {"MATRIX": '{"kind": "explicit"}',

@@ -5,8 +5,8 @@ from gcms import symbolsets as sset
 from gcms.configs import GroupWord, UnboundedConfig, bounded, empty_stem_config
 from gcms.cylinders import (CylFamily, SetExpr, Subbasis, decompose, intersect_many,
                             member, parse_elem, parse_expression, part_contains, raw_member)
-from gcms.verification import (_meet_fault, build_universe, cylinder_words_up_to, raw_rows,
-                                setexpr_count_vec, subbasis_elements, whole_space_cover_check)
+from gcms.verification import (_meet_fault, build_universe, cylinder_oracle, cylinder_words_up_to,
+                               raw_rows, setexpr_count_vec, subbasis_elements)
 from gcms.words import is_admissible
 
 
@@ -180,8 +180,15 @@ def test_verify_identity_detects_corruption(renewal):
 
 def test_whole_space_decomposition(renewal, pair, prime, alternating, monkeypatch):
     from gcms import verification
+
+    def cover(A):
+        # the oracle checks the cover on its own universe, here stems up to 4
+        # over symbols up to 5 plus 25 periodic points, with few elements
+        return cylinder_oracle(A, word_len=1, sym_bound=2, inv_bound=2, stem_len=4,
+                               universe_syms=5, n_periodic=25).whole_space_cover
+
     for A in (renewal, pair, prime, alternating):
-        assert whole_space_cover_check(A)
+        assert cover(A)
     # the cover's parts are checked as they are, not folded into the
     # whole-space flag: a dropped empty-stem point is reported, and so is a
     # first-letter family that misses every configuration starting with 1
@@ -193,7 +200,7 @@ def test_whole_space_decomposition(renewal, pair, prime, alternating, monkeypatc
     contains = verification.part_contains
     monkeypatch.setattr(verification, "part_contains", lambda c, part: (
         contains(c, part) and not (part == family and c.symbol_at(0) == 1)))
-    assert not whole_space_cover_check(renewal)
+    assert not cover(renewal)
 
 
 # -- reduced oracle (the exhaustive one runs in the acceptance suite) ----------
@@ -351,6 +358,7 @@ def test_oracle_builds_each_part_row_once(monkeypatch):
     dec = [decompose(e) for e in subbasis_elements(A, 2, 3, 3)]
     exprs = dec + [meet(d, e) for i, d in enumerate(dec) for e in dec[i:]]
     parts = {p for s in exprs for p in (*s.points, *s.atoms, *s.families)}
+    parts.add(CylFamily((), sset.ALL))     # the whole-space cover's family
     assert len(calls) == rep.n_configs * len(parts)
 
 

@@ -17,6 +17,10 @@ where an attribute of its name is read.  A parameter counts as set where a
 call of its function's name (its method's attribute name; its class's name
 for ``__init__``) passes it by keyword, by position or through ``*``/``**``,
 and its default counts as relied on where such a call does none of these.
+
+What differs between matrix kinds lives in ``matrices.KINDS``; a switch on
+a kind's name, a comparison of ``<expr>.kind``, stays at the sites named in
+``KIND_SWITCHES``.
 """
 
 import ast
@@ -201,3 +205,30 @@ def test_every_default_is_relied_on():
     unused = _defaults_failing(lambda calls, param, index:
                              any(not _sets(c, param, index) for c in calls))
     assert not unused, f"defaults no caller relies on: {unused}"
+
+
+# function -> number of comparisons of ``<expr>.kind`` in it
+KIND_SWITCHES = {"thermo.gurevich_pressure": 2, "thermo.jn_tn": 1,
+                 "measures.normalizer": 2, "measures.YFamilyMeasure.__init__": 1,
+                 "measures._matrix": 1, "verification.pressure_suite": 1}
+
+
+def _kind_switches(tree: ast.AST, scope: str):
+    """The enclosing qualified name of every comparison of ``<expr>.kind``."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield from _kind_switches(node, f"{scope}.{node.name}")
+        else:
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Compare) and any(
+                        isinstance(x, ast.Attribute) and x.attr == "kind"
+                        for x in (sub.left, *sub.comparators)):
+                    yield scope
+
+
+def test_kind_switches_stay_at_the_known_sites():
+    found: dict[str, int] = {}
+    for path in sorted(SRC.glob("*.py")):
+        for site in _kind_switches(ast.parse(path.read_text()), path.stem):
+            found[site] = found.get(site, 0) + 1
+    assert found == KIND_SWITCHES, "a switch on a kind name belongs in matrices.KINDS"

@@ -702,17 +702,25 @@ def test_weak_star_log_potential(renewal):
     assert worst_decreases(rows)
 
 
-def test_complementarity_prime_renewal(prime):
-    # mu(E) + mu(complement of E) = 1 exercises multi-row sieves and the
-    # inclusion-exclusion over overlapping prime rows
+def test_complementarity_prime_renewal(prime, pair, renewal):
+    # mu(E) + mu(complement of E) = mu(X) exercises multi-row sieves and the
+    # inclusion-exclusion over overlapping prime rows; on the sequence
+    # measures it reaches every sieve shape the row sums give, the
+    # complement of the irregular row 2 of pair renewal included
     from gcms.verification import subbasis_elements
-    mu = ms.y_measure(prime, 2, Constant(1.0), 1.3)
-    worst = 0.0
-    for e in subbasis_elements(prime, 2, 4, 5):
-        v = ms.measure_setexpr(mu, decompose(e))
-        w = ms.measure_setexpr(mu, decompose(e.complement()))
-        worst = max(worst, abs(v + w - 1.0))
-    assert worst <= 1e-12
+    cases = [(ms.y_measure(prime, 2, Constant(1.0), 1.3), (2, 4, 5)),
+             (ms.pair_renewal_critical_measure(pair), (2, 4, 4)),
+             (ms.y_measure(pair, 1, Constant(1.0), 1.2), (2, 4, 4)),
+             (ms.y_measure(pair, 2, Constant(1.0), 1.2), (2, 4, 4)),
+             (ms.sarig_measure_renewal(renewal), (2, 4, 4)),
+             (ms.log_eigenmeasure(1.2, renewal), (2, 4, 4))]
+    for mu, sizes in cases:
+        worst = 0.0
+        for e in subbasis_elements(mu.matrix, *sizes):
+            v = ms.measure_setexpr(mu, decompose(e))
+            w = ms.measure_setexpr(mu, decompose(e.complement()))
+            worst = max(worst, abs(v + w - mu.total_mass()))
+        assert worst <= 1e-12, mu.report()
 
 
 def test_weak_star_pair_renewal_extremals(pair):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -6,7 +7,7 @@ import pytest
 from gcms import matrices, thermo
 from gcms.configs import BoundedConfig, UnboundedConfig, bounded, empty_stem_config
 from gcms.thermo import (Constant, DomainError, GDiff, LOG_POTENTIAL, LogRatio, ZValue,
-                         beta_c_log, critical_beta_log,
+                         beta_c_log,
                          discriminant_log, gurevich_pressure, jn_tn, normalization_series,
                          pointwise_z, power_sum_tail, pressure_log_potential,
                          superadditivity_check, z_n, z_n_star, z_n_transfer, zeta)
@@ -328,7 +329,7 @@ def test_power_sum_tail():
 
 
 def test_critical_beta():
-    bc = critical_beta_log()
+    bc = beta_c_log()
     assert bc == pytest.approx(1.72865, abs=5e-5)
     assert abs(zeta(bc) - 2.0) <= 1e-10
     # zeta decreases through the bracket
@@ -350,6 +351,27 @@ def test_discriminant_signs():
     assert discriminant_log(2.0).closed_form == pytest.approx(
         math.log(math.pi ** 2 / 6 - 1), abs=1e-12)
     assert math.isinf(discriminant_log(0.9).series_value)
+
+
+def test_discriminant_at_large_beta():
+    # the head pattern fixes the radius at 1 for every beta; the closed form
+    # loses digits to cancellation here, so only the series route is read
+    d = discriminant_log(40.0)
+    with mpmath.workdps(40):
+        want = float(mpmath.log(mpmath.zeta(40) - 1))
+    assert d.series_value == pytest.approx(want, rel=1e-12)
+
+
+def test_discriminant_refuses_a_head_off_the_power_pattern(monkeypatch):
+    z_star = thermo.z_n_star
+
+    def shifted(A, F, beta, base, n):
+        z = z_star(A, F, beta, base, n)
+        return dataclasses.replace(z, value=z.value * 1.01) if n == 7 else z
+
+    monkeypatch.setattr(thermo, "z_n_star", shifted)
+    with pytest.raises(RuntimeError, match="power pattern"):
+        discriminant_log(1.5)
 
 
 def test_classification():
