@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from typing import Iterable, Sequence
 
@@ -155,6 +156,8 @@ def _phase_row(A: TransitionMatrix, potential: th.Potential, beta: float,
     # log-ratio potential: the renewal eigenmeasure switches support
     if known is None or not known.log_ratio:
         raise ValueError("the log-ratio phase table is specific to --kind renewal")
+    if not beta > 0:    # as for the eigenmeasure and the pressure it reports on
+        raise ValueError("beta must be positive")
     bc = th.beta_c_log()
     support = "boundary family" if beta > bc else "sequence space"
     return (beta, support, "1 eigenmeasure for every beta", bc)
@@ -301,6 +304,8 @@ _OPTIONS: dict[str, dict] = {
 
 def _subcommand(sub, name: str, fn, summary: str, *options: str) -> argparse.ArgumentParser:
     p = sub.add_parser(name, help=summary, allow_abbrev=False)
+    # -1e-3, -1:0:0.5 and -inf are values, not flags (argparse knows only -5, -0.5)
+    p._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
     p.add_argument("--kind", choices=list(KINDS))
     p.add_argument("--matrix-file", help="JSON matrix specification file")
     p.add_argument("--prime-bound", type=int, default=7)

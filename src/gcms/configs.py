@@ -90,8 +90,13 @@ class BoundedConfig:
 
     def __hash__(self) -> int:
         # equal configurations have equal stems and roots; the matrix and the
-        # root's supports need not be hashed
-        return hash((self.stem, self.root.id))
+        # root's supports need not be hashed.  Kept from the first call, not
+        # taken when built: most of the points preimages builds are never hashed
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((self.stem, self.root.id)))
+            return self._hash
 
     def symbol_at(self, i: int) -> Symbol | None:
         return self.stem[i] if i < len(self.stem) else None

@@ -18,7 +18,8 @@ Building a normal form has two halves: ``normalize`` canonicalizes raw
 parts (it forced-extends each atom and cuts each family to the row of its
 prefix's last letter), and ``_assemble`` turns canonical parts into a
 ``SetExpr`` (finite families expanded, empty ones dropped, duplicates
-rejected, parts sorted, the whole space folded).  ``meet`` only assembles:
+rejected, parts sorted, families by prefix alone since disjoint parts hold
+one family per prefix, the whole space folded).  ``meet`` only assembles:
 every part it keeps comes from a normal form and is already canonical.
 ``part_contains`` decides membership of a configuration in one part;
 ``member`` asks whether some part contains it.  ``meet`` keeps a boundary
@@ -26,23 +27,25 @@ point of one operand iff the other operand holds it, and one normal form
 meets many others on the same points, so each normal form remembers
 ``member``'s answer per point (``SetExpr._holds``).  The memo is exact:
 normal forms and points are frozen and ``part_contains`` is pure, so it
-only stores what ``member`` says.  Normal forms are checked against raw membership (``raw_member``,
-read off the configuration's evaluation) in one place: ``verification``'s
-oracle compares the bit rows of a normal form's parts with the raw
-membership row, for single elements and their meets.
+only stores what ``member`` says.  ``decompose`` interns its boundary
+points (``_point``), and a point or a family computes its hash once.
+Normal forms are checked against raw membership (``raw_member``, read off
+the configuration's evaluation) in one place: ``verification``'s oracle
+compares the bit rows of a normal form's parts with the raw membership
+row, for single elements and their meets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from . import symbolsets as ss
 from .configs import BoundedConfig, Configuration, GroupWord
 from .matrices import AccumulationColumn, Symbol, TransitionMatrix
-from .words import (Word, forced_extension, format_word, is_admissible, is_prefix,
-                    word as parse_word)
+from .words import Word, forced_extension, format_word, is_admissible, word as parse_word
 
 
 # --------------------------------------------------------------------------
@@ -105,6 +108,12 @@ class CylFamily:
     prefix: Word
     symbols: ss.SymbolSet
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.prefix, self.symbols)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def __repr__(self) -> str:
         return f"Fam[{format_word(self.prefix)}; {ss.describe(self.symbols)}]"
 
@@ -114,8 +123,8 @@ class SetExpr:
     """A normal form: the whole-space flag, or disjoint points, atoms and families.
 
     ``_holds`` answers ``member`` for a boundary point and keeps the answer;
-    the memo is not a field, so it takes no part in equality, hashing or the
-    representation.
+    the memo and ``_point_set`` are not fields, so they take no part in
+    equality, hashing or the representation.
     """
 
     matrix: TransitionMatrix
@@ -131,6 +140,10 @@ class SetExpr:
     @cached_property
     def _point_memo(self) -> dict[BoundedConfig, bool]:
         return {}
+
+    @cached_property
+    def _point_set(self) -> frozenset[BoundedConfig]:
+        return frozenset(self.points)
 
     def _holds(self, p: BoundedConfig) -> bool:
         """``member(p, self)``, decided once per point.  Exact: the normal form
@@ -155,11 +168,10 @@ class SetExpr:
         return "SetExpr[" + " U ".join(bits) + "]"
 
 
-def _point_key(p: BoundedConfig) -> tuple:
-    return (p.stem, p.root.id)
+_point_key = attrgetter("stem", "root.id")
 
 
-def normalize(A: TransitionMatrix, points: Iterable[BoundedConfig] = (),
+def normalize(A: TransitionMatrix, points: Sequence[BoundedConfig] = (),
               atoms: Iterable[Word] = (), families: Iterable[CylFamily] = ()) -> SetExpr:
     """Canonical SetExpr from raw parts: forced-extended atoms, effective families.
 
@@ -176,43 +188,46 @@ def normalize(A: TransitionMatrix, points: Iterable[BoundedConfig] = (),
     return _assemble(A, points, atoms, families)
 
 
-def _assemble(A: TransitionMatrix, points: Iterable[BoundedConfig], atoms: Iterable[Word],
+def _in_order(parts: Sequence, key, what: str) -> tuple:
+    """``parts`` sorted by ``key`` (None: by themselves), which no two of them
+    may share: two parts of a disjoint decomposition with one key overlap."""
+    if len(parts) < 2:
+        return tuple(parts)
+    out = sorted(parts, key=key)
+    keys = out if key is None else [key(p) for p in out]
+    for k, l, p in zip(keys, keys[1:], out):
+        if k == l:
+            raise RuntimeError(f"duplicate {what} {p!r} in decomposition")
+    return tuple(out)
+
+
+def _assemble(A: TransitionMatrix, points: Sequence[BoundedConfig], atoms: Iterable[Word],
               families: Iterable[CylFamily]) -> SetExpr:
     """SetExpr from canonical parts: forced-extended atoms, effective families.
 
     Families whose symbol set is finite are expanded into atoms and empty
-    ones dropped.  Duplicate parts indicate a broken disjoint decomposition
-    and raise.
+    ones dropped; no points, no families and at most one atom are a normal
+    form as they are.  Families are sorted by prefix alone, and two parts
+    with one key indicate a broken disjoint decomposition and raise.
     """
     out_atoms = list(atoms)
-    out_fams: dict[tuple, CylFamily] = {}
+    out_fams: list[CylFamily] = []
     for f in families:
         if isinstance(f.symbols, ss.FiniteSet):
             out_atoms.extend(forced_extension(A, f.prefix + (k,)) for k in f.symbols.symbols)
         elif not ss.is_definitely_empty(A, f.symbols):
-            key = (f.prefix, ss.sort_key(f.symbols))
-            if key in out_fams:
-                raise RuntimeError(f"duplicate family on prefix {format_word(f.prefix)}")
-            out_fams[key] = f
-
-    out_points = sorted(points, key=_point_key)
-    for p, q in zip(out_points, out_points[1:]):
-        if p == q:
-            raise RuntimeError(f"duplicate point {p!r} in decomposition")
-    out_atoms.sort()
-    for a, b in zip(out_atoms, out_atoms[1:]):
-        if a == b:
-            raise RuntimeError(f"duplicate cylinder {format_word(a)} in decomposition")
-    fams_sorted = tuple(sorted(out_fams.values(), key=lambda f: (f.prefix, ss.sort_key(f.symbols))))
+            out_fams.append(f)
+    if not points and not out_fams and len(out_atoms) < 2:
+        return SetExpr(A, False, (), tuple(out_atoms), ())
+    out_points = _in_order(points, _point_key, "point")
+    out_atoms = _in_order(out_atoms, None, "cylinder")
+    fams = _in_order(out_fams, attrgetter("prefix"), "family")
     # fold the canonical whole-space decomposition (all empty-stem points
     # plus every first-letter cylinder) back into the whole-space flag
-    if (not out_atoms and len(fams_sorted) == 1
-            and fams_sorted[0].prefix == ()
-            and fams_sorted[0].symbols == ss.ALL
-            and {(p.stem, p.root.id) for p in out_points}
-            == {((), col.id) for col in A.accumulation_catalog}):
+    if (not out_atoms and [(f.prefix, f.symbols) for f in fams] == [((), ss.ALL)]
+            and set(map(_point_key, out_points)) == {((), c.id) for c in A.accumulation_catalog}):
         return SetExpr(A, True, (), (), ())
-    return SetExpr(A, False, tuple(out_points), tuple(out_atoms), fams_sorted)
+    return SetExpr(A, False, out_points, out_atoms, fams)
 
 
 # --------------------------------------------------------------------------
@@ -223,6 +238,11 @@ def _roots(A: TransitionMatrix, stem: Word) -> list[AccumulationColumn]:
     """Accumulation columns that root a boundary configuration on ``stem``."""
     return [col for col in A.accumulation_catalog
             if not stem or stem[-1] in col.allowed_terminal_symbols]
+
+
+# decompose's boundary points, one object per (matrix, stem, root): a memo or
+# row-cache lookup of a point met again stops at the identity check
+_point = lru_cache(maxsize=None)(BoundedConfig)
 
 
 def decompose(e: Subbasis) -> SetExpr:
@@ -243,11 +263,11 @@ def decompose(e: Subbasis) -> SetExpr:
     points: list[BoundedConfig] = []
     fams: list[CylFamily] = []
     if e.complemented:
-        points = [BoundedConfig(A, alpha[:m], col)
+        points = [_point(A, alpha[:m], col)
                   for m in range(len(alpha)) for col in _roots(A, alpha[:m])]
         fams = [CylFamily(alpha[:m], ss.all_except({alpha[m]})) for m in range(len(alpha))]
     if inv is not None:
-        points += [BoundedConfig(A, alpha, col) for col in _roots(A, alpha)
+        points += [_point(A, alpha, col) for col in _roots(A, alpha)
                    if (inv in col.support) != e.complemented]
         fams.append(CylFamily(alpha, ss.row_zero(A, inv) if e.complemented else A.row(inv)))
     return normalize(A, points=points, families=fams)
@@ -260,14 +280,9 @@ def decompose(e: Subbasis) -> SetExpr:
 def _meet_families(A: TransitionMatrix, f: CylFamily, g: CylFamily) -> CylFamily | None:
     if f.prefix == g.prefix:
         return CylFamily(f.prefix, ss.intersect(A, f.symbols, g.symbols))
-    if is_prefix(f.prefix, g.prefix):
-        outer, inner = f, g
-    elif is_prefix(g.prefix, f.prefix):
-        outer, inner = g, f
-    else:
-        return None
-    k = inner.prefix[len(outer.prefix)]
-    if ss.contains(A, outer.symbols, k):
+    outer, inner = (f, g) if len(f.prefix) < len(g.prefix) else (g, f)
+    n = len(outer.prefix)
+    if outer.prefix == inner.prefix[:n] and ss.contains(A, outer.symbols, inner.prefix[n]):
         return inner
     return None
 
@@ -297,24 +312,24 @@ def meet(s: SetExpr, t: SetExpr) -> SetExpr:
 
     # points survive iff they belong to the other expression
     points = [p for p in s.points if t._holds(p)]
-    points += [q for q in t.points if q not in s.points and s._holds(q)]
+    points += [q for q in t.points if q not in s._point_set and s._holds(q)]
 
-    # of two nested cylinders the longer word survives
+    # of two nested cylinders the longer word survives (u == w[:len(u)]: u prefixes w)
     for a in s.atoms:
         for b in t.atoms:
-            if is_prefix(a, b):
+            if a == b[:len(a)]:
                 atoms.append(b)
-            elif is_prefix(b, a):
+            elif b == a[:len(b)]:
                 atoms.append(a)
     # a family inside the cylinder survives whole; a cylinder inside the
     # family survives if its next letter is one of the family's symbols
     for own, other in ((s.atoms, t.families), (t.atoms, s.families)):
         for a in own:
             for f in other:
-                if is_prefix(a, f.prefix):
+                m = len(f.prefix)
+                if a == f.prefix[:len(a)]:
                     families.append(f)
-                elif (len(a) > len(f.prefix) and is_prefix(f.prefix, a)
-                      and ss.contains(A, f.symbols, a[len(f.prefix)])):
+                elif f.prefix == a[:m] and ss.contains(A, f.symbols, a[m]):
                     atoms.append(a)
     for f in s.families:
         for g in t.families:

@@ -113,12 +113,6 @@ def is_definitely_empty(A: TransitionMatrix, s: SymbolSet) -> bool:
     return False  # every canonical sieve over an infinite alphabet is infinite
 
 
-def sort_key(s: SymbolSet) -> tuple:
-    if isinstance(s, FiniteSet):
-        return (0, tuple(sorted(s.symbols)))
-    return (1, s.one_row or 0, tuple(sorted(s.zero_rows)), tuple(sorted(s.excluded)))
-
-
 def describe(s: SymbolSet) -> str:
     """Human-readable predicate name for reports."""
     if isinstance(s, FiniteSet):

@@ -375,9 +375,9 @@ def discriminant_log(beta: float) -> DiscriminantResult:
     The head of the first-return series comes from ``z_n_star`` and is
     checked term by term against the pattern (k+1)^-beta, which fixes the
     convergence radius at 1; the tail follows that pattern and is summed
-    under the Euler-Maclaurin certificate.  The closed form is
-    log(zeta(beta) - 1).  For beta <= 1 the series diverges and the
-    discriminant is +infinity.
+    under the Euler-Maclaurin certificate.  The closed form is log(zeta(beta)
+    - 1), summed from n = 2 as zeta(beta) - 1.0 cancels at large beta.  For
+    beta <= 1 the series diverges and the discriminant is +infinity.
     """
     A = by_kind("renewal")
     F = LOG_POTENTIAL
@@ -391,7 +391,7 @@ def discriminant_log(beta: float) -> DiscriminantResult:
             raise RuntimeError("first-return head does not match the power pattern")
     head_sum = math.fsum(zs)  # radius 1, so the head weights are exactly 1
     tail = power_sum_tail(beta, head + 2)
-    return DiscriminantResult(math.log(head_sum + tail), math.log(zeta(beta) - 1.0))
+    return DiscriminantResult(math.log(head_sum + tail), math.log(power_sum_tail(beta, 2)))
 
 
 # --------------------------------------------------------------------------

@@ -14,8 +14,9 @@ every element agrees with its own normal form, so two elements with equal
 normal forms have equal raw rows; as ``meet`` is a pure function of its
 arguments, an ordered pair of distinct normal forms fixes both the meet
 and the expected row.  The oracle therefore meets and checks each such
-pair once, and still counts, and reports a mismatch for, every pair of
-elements.  An element's normal form and a meet are checked the same way,
+class pair that some element pair reaches, on the classes' first members;
+it walks the element pairs only to report those of a failed class pair, in
+their order.  An element's normal form and a meet are checked the same way,
 with a few bitwise operations: the parts' rows are folded into the points
 covered and the points covered twice, and the first faulty configuration
 is the lowest set bit.  Each part's row is computed once per universe
@@ -252,27 +253,27 @@ def cylinder_oracle(A: TransitionMatrix, word_len: int = 3, sym_bound: Symbol = 
     if not mismatches:
         # every element matched its normal form, so equal normal forms have
         # equal raw rows, and an ordered pair of classes fixes both the meet
-        # and the expected row: meet and check each class pair once
+        # and the expected row: meet and check each class pair once, on the
+        # classes' first members; some element pair i <= j falls in the
+        # class pair (a, b) iff a's first member comes before b's last
         ids: dict[SetExpr, int] = {}
         cls = [ids.setdefault(d, len(ids)) for d in decomposed]
-        # one byte per ordered class pair (ci, cj), at ci * n_cls + cj
-        n_cls = len(ids)
-        done = bytearray(n_cls * n_cls)
-        failed: dict[int, tuple[int, str]] = {}
-        for i, j in combinations_with_replacement(range(len(elems)), 2):
-            n_pairs += 1
-            key = cls[i] * n_cls + cls[j]
-            if not done[key]:
-                done[key] = 1
-                fault = _meet_fault(u, meet(decomposed[i], decomposed[j]), raw[i] & raw[j])
+        first = {c: i for i, c in reversed(list(enumerate(cls)))}
+        last = {c: i for i, c in enumerate(cls)}
+        failed = {(a, b): fault for a, s in enumerate(ids) for b, t in enumerate(ids)
+                  if first[a] <= last[b]
+                  and (fault := _meet_fault(u, meet(s, t), raw[first[a]] & raw[first[b]]))}
+        n_pairs = len(elems) * (len(elems) + 1) // 2
+        if failed:    # report element pairs, in the all-pairs order
+            pairs = combinations_with_replacement(range(len(elems)), 2)
+            for n_pairs, (i, j) in enumerate(pairs, 1):
+                fault = failed.get((cls[i], cls[j]))
                 if fault is not None:
-                    failed[key] = fault
-            if key in failed:
-                k, reason = failed[key]
-                mismatches.append(f"{elems[i]!r} & {elems[j]!r}: config {u.configs[k]!r} "
-                                  f"{reason}")
-            if len(mismatches) >= _MAX_REPORT:
-                break
+                    k, reason = fault
+                    mismatches.append(f"{elems[i]!r} & {elems[j]!r}: "
+                                      f"config {u.configs[k]!r} {reason}")
+                    if len(mismatches) >= _MAX_REPORT:
+                        break
     return OracleReport(len(elems), n_pairs, len(u), mismatches,
                         whole_space_cover, time.perf_counter() - t0)
 

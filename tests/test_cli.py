@@ -347,6 +347,16 @@ def test_stored_matrix_with_a_forced_cycle(rows, expr, cylinder, tmp_path, capsy
     # the cycle sums of a pressure sweep grow exponentially with --n-max
     (["pressure", "--kind", "prime_renewal", "--potential", "log", "--beta-grid", "1.5",
       "--n-max", "21"], "--n-max must be <= 20, not 21"),
+    # a negative value in exponent form, or infinite, is read as a value, not
+    # as a flag, and reaches the domain checks
+    (["phase", "--kind", "renewal", "--potential", "log", "--beta-grid", "-1e300"],
+     "beta must be positive"),
+    (["verify", "--suite", "conformality", "--beta", "-1e-3"],
+     "either --kind or --matrix-file is required"),
+    (["verify", "--suite", "conformality", "--kind", "renewal", "--beta", "-1e-3"],
+     "beta must be positive"),
+    (["verify", "--suite", "pressure", "--kind", "renewal", "--beta", "-inf"],
+     "--beta must be finite, not -inf"),
 ])
 def test_errors_exit_2_with_one_line(args, message, tmp_path, capsys):
     files = {"MATRIX": '{"kind": "explicit"}',
@@ -381,6 +391,16 @@ def test_flags_a_subcommand_does_not_read_are_rejected(args, capsys):
         main(args)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-1e-3,-2e-3", "-1:-0.5:0.25", "-5E+0", "-.5"])
+def test_a_negative_value_reads_as_with_an_equals_sign(value, capsys):
+    # argparse alone reads -1e-3 as a flag; every subcommand parser reads it
+    # as the value it is, as it does after "="
+    args = ["phase", "--kind", "renewal"]
+    apart = run_cli([*args, "--beta-grid", value], capsys)
+    assert apart == run_cli([*args, f"--beta-grid={value}"], capsys)
+    assert apart[0] == 0 and apart[1].count("\n") > 1
 
 
 @pytest.mark.parametrize("spec, message", [

@@ -642,6 +642,76 @@ def test_oracle_asks_member_once_per_point_and_normal_form(monkeypatch):
     assert sum(asked.values()) <= 5000
 
 
+def test_oracle_meets_each_class_pair_once_and_assembles_little(oracle_classes, monkeypatch):
+    # counted, not timed: the pair-renewal oracle meets each of its 11,848
+    # class pairs once, on the classes' first members.  When it walked the
+    # element pairs, all 11,905 _assemble calls sorted their parts, and the
+    # run made 153,930 BoundedConfig.__eq__ calls; a result of no point, no
+    # family and at most one atom now needs no sorting, and interned points
+    # are found by identity
+    from collections import Counter
+    from gcms import cylinders, verification
+    from gcms.configs import BoundedConfig
+    from gcms.matrices import by_kind
+    A = by_kind("pair_renewal")
+    classes, pairs = oracle_classes(A)
+    met, counted = [], Counter()
+    meet, in_order, eq = verification.meet, cylinders._in_order, BoundedConfig.__eq__
+    monkeypatch.setattr(verification, "meet", lambda s, t: met.append((s, t)) or meet(s, t))
+    monkeypatch.setattr(cylinders, "_in_order",
+                        lambda parts, key, what: counted.update([what])
+                        or in_order(parts, key, what))
+    monkeypatch.setattr(BoundedConfig, "__eq__",
+                        lambda p, q: counted.update(["eq"]) or eq(p, q))
+    rep = cylinder_oracle(A)
+    assert rep.ok and rep.n_pairs == 61425
+    assert len(met) == 11848
+    assert set(met) == {(classes[i], classes[j]) for i, j in pairs}
+    # _in_order sorts the points once per assembly that goes past the shortcut
+    assert counted["point"] <= 6000
+    assert counted["eq"] <= 50000
+
+
+def _check_one_family_per_prefix(classes, pairs, monkeypatch):
+    # the families meet hands to _assemble, and those it keeps, have one
+    # prefix each: the parts of a normal form are disjoint
+    from gcms import cylinders
+    handed = []
+    assemble = cylinders._assemble
+    monkeypatch.setattr(cylinders, "_assemble", lambda A, points, atoms, families: (
+        handed.append(families) or assemble(A, points, atoms, families)))
+    for i, j in pairs:
+        handed.clear()
+        kept = cylinders.meet(classes[i], classes[j]).families
+        for fams in (*handed, kept):
+            prefixes = [f.prefix for f in fams]
+            assert len(set(prefixes)) == len(prefixes), (classes[i], classes[j])
+
+
+@pytest.mark.parametrize("kind, word_len", [("renewal", 3), ("pair_renewal", 3),
+                                            ("alternating_renewal", 3), ("prime_renewal", 2)])
+def test_meets_hold_one_family_per_prefix(kind, word_len, oracle_classes, monkeypatch):
+    from gcms.matrices import by_kind
+    _check_one_family_per_prefix(*oracle_classes(by_kind(kind), word_len), monkeypatch)
+
+
+@given(stored_matrices())
+@settings(max_examples=10, deadline=None)
+def test_meets_hold_one_family_per_prefix_on_stored_matrices(oracle_classes, rows):
+    from gcms.matrices import explicit
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _check_one_family_per_prefix(*oracle_classes(explicit(rows), 2, 3, 3), monkeypatch)
+
+
+def test_assemble_rejects_two_families_on_one_prefix(renewal):
+    # two families on one prefix overlap in a normal form, also when their
+    # symbol sets differ, so a key of prefix and symbols would let them through
+    from gcms.cylinders import _assemble
+    fams = [CylFamily((), sset.all_except({1})), CylFamily((), sset.all_except({2}))]
+    with pytest.raises(RuntimeError, match="duplicate family"):
+        _assemble(renewal, [], [], fams)
+
+
 def test_meet_calls_no_normalize(oracle_classes, monkeypatch):
     # the operands of a meet are normal forms, so nothing is normalized again
     from gcms import cylinders

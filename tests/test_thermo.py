@@ -355,11 +355,14 @@ def test_discriminant_signs():
 
 def test_discriminant_at_large_beta():
     # the head pattern fixes the radius at 1 for every beta; the closed form
-    # loses digits to cancellation here, so only the series route is read
-    d = discriminant_log(40.0)
-    with mpmath.workdps(40):
-        want = float(mpmath.log(mpmath.zeta(40) - 1))
-    assert d.series_value == pytest.approx(want, rel=1e-12)
+    # sums zeta(beta) - 1 from n = 2, so it keeps its digits where
+    # zeta(beta) - 1.0 would cancel (it reads 0.0 from beta 53.25 on)
+    for beta in (40.0, 53.0, 60.0):
+        d = discriminant_log(beta)
+        with mpmath.workdps(40):
+            want = float(mpmath.log(mpmath.zeta(beta) - 1))
+        assert d.series_value == pytest.approx(want, rel=1e-12), beta
+        assert d.closed_form == pytest.approx(want, rel=1e-12), beta
 
 
 def test_discriminant_refuses_a_head_off_the_power_pattern(monkeypatch):
