@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -51,6 +52,16 @@ def _tol(args: argparse.Namespace) -> float:
 
 
 _MAX_GRID_POINTS = 100_000
+
+
+def _offsets(args: argparse.Namespace) -> list[float]:
+    """--approach; an offset at or below 0 would not approach the critical
+    beta from above."""
+    offsets = _finite((float(x) for x in args.approach.split(",")), "--approach offsets")
+    for x in offsets:
+        if x <= 0:
+            raise ValueError(f"--approach offsets must be positive, not {x}")
+    return offsets
 
 
 def _grid(spec: str) -> list[float]:
@@ -123,7 +134,7 @@ def _potential(name: str) -> th.Potential:
 
 def cmd_count(args: argparse.Namespace) -> int:
     A = _load_matrix(args)
-    families = [args.family] if args.family else vf.counted_families(A)
+    families = [args.family] if args.family is not None else vf.counted_families(A)
     rows = []
     all_match = True
     for fam in families:
@@ -221,9 +232,9 @@ def _converge_models(A: TransitionMatrix, potential: th.Potential):
 
 def cmd_converge(args: argparse.Namespace) -> int:
     A = _load_matrix(args)
+    offsets = _offsets(args)
     potential = _potential(args.potential)
     beta_c, model_of, target = _converge_models(A, potential)
-    offsets = _finite((float(x) for x in args.approach.split(",")), "--approach offsets")
     grid = [beta_c + x for x in offsets]
     basis = [(format_word(w), decompose(Subbasis(A, w)))
              for w in vf.cylinder_words_up_to(A, args.depth, args.symbol_bound)]
@@ -316,7 +327,10 @@ def _subcommand(sub, name: str, fn, summary: str, *options: str) -> argparse.Arg
     return p
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call: ``main`` may
+    run many times in one process, and parsing leaves the parser as it was."""
     parser = argparse.ArgumentParser(
         prog="gcms", allow_abbrev=False,
         description="thermodynamic formalism on generalized countable Markov shifts")

@@ -71,7 +71,12 @@ def _eval(c: Configuration, g: GroupWord) -> int:
 
 @dataclass(frozen=True)
 class BoundedConfig:
-    """Finite-stem configuration: admissible stem plus catalog root."""
+    """Finite-stem configuration: admissible stem plus catalog root.
+
+    Slotted, with no instance dict: ``preimages`` builds thousands of these,
+    and ``_hash`` is set on the first ``hash`` only."""
+
+    __slots__ = ("matrix", "stem", "root", "_hash")
 
     matrix: TransitionMatrix
     stem: Word
@@ -189,9 +194,10 @@ def preimages(c: BoundedConfig, n: int) -> list[BoundedConfig]:
     prepended symbol of an empty stem is constrained by the root's terminal
     set.  The constructor's checks hold without re-running them: the root
     and the last letter are those of ``c`` (or, for an empty stem, a seed
-    from the root's terminal set), and ``backward_words`` checks each new
-    edge once, the junction into the stem included, because a non-empty
-    stem's walk starts one letter further, at ``c.stem[0]``.
+    from the root's terminal set), and ``backward_words`` checks each
+    distinct new edge once per walk, the junction into the stem included,
+    because a non-empty stem's walk starts one letter further, at
+    ``c.stem[0]``.
     """
     if n < 0:
         raise ValueError("n must be >= 0")

@@ -4,10 +4,11 @@ Words are tuples of positive integers; the empty word is ``()``.
 Enumeration runs backward along the (finite) column supports, so on the
 built-in matrix kinds it is exact: ``symbol_bound`` only filters what
 ``enumerate_words`` returns, recording whether it removed anything.
-``backward_words`` checks each letter it prepends against ``entry``, so
-every word it yields is admissible edge by edge, with no second pass over
-the word; a column support that lists a letter whose entry is 0 raises
-``ValueError`` naming the pair.  Every walk over words goes through it:
+``backward_words`` checks each distinct edge against ``entry`` once per
+walk, when it first reads the edge's column, so every word it yields is
+admissible edge by edge, with no second pass over the word; a column
+support that lists a letter whose entry is 0 raises ``ValueError`` naming
+the pair.  Every walk over words goes through it:
 the n-th shift preimages (``configs.preimages``) and the cycles.  A cycle
 of length n through a letter b is one rule, written once in
 ``iter_cycles``: the rotation (b,) + w[:-1] of a backward word w of length
@@ -110,27 +111,38 @@ class Enumeration:
 def backward_words(A: TransitionMatrix, n: int, seeds: Iterable[Symbol]) -> Iterator[Word]:
     """All admissible words of length n whose last symbol is in ``seeds``.
 
-    Walks column supports right to left.  Each letter ``p`` prepended to
-    a suffix starting with ``first`` is checked once, on that edge:
-    ``A(p, first)`` must be 1, else ``ValueError`` names the pair.  So
-    ``entry`` has passed every transition of every yielded word, which is
-    what ``is_admissible`` asserts.
+    Walks column supports right to left, depth first, and yields each word
+    of the last layer as it is built.  Each letter's column is read once
+    per walk, when a suffix first starts with that letter ``first``, and
+    each of its edges is checked then: ``A(p, first)`` must be 1 for every
+    listed ``p``, else ``ValueError`` names the pair.  So ``entry`` runs
+    once per distinct edge of the walk, and it has passed every transition
+    of every yielded word, which is what ``is_admissible`` asserts.
     """
     if n == 0:
         yield ()
         return
-    stack: list[tuple[Word, int]] = [((s,), 1) for s in sorted(seeds, reverse=True)]
+    seeds = sorted(seeds)
+    if n == 1:
+        yield from ((s,) for s in seeds)
+        return
+    columns: dict[Symbol, tuple[Symbol, ...]] = {}
+    stack: list[Word] = [(s,) for s in reversed(seeds)]
     while stack:
-        suffix, length = stack.pop()
-        if length == n:
-            yield suffix
-            continue
+        suffix = stack.pop()
         first = suffix[0]
-        for p in reversed(A.predecessors(first)):
-            if A.entry(p, first) != 1:
-                raise ValueError(
-                    f"{p} listed as a predecessor of {first}, but A({p}, {first}) = 0")
-            stack.append(((p,) + suffix, length + 1))
+        preds = columns.get(first)
+        if preds is None:
+            preds = columns[first] = A.predecessors(first)
+            for p in reversed(preds):
+                if A.entry(p, first) != 1:
+                    raise ValueError(
+                        f"{p} listed as a predecessor of {first}, but A({p}, {first}) = 0")
+        if len(suffix) == n - 1:
+            for p in preds:
+                yield (p,) + suffix
+        else:
+            stack.extend([(p,) + suffix for p in reversed(preds)])
 
 
 def generation_layers(A: TransitionMatrix, seeds: Iterable[Symbol], n: int,

@@ -1,4 +1,7 @@
+import argparse
+import contextlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -7,7 +10,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gcms import cli
 from gcms.cli import main
 
 
@@ -216,6 +221,54 @@ def test_readme_outputs_are_byte_identical(name, capsys):
     assert WORKLOADS.masked(name, out).encode("utf-8") == want
 
 
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    # the parser is built on the first call and kept: parsing, an argparse
+    # error and --help leave it as it was
+    built = []
+    subcommand = cli._subcommand
+    monkeypatch.setattr(cli, "_subcommand", lambda sub, name, *a: built.append(name)
+                        or subcommand(sub, name, *a))
+    cli.build_parser.cache_clear()
+    try:
+        for args in (["count", "--kind", "renewal", "--n", "3"], ["count", "--bogus"],
+                     ["count", "--kind", "renewal", "--n", "0"], ["--help"]) * 5:
+            try:
+                main(args)
+            except SystemExit:
+                pass
+        assert cli.build_parser.cache_info().misses == 1
+        assert built == ["count", "phase", "verify", "converge", "measure", "decompose",
+                         "pressure"]
+    finally:
+        cli.build_parser.cache_clear()
+
+
+def test_reference_outputs_in_one_process(capsys):
+    # every reference command, in reverse order, through the one parser, with
+    # an argparse error, a domain error and --help between them
+    fresh_help = cli.build_parser.__wrapped__().format_help()
+    between = [(["count", "--kind", "renewal", "--n"], 2, "expected one argument"),
+               (["count", "--kind", "renewal", "--family", "3"], 2,
+                "gcms: error: no accumulation column with id 3"),
+               (["--help"], 0, "")]
+    for i, name in enumerate(reversed(WORKLOADS.CLI_COMMANDS)):
+        code, out = run_cli(WORKLOADS.CLI_COMMANDS[name], capsys)
+        assert code == 0, name
+        want = (WORKLOADS.REFERENCE_DIR / f"{name}.out").read_bytes()
+        assert WORKLOADS.masked(name, out).encode("utf-8") == want, name
+        args, want_code, message = between[i % len(between)]
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == want_code, args
+        captured = capsys.readouterr()
+        if args == ["--help"]:
+            assert captured.out == fresh_help
+        else:
+            assert captured.out == "" and message in captured.err
+
+
 def test_output_file_and_matrix_file(tmp_path, capsys):
     spec = tmp_path / "matrix.json"
     spec.write_text('{"kind": "renewal"}')
@@ -357,6 +410,13 @@ def test_stored_matrix_with_a_forced_cycle(rows, expr, cylinder, tmp_path, capsy
      "beta must be positive"),
     (["verify", "--suite", "pressure", "--kind", "renewal", "--beta", "-inf"],
      "--beta must be finite, not -inf"),
+    # --family 0 names a family the kind lacks, not every family
+    (["count", "--kind", "renewal", "--family", "0"], "no accumulation column with id 0"),
+    # the sweep approaches the critical beta from above
+    (["converge", "--kind", "renewal", "--potential", "log", "--approach=-1"],
+     "--approach offsets must be positive, not -1.0"),
+    (["converge", "--kind", "renewal", "--approach", "1e-2,0"],
+     "--approach offsets must be positive, not 0.0"),
 ])
 def test_errors_exit_2_with_one_line(args, message, tmp_path, capsys):
     files = {"MATRIX": '{"kind": "explicit"}',
@@ -435,3 +495,86 @@ def test_console_entry_point():
                            "renewal", "--n", "3"], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "1,3,4,4,ok" in proc.stdout
+
+
+# edge values, drawn into at most two flags of an argv: zeros, extremes,
+# non-numbers, nothing
+_POOL = ["0", "-0.0", "1e-300", "-1e-300", "1e300", "-1e300", "nan", "inf", "-inf", "-5",
+         "99999999999", "", "x"]
+# values that let a subcommand run, so that most examples reach the domain
+# checks; size flags stay small, so that each example takes well under a second
+_VALID = {
+    "--beta": ["1.2", "0.5", "2.0"], "--tol": ["1e-9", "1e-10"],
+    "--beta-grid": ["0.5:1.0:0.25", "1.2,2.2", "0.3"],
+    "--approach": ["1e-2,1e-3", "0.5"],
+    "--expr": ["C[1]", "C[2.1]", "C[;inv=2]", "C[1] & !C[1.2]", "!C[3.2.1]"],
+    "--potential": ["const", "log"], "--matrix-file": [""],
+}
+_SMALL = ["1", "2", "3", "4"]
+
+
+def _flag_tables() -> dict[str, dict[str, argparse.Action]]:
+    """Each subcommand's own flags, read from the parser; --out, which would
+    write a file, is left out."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {opt: action for action in p._actions for opt in action.option_strings
+                   if opt not in ("-h", "--help", "--out")}
+            for name, p in sub.choices.items()}
+
+
+def _valid(flag: str, action: argparse.Action):
+    if action.choices:
+        return st.sampled_from(list(action.choices))
+    return st.sampled_from(_SMALL if action.type is int else _VALID[flag])
+
+
+def _edge(flag: str):
+    pool = st.sampled_from(_POOL)
+    if flag == "--expr":
+        return pool.map(lambda v: f"C[{v}]")
+    if flag == "--beta-grid":
+        parts = st.sampled_from(_POOL + _SMALL)
+        return pool | st.tuples(parts, parts, parts).map(":".join)
+    if flag == "--approach":
+        return st.lists(pool, min_size=1, max_size=3).map(",".join)
+    return pool
+
+
+@st.composite
+def _argv(draw):
+    tables = _flag_tables()
+    command = draw(st.sampled_from(sorted(tables)))
+    table = tables[command]
+    required = [f for f, a in table.items() if a.required] + ["--kind"]
+    optional = draw(st.lists(st.sampled_from(sorted(table)), unique=True, max_size=4))
+    flags = list(dict.fromkeys(required + optional))
+    # argparse alone checks a choice; the edge values go where the program reads them
+    free = [f for f in flags if not table[f].choices]
+    edged = draw(st.sets(st.sampled_from(free), max_size=2)) if free else set()
+    argv = [command]
+    for flag in flags:
+        value = draw(_edge(flag) if flag in edged else _valid(flag, table[flag]))
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return argv
+
+
+@given(_argv())
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_argv_exits_0_1_or_2_with_its_promised_output(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), (argv, code)
+    if code == 2:
+        one_line = err.startswith("gcms: error: ") and err.count("\n") == 1
+        usage = err.startswith("usage: gcms") and "error: " in err
+        assert one_line or usage, (argv, err)
+    elif code == 1:
+        assert '"ok": false' in out or "MISMATCH" in out, (argv, out)
+    else:
+        assert err == "", (argv, err)

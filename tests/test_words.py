@@ -1,6 +1,8 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_cylinders import stored_matrices
 
 from gcms import matrices
 from gcms import measures as ms
@@ -52,6 +54,61 @@ def test_walk_rejects_a_listed_predecessor_that_is_no_transition(monkeypatch):
     # the junction into a non-empty stem is an edge of the walk too
     with pytest.raises(ValueError, match=r"^4 listed as a predecessor of 2, but A\(4, 2\) = 0$"):
         preimages(bounded(A, (2, 1), 1), 1)
+
+
+def _per_edge_walk(A, n, seeds):
+    """The walk as it was: ``entry`` asked at every edge it meets, each word
+    of the last layer pushed and popped like any other suffix."""
+    if n == 0:
+        return [()]
+    out = []
+    stack = [((s,), 1) for s in sorted(seeds, reverse=True)]
+    while stack:
+        suffix, length = stack.pop()
+        if length == n:
+            out.append(suffix)
+            continue
+        first = suffix[0]
+        for p in reversed(A.predecessors(first)):
+            if A.entry(p, first) != 1:
+                raise ValueError(
+                    f"{p} listed as a predecessor of {first}, but A({p}, {first}) = 0")
+            stack.append(((p,) + suffix, length + 1))
+    return out
+
+
+def _assert_walk_is_the_per_edge_walk(A, n, seeds, monkeypatch):
+    # same words in the same order, with one entry call per distinct edge
+    asked = []
+    entry = A._entry
+    monkeypatch.setattr(A, "_entry", lambda i, j: asked.append((i, j)) or entry(i, j))
+    want = _per_edge_walk(A, n, seeds)
+    edges = set(asked)
+    asked.clear()
+    got = list(backward_words(A, n, seeds))
+    monkeypatch.undo()
+    assert got == want, (n, seeds)
+    assert len(asked) == len(set(asked)) and set(asked) == edges, (n, seeds)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_walk_is_the_per_edge_walk(kind, monkeypatch):
+    A = matrices.from_dict({"kind": kind})   # a fresh instance, patched per walk
+    # each root's terminal set, as preimages seeds its walk, and each letter alone
+    terminal = [tuple(col.allowed_terminal_symbols) for col in A.accumulation_catalog]
+    letters = {s for t in terminal for s in t} | set(range(1, 6))
+    for n in range(13):
+        for seeds in terminal + [(s,) for s in sorted(letters)]:
+            _assert_walk_is_the_per_edge_walk(A, n, seeds, monkeypatch)
+
+
+@given(stored_matrices(), st.integers(min_value=0, max_value=7))
+@settings(max_examples=60, deadline=None)
+def test_walk_is_the_per_edge_walk_on_stored_matrices(rows, n):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        A = explicit(rows)
+        for seeds in [(s,) for s in range(1, len(rows) + 1)] + [range(1, len(rows) + 1)]:
+            _assert_walk_is_the_per_edge_walk(A, n, seeds, monkeypatch)
 
 
 def test_enumerate_words_basic(renewal):
