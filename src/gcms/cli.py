@@ -147,23 +147,9 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 def _phase_row(A: TransitionMatrix, potential: th.Potential, beta: float,
                tol: float) -> tuple:
-    known = ms.KIND_MEASURES.get(A.kind)
     if isinstance(potential, th.Constant):
-        if known is None:
-            raise ValueError(f"no phase table for kind {A.kind}")
-        # the y-measures exist above log(upper growth) and not below log(lower growth)
-        crit = A.spec.critical_beta
-        if beta > crit:
-            y_exists = known.boundary
-        elif beta <= math.log(A.spec.growth[0]):
-            y_exists = "absent"
-        else:
-            y_exists = "inconclusive"
-        if known.critical is None:
-            sigma = "not classified"
-        else:
-            sigma = "1 measure" if abs(beta - crit) <= tol else "absent"
-        return (beta, y_exists, sigma, crit)
+        return (beta, *ms.phase_labels(A, beta, tol), A.spec.critical_beta)
+    known = ms.KIND_MEASURES.get(A.kind)
     # log-ratio potential: the renewal eigenmeasure switches support
     if known is None or not known.log_ratio:
         raise ValueError("the log-ratio phase table is specific to --kind renewal")
@@ -222,7 +208,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _converge_models(A: TransitionMatrix, potential: th.Potential):
     if isinstance(potential, th.Constant):
         known = ms.KIND_MEASURES.get(A.kind)
-        if known is None or known.critical is None:
+        if known is None:
             raise ValueError(f"no convergence construction for kind {A.kind}")
         _, build = known.critical
         return A.spec.critical_beta, (lambda b: ms.y_measure(A, 1, potential, b)), build(A)
@@ -375,10 +361,11 @@ def build_parser() -> argparse.ArgumentParser:
 # grow about fourfold per two levels; the normal forms kept per word hold
 # forced words of up to --symbol-bound letters, so memory grows with its square;
 # a pressure sweep's cycle sums grow exponentially with --n-max, about 1 s at
-# 20 and a minute at 30 on prime renewal (`gurevich_pressure` names its least).
+# 20 and a minute at 30 on prime renewal, and its slope needs n_max >= 4, the
+# least `gurevich_pressure` checks for its library callers.
 _BOUNDS: dict[tuple[str, str], tuple[int | None, int]] = {
     ("count", "--n"): (None, 1_000),
-    ("pressure", "--n-max"): (None, 20),
+    ("pressure", "--n-max"): (4, 20),
     ("converge", "--depth"): (1, 10),
     ("converge", "--symbol-bound"): (1, 12),
     ("measure", "--depth"): (1, 6),

@@ -240,8 +240,9 @@ def _roots(A: TransitionMatrix, stem: Word) -> list[AccumulationColumn]:
             if not stem or stem[-1] in col.allowed_terminal_symbols]
 
 
-# decompose's boundary points, one object per (matrix, stem, root): a memo or
-# row-cache lookup of a point met again stops at the identity check
+# the boundary points of decompose and of measures.shift_image_of_cylinder, one
+# object per (matrix, stem, root): a memo or row-cache lookup of a point met
+# again stops at the identity check
 _point = lru_cache(maxsize=None)(BoundedConfig)
 
 

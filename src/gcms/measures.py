@@ -50,7 +50,7 @@ import numpy as np
 
 from . import symbolsets as ss
 from .configs import BoundedConfig
-from .cylinders import CylFamily, SetExpr, normalize
+from .cylinders import CylFamily, SetExpr, _point, _roots, normalize
 from .matrices import AccumulationColumn, Symbol, TransitionMatrix
 from .thermo import (LOG_POTENTIAL, Constant, Potential, _bisect, _worst, beta_c_log,
                      normalization_series, pressure_log_potential, zeta)
@@ -116,27 +116,48 @@ class NormalizerResult:
         return self.status == "divergent"
 
 
+def growth_band(A: TransitionMatrix, weight: Constant, beta: float) -> str:
+    """Whether the stems of a boundary family of A carry a finite measure
+    with these letter weights at beta, as the kind's growth (lower, upper)
+    decides it with x = exp(beta * weight.c): ``"absent"`` where the stem
+    series diverges, lower * x >= 1, ``"inconclusive"`` where only
+    upper * x >= 1, and ``"exists"`` otherwise.  A letter weight past the
+    largest double makes the series diverge too.  This is the one decision
+    of which y-measures exist: the normalizer, the phase table
+    (``phase_labels``) and ``constructed_measures`` read it.
+    """
+    if A.spec.growth is None:
+        raise Inconclusive(f"no certified growth rate for kind {A.kind}")
+    lower, upper = A.spec.growth
+    try:
+        x = math.exp(beta * weight.c)
+    except OverflowError:
+        return "absent"
+    return "absent" if lower * x >= 1.0 else "inconclusive" if upper * x >= 1.0 else "exists"
+
+
 def normalizer(A: TransitionMatrix, family: AccumulationColumn, weight: Constant,
                beta: float) -> NormalizerResult:
     """1/c_e = 1 + sum over non-empty family stems of their letter weights,
     with the continuation sums T(j) over the same stems.
 
-    Divergence is certified by the lower growth bound; the prime-renewal
-    band between the bounds raises ``Inconclusive``.  Renewal has a closed
+    ``growth_band`` certifies divergence; the prime-renewal band between
+    the bounds raises ``Inconclusive``.  Renewal has a closed
     form; pair renewal solves for T(1), T(2), T(3), and 1/c_e = 1 + T(1).
     Other kinds walk the generation layers once, to depth + 1: at most
     upper^n stems have length n and the continuations of j are stems, so
     rho^(depth+1) / (1 - rho), rho = upper * exp(beta * c), bounds the tail
     of 1/c_e and of every T(j).  The 400-layer cap leaves a rho near 1 with
-    a tail above ``TAIL_TOL``, which the measure refuses.
+    a tail above ``TAIL_TOL``, which the measure refuses.  Where
+    exp(beta * c) underflows to 0, every non-empty stem weighs 0: the walk
+    takes the least depth, and every T(j) is 0.
     """
-    x = math.exp(beta * weight.c)
-    if A.spec.growth is None:
-        raise Inconclusive(f"no certified growth rate for kind {A.kind}")
-    lower, upper = A.spec.growth
-    if lower * x >= 1.0:
+    x = math.exp(beta * weight.c)    # a weight past the largest double overflows here
+    band = growth_band(A, weight, beta)
+    if band == "absent":
         return NormalizerResult(math.inf, math.inf, "divergent")
-    if upper * x >= 1.0:
+    if band == "inconclusive":
+        lower, upper = A.spec.growth
         raise Inconclusive(
             "between the divergence bound (growth "
             f"{lower:g}) and the convergence bound (growth {upper:g})")
@@ -146,9 +167,9 @@ def normalizer(A: TransitionMatrix, family: AccumulationColumn, weight: Constant
     if A.kind == "pair_renewal":
         tails = _pair_tails(x, family.allowed_terminal_symbols)
         return NormalizerResult(1.0 + tails[1], 0.0, "finite", tails)
-    rho = upper * x
-    depth = min(400, max(8, int(math.log(TAIL_TOL * (1 - rho))
-                                / math.log(rho)) + 2))
+    rho = A.spec.growth[1] * x
+    depth = 8 if x == 0.0 else min(400, max(8, int(math.log(TAIL_TOL * (1 - rho))
+                                                   / math.log(rho)) + 2))
     layers = generation_layers(A, family.allowed_terminal_symbols, depth + 1, weight=x)
     sums: dict[Symbol, float] = {}
     for layer in layers[1:]:
@@ -156,7 +177,7 @@ def normalizer(A: TransitionMatrix, family: AccumulationColumn, weight: Constant
             sums[j] = sums.get(j, 0.0) + w
     value = 1.0 + math.fsum(w for layer in layers for w in layer.values())
     return NormalizerResult(value, rho ** (depth + 1) / (1.0 - rho), "finite",
-                            {j: w / x for j, w in sums.items()})
+                            {j: w / x if x else 0.0 for j, w in sums.items()})
 
 
 # --------------------------------------------------------------------------
@@ -521,29 +542,63 @@ def log_eigenmeasure(beta: float, A: TransitionMatrix) -> Measure:
 
 @dataclass(frozen=True)
 class KindMeasures:
-    """The measures constructed on one matrix family.
-
-    With the constant potential the boundary families carry y-measures
-    above the critical beta ``A.spec.critical_beta``: ``boundary`` says how
-    many for the phase table, and ``y_families`` lists (suite key, family)
-    for the conformality suite.  ``critical`` is (suite key, constructor)
-    of the sequence-space measure at the critical beta, when one is known.
+    """The measures a matrix kind has beyond the y-measures, which its
+    catalog names (``constructed_measures``).  ``critical`` is (suite key,
+    constructor) of the sequence-space measure at the critical beta;
     ``log_ratio`` tells whether the log-ratio eigenmeasures are built.
     """
 
-    boundary: str
-    y_families: tuple[tuple[str, int], ...]
-    critical: tuple[str, Callable[[TransitionMatrix], Measure]] | None
+    critical: tuple[str, Callable[[TransitionMatrix], Measure]]
     log_ratio: bool = False
 
 
 KIND_MEASURES: dict[str, KindMeasures] = {
-    "renewal": KindMeasures("1 measure", (("y_family", 1),),
-                            ("sarig_renewal_const", sarig_measure_renewal), log_ratio=True),
-    "pair_renewal": KindMeasures("2 extremal", (("y_family_1", 1), ("y_family_2", 2)),
-                                 ("pair_critical", pair_renewal_critical_measure)),
-    "prime_renewal": KindMeasures("1 per family (countably many)", (), None),
+    "renewal": KindMeasures(("sarig_renewal_const", sarig_measure_renewal), log_ratio=True),
+    "pair_renewal": KindMeasures(("pair_critical", pair_renewal_critical_measure)),
 }
+
+
+def phase_labels(A: TransitionMatrix, beta: float, tol: float) -> tuple[str, str]:
+    """The boundary and sequence-space columns of a constant-potential phase
+    row at beta.  The boundary column is the growth band's answer, with
+    ``"exists"`` read off the catalog: one measure, one per family (n
+    extremal), or one per family of a truncated, countably infinite
+    catalog.  The sequence column says whether beta is within ``tol`` of
+    the critical beta, where the kind's critical measure lives; a kind
+    without one is not classified.  A matrix without boundary families has
+    no phase table.
+    """
+    catalog = A.accumulation_catalog
+    if not catalog:
+        raise MeasureError(f"no phase table for kind {A.kind}")
+    boundary = growth_band(A, Constant(-1.0), beta)
+    if boundary == "exists":
+        boundary = ("1 per family (countably many)" if A.spec.truncated
+                    else f"{len(catalog)} extremal" if len(catalog) > 1 else "1 measure")
+    if KIND_MEASURES.get(A.kind) is None:
+        return boundary, "not classified"
+    return boundary, "1 measure" if abs(beta - A.spec.critical_beta) <= tol else "absent"
+
+
+def constructed_measures(A: TransitionMatrix, beta: float) -> dict[str, Measure]:
+    """The measures built on A at beta, by suite key: the critical sequence
+    measure, where the kind has one; the y-measure of the constant potential
+    on every boundary family where ``growth_band`` says it exists, keyed
+    ``y_family`` on a one-family catalog and ``y_family_<id>`` otherwise;
+    and the renewal log eigenmeasure at beta, which needs beta > 0.
+    """
+    known = KIND_MEASURES.get(A.kind)
+    out: dict[str, Measure] = {}
+    if known is not None:
+        name, build = known.critical
+        out[name] = build(A)
+    catalog, F = A.accumulation_catalog, Constant(1.0)
+    if catalog and growth_band(A, negate(F), beta) == "exists":
+        out.update((f"y_family_{col.id}" if len(catalog) > 1 else "y_family",
+                    y_measure(A, col.id, F, beta)) for col in catalog)
+    if known is not None and known.log_ratio:
+        out["log_eigenmeasure"] = log_eigenmeasure(beta, A)
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -576,10 +631,11 @@ def shift_image_of_cylinder(A: TransitionMatrix, alpha: Word) -> SetExpr:
     For longer words the image is the cylinder on the word minus its first
     letter; for a single letter it is the union of the admissible follower
     cylinders plus the empty-stem configurations whose family admits the
-    letter as a terminal.  The cylinder on an inadmissible word is empty,
-    and so is its image: the word is checked here, once per (matrix,
-    word), so the parts of every image are admissible and
-    ``measure_setexpr`` reads them unchecked.
+    letter as a terminal, the roots and points of ``decompose``
+    (``cylinders._roots`` and ``cylinders._point``).  The cylinder on an
+    inadmissible word is empty, and so is its image: the word is checked
+    here, once per (matrix, word), so the parts of every image are
+    admissible and ``measure_setexpr`` reads them unchecked.
 
     Memoized per (matrix, word), like ``matrices.by_kind``: the image
     depends on nothing else (``TransitionMatrix`` hashes and compares by
@@ -591,10 +647,8 @@ def shift_image_of_cylinder(A: TransitionMatrix, alpha: Word) -> SetExpr:
         raise ValueError("the shift is not defined on the whole space")
     if len(alpha) >= 2:
         return normalize(A, atoms=[alpha[1:]] if is_admissible(A, alpha) else [])
-    a = alpha[0]
-    points = [BoundedConfig(A, (), col) for col in A.accumulation_catalog
-              if a in col.allowed_terminal_symbols]
-    return normalize(A, points=points, families=[CylFamily((), A.row(a))])
+    points = [_point(A, (), col) for col in _roots(A, alpha)]
+    return normalize(A, points=points, families=[CylFamily((), A.row(alpha[0]))])
 
 
 @dataclass

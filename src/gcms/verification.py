@@ -346,24 +346,15 @@ def _cylinder_words(A: TransitionMatrix, max_len: int, sym_bound: Symbol) -> tup
 
 
 def conformality_suite(A: TransitionMatrix, beta: float) -> dict[str, float]:
-    """Worst conformality residual per measure available on this matrix,
-    over the cylinders of length up to 6 on symbols up to 7.  The y-measures
-    are checked at ``beta`` above the critical beta, the log eigenmeasure at
-    ``beta`` always, so it must be positive."""
-    known = ms.KIND_MEASURES.get(A.kind)
-    if known is None or known.critical is None:
-        raise ms.MeasureError(f"no measure constructions for kind {A.kind}")
+    """Worst conformality residual of each measure built on A at ``beta``
+    (``measures.constructed_measures``), over the cylinders of length up to
+    6 on symbols up to 7.  A suite with no measure to check would read as a
+    pass, so it is refused."""
+    measures = ms.constructed_measures(A, beta)
+    if not measures:
+        raise ms.MeasureError(f"no measure on kind {A.kind} to check at beta={beta}")
     cyls = cylinder_words_up_to(A, 6, 7)
-    name, build = known.critical
-    out = {name: ms.verify_conformality(build(A), cyls).max_residual}
-    if beta > A.spec.critical_beta:
-        for key, fam in known.y_families:
-            out[key] = ms.verify_conformality(
-                ms.y_measure(A, fam, th.Constant(1.0), beta), cyls).max_residual
-    if known.log_ratio:
-        out["log_eigenmeasure"] = ms.verify_conformality(
-            ms.log_eigenmeasure(beta, A), cyls).max_residual
-    return out
+    return {key: ms.verify_conformality(m, cyls).max_residual for key, m in measures.items()}
 
 
 # --------------------------------------------------------------------------

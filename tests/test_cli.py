@@ -13,7 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gcms import cli
+from gcms import measures as ms
 from gcms.cli import main
+from gcms.matrices import by_kind
+from gcms.thermo import Constant
 
 
 def run_cli(args, capsys):
@@ -76,6 +79,76 @@ def test_phase_log_support_switch(capsys):
     lines = out.strip().splitlines()
     assert "sequence space" in lines[1]
     assert "boundary family" in lines[2]
+
+
+def test_phase_alternating_renewal(capsys):
+    code, out = run_cli(["phase", "--kind", "alternating_renewal", "--potential", "const",
+                         "--beta-grid", "0.5,0.55,1.0"], capsys)
+    assert code == 0
+    assert out.splitlines()[1:] == ["0.5,absent,not classified,0.549306144334",
+                                    "0.55,2 extremal,not classified,0.549306144334",
+                                    "1,2 extremal,not classified,0.549306144334"]
+
+
+_Y_LABELS = {"renewal": "1 measure", "pair_renewal": "2 extremal",
+             "prime_renewal": "1 per family (countably many)",
+             "alternating_renewal": "2 extremal"}
+
+
+@pytest.mark.parametrize("kind", sorted(_Y_LABELS))
+def test_phase_boundary_column_is_the_normalizers_answer(kind, capsys):
+    # six floats on each side of log(lower) and of log(upper): the column
+    # reads absent, inconclusive or the label exactly where the normalizer
+    # diverges, is inconclusive or finite
+    A = by_kind(kind)
+    grid = []
+    for rate in A.spec.growth:
+        lo = hi = math.log(rate)
+        grid.append(lo)
+        for _ in range(6):
+            lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+            grid += [lo, hi]
+    code, out = run_cli(["phase", "--kind", kind, "--beta-grid", ",".join(map(repr, grid))],
+                        capsys)
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == len(grid)
+    seen = set()
+    for beta, row in zip(grid, rows):
+        try:
+            res = ms.normalizer(A, A.accumulation_catalog[0], Constant(-1.0), beta)
+        except ms.Inconclusive:
+            want = "inconclusive"
+        else:
+            want = "absent" if res.divergent else _Y_LABELS[kind]
+        assert row[1] == want, (beta, row)
+        seen.add(want)
+    assert {"absent", _Y_LABELS[kind]} <= seen
+    assert ("inconclusive" in seen) == (kind == "prime_renewal")
+
+
+def test_below_the_band_where_the_letter_weight_overflows(capsys):
+    # exp(1000) does not fit a double, and the stem series diverge: the
+    # phase row reads absent and the suite checks the critical measure alone
+    code, out = run_cli(["phase", "--kind", "renewal", "--beta-grid=-1000"], capsys)
+    assert code == 0 and out.splitlines()[1] == "-1000,absent,absent,0.69314718056"
+    code, out = run_cli(["verify", "--suite", "conformality", "--kind", "pair_renewal",
+                         "--beta=-1000"], capsys)
+    assert code == 0 and list(json.loads(out)["max_residuals"]) == ["pair_critical"]
+
+
+@pytest.mark.parametrize("kind, beta, keys", [
+    ("prime_renewal", "1.5", ["y_family_1", "y_family_2", "y_family_3", "y_family_5",
+                              "y_family_7"]),
+    ("alternating_renewal", "1.2", ["y_family_1", "y_family_2"]),
+])
+def test_verify_conformality_on_every_catalog_family(kind, beta, keys, capsys):
+    code, out = run_cli(["verify", "--suite", "conformality", "--kind", kind,
+                         "--beta", beta, "--tol", "1e-10"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["ok"] is True
+    assert sorted(payload["max_residuals"]) == keys
 
 
 def test_verify_counting(capsys):
@@ -417,6 +490,19 @@ def test_stored_matrix_with_a_forced_cycle(rows, expr, cylinder, tmp_path, capsy
      "--approach offsets must be positive, not -1.0"),
     (["converge", "--kind", "renewal", "--approach", "1e-2,0"],
      "--approach offsets must be positive, not 0.0"),
+    # a conformality suite with no measure to check at its beta would read as
+    # a pass; a matrix without boundary families has no phase table
+    (["verify", "--suite", "conformality", "--kind", "prime_renewal", "--beta", "0.5"],
+     "no measure on kind prime_renewal to check at beta=0.5"),
+    (["verify", "--suite", "conformality", "--matrix-file", "EXPLICIT"],
+     "no measure on kind explicit to check at beta=1.2"),
+    (["phase", "--matrix-file", "EXPLICIT"], "no phase table for kind explicit"),
+    # the y-measures exist at this beta (every non-empty stem weighs 0), but
+    # the conformality factor exp(beta) of each row overflows
+    (["verify", "--suite", "conformality", "--kind", "prime_renewal", "--beta", "800"],
+     "float overflow"),
+    # the pressure's slope needs four partition functions
+    (["pressure", "--kind", "renewal", "--n-max", "2"], "--n-max must be >= 4, not 2"),
 ])
 def test_errors_exit_2_with_one_line(args, message, tmp_path, capsys):
     files = {"MATRIX": '{"kind": "explicit"}',

@@ -93,6 +93,35 @@ def test_normalizer_thresholds(renewal, pair, prime):
         ms.normalizer(prime, colq, Constant(-1.0), 0.5 * (LOG2 + LOG3))
 
 
+@pytest.mark.parametrize("kind", ["prime_renewal", "alternating_renewal"])
+@pytest.mark.parametrize("beta", [800.0, 1e300])
+def test_walked_y_measure_where_the_letter_weight_underflows(kind, beta):
+    # exp(-beta) is 0.0: the measure exists, every non-empty stem weighs 0,
+    # and the empty stem carries the whole mass
+    A = by_kind(kind)
+    for root in A.accumulation_catalog:
+        m = ms.y_measure(A, root.id, Constant(1.0), beta)
+        assert m.c_e == 1.0 and m.total_mass() == 1.0
+        assert m.point_mass(empty_stem_config(A, root.id)) == 1.0
+        assert all(m.cyl_mass((k,)) == 0.0 for k in range(1, 8))
+
+
+@pytest.mark.parametrize("kind, beta, keys", [
+    ("renewal", 0.5, {"sarig_renewal_const", "log_eigenmeasure"}),
+    ("renewal", 1.5, {"sarig_renewal_const", "y_family", "log_eigenmeasure"}),
+    ("pair_renewal", 0.5, {"pair_critical"}),
+    ("pair_renewal", 1.2, {"pair_critical", "y_family_1", "y_family_2"}),
+    ("prime_renewal", 0.5, set()),
+    ("prime_renewal", 1.0, set()),
+    ("prime_renewal", 1.5, {"y_family_1", "y_family_2", "y_family_3", "y_family_5",
+                            "y_family_7"}),
+    ("alternating_renewal", 0.5, set()),
+    ("alternating_renewal", 0.8, {"y_family_1", "y_family_2"}),
+])
+def test_constructed_measures_by_kind_and_beta(kind, beta, keys):
+    assert set(ms.constructed_measures(by_kind(kind), beta)) == keys
+
+
 def test_normalizer_matches_enumeration(pair, prime, alternating):
     # independent check against exact generation counts, up to the
     # certified geometric tail of the truncated enumeration
@@ -495,25 +524,12 @@ def checked_row_residual(m, words):
     return worst
 
 
-def suite_measures(A, beta):
-    """The measures ``conformality_suite(A, beta)`` checks, by its keys."""
-    known = ms.KIND_MEASURES[A.kind]
-    name, build = known.critical
-    out = {name: build(A)}
-    if beta > A.spec.critical_beta:
-        for key, fam in known.y_families:
-            out[key] = ms.y_measure(A, fam, Constant(1.0), beta)
-    if known.log_ratio:
-        out["log_eigenmeasure"] = ms.log_eigenmeasure(beta, A)
-    return out
-
-
 @pytest.mark.parametrize("kind", ["renewal", "pair_renewal"])
 @pytest.mark.parametrize("beta", [0.5, 1.1, 1.5, 2.0])
 def test_conformality_rows_read_admissibility_bit_identically(kind, beta):
     A = by_kind(kind)
     words = cylinder_words_up_to(A, 6, 7)
-    measures = suite_measures(A, beta)
+    measures = ms.constructed_measures(A, beta)
     got = conformality_suite(A, beta)
     assert set(got) == set(measures)
     for key, m in measures.items():
