@@ -153,11 +153,8 @@ def _phase_row(A: TransitionMatrix, potential: th.Potential, beta: float,
     # log-ratio potential: the renewal eigenmeasure switches support
     if known is None or not known.log_ratio:
         raise ValueError("the log-ratio phase table is specific to --kind renewal")
-    if not beta > 0:    # as for the eigenmeasure and the pressure it reports on
-        raise ValueError("beta must be positive")
-    bc = th.beta_c_log()
-    support = "boundary family" if beta > bc else "sequence space"
-    return (beta, support, "1 eigenmeasure for every beta", bc)
+    return (beta, ms.log_ratio_support(A, beta), "1 eigenmeasure for every beta",
+            th.beta_c_log())
 
 
 def cmd_phase(args: argparse.Namespace) -> int:

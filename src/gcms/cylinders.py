@@ -18,9 +18,11 @@ Building a normal form has two halves: ``normalize`` canonicalizes raw
 parts (it forced-extends each atom and cuts each family to the row of its
 prefix's last letter), and ``_assemble`` turns canonical parts into a
 ``SetExpr`` (finite families expanded, empty ones dropped, duplicates
-rejected, parts sorted, families by prefix alone since disjoint parts hold
-one family per prefix, the whole space folded).  ``meet`` only assembles:
-every part it keeps comes from a normal form and is already canonical.
+rejected, parts sorted unless already in order, families by prefix alone
+since disjoint parts hold one family per prefix, the whole space folded).
+``meet`` only assembles: every part it keeps comes from a normal form and
+is already canonical.  Two families are met once per (matrix, family,
+family) (``_meet_families`` is memoized): many meets pair the same ones.
 ``part_contains`` decides membership of a configuration in one part;
 ``member`` asks whether some part contains it.  ``meet`` keeps a boundary
 point of one operand iff the other operand holds it, and one normal form
@@ -190,15 +192,19 @@ def normalize(A: TransitionMatrix, points: Sequence[BoundedConfig] = (),
 
 def _in_order(parts: Sequence, key, what: str) -> tuple:
     """``parts`` sorted by ``key`` (None: by themselves), which no two of them
-    may share: two parts of a disjoint decomposition with one key overlap."""
+    may share: two parts of a disjoint decomposition with one key overlap.
+    Parts whose keys already increase strictly are returned as they are; a
+    meet's points and atoms nearly always are, as its operands' were."""
     if len(parts) < 2:
         return tuple(parts)
-    out = sorted(parts, key=key)
-    keys = out if key is None else [key(p) for p in out]
-    for k, l, p in zip(keys, keys[1:], out):
-        if k == l:
-            raise RuntimeError(f"duplicate {what} {p!r} in decomposition")
-    return tuple(out)
+    keys = parts if key is None else [key(p) for p in parts]
+    if all(k < l for k, l in zip(keys, keys[1:])):
+        return tuple(parts)
+    order = sorted(range(len(parts)), key=keys.__getitem__)
+    for i, j in zip(order, order[1:]):
+        if keys[i] == keys[j]:
+            raise RuntimeError(f"duplicate {what} {parts[i]!r} in decomposition")
+    return tuple(parts[i] for i in order)
 
 
 def _assemble(A: TransitionMatrix, points: Sequence[BoundedConfig], atoms: Iterable[Word],
@@ -278,7 +284,13 @@ def decompose(e: Subbasis) -> SetExpr:
 # intersection of normal forms
 # --------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _meet_families(A: TransitionMatrix, f: CylFamily, g: CylFamily) -> CylFamily | None:
+    """The meet of two effective families: one family, or None if they are
+    disjoint.  Memoized per (matrix, family, family), like ``_point``: it
+    depends on nothing else, and all three are frozen and hash once.  The
+    oracle's meets pair the same families many times over.  The unmemoized
+    function is ``_meet_families.__wrapped__``."""
     if f.prefix == g.prefix:
         return CylFamily(f.prefix, ss.intersect(A, f.symbols, g.symbols))
     outer, inner = (f, g) if len(f.prefix) < len(g.prefix) else (g, f)

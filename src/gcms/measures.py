@@ -515,6 +515,17 @@ def pair_renewal_normalization_root() -> float:
     return _bisect(lambda y: y * y + 2.0 * y - 1.0 < 0.0, 0.0, 1.0, 0.5e-12)
 
 
+def log_ratio_support(A: TransitionMatrix, beta: float) -> str:
+    """Where the renewal log-ratio eigenmeasure lives at beta: on the
+    boundary family above the critical inverse temperature, on the sequence
+    space at and below it.  The eigenmeasure and the log-ratio phase table
+    both read this switch; it needs beta > 0."""
+    _matrix(A, "renewal")
+    if not beta > 0:
+        raise ValueError("beta must be positive")
+    return "boundary family" if beta > beta_c_log() else "sequence space"
+
+
 def log_eigenmeasure(beta: float, A: TransitionMatrix) -> Measure:
     """The unique probability eigenmeasure of the renewal log-ratio potential.
 
@@ -523,14 +534,11 @@ def log_eigenmeasure(beta: float, A: TransitionMatrix) -> Measure:
     sequence space with eigenvalue lam = exp(pressure), and the letter 1
     has mass 2^-beta / lam, so the letter n has lam^-n (n+1)^-beta.
     """
-    A = _matrix(A, "renewal")
-    if not beta > 0:
-        raise ValueError("beta must be positive")
-    bc = beta_c_log()
-    if beta > bc:
+    if log_ratio_support(A, beta) == "boundary family":
         return YFamilyMeasure(A, A.column_by_id(1), LOG_POTENTIAL, beta,
                               "eigenmeasure of the transfer operator, eigenvalue 1",
                               c_e=2.0 - zeta(beta))
+    bc = beta_c_log()
     lam = math.exp(pressure_log_potential(beta)) if beta < bc else 1.0
     total = normalization_series(beta, lam) if beta < bc else zeta(beta) - 1.0
     return SequenceMeasure(

@@ -20,8 +20,13 @@ their order.  An element's normal form and a meet are checked the same way,
 with a few bitwise operations: the parts' rows are folded into the points
 covered and the points covered twice, and the first faulty configuration
 is the lowest set bit.  Each part's row is computed once per universe
-with ``cylinders.part_contains`` and cached, so the oracle,
-``setexpr_count_vec`` and ``cylinders.member`` share one membership rule.
+and cached, one row per group of configurations that share the letters
+the part reads: ``cylinders.part_contains`` decides the part on one member
+of each group (an atom reads its word, a family its prefix and the next
+letter, a boundary point the whole configuration), and the rows of the
+groups it holds are joined.  The oracle, ``setexpr_count_vec`` and
+``cylinders.member`` so share one membership rule.  The raw rows stay one
+evaluation per configuration: they are the reference.
 
 The counting, conformality, and pressure suites used by the command line
 and the acceptance tests live here as plain functions returning report
@@ -75,6 +80,8 @@ class ConfigUniverse:
     configs: list[Configuration]
     # one membership bit row per normal-form part, filled by part_row
     _rows: dict = field(default_factory=dict, init=False, repr=False)
+    # prefix length -> prefix -> next letter -> (bit row, one member), filled by _groups
+    _index: dict = field(default_factory=dict, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.configs)
@@ -84,12 +91,41 @@ class ConfigUniverse:
         """The bit row of the whole universe."""
         return (1 << len(self.configs)) - 1
 
+    def _groups(self, prefix: Word) -> dict:
+        """The configurations that start with ``prefix`` and go on past it,
+        grouped by their next letter: letter -> (bit row, one member).  The
+        groups of every prefix of one length are built on the first call for
+        that length."""
+        n = len(prefix)
+        level = self._index.get(n)
+        if level is None:
+            level = self._index[n] = {}
+            for k, c in enumerate(self.configs):
+                nxt = c.symbol_at(n)
+                if nxt is not None:
+                    groups = level.setdefault(tuple(map(c.symbol_at, range(n))), {})
+                    row, member = groups.get(nxt, (0, c))
+                    groups[nxt] = (row | 1 << k, member)
+        return level.get(prefix, {})
+
     def part_row(self, part) -> int:
-        """Membership bit row of one normal-form part, computed once."""
+        """Membership bit row of one normal-form part, computed once.
+
+        ``part_contains`` decides it on one member of each group of
+        configurations that share the letters the part reads, and the rows
+        of the groups it holds are joined: an atom reads its word, a family
+        its prefix and the next letter.  A boundary point's group is one
+        configuration."""
         row = self._rows.get(part)
         if row is None:
-            row = self._rows[part] = _pack((part_contains(c, part) for c in self.configs),
-                                           len(self))
+            if isinstance(part, BoundedConfig):
+                groups = [(1 << k, c) for k, c in enumerate(self.configs)]
+            elif isinstance(part, CylFamily):
+                groups = self._groups(part.prefix).values()
+            else:
+                group = self._groups(part[:-1]).get(part[-1])
+                groups = () if group is None else (group,)
+            row = self._rows[part] = sum(bits for bits, c in groups if part_contains(c, part))
         return row
 
 

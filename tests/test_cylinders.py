@@ -343,7 +343,11 @@ def test_raw_rows_match_raw_membership(monkeypatch):
 
 
 def test_oracle_builds_each_part_row_once(monkeypatch):
-    # every part of every decomposition and every meet gets one row, once
+    # every part of every decomposition and every meet gets one row, once:
+    # each part is asked of part_contains, never twice on one configuration,
+    # and an atom or a family only on one member of each group of
+    # configurations that read alike, so in fewer calls than one per
+    # configuration and part
     from gcms import verification
     from gcms.cylinders import meet
     from gcms.matrices import by_kind
@@ -351,7 +355,7 @@ def test_oracle_builds_each_part_row_once(monkeypatch):
     calls = []
     contains = verification.part_contains
     monkeypatch.setattr(verification, "part_contains",
-                        lambda c, part: calls.append(part) or contains(c, part))
+                        lambda c, part: calls.append((part, c)) or contains(c, part))
     rep = verification.cylinder_oracle(A, word_len=2, sym_bound=3, inv_bound=3, stem_len=4,
                                        universe_syms=5, n_periodic=20)
     assert rep.ok, rep.mismatches
@@ -359,7 +363,9 @@ def test_oracle_builds_each_part_row_once(monkeypatch):
     exprs = dec + [meet(d, e) for i, d in enumerate(dec) for e in dec[i:]]
     parts = {p for s in exprs for p in (*s.points, *s.atoms, *s.families)}
     parts.add(CylFamily((), sset.ALL))     # the whole-space cover's family
-    assert len(calls) == rep.n_configs * len(parts)
+    assert {part for part, _ in calls} == parts
+    assert len(set(calls)) == len(calls)
+    assert len(calls) < rep.n_configs * len(parts)
 
 
 def test_count_vectors_match_uncached_membership():
@@ -515,6 +521,47 @@ def test_emitted_parts_are_admissible_on_stored_matrices(oracle_classes, rows):
     _check_emitted_parts(A, *oracle_classes(A, 2, 3, 3), 2)
 
 
+# -- part rows per group of configurations that read alike -------------------
+
+def _check_grouped_rows(A, classes, pairs):
+    # on the universe of the full-size oracle, the row of every part of every
+    # element normal form and every class-pair meet is the row asked of
+    # part_contains configuration by configuration, bit for bit, and the
+    # count vector is the one those rows give
+    import numpy as np
+    from gcms.cylinders import meet
+    from gcms.verification import _pack, _unpack
+    u = build_universe(A, 5, 6, 50)
+    exprs = {*classes, *(meet(classes[i], classes[j]) for i, j in pairs)}
+    parts = {p for s in exprs for p in (*s.points, *s.atoms, *s.families)}
+    want = {p: _pack((part_contains(c, p) for c in u.configs), len(u)) for p in parts}
+    for part, row in want.items():
+        assert u.part_row(part) == row, part
+    for s in exprs:
+        counts = (np.ones(len(u), dtype=np.int64) if s.whole_space
+                  else sum((_unpack(want[p], len(u)).astype(np.int64)
+                            for p in (*s.points, *s.atoms, *s.families)),
+                           np.zeros(len(u), dtype=np.int64)))
+        assert setexpr_count_vec(u, s).tolist() == counts.tolist(), s
+
+
+@pytest.mark.parametrize("kind", ["renewal", "pair_renewal", "prime_renewal",
+                                  "alternating_renewal"])
+def test_grouped_part_rows_match_per_configuration_rows(kind, oracle_classes):
+    from gcms.matrices import by_kind
+    A = by_kind(kind)
+    _check_grouped_rows(A, *oracle_classes(A))
+
+
+@given(stored_matrices())
+@settings(max_examples=10, deadline=None)
+def test_grouped_part_rows_match_per_configuration_rows_on_stored_matrices(oracle_classes,
+                                                                           rows):
+    from gcms.matrices import explicit
+    A = explicit(rows)
+    _check_grouped_rows(A, *oracle_classes(A, 2, 3, 3))
+
+
 # -- meet assembles its operands' canonical parts ------------------------------
 
 def _reference_meet(s, t, finish):
@@ -648,21 +695,30 @@ def test_oracle_meets_each_class_pair_once_and_assembles_little(oracle_classes, 
     # element pairs, all 11,905 _assemble calls sorted their parts, and the
     # run made 153,930 BoundedConfig.__eq__ calls; a result of no point, no
     # family and at most one atom now needs no sorting, and interned points
-    # are found by identity
+    # are found by identity.  When every family pair was met afresh and every
+    # part row asked part_contains of every configuration, the run made 5,484
+    # symbolsets.intersect calls and 47,304 part_contains calls; with family
+    # pairs met once and rows built per group, 755 and 6,927
     from collections import Counter
     from gcms import cylinders, verification
     from gcms.configs import BoundedConfig
     from gcms.matrices import by_kind
     A = by_kind("pair_renewal")
     classes, pairs = oracle_classes(A)
+    cylinders._meet_families.cache_clear()     # count the family meets from cold
     met, counted = [], Counter()
     meet, in_order, eq = verification.meet, cylinders._in_order, BoundedConfig.__eq__
+    intersect, contains = sset.intersect, verification.part_contains
     monkeypatch.setattr(verification, "meet", lambda s, t: met.append((s, t)) or meet(s, t))
     monkeypatch.setattr(cylinders, "_in_order",
                         lambda parts, key, what: counted.update([what])
                         or in_order(parts, key, what))
     monkeypatch.setattr(BoundedConfig, "__eq__",
                         lambda p, q: counted.update(["eq"]) or eq(p, q))
+    monkeypatch.setattr(sset, "intersect",
+                        lambda *args: counted.update(["intersect"]) or intersect(*args))
+    monkeypatch.setattr(verification, "part_contains",
+                        lambda c, part: counted.update(["contains"]) or contains(c, part))
     rep = cylinder_oracle(A)
     assert rep.ok and rep.n_pairs == 61425
     assert len(met) == 11848
@@ -670,6 +726,42 @@ def test_oracle_meets_each_class_pair_once_and_assembles_little(oracle_classes, 
     # _in_order sorts the points once per assembly that goes past the shortcut
     assert counted["point"] <= 6000
     assert counted["eq"] <= 50000
+    assert counted["intersect"] <= 1000
+    assert counted["contains"] <= 8000
+
+
+def test_meet_families_memo_is_the_unmemoized_meet(oracle_classes):
+    # every family pair the class-pair meets of the full pair-renewal oracle take
+    from gcms.cylinders import _meet_families
+    from gcms.matrices import by_kind
+    A = by_kind("pair_renewal")
+    classes, pairs = oracle_classes(A)
+    met = {(f, g) for i, j in pairs for f in classes[i].families for g in classes[j].families}
+    assert len(met) > 1000
+    for f, g in met:
+        assert _meet_families(A, f, g) == _meet_families.__wrapped__(A, f, g), (f, g)
+
+
+@pytest.mark.parametrize("parts, key", [
+    ([], None),
+    ([(1,), (2, 1), (3,)], None),
+    ([(), (1,), (1, 1)], len),
+    ([(3,), (1,), (2, 1)], None),
+    ([(), (1, 1), (1,)], len),
+    ([(2,), (1,), (3,), (0,)], lambda w: -w[0]),
+])
+def test_in_order_returns_parts_sorted_by_their_keys(parts, key):
+    from gcms.cylinders import _in_order
+    got = _in_order(parts, key, "cylinder")
+    assert type(got) is tuple and got == tuple(sorted(parts, key=key))
+
+
+@pytest.mark.parametrize("parts", [[(1,), (1,), (2,)], [(2,), (1,), (2,)], [(1,), (2,), (2,)]])
+def test_in_order_rejects_a_repeated_key(parts):
+    # in sorted input and in unsorted input alike
+    from gcms.cylinders import _in_order
+    with pytest.raises(RuntimeError, match=r"duplicate cylinder \(\d,\) in decomposition"):
+        _in_order(parts, None, "cylinder")
 
 
 def _check_one_family_per_prefix(classes, pairs, monkeypatch):

@@ -413,13 +413,21 @@ def test_extend_by_conformality(pair, renewal):
         assert got == pytest.approx(closed, rel=1e-12)
 
 
-def test_log_eigenmeasure_dispatch(renewal):
+def test_log_eigenmeasure_dispatch(renewal, pair):
+    # the eigenmeasure lives where log_ratio_support says, which the
+    # log-ratio phase table prints
     bc = beta_c_log()
     assert isinstance(ms.log_eigenmeasure(2.0, renewal), ms.YFamilyMeasure)
     assert ms.log_eigenmeasure(bc, renewal).kind == "log_eigen_sigma"
     assert ms.log_eigenmeasure(1.2, renewal).kind == "log_eigen_sigma"
+    assert [ms.log_ratio_support(renewal, b) for b in (1.2, bc, math.nextafter(bc, 3.0), 2.0)] \
+        == ["sequence space", "sequence space", "boundary family", "boundary family"]
     with pytest.raises(ValueError):
         ms.log_eigenmeasure(-1.0, renewal)
+    with pytest.raises(ValueError, match="beta must be positive"):
+        ms.log_ratio_support(renewal, 0.0)
+    with pytest.raises(ms.MeasureError, match="specific to the renewal matrix"):
+        ms.log_ratio_support(pair, 2.0)
 
 
 def test_log_eigenmeasure_values(renewal):
