@@ -197,7 +197,9 @@ def preimages(c: BoundedConfig, n: int) -> list[BoundedConfig]:
     from the root's terminal set), and ``backward_words`` checks each
     distinct new edge once per walk, the junction into the stem included,
     because a non-empty stem's walk starts one letter further, at
-    ``c.stem[0]``.
+    ``c.stem[0]``.  The list is in the walk's order, colexicographic in
+    the stems: sorted by their last letter, then the letter before it, and
+    so on; a caller that needs another order sorts.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -206,7 +208,7 @@ def preimages(c: BoundedConfig, n: int) -> list[BoundedConfig]:
         heads, tail = backward_words(A, n + 1, (c.stem[0],)), c.stem[1:]
     else:
         heads, tail = backward_words(A, n, root.allowed_terminal_symbols), ()
-    return [_config(A, w + tail, root) for w in sorted(heads)]
+    return [_config(A, w + tail, root) for w in heads]
 
 
 def count_preimages_closed_form(A: TransitionMatrix, family_id: int,

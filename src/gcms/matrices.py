@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .symbolsets import ALL, FiniteSet, Sieve, SymbolSet
 
 Symbol = int
@@ -113,6 +115,13 @@ class MatrixKind:
       None when no rate is certified.
     * ``counts(family_id, n)``: closed-form (or interval) size of
       generation n >= 0 of a family's preimage tree; None when unknown.
+    * ``stem_sums(x, terminals)``: the stem sums of the boundary family
+      with these terminal symbols when every letter weighs x, with x below
+      the radius the growth band certifies: (1/c_e, {j: T(j)}), where
+      1/c_e = 1 + the sum over non-empty stems of x^|stem|, and T(j) sums
+      x^|d| over the words d admissible after j that end in a terminal.
+      The sums it leaves out follow from the row rule of the y-measure.
+      None where no closed form is known.
     """
 
     entry: Callable[[Symbol, Symbol], int]
@@ -124,6 +133,8 @@ class MatrixKind:
     cover: tuple[Symbol, ...]
     growth: tuple[float, float] | None
     counts: Callable[[int, int], int | IntegerInterval] | None
+    stem_sums: Callable[[float, frozenset[Symbol]],
+                        tuple[float, dict[Symbol, float]]] | None
     truncated: bool = False
 
     @property
@@ -194,6 +205,68 @@ def _alternating_counts(family_id: int, n: int) -> int:
     return (2 if odd else 1) * 3 ** (k - 1)
 
 
+def _renewal_stem_sums(x: float, terminals: frozenset[Symbol]) -> tuple[float, dict]:
+    """1/c_e = 1 + the sum of 2^(n-1) x^n over n >= 1, with r = 2x; row 1
+    holds every letter, so the row rule gives every T(j)."""
+    r = 2.0 * x
+    return 1.0 + 0.5 * r / (1.0 - r), {}
+
+
+def _pair_tails(u: float, terminals: frozenset[Symbol]) -> dict[Symbol, float]:
+    """Continuation sums T(1), T(2), T(3) for the pair renewal matrix.
+
+    T(j >= 4) = u^(j-3) T(3).  The sums close because the only branching
+    rows are 1 (everything) and 2 (one plus the evens); the geometric
+    pieces over the forced descents are summed analytically.  The caller
+    has checked convergence, (1 + sqrt 2) u < 1.
+    """
+    h = float(len(terminals))
+    e2 = 1.0 if 2 in terminals else 0.0
+    M = np.array([
+        [1.0 - u, -u, -u / (1.0 - u)],
+        [-u, 1.0 - u, -u * u / (1.0 - u * u)],
+        [0.0, -u, 1.0],
+    ])
+    rhs = np.array([u * h, u * (1.0 + e2), u * e2])
+    t1, t2, t3 = np.linalg.solve(M, rhs)
+    return {1: float(t1), 2: float(t2), 3: float(t3)}
+
+
+def _pair_stem_sums(x: float, terminals: frozenset[Symbol]) -> tuple[float, dict]:
+    """T(1), T(2), T(3) from one solve; row 1 holds every letter, so
+    1/c_e = 1 + T(1)."""
+    tails = _pair_tails(x, terminals)
+    return 1.0 + tails[1], tails
+
+
+def _alternating_stem_sums(x: float, terminals: frozenset[Symbol]) -> tuple[float, dict]:
+    """T(1), T(2) and 1/c_e of an alternating-renewal family, rational in x.
+
+    With B(s) = x ([s terminal] + T(s)), the stem weight below the letter s,
+    T(1) sums B over the even letters and T(2) over the odd ones, and a
+    letter s >= 3 is no terminal and descends to s - 1 alone, so
+    B(s) = x^(s-2) B(2).  Hence T(1) = B(2) / (1 - x^2) and
+    T(2) = B(1) + x B(2) / (1 - x^2).  With d = 1 - 3x^2 and the terminals
+    t1 = [1 terminal], t2 = [2 terminal] (the catalog's are {1} and {2}),
+    this linear system gives
+
+        T(1) = (t1 x^2 + t2 x) / d,   T(2) = (t1 x (1 - x^2) + t2 2x^2) / d,
+
+    and, as rows 1 and 2 split the alphabet, every non-empty stem starts in
+    one of them: 1/c_e = 1 + T(1) + T(2).  The series converge for
+    3x^2 < 1, the band of the growth sqrt 3 that ``_alternating_counts``
+    proves.  Where rounding leaves d <= 0, the value is inf.
+    """
+    # rounded as (3x)x, d stays positive at every double the band accepts;
+    # 1 - 3(x x) is not positive at one of them
+    d = 1.0 - 3.0 * x * x
+    if d <= 0.0:
+        return math.inf, {}
+    t1, t2 = (1.0 if 1 in terminals else 0.0), (1.0 if 2 in terminals else 0.0)
+    tails = {1: (t1 * x * x + t2 * x) / d, 2: (t1 * x * (1.0 - x * x) + t2 * 2.0 * x * x) / d}
+    return 1.0 + tails[1] + tails[2], tails
+
+
 def _prime_entry(i: Symbol, j: Symbol) -> int:
     if i == 1 or i == j + 1:
         return 1
@@ -237,7 +310,8 @@ KINDS: dict[str, MatrixKind] = {
         catalog=lambda prime_bound: (_column(1, {1}),),
         cover=(1,),
         growth=(2.0, 2.0),
-        counts=lambda family_id, n: 1 if n == 0 else 2 ** (n - 1)),
+        counts=lambda family_id, n: 1 if n == 0 else 2 ** (n - 1),
+        stem_sums=_renewal_stem_sums),
     "pair_renewal": MatrixKind(
         entry=lambda i, j: 1 if (i == 1 or i == j + 1 or (i == 2 and j % 2 == 0)) else 0,
         predecessors=lambda j: (1, 2, j + 1) if j % 2 == 0 else (1, j + 1),
@@ -247,7 +321,8 @@ KINDS: dict[str, MatrixKind] = {
         catalog=lambda prime_bound: (_column(1, {1, 2}), _column(2, {1})),
         cover=(1,),
         growth=(1.0 + math.sqrt(2.0), 1.0 + math.sqrt(2.0)),
-        counts=_pair_counts),
+        counts=_pair_counts,
+        stem_sums=_pair_stem_sums),
     "prime_renewal": MatrixKind(
         entry=_prime_entry,
         predecessors=_prime_predecessors,
@@ -258,6 +333,7 @@ KINDS: dict[str, MatrixKind] = {
         cover=(1,),
         growth=(2.0, 3.0),
         counts=lambda family_id, n: 1 if n == 0 else IntegerInterval(2 ** (n - 1), 3 ** n),
+        stem_sums=None,
         truncated=True),
     # rows 1 and 2 take the even and the odd columns
     "alternating_renewal": MatrixKind(
@@ -269,13 +345,14 @@ KINDS: dict[str, MatrixKind] = {
         catalog=lambda prime_bound: (_column(1, {1}), _column(2, {2})),
         cover=(1, 2),
         growth=(math.sqrt(3.0), math.sqrt(3.0)),
-        counts=_alternating_counts),
+        counts=_alternating_counts,
+        stem_sums=_alternating_stem_sums),
 }
 
 
 def _stored_kind(rows: tuple[tuple[int, ...], ...]) -> MatrixKind:
-    """The kind of a stored finite matrix: no boundary, cover, growth, counts or
-    descent rule."""
+    """The kind of a stored finite matrix: no boundary, cover, growth, counts,
+    stem sums or descent rule."""
     n = len(rows)
     for r in rows:
         if len(r) != n:
@@ -309,7 +386,7 @@ def _stored_kind(rows: tuple[tuple[int, ...], ...]) -> MatrixKind:
 
     return MatrixKind(entry=entry, predecessors=predecessors, row=row, descent_stop=None,
                       irregular_meet=None, catalog=lambda prime_bound: (), cover=(),
-                      growth=None, counts=None)
+                      growth=None, counts=None, stem_sums=None)
 
 
 class TransitionMatrix:

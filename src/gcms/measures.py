@@ -25,11 +25,12 @@ through the continuation sums
            of their letter-weight products.
 
 The stems behind 1/c(e) are the same sums, so ``normalizer`` computes both
-at once: a closed form on the renewal matrix, one linear solve on the pair
-renewal matrix, and otherwise one generation walk whose single geometric
-tail bound certifies 1/c(e) and every T(j).  One row rule gives the sums
-they leave out: T(j) = 1/c(e) - 1 on a row that holds every letter, and
-T(j) = u(j-1) ([j-1 terminal] + T(j-1)) on a forced descent j -> j-1.
+at once: the kind's closed form (``MatrixKind.stem_sums``) on renewal, pair
+renewal and alternating renewal, and on prime renewal one generation walk
+whose single geometric tail bound certifies 1/c(e) and every T(j).  One
+row rule gives the sums they leave out: T(j) = 1/c(e) - 1 on a row that
+holds every letter, and T(j) = u(j-1) ([j-1 terminal] + T(j-1)) on a
+forced descent j -> j-1.
 
 Measures carried by the sequence space follow from the same relation and
 the masses of their end letters.  A letter n with a single successor n'
@@ -45,8 +46,6 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
-
-import numpy as np
 
 from . import symbolsets as ss
 from .configs import BoundedConfig
@@ -81,30 +80,10 @@ TAIL_TOL = 1e-13   # certified bound on the truncated tail of every stem series
 # the normalizer
 # --------------------------------------------------------------------------
 
-def _pair_tails(u: float, terminals: frozenset[Symbol]) -> dict[Symbol, float]:
-    """Continuation sums T(1), T(2), T(3) for the pair renewal matrix.
-
-    T(j >= 4) = u^(j-3) T(3).  The sums close because the only branching
-    rows are 1 (everything) and 2 (one plus the evens); the geometric
-    pieces over the forced descents are summed analytically.  The caller
-    has checked convergence, (1 + sqrt 2) u < 1.
-    """
-    h = float(len(terminals))
-    e2 = 1.0 if 2 in terminals else 0.0
-    M = np.array([
-        [1.0 - u, -u, -u / (1.0 - u)],
-        [-u, 1.0 - u, -u * u / (1.0 - u * u)],
-        [0.0, -u, 1.0],
-    ])
-    rhs = np.array([u * h, u * (1.0 + e2), u * e2])
-    t1, t2, t3 = np.linalg.solve(M, rhs)
-    return {1: float(t1), 2: float(t2), 3: float(t3)}
-
-
 @dataclass
 class NormalizerResult:
     """1/c_e, the bound on its truncated tail, and the continuation sums
-    T(j) that the same solve or walk gave (none on renewal)."""
+    T(j) that the same closed form or walk gave (none on renewal)."""
 
     value: float
     tail_bound: float
@@ -142,15 +121,17 @@ def normalizer(A: TransitionMatrix, family: AccumulationColumn, weight: Constant
     with the continuation sums T(j) over the same stems.
 
     ``growth_band`` certifies divergence; the prime-renewal band between
-    the bounds raises ``Inconclusive``.  Renewal has a closed
-    form; pair renewal solves for T(1), T(2), T(3), and 1/c_e = 1 + T(1).
-    Other kinds walk the generation layers once, to depth + 1: at most
-    upper^n stems have length n and the continuations of j are stems, so
-    rho^(depth+1) / (1 - rho), rho = upper * exp(beta * c), bounds the tail
-    of 1/c_e and of every T(j).  The 400-layer cap leaves a rho near 1 with
-    a tail above ``TAIL_TOL``, which the measure refuses.  Where
-    exp(beta * c) underflows to 0, every non-empty stem weighs 0: the walk
-    takes the least depth, and every T(j) is 0.
+    the bounds raises ``Inconclusive``.  Where the kind states its stem
+    sums in closed form (``MatrixKind.stem_sums``), they are exact, with no
+    tail; a closed form that rounding leaves infinite inside the band
+    raises ``Inconclusive``.  A kind without one, prime renewal, walks the
+    generation layers once, to depth + 1: at most upper^n stems have length
+    n and the continuations of j are stems, so rho^(depth+1) / (1 - rho),
+    rho = upper * exp(beta * c), bounds the tail of 1/c_e and of every
+    T(j).  The 400-layer cap leaves a rho near 1 with a tail above
+    ``TAIL_TOL``, which the measure refuses.  Where exp(beta * c)
+    underflows to 0, every non-empty stem weighs 0: the walk takes the
+    least depth, and every T(j) is 0.
     """
     x = math.exp(beta * weight.c)    # a weight past the largest double overflows here
     band = growth_band(A, weight, beta)
@@ -161,12 +142,11 @@ def normalizer(A: TransitionMatrix, family: AccumulationColumn, weight: Constant
         raise Inconclusive(
             "between the divergence bound (growth "
             f"{lower:g}) and the convergence bound (growth {upper:g})")
-    if A.kind == "renewal":
-        r = 2.0 * x
-        return NormalizerResult(1.0 + 0.5 * r / (1.0 - r), 0.0, "finite")
-    if A.kind == "pair_renewal":
-        tails = _pair_tails(x, family.allowed_terminal_symbols)
-        return NormalizerResult(1.0 + tails[1], 0.0, "finite", tails)
+    if A.spec.stem_sums is not None:
+        value, tails = A.spec.stem_sums(x, family.allowed_terminal_symbols)
+        if value == math.inf:
+            raise Inconclusive("the stem sums' closed form diverges at the rounded letter weight")
+        return NormalizerResult(value, 0.0, "finite", tails)
     rho = A.spec.growth[1] * x
     depth = 8 if x == 0.0 else min(400, max(8, int(math.log(TAIL_TOL * (1 - rho))
                                                    / math.log(rho)) + 2))
@@ -288,9 +268,9 @@ class YFamilyMeasure(Measure):
     The stem w has mass ``peel(w)``, c_e times its letter weights, and
     ``base_value(k)`` is the stem weight below the letter k.  Cylinder and
     family masses read the continuation sums T(j), the base values summed
-    over the row of j, which ``normalizer`` hands over
-    with 1/c_e from the one solve or walk that certifies both; one row rule
-    (``_tail``) fills the letters it does not name.  A given ``c_e`` is the
+    over the row of j, which ``normalizer`` hands over with 1/c_e from the
+    one closed form or walk that certifies both; one row rule (``_tail``)
+    fills the letters it does not name.  A given ``c_e`` is the
     renewal closed form, on which that rule gives every T(j).  Letter
     factors are kept per instance (``Measure._factor``), next to the sums
     T(j); as lam = 1 each is exp(beta * weight(s)).

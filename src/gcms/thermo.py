@@ -448,7 +448,7 @@ def _scaled_upper_gamma(s: float, a: float, m: int) -> float:
             h *= d * c
             if abs(d * c - 1.0) <= 1e-16:
                 return m ** s * math.exp(-z) * h
-        raise RuntimeError("incomplete gamma continued fraction did not converge")  # pragma: no cover
+        raise RuntimeError("incomplete gamma continued fraction did not converge")
     if s <= -0.5:
         steps = int(-0.5 - s) + 1
         g = _scaled_upper_gamma(s + steps, a, m)

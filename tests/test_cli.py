@@ -503,6 +503,16 @@ def test_stored_matrix_with_a_forced_cycle(rows, expr, cylinder, tmp_path, capsy
      "float overflow"),
     # the pressure's slope needs four partition functions
     (["pressure", "--kind", "renewal", "--n-max", "2"], "--n-max must be >= 4, not 2"),
+    # a grid whose step cannot move its value, or that would hold too many
+    # points, is refused before any point is built
+    (["phase", "--kind", "renewal", "--beta-grid", "1:2:1e-17"],
+     "grid step 1e-17 does not move the value 1.0"),
+    (["pressure", "--kind", "renewal", "--beta-grid", "1:2:1e-7"],
+     "grid has more than 100000 points"),
+    (["phase", "--kind", "renewal", "--beta-grid", ","], "empty beta grid"),
+    # only renewal and pair renewal have a constant-potential convergence table
+    (["converge", "--kind", "alternating_renewal"],
+     "no convergence construction for kind alternating_renewal"),
 ])
 def test_errors_exit_2_with_one_line(args, message, tmp_path, capsys):
     files = {"MATRIX": '{"kind": "explicit"}',

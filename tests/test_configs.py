@@ -237,8 +237,9 @@ def test_preimages_examples(renewal, pair):
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_preimages_match_validated_oracle(kind):
-    # the oracle prepends the old walk's heads to the stem and builds each
-    # configuration through the validating constructor
+    # the oracle prepends the walk's heads to the stem and builds each
+    # configuration through the validating constructor: the same stems, and
+    # the same configurations in the walk's colexicographic order
     A = by_kind(kind)
     for col in A.accumulation_catalog:
         seeds = col.allowed_terminal_symbols
@@ -251,9 +252,11 @@ def test_preimages_match_validated_oracle(kind):
             assert preimages(c, 0) == [c]
             first = A.predecessors(stem[0]) if stem else seeds
             for n in range(9):
-                want = [BoundedConfig(A, h + stem, col)
-                        for h in sorted(backward_words(A, n, first))]
-                assert preimages(c, n) == want, (col.id, stem, n)
+                want = sorted(h + stem for h in backward_words(A, n, first))
+                got = preimages(c, n)
+                assert sorted(p.stem for p in got) == want, (col.id, stem, n)
+                assert got == [BoundedConfig(A, w, col) for w in sorted(
+                    want, key=lambda w: w[::-1])], (col.id, stem, n)
 
 
 def test_shift_inverts_preimages(renewal, pair):

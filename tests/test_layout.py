@@ -20,7 +20,8 @@ and its default counts as relied on where such a call does none of these.
 
 What differs between matrix kinds lives in ``matrices.KINDS``; a switch on
 a kind's name, a comparison of ``<expr>.kind``, stays at the sites named in
-``KIND_SWITCHES``.
+``KIND_SWITCHES``.  numpy is imported only by the modules in
+``NUMPY_MODULES``, a set that may shrink and may not grow.
 """
 
 import ast
@@ -209,8 +210,8 @@ def test_every_default_is_relied_on():
 
 # function -> number of comparisons of ``<expr>.kind`` in it
 KIND_SWITCHES = {"thermo.gurevich_pressure": 2, "thermo.jn_tn": 1,
-                 "measures.normalizer": 2, "measures.YFamilyMeasure.__init__": 1,
-                 "measures._matrix": 1, "verification.pressure_suite": 1}
+                 "measures.YFamilyMeasure.__init__": 1, "measures._matrix": 1,
+                 "verification.pressure_suite": 1}
 
 
 def _kind_switches(tree: ast.AST, scope: str):
@@ -232,3 +233,21 @@ def test_kind_switches_stay_at_the_known_sites():
         for site in _kind_switches(ast.parse(path.read_text()), path.stem):
             found[site] = found.get(site, 0) + 1
     assert found == KIND_SWITCHES, "a switch on a kind name belongs in matrices.KINDS"
+
+
+# the modules of src/gcms that import numpy
+NUMPY_MODULES = {"matrices", "thermo", "verification"}
+
+
+def _imports_numpy(tree: ast.AST) -> bool:
+    return any(isinstance(node, ast.Import) and any(
+                   a.name.partition(".")[0] == "numpy" for a in node.names)
+               or isinstance(node, ast.ImportFrom) and node.level == 0
+               and (node.module or "").partition(".")[0] == "numpy"
+               for node in ast.walk(tree))
+
+
+def test_numpy_stays_in_the_modules_that_import_it():
+    found = {path.stem for path in SRC.glob("*.py")
+             if _imports_numpy(ast.parse(path.read_text()))}
+    assert found == NUMPY_MODULES

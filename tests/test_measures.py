@@ -1,8 +1,11 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from gcms import matrices as mx
 from gcms import measures as ms
 from gcms import symbolsets as ss
 from gcms.configs import BoundedConfig, bounded, empty_stem_config
@@ -122,6 +125,56 @@ def test_constructed_measures_by_kind_and_beta(kind, beta, keys):
     assert set(ms.constructed_measures(by_kind(kind), beta)) == keys
 
 
+def _doubles_above(beta, k):
+    """The k-th double above beta."""
+    for _ in range(k):
+        beta = math.nextafter(beta, math.inf)
+    return beta
+
+
+@st.composite
+def kinds_and_betas(draw):
+    """A kind with closed-form stem sums and a beta: anywhere in [0.05, 4],
+    a few doubles above the kind's critical beta, or just above it."""
+    kind = draw(st.sampled_from(["renewal", "pair_renewal", "alternating_renewal"]))
+    edge = by_kind(kind).spec.critical_beta
+    beta = draw(st.one_of(st.floats(0.05, 4.0),
+                          st.integers(1, 64).map(lambda k: _doubles_above(edge, k)),
+                          st.floats(1e-12, 1e-2).map(lambda d: edge + d)))
+    return kind, beta
+
+
+# alternating renewal's critical beta; the y-measures exist above it
+LOG_SQRT3 = math.log(math.sqrt(3.0))
+
+
+@given(kinds_and_betas())
+# the window a walk of 400 layers left uncertified, and the six doubles
+# above log sqrt(3)
+@example(("alternating_renewal", 0.551))
+@example(("alternating_renewal", 0.56))
+@example(("alternating_renewal", 0.6))
+@example(("alternating_renewal", _doubles_above(LOG_SQRT3, 1)))
+@example(("alternating_renewal", _doubles_above(LOG_SQRT3, 2)))
+@example(("alternating_renewal", _doubles_above(LOG_SQRT3, 3)))
+@example(("alternating_renewal", _doubles_above(LOG_SQRT3, 4)))
+@example(("alternating_renewal", _doubles_above(LOG_SQRT3, 5)))
+@example(("alternating_renewal", _doubles_above(LOG_SQRT3, 6)))
+@settings(max_examples=60, deadline=None)
+def test_every_y_measure_the_phase_table_prints_is_built_and_conformal(case):
+    kind, beta = case
+    A = by_kind(kind)
+    catalog = A.accumulation_catalog
+    keys = {"y_family"} if len(catalog) == 1 else {f"y_family_{c.id}" for c in catalog}
+    boundary, _ = ms.phase_labels(A, beta, 1e-9)
+    if boundary in ("absent", "inconclusive"):
+        assert not keys & set(ms.constructed_measures(A, beta))
+        return
+    # the suite checks every measure constructed_measures builds
+    residuals = conformality_suite(A, beta)
+    assert keys <= set(residuals) and max(residuals.values()) <= 1e-10, residuals
+
+
 def test_normalizer_matches_enumeration(pair, prime, alternating):
     # independent check against exact generation counts, up to the
     # certified geometric tail of the truncated enumeration
@@ -217,8 +270,9 @@ def test_y_measure_against_generation_walk(kind):
                 mu.c_e * total, rel=1e-12), (col.id, first)
 
 
-def test_one_stem_walk_per_y_measure(prime, pair, monkeypatch):
-    # the normalizer's walk (or solve) is the only source of the continuation sums
+def test_one_stem_walk_per_y_measure(prime, pair, alternating, monkeypatch):
+    # the normalizer's walk (or closed form) is the only source of the
+    # continuation sums, and only prime renewal walks
     calls = {"walk": 0, "solve": 0}
 
     def counted(name, f):
@@ -228,15 +282,99 @@ def test_one_stem_walk_per_y_measure(prime, pair, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(ms, "generation_layers", counted("walk", ms.generation_layers))
-    monkeypatch.setattr(ms, "_pair_tails", counted("solve", ms._pair_tails))
+    monkeypatch.setattr(mx, "_pair_tails", counted("solve", mx._pair_tails))
     ms.verify_conformality(ms.y_measure(prime, 2, Constant(1.0), 1.3),
                            cylinder_words_up_to(prime, 3, 6))
     ms.verify_conformality(ms.y_measure(pair, 1, Constant(1.0), 1.2),
                            cylinder_words_up_to(pair, 3, 6))
+    ms.verify_conformality(ms.y_measure(alternating, 1, Constant(1.0), 0.6),
+                           cylinder_words_up_to(alternating, 3, 6))
     assert calls == {"walk": 1, "solve": 1}
     # a c_e given without the sums is the renewal closed form only
     with pytest.raises(ms.MeasureError, match="renewal recursion"):
         ms.YFamilyMeasure(prime, prime.column_by_id(1), Constant(-1.0), 1.3, "", c_e=0.5)
+
+
+@pytest.mark.parametrize("kind", ["renewal", "pair_renewal", "alternating_renewal"])
+def test_stem_sums_match_the_generation_walk(kind, monkeypatch):
+    # each closed form, and the row rule past the sums it names, agrees with
+    # the walk the normalizer takes on the same kind without its stem sums,
+    # within the walk's tail bound, on every family, wherever the walk
+    # certifies its tail
+    A = by_kind(kind)
+    monkeypatch.setitem(mx.KINDS, kind, dataclasses.replace(A.spec, stem_sums=None))
+    walking = mx.TransitionMatrix(kind)
+    checked = 0
+    for offset in (0.09, 0.1, 0.15, 0.3, 0.6, 1.2):
+        beta = A.spec.critical_beta + offset
+        for col in A.accumulation_catalog:
+            walked = ms.normalizer(walking, col, Constant(-1.0), beta)
+            if walked.tail_bound > ms.TAIL_TOL:
+                continue
+            checked += 1
+            exact = ms.normalizer(A, col, Constant(-1.0), beta)
+            slack = walked.tail_bound + 8 * math.ulp(walked.value)
+            assert exact.tail_bound == 0.0, (col.id, beta)
+            assert abs(exact.value - walked.value) <= slack, (col.id, beta)
+            mu, walked_mu = (ms.y_measure(M, col.id, Constant(1.0), beta) for M in (A, walking))
+            for j in range(1, 12):
+                assert abs(mu._tail(j) - walked_mu._tail(j)) <= slack, (col.id, beta, j)
+    assert checked >= 5 * len(A.accumulation_catalog)
+
+
+def _pinned_normalizer(kind, x, terminals):
+    """The renewal closed form and the pair-renewal 3x3 solve, written out.
+    Pinned outputs read their last bits, so the normalizer gives exactly
+    these values until a change regenerates those outputs."""
+    if kind == "renewal":
+        r = 2.0 * x
+        return 1.0 + 0.5 * r / (1.0 - r), {}
+    h, e2 = float(len(terminals)), 1.0 if 2 in terminals else 0.0
+    M = np.array([[1.0 - x, -x, -x / (1.0 - x)],
+                  [-x, 1.0 - x, -x * x / (1.0 - x * x)],
+                  [0.0, -x, 1.0]])
+    t1, t2, t3 = np.linalg.solve(M, np.array([x * h, x * (1.0 + e2), x * e2]))
+    return 1.0 + float(t1), {1: float(t1), 2: float(t2), 3: float(t3)}
+
+
+@pytest.mark.parametrize("kind", ["renewal", "pair_renewal"])
+def test_closed_form_normalizers_are_bit_identical(kind):
+    A = by_kind(kind)
+    bc = A.spec.critical_beta
+    grid = [bc + 1e-12, bc + 1e-6, bc + 1e-3] + [bc + 0.01 * k for k in range(1, 301)]
+    for beta in grid:
+        x = math.exp(-beta)
+        for col in A.accumulation_catalog:
+            res = ms.normalizer(A, col, Constant(-1.0), beta)
+            value, tails = _pinned_normalizer(kind, x, col.allowed_terminal_symbols)
+            assert (res.value, res.tails, res.tail_bound) == (value, tails, 0.0), (col.id, beta)
+
+
+def test_alternating_stem_sums_stay_finite_inside_the_band(alternating):
+    # at each of the 4,000 doubles x below 1/sqrt(3) the band accepts, the
+    # rounded d = 1 - 3x^2 stays positive, so the closed form is finite
+    x, s3, seen = 1.0 / math.sqrt(3.0), math.sqrt(3.0), 0
+    for _ in range(4000):
+        x = math.nextafter(x, 0.0)
+        if s3 * x < 1.0:
+            seen += 1
+            for col in alternating.accumulation_catalog:
+                value, tails = alternating.spec.stem_sums(x, col.allowed_terminal_symbols)
+                assert math.isfinite(value) and all(t > 0 for t in tails.values())
+    assert seen >= 3990
+
+
+def test_a_closed_form_past_its_radius_is_inconclusive(alternating, monkeypatch):
+    # at beta = log sqrt(3), rounded down, the band says absent and the
+    # rounded d is below 0; a band that said exists there is refused, not
+    # read as a measure
+    beta = math.log(math.sqrt(3.0))
+    col = alternating.column_by_id(1)
+    assert ms.normalizer(alternating, col, Constant(-1.0), beta).divergent
+    assert alternating.spec.stem_sums(math.exp(-beta), col.allowed_terminal_symbols)[0] == math.inf
+    monkeypatch.setattr(ms, "growth_band", lambda A, weight, beta: "exists")
+    with pytest.raises(ms.Inconclusive, match="closed form"):
+        ms.normalizer(alternating, col, Constant(-1.0), beta)
 
 
 # -- continuation sums ---------------------------------------------------------------------
@@ -276,9 +414,9 @@ def test_sarig_mass_past_the_double_range_of_lam_powers(n):
     assert got == pytest.approx(math.ldexp(1.0, -n), rel=1e-12)
 
 
-# the largest beta whose walk of 400 layers certifies the tail, on each side
-CAP_BOUNDARY = {"prime_renewal": (1.1796271583639042, 1.179627158363904),
-                "alternating_renewal": (0.6303210140298492, 0.6303210140298491)}
+# the largest beta whose walk of 400 layers certifies the tail, on each side;
+# only prime renewal walks
+CAP_BOUNDARY = {"prime_renewal": (1.1796271583639042, 1.179627158363904)}
 
 
 @pytest.mark.parametrize("kind", sorted(CAP_BOUNDARY))

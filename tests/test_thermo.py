@@ -524,3 +524,10 @@ def test_jn_tn_reports_a_nan_residual(renewal):
 def test_jn_tn_requires_renewal(pair):
     with pytest.raises(ValueError):
         jn_tn(pair, bounded(pair, (1,), 2), 2, LOG_POTENTIAL)
+
+
+def test_incomplete_gamma_refuses_an_unconverged_continued_fraction():
+    # a nan order never meets the fraction's convergence test: after its
+    # 1,000 steps it raises rather than return an unconverged value
+    with pytest.raises(RuntimeError, match="did not converge"):
+        thermo._scaled_upper_gamma(math.nan, 1.0, 41)
