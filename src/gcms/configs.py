@@ -55,7 +55,7 @@ def _eval(c: Configuration, g: GroupWord) -> int:
     """Value at ``alpha beta^{-1}`` of either kind of point (each binds this as
     ``eval``): 1 iff ``alpha`` is a prefix and ``beta`` is empty, or admissible
     with a last letter that may precede the letter after ``alpha``; past a
-    bounded stem there is none, and the root's support names those letters."""
+    bounded stem there is none, and the root's letter set names those letters."""
     alpha, beta = g.pos, g.neg
     if not c.has_prefix(alpha):
         return 0
@@ -65,7 +65,7 @@ def _eval(c: Configuration, g: GroupWord) -> int:
         return 0
     nxt = c.symbol_at(len(alpha))
     if nxt is None:
-        return 1 if beta[-1] in c.root.support else 0
+        return 1 if beta[-1] in c.root.allowed_terminal_symbols else 0
     return 1 if c.matrix.entry(beta[-1], nxt) == 1 else 0
 
 
@@ -95,7 +95,7 @@ class BoundedConfig:
 
     def __hash__(self) -> int:
         # equal configurations have equal stems and roots; the matrix and the
-        # root's supports need not be hashed.  Kept from the first call, not
+        # root's letter set need not be hashed.  Kept from the first call, not
         # taken when built: most of the points preimages builds are never hashed
         try:
             return self._hash

@@ -12,8 +12,9 @@ to the disjoint form
 
 where a family is a prefix together with a symbol set for the following
 letter.  ``decompose`` produces the normal form of one element,
-``meet`` closes the normal forms under finite intersection, and
-``intersect_many`` folds it over a chain of elements.
+``shift_image`` that of the shift image of a cylinder, ``meet`` closes
+the normal forms under finite intersection, and ``intersect_many`` folds
+it over a chain of elements.
 Building a normal form has two halves: ``normalize`` canonicalizes raw
 parts (it forced-extends each atom and cuts each family to the row of its
 prefix's last letter), and ``_assemble`` turns canonical parts into a
@@ -180,7 +181,7 @@ def normalize(A: TransitionMatrix, points: Sequence[BoundedConfig] = (),
     Each atom is replaced by its forced extension and each family's symbols
     are cut to the row of its prefix's last letter; ``_assemble`` does the
     rest.  The raw atoms and family prefixes must be admissible words (a
-    ``Subbasis`` or the shift image has checked them): they are not checked
+    ``Subbasis`` or ``shift_image`` has checked them): they are not checked
     again, so every part of the result is admissible, which is what lets
     the measures read the parts unchecked.
     """
@@ -246,9 +247,8 @@ def _roots(A: TransitionMatrix, stem: Word) -> list[AccumulationColumn]:
             if not stem or stem[-1] in col.allowed_terminal_symbols]
 
 
-# the boundary points of decompose and of measures.shift_image_of_cylinder, one
-# object per (matrix, stem, root): a memo or row-cache lookup of a point met
-# again stops at the identity check
+# the boundary points of decompose, one object per (matrix, stem, root): a
+# memo or row-cache lookup of a point met again stops at the identity check
 _point = lru_cache(maxsize=None)(BoundedConfig)
 
 
@@ -275,9 +275,27 @@ def decompose(e: Subbasis) -> SetExpr:
         fams = [CylFamily(alpha[:m], ss.all_except({alpha[m]})) for m in range(len(alpha))]
     if inv is not None:
         points += [_point(A, alpha, col) for col in _roots(A, alpha)
-                   if (inv in col.support) != e.complemented]
+                   if (inv in col.allowed_terminal_symbols) != e.complemented]
         fams.append(CylFamily(alpha, ss.row_zero(A, inv) if e.complemented else A.row(inv)))
     return normalize(A, points=points, families=fams)
+
+
+@lru_cache(maxsize=None)
+def shift_image(A: TransitionMatrix, alpha: Word) -> SetExpr:
+    """Normal form of the forward shift image of the cylinder on alpha.
+
+    The shift takes C_(a w) onto C_w and C_a onto the inverse cylinder
+    C_(a^-1).  An inadmissible word has an empty cylinder and image: the
+    word is checked here, once per (matrix, word), so the measures read the
+    parts of every image unchecked.  Memoized like ``_point``: the image is
+    frozen and depends on nothing else.  The unmemoized function is
+    ``shift_image.__wrapped__``.
+    """
+    if not alpha:
+        raise ValueError("the shift is not defined on the whole space")
+    if len(alpha) == 1:
+        return decompose(Subbasis(A, (), alpha[0]))
+    return normalize(A, atoms=[alpha[1:]] if is_admissible(A, alpha) else [])
 
 
 # --------------------------------------------------------------------------

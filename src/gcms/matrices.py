@@ -61,17 +61,19 @@ def _prime_power_base(j: int) -> int | None:
 class AccumulationColumn:
     """One accumulation point of the column sequence of a matrix.
 
-    ``support`` holds the positions carrying a 1; ``allowed_terminal_symbols``
-    are the symbols a finite stem may end in for a boundary configuration
-    rooted at this column (the empty stem is always allowed).
+    ``allowed_terminal_symbols`` is the root's one letter set.  It holds the
+    positions carrying a 1, and the symbols a finite stem may end in for a
+    boundary configuration rooted at this column (the empty stem is always
+    allowed).  These are the same letters: s lies in the root R exactly when
+    the columns that converge to R contain s, so R accumulates along row(s),
+    and a stem may end in s exactly when s is in R.
     """
 
     id: int
-    support: frozenset[Symbol]
     allowed_terminal_symbols: frozenset[Symbol]
 
     def __post_init__(self) -> None:
-        if not self.support:
+        if not self.allowed_terminal_symbols:
             raise ValueError("accumulation column must have non-empty support")
 
 
@@ -160,7 +162,7 @@ def _largest_prime_up_to(s: Symbol) -> Symbol:
 
 
 def _column(col_id: int, support: set[Symbol]) -> AccumulationColumn:
-    return AccumulationColumn(col_id, frozenset(support), frozenset(support))
+    return AccumulationColumn(col_id, frozenset(support))
 
 
 def _pair_family1_count(n: int) -> int:

@@ -44,15 +44,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from . import symbolsets as ss
 from .configs import BoundedConfig
-from .cylinders import CylFamily, SetExpr, _point, _roots, normalize
+from .cylinders import CylFamily, SetExpr, shift_image
 from .matrices import AccumulationColumn, Symbol, TransitionMatrix
-from .thermo import (LOG_POTENTIAL, Constant, Potential, _bisect, _worst, beta_c_log,
-                     normalization_series, pressure_log_potential, zeta)
+from .thermo import (LOG_POTENTIAL, Constant, Potential, beta_c_log, bisect,
+                     normalization_series, pressure_log_potential, worst, zeta)
 from .words import Word, generation_layers, is_admissible
 
 
@@ -180,7 +179,8 @@ class Measure:
 
     Admissibility is checked once, where a word enters: ``cyl_mass`` checks
     the word a caller names, and ``verify_conformality`` reads it from the
-    word's memoized shift image, which checked it once per (matrix, word).
+    word's memoized shift image (``cylinders.shift_image``), which checked
+    it once per (matrix, word).
     The parts of a normal form need no check, so
     ``measure_setexpr`` reads them unchecked (``_family_mass`` for a
     family): a ``Subbasis`` checks its word, ``normalize`` and
@@ -262,44 +262,36 @@ class Measure:
 # atomic measures on a boundary family
 # --------------------------------------------------------------------------
 
+@dataclass(eq=False)
 class YFamilyMeasure(Measure):
     """Probability carried by the stems of one boundary family (lam = 1).
 
     The stem w has mass ``peel(w)``, c_e times its letter weights, and
     ``base_value(k)`` is the stem weight below the letter k.  Cylinder and
     family masses read the continuation sums T(j), the base values summed
-    over the row of j, which ``normalizer`` hands over with 1/c_e from the
-    one closed form or walk that certifies both; one row rule (``_tail``)
-    fills the letters it does not name.  A given ``c_e`` is the
-    renewal closed form, on which that rule gives every T(j).  Letter
-    factors are kept per instance (``Measure._factor``), next to the sums
-    T(j); as lam = 1 each is exp(beta * weight(s)).
+    over the row of j (``tails``); one row rule (``_tail``) fills the
+    letters they do not name.  A construction supplies only data:
+    ``y_measure`` takes c_e and the sums from the one closed form or walk
+    of ``normalizer`` that certifies both, and ``log_eigenmeasure`` gives
+    the renewal closed form of c_e and no sums, since on renewal the row
+    rule fills every T(j).  Letter factors are kept per instance (``Measure._factor``), next
+    to the sums T(j); as lam = 1 each is exp(beta * weight(s)).
     """
 
-    kind = "y_family"
+    matrix: TransitionMatrix
+    family: AccumulationColumn
+    weight: Potential
+    beta: float
+    convention: str
+    c_e: float
+    tails: dict[Symbol, float]
+    _factors: dict[Symbol, float] = field(default_factory=dict, init=False, repr=False)
 
-    def __init__(self, A: TransitionMatrix, family: AccumulationColumn, weight: Potential,
-                 beta: float, convention: str, c_e: float | None = None):
-        self.matrix = A
-        self.family = family
-        self.weight = weight
-        self.beta = beta
-        self.lam = 1.0
-        self.convention = convention
-        self._tails: dict[Symbol, float] = {}
-        self._factors: dict[Symbol, float] = {}
-        if c_e is None:
-            res = normalizer(A, family, weight, beta)
-            if res.divergent:
-                raise AbsenceOfMeasure(
-                    f"normalizing series diverges on family {family.id} at beta={beta}")
-            if res.tail_bound > TAIL_TOL:
-                raise Inconclusive("normalizer tail exceeds the certified tolerance")
-            c_e, self._tails = 1.0 / res.value, res.tails
-        elif A.kind != "renewal":
-            raise MeasureError("a given c_e needs the renewal recursion of the continuation sums")
-        self.c_e = c_e
-        self.normalizer_value = 1.0 / c_e
+    kind = "y_family"
+    lam = 1.0
+
+    def __post_init__(self) -> None:
+        self.normalizer_value = 1.0 / self.c_e
 
     # -- stem weights ---------------------------------------------------------
 
@@ -326,7 +318,7 @@ class YFamilyMeasure(Measure):
         its other continuations are longer than the walk's depth, so the
         walk's tail bound covers them.
         """
-        tails = self._tails
+        tails = self.tails
         if j not in tails:
             k = next(k for k in range(j, 0, -1)
                      if k in tails or self.matrix.row(k) == ss.ALL)
@@ -444,8 +436,16 @@ def y_measure(A: TransitionMatrix, family_id: int, F: Potential, beta: float) ->
         raise Inconclusive(f"no y-measure for potential {F!r} on kind {A.kind}: "
                            "only constant potentials are certified")
     family = A.column_by_id(family_id)
-    return YFamilyMeasure(A, family, negate(F), beta,
-                          f"exp(beta*F)-conformal on family {family_id}")
+    weight = negate(F)
+    res = normalizer(A, family, weight, beta)
+    if res.divergent:
+        raise AbsenceOfMeasure(
+            f"normalizing series diverges on family {family.id} at beta={beta}")
+    if res.tail_bound > TAIL_TOL:
+        raise Inconclusive("normalizer tail exceeds the certified tolerance")
+    return YFamilyMeasure(A, family, weight, beta,
+                          f"exp(beta*F)-conformal on family {family_id}",
+                          1.0 / res.value, res.tails)
 
 
 def _matrix(A: TransitionMatrix, kind: str) -> TransitionMatrix:
@@ -492,7 +492,7 @@ def pair_renewal_critical_measure(A: TransitionMatrix) -> SequenceMeasure:
 def pair_renewal_normalization_root() -> float:
     """Root y = exp(-beta) of the probability normalization y^2 + 2y - 1 = 0,
     found by bisection; equals sqrt(2) - 1."""
-    return _bisect(lambda y: y * y + 2.0 * y - 1.0 < 0.0, 0.0, 1.0, 0.5e-12)
+    return bisect(lambda y: y * y + 2.0 * y - 1.0 < 0.0, 0.0, 1.0, 0.5e-12)
 
 
 def log_ratio_support(A: TransitionMatrix, beta: float) -> str:
@@ -517,7 +517,7 @@ def log_eigenmeasure(beta: float, A: TransitionMatrix) -> Measure:
     if log_ratio_support(A, beta) == "boundary family":
         return YFamilyMeasure(A, A.column_by_id(1), LOG_POTENTIAL, beta,
                               "eigenmeasure of the transfer operator, eigenvalue 1",
-                              c_e=2.0 - zeta(beta))
+                              2.0 - zeta(beta), {})
     bc = beta_c_log()
     lam = math.exp(pressure_log_potential(beta)) if beta < bc else 1.0
     total = normalization_series(beta, lam) if beta < bc else zeta(beta) - 1.0
@@ -612,33 +612,6 @@ def measure_setexpr(m: Measure, s: SetExpr) -> float:
 # conformality verification
 # --------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def shift_image_of_cylinder(A: TransitionMatrix, alpha: Word) -> SetExpr:
-    """The forward shift image of C_alpha as a normalized set expression.
-
-    For longer words the image is the cylinder on the word minus its first
-    letter; for a single letter it is the union of the admissible follower
-    cylinders plus the empty-stem configurations whose family admits the
-    letter as a terminal, the roots and points of ``decompose``
-    (``cylinders._roots`` and ``cylinders._point``).  The cylinder on an
-    inadmissible word is empty, and so is its image: the word is checked
-    here, once per (matrix, word), so the parts of every image are
-    admissible and ``measure_setexpr`` reads them unchecked.
-
-    Memoized per (matrix, word), like ``matrices.by_kind``: the image
-    depends on nothing else (``TransitionMatrix`` hashes and compares by
-    value), and the ``SetExpr`` it returns, with its points, families and
-    symbol sets, is frozen, so one shared copy is safe.  The unmemoized
-    function is ``shift_image_of_cylinder.__wrapped__``.
-    """
-    if not alpha:
-        raise ValueError("the shift is not defined on the whole space")
-    if len(alpha) >= 2:
-        return normalize(A, atoms=[alpha[1:]] if is_admissible(A, alpha) else [])
-    points = [_point(A, (), col) for col in _roots(A, alpha)]
-    return normalize(A, points=points, families=[CylFamily((), A.row(alpha[0]))])
-
-
 @dataclass
 class ConformalityReport:
     max_residual: float
@@ -654,8 +627,8 @@ def verify_conformality(m: Measure, test_cylinders: Iterable[Word]) -> Conformal
     length >= 2 are near-tautologies, since its masses are built by the
     same peel; the length-one rows, which weigh end-letter masses against
     sieve sums and point masses, are the independent check.  The images
-    do not depend on the measure, so ``shift_image_of_cylinder`` builds
-    each one once and every later check of the same word reuses it.
+    do not depend on the measure, so ``cylinders.shift_image`` builds each
+    one once and every later check of the same word reuses it.
 
     Admissibility is checked once per (matrix, word), where the image is
     built, and never per measure: a single letter is admissible, and a
@@ -671,14 +644,14 @@ def verify_conformality(m: Measure, test_cylinders: Iterable[Word]) -> Conformal
     for alpha in test_cylinders:
         if not alpha:
             raise ValueError("conformality needs non-empty cylinder words")
-        image = shift_image_of_cylinder(A, alpha)
+        image = shift_image(A, alpha)
         lhs = measure_setexpr(m, image)
         mass = m._cyl_mass(alpha) if len(alpha) == 1 or not image.is_empty else 0.0
         rhs = m.lam * math.exp(-m.beta * m.weight.value(alpha[0])) * mass
         residuals.append(abs(lhs - rhs))
     if not residuals:
         raise ValueError("conformality needs at least one cylinder word")
-    return ConformalityReport(_worst(residuals))
+    return ConformalityReport(worst(residuals))
 
 
 # --------------------------------------------------------------------------

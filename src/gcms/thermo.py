@@ -222,13 +222,13 @@ def pointwise_z(A: TransitionMatrix, F: Potential, beta: float, x: Configuration
     return _partition_sum(A, F, beta, seeds, n)
 
 
-def _worst(residuals: Iterable[float]) -> float:
+def worst(residuals: Iterable[float]) -> float:
     """The largest of non-negative residuals (0.0 over none), or nan if one is:
     ``max`` keeps a nan only where it comes first, so it would read as a pass."""
-    worst = 0.0
+    top = 0.0
     for r in residuals:
-        worst = r if math.isnan(r) else max(worst, r)
-    return worst
+        top = r if math.isnan(r) else max(top, r)
+    return top
 
 
 def superadditivity_check(A: TransitionMatrix, F: Potential, beta: float, base: Symbol,
@@ -344,7 +344,7 @@ def zeta(beta: float) -> float:
     return power_sum_tail(beta, 1, 1e-13)
 
 
-def _bisect(below: Callable[[float], bool], lo: float, hi: float, tol: float) -> float:
+def bisect(below: Callable[[float], bool], lo: float, hi: float, tol: float) -> float:
     """The root in [lo, hi] of a function whose sign ``below`` tells (true
     left of the root): the midpoint once the bracket is ``tol`` wide, or
     after 200 halvings."""
@@ -424,14 +424,18 @@ def _gamma_minus_pole(s: float, log_z: float) -> float:
 
 
 def _scaled_upper_gamma(s: float, a: float, m: int) -> float:
-    """a^-s Gamma(s, a m), the upper incomplete gamma function, for a > 0.
+    """a^-s Gamma(s, a m), the upper incomplete gamma function, for a > 0, s <= 2.
 
     For z = a m >= 1.5 a Lentz continued fraction; below it Gamma(s) minus
     the lower series for s >= 1/2, the same with its pole term taken out
     near s = 0 (``_gamma_minus_pole``), and the recurrence
     s Gamma(s, z) = Gamma(s+1, z) - z^s e^-z from there down.  The scale
-    a^-s z^s = m^s keeps small ``a`` from overflowing.
+    a^-s z^s = m^s keeps small ``a`` from overflowing.  Orders well above z
+    pass the fraction's convergence test with a wrong value, so orders
+    above 2 are refused; ``_phi`` passes 1 - beta, and beta >= -1.
     """
+    if s > 2.0:
+        raise ValueError(f"the incomplete gamma needs an order s <= 2, not {s}")
     z = a * m
     if z >= 1.5:
         tiny = 1e-300
@@ -506,8 +510,9 @@ def normalization_series(beta: float, lam: float) -> float:
     """Phi(lam) = sum over n >= 1 of lam^-n (n+1)^-beta, for lam > 1.
 
     Constant cost at every lam: 39 terms summed directly and an
-    Euler-Maclaurin tail in closed form (see ``_phi``).  For beta >= 0 the
-    tail's remainder has a certified bound, which stays below 1e-20.
+    Euler-Maclaurin tail in closed form (see ``_phi``), for beta >= -1.
+    For beta >= 0 the tail's remainder has a certified bound, which stays
+    below 1e-20.
     """
     if not (math.isfinite(beta) and math.isfinite(lam)):
         raise ValueError(f"the normalization series needs finite beta and lam, "
@@ -521,7 +526,7 @@ def normalization_series(beta: float, lam: float) -> float:
 def beta_c_log() -> float:
     """The critical inverse temperature of the log-ratio potential, where
     zeta equals 2 (about 1.72865), bisected once and kept."""
-    return _bisect(lambda b: zeta(b) > 2.0, 1.1, 3.0, 1e-13)
+    return bisect(lambda b: zeta(b) > 2.0, 1.1, 3.0, 1e-13)
 
 
 def pressure_log_potential(beta: float) -> float:
@@ -617,4 +622,4 @@ def jn_tn(A: TransitionMatrix, x: BoundedConfig, n: int, potential: GDiff) -> Jn
     lhs = [math.fsum(potential.value(s) for s in t_alpha[:n]) for t_alpha in t_image]
     rhs = [math.fsum(potential.value(s) for s in alpha)
            + g(x0 + 1) - g(x0 + alpha[0] + 1) + g(alpha[0] + 1) - g(1) for alpha in w_n_1]
-    return JnTnReport(ok, _worst(abs(l - r) for l, r in zip(lhs, rhs)))
+    return JnTnReport(ok, worst(abs(l - r) for l, r in zip(lhs, rhs)))

@@ -371,7 +371,7 @@ def cylinder_words_up_to(A: TransitionMatrix, max_len: int, sym_bound: Symbol) -
 @lru_cache(maxsize=None)
 def _cylinder_words(A: TransitionMatrix, max_len: int, sym_bound: Symbol) -> tuple[Word, ...]:
     """The words of ``cylinder_words_up_to``, memoized like
-    ``measures.shift_image_of_cylinder``: they depend on nothing else
+    ``cylinders.shift_image``: they depend on nothing else
     (``TransitionMatrix`` hashes and compares by value), and a tuple of
     tuples is frozen.  The unmemoized function is
     ``_cylinder_words.__wrapped__``.  One walk per length, from every letter."""
@@ -417,8 +417,8 @@ def first_return_rows(A: TransitionMatrix, beta: float) -> list[tuple[int, float
 def pressure_suite(A: TransitionMatrix, beta: float) -> dict[str, float]:
     if A.kind != "renewal":
         raise ValueError("the pressure identities are specific to the renewal matrix")
-    worst_id = th._worst(abs(l - r) for _, l, r in pressure_identity_rows(A, beta))
-    worst_star = th._worst(abs(l - r) / r for _, l, r in first_return_rows(A, 2.0))
+    worst_id = th.worst(abs(l - r) for _, l, r in pressure_identity_rows(A, beta))
+    worst_star = th.worst(abs(l - r) / r for _, l, r in first_return_rows(A, 2.0))
     th.superadditivity_check(A, th.Constant(1.0), beta, 1, 16)
     numerator = th.z_n_transfer(A, th.LOG_POTENTIAL, 1.0, 1, 8, 10)
     direct = th.z_n(A, th.LOG_POTENTIAL, 1.0, 1, 8).value

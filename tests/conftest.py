@@ -1,7 +1,6 @@
 import pytest
 
-from gcms import matrices
-from gcms import measures as ms
+from gcms import cylinders, matrices
 from gcms import verification as vf
 
 
@@ -11,7 +10,7 @@ def fresh_shift_images():
     memos are module-level state, and a test that patches the cylinder
     algebra or the word enumeration must not read what an earlier test
     built."""
-    ms.shift_image_of_cylinder.cache_clear()
+    cylinders.shift_image.cache_clear()
     vf._cylinder_words.cache_clear()
 
 

@@ -493,8 +493,7 @@ def _assert_parts_admissible(A, expr):
 
 
 def _check_emitted_parts(A, classes, pairs, word_len):
-    from gcms.cylinders import meet, normalize
-    from gcms.measures import shift_image_of_cylinder
+    from gcms.cylinders import meet, normalize, shift_image
     for expr in classes:
         _assert_parts_admissible(A, expr)
         # normalize again: the canonical parts stay canonical
@@ -502,7 +501,7 @@ def _check_emitted_parts(A, classes, pairs, word_len):
     for i, j in pairs:
         _assert_parts_admissible(A, meet(classes[i], classes[j]))
     for w in cylinder_words_up_to(A, word_len + 1, 6):
-        _assert_parts_admissible(A, shift_image_of_cylinder.__wrapped__(A, w))
+        _assert_parts_admissible(A, shift_image.__wrapped__(A, w))
 
 
 @pytest.mark.parametrize("kind, word_len", [("renewal", 3), ("pair_renewal", 3),
@@ -519,6 +518,50 @@ def test_emitted_parts_are_admissible_on_stored_matrices(oracle_classes, rows):
     from gcms.matrices import explicit
     A = explicit(rows)
     _check_emitted_parts(A, *oracle_classes(A, 2, 3, 3), 2)
+
+
+# -- the shift image of a cylinder ---------------------------------------------
+
+def _shift_image_by_roots(A, alpha):
+    # the image built from its parts, as the measures built it before the
+    # cylinder algebra owned it: for a letter, the empty-stem points whose
+    # root holds the letter and the family of its row; for a longer word,
+    # the cylinder on its tail, and nothing where the word is inadmissible
+    from gcms.configs import BoundedConfig
+    from gcms.cylinders import normalize
+    if len(alpha) >= 2:
+        return normalize(A, atoms=[alpha[1:]] if is_admissible(A, alpha) else [])
+    points = [BoundedConfig(A, (), col) for col in A.accumulation_catalog
+              if alpha[0] in col.allowed_terminal_symbols]
+    return normalize(A, points=points, families=[CylFamily((), A.row(alpha[0]))])
+
+
+def _assert_shift_images_by_roots(A, words):
+    from gcms.cylinders import shift_image
+    for w in words:
+        assert shift_image.__wrapped__(A, w) == _shift_image_by_roots(A, w), (A, w)
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "renewal"}, {"kind": "pair_renewal"}, {"kind": "alternating_renewal"},
+    {"kind": "prime_renewal", "prime_bound": 7}, {"kind": "prime_renewal", "prime_bound": 31}],
+    ids=["renewal", "pair", "alternating", "prime-7", "prime-31"])
+def test_shift_image_is_the_inverse_cylinder_or_the_tail(spec):
+    from itertools import product
+    from gcms.matrices import from_dict
+    A = from_dict(spec)
+    inadmissible = [w for w in product(range(1, 8), repeat=3) if not is_admissible(A, w)][:3]
+    assert len(inadmissible) == 3
+    words = [(k,) for k in range(1, 61)] + cylinder_words_up_to(A, 4, 7) + inadmissible
+    _assert_shift_images_by_roots(A, words)
+
+
+@given(stored_matrices())
+@settings(max_examples=20, deadline=None)
+def test_shift_image_is_the_inverse_cylinder_or_the_tail_on_stored_matrices(rows):
+    from gcms.matrices import explicit
+    A = explicit(rows)
+    _assert_shift_images_by_roots(A, cylinder_words_up_to(A, 4, A.size))
 
 
 # -- part rows per group of configurations that read alike -------------------

@@ -18,6 +18,10 @@ call of its function's name (its method's attribute name; its class's name
 for ``__init__``) passes it by keyword, by position or through ``*``/``**``,
 and its default counts as relied on where such a call does none of these.
 
+A module of ``src/gcms`` reads no underscore name of another gcms module,
+neither through ``from .m import _x`` nor as ``alias._x``: a name that two
+modules share is public.
+
 What differs between matrix kinds lives in ``matrices.KINDS``; a switch on
 a kind's name, a comparison of ``<expr>.kind``, stays at the sites named in
 ``KIND_SWITCHES``.  numpy is imported only by the modules in
@@ -121,6 +125,15 @@ def test_every_public_name_has_a_caller():
     assert not unused, f"public names only the unit tests use: {unused}"
 
 
+def test_no_module_reads_another_modules_private_names():
+    reads = sorted(f"{path.stem}:{line} reads {module}.{name}"
+                   for path, tree in _trees(sorted(SRC.glob("*.py"))).items()
+                   for (module, name), line in _module_references(path, tree)
+                   if module != path.stem and name.startswith("_")
+                   and not name.startswith("__"))
+    assert not reads, f"private names read across modules: {reads}"
+
+
 def _is_dataclass(node: ast.ClassDef) -> bool:
     return any(isinstance(d, ast.Name) and d.id == "dataclass"
                or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
@@ -209,8 +222,7 @@ def test_every_default_is_relied_on():
 
 
 # function -> number of comparisons of ``<expr>.kind`` in it
-KIND_SWITCHES = {"thermo.gurevich_pressure": 2, "thermo.jn_tn": 1,
-                 "measures.YFamilyMeasure.__init__": 1, "measures._matrix": 1,
+KIND_SWITCHES = {"thermo.gurevich_pressure": 2, "thermo.jn_tn": 1, "measures._matrix": 1,
                  "verification.pressure_suite": 1}
 
 

@@ -80,14 +80,16 @@ def test_predecessors_match_entries(renewal, pair, prime, alternating):
 
 
 def test_accumulation_catalogs(renewal, pair, prime, alternating):
-    assert [set(c.support) for c in renewal.accumulation_catalog] == [{1}]
-    assert [set(c.support) for c in pair.accumulation_catalog] == [{1, 2}, {1}]
-    prime_supports = [set(c.support) for c in prime.accumulation_catalog]
-    assert prime_supports == [{1}, {1, 2}, {1, 3}, {1, 5}, {1, 7}]
-    assert [set(c.support) for c in alternating.accumulation_catalog] == [{1}, {2}]
+    def letter_sets(A):
+        return [set(c.allowed_terminal_symbols) for c in A.accumulation_catalog]
+
+    assert letter_sets(renewal) == [{1}]
+    assert letter_sets(pair) == [{1, 2}, {1}]
+    assert letter_sets(prime) == [{1}, {1, 2}, {1, 3}, {1, 5}, {1, 7}]
+    assert letter_sets(alternating) == [{1}, {2}]
     # catalogs are pairwise distinct columns
     for A in (renewal, pair, prime, alternating):
-        supports = [c.support for c in A.accumulation_catalog]
+        supports = [c.allowed_terminal_symbols for c in A.accumulation_catalog]
         assert len(supports) == len(set(supports))
 
 

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from gcms import cylinders
 from gcms import matrices as mx
 from gcms import measures as ms
 from gcms import symbolsets as ss
 from gcms.configs import BoundedConfig, bounded, empty_stem_config
-from gcms.cylinders import CylFamily, SetExpr, Subbasis, decompose, intersect_many
+from gcms.cylinders import CylFamily, SetExpr, Subbasis, decompose, intersect_many, shift_image
 from gcms.matrices import by_kind, explicit
 from gcms.thermo import LOG_POTENTIAL, Constant, LogRatio, beta_c_log, zeta
 from gcms.verification import conformality_suite, cylinder_words_up_to
@@ -290,9 +291,6 @@ def test_one_stem_walk_per_y_measure(prime, pair, alternating, monkeypatch):
     ms.verify_conformality(ms.y_measure(alternating, 1, Constant(1.0), 0.6),
                            cylinder_words_up_to(alternating, 3, 6))
     assert calls == {"walk": 1, "solve": 1}
-    # a c_e given without the sums is the renewal closed form only
-    with pytest.raises(ms.MeasureError, match="renewal recursion"):
-        ms.YFamilyMeasure(prime, prime.column_by_id(1), Constant(-1.0), 1.3, "", c_e=0.5)
 
 
 @pytest.mark.parametrize("kind", ["renewal", "pair_renewal", "alternating_renewal"])
@@ -453,7 +451,7 @@ def test_measure_rules_hold_for_every_measure(renewal, pair):
         # (2, 3) is inadmissible on both matrices: A(2, 3) = 0, and the
         # empty cylinder on (1, 2, 3) has an empty shift image
         assert m.cyl_mass((2, 3)) == 0.0
-        assert ms.measure_setexpr(m, ms.shift_image_of_cylinder(m.matrix, (1, 2, 3))) == 0.0
+        assert ms.measure_setexpr(m, shift_image(m.matrix, (1, 2, 3))) == 0.0
         assert m.cyl_mass(()) == m.total_mass()
         for prefix in ((), (1,), (1, 1)):
             finite = ss.FiniteSet(frozenset({1, 2, 3, 5}))
@@ -630,15 +628,15 @@ def test_conformality_suite_checks_the_log_eigenmeasure_at_the_beta_given(renewa
 def test_one_shift_image_per_distinct_word(pair, monkeypatch):
     # the images depend on the word only, so three measures share them
     calls = 0
-    normalize = ms.normalize
+    normalize = cylinders.normalize
 
     def counted(*args, **kwargs):
         nonlocal calls
         calls += 1
         return normalize(*args, **kwargs)
 
-    ms.shift_image_of_cylinder.cache_clear()
-    monkeypatch.setattr(ms, "normalize", counted)
+    shift_image.cache_clear()
+    monkeypatch.setattr(cylinders, "normalize", counted)
     assert set(conformality_suite(pair, 1.2)) == {"pair_critical", "y_family_1", "y_family_2"}
     assert calls == len(cylinder_words_up_to(pair, 6, 7)) == 867
 
@@ -653,9 +651,9 @@ def test_shift_image_memo_matches_a_fresh_build():
         words = cylinder_words_up_to(A, max_len, sym_bound)
         assert words
         for w in words:
-            image = ms.shift_image_of_cylinder(A, w)
-            assert ms.shift_image_of_cylinder(A, w) is image
-            assert image == ms.shift_image_of_cylinder.__wrapped__(A, w), (A, w)
+            image = shift_image(A, w)
+            assert shift_image(A, w) is image
+            assert image == shift_image.__wrapped__(A, w), (A, w)
 
 
 def checked_row_residual(m, words):
@@ -664,7 +662,7 @@ def checked_row_residual(m, words):
     admissibility from the shift image: the oracle for that reading."""
     worst = 0.0
     for alpha in words:
-        lhs = ms.measure_setexpr(m, ms.shift_image_of_cylinder(m.matrix, alpha))
+        lhs = ms.measure_setexpr(m, shift_image(m.matrix, alpha))
         rhs = m.lam * math.exp(-m.beta * m.weight.value(alpha[0])) * m.cyl_mass(alpha)
         worst = max(worst, abs(lhs - rhs))
     return worst
@@ -730,7 +728,7 @@ def test_a_repeated_conformality_suite_checks_and_walks_no_word_again(pair, monk
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(ms, "is_admissible", counted("admissible", ms.is_admissible))
+    monkeypatch.setattr(cylinders, "is_admissible", counted("admissible", cylinders.is_admissible))
     monkeypatch.setattr(vf, "enumerate_words", counted("walks", vf.enumerate_words))
     first = conformality_suite(pair, 1.2)
     assert 0 < counts["admissible"] <= len(cylinder_words_up_to(pair, 6, 7)) == 867
@@ -754,8 +752,7 @@ def unkept(m):
     ``math.exp``, on every use, as the measures did before they kept them:
     the oracle for the factors kept per instance."""
     if isinstance(m, ms.YFamilyMeasure):
-        c_e = m.c_e if m.matrix.kind == "renewal" else None   # the others need the walk's sums
-        fresh = ms.YFamilyMeasure(m.matrix, m.family, m.weight, m.beta, m.convention, c_e)
+        fresh = dataclasses.replace(m, tails=dict(m.tails))
         fresh._factor = lambda s: math.exp(m.beta * m.weight.value(s))
         return fresh
 

@@ -434,8 +434,9 @@ def test_normalization_series_against_polylog(beta):
 
 
 @pytest.mark.parametrize("beta, lam", [(math.nan, 1.5), (math.inf, 1.5), (1.2, math.nan),
-                                       (1.2, math.inf), (1.2, 1.0)])
+                                       (1.2, math.inf), (1.2, 1.0), (-10.0, 1.05)])
 def test_normalization_series_rejects_bad_arguments(beta, lam):
+    # beta < -1 asks the tail for an incomplete gamma of order above 2
     with pytest.raises(ValueError):
         normalization_series(beta, lam)
 
@@ -524,6 +525,25 @@ def test_jn_tn_reports_a_nan_residual(renewal):
 def test_jn_tn_requires_renewal(pair):
     with pytest.raises(ValueError):
         jn_tn(pair, bounded(pair, (1,), 2), 2, LOG_POTENTIAL)
+
+
+@pytest.mark.parametrize("s", [-50.0, -1.0, 0.0, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("a", [1e-6, 1e-3, 0.05, 0.3, math.log(2.0)])
+def test_incomplete_gamma_against_mpmath(s, a):
+    # every branch: the continued fraction, the lower series with and
+    # without its pole term, and the recurrence down from it
+    m = 41
+    with mpmath.workdps(50):
+        want = float(mpmath.mpf(a) ** -s * mpmath.gammainc(s, mpmath.mpf(a) * m))
+    assert thermo._scaled_upper_gamma(s, a, m) == pytest.approx(want, rel=1e-14, abs=0)
+
+
+def test_incomplete_gamma_refuses_orders_above_two():
+    # orders well above z pass the continued fraction's convergence test
+    # with a wrong value: at z = 1.5 and s = 20 it gave 4.7e9, not 3.7e13
+    for s in (2.0 + 1e-9, 20.0, math.inf):
+        with pytest.raises(ValueError, match="order s <= 2"):
+            thermo._scaled_upper_gamma(s, 1.5, 1)
 
 
 def test_incomplete_gamma_refuses_an_unconverged_continued_fraction():

@@ -8,6 +8,7 @@ from gcms import matrices
 from gcms import measures as ms
 from gcms import symbolsets as ss
 from gcms.configs import bounded, empty_stem_config, preimages
+from gcms.cylinders import shift_image
 from gcms.matrices import KINDS, by_kind, explicit, full_shift
 from gcms.verification import cylinder_words_up_to
 from gcms.words import (backward_words, enumerate_words, forced_extension, format_word,
@@ -274,7 +275,7 @@ def test_long_forced_runs_make_no_letter_queries(monkeypatch):
     # letter comes from the kind's rule, not from one row query per letter
     A = matrices.from_dict({"kind": "renewal"})
     nu = ms.sarig_measure_renewal(A)
-    image = ms.shift_image_of_cylinder(A, (3000,))
+    image = shift_image(A, (3000,))
     assert image.atoms == (tuple(range(2999, 0, -1)),)
     calls = []
     for name in ("entry", "row", "predecessors"):
