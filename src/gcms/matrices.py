@@ -98,13 +98,12 @@ class MatrixKind:
       ``Sieve(i)`` when the row is irregular, neither finite nor cofinite,
       and the cylinder algebra keeps it symbolic.
     * ``descent_stop(s)``: where the forced descent from s stops, on the
-      rule kinds.  Their only finite rows are {i - 1}, so a letter whose
-      row does not branch is followed by the letter below it, and the
-      descent s, s - 1, ... stops at the largest letter <= s whose row
-      branches: row 1, or an irregular row.  That is 1 on renewal, 2 (for
-      s >= 2) on pair renewal and alternating renewal, and the largest
-      prime <= s, or 1, on prime renewal.  None on a stored matrix, whose
-      forced runs are walked letter by letter and may close a cycle.
+      rule kinds, derived from their rows.  Their only finite rows are
+      {i - 1}, so a letter whose row does not branch is followed by the
+      letter below it, and the descent s, s - 1, ... stops at the largest
+      letter <= s whose row branches: row 1, or an irregular row.  None on
+      a stored matrix, whose forced runs are walked letter by letter and
+      may close a cycle.
     * ``irregular_meet(i, j)``: the finite support intersection of two
       distinct irregular rows; None when the kind has fewer than two.
     * ``catalog(prime_bound)``: the column accumulation points, the roots
@@ -114,7 +113,15 @@ class MatrixKind:
     * ``cover``: rows whose supports tile the alphabet.
     * ``growth = (lower, upper)``: generation sizes are at most
       const * upper**n, and infinitely often at least const * lower**n;
-      None when no rate is certified.
+      None when no rate is certified.  ``growth[0] == growth[1]`` certifies
+      the rate, and its log is the Gurevich entropy, the growth rate of
+      the cycles through a letter.  On renewal and pair renewal row 1
+      holds every letter, so Z_n at base 1 counts the words of length n
+      that end in 1: generation n of the {1}-family.  On alternating
+      renewal row 1 holds the even letters, so Z_n counts the words ending
+      in 1 that start with an even letter: the whole even generation,
+      3^(k-1) at n = 2k, and 0 at odd n.  The rule kinds are irreducible,
+      so the base letter does not matter.
     * ``counts(family_id, n)``: closed-form (or interval) size of
       generation n >= 0 of a family's preimage tree; None when unknown.
     * ``stem_sums(x, terminals)``: the stem sums of the boundary family
@@ -141,24 +148,29 @@ class MatrixKind:
 
     @property
     def critical_beta(self) -> float:
-        """log(upper growth): above it the constant-potential series converge."""
+        """log(upper growth): above it the constant-potential series converge.
+        With a certified rate it is the Gurevich entropy."""
         return math.log(self.growth[1])
 
 
-def _rule_rows(irregular: Callable[[Symbol], bool]) -> Callable[[Symbol], SymbolSet]:
-    """The rule kinds' row i: symbolic if irregular, every letter if i = 1, else
-    {i - 1}.  Memoized: symbol sets are frozen, and walks ask letter by letter."""
+def _rule_kind(irregular: Callable[[Symbol], bool], **facts) -> MatrixKind:
+    """A rule kind, whose rows follow from which rows are irregular: row i is
+    symbolic if irregular, every letter if i = 1, else {i - 1}.  Its descent
+    stop is the largest letter <= s whose row branches, 1 or an irregular
+    row.  Both memoized: symbol sets are frozen, and walks ask letter by
+    letter."""
     @lru_cache(maxsize=None)
     def row(i: Symbol) -> SymbolSet:
         if irregular(i):
             return Sieve(i, frozenset(), frozenset())
         return ALL if i == 1 else FiniteSet(frozenset({i - 1}))
-    return row
 
-
-def _largest_prime_up_to(s: Symbol) -> Symbol:
-    """The largest prime <= s, or 1 when there is none."""
-    return next(k for k in range(s, 0, -1) if k == 1 or _is_prime(k))
+    @lru_cache(maxsize=None)
+    def descent_stop(s: Symbol) -> Symbol:
+        while s > 1 and not irregular(s):
+            s -= 1
+        return s
+    return MatrixKind(row=row, descent_stop=descent_stop, **facts)
 
 
 def _column(col_id: int, support: set[Symbol]) -> AccumulationColumn:
@@ -303,33 +315,30 @@ def _prime_catalog(prime_bound: int) -> tuple[AccumulationColumn, ...]:
 
 #: the rule-defined families, keyed by kind name
 KINDS: dict[str, MatrixKind] = {
-    "renewal": MatrixKind(
+    "renewal": _rule_kind(
+        irregular=lambda i: False,
         entry=lambda i, j: 1 if (i == 1 or i == j + 1) else 0,
         predecessors=lambda j: (1, j + 1),
-        row=_rule_rows(lambda i: False),
-        descent_stop=lambda s: 1,
         irregular_meet=None,
         catalog=lambda prime_bound: (_column(1, {1}),),
         cover=(1,),
         growth=(2.0, 2.0),
         counts=lambda family_id, n: 1 if n == 0 else 2 ** (n - 1),
         stem_sums=_renewal_stem_sums),
-    "pair_renewal": MatrixKind(
+    "pair_renewal": _rule_kind(
+        irregular=lambda i: i == 2,
         entry=lambda i, j: 1 if (i == 1 or i == j + 1 or (i == 2 and j % 2 == 0)) else 0,
         predecessors=lambda j: (1, 2, j + 1) if j % 2 == 0 else (1, j + 1),
-        row=_rule_rows(lambda i: i == 2),
-        descent_stop=lambda s: min(s, 2),
         irregular_meet=None,
         catalog=lambda prime_bound: (_column(1, {1, 2}), _column(2, {1})),
         cover=(1,),
         growth=(1.0 + math.sqrt(2.0), 1.0 + math.sqrt(2.0)),
         counts=_pair_counts,
         stem_sums=_pair_stem_sums),
-    "prime_renewal": MatrixKind(
+    "prime_renewal": _rule_kind(
+        irregular=_is_prime,
         entry=_prime_entry,
         predecessors=_prime_predecessors,
-        row=_rule_rows(_is_prime),
-        descent_stop=_largest_prime_up_to,
         irregular_meet=_prime_meet,
         catalog=_prime_catalog,
         cover=(1,),
@@ -338,11 +347,10 @@ KINDS: dict[str, MatrixKind] = {
         stem_sums=None,
         truncated=True),
     # rows 1 and 2 take the even and the odd columns
-    "alternating_renewal": MatrixKind(
+    "alternating_renewal": _rule_kind(
+        irregular=lambda i: i in (1, 2),
         entry=lambda i, j: 1 if (i == j + 1 or i == 1 + j % 2) else 0,
         predecessors=lambda j: (2,) if j == 1 else (1 + j % 2, j + 1),
-        row=_rule_rows(lambda i: i in (1, 2)),
-        descent_stop=lambda s: min(s, 2),
         irregular_meet=lambda i, j: frozenset(),
         catalog=lambda prime_bound: (_column(1, {1}), _column(2, {2})),
         cover=(1, 2),

@@ -260,12 +260,15 @@ def gurevich_pressure(A: TransitionMatrix, F: Potential, beta: float, base: Symb
                       n_max: int) -> PressureEstimate:
     """Finite-n pressure data plus an extrapolation.
 
-    The certificate is "exact" when a closed form pins the limit: the
-    renewal matrix with a constant potential gives log 2 + beta*c, and with
-    the log-ratio potential the root of the normalization series.
-    Otherwise it is "limit", and the extrapolation is the slope of log Z_n
-    between the last two n with Z_n > 0, which are p apart on a matrix of
-    period p.
+    The certificate is "exact" when a closed form pins the limit.  A
+    constant potential c on a kind whose growth rate is certified
+    (``growth[0] == growth[1]``) gives the Gurevich entropy plus beta * c,
+    ``critical_beta + beta * c``, at every base, as the rule kinds are
+    irreducible (see ``MatrixKind``).  The renewal matrix with the
+    log-ratio potential at base 1 gives the root of the normalization
+    series.  Otherwise it is "limit", and the extrapolation is the slope of
+    log Z_n between the last two n with Z_n > 0, which are p apart on a
+    matrix of period p.
     """
     if n_max < 4:
         raise ValueError("n_max must be >= 4")
@@ -279,8 +282,9 @@ def gurevich_pressure(A: TransitionMatrix, F: Potential, beta: float, base: Symb
             continue
         logs.append(math.log(z.value))
         values.append((n, logs[-1] / n))
-    if A.kind == "renewal" and base == 1 and isinstance(F, Constant):
-        return PressureEstimate(values, math.log(2.0) + beta * F.c, "exact")
+    growth = A.spec.growth
+    if isinstance(F, Constant) and growth is not None and growth[0] == growth[1]:
+        return PressureEstimate(values, A.spec.critical_beta + beta * F.c, "exact")
     if A.kind == "renewal" and base == 1 and F == LOG_POTENTIAL:
         return PressureEstimate(values, pressure_log_potential(beta), "exact")
     finite = [(n, v) for n, v in enumerate(logs, 1) if math.isfinite(v)]
@@ -326,13 +330,12 @@ def power_sum_tail(beta: float, start: int, tol: float = 1e-14) -> float:
     if beta <= 1.0 + 1e-9:
         raise DomainError("power sums require beta > 1")
     N = max(start, 16)
-    while True:
-        tail, bound = _em_tail(beta, N)
-        if not math.isfinite(bound):
-            raise DomainError(f"the power-sum tail bound is not finite at beta = {beta:g}")
-        if bound <= tol:
-            break
-        N *= 2
+    tail, bound = _em_tail(beta, N)
+    if not math.isfinite(bound):
+        raise DomainError(f"the power-sum tail bound is not finite at beta = {beta:g}")
+    if bound > tol:
+        raise DomainError(f"the power-sum tail bound {bound:.3g} is above {tol:g} "
+                          f"at beta = {beta:g}")
     head = math.fsum(n ** (-beta) for n in range(start, N))
     return head + tail
 

@@ -151,10 +151,7 @@ def periodic_points(A: TransitionMatrix, count: int) -> list[UnboundedConfig]:
     seen: set[tuple[Word, Word]] = set()
 
     def push(pre: Word, per: Word) -> None:
-        try:
-            cfg = UnboundedConfig(A, pre, per)
-        except ValueError:
-            return
+        cfg = UnboundedConfig(A, pre, per)
         key = (cfg.preperiod, cfg.period)
         if key not in seen:
             seen.add(key)
@@ -398,12 +395,16 @@ def conformality_suite(A: TransitionMatrix, beta: float) -> dict[str, float]:
 # --------------------------------------------------------------------------
 
 def pressure_identity_rows(A: TransitionMatrix, beta: float) -> list[tuple[int, float, float]]:
-    """(n, (1/n) log Z_n for the constant potential -1, closed form), n <= 20."""
+    """(n, (1/n) log Z_n for the constant potential -1, closed form), n <= 20.
+
+    Renewal counts 2^(n-1) cycles of length n through 1, so the closed form
+    is h - beta - h / n, with h = log 2 its entropy."""
+    h = A.spec.critical_beta
     rows = []
     for n in range(1, 21):
         z = th.z_n(A, th.Constant(-1.0), beta, 1, n)
         lhs = math.log(z.value) / n
-        rhs = math.log(2.0) - beta - math.log(2.0) / n
+        rhs = h - beta - h / n
         rows.append((n, lhs, rhs))
     return rows
 

@@ -255,6 +255,16 @@ def test_pressure_sweep(capsys):
     assert all(r.endswith("exact") for r in rows[1:])
 
 
+def test_pressure_is_exact_where_the_growth_is_certified(capsys):
+    # log(1 + sqrt 2) - 0.5 on every row: pair renewal's growth is certified
+    code, out = run_cli(["pressure", "--kind", "pair_renewal", "--potential", "const",
+                         "--beta-grid", "0.5", "--n-max", "12"], capsys)
+    assert code == 0
+    rows = out.strip().splitlines()[1:]
+    assert len(rows) == 12
+    assert all(r.endswith(",0.38137358702,exact") for r in rows)
+
+
 def test_pressure_log_potential_past_enumeration(capsys):
     # 1.6e7 cycles of length 20 on pair_renewal, counted by exact Birkhoff sum
     code, out = run_cli(["pressure", "--kind", "pair_renewal", "--potential", "log",

@@ -23,8 +23,10 @@ neither through ``from .m import _x`` nor as ``alias._x``: a name that two
 modules share is public.
 
 What differs between matrix kinds lives in ``matrices.KINDS``; a switch on
-a kind's name, a comparison of ``<expr>.kind``, stays at the sites named in
-``KIND_SWITCHES``.  numpy is imported only by the modules in
+a kind's name stays at the sites named in ``KIND_SWITCHES``: a comparison
+of ``<expr>.kind``, a table looked up by it (``<x>.get(<expr>.kind)`` or
+``<x>[<expr>.kind]``), or a matrix named by a literal,
+``by_kind("<name>")``.  numpy is imported only by the modules in
 ``NUMPY_MODULES``, a set that may shrink and may not grow.
 """
 
@@ -221,22 +223,43 @@ def test_every_default_is_relied_on():
     assert not unused, f"defaults no caller relies on: {unused}"
 
 
-# function -> number of comparisons of ``<expr>.kind`` in it
-KIND_SWITCHES = {"thermo.gurevich_pressure": 2, "thermo.jn_tn": 1, "measures._matrix": 1,
-                 "verification.pressure_suite": 1}
+# function -> number of switches on a kind in it
+KIND_SWITCHES = {"thermo.gurevich_pressure": 1, "thermo.jn_tn": 1, "measures._matrix": 1,
+                 "verification.pressure_suite": 1,
+                 # lookups: the measures a kind has, and the renewal log-ratio series
+                 "measures.phase_labels": 1, "measures.constructed_measures": 1,
+                 "cli._phase_row": 1, "cli._converge_models": 1,
+                 "thermo.discriminant_log": 1}
+
+
+def _is_kind(node: ast.AST) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "kind"
+
+
+def _is_kind_switch(node: ast.AST) -> bool:
+    """A comparison of ``<expr>.kind``, a lookup ``<x>.get(<expr>.kind)`` or
+    ``<x>[<expr>.kind]``, or a matrix named by a literal, ``by_kind("<name>")``."""
+    if isinstance(node, ast.Compare):
+        return any(map(_is_kind, (node.left, *node.comparators)))
+    if isinstance(node, ast.Subscript):
+        return _is_kind(node.slice)
+    if isinstance(node, ast.Call) and node.args:
+        f, arg = node.func, node.args[0]
+        name = (f.id if isinstance(f, ast.Name)
+                else f.attr if isinstance(f, ast.Attribute) else None)
+        return (name == "get" and _is_kind(arg)
+                or name == "by_kind" and isinstance(arg, ast.Constant)
+                and isinstance(arg.value, str))
+    return False
 
 
 def _kind_switches(tree: ast.AST, scope: str):
-    """The enclosing qualified name of every comparison of ``<expr>.kind``."""
+    """The enclosing qualified name of every switch on a kind."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield from _kind_switches(node, f"{scope}.{node.name}")
         else:
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Compare) and any(
-                        isinstance(x, ast.Attribute) and x.attr == "kind"
-                        for x in (sub.left, *sub.comparators)):
-                    yield scope
+            yield from (scope for sub in ast.walk(node) if _is_kind_switch(sub))
 
 
 def test_kind_switches_stay_at_the_known_sites():

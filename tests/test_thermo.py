@@ -277,30 +277,71 @@ def test_gurevich_above_critical_is_zero(renewal):
 
 
 def test_gurevich_limit_certificate(pair):
+    # pair renewal's growth is certified, so its constant-potential pressure
+    # is exact: log(1+sqrt2) - beta, not a slope between two partition functions
     est = gurevich_pressure(pair, Constant(-1.0), 0.5, 1, 10)
-    assert est.certificate == "limit"
-    # pair renewal pressure for the constant potential is log(1+sqrt2) - beta
-    assert est.extrapolated == pytest.approx(math.log(1 + math.sqrt(2)) - 0.5, abs=1e-2)
+    assert est.certificate == "exact"
+    assert est.extrapolated == pair.spec.critical_beta - 0.5
+    assert est.extrapolated == pytest.approx(math.log(1 + math.sqrt(2)) - 0.5, abs=1e-15)
 
 
-def test_gurevich_limit_divides_by_the_gap(alternating):
+def test_gurevich_limit_divides_by_the_gap():
     # period 2: Z_n = 0 at odd n, so the last two finite points are two steps
-    # apart, and the entropy is log sqrt3, not log 3
-    est = gurevich_pressure(alternating, Constant(-1.0), 0.0, 1, 10)
+    # apart, and the entropy is log 2, not log 4
+    A = matrices.explicit([[0, 0, 1, 1], [0, 0, 1, 1], [1, 1, 0, 0], [1, 1, 0, 0]])
+    est = gurevich_pressure(A, Constant(-1.0), 0.0, 1, 10)
     assert est.certificate == "limit"
-    assert est.extrapolated == pytest.approx(0.5 * math.log(3.0), rel=1e-12)
+    assert est.values[8] == (9, -math.inf)
+    assert est.extrapolated == pytest.approx(math.log(2.0), rel=1e-12)
 
 
-@pytest.mark.parametrize("kind, beta", [("pair_renewal", 0.5), ("pair_renewal", 0.0),
-                                        ("prime_renewal", 0.7)])
-def test_gurevich_limit_of_aperiodic_kinds(kind, beta):
+APERIODIC = {"prime_renewal": lambda: matrices.by_kind("prime_renewal"),
+             "stored": lambda: matrices.explicit([[1, 1, 0], [0, 1, 1], [1, 0, 1]])}
+
+
+@pytest.mark.parametrize("name, beta", [("prime_renewal", 0.7), ("stored", 0.5),
+                                        ("stored", 0.0)])
+def test_gurevich_limit_of_aperiodic_kinds(name, beta):
     # with consecutive finite points the slope is the plain difference of the
     # last two log Z_n
-    A = matrices.by_kind(kind)
+    A = APERIODIC[name]()
     F = Constant(-1.0)
     est = gurevich_pressure(A, F, beta, 1, 10)
+    assert est.certificate == "limit"
     last = [math.log(z_n(A, F, beta, 1, n).value) for n in (9, 10)]
     assert est.extrapolated == last[1] - last[0]
+
+
+def test_cycles_through_one_are_a_generation_of_the_one_family(renewal, pair, alternating):
+    # the proof behind the exact constant-potential pressure (see MatrixKind):
+    # row 1 holds every letter on renewal and pair renewal, and the even ones
+    # on alternating renewal, whose odd generations then drop out
+    first = {}
+    for A in (renewal, pair, alternating):
+        # the boundary family whose only terminal letter is 1
+        f = next(c.id for c in A.accumulation_catalog if c.allowed_terminal_symbols == {1})
+        zs = [z_n(A, Constant(0.0), 0.0, 1, n).value for n in range(1, 21)]
+        for n, z in enumerate(zs, 1):
+            want = A.spec.counts(f, n) if A != alternating or n % 2 == 0 else 0
+            assert z == want, (A, n)
+        first[A.kind] = zs[:6]
+    assert first == {"renewal": [1, 2, 4, 8, 16, 32], "pair_renewal": [1, 2, 5, 12, 29, 70],
+                     "alternating_renewal": [0, 1, 0, 3, 0, 9]}
+
+
+@pytest.mark.parametrize("kind", ["renewal", "pair_renewal", "alternating_renewal"])
+def test_constant_pressure_is_exact_on_certified_kinds(kind):
+    A = matrices.by_kind(kind)
+    assert A.spec.growth[0] == A.spec.growth[1]
+    for c in (-1.0, 1.0):
+        for beta in (0.0, 0.3, 0.5, 1.7):
+            for base in (1, 2):
+                est = gurevich_pressure(A, Constant(c), beta, base, 6)
+                assert est.certificate == "exact"
+                assert est.extrapolated == A.spec.critical_beta + beta * c
+                if kind == "renewal" and base == 1:
+                    # bit for bit log 2 + beta * c
+                    assert est.extrapolated == math.log(2.0) + beta * c
 
 
 # -- zeta ------------------------------------------------------------------------
@@ -326,6 +367,26 @@ def test_zeta_domain():
 def test_power_sum_tail():
     want = float(mpmath.zeta(1.5)) - sum(n ** -1.5 for n in range(1, 10))
     assert power_sum_tail(1.5, 10) == pytest.approx(want, abs=1e-12)
+
+
+def _doubling_tail(beta, start, tol):
+    """The power-sum tail as it was summed: N doubled until the remainder
+    bound is below ``tol``."""
+    N = max(start, 16)
+    while (em := thermo._em_tail(beta, N))[1] > tol:
+        N *= 2
+    return math.fsum(n ** (-beta) for n in range(start, N)) + em[0]
+
+
+def test_power_sum_tail_needs_no_doubling():
+    # the remainder bound at N = 16 is at most 1.23e-18 for every beta, below
+    # every tolerance a caller passes, so one evaluation there is the sum
+    for beta in (math.nextafter(1.0 + 1e-9, 2.0), 1.1, 1.32, 2.0, 40.0, 1e4):
+        for start in (1, 2, 16, 61):
+            for tol in (1e-13, 1e-14, 1e-17):
+                assert power_sum_tail(beta, start, tol) == _doubling_tail(beta, start, tol)
+    with pytest.raises(DomainError, match="above 1e-30"):
+        power_sum_tail(2.0, 1, 1e-30)
 
 
 def test_critical_beta():

@@ -10,7 +10,7 @@ from gcms import symbolsets as ss
 from gcms.configs import bounded, empty_stem_config, preimages
 from gcms.cylinders import shift_image
 from gcms.matrices import KINDS, by_kind, explicit, full_shift
-from gcms.verification import cylinder_words_up_to
+from gcms.verification import cylinder_words_up_to, periodic_points
 from gcms.words import (backward_words, enumerate_words, forced_extension, format_word,
                         generation_layers, is_admissible, iter_cycles, word)
 
@@ -55,6 +55,15 @@ def test_walk_rejects_a_listed_predecessor_that_is_no_transition(monkeypatch):
     # the junction into a non-empty stem is an edge of the walk too
     with pytest.raises(ValueError, match=r"^4 listed as a predecessor of 2, but A\(4, 2\) = 0$"):
         preimages(bounded(A, (2, 1), 1), 1)
+
+
+def test_periodic_points_reject_a_listed_predecessor_that_is_no_transition(monkeypatch):
+    # the same variant: its first preperiod 3 before the fixed point 1 is no
+    # transition, and the batch says so rather than leave the point out
+    A = matrices.from_dict({"kind": "renewal"})
+    monkeypatch.setattr(A, "_predecessors", lambda j: (1, j + 1, j + 2))
+    with pytest.raises(ValueError, match=r"^preperiod \+ period is not admissible$"):
+        periodic_points(A, 12)
 
 
 def _per_edge_walk(A, n, seeds):
