@@ -145,24 +145,12 @@ def cmd_count(args: argparse.Namespace) -> int:
     return 0 if all_match else 1
 
 
-def _phase_row(A: TransitionMatrix, potential: th.Potential, beta: float,
-               tol: float) -> tuple:
-    if isinstance(potential, th.Constant):
-        return (beta, *ms.phase_labels(A, beta, tol), A.spec.critical_beta)
-    known = ms.KIND_MEASURES.get(A.kind)
-    # log-ratio potential: the renewal eigenmeasure switches support
-    if known is None or not known.log_ratio:
-        raise ValueError("the log-ratio phase table is specific to --kind renewal")
-    return (beta, ms.log_ratio_support(A, beta), "1 eigenmeasure for every beta",
-            th.beta_c_log())
-
-
 def cmd_phase(args: argparse.Namespace) -> int:
     A = _load_matrix(args)
     potential = _potential(args.potential)
     grid = _grid(args.beta_grid)
     tol = _tol(args)
-    rows = [_phase_row(A, potential, b, tol) for b in grid]
+    rows = [(b, *ms.phase_row(A, potential, b, tol)) for b in grid]
     if isinstance(potential, th.Constant):
         header = ["beta", "boundary_measures", "sequence_measures", "critical_beta"]
     else:
@@ -202,22 +190,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _converge_models(A: TransitionMatrix, potential: th.Potential):
-    if isinstance(potential, th.Constant):
-        known = ms.KIND_MEASURES.get(A.kind)
-        if known is None:
-            raise ValueError(f"no convergence construction for kind {A.kind}")
-        _, build = known.critical
-        return A.spec.critical_beta, (lambda b: ms.y_measure(A, 1, potential, b)), build(A)
-    bc = th.beta_c_log()
-    return bc, (lambda b: ms.log_eigenmeasure(b, A)), ms.log_eigenmeasure(bc, A)
-
-
 def cmd_converge(args: argparse.Namespace) -> int:
     A = _load_matrix(args)
     offsets = _offsets(args)
     potential = _potential(args.potential)
-    beta_c, model_of, target = _converge_models(A, potential)
+    beta_c, model_of, target = ms.convergence(A, potential)
     grid = [beta_c + x for x in offsets]
     basis = [(format_word(w), decompose(Subbasis(A, w)))
              for w in vf.cylinder_words_up_to(A, args.depth, args.symbol_bound)]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .matrices import AccumulationColumn, IntegerInterval, Symbol, TransitionMatrix
-from .words import Word, backward_words, format_word, is_admissible, is_prefix
+from .words import Word, backward_words, format_word, is_admissible, is_prefix, missing_edge
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,8 @@ class BoundedConfig:
         if self.root not in self.matrix.accumulation_catalog:
             raise ValueError(f"root {self.root.id} not in catalog of {self.matrix.kind}")
         if not is_admissible(self.matrix, self.stem):
-            raise ValueError(f"stem {format_word(self.stem)} is not admissible")
+            raise ValueError(f"stem {format_word(self.stem)} is not admissible: "
+                             f"{missing_edge(self.matrix, self.stem)}")
         if self.stem:
             last = self.stem[-1]
             if last not in self.root.allowed_terminal_symbols:
@@ -128,9 +129,11 @@ class UnboundedConfig:
             raise ValueError("period must be non-empty")
         w = self.preperiod + self.period
         if not is_admissible(self.matrix, w):
-            raise ValueError("preperiod + period is not admissible")
+            edge = missing_edge(self.matrix, w)
+            raise ValueError(f"preperiod + period is not admissible: {edge}")
         if self.matrix.entry(self.period[-1], self.period[0]) != 1:
-            raise ValueError("period does not close up")
+            edge = missing_edge(self.matrix, (self.period[-1], self.period[0]))
+            raise ValueError(f"period does not close up: {edge}")
         pre, per = _canonical_eventually_periodic(self.preperiod, self.period)
         object.__setattr__(self, "preperiod", pre)
         object.__setattr__(self, "period", per)

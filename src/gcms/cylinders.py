@@ -48,7 +48,8 @@ from typing import Iterable, Sequence
 from . import symbolsets as ss
 from .configs import BoundedConfig, Configuration, GroupWord
 from .matrices import AccumulationColumn, Symbol, TransitionMatrix
-from .words import Word, forced_extension, format_word, is_admissible, word as parse_word
+from .words import (Word, forced_extension, format_word, is_admissible, missing_edge,
+                    word as parse_word)
 
 
 # --------------------------------------------------------------------------
@@ -75,7 +76,8 @@ class Subbasis:
         if any(s < 1 for s in self.alpha) or (self.inv is not None and self.inv < 1):
             raise ValueError("symbols are positive integers")
         if not is_admissible(self.matrix, self.alpha):
-            raise ValueError(f"word {format_word(self.alpha)} is not admissible")
+            raise ValueError(f"word {format_word(self.alpha)} is not admissible: "
+                             f"{missing_edge(self.matrix, self.alpha)}")
 
     def complement(self) -> "Subbasis":
         return replace(self, complemented=not self.complemented)

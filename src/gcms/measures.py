@@ -102,7 +102,7 @@ def growth_band(A: TransitionMatrix, weight: Constant, beta: float) -> str:
     upper * x >= 1, and ``"exists"`` otherwise.  A letter weight past the
     largest double makes the series diverge too.  This is the one decision
     of which y-measures exist: the normalizer, the phase table
-    (``phase_labels``) and ``constructed_measures`` read it.
+    (``phase_row``) and ``constructed_measures`` read it.
     """
     if A.spec.growth is None:
         raise Inconclusive(f"no certified growth rate for kind {A.kind}")
@@ -499,7 +499,8 @@ def log_ratio_support(A: TransitionMatrix, beta: float) -> str:
     """Where the renewal log-ratio eigenmeasure lives at beta: on the
     boundary family above the critical inverse temperature, on the sequence
     space at and below it.  The eigenmeasure and the log-ratio phase table
-    both read this switch; it needs beta > 0."""
+    both read this switch, the one check that they are on renewal; it
+    needs beta > 0."""
     _matrix(A, "renewal")
     if not beta > 0:
         raise ValueError("beta must be positive")
@@ -540,22 +541,29 @@ class KindMeasures:
     log_ratio: bool = False
 
 
-KIND_MEASURES: dict[str, KindMeasures] = {
+_KIND_MEASURES: dict[str, KindMeasures] = {
     "renewal": KindMeasures(("sarig_renewal_const", sarig_measure_renewal), log_ratio=True),
     "pair_renewal": KindMeasures(("pair_critical", pair_renewal_critical_measure)),
 }
 
 
-def phase_labels(A: TransitionMatrix, beta: float, tol: float) -> tuple[str, str]:
-    """The boundary and sequence-space columns of a constant-potential phase
-    row at beta.  The boundary column is the growth band's answer, with
-    ``"exists"`` read off the catalog: one measure, one per family (n
-    extremal), or one per family of a truncated, countably infinite
-    catalog.  The sequence column says whether beta is within ``tol`` of
-    the critical beta, where the kind's critical measure lives; a kind
-    without one is not classified.  A matrix without boundary families has
-    no phase table.
+def phase_row(A: TransitionMatrix, potential: Potential, beta: float,
+              tol: float) -> tuple[str, str, float]:
+    """The three columns of the phase table after beta.
+
+    A constant potential gets the boundary column, the sequence column and
+    the kind's critical beta.  The boundary column is the growth band's
+    answer, with ``"exists"`` read off the catalog: one measure, one per
+    family (n extremal), or one per family of a truncated, countably
+    infinite catalog.  The sequence column says whether beta is within
+    ``tol`` of the critical beta, where the kind's critical measure lives;
+    a kind without one is not classified.  A matrix without boundary
+    families has no phase table.  The log-ratio potential gets the support
+    of its one eigenmeasure (``log_ratio_support``, renewal only), which
+    exists at every beta, and its critical beta.
     """
+    if not isinstance(potential, Constant):
+        return log_ratio_support(A, beta), "1 eigenmeasure for every beta", beta_c_log()
     catalog = A.accumulation_catalog
     if not catalog:
         raise MeasureError(f"no phase table for kind {A.kind}")
@@ -563,9 +571,28 @@ def phase_labels(A: TransitionMatrix, beta: float, tol: float) -> tuple[str, str
     if boundary == "exists":
         boundary = ("1 per family (countably many)" if A.spec.truncated
                     else f"{len(catalog)} extremal" if len(catalog) > 1 else "1 measure")
-    if KIND_MEASURES.get(A.kind) is None:
-        return boundary, "not classified"
-    return boundary, "1 measure" if abs(beta - A.spec.critical_beta) <= tol else "absent"
+    critical = A.spec.critical_beta
+    if _KIND_MEASURES.get(A.kind) is None:
+        return boundary, "not classified", critical
+    return boundary, "1 measure" if abs(beta - critical) <= tol else "absent", critical
+
+
+def convergence(A: TransitionMatrix,
+                potential: Potential) -> tuple[float, Callable[[float], Measure], Measure]:
+    """The critical beta of the potential on A, the net beta -> measure
+    that approaches it from above, and the measure at it, the net's
+    weak-star limit: the y-measures of family 1 and the kind's critical
+    sequence measure for a constant potential, the renewal log-ratio
+    eigenmeasures otherwise.
+    """
+    if isinstance(potential, Constant):
+        known = _KIND_MEASURES.get(A.kind)
+        if known is None:
+            raise MeasureError(f"no convergence construction for kind {A.kind}")
+        return (A.spec.critical_beta, (lambda b: y_measure(A, 1, potential, b)),
+                known.critical[1](A))
+    bc = beta_c_log()
+    return bc, (lambda b: log_eigenmeasure(b, A)), log_eigenmeasure(bc, A)
 
 
 def constructed_measures(A: TransitionMatrix, beta: float) -> dict[str, Measure]:
@@ -575,7 +602,7 @@ def constructed_measures(A: TransitionMatrix, beta: float) -> dict[str, Measure]
     ``y_family`` on a one-family catalog and ``y_family_<id>`` otherwise;
     and the renewal log eigenmeasure at beta, which needs beta > 0.
     """
-    known = KIND_MEASURES.get(A.kind)
+    known = _KIND_MEASURES.get(A.kind)
     out: dict[str, Measure] = {}
     if known is not None:
         name, build = known.critical

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable
-
-import numpy as np
 
 from .configs import BoundedConfig, Configuration, empty_stem_config, preimages
 from .matrices import Symbol, TransitionMatrix, by_kind
@@ -188,17 +187,32 @@ def z_n_star(A: TransitionMatrix, F: Potential, beta: float, base: Symbol, n: in
     return _cycle_sum(A, F, beta, base, n, first_return=True)
 
 
+def _matmul(X: list[list[float]], Y: list[list[float]]) -> list[list[float]]:
+    """The matrix product X Y, each entry one ``math.fsum`` of its products."""
+    columns = list(zip(*Y))
+    return [[math.fsum(map(operator.mul, row, col)) for col in columns] for row in X]
+
+
 def z_n_transfer(A: TransitionMatrix, F: Potential, beta: float, base: Symbol, n: int,
                  symbol_bound: Symbol) -> float:
-    """Independent evaluation of z_n via weighted transfer-matrix powers."""
-    B = symbol_bound
-    W = np.zeros((B, B))
-    weights = [math.exp(beta * F.value(i)) for i in range(1, B + 1)]
-    for i in range(1, B + 1):
-        for j in range(1, B + 1):
-            if A.entry(i, j) == 1:
-                W[i - 1, j - 1] = weights[i - 1]
-    return float(np.linalg.matrix_power(W, n)[base - 1, base - 1])
+    """Independent evaluation of z_n via weighted transfer-matrix powers.
+
+    W[i][j] = exp(beta * F(i)) A(i, j) on the letters up to ``symbol_bound``
+    is raised to the power n >= 1 by repeated squaring, multiplying the
+    squares into the result from the lowest bit of n up, the order of
+    ``numpy.linalg.matrix_power`` for n >= 4."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    letters = range(1, symbol_bound + 1)
+    square = [[math.exp(beta * F.value(i)) * A.entry(i, j) for j in letters] for i in letters]
+    power = None
+    while True:
+        n, bit = divmod(n, 2)
+        if bit:
+            power = square if power is None else _matmul(power, square)
+        if not n:
+            return power[base - 1][base - 1]
+        square = _matmul(square, square)
 
 
 def pointwise_z(A: TransitionMatrix, F: Potential, beta: float, x: Configuration,
@@ -366,6 +380,15 @@ def bisect(below: Callable[[float], bool], lo: float, hi: float, tol: float) -> 
 # discriminant of the log-ratio potential
 # --------------------------------------------------------------------------
 
+def first_return_rows(beta: float) -> list[tuple[int, float, float]]:
+    """(n, Z*_n, (n+1)^-beta) for n <= 14: the first-return partition
+    function of the renewal log-ratio potential through the letter 1, by
+    ``z_n_star``, beside the power law it follows."""
+    A = by_kind("renewal")
+    return [(n, z_n_star(A, LOG_POTENTIAL, beta, 1, n).value, (n + 1.0) ** -beta)
+            for n in range(1, 15)]
+
+
 @dataclass
 class DiscriminantResult:
     series_value: float
@@ -375,25 +398,20 @@ class DiscriminantResult:
 def discriminant_log(beta: float) -> DiscriminantResult:
     """Discriminant of the renewal log-ratio potential, two ways.
 
-    The head of the first-return series comes from ``z_n_star`` and is
-    checked term by term against the pattern (k+1)^-beta, which fixes the
+    The head of the first-return series, ``first_return_rows``, is checked
+    term by term against the pattern (k+1)^-beta, which fixes the
     convergence radius at 1; the tail follows that pattern and is summed
     under the Euler-Maclaurin certificate.  The closed form is log(zeta(beta)
     - 1), summed from n = 2 as zeta(beta) - 1.0 cancels at large beta.  For
     beta <= 1 the series diverges and the discriminant is +infinity.
     """
-    A = by_kind("renewal")
-    F = LOG_POTENTIAL
     if beta <= 1.0:
         return DiscriminantResult(math.inf, math.inf)
-    head = 14   # cycle lengths of the first-return series summed exactly
-    zs = [z_n_star(A, F, beta, 1, k).value for k in range(1, head + 1)]
-    for k, z in enumerate(zs, start=1):
-        expected = (k + 1.0) ** (-beta)
-        if abs(z - expected) > 1e-9 * expected:
-            raise RuntimeError("first-return head does not match the power pattern")
-    head_sum = math.fsum(zs)  # radius 1, so the head weights are exactly 1
-    tail = power_sum_tail(beta, head + 2)
+    rows = first_return_rows(beta)
+    if any(abs(z - law) > 1e-9 * law for _, z, law in rows):
+        raise RuntimeError("first-return head does not match the power pattern")
+    head_sum = math.fsum(z for _, z, _ in rows)  # radius 1, so the head weights are exactly 1
+    tail = power_sum_tail(beta, len(rows) + 2)
     return DiscriminantResult(math.log(head_sum + tail), math.log(power_sum_tail(beta, 2)))
 
 

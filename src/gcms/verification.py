@@ -146,29 +146,21 @@ def all_bounded_configs(A: TransitionMatrix, stem_len: int, sym_bound: Symbol) -
 
 
 def periodic_points(A: TransitionMatrix, count: int) -> list[UnboundedConfig]:
-    """A deterministic batch of eventually periodic points (periods <= 5, symbols <= 6)."""
-    out: list[UnboundedConfig] = []
-    seen: set[tuple[Word, Word]] = set()
-
-    def push(pre: Word, per: Word) -> None:
-        cfg = UnboundedConfig(A, pre, per)
-        key = (cfg.preperiod, cfg.period)
-        if key not in seen:
-            seen.add(key)
-            out.append(cfg)
-
+    """A deterministic batch of ``count`` eventually periodic points
+    (periods <= 5, symbols <= 6): each cycle, then each letter <= 6 before
+    it, kept if new, until ``count`` are held."""
+    out: dict[tuple[Word, Word], UnboundedConfig] = {}
     for n in range(1, 6):
         for through in _letters(A, 3):
             for cyc in iter_cycles(A, n, through):
                 if any(s > 6 for s in cyc):
                     continue
-                push((), cyc)
-                for p in A.predecessors(cyc[0]):
-                    if p <= 6:
-                        push((p,), cyc)
-                if len(out) >= 3 * count:
-                    break
-    return out[:count]
+                for pre in ((), *((p,) for p in A.predecessors(cyc[0]) if p <= 6)):
+                    if len(out) >= count:
+                        return list(out.values())
+                    cfg = UnboundedConfig(A, pre, cyc)
+                    out.setdefault((cfg.preperiod, cfg.period), cfg)
+    return list(out.values())
 
 
 def build_universe(A: TransitionMatrix, stem_len: int, sym_bound: Symbol,
@@ -409,17 +401,11 @@ def pressure_identity_rows(A: TransitionMatrix, beta: float) -> list[tuple[int, 
     return rows
 
 
-def first_return_rows(A: TransitionMatrix, beta: float) -> list[tuple[int, float, float]]:
-    """(n, Z*_n for the log-ratio potential, (n+1)^-beta), n <= 14."""
-    return [(n, th.z_n_star(A, th.LOG_POTENTIAL, beta, 1, n).value, (n + 1.0) ** (-beta))
-            for n in range(1, 15)]
-
-
 def pressure_suite(A: TransitionMatrix, beta: float) -> dict[str, float]:
     if A.kind != "renewal":
         raise ValueError("the pressure identities are specific to the renewal matrix")
     worst_id = th.worst(abs(l - r) for _, l, r in pressure_identity_rows(A, beta))
-    worst_star = th.worst(abs(l - r) / r for _, l, r in first_return_rows(A, 2.0))
+    worst_star = th.worst(abs(l - r) / r for _, l, r in th.first_return_rows(2.0))
     th.superadditivity_check(A, th.Constant(1.0), beta, 1, 16)
     numerator = th.z_n_transfer(A, th.LOG_POTENTIAL, 1.0, 1, 8, 10)
     direct = th.z_n(A, th.LOG_POTENTIAL, 1.0, 1, 8).value

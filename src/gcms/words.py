@@ -47,6 +47,14 @@ def is_admissible(A: TransitionMatrix, w: Word) -> bool:
     return all(map(A.entry, w, w[1:]))
 
 
+def missing_edge(A: TransitionMatrix, w: Word) -> str:
+    """``A(a, b) = 0`` for the first transition a -> b of the inadmissible
+    word ``w`` that A refuses: what a refusal of the word appends, so that
+    ``is_admissible`` stays the one check on the accepting path."""
+    a, b = next((a, b) for a, b in zip(w, w[1:]) if not A.entry(a, b))
+    return f"A({a}, {b}) = 0"
+
+
 def is_prefix(p: Word, w: Word) -> bool:
     return len(p) <= len(w) and w[: len(p)] == p
 

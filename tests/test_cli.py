@@ -393,7 +393,7 @@ def test_stored_matrix_with_a_forced_cycle(rows, expr, cylinder, tmp_path, capsy
     (["count", "--kind", "renewal", "--family", "3"], "error: no accumulation column with id 3"),
     (["count"], "either --kind or --matrix-file is required"),
     (["phase", "--kind", "prime_renewal", "--potential", "log"],
-     "the log-ratio phase table is specific to --kind renewal"),
+     "this measure is specific to the renewal matrix"),
     (["phase", "--kind", "renewal", "--beta-grid", "1:2:0"], "grid step must be positive"),
     (["count", "--matrix-file", "ROWS"], "rows must be a non-empty list of lists, not 5"),
     (["decompose", "--matrix-file", "EXPLICIT", "--expr", "C[3]"],

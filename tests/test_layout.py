@@ -227,9 +227,8 @@ def test_every_default_is_relied_on():
 KIND_SWITCHES = {"thermo.gurevich_pressure": 1, "thermo.jn_tn": 1, "measures._matrix": 1,
                  "verification.pressure_suite": 1,
                  # lookups: the measures a kind has, and the renewal log-ratio series
-                 "measures.phase_labels": 1, "measures.constructed_measures": 1,
-                 "cli._phase_row": 1, "cli._converge_models": 1,
-                 "thermo.discriminant_log": 1}
+                 "measures.phase_row": 1, "measures.convergence": 1,
+                 "measures.constructed_measures": 1, "thermo.first_return_rows": 1}
 
 
 def _is_kind(node: ast.AST) -> bool:
@@ -271,7 +270,7 @@ def test_kind_switches_stay_at_the_known_sites():
 
 
 # the modules of src/gcms that import numpy
-NUMPY_MODULES = {"matrices", "thermo", "verification"}
+NUMPY_MODULES = {"matrices", "verification"}
 
 
 def _imports_numpy(tree: ast.AST) -> bool:

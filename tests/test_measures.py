@@ -167,7 +167,7 @@ def test_every_y_measure_the_phase_table_prints_is_built_and_conformal(case):
     A = by_kind(kind)
     catalog = A.accumulation_catalog
     keys = {"y_family"} if len(catalog) == 1 else {f"y_family_{c.id}" for c in catalog}
-    boundary, _ = ms.phase_labels(A, beta, 1e-9)
+    boundary, _, _ = ms.phase_row(A, Constant(1.0), beta, 1e-9)
     if boundary in ("absent", "inconclusive"):
         assert not keys & set(ms.constructed_measures(A, beta))
         return
@@ -930,3 +930,33 @@ def test_measure_report_json(renewal):
     d = json.loads(ms.measure_report_json(mu, 1e-15))
     assert d["kind"] == "y_family" and d["total_mass"] == 1.0
     assert d["max_DU_residual"] == 1e-15
+
+
+@pytest.mark.parametrize("kind", ["renewal", "pair_renewal"])
+def test_phase_row_reports_the_critical_measure_within_tol(kind):
+    A = by_kind(kind)
+    bc, F = A.spec.critical_beta, Constant(1.0)
+    assert ms.phase_row(A, F, bc, 1e-9)[1:] == ("1 measure", bc)
+    assert ms.phase_row(A, F, bc + 1e-6, 1e-9)[1] == "absent"
+    assert ms.phase_row(A, F, bc + 1e-6, 1e-5)[1] == "1 measure"
+
+
+def test_phase_row_of_the_log_ratio_potential_is_its_eigenmeasures_support(renewal):
+    for beta, support in ((1.2, "sequence space"), (beta_c_log(), "sequence space"),
+                          (2.2, "boundary family")):
+        assert ms.phase_row(renewal, LogRatio(), beta, 1e-9) == (
+            support, "1 eigenmeasure for every beta", beta_c_log())
+
+
+@pytest.mark.parametrize("kind, potential", [("renewal", Constant(1.0)),
+                                             ("pair_renewal", Constant(1.0)),
+                                             ("renewal", LOG_POTENTIAL)])
+def test_convergence_net_approaches_its_target(kind, potential):
+    # the largest gap on the cylinders of length <= 2 shrinks like the offset
+    A = by_kind(kind)
+    beta_c, net, target = ms.convergence(A, potential)
+    words = cylinder_words_up_to(A, 2, 4)
+    for offset in (1e-1, 1e-3, 1e-5):
+        m = net(beta_c + offset)
+        gap = max(abs(m.cyl_mass(w) - target.cyl_mass(w)) for w in words)
+        assert 0.1 * offset < gap < offset, (offset, gap)

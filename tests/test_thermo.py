@@ -69,6 +69,34 @@ def test_z_n_transfer_oracle(renewal, pair):
             assert direct == pytest.approx(via_matrix, rel=1e-12)
 
 
+def _numpy_transfer_power(A, F, beta, n, symbol_bound):
+    """W^n by ``numpy.linalg.matrix_power``, W[i][j] = exp(beta F(i)) A(i, j)."""
+    import numpy as np
+    W = np.zeros((symbol_bound, symbol_bound))
+    for i in range(1, symbol_bound + 1):
+        for j in range(1, symbol_bound + 1):
+            if A.entry(i, j) == 1:
+                W[i - 1, j - 1] = math.exp(beta * F.value(i))
+    return np.linalg.matrix_power(W, n)
+
+
+@pytest.mark.parametrize("kind", sorted(matrices.KINDS))
+def test_z_n_transfer_is_numpys_matrix_power(kind):
+    A = matrices.by_kind(kind)
+    for F in (Constant(-1.0), LOG_POTENTIAL):
+        for beta in (0.7, 1.0, 1.3):
+            for n in range(1, 17):
+                want = float(_numpy_transfer_power(A, F, beta, n, n + 2)[0, 0])
+                got = z_n_transfer(A, F, beta, 1, n, n + 2)
+                assert got == pytest.approx(want, rel=1e-15, abs=0), (F, beta, n)
+
+
+def test_z_n_transfer_at_the_pressure_suite_call_is_numpys(renewal):
+    # the same squarings in the same order: the numerator the suite pins, bit for bit
+    want = float(_numpy_transfer_power(renewal, LOG_POTENTIAL, 1.0, 8, 10)[0, 0])
+    assert z_n_transfer(renewal, LOG_POTENTIAL, 1.0, 1, 8, 10) == want == 2.1185865850970016
+
+
 def test_z_n_star(renewal):
     assert z_n_star(renewal, LogRatio(), 2.0, 1, 3).value == pytest.approx(1.0 / 16, rel=1e-13)
     assert z_n_star(renewal, Constant(-1.0), 1.0, 1, 4).value == pytest.approx(math.exp(-4.0))

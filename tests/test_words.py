@@ -7,8 +7,8 @@ from test_cylinders import stored_matrices
 from gcms import matrices
 from gcms import measures as ms
 from gcms import symbolsets as ss
-from gcms.configs import bounded, empty_stem_config, preimages
-from gcms.cylinders import shift_image
+from gcms.configs import UnboundedConfig, bounded, empty_stem_config, preimages
+from gcms.cylinders import Subbasis, shift_image
 from gcms.matrices import KINDS, by_kind, explicit, full_shift
 from gcms.verification import cylinder_words_up_to, periodic_points
 from gcms.words import (backward_words, enumerate_words, forced_extension, format_word,
@@ -62,8 +62,46 @@ def test_periodic_points_reject_a_listed_predecessor_that_is_no_transition(monke
     # transition, and the batch says so rather than leave the point out
     A = matrices.from_dict({"kind": "renewal"})
     monkeypatch.setattr(A, "_predecessors", lambda j: (1, j + 1, j + 2))
-    with pytest.raises(ValueError, match=r"^preperiod \+ period is not admissible$"):
+    with pytest.raises(ValueError,
+                       match=r"^preperiod \+ period is not admissible: A\(3, 1\) = 0$"):
         periodic_points(A, 12)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda A: UnboundedConfig(A, (2,), (3,)),
+     r"^preperiod \+ period is not admissible: A\(2, 3\) = 0$"),
+    (lambda A: UnboundedConfig(A, (), (3, 2)), r"^period does not close up: A\(2, 3\) = 0$"),
+    (lambda A: bounded(A, (3, 2, 1, 3, 1), 1),
+     r"^stem 3\.2\.1\.3\.1 is not admissible: A\(3, 1\) = 0$"),
+    (lambda A: Subbasis(A, (1, 4, 2)), r"^word 1\.4\.2 is not admissible: A\(4, 2\) = 0$"),
+])
+def test_each_admissibility_refusal_names_its_first_missing_edge(renewal, build, message):
+    with pytest.raises(ValueError, match=message):
+        build(renewal)
+
+
+def _full_periodic_walk(A):
+    """Every point of the walk behind ``periodic_points``, walked to its end:
+    each cycle of length <= 5 through a letter <= 3 on letters <= 6, then
+    each letter <= 6 before it, the first of each distinct point kept."""
+    out = {}
+    for n in range(1, 6):
+        for through in range(1, (3 if A.size is None else min(3, A.size)) + 1):
+            for cyc in iter_cycles(A, n, through):
+                if max(cyc) <= 6:
+                    for pre in [()] + [(p,) for p in A.predecessors(cyc[0]) if p <= 6]:
+                        c = UnboundedConfig(A, pre, cyc)
+                        out.setdefault((c.preperiod, c.period), c)
+    return list(out.values())
+
+
+@pytest.mark.parametrize("A", [*(by_kind(k) for k in sorted(KINDS)), full_shift(2),
+                               explicit([[1, 1], [1, 0]]),
+                               explicit([[0, 1, 0], [0, 0, 1], [1, 0, 0]])], ids=repr)
+def test_periodic_points_are_the_first_points_of_the_full_walk(A):
+    full = _full_periodic_walk(A)
+    for count in range(len(full) + 3):
+        assert periodic_points(A, count) == full[:count]
 
 
 def _per_edge_walk(A, n, seeds):

@@ -1,0 +1,192 @@
+"""Mutation check: does each in-test oracle catch the fault it guards against?
+
+Each mutant in ``CATALOG`` is one text edit of one file under ``src/`` (its
+old text occurs there exactly once) and the test node ids that must fail
+under it.  ``run`` copies ``src/``, ``tests/``, ``perfbench/`` (whose
+reference outputs the CLI tests read) and ``pyproject.toml`` into a
+temporary directory, applies the edit to the copy, runs the node ids there
+with pytest under ``TIME_LIMIT`` seconds, and returns one of
+
+* ``killed``: a named test failed (pytest exit status 1);
+* ``survived``: every named test passed;
+* ``timed out``: the run passed the time limit;
+* ``error``: pytest ran no test to the end (a stale node id, a collection
+  error), which shows nothing either way.
+
+The repository itself is never edited.  Standard library only.  Run the
+whole catalog, or the mutants named, from anywhere:
+
+    python tools/mutation.py [name ...]
+
+One line per mutant; the exit status is 1 unless every mutant is killed.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TIME_LIMIT = 600.0
+
+
+@dataclass(frozen=True)
+class Mutant:
+    path: str               # relative to the repository root
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, one of which must fail
+
+
+CATALOG: dict[str, Mutant] = {
+    # thermo.worst: a nan after the first residual would read as a pass
+    "worst-nan": Mutant(
+        "src/gcms/thermo.py",
+        "        top = r if math.isnan(r) else max(top, r)",
+        "        top = max(top, r)",
+        ("tests/test_thermo.py::test_pressure_suite_reports_a_nan_residual",)),
+    # measures.phase_row: the critical sequence measure is never reported
+    "phase-row-critical": Mutant(
+        "src/gcms/measures.py",
+        '"1 measure" if abs(beta - critical) <= tol else "absent"',
+        '"absent"',
+        ("tests/test_measures.py::test_phase_row_reports_the_critical_measure_within_tol",)),
+    # measures.convergence: the net is its own target, so every distance reads 0
+    "convergence-net": Mutant(
+        "src/gcms/measures.py",
+        "(lambda b: y_measure(A, 1, potential, b))",
+        "(lambda b: known.critical[1](A))",
+        ("tests/test_measures.py::test_convergence_net_approaches_its_target",)),
+    # thermo.first_return_rows: every cycle counted, not only first returns
+    "first-return-cycles": Mutant(
+        "src/gcms/thermo.py",
+        "z_n_star(A, LOG_POTENTIAL, beta, 1, n).value",
+        "z_n(A, LOG_POTENTIAL, beta, 1, n).value",
+        ("tests/test_cli.py::test_verify_pressure",)),
+    # verification.periodic_points: one point more than asked for
+    "periodic-points-count": Mutant(
+        "src/gcms/verification.py",
+        "                    if len(out) >= count:",
+        "                    if len(out) > count:",
+        ("tests/test_words.py::test_periodic_points_are_the_first_points_of_the_full_walk",)),
+    # thermo._partition_sum against the enumeration: words that close no cycle counted
+    "partition-sum-first-letter": Mutant(
+        "src/gcms/thermo.py",
+        "        if first is None or first(letters[key & mask]):",
+        "        if True:",
+        ("tests/test_thermo.py::test_partition_functions_are_bit_identical_to_enumeration",)),
+    # words.backward_words: a listed predecessor is taken without its entry check
+    "walk-entry-check": Mutant(
+        "src/gcms/words.py",
+        "                if A.entry(p, first) != 1:",
+        "                if False:",
+        ("tests/test_words.py::test_walk_rejects_a_listed_predecessor_that_is_no_transition",)),
+    # words.iter_cycles: a backward word kept without its closing edge
+    "cycle-closing-edge": Mutant(
+        "src/gcms/words.py",
+        "        if A.entry(through, w[0]) == 1:",
+        "        if True:",
+        ("tests/test_words.py::test_cycles_are_cycles",)),
+    # words.generation_layers: a layer weighted twice per letter
+    "layer-weight-squared": Mutant(
+        "src/gcms/words.py",
+        "            x *= weight",
+        "            x *= weight * weight",
+        ("tests/test_words.py::test_generation_layers_weighted",)),
+    # thermo._em_tail against mpmath: the half end term of Euler-Maclaurin dropped
+    "em-tail-half-term": Mutant(
+        "src/gcms/thermo.py",
+        " + 0.5 * N ** (-beta)",
+        "",
+        ("tests/test_thermo.py::test_zeta_against_mpmath",)),
+    # thermo._phi against mpmath's polylog: the half end term dropped
+    "phi-half-term": Mutant(
+        "src/gcms/thermo.py",
+        "    terms.append(0.5 * f_n)",
+        "    terms.append(0.0)",
+        ("tests/test_thermo.py::test_normalization_series_against_polylog",)),
+    # ConfigUniverse.part_row against per-configuration rows: a family reads one group
+    "part-row-first-group": Mutant(
+        "src/gcms/verification.py",
+        "groups = self._groups(part.prefix).values()",
+        "groups = list(self._groups(part.prefix).values())[:1]",
+        ("tests/test_cylinders.py::test_grouped_part_rows_match_per_configuration_rows",)),
+    # cylinders._in_order: parts taken as already in order, never sorted
+    "in-order-never-sorts": Mutant(
+        "src/gcms/cylinders.py",
+        "    if all(k < l for k, l in zip(keys, keys[1:])):",
+        "    if True:",
+        ("tests/test_cylinders.py::test_in_order_returns_parts_sorted_by_their_keys",)),
+    # cylinders._meet_families: a nested family kept without its next-letter check
+    "meet-families-nesting": Mutant(
+        "src/gcms/cylinders.py",
+        " and ss.contains(A, outer.symbols, inner.prefix[n]):",
+        ":",
+        ("tests/test_cylinders.py::test_small_oracle",)),
+    # SetExpr._holds: the point memo keyed by stem, so matrices are mixed up
+    "holds-memo-by-stem": Mutant(
+        "src/gcms/cylinders.py",
+        "        hit = memo.get(p)\n        if hit is None:\n"
+        "            hit = memo[p] = ",
+        "        hit = memo.get(p.stem)\n        if hit is None:\n"
+        "            hit = memo[p.stem] = ",
+        ("tests/test_cylinders.py::test_point_memo_tells_matrices_apart",)),
+    # cli._BOUNDS: the pressure sweep's cap raised past a minute of work
+    "cli-bounds-n-max": Mutant(
+        "src/gcms/cli.py",
+        '("pressure", "--n-max"): (4, 20),',
+        '("pressure", "--n-max"): (4, 30),',
+        ("tests/test_cli.py::test_errors_exit_2_with_one_line",)),
+}
+
+
+def mutated(m: Mutant) -> str:
+    """The text of ``m.path`` with the edit applied; the old text must occur once."""
+    text = (ROOT / m.path).read_text(encoding="utf-8")
+    if text.count(m.old) != 1:
+        raise ValueError(f"{m.path} holds {m.old!r} {text.count(m.old)} times, not once")
+    return text.replace(m.old, m.new)
+
+
+def run(m: Mutant) -> str:
+    """Apply ``m`` to a temporary copy of the tree and run its tests there."""
+    with tempfile.TemporaryDirectory(prefix="gcms-mutant-") as tmp:
+        tree = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for part in ("src", "tests", "perfbench"):
+            shutil.copytree(ROOT / part, tree / part, ignore=ignore)
+        shutil.copy2(ROOT / "pyproject.toml", tree / "pyproject.toml")
+        (tree / m.path).write_text(mutated(m), encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        try:
+            status = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                 *m.tests], cwd=tree, env=env, timeout=TIME_LIMIT,
+                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+        except subprocess.TimeoutExpired:
+            return "timed out"
+    return {0: "survived", 1: "killed"}.get(status, "error")
+
+
+def main(names: list[str]) -> int:
+    unknown = [n for n in names if n not in CATALOG]
+    if unknown:
+        print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    all_killed = True
+    for name in names or CATALOG:
+        t0 = time.perf_counter()
+        outcome = run(CATALOG[name])
+        all_killed &= outcome == "killed"
+        print(f"{outcome:9}  {name}  {time.perf_counter() - t0:.1f} s", flush=True)
+    return 0 if all_killed else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
