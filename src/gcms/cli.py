@@ -122,7 +122,7 @@ def _write(args: argparse.Namespace, text: str) -> None:
 
 def _potential(name: str) -> th.Potential:
     if name == "const":
-        return th.Constant(1.0)
+        return th.UNIT_POTENTIAL
     if name == "log":
         return th.LogRatio()
     raise ValueError(f"unknown potential {name!r} (use 'const' or 'log')")
@@ -248,10 +248,11 @@ def cmd_pressure(args: argparse.Namespace) -> int:
     potential = _potential(args.potential)
     grid = _grid(args.beta_grid)
 
+    # the constant table weighs each letter -1, the unit potential's weight
+    F = ms.negate(potential) if isinstance(potential, th.Constant) else potential
     rows = []
     for beta in grid:
-        est = th.gurevich_pressure(A, potential if not isinstance(potential, th.Constant)
-                                   else th.Constant(-1.0), beta, 1, args.n_max)
+        est = th.gurevich_pressure(A, F, beta, 1, args.n_max)
         rows.extend((beta, n, v, est.extrapolated, est.certificate) for n, v in est.values)
     _emit(args, ["beta", "n", "log_Zn_over_n", "extrapolated", "certificate"], rows)
     return 0

@@ -158,18 +158,24 @@ def _rule_kind(irregular: Callable[[Symbol], bool], **facts) -> MatrixKind:
     symbolic if irregular, every letter if i = 1, else {i - 1}.  Its descent
     stop is the largest letter <= s whose row branches, 1 or an irregular
     row.  Both memoized: symbol sets are frozen, and walks ask letter by
-    letter."""
+    letter.  The descent walk records the stop of every letter it passes,
+    so a later query stops at the first letter it already knows."""
     @lru_cache(maxsize=None)
     def row(i: Symbol) -> SymbolSet:
         if irregular(i):
             return Sieve(i, frozenset(), frozenset())
         return ALL if i == 1 else FiniteSet(frozenset({i - 1}))
 
-    @lru_cache(maxsize=None)
+    stops: dict[Symbol, Symbol] = {}
+
     def descent_stop(s: Symbol) -> Symbol:
-        while s > 1 and not irregular(s):
+        walked = []
+        while s not in stops and s > 1 and not irregular(s):
+            walked.append(s)
             s -= 1
-        return s
+        stop = stops.setdefault(s, s)
+        stops.update(dict.fromkeys(walked, stop))
+        return stop
     return MatrixKind(row=row, descent_stop=descent_stop, **facts)
 
 

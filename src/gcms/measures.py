@@ -50,7 +50,7 @@ from . import symbolsets as ss
 from .configs import BoundedConfig
 from .cylinders import CylFamily, SetExpr, shift_image
 from .matrices import AccumulationColumn, Symbol, TransitionMatrix
-from .thermo import (LOG_POTENTIAL, Constant, Potential, beta_c_log, bisect,
+from .thermo import (LOG_POTENTIAL, UNIT_POTENTIAL, Constant, Potential, beta_c_log, bisect,
                      normalization_series, pressure_log_potential, worst, zeta)
 from .words import Word, generation_layers, is_admissible
 
@@ -463,7 +463,7 @@ def sarig_measure_renewal(A: TransitionMatrix) -> SequenceMeasure:
     lam * exp(-beta * weight) is 2 for every beta.
     """
     return SequenceMeasure(
-        "sarig_renewal_const", _matrix(A, "renewal"), Constant(-1.0), 0.0, 2.0,
+        "sarig_renewal_const", _matrix(A, "renewal"), negate(UNIT_POTENTIAL), 0.0, 2.0,
         end_masses={1: 0.5}, total=1.0, row_sums={1: 1.0},
         convention="eigenmeasure of the transfer operator for -beta*1, eigenvalue 2*exp(-beta)",
         info={"lambda_role": "2*exp(-beta)"})
@@ -482,7 +482,7 @@ def pair_renewal_critical_measure(A: TransitionMatrix) -> SequenceMeasure:
     nu2 = math.exp(-b) * (1.0 - math.exp(-2.0 * b)) / (2.0 * math.sinh(b) - 1.0)
     evens = nu2 / (1.0 - math.exp(-2.0 * b))
     return SequenceMeasure(
-        "pair_renewal_critical", A, Constant(-1.0), b, 1.0, end_masses={1: nu1, 2: nu2},
+        "pair_renewal_critical", A, negate(UNIT_POTENTIAL), b, 1.0, end_masses={1: nu1, 2: nu2},
         total=nu1 + nu2 / (1.0 - math.exp(-b)),
         row_sums={1: 1.0, 2: nu1 + evens},
         convention="exp(beta)-conformal on the sequence space at the critical beta",
@@ -499,12 +499,13 @@ def log_ratio_support(A: TransitionMatrix, beta: float) -> str:
     """Where the renewal log-ratio eigenmeasure lives at beta: on the
     boundary family above the critical inverse temperature, on the sequence
     space at and below it.  The eigenmeasure and the log-ratio phase table
-    both read this switch, the one check that they are on renewal; it
-    needs beta > 0."""
-    _matrix(A, "renewal")
+    both read this switch, and through ``_phase_picture`` the catalog's
+    ``log_ratio`` flag, the one check that they are on renewal; it needs
+    beta > 0."""
+    critical, _ = _phase_picture(A, LOG_POTENTIAL)
     if not beta > 0:
         raise ValueError("beta must be positive")
-    return "boundary family" if beta > beta_c_log() else "sequence space"
+    return "boundary family" if beta > critical else "sequence space"
 
 
 def log_eigenmeasure(beta: float, A: TransitionMatrix) -> Measure:
@@ -547,11 +548,34 @@ _KIND_MEASURES: dict[str, KindMeasures] = {
 }
 
 
+def _phase_picture(A: TransitionMatrix,
+                   potential: Potential) -> tuple[float | None, KindMeasures | None]:
+    """The critical beta of the potential on A and the kind's catalog entry,
+    or None: the one reader of ``_KIND_MEASURES``.
+
+    The tables draw two potentials.  The unit constant's critical beta is
+    the kind's, ``critical_beta``, or None on a matrix without a growth
+    rate (a stored one, which has no boundary families); the log ratio's is
+    ``beta_c_log()``, on a kind whose entry builds the log-ratio
+    eigenmeasures (renewal).  Any other potential, or the log ratio on
+    another kind, raises ``MeasureError``: no table here draws it.
+    """
+    known = _KIND_MEASURES.get(A.kind)
+    if potential == UNIT_POTENTIAL:
+        return A.spec.critical_beta if A.spec.growth else None, known
+    if potential != LOG_POTENTIAL:
+        raise MeasureError(f"no phase picture for potential {potential!r}: "
+                           f"only {UNIT_POTENTIAL!r} and {LOG_POTENTIAL!r} are drawn")
+    if known is None or not known.log_ratio:
+        raise MeasureError("this measure is specific to the renewal matrix")
+    return beta_c_log(), known
+
+
 def phase_row(A: TransitionMatrix, potential: Potential, beta: float,
               tol: float) -> tuple[str, str, float]:
     """The three columns of the phase table after beta.
 
-    A constant potential gets the boundary column, the sequence column and
+    The unit constant gets the boundary column, the sequence column and
     the kind's critical beta.  The boundary column is the growth band's
     answer, with ``"exists"`` read off the catalog: one measure, one per
     family (n extremal), or one per family of a truncated, countably
@@ -560,19 +584,20 @@ def phase_row(A: TransitionMatrix, potential: Potential, beta: float,
     a kind without one is not classified.  A matrix without boundary
     families has no phase table.  The log-ratio potential gets the support
     of its one eigenmeasure (``log_ratio_support``, renewal only), which
-    exists at every beta, and its critical beta.
+    exists at every beta, and its critical beta.  Any other potential is
+    refused (``_phase_picture``).
     """
-    if not isinstance(potential, Constant):
-        return log_ratio_support(A, beta), "1 eigenmeasure for every beta", beta_c_log()
+    critical, known = _phase_picture(A, potential)
+    if potential == LOG_POTENTIAL:
+        return log_ratio_support(A, beta), "1 eigenmeasure for every beta", critical
     catalog = A.accumulation_catalog
     if not catalog:
         raise MeasureError(f"no phase table for kind {A.kind}")
-    boundary = growth_band(A, Constant(-1.0), beta)
+    boundary = growth_band(A, negate(potential), beta)
     if boundary == "exists":
         boundary = ("1 per family (countably many)" if A.spec.truncated
                     else f"{len(catalog)} extremal" if len(catalog) > 1 else "1 measure")
-    critical = A.spec.critical_beta
-    if _KIND_MEASURES.get(A.kind) is None:
+    if known is None:
         return boundary, "not classified", critical
     return boundary, "1 measure" if abs(beta - critical) <= tol else "absent", critical
 
@@ -582,35 +607,34 @@ def convergence(A: TransitionMatrix,
     """The critical beta of the potential on A, the net beta -> measure
     that approaches it from above, and the measure at it, the net's
     weak-star limit: the y-measures of family 1 and the kind's critical
-    sequence measure for a constant potential, the renewal log-ratio
-    eigenmeasures otherwise.
+    sequence measure for the unit constant, the renewal log-ratio
+    eigenmeasures for the log ratio.  Any other potential is refused
+    (``_phase_picture``).
     """
-    if isinstance(potential, Constant):
-        known = _KIND_MEASURES.get(A.kind)
-        if known is None:
-            raise MeasureError(f"no convergence construction for kind {A.kind}")
-        return (A.spec.critical_beta, (lambda b: y_measure(A, 1, potential, b)),
-                known.critical[1](A))
-    bc = beta_c_log()
-    return bc, (lambda b: log_eigenmeasure(b, A)), log_eigenmeasure(bc, A)
+    critical, known = _phase_picture(A, potential)
+    if potential == LOG_POTENTIAL:
+        return critical, (lambda b: log_eigenmeasure(b, A)), log_eigenmeasure(critical, A)
+    if known is None:
+        raise MeasureError(f"no convergence construction for kind {A.kind}")
+    return critical, (lambda b: y_measure(A, 1, potential, b)), known.critical[1](A)
 
 
 def constructed_measures(A: TransitionMatrix, beta: float) -> dict[str, Measure]:
     """The measures built on A at beta, by suite key: the critical sequence
-    measure, where the kind has one; the y-measure of the constant potential
-    on every boundary family where ``growth_band`` says it exists, keyed
+    measure, where the kind has one; the y-measure of the unit constant on
+    every boundary family where ``growth_band`` says it exists, keyed
     ``y_family`` on a one-family catalog and ``y_family_<id>`` otherwise;
     and the renewal log eigenmeasure at beta, which needs beta > 0.
     """
-    known = _KIND_MEASURES.get(A.kind)
+    _, known = _phase_picture(A, UNIT_POTENTIAL)
     out: dict[str, Measure] = {}
     if known is not None:
         name, build = known.critical
         out[name] = build(A)
-    catalog, F = A.accumulation_catalog, Constant(1.0)
-    if catalog and growth_band(A, negate(F), beta) == "exists":
+    catalog = A.accumulation_catalog
+    if catalog and growth_band(A, negate(UNIT_POTENTIAL), beta) == "exists":
         out.update((f"y_family_{col.id}" if len(catalog) > 1 else "y_family",
-                    y_measure(A, col.id, F, beta)) for col in catalog)
+                    y_measure(A, col.id, UNIT_POTENTIAL, beta)) for col in catalog)
     if known is not None and known.log_ratio:
         out["log_eigenmeasure"] = log_eigenmeasure(beta, A)
     return out

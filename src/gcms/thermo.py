@@ -66,6 +66,9 @@ Potential = Constant | GDiff
 
 LOG_POTENTIAL = GDiff(math.log, "log")
 
+# the unit constant: the phase and convergence tables draw it and LOG_POTENTIAL
+UNIT_POTENTIAL = Constant(1.0)
+
 
 def LogRatio() -> GDiff:
     """The log-ratio potential F(x) = log(x0) - log(x0 + 1), i.e. ``LOG_POTENTIAL``.
@@ -282,7 +285,9 @@ def gurevich_pressure(A: TransitionMatrix, F: Potential, beta: float, base: Symb
     log-ratio potential at base 1 gives the root of the normalization
     series.  Otherwise it is "limit", and the extrapolation is the slope of
     log Z_n between the last two n with Z_n > 0, which are p apart on a
-    matrix of period p.
+    matrix of period p, or (1/n) log Z_n where only one n has Z_n > 0.
+    Where none has, in floating point, there is no slope, and a
+    ``ValueError`` says so.
     """
     if n_max < 4:
         raise ValueError("n_max must be >= 4")
@@ -302,11 +307,15 @@ def gurevich_pressure(A: TransitionMatrix, F: Potential, beta: float, base: Symb
     if A.kind == "renewal" and base == 1 and F == LOG_POTENTIAL:
         return PressureEstimate(values, pressure_log_potential(beta), "exact")
     finite = [(n, v) for n, v in enumerate(logs, 1) if math.isfinite(v)]
+    if not finite:
+        raise ValueError(f"Z_n is 0, or below the least double, at base {base} for every "
+                         f"n <= {n_max}: no pressure slope")
     if len(finite) >= 2:
         (n2, l2), (n1, l1) = finite[-2:]
         extrap = (l1 - l2) / (n1 - n2)
     else:
-        extrap = values[-1][1]
+        n1, l1 = finite[0]
+        extrap = l1 / n1
     return PressureEstimate(values, extrap, "limit")
 
 

@@ -379,6 +379,18 @@ def test_stored_matrix_with_a_forced_cycle(rows, expr, cylinder, tmp_path, capsy
     assert '"ok": true' in out
 
 
+def test_pressure_slope_of_a_stored_cycle_reads_its_one_finite_point(tmp_path, capsys):
+    # only n = 3 closes a cycle of the 3-cycle below n = 5: its row is the pressure
+    spec = tmp_path / "matrix.json"
+    spec.write_text('{"kind": "explicit", "rows": [[0, 1, 0], [0, 0, 1], [1, 0, 0]]}')
+    code, out = run_cli(["pressure", "--matrix-file", str(spec), "--n-max", "4",
+                         "--beta-grid", "0.5"], capsys)
+    assert code == 0
+    assert out.splitlines()[1:] == [f"0.5,{n},{v},-0.5,limit"
+                                    for n, v in ((1, "-inf"), (2, "-inf"), (3, "-0.5"),
+                                                 (4, "-inf"))]
+
+
 @pytest.mark.parametrize("args, message", [
     (["count", "--matrix-file", "SCALAR"], "a matrix specification is a JSON object, not 3"),
     (["measure", "--measure", "y", "--kind", "renewal", "--beta", "0.5"],
@@ -523,13 +535,18 @@ def test_stored_matrix_with_a_forced_cycle(rows, expr, cylinder, tmp_path, capsy
     # only renewal and pair renewal have a constant-potential convergence table
     (["converge", "--kind", "alternating_renewal"],
      "no convergence construction for kind alternating_renewal"),
+    # the 5-cycle closes no cycle up to n = 4, so there is no slope to read
+    (["pressure", "--matrix-file", "CYCLE5", "--n-max", "4", "--beta-grid", "0.5"],
+     "Z_n is 0, or below the least double, at base 1 for every n <= 4: no pressure slope"),
 ])
 def test_errors_exit_2_with_one_line(args, message, tmp_path, capsys):
     files = {"MATRIX": '{"kind": "explicit"}',
              "EXPLICIT": '{"kind": "explicit", "size": 2, "rows": [[1, 1], [1, 0]]}',
              "SCALAR": "3", "ROWS": '{"kind": "explicit", "rows": 5}', "EMPTY": "",
              "LATIN1": '{"kind": "\u00e9"}',
-             "PRIME": '{"kind": "prime_renewal", "prime_bound": 1000}'}
+             "PRIME": '{"kind": "prime_renewal", "prime_bound": 1000}',
+             "CYCLE5": json.dumps({"kind": "explicit", "rows": [
+                 [1 if j == (i + 1) % 5 else 0 for j in range(5)] for i in range(5)]})}
     for name, text in files.items():
         (tmp_path / f"{name}.json").write_bytes(text.encode("latin-1"))
     code = main([str(tmp_path / f"{a}.json") if a in (*files, "MISSING") else a

@@ -227,8 +227,7 @@ def test_every_default_is_relied_on():
 KIND_SWITCHES = {"thermo.gurevich_pressure": 1, "thermo.jn_tn": 1, "measures._matrix": 1,
                  "verification.pressure_suite": 1,
                  # lookups: the measures a kind has, and the renewal log-ratio series
-                 "measures.phase_row": 1, "measures.convergence": 1,
-                 "measures.constructed_measures": 1, "thermo.first_return_rows": 1}
+                 "measures._phase_picture": 1, "thermo.first_return_rows": 1}
 
 
 def _is_kind(node: ast.AST) -> bool:

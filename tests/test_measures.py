@@ -12,7 +12,7 @@ from gcms import symbolsets as ss
 from gcms.configs import BoundedConfig, bounded, empty_stem_config
 from gcms.cylinders import CylFamily, SetExpr, Subbasis, decompose, intersect_many, shift_image
 from gcms.matrices import by_kind, explicit
-from gcms.thermo import LOG_POTENTIAL, Constant, LogRatio, beta_c_log, zeta
+from gcms.thermo import LOG_POTENTIAL, Constant, GDiff, LogRatio, beta_c_log, zeta
 from gcms.verification import conformality_suite, cylinder_words_up_to
 from gcms.words import enumerate_words, generation_layers, is_admissible
 
@@ -606,6 +606,28 @@ def test_measure_additivity_on_intersections(pair):
     assert ms.measure_setexpr(mu, inv) == pytest.approx(direct, rel=1e-10)
 
 
+def test_shared_letters_of_two_zero_rows_are_counted_once(prime):
+    # prime rows 2 = {1, 2, 4, 8, ...} and 3 = {2, 3, 9, 27, ...} share the
+    # letter 2, so the sieve of letters outside both subtracts it once, not twice
+    assert prime.irregular_rows_intersection(2, 3) == {2}
+    expr = intersect_many([Subbasis(prime, (), 2, complemented=True),
+                           Subbasis(prime, (), 3, complemented=True)])
+    (family,) = expr.families
+    assert family.prefix == () and family.symbols.zero_rows == {2, 3}
+    mu = ms.y_measure(prime, 2, Constant(1.0), 2.0)
+    outside = [k for k in range(1, 61) if not prime.entry(2, k) and not prime.entry(3, k)]
+    head = math.fsum(mu.cyl_mass((k,)) for k in outside)
+    # a stem of family 2 that starts with k > 60 falls at most one letter a
+    # step to its terminal 1 or 2, so it has at least 60 letters; at most 3^n
+    # stems have length n, each of mass c_e u^n with u = exp(-2)
+    u = math.exp(-2.0)
+    rest = mu.c_e * (3 * u) ** 60 / (1 - 3 * u)
+    # the empty-stem points of the meet lie on other families: no mass here
+    assert all(p.root.id != 2 for p in expr.points)
+    assert abs(ms.measure_setexpr(mu, expr) - head) <= rest + 1e-15
+    assert mu.base_value(2) > 0.1    # what counting the letter twice would cost
+
+
 # -- conformality -------------------------------------------------------------------------
 
 def test_verify_conformality_residuals(renewal, pair):
@@ -960,3 +982,14 @@ def test_convergence_net_approaches_its_target(kind, potential):
         m = net(beta_c + offset)
         gap = max(abs(m.cyl_mass(w) - target.cyl_mass(w)) for w in words)
         assert 0.1 * offset < gap < offset, (offset, gap)
+
+
+@pytest.mark.parametrize("potential", [Constant(2.0), Constant(-1.0), Constant(0.0),
+                                       GDiff(math.sqrt, "sqrt")], ids=repr)
+def test_tables_refuse_a_potential_they_do_not_draw(renewal, potential):
+    # the tables draw the unit constant and the log ratio; any other reading
+    # would contradict y_measure (Constant(2.0) has y-measures at 0.5)
+    with pytest.raises(ms.MeasureError, match="no phase picture for potential"):
+        ms.phase_row(renewal, potential, 0.5, 1e-9)
+    with pytest.raises(ms.MeasureError, match="no phase picture for potential"):
+        ms.convergence(renewal, potential)

@@ -323,6 +323,22 @@ def test_gurevich_limit_divides_by_the_gap():
     assert est.extrapolated == pytest.approx(math.log(2.0), rel=1e-12)
 
 
+def test_gurevich_limit_of_one_finite_point():
+    # the 3-cycle up to n = 4: only Z_3 > 0, so the slope is (1/3) log Z_3,
+    # the exact pressure -beta, not the -inf of Z_4
+    A = matrices.explicit([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    est = gurevich_pressure(A, Constant(-1.0), 0.5, 1, 4)
+    assert [v for _, v in est.values] == [-math.inf, -math.inf, -0.5, -math.inf]
+    assert (est.extrapolated, est.certificate) == (-0.5, "limit")
+
+
+def test_gurevich_without_a_finite_point_is_refused():
+    # the 5-cycle has no cycle of length <= 4, so there is no slope to read
+    A = matrices.explicit([[1 if j == (i + 1) % 5 else 0 for j in range(5)] for i in range(5)])
+    with pytest.raises(ValueError, match="at base 1 for every n <= 4: no pressure slope"):
+        gurevich_pressure(A, Constant(-1.0), 0.5, 1, 4)
+
+
 APERIODIC = {"prime_renewal": lambda: matrices.by_kind("prime_renewal"),
              "stored": lambda: matrices.explicit([[1, 1, 0], [0, 1, 1], [1, 0, 1]])}
 

@@ -57,6 +57,18 @@ CATALOG: dict[str, Mutant] = {
         '"1 measure" if abs(beta - critical) <= tol else "absent"',
         '"absent"',
         ("tests/test_measures.py::test_phase_row_reports_the_critical_measure_within_tol",)),
+    # measures._phase_picture: any constant drawn as if it were the unit one
+    "phase-refusal-any-constant": Mutant(
+        "src/gcms/measures.py",
+        "    if potential == UNIT_POTENTIAL:",
+        "    if isinstance(potential, Constant):",
+        ("tests/test_measures.py::test_tables_refuse_a_potential_they_do_not_draw",)),
+    # measures._tail_union: a letter two zero rows share is subtracted twice
+    "shared-letter-correction": Mutant(
+        "src/gcms/measures.py",
+        "            if mult > 1:",
+        "            if mult > 2:",
+        ("tests/test_measures.py::test_shared_letters_of_two_zero_rows_are_counted_once",)),
     # measures.convergence: the net is its own target, so every distance reads 0
     "convergence-net": Mutant(
         "src/gcms/measures.py",
@@ -69,6 +81,18 @@ CATALOG: dict[str, Mutant] = {
         "z_n_star(A, LOG_POTENTIAL, beta, 1, n).value",
         "z_n(A, LOG_POTENTIAL, beta, 1, n).value",
         ("tests/test_cli.py::test_verify_pressure",)),
+    # thermo.gurevich_pressure: one finite point, but the slope reads the last n
+    "pressure-slope-last-value": Mutant(
+        "src/gcms/thermo.py",
+        "        n1, l1 = finite[0]\n        extrap = l1 / n1",
+        "        extrap = values[-1][1]",
+        ("tests/test_thermo.py::test_gurevich_limit_of_one_finite_point",)),
+    # matrices._rule_kind: the descent memo records a stop one letter too high
+    "descent-memo-wrong-stop": Mutant(
+        "src/gcms/matrices.py",
+        "stops.update(dict.fromkeys(walked, stop))",
+        "stops.update(dict.fromkeys(walked, stop + 1))",
+        ("tests/test_words.py::test_rule_forced_runs_are_the_letter_walk",)),
     # verification.periodic_points: one point more than asked for
     "periodic-points-count": Mutant(
         "src/gcms/verification.py",
