@@ -28,10 +28,12 @@ family) (``_meet_families`` is memoized): many meets pair the same ones.
 ``member`` asks whether some part contains it.  ``meet`` keeps a boundary
 point of one operand iff the other operand holds it, and one normal form
 meets many others on the same points, so each normal form remembers
-``member``'s answer per point (``SetExpr._holds``).  The memo is exact:
+``member``'s answer per point (``SetExpr._held``).  The memo is exact:
 normal forms and points are frozen and ``part_contains`` is pure, so it
 only stores what ``member`` says.  ``decompose`` interns its boundary
-points (``_point``), and a point or a family computes its hash once.
+points (``_point``), and every family is interned: ``CylFamily`` returns
+one object per (prefix, symbols), so families compare by identity and
+hash in C, in every memo and row cache keyed by them.
 Normal forms are checked against raw membership (``raw_member``, read off
 the configuration's evaluation) in one place: ``verification``'s oracle
 compares the bit rows of a normal form's parts with the raw membership
@@ -102,22 +104,42 @@ def raw_member(c: Configuration, e: Subbasis) -> bool:
 # normal form
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+# every family built so far, one object per (prefix, symbols)
+_families: dict[tuple[Word, ss.SymbolSet], "CylFamily"] = {}
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class CylFamily:
     """Disjoint union of the cylinders ``C_{prefix k}`` for k in ``symbols``.
 
     ``symbols`` is effective: it is already intersected with the row of the
     prefix's last letter, so only admissible continuations are denoted.
+
+    Families are interned: building one returns the object already built
+    from an equal ``(prefix, symbols)``, so two families are equal iff they
+    are the same object, and ``==`` and ``hash`` are the object's own, in C.
+    ``dataclasses.replace``, ``copy`` and ``pickle`` rebuild a family
+    through the constructor (``__reduce__``), so they return the interned
+    object too.
     """
+
+    __slots__ = ("prefix", "symbols")
 
     prefix: Word
     symbols: ss.SymbolSet
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.prefix, self.symbols)))
+    def __new__(cls, prefix: Word, symbols: ss.SymbolSet) -> "CylFamily":
+        key = (prefix, symbols)
+        f = _families.get(key)
+        if f is None:
+            f = object.__new__(cls)
+            object.__setattr__(f, "prefix", prefix)
+            object.__setattr__(f, "symbols", symbols)
+            f = _families.setdefault(key, f)
+        return f
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self):
+        return CylFamily, (self.prefix, self.symbols)
 
     def __repr__(self) -> str:
         return f"Fam[{format_word(self.prefix)}; {ss.describe(self.symbols)}]"
@@ -127,7 +149,7 @@ class CylFamily:
 class SetExpr:
     """A normal form: the whole-space flag, or disjoint points, atoms and families.
 
-    ``_holds`` answers ``member`` for a boundary point and keeps the answer;
+    ``_held`` answers ``member`` for boundary points and keeps the answers;
     the memo and ``_point_set`` are not fields, so they take no part in
     equality, hashing or the representation.
     """
@@ -150,16 +172,21 @@ class SetExpr:
     def _point_set(self) -> frozenset[BoundedConfig]:
         return frozenset(self.points)
 
-    def _holds(self, p: BoundedConfig) -> bool:
-        """``member(p, self)``, decided once per point.  Exact: the normal form
-        and the point are frozen and ``part_contains`` is pure, so the answer
-        never changes; the memo is keyed by the point itself, so a point of
-        another matrix with the same stem and root id is a different key."""
+    def _held(self, points: Iterable[BoundedConfig]) -> list[BoundedConfig]:
+        """The points of ``points`` that ``member`` puts in this normal form,
+        each decided once per normal form.  Exact: the normal form and the
+        points are frozen and ``part_contains`` is pure, so an answer never
+        changes; the memo is keyed by the point itself, so a point of another
+        matrix with the same stem and root id is a different key."""
         memo = self._point_memo
-        hit = memo.get(p)
-        if hit is None:
-            hit = memo[p] = member(p, self)
-        return hit
+        held = []
+        for p in points:
+            hit = memo.get(p)
+            if hit is None:
+                hit = memo[p] = member(p, self)
+            if hit:
+                held.append(p)
+        return held
 
     def __repr__(self) -> str:
         if self.whole_space:
@@ -174,6 +201,8 @@ class SetExpr:
 
 
 _point_key = attrgetter("stem", "root.id")
+# every first-letter cylinder: the whole space less its empty-stem points
+_FIRST_LETTERS = CylFamily((), ss.ALL)
 
 
 def normalize(A: TransitionMatrix, points: Sequence[BoundedConfig] = (),
@@ -221,10 +250,11 @@ def _assemble(A: TransitionMatrix, points: Sequence[BoundedConfig], atoms: Itera
     """
     out_atoms = list(atoms)
     out_fams: list[CylFamily] = []
+    finite = A.size is not None     # only a finite alphabet has an empty sieve
     for f in families:
         if isinstance(f.symbols, ss.FiniteSet):
             out_atoms.extend(forced_extension(A, f.prefix + (k,)) for k in f.symbols.symbols)
-        elif not ss.is_definitely_empty(A, f.symbols):
+        elif not (finite and ss.is_definitely_empty(A, f.symbols)):
             out_fams.append(f)
     if not points and not out_fams and len(out_atoms) < 2:
         return SetExpr(A, False, (), tuple(out_atoms), ())
@@ -233,7 +263,7 @@ def _assemble(A: TransitionMatrix, points: Sequence[BoundedConfig], atoms: Itera
     fams = _in_order(out_fams, attrgetter("prefix"), "family")
     # fold the canonical whole-space decomposition (all empty-stem points
     # plus every first-letter cylinder) back into the whole-space flag
-    if (not out_atoms and [(f.prefix, f.symbols) for f in fams] == [((), ss.ALL)]
+    if (not out_atoms and len(fams) == 1 and fams[0] is _FIRST_LETTERS
             and set(map(_point_key, out_points)) == {((), c.id) for c in A.accumulation_catalog}):
         return SetExpr(A, True, (), (), ())
     return SetExpr(A, False, out_points, out_atoms, fams)
@@ -308,9 +338,9 @@ def shift_image(A: TransitionMatrix, alpha: Word) -> SetExpr:
 def _meet_families(A: TransitionMatrix, f: CylFamily, g: CylFamily) -> CylFamily | None:
     """The meet of two effective families: one family, or None if they are
     disjoint.  Memoized per (matrix, family, family), like ``_point``: it
-    depends on nothing else, and all three are frozen and hash once.  The
-    oracle's meets pair the same families many times over.  The unmemoized
-    function is ``_meet_families.__wrapped__``."""
+    depends on nothing else, all three are frozen, and the interned
+    families hash in C.  The oracle's meets pair the same families many
+    times over.  The unmemoized function is ``_meet_families.__wrapped__``."""
     if f.prefix == g.prefix:
         return CylFamily(f.prefix, ss.intersect(A, f.symbols, g.symbols))
     outer, inner = (f, g) if len(f.prefix) < len(g.prefix) else (g, f)
@@ -327,15 +357,15 @@ def meet(s: SetExpr, t: SetExpr) -> SetExpr:
     ``meet``): every part kept is one of theirs, or the same-prefix meet of
     two effective families, which is effective, so the parts are assembled
     without being canonicalized again.  A point of one operand survives iff
-    the other holds it (``SetExpr._holds``, which remembers ``member``'s
-    answer), so a normal form met many times decides each point once.
+    the other holds it (``SetExpr._held``, which remembers ``member``'s
+    answers), so a normal form met many times decides each point once.
     Every part-against-part case is decidable; a pair this function cannot
     resolve would mean the normal form is not closed, which is an internal
     error.
     """
-    if s.matrix != t.matrix:
-        raise ValueError("set expressions over different matrices")
     A = s.matrix
+    if A is not t.matrix and A != t.matrix:
+        raise ValueError("set expressions over different matrices")
     if s.whole_space:
         return t
     if t.whole_space:
@@ -344,31 +374,37 @@ def meet(s: SetExpr, t: SetExpr) -> SetExpr:
     families: list[CylFamily] = []
 
     # points survive iff they belong to the other expression
-    points = [p for p in s.points if t._holds(p)]
-    points += [q for q in t.points if q not in s._point_set and s._holds(q)]
+    points = t._held(s.points) if s.points else []
+    if t.points:
+        points += s._held([q for q in t.points if q not in s._point_set])
 
+    # a part loop runs only if both its sides hold parts: most meets keep
+    # little, and an empty side meets nothing
     # of two nested cylinders the longer word survives (u == w[:len(u)]: u prefixes w)
-    for a in s.atoms:
-        for b in t.atoms:
-            if a == b[:len(a)]:
-                atoms.append(b)
-            elif b == a[:len(b)]:
-                atoms.append(a)
+    if s.atoms and t.atoms:
+        for a in s.atoms:
+            for b in t.atoms:
+                if a == b[:len(a)]:
+                    atoms.append(b)
+                elif b == a[:len(b)]:
+                    atoms.append(a)
     # a family inside the cylinder survives whole; a cylinder inside the
     # family survives if its next letter is one of the family's symbols
     for own, other in ((s.atoms, t.families), (t.atoms, s.families)):
-        for a in own:
-            for f in other:
-                m = len(f.prefix)
-                if a == f.prefix[:len(a)]:
-                    families.append(f)
-                elif f.prefix == a[:m] and ss.contains(A, f.symbols, a[m]):
-                    atoms.append(a)
-    for f in s.families:
-        for g in t.families:
-            hit = _meet_families(A, f, g)
-            if hit is not None:
-                families.append(hit)
+        if own and other:
+            for a in own:
+                for f in other:
+                    m = len(f.prefix)
+                    if a == f.prefix[:len(a)]:
+                        families.append(f)
+                    elif f.prefix == a[:m] and ss.contains(A, f.symbols, a[m]):
+                        atoms.append(a)
+    if s.families and t.families:
+        for f in s.families:
+            for g in t.families:
+                hit = _meet_families(A, f, g)
+                if hit is not None:
+                    families.append(hit)
     return _assemble(A, points, atoms, families)
 
 
@@ -402,7 +438,7 @@ def part_contains(c: Configuration, part: BoundedConfig | Word | CylFamily) -> b
 
 def member(c: Configuration, s: SetExpr) -> bool:
     """Whether some part of ``s`` contains ``c``: the one membership rule, which
-    ``SetExpr._holds`` only remembers."""
+    ``SetExpr._held`` only remembers."""
     return s.whole_space or any(part_contains(c, part)
                                 for part in (*s.points, *s.atoms, *s.families))
 

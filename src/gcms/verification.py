@@ -232,8 +232,11 @@ def _meet_fault(u: ConfigUniverse, expr: SetExpr, expected: int) -> tuple[int, s
     if there is none."""
     seen, dup = (u.full, 0) if expr.whole_space else (0, 0)
     parts = (*expr.points, *expr.atoms, *expr.families)
+    rows = u._rows
     for part in parts:
-        row = u.part_row(part)
+        row = rows.get(part)
+        if row is None:
+            row = u.part_row(part)
         dup |= seen & row
         seen |= row
     if dup:
@@ -392,9 +395,10 @@ def pressure_identity_rows(A: TransitionMatrix, beta: float) -> list[tuple[int, 
     Renewal counts 2^(n-1) cycles of length n through 1, so the closed form
     is h - beta - h / n, with h = log 2 its entropy."""
     h = A.spec.critical_beta
+    weight = ms.negate(th.UNIT_POTENTIAL)
     rows = []
     for n in range(1, 21):
-        z = th.z_n(A, th.Constant(-1.0), beta, 1, n)
+        z = th.z_n(A, weight, beta, 1, n)
         lhs = math.log(z.value) / n
         rhs = h - beta - h / n
         rows.append((n, lhs, rhs))
@@ -406,7 +410,7 @@ def pressure_suite(A: TransitionMatrix, beta: float) -> dict[str, float]:
         raise ValueError("the pressure identities are specific to the renewal matrix")
     worst_id = th.worst(abs(l - r) for _, l, r in pressure_identity_rows(A, beta))
     worst_star = th.worst(abs(l - r) / r for _, l, r in th.first_return_rows(2.0))
-    th.superadditivity_check(A, th.Constant(1.0), beta, 1, 16)
+    th.superadditivity_check(A, th.UNIT_POTENTIAL, beta, 1, 16)
     numerator = th.z_n_transfer(A, th.LOG_POTENTIAL, 1.0, 1, 8, 10)
     direct = th.z_n(A, th.LOG_POTENTIAL, 1.0, 1, 8).value
     return {

@@ -43,7 +43,7 @@ def oracle_classes():
     ``subbasis_elements``, in the order the oracle numbers them, and the
     ordered pairs of their indices that ``cylinder_oracle`` meets.  The
     normal forms are shared by every test of the session, and with them what
-    each remembers of ``member`` (``SetExpr._holds``): a test that patches
+    each remembers of ``member`` (``SetExpr._held``): a test that patches
     the membership rule builds its own normal forms.
     """
     from itertools import combinations_with_replacement

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gcms import symbolsets as sset
 from gcms.configs import GroupWord, UnboundedConfig, bounded, empty_stem_config
@@ -112,6 +112,13 @@ def test_intersect_many_three_way(renewal):
 def test_intersect_requires_same_matrix(renewal, pair):
     with pytest.raises(ValueError):
         intersect_many([Subbasis(renewal, (1,)), Subbasis(pair, (1,))])
+    # an equal matrix built apart is the same matrix
+    from gcms.cylinders import meet
+    from gcms.matrices import TransitionMatrix
+    twin = TransitionMatrix("renewal")
+    assert twin is not renewal
+    got = meet(decompose(Subbasis(twin, (1,))), decompose(Subbasis(renewal, (1, 2))))
+    assert got == decompose(Subbasis(renewal, (1, 2)))
 
 
 def test_intersect_commutative_on_universe(renewal):
@@ -607,11 +614,11 @@ def test_grouped_part_rows_match_per_configuration_rows_on_stored_matrices(oracl
 
 # -- meet assembles its operands' canonical parts ------------------------------
 
-def _reference_meet(s, t, finish):
+def _reference_meet(s, t):
     # meet as it was before its operands remembered their points: the point
-    # filter asks member for every point of every meet; ``finish`` builds the
-    # result from the parts kept (cylinders._assemble, as meet does, or
-    # cylinders.normalize, which takes no part of the operands as canonical)
+    # filter asks member for every point of every meet, and the result is
+    # built from the parts kept by cylinders.normalize, which takes no part
+    # of the operands as canonical
     from gcms import cylinders
     from gcms.words import is_prefix
     if s.matrix != t.matrix:
@@ -648,15 +655,15 @@ def _reference_meet(s, t, finish):
             hit = cylinders._meet_families(A, f, g)
             if hit is not None:
                 families.append(hit)
-    return finish(A, points, atoms, families)
+    return cylinders.normalize(A, points, atoms, families)
 
 
 def _check_class_pair_meets(classes, pairs):
-    from gcms.cylinders import meet, normalize
+    from gcms.cylinders import meet
     met = {(i, j): meet(classes[i], classes[j]) for i, j in pairs}
     for (i, j), got in met.items():
         s, t = classes[i], classes[j]
-        assert got == _reference_meet(s, t, normalize), (s, t)
+        assert got == _reference_meet(s, t), (s, t)
         assert got == (met[j, i] if (j, i) in met else meet(t, s)), (s, t)
 
 
@@ -680,29 +687,118 @@ def test_meet_matches_meet_by_normalize_on_stored_matrices(oracle_classes, rows)
     _check_class_pair_meets(*oracle_classes(explicit(rows), 2, 3, 3))
 
 
-# -- meet decides each boundary point once per normal form ---------------------
+# -- meet against its slow path ------------------------------------------------
+
+def _slow_assemble(A, points, atoms, families):
+    # the slow path of cylinders._assemble: every sieve family asked whether
+    # it is empty, and the whole-space fold compared by value
+    from gcms.cylinders import SetExpr, _in_order, _point_key
+    from gcms.words import forced_extension
+    from operator import attrgetter
+    out_atoms = list(atoms)
+    out_fams = []
+    for f in families:
+        if isinstance(f.symbols, sset.FiniteSet):
+            out_atoms.extend(forced_extension(A, f.prefix + (k,)) for k in f.symbols.symbols)
+        elif not sset.is_definitely_empty(A, f.symbols):
+            out_fams.append(f)
+    if not points and not out_fams and len(out_atoms) < 2:
+        return SetExpr(A, False, (), tuple(out_atoms), ())
+    out_points = _in_order(points, _point_key, "point")
+    out_atoms = _in_order(out_atoms, None, "cylinder")
+    fams = _in_order(out_fams, attrgetter("prefix"), "family")
+    if (not out_atoms and [(f.prefix, f.symbols) for f in fams] == [((), sset.ALL)]
+            and set(map(_point_key, out_points)) == {((), c.id) for c in A.accumulation_catalog}):
+        return SetExpr(A, True, (), (), ())
+    return SetExpr(A, False, out_points, out_atoms, fams)
+
+
+def _slow_meet(s, t):
+    # the slow path of cylinders.meet: matrices compared by value, every part
+    # loop walked whatever its sides hold, each point asked of member
+    from gcms import cylinders
+    if s.matrix != t.matrix:
+        raise ValueError("set expressions over different matrices")
+    A = s.matrix
+    if s.whole_space:
+        return t
+    if t.whole_space:
+        return s
+    atoms, families = [], []
+    points = [p for p in s.points if cylinders.member(p, t)]
+    points += [q for q in t.points if q not in s.points and cylinders.member(q, s)]
+    for a in s.atoms:
+        for b in t.atoms:
+            if a == b[:len(a)]:
+                atoms.append(b)
+            elif b == a[:len(b)]:
+                atoms.append(a)
+    for own, other in ((s.atoms, t.families), (t.atoms, s.families)):
+        for a in own:
+            for f in other:
+                m = len(f.prefix)
+                if a == f.prefix[:len(a)]:
+                    families.append(f)
+                elif f.prefix == a[:m] and sset.contains(A, f.symbols, a[m]):
+                    atoms.append(a)
+    for f in s.families:
+        for g in t.families:
+            hit = cylinders._meet_families(A, f, g)
+            if hit is not None:
+                families.append(hit)
+    return _slow_assemble(A, points, atoms, families)
+
+
+def _assert_meets_alike(s, t):
+    # == on normal forms compares the part tuples in order; they are named
+    # here so that a failure shows which one differs
+    from gcms.cylinders import meet
+    got, want = meet(s, t), _slow_meet(s, t)
+    assert got.whole_space == want.whole_space, (s, t)
+    assert got.points == want.points, (s, t)
+    assert got.atoms == want.atoms, (s, t)
+    assert got.families == want.families, (s, t)
+    assert got == want, (s, t)
+
 
 def _check_point_filter(classes, pairs):
-    from gcms import cylinders
     for i, j in pairs:
-        s, t = classes[i], classes[j]
-        assert cylinders.meet(s, t) == _reference_meet(s, t, cylinders._assemble), (s, t)
+        _assert_meets_alike(classes[i], classes[j])
 
 
 @pytest.mark.parametrize("name", ORACLE_MATRICES)
 def test_meet_matches_the_member_point_filter(name, oracle_classes):
     # every class pair of the full-size oracle: each operand remembers what
-    # member said of a point, and the meet equals the one that asks member
-    # every time
+    # member said of a point, and the meet equals the slow one, which asks
+    # member every time and walks every part loop
     _check_point_filter(*oracle_classes(_oracle_matrix(name)))
 
 
 @given(stored_matrices())
+@example([[1, 1], [1, 1]])    # !C[1] & !C[2] leaves an empty sieve on the first letter
 @settings(max_examples=10, deadline=None)
 def test_meet_matches_the_member_point_filter_on_stored_matrices(oracle_classes, rows):
     from gcms.matrices import explicit
     _check_point_filter(*oracle_classes(explicit(rows), 2, 3, 3))
 
+
+@given(stored_matrices(), st.randoms(use_true_random=False))
+@settings(max_examples=20, deadline=None)
+def test_meet_matches_the_slow_meet_on_random_normal_forms(rows, rng):
+    # normal forms beyond single elements: slow meets of up to three random
+    # elements, met pairwise
+    from functools import reduce
+    from gcms.matrices import explicit
+    A = explicit(rows)
+    elems = subbasis_elements(A, 2, 3, 3)
+    forms = [reduce(_slow_meet, map(decompose, rng.sample(elems, rng.randint(1, 3))))
+             for _ in range(25)]
+    for s in forms:
+        for t in forms:
+            _assert_meets_alike(s, t)
+
+
+# -- meet decides each boundary point once per normal form ---------------------
 
 def test_point_memo_tells_matrices_apart(renewal, pair):
     # a point of another matrix with the same stem and root id hashes like a
@@ -710,9 +806,9 @@ def test_point_memo_tells_matrices_apart(renewal, pair):
     s = decompose(Subbasis(renewal, (1,), complemented=True))
     p, q = empty_stem_config(renewal, 1), empty_stem_config(pair, 1)
     assert p in s.points and hash(q) == hash(p) and q != p
-    assert s._holds(p)
-    assert not s._holds(q) and not member(q, s)
-    assert s._holds(p) and list(s._point_memo.items()) == [(p, True), (q, False)]
+    assert s._held([p]) == [p]
+    assert s._held([q]) == [] and not member(q, s)
+    assert s._held([q, p]) == [p] and list(s._point_memo.items()) == [(p, True), (q, False)]
 
 
 def test_oracle_asks_member_once_per_point_and_normal_form(monkeypatch):
@@ -745,7 +841,7 @@ def test_oracle_meets_each_class_pair_once_and_assembles_little(oracle_classes, 
     from collections import Counter
     from gcms import cylinders, verification
     from gcms.configs import BoundedConfig
-    from gcms.matrices import by_kind
+    from gcms.matrices import TransitionMatrix, by_kind
     A = by_kind("pair_renewal")
     classes, pairs = oracle_classes(A)
     cylinders._meet_families.cache_clear()     # count the family meets from cold
@@ -762,9 +858,15 @@ def test_oracle_meets_each_class_pair_once_and_assembles_little(oracle_classes, 
                         lambda *args: counted.update(["intersect"]) or intersect(*args))
     monkeypatch.setattr(verification, "part_contains",
                         lambda c, part: counted.update(["contains"]) or contains(c, part))
+    matrix_eq = TransitionMatrix.__eq__
+    monkeypatch.setattr(TransitionMatrix, "__eq__",
+                        lambda a, b: counted.update(["matrix eq"]) or matrix_eq(a, b))
     rep = cylinder_oracle(A)
     assert rep.ok and rep.n_pairs == 61425
     assert len(met) == 11848
+    # the operands of every meet share one matrix object, which meet tells
+    # by identity: it compared the matrices by value in each of its meets
+    assert counted["matrix eq"] == 0
     assert set(met) == {(classes[i], classes[j]) for i, j in pairs}
     # _in_order sorts the points once per assembly that goes past the shortcut
     assert counted["point"] <= 6000
@@ -783,6 +885,36 @@ def test_meet_families_memo_is_the_unmemoized_meet(oracle_classes):
     assert len(met) > 1000
     for f, g in met:
         assert _meet_families(A, f, g) == _meet_families.__wrapped__(A, f, g), (f, g)
+
+
+def test_families_are_interned_and_keep_value_semantics(renewal, pair):
+    import copy
+    import dataclasses
+    import pickle
+    f = CylFamily((1,), sset.all_except({2}))
+    # a family built twice from equal parts is one object
+    assert CylFamily((1,), sset.all_except([2])) is f
+    assert CylFamily(prefix=(1,), symbols=sset.Sieve(None, frozenset(), frozenset({2}))) is f
+    assert (decompose(Subbasis(renewal, (1,), complemented=True)).families
+            == (CylFamily((), sset.all_except({1})),))
+    # families that differ only in their symbols are different objects
+    g = CylFamily((1,), sset.all_except({3}))
+    assert g is not f and g != f and g.prefix == f.prefix
+    assert CylFamily((1,), sset.FiniteSet(frozenset({2}))) is not f
+    # every route that rebuilds a family by value returns the interned one
+    for same in (dataclasses.replace(f), copy.copy(f), copy.deepcopy(f),
+                 pickle.loads(pickle.dumps(f))):
+        assert same is f
+    assert dataclasses.replace(f, symbols=g.symbols) is g
+    # the representation is unchanged
+    assert repr(f) == "Fam[1; AllExcept([2])]"
+    assert repr(CylFamily((1, 2), sset.FiniteSet(frozenset({3, 1})))) == "Fam[1.2; Exactly([1, 3])]"
+    assert [repr(h) for h in decompose(Subbasis(pair, (), 2)).families] == ["Fam[e; {k: A(2,k)=1}]"]
+    # equality and hash are the object's own, and a family stays frozen
+    assert "__eq__" not in vars(CylFamily) and "__hash__" not in vars(CylFamily)
+    assert not hasattr(f, "_hash") and hash(f) == object.__hash__(f)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f.prefix = (2,)
 
 
 @pytest.mark.parametrize("parts, key", [

@@ -284,3 +284,29 @@ def test_numpy_stays_in_the_modules_that_import_it():
     found = {path.stem for path in SRC.glob("*.py")
              if _imports_numpy(ast.parse(path.read_text()))}
     assert found == NUMPY_MODULES
+
+
+def _unit_constants(tree: ast.AST):
+    """The line of every call ``Constant(1.0)`` or ``Constant(-1.0)``, by
+    name or as ``<alias>.Constant``, whatever the spelling of the number."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = (f.id if isinstance(f, ast.Name)
+                    else f.attr if isinstance(f, ast.Attribute) else None)
+            if name == "Constant":
+                for arg in (*node.args, *(k.value for k in node.keywords)):
+                    try:
+                        value = ast.literal_eval(arg)
+                    except ValueError:
+                        continue
+                    if value in (1, -1):
+                        yield node.lineno
+
+
+def test_the_unit_potential_is_written_once():
+    # thermo.UNIT_POTENTIAL is the unit potential, and measures.negate gives
+    # its weight -1: no other module spells either as a literal
+    found = [f"{path.stem}:{line}" for path in sorted(SRC.glob("*.py")) if path.stem != "thermo"
+             for line in _unit_constants(ast.parse(path.read_text()))]
+    assert not found, f"unit potentials written as literals: {found}"

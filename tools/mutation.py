@@ -153,13 +153,49 @@ CATALOG: dict[str, Mutant] = {
         " and ss.contains(A, outer.symbols, inner.prefix[n]):",
         ":",
         ("tests/test_cylinders.py::test_small_oracle",)),
-    # SetExpr._holds: the point memo keyed by stem, so matrices are mixed up
+    # cylinders.CylFamily: families interned by prefix alone, so one stands for several
+    "family-intern-key-prefix": Mutant(
+        "src/gcms/cylinders.py",
+        "        key = (prefix, symbols)",
+        "        key = prefix",
+        ("tests/test_cylinders.py::test_families_are_interned_and_keep_value_semantics",)),
+    # cylinders._meet_families: the memo keeps nothing, so every family pair is met afresh
+    "meet-families-memo-off": Mutant(
+        "src/gcms/cylinders.py",
+        "@lru_cache(maxsize=None)\ndef _meet_families(",
+        "@lru_cache(maxsize=0)\ndef _meet_families(",
+        ("tests/test_cylinders.py::test_oracle_meets_each_class_pair_once_and_assembles_little",)),
+    # cylinders.meet: matrices told apart by identity alone, so an equal one is refused
+    "meet-matrix-identity-only": Mutant(
+        "src/gcms/cylinders.py",
+        "    if A is not t.matrix and A != t.matrix:",
+        "    if A is not t.matrix:",
+        ("tests/test_cylinders.py::test_intersect_requires_same_matrix",)),
+    # cylinders.meet: the empty-side skip of one atom-family loop also skips the other
+    "meet-skip-both-atom-family-loops": Mutant(
+        "src/gcms/cylinders.py",
+        "        if own and other:",
+        "        if s.atoms and t.families:",
+        ("tests/test_cylinders.py::test_meet_matches_the_member_point_filter[renewal]",)),
+    # cylinders._assemble: a stored matrix's empty sieve family kept
+    "assemble-empty-sieve-kept": Mutant(
+        "src/gcms/cylinders.py",
+        "    finite = A.size is not None",
+        "    finite = False",
+        ("tests/test_cylinders.py::test_meet_matches_the_member_point_filter_on_stored_matrices",)),
+    # cylinders._assemble: any one family on the empty prefix folds into the whole space
+    "whole-space-fold-any-root-family": Mutant(
+        "src/gcms/cylinders.py",
+        "len(fams) == 1 and fams[0] is _FIRST_LETTERS",
+        "len(fams) == 1 and not fams[0].prefix",
+        ("tests/test_cylinders.py::test_small_oracle[renewal]",)),
+    # SetExpr._held: the point memo keyed by stem, so matrices are mixed up
     "holds-memo-by-stem": Mutant(
         "src/gcms/cylinders.py",
-        "        hit = memo.get(p)\n        if hit is None:\n"
-        "            hit = memo[p] = ",
-        "        hit = memo.get(p.stem)\n        if hit is None:\n"
-        "            hit = memo[p.stem] = ",
+        "            hit = memo.get(p)\n            if hit is None:\n"
+        "                hit = memo[p] = ",
+        "            hit = memo.get(p.stem)\n            if hit is None:\n"
+        "                hit = memo[p.stem] = ",
         ("tests/test_cylinders.py::test_point_memo_tells_matrices_apart",)),
     # cli._BOUNDS: the pressure sweep's cap raised past a minute of work
     "cli-bounds-n-max": Mutant(
