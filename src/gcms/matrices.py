@@ -122,6 +122,19 @@ class MatrixKind:
       in 1 that start with an even letter: the whole even generation,
       3^(k-1) at n = 2k, and 0 at odd n.  The rule kinds are irreducible,
       so the base letter does not matter.
+    * ``max_predecessors``: d, the largest number of predecessors any
+      letter has, so a backward walk hands each letter's weight to at most
+      d letters of the next layer.  Renewal: (1, j + 1), so d = 2.  Pair
+      renewal: (1, 2, j + 1) for even j, else (1, j + 1), so d = 3.
+      Alternating renewal: (2,) for j = 1, else (1 + j mod 2, j + 1), so
+      d = 2.  Prime renewal: (1, j + 1), or (1, p, j + 1) when j is a power
+      of the prime p (``_prime_predecessors``): row 1 holds every letter,
+      and row i > 1 holds i - 1 and, for a prime i, the powers of i, so the
+      letters before j are 1, j + 1 and the one prime whose power j is, if
+      any.  These are distinct, as 2 <= p <= j < j + 1, so d = 3, reached
+      at j = 2.  A stored matrix: its longest column.  On pair and
+      alternating renewal d exceeds the growth rate, so it is not
+      ``growth[1]``.
     * ``counts(family_id, n)``: closed-form (or interval) size of
       generation n >= 0 of a family's preimage tree; None when unknown.
     * ``stem_sums(x, terminals)``: the stem sums of the boundary family
@@ -141,6 +154,7 @@ class MatrixKind:
     catalog: Callable[[int], tuple[AccumulationColumn, ...]]
     cover: tuple[Symbol, ...]
     growth: tuple[float, float] | None
+    max_predecessors: int
     counts: Callable[[int, int], int | IntegerInterval] | None
     stem_sums: Callable[[float, frozenset[Symbol]],
                         tuple[float, dict[Symbol, float]]] | None
@@ -329,6 +343,7 @@ KINDS: dict[str, MatrixKind] = {
         catalog=lambda prime_bound: (_column(1, {1}),),
         cover=(1,),
         growth=(2.0, 2.0),
+        max_predecessors=2,
         counts=lambda family_id, n: 1 if n == 0 else 2 ** (n - 1),
         stem_sums=_renewal_stem_sums),
     "pair_renewal": _rule_kind(
@@ -339,6 +354,7 @@ KINDS: dict[str, MatrixKind] = {
         catalog=lambda prime_bound: (_column(1, {1, 2}), _column(2, {1})),
         cover=(1,),
         growth=(1.0 + math.sqrt(2.0), 1.0 + math.sqrt(2.0)),
+        max_predecessors=3,
         counts=_pair_counts,
         stem_sums=_pair_stem_sums),
     "prime_renewal": _rule_kind(
@@ -349,6 +365,7 @@ KINDS: dict[str, MatrixKind] = {
         catalog=_prime_catalog,
         cover=(1,),
         growth=(2.0, 3.0),
+        max_predecessors=3,
         counts=lambda family_id, n: 1 if n == 0 else IntegerInterval(2 ** (n - 1), 3 ** n),
         stem_sums=None,
         truncated=True),
@@ -361,6 +378,7 @@ KINDS: dict[str, MatrixKind] = {
         catalog=lambda prime_bound: (_column(1, {1}), _column(2, {2})),
         cover=(1, 2),
         growth=(math.sqrt(3.0), math.sqrt(3.0)),
+        max_predecessors=2,
         counts=_alternating_counts,
         stem_sums=_alternating_stem_sums),
 }
@@ -402,7 +420,8 @@ def _stored_kind(rows: tuple[tuple[int, ...], ...]) -> MatrixKind:
 
     return MatrixKind(entry=entry, predecessors=predecessors, row=row, descent_stop=None,
                       irregular_meet=None, catalog=lambda prime_bound: (), cover=(),
-                      growth=None, counts=None, stem_sums=None)
+                      growth=None, max_predecessors=max(map(len, columns)), counts=None,
+                      stem_sums=None)
 
 
 class TransitionMatrix:

@@ -26,11 +26,12 @@ through the continuation sums
 
 The stems behind 1/c(e) are the same sums, so ``normalizer`` computes both
 at once: the kind's closed form (``MatrixKind.stem_sums``) on renewal, pair
-renewal and alternating renewal, and on prime renewal one generation walk
-whose single geometric tail bound certifies 1/c(e) and every T(j).  One
-row rule gives the sums they leave out: T(j) = 1/c(e) - 1 on a row that
-holds every letter, and T(j) = u(j-1) ([j-1 terminal] + T(j-1)) on a
-forced descent j -> j-1.
+renewal and alternating renewal, and on prime renewal one generation walk.
+The walk stops once a geometric bound read off its own last layer shows
+that the rest cannot move 1/c(e), and that one bound certifies 1/c(e) and
+every T(j).  One row rule gives the sums they leave out: T(j) = 1/c(e) - 1
+on a row that holds every letter, and T(j) = u(j-1) ([j-1 terminal] +
+T(j-1)) on a forced descent j -> j-1.
 
 Measures carried by the sequence space follow from the same relation and
 the masses of their end letters.  A letter n with a single successor n'
@@ -124,13 +125,37 @@ def normalizer(A: TransitionMatrix, family: AccumulationColumn, weight: Constant
     sums in closed form (``MatrixKind.stem_sums``), they are exact, with no
     tail; a closed form that rounding leaves infinite inside the band
     raises ``Inconclusive``.  A kind without one, prime renewal, walks the
-    generation layers once, to depth + 1: at most upper^n stems have length
-    n and the continuations of j are stems, so rho^(depth+1) / (1 - rho),
-    rho = upper * exp(beta * c), bounds the tail of 1/c_e and of every
-    T(j).  The 400-layer cap leaves a rho near 1 with a tail above
-    ``TAIL_TOL``, which the measure refuses.  Where exp(beta * c)
-    underflows to 0, every non-empty stem weighs 0: the walk takes the
-    least depth, and every T(j) is 0.
+    generation layers once and stops at the first layer N whose tail bound
+    is at most 2^-53 times the running 1/c_e, where the rest cannot move
+    the sum by more than an ulp, or at the cap, layer depth + 1.
+
+    The bound.  Let L_n be the total weight of layer n, the stems of
+    length n.  The N layers leave out of 1/c_e the stems longer than N.
+    The walk's T(j) holds the words d after j with |d| <= N - 1, as j d
+    lies in layer |d| + 1; it misses those with |d| >= N, each of them a
+    stem of its own.  So both miss at most the sum of L_n over n >= N, and
+    ``tail_bound`` is the lesser of two bounds on it:
+
+    * a priori, rho^N / (1 - rho), rho = upper * x: at most upper^n stems
+      have length n;
+    * a posteriori, L_N / (1 - d x), d = ``max_predecessors``: each letter
+      hands its weight, times x, to at most d letters of the next layer,
+      so L_(n+1) <= d x L_n, and L_n <= (d x)^(n - N) L_N.  1 - d x is
+      rounded down, so the bound never comes out too small; where d x >= 1
+      there is no such bound.
+
+    Both bound the truncation of the series at the double x; the rounding
+    of the walk's own sums, a few ulp, is outside them, as it was.  The cap
+    is where the a-priori bound falls to about ``TAIL_TOL``, held between 9
+    and 401 layers.  The layers of prime renewal shrink by its growth rate,
+    about 2.597 x, not by 3 x, so the a-posteriori bound ends its walks
+    well before the cap (by layer 125 at beta 1.263, where the cap is 196),
+    and the measure's refusal of a tail above ``TAIL_TOL`` is left only
+    within about 3e-13 of log 3.  Renewal, pair and alternating renewal,
+    walked without their closed forms, reach the cap first within 2.9 of
+    their critical beta, where the a-posteriori bound is no tighter.  Where
+    exp(beta * c) underflows to 0, every non-empty stem weighs 0: the
+    a-priori bound is 0 after the first layer, and every T(j) is 0.
     """
     x = math.exp(beta * weight.c)    # a weight past the largest double overflows here
     band = growth_band(A, weight, beta)
@@ -149,13 +174,23 @@ def normalizer(A: TransitionMatrix, family: AccumulationColumn, weight: Constant
     rho = A.spec.growth[1] * x
     depth = 8 if x == 0.0 else min(400, max(8, int(math.log(TAIL_TOL * (1 - rho))
                                                    / math.log(rho)) + 2))
-    layers = generation_layers(A, family.allowed_terminal_symbols, depth + 1, weight=x)
+    # 1 - d x rounded down: d x rounded up, the difference rounded down
+    gap = math.nextafter(1.0 - math.nextafter(A.spec.max_predecessors * x, math.inf), 0.0)
+    terms: list[float] = []
     sums: dict[Symbol, float] = {}
-    for layer in layers[1:]:
-        for j, w in layer.items():
-            sums[j] = sums.get(j, 0.0) + w
-    value = 1.0 + math.fsum(w for layer in layers for w in layer.values())
-    return NormalizerResult(value, rho ** (depth + 1) / (1.0 - rho), "finite",
+    running = 1.0
+    for n, layer in enumerate(generation_layers(A, family.allowed_terminal_symbols, depth + 1,
+                                                weight=x), 1):
+        terms += layer.values()
+        if n > 1:
+            for j, w in layer.items():
+                sums[j] = sums.get(j, 0.0) + w
+        total = sum(layer.values())
+        running += total
+        tail = min(rho ** n / (1.0 - rho), total / gap if gap > 0.0 else math.inf)
+        if tail <= 2.0 ** -53 * running:
+            break
+    return NormalizerResult(1.0 + math.fsum(terms), tail, "finite",
                             {j: w / x if x else 0.0 for j, w in sums.items()})
 
 
@@ -300,7 +335,7 @@ class YFamilyMeasure(Measure):
         return self._product(w, self.c_e)
 
     def point_mass(self, c: BoundedConfig) -> float:
-        if c.matrix != self.matrix or c.root != self.family:
+        if (c.matrix is not self.matrix and c.matrix != self.matrix) or c.root != self.family:
             return 0.0
         return self.peel(c.stem)
 
@@ -649,7 +684,7 @@ def measure_setexpr(m: Measure, s: SetExpr) -> float:
 
     The parts of a normal form are admissible by construction, so no word
     of them is checked again (see ``Measure``)."""
-    if s.matrix != m.matrix:
+    if s.matrix is not m.matrix and s.matrix != m.matrix:
         raise MeasureError("set expression over a different matrix")
     if s.whole_space:
         return m.total_mass()

@@ -154,29 +154,33 @@ def backward_words(A: TransitionMatrix, n: int, seeds: Iterable[Symbol]) -> Iter
 
 
 def generation_layers(A: TransitionMatrix, seeds: Iterable[Symbol], n: int,
-                      weight: float = 1) -> list[dict[Symbol, float]]:
-    """Layers 1..n of the backward walk from ``seeds``, one dict per length.
+                      weight: float = 1) -> Iterator[dict[Symbol, float]]:
+    """Layers 1..n of the backward walk from ``seeds``, one dict per length,
+    each yielded as soon as it is built.
 
     Layer k maps a first letter to the total ``weight**k`` over the
     admissible words of length k that start with that letter and end in a
     seed; with ``weight=1`` the totals are exact integer counts.  The walk
     keeps one entry per first letter, so it never builds the words that
     ``backward_words`` yields, and it reads each letter's column support
-    once, however many layers the letter appears in.
+    once, however many layers the letter appears in.  It builds layer k + 1
+    only when asked for it, so a caller that stops after layer k has read
+    no column of layer k's letters.
     """
-    layers = [{s: weight for s in sorted(seeds)}] if n >= 1 else []
+    layer = {s: weight for s in sorted(seeds)}
     columns: dict[Symbol, tuple[Symbol, ...]] = {}
-    while len(layers) < n:
-        nxt: dict[Symbol, float] = {}
-        for sym, x in layers[-1].items():
-            x *= weight
-            preds = columns.get(sym)
-            if preds is None:
-                preds = columns[sym] = A.predecessors(sym)
-            for p in preds:
-                nxt[p] = nxt.get(p, 0) + x
-        layers.append(nxt)
-    return layers
+    for k in range(n):
+        if k:
+            nxt: dict[Symbol, float] = {}
+            for sym, x in layer.items():
+                x *= weight
+                preds = columns.get(sym)
+                if preds is None:
+                    preds = columns[sym] = A.predecessors(sym)
+                for p in preds:
+                    nxt[p] = nxt.get(p, 0) + x
+            layer = nxt
+        yield layer
 
 
 def enumerate_words(A: TransitionMatrix, n: int, last_in: Iterable[Symbol],

@@ -79,6 +79,13 @@ def test_predecessors_match_entries(renewal, pair, prime, alternating):
                 assert (i in preds) == (A.entry(i, j) == 1)
 
 
+@pytest.mark.parametrize("kind", sorted(matrices.KINDS))
+def test_max_predecessors_is_the_longest_column(kind):
+    # the y-measure normalizer's a-posteriori tail bound rests on it
+    A = matrices.by_kind(kind)
+    assert A.spec.max_predecessors == max(len(A.predecessors(j)) for j in range(1, 10_001))
+
+
 def test_accumulation_catalogs(renewal, pair, prime, alternating):
     def letter_sets(A):
         return [set(c.allowed_terminal_symbols) for c in A.accumulation_catalog]
@@ -226,6 +233,7 @@ def test_kind_table_consistency(kind):
         # a stored matrix has no boundary, no cover and no certified rates
         assert A.spec.cover == A.accumulation_catalog == ()
         assert A.spec.growth is None and A.spec.counts is None
+        assert A.spec.max_predecessors == max(len(A.predecessors(j)) for j in window)
         return
     # the cover rows tile the alphabet
     cover = [rows[i] for i in A.spec.cover]

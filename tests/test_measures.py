@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -191,6 +192,136 @@ def test_normalizer_matches_enumeration(pair, prime, alternating):
         tail = rho ** (depth + 1) / (1.0 - rho)
         assert partial <= res.value + 1e-12
         assert abs(res.value - partial) <= tail + 1e-10 * res.value
+
+
+def _fixed_depth_walk(A, col, beta):
+    """The normalizer's walk as it was before it stopped early: every layer
+    to the cap, depth + 1, and the a-priori tail bound there."""
+    x = math.exp(-beta)
+    rho = A.spec.growth[1] * x
+    depth = 8 if x == 0.0 else min(400, max(8, int(math.log(ms.TAIL_TOL * (1 - rho))
+                                                   / math.log(rho)) + 2))
+    layers = list(generation_layers(A, col.allowed_terminal_symbols, depth + 1, weight=x))
+    sums = {}
+    for layer in layers[1:]:
+        for j, w in layer.items():
+            sums[j] = sums.get(j, 0.0) + w
+    value = 1.0 + math.fsum(w for layer in layers for w in layer.values())
+    return ms.NormalizerResult(value, rho ** (depth + 1) / (1.0 - rho), "finite",
+                               {j: w / x if x else 0.0 for j, w in sums.items()})
+
+
+def _y(A, col, beta, res):
+    """The y-measure of a normalizer result, whose row rule fills every T(j)."""
+    return ms.YFamilyMeasure(A, col, Constant(-1.0), beta, "test", 1.0 / res.value,
+                             dict(res.tails))
+
+
+def _walk_lengths(monkeypatch):
+    """The number of layers each normalizer walk reads, in call order."""
+    lengths = []
+    walk = ms.generation_layers
+
+    def counted(*args, **kwargs):
+        lengths.append(0)
+        for layer in walk(*args, **kwargs):
+            lengths[-1] += 1
+            yield layer
+    monkeypatch.setattr(ms, "generation_layers", counted)
+    return lengths
+
+
+@pytest.mark.parametrize("beta", [1.2, 1.263, 1.6, 2.0])
+def test_prime_early_stop_matches_the_fixed_depth_walk(prime, beta):
+    for col in prime.accumulation_catalog:
+        new = ms.normalizer(prime, col, Constant(-1.0), beta)
+        old = _fixed_depth_walk(prime, col, beta)
+        slack = new.tail_bound + old.tail_bound + 8 * math.ulp(old.value)
+        assert new.tail_bound <= ms.TAIL_TOL and new.tail_bound <= old.tail_bound
+        assert abs(new.value - old.value) <= slack, (col.id, beta)
+        mu, oracle = _y(prime, col, beta, new), _y(prime, col, beta, old)
+        for j in range(1, 13):
+            assert abs(mu._tail(j) - oracle._tail(j)) <= slack, (col.id, beta, j)
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_layers(family_id, n):
+    """Exact integer counts of the first n layers of a prime-renewal family:
+    each layer's total and its entries for the first letters 1..12."""
+    A = by_kind("prime_renewal")
+    seeds = A.column_by_id(family_id).allowed_terminal_symbols
+    return [(sum(layer.values()), {j: layer.get(j, 0) for j in range(1, 13)})
+            for layer in generation_layers(A, seeds, n)]
+
+
+@pytest.mark.parametrize("beta", [1.0987, 1.1, 1.15, 1.263, 2.0])
+def test_prime_normalizer_against_exact_counts(prime, beta, monkeypatch):
+    # a 40-digit sum over 600 exact layers, at the double x the walk uses.
+    # The value and every T(j) agree within the tail bound and 8 ulp, and
+    # the bound covers what the walk's own layers leave out of 1/c_e and of
+    # each T(j) it names
+    mpmath = pytest.importorskip("mpmath")
+    lengths = _walk_lengths(monkeypatch)
+    with mpmath.workdps(40):
+        x = mpmath.mpf(math.exp(-beta))
+        for col in prime.accumulation_catalog:
+            layers = _exact_layers(col.id, 600)
+            res = ms.normalizer(prime, col, Constant(-1.0), beta)
+            n = lengths[-1]
+            stems = [total * x ** k for k, (total, _) in enumerate(layers, 1)]
+            assert stems[-1] / (1 - 3 * x) < 1e-30     # what the 600 layers leave out
+            assert mpmath.fsum(stems[n:]) <= res.tail_bound, (col.id, beta)
+            slack = res.tail_bound + 8 * math.ulp(res.value)
+            assert abs(res.value - (1 + mpmath.fsum(stems))) <= slack, (col.id, beta)
+            mu = _y(prime, col, beta, res)
+            for j in range(1, 13):
+                # T(j) sums x^(k-1) over the words of length k >= 2 that start with j
+                cont = [first[j] * x ** (k - 1) for k, (_, first) in enumerate(layers[1:], 2)]
+                if j in res.tails:
+                    assert mpmath.fsum(cont[n - 1:]) <= res.tail_bound, (col.id, beta, j)
+                assert abs(mu._tail(j) - mpmath.fsum(cont)) <= slack, (col.id, beta, j)
+
+
+def test_prime_walks_stop_once_the_rest_cannot_move_the_sum(prime, monkeypatch):
+    # the a-posteriori bound ends every walk at beta 1.263 by layer 125;
+    # the a-priori bound alone walks to the cap, 196 layers
+    lengths = _walk_lengths(monkeypatch)
+    for col in prime.accumulation_catalog:
+        res = ms.normalizer(prime, col, Constant(-1.0), 1.263)
+        assert res.tail_bound <= 2.0 ** -53 * res.value
+    assert len(lengths) == 5 and max(lengths) <= 125, lengths
+
+
+@pytest.mark.parametrize("kind", ["renewal", "pair_renewal", "alternating_renewal"])
+def test_walks_without_closed_forms_reach_the_cap(kind, monkeypatch):
+    # without its stem sums, a kind whose layers shrink by d x walks to the
+    # cap within 2.9 of its critical beta, and its value and sums are those
+    # of the fixed-depth walk bit for bit; its tail bound is no larger
+    A = by_kind(kind)
+    monkeypatch.setitem(mx.KINDS, kind, dataclasses.replace(A.spec, stem_sums=None))
+    walking = mx.TransitionMatrix(kind)
+    bc = A.spec.critical_beta
+    for beta in [bc + 1e-12, bc + 1e-6, bc + 1e-3] + [bc + 0.02 * k for k in range(1, 146)]:
+        for col in A.accumulation_catalog:
+            new = ms.normalizer(walking, col, Constant(-1.0), beta)
+            old = _fixed_depth_walk(walking, col, beta)
+            assert (new.value, new.tails) == (old.value, old.tails), (col.id, beta)
+            assert new.tail_bound <= old.tail_bound, (col.id, beta)
+
+
+@pytest.mark.parametrize("beta", [1.0987, 1.1, 1.15, 1.17])
+def test_prime_measures_exist_where_the_phase_table_says(prime, beta):
+    # the walk that stops on its own layers certifies the window
+    # (log 3, 1.1796] that the 400-layer cap left to its a-priori bound
+    assert ms.phase_row(prime, Constant(1.0), beta, 1e-9)[0] == "1 per family (countably many)"
+    residuals = conformality_suite(prime, beta)
+    assert len(residuals) == 5 and max(residuals.values()) <= 1e-10, residuals
+
+
+def test_prime_y_measures_are_certified_from_just_above_log3(prime):
+    for offset in (1e-12, 1e-10, 1e-6, 1e-3):
+        for col in prime.accumulation_catalog:
+            assert ms.y_measure(prime, col.id, Constant(1.0), LOG3 + offset).c_e > 0
 
 
 # -- boundary family measures --------------------------------------------------------
@@ -412,9 +543,9 @@ def test_sarig_mass_past_the_double_range_of_lam_powers(n):
     assert got == pytest.approx(math.ldexp(1.0, -n), rel=1e-12)
 
 
-# the largest beta whose walk of 400 layers certifies the tail, on each side;
-# only prime renewal walks
-CAP_BOUNDARY = {"prime_renewal": (1.1796271583639042, 1.179627158363904)}
+# the least beta whose walk, stopped at its cap of 401 layers, certifies the
+# tail of family 1, and the double below it; only prime renewal walks
+CAP_BOUNDARY = {"prime_renewal": (1.0986122886683451, 1.098612288668345)}
 
 
 @pytest.mark.parametrize("kind", sorted(CAP_BOUNDARY))

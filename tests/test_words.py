@@ -356,7 +356,7 @@ def test_generation_layers_count_preimages(kind):
     # the enumerated preimage tree is the oracle: per first letter, for n <= 12
     A = by_kind(kind)
     for col in A.accumulation_catalog:
-        layers = generation_layers(A, col.allowed_terminal_symbols, 12)
+        layers = list(generation_layers(A, col.allowed_terminal_symbols, 12))
         assert len(layers) == 12
         for n, layer in enumerate(layers, 1):
             configs = preimages(empty_stem_config(A, col.id), n)
@@ -387,11 +387,21 @@ def test_generation_layers_read_each_column_once(kind, weight, monkeypatch):
         asked = []
         column = matrices.TransitionMatrix.predecessors
         monkeypatch.setattr(A, "predecessors", lambda j: asked.append(j) or column(A, j))
-        got = generation_layers(A, col.allowed_terminal_symbols, 40, weight)
+        got = list(generation_layers(A, col.allowed_terminal_symbols, 40, weight))
         monkeypatch.undo()
         # same keys in the same order, same sums bit for bit
         assert [list(layer.items()) for layer in got] == [list(layer.items()) for layer in want]
         assert len(asked) == len(set(asked)) == len(set().union(*got[:-1]))
+
+
+def test_generation_layers_are_built_when_asked_for(prime, monkeypatch):
+    # a caller that stops after layer k has read no column of its letters
+    asked = []
+    column = matrices.TransitionMatrix.predecessors
+    monkeypatch.setattr(prime, "predecessors", lambda j: asked.append(j) or column(prime, j))
+    walk = generation_layers(prime, {1, 3}, 50)
+    assert next(walk) == {1: 1, 3: 1} and asked == []
+    assert next(walk) == {1: 2, 2: 1, 3: 1, 4: 1} and asked == [1, 3]
 
 
 def test_generation_layers_weighted(pair, prime):
@@ -403,4 +413,4 @@ def test_generation_layers_weighted(pair, prime):
                 want[w[0]] = want.get(w[0], 0.0) + u ** len(w)
             assert layer.keys() == want.keys()
             assert all(layer[f] == pytest.approx(want[f], rel=1e-13) for f in want)
-    assert generation_layers(pair, {1}, 0) == []
+    assert list(generation_layers(pair, {1}, 0)) == []

@@ -197,6 +197,19 @@ CATALOG: dict[str, Mutant] = {
         "            hit = memo.get(p.stem)\n            if hit is None:\n"
         "                hit = memo[p.stem] = ",
         ("tests/test_cylinders.py::test_point_memo_tells_matrices_apart",)),
+    # measures.normalizer: the a-posteriori tail bound without its 1/(1 - d x) factor
+    "tail-bound-drops-geometric-factor": Mutant(
+        "src/gcms/measures.py",
+        "total / gap if gap > 0.0 else math.inf",
+        "total",
+        ("tests/test_measures.py::test_prime_normalizer_against_exact_counts",)),
+    # matrices.KINDS: prime renewal's largest predecessor count taken as 2
+    "prime-max-predecessors-two": Mutant(
+        "src/gcms/matrices.py",
+        "        growth=(2.0, 3.0),\n        max_predecessors=3,",
+        "        growth=(2.0, 3.0),\n        max_predecessors=2,",
+        ("tests/test_measures.py::test_prime_normalizer_against_exact_counts",
+         "tests/test_matrices.py::test_max_predecessors_is_the_longest_column")),
     # cli._BOUNDS: the pressure sweep's cap raised past a minute of work
     "cli-bounds-n-max": Mutant(
         "src/gcms/cli.py",
