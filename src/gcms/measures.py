@@ -45,6 +45,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from . import symbolsets as ss
@@ -703,6 +704,43 @@ class ConformalityReport:
     max_residual: float
 
 
+@lru_cache(maxsize=None)
+def _conformality_rows(A: TransitionMatrix, words: tuple[Word, ...]) -> tuple[tuple, ...]:
+    """The parts of the conformality rows over ``words`` that no measure
+    changes, one column each in the order of the words: the words, their
+    first letters, their shift images, each image's one part when it is
+    exactly one atom (else None), and whether the right-hand side reads the
+    word's mass.  Planned once per (matrix, word tuple), like
+    ``cylinders.shift_image``: they depend on nothing else, and the suites
+    check many measures over one word list.  The unmemoized function is
+    ``_conformality_rows.__wrapped__``."""
+    if not all(words):
+        raise ValueError("conformality needs non-empty cylinder words")
+    images = tuple(shift_image(A, alpha) for alpha in words)
+    atoms = tuple(s.atoms[0] if len(s.atoms) == 1 and not (s.points or s.families or s.whole_space)
+                  else None for s in images)
+    reads_mass = tuple(len(alpha) == 1 or not s.is_empty for alpha, s in zip(words, images))
+    return words, tuple(alpha[0] for alpha in words), images, atoms, reads_mass
+
+
+def _conformality_residuals(m: Measure, test_cylinders: Iterable[Word]) -> list[float]:
+    """|mu(shift(C)) - lam exp(-beta*weight(first letter)) mu(C)| for each
+    word, in order; ``verify_conformality`` reports the worst of them."""
+    words = tuple(test_cylinders)
+    if not words:
+        raise ValueError("conformality needs at least one cylinder word")
+    factors: dict[Symbol, float] = {}
+    residuals = []
+    for alpha, a, image, atom, reads_mass in zip(*_conformality_rows(m.matrix, words)):
+        lhs = measure_setexpr(m, image) if atom is None else m._cyl_mass(atom)
+        mass = m._cyl_mass(alpha) if reads_mass else 0.0
+        f = factors.get(a)
+        if f is None:
+            f = factors[a] = m.lam * math.exp(-m.beta * m.weight.value(a))
+        residuals.append(abs(lhs - f * mass))
+    return residuals
+
+
 def verify_conformality(m: Measure, test_cylinders: Iterable[Word]) -> ConformalityReport:
     """Residuals of mu(shift(C)) = lam exp(-beta*weight(first letter)) mu(C),
     with the measure's own weight, beta and lam.
@@ -712,9 +750,15 @@ def verify_conformality(m: Measure, test_cylinders: Iterable[Word]) -> Conformal
     certified series evaluations.  For a sequence measure the rows of
     length >= 2 are near-tautologies, since its masses are built by the
     same peel; the length-one rows, which weigh end-letter masses against
-    sieve sums and point masses, are the independent check.  The images
-    do not depend on the measure, so ``cylinders.shift_image`` builds each
-    one once and every later check of the same word reuses it.
+    sieve sums and point masses, are the independent check.
+
+    What a row needs besides the measure is planned once per (matrix, word
+    tuple) by ``_conformality_rows``, and every later check over the same
+    words, by any measure, reads it back.  A one-atom image weighs
+    ``_cyl_mass(atom)``, which is ``measure_setexpr`` of it (the fsum of
+    one number is that number); every other image goes through
+    ``measure_setexpr``.  The factor lam exp(-beta*weight(a)) is formed
+    once per first letter a per call, the same product as per row.
 
     Admissibility is checked once per (matrix, word), where the image is
     built, and never per measure: a single letter is admissible, and a
@@ -722,22 +766,10 @@ def verify_conformality(m: Measure, test_cylinders: Iterable[Word]) -> Conformal
     image holds the atom alpha[1:]).  So the right-hand side reads
     ``_cyl_mass`` unchecked, or 0 on an empty image, which is ``cyl_mass``
     on every word; the image's parts are read unchecked too.  A check over
-    no cylinder would read as a pass, so an empty word list is refused, and
-    a nan residual makes the worst residual nan.
+    no cylinder would read as a pass, so an empty word list is refused, as
+    is an empty word, and a nan residual makes the worst residual nan.
     """
-    A = m.matrix
-    residuals = []
-    for alpha in test_cylinders:
-        if not alpha:
-            raise ValueError("conformality needs non-empty cylinder words")
-        image = shift_image(A, alpha)
-        lhs = measure_setexpr(m, image)
-        mass = m._cyl_mass(alpha) if len(alpha) == 1 or not image.is_empty else 0.0
-        rhs = m.lam * math.exp(-m.beta * m.weight.value(alpha[0])) * mass
-        residuals.append(abs(lhs - rhs))
-    if not residuals:
-        raise ValueError("conformality needs at least one cylinder word")
-    return ConformalityReport(worst(residuals))
+    return ConformalityReport(worst(_conformality_residuals(m, test_cylinders)))
 
 
 # --------------------------------------------------------------------------

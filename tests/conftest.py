@@ -1,16 +1,18 @@
 import pytest
 
 from gcms import cylinders, matrices
+from gcms import measures as ms
 from gcms import verification as vf
 
 
 @pytest.fixture(autouse=True)
 def fresh_shift_images():
-    """Each test builds its own shift images and cylinder word lists: the
-    memos are module-level state, and a test that patches the cylinder
-    algebra or the word enumeration must not read what an earlier test
-    built."""
+    """Each test builds its own shift images, conformality rows and cylinder
+    word lists: the memos are module-level state, and a test that patches
+    the cylinder algebra or the word enumeration must not read what an
+    earlier test built."""
     cylinders.shift_image.cache_clear()
+    ms._conformality_rows.cache_clear()
     vf._cylinder_words.cache_clear()
 
 

@@ -789,6 +789,7 @@ def test_one_shift_image_per_distinct_word(pair, monkeypatch):
         return normalize(*args, **kwargs)
 
     shift_image.cache_clear()
+    ms._conformality_rows.cache_clear()
     monkeypatch.setattr(cylinders, "normalize", counted)
     assert set(conformality_suite(pair, 1.2)) == {"pair_critical", "y_family_1", "y_family_2"}
     assert calls == len(cylinder_words_up_to(pair, 6, 7)) == 867
@@ -821,25 +822,56 @@ def checked_row_residual(m, words):
     return worst
 
 
-@pytest.mark.parametrize("kind", ["renewal", "pair_renewal"])
-@pytest.mark.parametrize("beta", [0.5, 1.1, 1.5, 2.0])
-def test_conformality_rows_read_admissibility_bit_identically(kind, beta):
-    A = by_kind(kind)
+def row_residuals(m, words, image_of=shift_image):
+    """The conformality residual of each word, one row at a time as the
+    rows were read before they were planned once per word list: the whole
+    ``measure_setexpr`` of the image, and lam exp(-beta*weight) formed per
+    row.  The oracle for the planned rows."""
+    out = []
+    for alpha in words:
+        image = image_of(m.matrix, alpha)
+        lhs = ms.measure_setexpr(m, image)
+        mass = m._cyl_mass(alpha) if len(alpha) == 1 or not image.is_empty else 0.0
+        rhs = m.lam * math.exp(-m.beta * m.weight.value(alpha[0])) * mass
+        out.append(abs(lhs - rhs))
+    return out
+
+
+def assert_rows_bit_identical(m, words):
+    got = ms._conformality_residuals(m, words)
+    assert got == row_residuals(m, words)
+    assert max(got) == checked_row_residual(m, words) == ms.verify_conformality(m, words).max_residual
+
+
+def assert_suite_rows_bit_identical(A, beta):
     words = cylinder_words_up_to(A, 6, 7)
     measures = ms.constructed_measures(A, beta)
     got = conformality_suite(A, beta)
     assert set(got) == set(measures)
     for key, m in measures.items():
-        want = checked_row_residual(m, words)
-        assert ms.verify_conformality(m, words).max_residual == want, key
-        assert got[key] == want, key
-    # single letters past the bound, and inadmissible words whose tails
-    # are admissible: their images are empty, and so is their right side
-    extra = [(k,) for k in range(1, 13)]
-    extra += [(a,) + t for t in cylinder_words_up_to(A, 3, 5) for a in range(1, 7)]
+        assert_rows_bit_identical(m, words)
+        assert got[key] == max(row_residuals(m, words)), key
+    # inadmissible words whose tails are admissible: their images are
+    # empty, and so is their right side; then single letters past the
+    # bound.  Each letter is met in longer words, first letter or last,
+    # before its own row, and on renewal the log-ratio weight tells the
+    # letters' factors apart
+    extra = [(a,) + t for t in cylinder_words_up_to(A, 3, 5) for a in range(1, 7)]
+    extra += [(k,) for k in range(1, 13)]
     assert any(not is_admissible(A, w) for w in extra)
-    for key, m in measures.items():
-        assert ms.verify_conformality(m, extra).max_residual == checked_row_residual(m, extra), key
+    for m in measures.values():
+        assert_rows_bit_identical(m, extra)
+
+
+@pytest.mark.parametrize("kind", ["renewal", "pair_renewal"])
+@pytest.mark.parametrize("beta", [0.5, 1.1, 1.5, 2.0])
+def test_conformality_rows_read_admissibility_bit_identically(kind, beta):
+    assert_suite_rows_bit_identical(by_kind(kind), beta)
+
+
+@pytest.mark.parametrize("beta", [0.6, 1.2])
+def test_alternating_conformality_rows_read_admissibility_bit_identically(alternating, beta):
+    assert_suite_rows_bit_identical(alternating, beta)
 
 
 def test_prime_y_measure_rows_read_admissibility_bit_identically(prime):
@@ -850,7 +882,32 @@ def test_prime_y_measure_rows_read_admissibility_bit_identically(prime):
         for root in prime.accumulation_catalog:
             m = ms.y_measure(prime, root.id, Constant(1.0), beta)
             for ws in (words, extra):
-                assert ms.verify_conformality(m, ws).max_residual == checked_row_residual(m, ws)
+                assert_rows_bit_identical(m, ws)
+
+
+def test_conformality_rows_read_a_generator_as_its_list(renewal):
+    m = ms.log_eigenmeasure(0.5, renewal)
+    words = cylinder_words_up_to(renewal, 4, 5)
+    assert ms._conformality_residuals(m, iter(words)) == row_residuals(m, words)
+    assert (ms.verify_conformality(m, (w for w in words)).max_residual
+            == ms.verify_conformality(m, words).max_residual)
+
+
+def test_only_a_one_atom_image_reads_one_cylinder_mass(pair, monkeypatch):
+    # no shift image of a rule kind holds an atom beside a point or a
+    # family: a letter whose row is finite is no terminal of any root.  So
+    # hand-made images stand in, and each must be read in full
+    m = ms.y_measure(pair, 1, Constant(1.0), 1.2)
+    with_point = cylinders.normalize(pair, points=[bounded(pair, (1,), 1)], atoms=[(3, 2)])
+    with_family = cylinders.normalize(pair, atoms=[(3, 2)],
+                                      families=[CylFamily((1,), ss.all_except({1}))])
+    for image in (with_point, with_family):
+        assert len(image.atoms) == 1 and (image.points or image.families)
+        assert ms.measure_setexpr(m, image) != m._cyl_mass(image.atoms[0])
+    images = {(1, 3, 2): with_point, (2, 3, 2): with_family}
+    monkeypatch.setattr(ms, "shift_image", lambda A, w: images.get(w) or shift_image(A, w))
+    words = [(1, 3, 2), (2, 3, 2), (1, 1), (3, 2)]
+    assert ms._conformality_residuals(m, words) == row_residuals(m, words, image_of=ms.shift_image)
 
 
 def test_cylinder_words_take_one_walk_per_length(monkeypatch):
@@ -883,12 +940,15 @@ def test_a_repeated_conformality_suite_checks_and_walks_no_word_again(pair, monk
 
     monkeypatch.setattr(cylinders, "is_admissible", counted("admissible", cylinders.is_admissible))
     monkeypatch.setattr(vf, "enumerate_words", counted("walks", vf.enumerate_words))
+    monkeypatch.setattr(ms, "shift_image", counted("images", ms.shift_image))
+    counts["images"] = 0
     first = conformality_suite(pair, 1.2)
     assert 0 < counts["admissible"] <= len(cylinder_words_up_to(pair, 6, 7)) == 867
     assert counts["walks"] > 0
-    counts.update(admissible=0, walks=0)
+    assert counts["images"] == 867
+    counts.update(admissible=0, walks=0, images=0)
     second = conformality_suite(pair, 1.5)
-    assert counts == {"admissible": 0, "walks": 0}
+    assert counts == {"admissible": 0, "walks": 0, "images": 0}
     assert set(first) == set(second)
 
 
@@ -897,6 +957,14 @@ def test_conformality_over_no_cylinder_is_refused(renewal):
     mu = ms.sarig_measure_renewal(renewal)
     for words in ([], iter(())):
         with pytest.raises(ValueError, match="at least one cylinder word"):
+            ms.verify_conformality(mu, words)
+
+
+def test_conformality_over_an_empty_word_is_refused(renewal):
+    # the empty word's cylinder is the whole space, which the shift does not map
+    mu = ms.sarig_measure_renewal(renewal)
+    for words in ([()], [(1,), ()], iter([(2, 1), ()])):
+        with pytest.raises(ValueError, match="non-empty cylinder words"):
             ms.verify_conformality(mu, words)
 
 

@@ -210,6 +210,49 @@ CATALOG: dict[str, Mutant] = {
         "        growth=(2.0, 3.0),\n        max_predecessors=2,",
         ("tests/test_measures.py::test_prime_normalizer_against_exact_counts",
          "tests/test_matrices.py::test_max_predecessors_is_the_longest_column")),
+    # measures._conformality_rows: an image with one atom and points read as the atom alone
+    "conformality-one-atom-with-points": Mutant(
+        "src/gcms/measures.py",
+        "not (s.points or s.families or s.whole_space)",
+        "not (s.families or s.whole_space)",
+        ("tests/test_measures.py::test_only_a_one_atom_image_reads_one_cylinder_mass",)),
+    # measures._conformality_residuals: a first-letter factor kept under the last letter
+    "conformality-factor-wrong-key": Mutant(
+        "src/gcms/measures.py",
+        "            f = factors[a] = ",
+        "            f = factors[alpha[-1]] = ",
+        ("tests/test_measures.py::test_conformality_rows_read_admissibility_bit_identically",)),
+    # cylinders.shift_image: an inadmissible word imaged as the cylinder on its tail
+    "shift-image-skips-admissibility": Mutant(
+        "src/gcms/cylinders.py",
+        "atoms=[alpha[1:]] if is_admissible(A, alpha) else []",
+        "atoms=[alpha[1:]]",
+        ("tests/test_measures.py::test_conformality_rows_read_admissibility_bit_identically",
+         "tests/test_measures.py::test_prime_y_measure_rows_read_admissibility_bit_identically")),
+    # words.generation_layers: each letter's column asked again in every layer
+    "generation-layers-no-column-cache": Mutant(
+        "src/gcms/words.py",
+        "                preds = columns.get(sym)",
+        "                preds = None",
+        ("tests/test_words.py::test_generation_layers_read_each_column_once",)),
+    # SequenceMeasure.base_value: the forced run peeled one letter short
+    "base-value-run-one-short": Mutant(
+        "src/gcms/measures.py",
+        "self.peel(range(n, end, -1))",
+        "self.peel(range(n - 1, end, -1))",
+        ("tests/test_measures.py::test_verify_conformality_residuals",)),
+    # matrices.KINDS: prime renewal's row 2 taken as regular, as if only odd primes branched
+    "prime-irregular-odd-primes": Mutant(
+        "src/gcms/matrices.py",
+        "        irregular=_is_prime,",
+        "        irregular=lambda i: i % 2 == 1 and _is_prime(i),",
+        ("tests/test_truncations.py",)),
+    # matrices._prime_predecessors: the prime whose power j is dropped from column j
+    "prime-predecessors-drop-prime": Mutant(
+        "src/gcms/matrices.py",
+        "    return (1, j + 1) if p is None else (1, p, j + 1)",
+        "    return (1, j + 1)",
+        ("tests/test_truncations.py",)),
     # cli._BOUNDS: the pressure sweep's cap raised past a minute of work
     "cli-bounds-n-max": Mutant(
         "src/gcms/cli.py",
