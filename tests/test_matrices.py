@@ -1,3 +1,4 @@
+import copy
 import json
 
 import pytest
@@ -176,18 +177,38 @@ def test_prime_bound_controls_catalog():
 
 
 def test_matrix_identity_is_kind_rows_and_bound():
-    # the key and its hash are built once per matrix; equal matrices built
-    # apart hash alike, and a kind, a row or a bound tells matrices apart
-    same = [(matrices.from_dict({"kind": "prime_renewal"}), matrices.by_kind("prime_renewal")),
-            (explicit([[1, 1], [1, 0]]), explicit(((1, 1), (1, 0)))),
-            (full_shift(2), matrices.from_dict({"kind": "full_shift", "size": 2}))]
-    for A, B in same:
-        assert A is not B and A == B and hash(A) == hash(B)
+    # matrices are interned: equal builds through every constructor are one
+    # object, and a kind, a row or a bound still tells matrices apart
+    TM = matrices.TransitionMatrix
+    same = [(matrices.from_dict({"kind": "prime_renewal"}), matrices.by_kind("prime_renewal"),
+             TM("prime_renewal"), TM("prime_renewal", prime_bound=7)),
+            (explicit([[1, 1], [1, 0]]), explicit(((1, 1), (1, 0))),
+             matrices.from_dict({"kind": "explicit", "rows": [[1, 1], [1, 0]]}),
+             TM("explicit", rows=((1, 1), (1, 0)))),
+            (full_shift(2), matrices.from_dict({"kind": "full_shift", "size": 2}),
+             TM("full_shift", rows=((1, 1), (1, 1)))),
+            # the bound counts only on a truncated kind
+            (matrices.by_kind("renewal"), TM("renewal", prime_bound=11),
+             matrices.from_dict({"kind": "renewal", "prime_bound": 3}))]
+    for A, *others in same:
+        assert all(B is A for B in others)
     apart = [matrices.from_dict({"kind": "prime_renewal", "prime_bound": 11}),
              matrices.by_kind("prime_renewal"), matrices.by_kind("renewal"),
              explicit([[1, 1], [1, 1]]), explicit([[1, 1], [1, 0]]), full_shift(2)]
-    assert all(A != B for i, A in enumerate(apart) for B in apart[i + 1:])
+    assert all(A is not B and A != B for i, A in enumerate(apart) for B in apart[i + 1:])
     assert matrices.by_kind("renewal") != "renewal"
+
+
+def test_copies_are_the_interned_matrix():
+    for A in (matrices.by_kind("renewal"), matrices.from_dict({"kind": "prime_renewal",
+                                                               "prime_bound": 11}),
+              explicit([[1, 1], [1, 0]]), full_shift(3)):
+        assert copy.copy(A) is A and copy.deepcopy(A) is A
+        assert copy.deepcopy({"m": [A]})["m"][0] is A
+    # a refused matrix leaves nothing behind, so a second build is refused too
+    for _ in range(2):
+        with pytest.raises(ValueError, match="column 2 is all zero"):
+            explicit([[1, 0], [1, 0]])
 
 
 # stored matrices get a kind built from their rows; the table holds for them too

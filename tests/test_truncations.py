@@ -10,11 +10,22 @@ limit over its finite truncations).
 
 import pytest
 
+from gcms.configs import UnboundedConfig, bounded
 from gcms.matrices import by_kind, explicit
-from gcms.thermo import LOG_POTENTIAL, UNIT_POTENTIAL, z_n, z_n_star
+from gcms.thermo import LOG_POTENTIAL, UNIT_POTENTIAL, pointwise_z, z_n, z_n_star
+from gcms.words import backward_words, iter_cycles
 
 N = 40
 KINDS = ("renewal", "pair_renewal", "prime_renewal", "alternating_renewal")
+# (stem, root id, period) per kind: the stem ends in a terminal letter of
+# the root and may go on to the period, a cycle, so it begins both a
+# boundary point of the kind and an eventually periodic point of either
+POINTS = {"renewal": [((3, 2, 1), 1, (1,)), ((1, 5, 4, 3, 2, 1), 1, (2, 1))],
+          "pair_renewal": [((4, 3, 2), 1, (2,)), ((2, 4, 3, 2, 1), 2, (1,))],
+          "prime_renewal": [((4, 3, 2, 1), 1, (1,)), ((3, 9, 8, 7), 7, (7,)),
+                            ((2, 8, 7, 6, 5), 5, (4, 3, 2))],
+          "alternating_renewal": [((3, 2, 1), 1, (2, 1)), ((1, 4, 3, 2), 2, (1, 2))]}
+POTENTIALS = [(UNIT_POTENTIAL, 0.7), (LOG_POTENTIAL, 1.3)]
 
 
 @pytest.fixture(scope="module", params=KINDS)
@@ -24,8 +35,7 @@ def kind_and_table(request):
     return A, explicit([[A.entry(i, j) for j in letters] for i in letters])
 
 
-@pytest.mark.parametrize("potential, beta", [(UNIT_POTENTIAL, 0.7), (LOG_POTENTIAL, 1.3)],
-                         ids=["unit", "log"])
+@pytest.mark.parametrize("potential, beta", POTENTIALS, ids=["unit", "log"])
 def test_partition_functions_match_the_truncation(kind_and_table, potential, beta):
     # a cycle of length n <= 12 through 1 climbs at most to letter n + 1
     # before it descends, far below N
@@ -33,6 +43,32 @@ def test_partition_functions_match_the_truncation(kind_and_table, potential, bet
     for n in range(1, 13):
         assert z_n(A, potential, beta, 1, n) == z_n(T, potential, beta, 1, n), n
         assert z_n_star(A, potential, beta, 1, n) == z_n_star(T, potential, beta, 1, n), n
+
+
+def test_words_and_cycles_match_the_truncation(kind_and_table):
+    # read backward, a word climbs at most one letter per step, so the words
+    # of length n <= 10 that end in a letter <= 3 stay far below N
+    A, T = kind_and_table
+    for n in range(1, 11):
+        words = set(backward_words(A, n, (1, 2, 3)))
+        assert max(map(max, words)) <= N, n
+        assert words == set(backward_words(T, n, (1, 2, 3))), n
+        for base in (1, 2, 3):
+            assert set(iter_cycles(A, n, base)) == set(iter_cycles(T, n, base)), (n, base)
+
+
+def test_pointwise_partition_functions_match_the_truncation(kind_and_table):
+    # the truncation has no boundary, so a stemmed point of the kind is set
+    # beside the truncation's eventually periodic point with the same stem
+    A, T = kind_and_table
+    for stem, root, period in POINTS[A.kind]:
+        points = bounded(A, stem, root), UnboundedConfig(A, stem, period)
+        periodic = UnboundedConfig(T, stem, period)
+        for n in range(1, 11):
+            assert max(map(max, backward_words(A, n, A.predecessors(stem[0])))) <= N, n
+            for F, beta in POTENTIALS:
+                want = pointwise_z(T, F, beta, periodic, n)
+                assert all(pointwise_z(A, F, beta, x, n) == want for x in points), (stem, n)
 
 
 def test_predecessors_are_the_table_columns(kind_and_table):

@@ -165,12 +165,6 @@ CATALOG: dict[str, Mutant] = {
         "@lru_cache(maxsize=None)\ndef _meet_families(",
         "@lru_cache(maxsize=0)\ndef _meet_families(",
         ("tests/test_cylinders.py::test_oracle_meets_each_class_pair_once_and_assembles_little",)),
-    # cylinders.meet: matrices told apart by identity alone, so an equal one is refused
-    "meet-matrix-identity-only": Mutant(
-        "src/gcms/cylinders.py",
-        "    if A is not t.matrix and A != t.matrix:",
-        "    if A is not t.matrix:",
-        ("tests/test_cylinders.py::test_intersect_requires_same_matrix",)),
     # cylinders.meet: the empty-side skip of one atom-family loop also skips the other
     "meet-skip-both-atom-family-loops": Mutant(
         "src/gcms/cylinders.py",
@@ -241,6 +235,20 @@ CATALOG: dict[str, Mutant] = {
         "self.peel(range(n, end, -1))",
         "self.peel(range(n - 1, end, -1))",
         ("tests/test_measures.py::test_verify_conformality_residuals",)),
+    # matrices.TransitionMatrix: matrices interned without their prime bound,
+    # so prime renewal at every bound is the first one built
+    "matrix-intern-key-no-bound": Mutant(
+        "src/gcms/matrices.py",
+        "prime_bound if rows is None and KINDS[kind].truncated else None)",
+        "None)",
+        ("tests/test_matrices.py::test_matrix_identity_is_kind_rows_and_bound",)),
+    # matrices.TransitionMatrix: stored matrices interned without their rows,
+    # so every stored matrix of a kind is the first one built
+    "matrix-intern-key-no-rows": Mutant(
+        "src/gcms/matrices.py",
+        "        key = (kind, rows, ",
+        "        key = (kind, None, ",
+        ("tests/test_matrices.py::test_matrix_identity_is_kind_rows_and_bound",)),
     # matrices.KINDS: prime renewal's row 2 taken as regular, as if only odd primes branched
     "prime-irregular-odd-primes": Mutant(
         "src/gcms/matrices.py",
