@@ -3,7 +3,9 @@
 A transition matrix is a 0/1 matrix over the alphabet {1, 2, 3, ...}.
 The built-in families (renewal, pair renewal, prime renewal, alternating
 renewal) are infinite matrices defined by closed-form rules and are never
-materialized; explicit finite matrices store their rows.
+materialized; explicit finite matrices store their rows.  Renewal, pair
+renewal and alternating renewal are residue kinds: a modulus and the
+residue classes each irregular row holds describe all of their rows.
 
 Every matrix has one :class:`MatrixKind`, which holds every fact about
 it: each rule-defined family is an entry of ``KINDS``, and a stored finite
@@ -124,17 +126,20 @@ class MatrixKind:
       so the base letter does not matter.
     * ``max_predecessors``: d, the largest number of predecessors any
       letter has, so a backward walk hands each letter's weight to at most
-      d letters of the next layer.  Renewal: (1, j + 1), so d = 2.  Pair
-      renewal: (1, 2, j + 1) for even j, else (1, j + 1), so d = 3.
-      Alternating renewal: (2,) for j = 1, else (1 + j mod 2, j + 1), so
-      d = 2.  Prime renewal: (1, j + 1), or (1, p, j + 1) when j is a power
-      of the prime p (``_prime_predecessors``): row 1 holds every letter,
-      and row i > 1 holds i - 1 and, for a prime i, the powers of i, so the
-      letters before j are 1, j + 1 and the one prime whose power j is, if
-      any.  These are distinct, as 2 <= p <= j < j + 1, so d = 3, reached
-      at j = 2.  A stored matrix: its longest column.  On pair and
-      alternating renewal d exceeds the growth rate, so it is not
-      ``growth[1]``.
+      d letters of the next layer.  A residue kind (``_residue_kind``):
+      the letters before j are the rows that hold j's residue class, and
+      j + 1, which lies above them once j reaches the largest irregular
+      row, so d is one more than the most rows that hold one class: 2 on
+      renewal (row 1 holds every class) and alternating renewal (row 1 the
+      even class, row 2 the odd one), 3 on pair renewal (rows 1 and 2 hold
+      the even class).  Prime renewal: (1, j + 1), or (1, p, j + 1) when j
+      is a power of the prime p (``_prime_predecessors``): row 1 holds
+      every letter, and row i > 1 holds i - 1 and, for a prime i, the
+      powers of i, so the letters before j are 1, j + 1 and the one prime
+      whose power j is, if any.  These are distinct, as 2 <= p <= j < j + 1,
+      so d = 3, reached at j = 2.  A stored matrix: its longest column.
+      On pair and alternating renewal d exceeds the growth rate, so it is
+      not ``growth[1]``.
     * ``counts(family_id, n)``: closed-form (or interval) size of
       generation n >= 0 of a family's preimage tree; None when unknown.
     * ``stem_sums(x, terminals)``: the stem sums of the boundary family
@@ -195,6 +200,52 @@ def _rule_kind(irregular: Callable[[Symbol], bool], **facts) -> MatrixKind:
 
 def _column(col_id: int, support: set[Symbol]) -> AccumulationColumn:
     return AccumulationColumn(col_id, frozenset(support))
+
+
+def _descent_meet(entry: Callable[[Symbol, Symbol], int]
+                  ) -> Callable[[Symbol, Symbol], frozenset[Symbol]]:
+    """The meet of two distinct irregular rows i, j of a kind whose irregular
+    rows share no letter beyond their descents {i - 1} and {j - 1}: rows of
+    disjoint residue classes, or of the powers of distinct primes."""
+    return lambda i, j: frozenset(c for c in (i - 1, j - 1)
+                                  if c >= 1 and entry(i, c) and entry(j, c))
+
+
+def _residue_kind(modulus: int, irregular: dict[Symbol, set[int]], **facts) -> MatrixKind:
+    """The rule kind of a modulus m and residue sets R_i, i in ``irregular``.
+
+    An irregular row i is {j : j mod m in R_i} + {i - 1}, row 1 every letter
+    unless it is irregular, any other row i is {i - 1}.  Each R_i is a
+    non-empty proper subset of Z/m, so the row is neither finite nor
+    cofinite.  The letters of class c have the predecessors ``classes[c]``,
+    the rows that hold c, and j + 1, so column j tends to ``classes[c]``
+    along the class: the catalog is the distinct class tuples, and d is one
+    more than the longest.  Two irregular rows meet in a finite set only if
+    no two R_i overlap (``_descent_meet``), and every column limit is a root
+    only if every class is held, which row 1 ensures unless it is irregular;
+    then the irregular rows cover the alphabet.  Both are checked.
+    """
+    m, held = modulus, [c for r in irregular.values() for c in r]
+    if len(set(held)) < len(held):
+        raise ValueError(f"residue sets {irregular} overlap modulo {m}")
+    residues = {1: range(m), **irregular}
+    classes = tuple(tuple(i for i in sorted(residues) if c in residues[i]) for c in range(m))
+    if not all(classes):
+        raise ValueError(f"irregular row 1 without a cover: rows {irregular} miss a class mod {m}")
+    top = max(irregular, default=1)
+    columns = tuple(_column(n, set(c)) for n, c in enumerate(dict.fromkeys(classes), 1))
+
+    def entry(i: Symbol, j: Symbol) -> int:
+        return 1 if i == j + 1 or i in classes[j % m] else 0
+
+    def predecessors(j: Symbol) -> tuple[Symbol, ...]:
+        c = classes[j % m]
+        return c + (j + 1,) if j >= top else tuple(sorted({*c, j + 1}))
+    return _rule_kind(irregular.__contains__, entry=entry, predecessors=predecessors,
+                      irregular_meet=_descent_meet(entry) if len(irregular) > 1 else None,
+                      catalog=lambda prime_bound: columns,
+                      cover=tuple(sorted(irregular)) if 1 in irregular else (1,),
+                      max_predecessors=1 + max(map(len, classes)), **facts)
 
 
 def _pair_family1_count(n: int) -> int:
@@ -312,13 +363,6 @@ def _prime_predecessors(j: Symbol) -> tuple[Symbol, ...]:
     return (1, j + 1) if p is None else (1, p, j + 1)
 
 
-def _prime_meet(i: Symbol, j: Symbol) -> frozenset[Symbol]:
-    # prime powers of distinct primes differ, so only the descents {i-1}
-    # and {j-1} can be shared
-    return frozenset(c for c in (i - 1, j - 1)
-                     if c >= 1 and _prime_entry(i, c) and _prime_entry(j, c))
-
-
 def _prime_catalog(prime_bound: int) -> tuple[AccumulationColumn, ...]:
     """Column {1} plus the column {1, p} of every prime p <= prime_bound.
 
@@ -335,33 +379,18 @@ def _prime_catalog(prime_bound: int) -> tuple[AccumulationColumn, ...]:
 
 #: the rule-defined families, keyed by kind name
 KINDS: dict[str, MatrixKind] = {
-    "renewal": _rule_kind(
-        irregular=lambda i: False,
-        entry=lambda i, j: 1 if (i == 1 or i == j + 1) else 0,
-        predecessors=lambda j: (1, j + 1),
-        irregular_meet=None,
-        catalog=lambda prime_bound: (_column(1, {1}),),
-        cover=(1,),
-        growth=(2.0, 2.0),
-        max_predecessors=2,
+    "renewal": _residue_kind(
+        1, {}, growth=(2.0, 2.0),
         counts=lambda family_id, n: 1 if n == 0 else 2 ** (n - 1),
         stem_sums=_renewal_stem_sums),
-    "pair_renewal": _rule_kind(
-        irregular=lambda i: i == 2,
-        entry=lambda i, j: 1 if (i == 1 or i == j + 1 or (i == 2 and j % 2 == 0)) else 0,
-        predecessors=lambda j: (1, 2, j + 1) if j % 2 == 0 else (1, j + 1),
-        irregular_meet=None,
-        catalog=lambda prime_bound: (_column(1, {1, 2}), _column(2, {1})),
-        cover=(1,),
-        growth=(1.0 + math.sqrt(2.0), 1.0 + math.sqrt(2.0)),
-        max_predecessors=3,
-        counts=_pair_counts,
-        stem_sums=_pair_stem_sums),
+    "pair_renewal": _residue_kind(
+        2, {2: {0}}, growth=(1.0 + math.sqrt(2.0), 1.0 + math.sqrt(2.0)),
+        counts=_pair_counts, stem_sums=_pair_stem_sums),
     "prime_renewal": _rule_kind(
         irregular=_is_prime,
         entry=_prime_entry,
         predecessors=_prime_predecessors,
-        irregular_meet=_prime_meet,
+        irregular_meet=_descent_meet(_prime_entry),
         catalog=_prime_catalog,
         cover=(1,),
         growth=(2.0, 3.0),
@@ -370,17 +399,9 @@ KINDS: dict[str, MatrixKind] = {
         stem_sums=None,
         truncated=True),
     # rows 1 and 2 take the even and the odd columns
-    "alternating_renewal": _rule_kind(
-        irregular=lambda i: i in (1, 2),
-        entry=lambda i, j: 1 if (i == j + 1 or i == 1 + j % 2) else 0,
-        predecessors=lambda j: (2,) if j == 1 else (1 + j % 2, j + 1),
-        irregular_meet=lambda i, j: frozenset(),
-        catalog=lambda prime_bound: (_column(1, {1}), _column(2, {2})),
-        cover=(1, 2),
-        growth=(math.sqrt(3.0), math.sqrt(3.0)),
-        max_predecessors=2,
-        counts=_alternating_counts,
-        stem_sums=_alternating_stem_sums),
+    "alternating_renewal": _residue_kind(
+        2, {1: {0}, 2: {1}}, growth=(math.sqrt(3.0), math.sqrt(3.0)),
+        counts=_alternating_counts, stem_sums=_alternating_stem_sums),
 }
 
 

@@ -1,4 +1,7 @@
+from contextlib import contextmanager
+
 import pytest
+from hypothesis import assume, strategies as st
 
 from gcms import cylinders, matrices
 from gcms import measures as ms
@@ -64,3 +67,45 @@ def oracle_classes():
             cache[key] = list(ids), list(pairs)
         return cache[key]
     return get
+
+
+@st.composite
+def _drawn_residue_kinds(draw):
+    m = draw(st.integers(2, 5))
+    rows = draw(st.lists(st.integers(2, 7), min_size=1, max_size=3, unique=True))
+    cover = draw(st.booleans())
+    owners = draw(st.lists(st.sampled_from([*rows, 1] if cover else [*rows, None]),
+                           min_size=m, max_size=m))
+    irregular = {i: frozenset(c for c, o in enumerate(owners) if o == i)
+                 for i in sorted(set(owners) - {None})}
+    # a row holding every class would be cofinite, not irregular
+    assume(all(len(r) < m for r in irregular.values()))
+    return m, irregular
+
+
+def residue_kinds():
+    """The description (m, {row: residue set}) of a drawn residue kind
+    (``matrices._residue_kind``): a modulus 2 <= m <= 5 (m = 1 admits
+    renewal alone) and up to three irregular rows among 2-7, each holding
+    a non-empty proper subset of Z/m and no two the same residue; with row
+    1 irregular too, their residues cover Z/m.  Or one of the cyclic kinds,
+    rows 1..m with R_i = {i - 1}."""
+    return _drawn_residue_kinds() | st.integers(2, 5).map(
+        lambda m: (m, {i: frozenset({i - 1}) for i in range(1, m + 1)}))
+
+
+@contextmanager
+def residue_matrix(m, irregular):
+    """The matrix of a residue kind without growth, counts or stem sums,
+    registered in ``matrices.KINDS`` under its canonical description while
+    the block runs.  The entry and every matrix built from it leave with
+    the block, as the CLI offers every name in ``KINDS`` as a ``--kind``."""
+    name = f"residue m={m} " + " ".join(f"R{i}={sorted(r)}" for i, r in irregular.items())
+    matrices.KINDS[name] = matrices._residue_kind(m, irregular, growth=None, counts=None,
+                                                  stem_sums=None)
+    try:
+        yield matrices.by_kind(name)
+    finally:
+        del matrices.KINDS[name]
+        for key in [k for k in matrices._matrices if k[0] == name]:
+            del matrices._matrices[key]

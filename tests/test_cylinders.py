@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import residue_kinds, residue_matrix
 from gcms import symbolsets as sset
 from gcms.configs import GroupWord, UnboundedConfig, bounded, empty_stem_config
 from gcms.cylinders import (CylFamily, SetExpr, Subbasis, decompose, intersect_many,
@@ -231,6 +232,17 @@ def test_full_oracle(kind, n_elems, n_pairs):
     rep = cylinder_oracle(by_kind(kind))
     assert rep.ok, rep.mismatches
     assert (rep.n_elems, rep.n_pairs) == (n_elems, n_pairs)
+
+
+@given(residue_kinds())
+@settings(max_examples=25, deadline=None)
+def test_drawn_residue_kinds_through_the_oracle(description):
+    # letters up to 7 reach every drawn irregular row, so each row's sieve,
+    # each root of the catalog and each meet of two rows is checked
+    with residue_matrix(*description) as A:
+        rep = cylinder_oracle(A, word_len=2, sym_bound=4, inv_bound=4, stem_len=4,
+                              universe_syms=7, n_periodic=20)
+        assert rep.ok, rep.mismatches
 
 
 def test_oracle_reports_a_corrupted_decompose(monkeypatch):

@@ -4,6 +4,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import residue_kinds, residue_matrix
 from gcms import matrices
 from gcms import symbolsets as sset
 from gcms.matrices import explicit, full_shift
@@ -85,6 +86,99 @@ def test_max_predecessors_is_the_longest_column(kind):
     # the y-measure normalizer's a-posteriori tail bound rests on it
     A = matrices.by_kind(kind)
     assert A.spec.max_predecessors == max(len(A.predecessors(j)) for j in range(1, 10_001))
+
+
+# the seven facts of each residue kind as they were once written by hand in
+# matrices.KINDS; _residue_kind derives them from the kind's residue rule
+_column = matrices._column
+HAND_WRITTEN = {
+    "renewal": dict(
+        irregular=lambda i: False,
+        entry=lambda i, j: 1 if (i == 1 or i == j + 1) else 0,
+        predecessors=lambda j: (1, j + 1),
+        irregular_meet=None,
+        catalog=lambda prime_bound: (_column(1, {1}),),
+        cover=(1,),
+        max_predecessors=2),
+    "pair_renewal": dict(
+        irregular=lambda i: i == 2,
+        entry=lambda i, j: 1 if (i == 1 or i == j + 1 or (i == 2 and j % 2 == 0)) else 0,
+        predecessors=lambda j: (1, 2, j + 1) if j % 2 == 0 else (1, j + 1),
+        irregular_meet=None,
+        catalog=lambda prime_bound: (_column(1, {1, 2}), _column(2, {1})),
+        cover=(1,),
+        max_predecessors=3),
+    "alternating_renewal": dict(
+        irregular=lambda i: i in (1, 2),
+        entry=lambda i, j: 1 if (i == j + 1 or i == 1 + j % 2) else 0,
+        predecessors=lambda j: (2,) if j == 1 else (1 + j % 2, j + 1),
+        irregular_meet=lambda i, j: frozenset(),
+        catalog=lambda prime_bound: (_column(1, {1}), _column(2, {2})),
+        cover=(1, 2),
+        max_predecessors=2),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(HAND_WRITTEN))
+def test_residue_kinds_derive_the_hand_written_facts(kind):
+    spec, hand = matrices.KINDS[kind], HAND_WRITTEN[kind]
+    letters = range(1, 60)
+    assert all(_is_irregular(spec.row(i)) == hand["irregular"](i) for i in letters)
+    assert ([[spec.entry(i, j) for j in letters] for i in letters]
+            == [[hand["entry"](i, j) for j in letters] for i in letters])
+    assert all(spec.predecessors(j) == hand["predecessors"](j) for j in range(1, 10_001))
+    assert spec.catalog(7) == hand["catalog"](7)
+    assert (spec.cover, spec.max_predecessors) == (hand["cover"], hand["max_predecessors"])
+    if hand["irregular_meet"] is None:
+        assert spec.irregular_meet is None
+    else:
+        rows = [i for i in letters if hand["irregular"](i)]
+        assert all(spec.irregular_meet(i, j) == hand["irregular_meet"](i, j)
+                   for i in rows for j in rows if i != j)
+
+
+def _assert_descent_meets_are_row_intersections(A):
+    # every pair of distinct irregular rows <= 12, against the rows' letters
+    # <= 60: an infinite intersection would show there as many letters
+    letters = range(1, 61)
+    rows = {i: {j for j in letters if A.entry(i, j)} for i in range(1, 13)
+            if _is_irregular(A.row(i))}
+    for i in rows:
+        for j in rows:
+            if i != j:
+                assert A.irregular_rows_intersection(i, j) == rows[i] & rows[j], (i, j)
+
+
+def test_descent_meets_are_row_intersections(prime, alternating):
+    for A in (prime, alternating):
+        _assert_descent_meets_are_row_intersections(A)
+
+
+@given(residue_kinds())
+@settings(max_examples=30, deadline=None)
+def test_drawn_residue_kinds_have_their_rule_facts(description):
+    # the meets of the irregular rows, which keep the cylinder algebra
+    # closed, and d, the longest column, on which the normalizer's tail
+    # bound rests
+    with residue_matrix(*description) as A:
+        if len(description[1]) > 1:
+            _assert_descent_meets_are_row_intersections(A)
+        assert A.spec.max_predecessors == max(len(A.predecessors(j)) for j in range(1, 1_001))
+
+
+def test_residue_kinds_refuse_overlapping_residues():
+    # two irregular rows sharing a class meet in an infinite set, which the
+    # cylinder algebra cannot keep finite
+    with pytest.raises(ValueError, match="overlap"):
+        matrices._residue_kind(3, {2: {0, 1}, 4: {1}}, growth=None, counts=None,
+                               stem_sums=None)
+
+
+def test_residue_kinds_refuse_an_irregular_row_1_without_a_cover():
+    # a class that no row holds would have the empty set as its column
+    # limit, and the irregular rows would not cover the alphabet
+    with pytest.raises(ValueError, match="without a cover"):
+        matrices._residue_kind(3, {1: {0}, 2: {1}}, growth=None, counts=None, stem_sums=None)
 
 
 def test_accumulation_catalogs(renewal, pair, prime, alternating):

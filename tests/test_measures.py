@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import residue_kinds, residue_matrix
 from gcms import cylinders
 from gcms import matrices as mx
 from gcms import measures as ms
@@ -13,7 +14,8 @@ from gcms import symbolsets as ss
 from gcms.configs import BoundedConfig, bounded, empty_stem_config
 from gcms.cylinders import CylFamily, SetExpr, Subbasis, decompose, intersect_many, shift_image
 from gcms.matrices import by_kind, explicit
-from gcms.thermo import LOG_POTENTIAL, Constant, GDiff, LogRatio, beta_c_log, zeta
+from gcms.thermo import (LOG_POTENTIAL, UNIT_POTENTIAL, Constant, GDiff, LogRatio, beta_c_log,
+                         gurevich_pressure, zeta)
 from gcms.verification import conformality_suite, cylinder_words_up_to
 from gcms.words import enumerate_words, generation_layers, is_admissible
 
@@ -80,6 +82,21 @@ def test_normalizer_unsupported_kinds():
     A = explicit([[1, 1], [1, 0]])
     with pytest.raises(ms.Inconclusive):
         ms.normalizer(A, None, Constant(-1.0), 1.0)  # no boundary, no growth rate
+
+
+@given(residue_kinds(), st.floats(0.1, 3.0))
+@settings(max_examples=10, deadline=None)
+def test_drawn_residue_kinds_certify_no_measure(description, beta):
+    # a drawn kind has boundary families but no certified growth rate, so
+    # no measure on them is certified and its pressure is a finite-n slope
+    with residue_matrix(*description) as A:
+        assert A.accumulation_catalog
+        for build in (lambda: ms.y_measure(A, 1, UNIT_POTENTIAL, beta),
+                      lambda: ms.phase_row(A, UNIT_POTENTIAL, beta, 1e-9),
+                      lambda: ms.constructed_measures(A, beta)):
+            with pytest.raises(ms.Inconclusive, match="no certified growth rate"):
+                build()
+        assert gurevich_pressure(A, UNIT_POTENTIAL, beta, 1, 8).certificate == "limit"
 
 
 def test_normalizer_thresholds(renewal, pair, prime):

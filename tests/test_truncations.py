@@ -1,4 +1,5 @@
-"""Each rule kind against its own finite truncation, stored as a table.
+"""Each rule kind, and drawn residue kinds, against their own finite
+truncations, stored as tables.
 
 A rule kind answers ``entry``, ``predecessors`` and ``descent_stop`` from
 its rules; the truncation ``explicit([[A.entry(i, j) for j <= N] for i <=
@@ -9,7 +10,9 @@ limit over its finite truncations).
 """
 
 import pytest
+from hypothesis import given, settings
 
+from conftest import residue_kinds, residue_matrix
 from gcms.configs import UnboundedConfig, bounded
 from gcms.matrices import by_kind, explicit
 from gcms.thermo import LOG_POTENTIAL, UNIT_POTENTIAL, pointwise_z, z_n, z_n_star
@@ -28,33 +31,60 @@ POINTS = {"renewal": [((3, 2, 1), 1, (1,)), ((1, 5, 4, 3, 2, 1), 1, (2, 1))],
 POTENTIALS = [(UNIT_POTENTIAL, 0.7), (LOG_POTENTIAL, 1.3)]
 
 
+def _table(A):
+    letters = range(1, N + 1)
+    return explicit([[A.entry(i, j) for j in letters] for i in letters])
+
+
 @pytest.fixture(scope="module", params=KINDS)
 def kind_and_table(request):
     A = by_kind(request.param)
-    letters = range(1, N + 1)
-    return A, explicit([[A.entry(i, j) for j in letters] for i in letters])
+    return A, _table(A)
 
 
-@pytest.mark.parametrize("potential, beta", POTENTIALS, ids=["unit", "log"])
-def test_partition_functions_match_the_truncation(kind_and_table, potential, beta):
-    # a cycle of length n <= 12 through 1 climbs at most to letter n + 1
-    # before it descends, far below N
-    A, T = kind_and_table
+def _check_partition_functions(A, T, potential, beta):
+    # a predecessor of j is at most j + 1 or a drawn irregular row (<= 7),
+    # so a cycle of length n <= 12 through 1 stays below 8 + n, far below N
     for n in range(1, 13):
         assert z_n(A, potential, beta, 1, n) == z_n(T, potential, beta, 1, n), n
         assert z_n_star(A, potential, beta, 1, n) == z_n_star(T, potential, beta, 1, n), n
 
 
-def test_words_and_cycles_match_the_truncation(kind_and_table):
-    # read backward, a word climbs at most one letter per step, so the words
-    # of length n <= 10 that end in a letter <= 3 stay far below N
-    A, T = kind_and_table
+def _check_words_and_cycles(A, T):
+    # read backward, a word climbs at most one letter per step or jumps to
+    # a drawn irregular row (<= 7), so the words of length n <= 10 that end
+    # in a letter <= 3 stay below 8 + n, far below N
     for n in range(1, 11):
         words = set(backward_words(A, n, (1, 2, 3)))
         assert max(map(max, words)) <= N, n
         assert words == set(backward_words(T, n, (1, 2, 3))), n
         for base in (1, 2, 3):
             assert set(iter_cycles(A, n, base)) == set(iter_cycles(T, n, base)), (n, base)
+
+
+def _check_predecessors(A, T):
+    for j in range(1, N + 1):
+        assert tuple(i for i in A.predecessors(j) if i <= N) == T.predecessors(j), j
+
+
+def _check_descent_stops(A, T):
+    # a letter whose row is the one letter below it does not branch, so the
+    # descent from s walks down to the first letter whose row branches
+    rows = {i: [j for j in range(1, N + 1) if T.entry(i, j)] for i in range(1, N + 1)}
+    for s in range(1, N + 1):
+        stop = s
+        while stop > 1 and rows[stop] == [stop - 1]:
+            stop -= 1
+        assert A.spec.descent_stop(s) == stop, s
+
+
+@pytest.mark.parametrize("potential, beta", POTENTIALS, ids=["unit", "log"])
+def test_partition_functions_match_the_truncation(kind_and_table, potential, beta):
+    _check_partition_functions(*kind_and_table, potential, beta)
+
+
+def test_words_and_cycles_match_the_truncation(kind_and_table):
+    _check_words_and_cycles(*kind_and_table)
 
 
 def test_pointwise_partition_functions_match_the_truncation(kind_and_table):
@@ -72,18 +102,20 @@ def test_pointwise_partition_functions_match_the_truncation(kind_and_table):
 
 
 def test_predecessors_are_the_table_columns(kind_and_table):
-    A, T = kind_and_table
-    for j in range(1, N + 1):
-        assert tuple(i for i in A.predecessors(j) if i <= N) == T.predecessors(j), j
+    _check_predecessors(*kind_and_table)
 
 
 def test_descent_stops_are_read_off_the_table_rows(kind_and_table):
-    # a letter whose row is the one letter below it does not branch, so the
-    # descent from s walks down to the first letter whose row branches
-    A, T = kind_and_table
-    rows = {i: [j for j in range(1, N + 1) if T.entry(i, j)] for i in range(1, N + 1)}
-    for s in range(1, N + 1):
-        stop = s
-        while stop > 1 and rows[stop] == [stop - 1]:
-            stop -= 1
-        assert A.spec.descent_stop(s) == stop, s
+    _check_descent_stops(*kind_and_table)
+
+
+@given(residue_kinds())
+@settings(max_examples=12, deadline=None)
+def test_drawn_residue_kinds_match_their_truncations(description):
+    with residue_matrix(*description) as A:
+        T = _table(A)
+        for potential, beta in POTENTIALS:
+            _check_partition_functions(A, T, potential, beta)
+        _check_words_and_cycles(A, T)
+        _check_predecessors(A, T)
+        _check_descent_stops(A, T)

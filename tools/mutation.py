@@ -261,6 +261,19 @@ CATALOG: dict[str, Mutant] = {
         "    return (1, j + 1) if p is None else (1, p, j + 1)",
         "    return (1, j + 1)",
         ("tests/test_truncations.py",)),
+    # matrices._residue_kind: overlapping residue sets taken, so two irregular
+    # rows meet in an infinite set
+    "residue-overlap-unchecked": Mutant(
+        "src/gcms/matrices.py",
+        "    if len(set(held)) < len(held):",
+        "    if False:",
+        ("tests/test_matrices.py::test_residue_kinds_refuse_overlapping_residues",)),
+    # matrices._residue_kind: the catalog drops the column limit of the last class
+    "residue-catalog-drops-a-class": Mutant(
+        "src/gcms/matrices.py",
+        "enumerate(dict.fromkeys(classes), 1)",
+        "enumerate(dict.fromkeys(classes[:-1]), 1)",
+        ("tests/test_matrices.py::test_residue_kinds_derive_the_hand_written_facts",)),
     # cli._BOUNDS: the pressure sweep's cap raised past a minute of work
     "cli-bounds-n-max": Mutant(
         "src/gcms/cli.py",
