@@ -223,9 +223,21 @@ def _residue_kind(modulus: int, irregular: dict[Symbol, set[int]], **facts) -> M
     more than the longest.  Two irregular rows meet in a finite set only if
     no two R_i overlap (``_descent_meet``), and every column limit is a root
     only if every class is held, which row 1 ensures unless it is irregular;
-    then the irregular rows cover the alphabet.  Both are checked.
+    then the irregular rows cover the alphabet.  Both are checked, as are
+    the modulus (m >= 1), the rows (letters >= 1) and each R_i.
     """
     m, held = modulus, [c for r in irregular.values() for c in r]
+    if m < 1:
+        raise ValueError(f"modulus must be >= 1, not {m}")
+    for i, r in irregular.items():
+        if i < 1:
+            raise ValueError(f"row {i} is no letter: letters start at 1")
+        if not r:
+            raise ValueError(f"residue set of row {i} is empty, so the row is finite")
+        if not all(0 <= c < m for c in r):
+            raise ValueError(f"row {i} has residues {sorted(r)} outside 0..{m - 1}")
+        if len(r) == m:
+            raise ValueError(f"row {i} holds every class mod {m}, so it is cofinite, not irregular")
     if len(set(held)) < len(held):
         raise ValueError(f"residue sets {irregular} overlap modulo {m}")
     residues = {1: range(m), **irregular}

@@ -44,9 +44,10 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import symbolsets as ss
 from .configs import BoundedConfig
@@ -211,7 +212,16 @@ class Measure:
     sums of ``base_value`` over the row of j.  A subclass sets ``matrix``,
     ``weight``, ``beta``, ``lam``, ``convention`` and an empty
     ``_factors`` dict, and supplies ``_cyl_mass(alpha)`` for an admissible
-    non-empty word, those three numbers, ``total_mass()`` and ``report()``.
+    non-empty word, those three numbers, ``total_mass()``, ``report()``
+    and ``_mass_table(plan)``.
+
+    ``_mass_table`` gives the conformality rows their masses: for a
+    ``_RowPlan``, the ``_cyl_mass`` of each word of its table, in table
+    order, then of each planned atom, each bit-identical to ``_cyl_mass``
+    of the word.  A measure fills it from a peel column, one multiply per
+    table word (``_peel_column``; a constant weight peels once per length
+    instead), and a letter term per letter, so it makes the floating-point
+    products of ``_cyl_mass`` in the same order.
 
     Admissibility is checked once, where a word enters: ``cyl_mass`` checks
     the word a caller names, and ``verify_conformality`` reads it from the
@@ -293,6 +303,17 @@ class Measure:
             m *= self._factor(s) if f is None else f
         return m
 
+    def _peel_column(self, plan: _RowPlan, start: float) -> list[float]:
+        """``_product(word, start)`` of each table word of ``plan``, in table
+        order, each its parent's entry times its last letter's factor: the
+        products of ``_product``, in its order.  One entry more, the last,
+        holds ``start``: the empty word's, the parent of every letter."""
+        factors = {s: self._factor(s) for s in plan.alphabet}
+        peel = [start] * (len(plan.letters) + 1)
+        for i, (p, s) in enumerate(zip(plan.parents, plan.letters)):
+            peel[i] = peel[p] * factors[s]
+        return peel
+
 
 # --------------------------------------------------------------------------
 # atomic measures on a boundary family
@@ -366,14 +387,27 @@ class YFamilyMeasure(Measure):
 
     # -- cylinder and family masses --------------------------------------------
 
+    def _term(self, k: Symbol) -> float:
+        """[k terminal] + T(k): the stems below the letter k, over its weight."""
+        return (1.0 if k in self.family.allowed_terminal_symbols else 0.0) + self._tail(k)
+
     def _cyl_mass(self, alpha: Word) -> float:
-        terminal = 1.0 if alpha[-1] in self.family.allowed_terminal_symbols else 0.0
-        return self.peel(alpha) * (terminal + self._tail(alpha[-1]))
+        return self.peel(alpha) * self._term(alpha[-1])
+
+    def _mass_table(self, plan: _RowPlan) -> array:
+        """``peel(w) * _term(w[-1])`` of each table word; an atom, its base
+        b with the forced run r down to e, weighs ``peel(b + r) * _term(e)``."""
+        peel = self._peel_column(plan, self.c_e)
+        terms = {s: self._term(s) for s in plan.alphabet}
+        letters = plan.letters
+        masses = array("d", (x * terms[s] for x, s in zip(peel, letters)))
+        masses.extend(self._product(range(letters[b] - 1, e - 1, -1), peel[b]) * terms[e]
+                      for b, e in zip(plan.atom_bases, plan.atom_stops))
+        return masses
 
     def base_value(self, k: Symbol) -> float:
         """u(k) * ([k terminal] + T(k)): total stem weight below one letter."""
-        t = 1.0 if k in self.family.allowed_terminal_symbols else 0.0
-        return self._factor(k) * (t + self._tail(k))
+        return self._factor(k) * self._term(k)
 
     def total_mass(self) -> float:
         return self.c_e * self.normalizer_value
@@ -445,6 +479,28 @@ class SequenceMeasure(Measure):
 
     def _cyl_mass(self, alpha: Word) -> float:
         return self.peel(alpha[:-1]) * self.base_value(alpha[-1])
+
+    def _mass_table(self, plan: _RowPlan) -> array:
+        """``peel(w[:-1]) * base_value(w[-1])`` of each table word; an atom,
+        its base b with the forced run r down to e, weighs
+        ``peel(b + r[:-1]) * base_value(e)``.  A constant weight peels once
+        per length, in closed form, at the word's length - 1; any other
+        reads the word's parent in the peel column."""
+        bv = {s: self.base_value(s) for s in plan.alphabet}
+        letters, bases, stops = plan.letters, plan.atom_bases, plan.atom_stops
+        if isinstance(self.weight, Constant):
+            table = plan.table
+            atom_heads = [len(table[b]) + letters[b] - e - 1 for b, e in zip(bases, stops)]
+            peels = [self.peel(range(k))
+                     for k in range(max(max(map(len, table)), max(atom_heads, default=0) + 1))]
+            masses = array("d", (peels[len(w) - 1] * bv[s] for w, s in zip(table, letters)))
+            masses.extend(peels[k] * bv[e] for k, e in zip(atom_heads, stops))
+            return masses
+        peel = self._peel_column(plan, 1.0)
+        masses = array("d", (peel[p] * bv[s] for p, s in zip(plan.parents, letters)))
+        masses.extend(self._product(range(letters[b] - 1, e, -1), peel[b]) * bv[e]
+                      for b, e in zip(bases, stops))
+        return masses
 
     def _tail(self, j: Symbol) -> float:
         """The base values summed over the row of j, as the construction gave them."""
@@ -704,41 +760,122 @@ class ConformalityReport:
     max_residual: float
 
 
+class _RowPlan(NamedTuple):
+    """What the conformality rows over one word list read, whatever the
+    measure (``_conformality_rows``).
+
+    ``table`` holds the words, each after its parent: ``parents[i]`` is the
+    position of the parent of ``table[i]``, -1 for a letter, and
+    ``letters[i]`` its last letter.  A planned atom is the forced extension
+    of a table word, its base: ``atom_bases[k]`` is the base's position and
+    ``atom_stops[k]`` the letter its run stops at, so the run is
+    ``range(letters[b] - 1, stop - 1, -1)``.  ``alphabet`` holds the
+    table's letters and the stops, each once.
+
+    The masses of a check are the measure's ``_mass_table`` (table words,
+    then planned atoms), then ``measure_setexpr`` of each of ``images``,
+    then 0.0.  Row j weighs ``masses[lhs[j]]`` against ``masses[rhs[j]]``
+    times the factor of its first letter ``firsts[j]``; ``first_letters``
+    holds each first letter once.  An image's index counts from the end,
+    where 0.0 is last, since the number of atoms is known only once every
+    row is planned.
+    """
+
+    table: tuple[Word, ...]
+    parents: array
+    letters: tuple[Symbol, ...]
+    alphabet: tuple[Symbol, ...]
+    atom_bases: array
+    atom_stops: tuple[Symbol, ...]
+    images: tuple[SetExpr, ...]
+    firsts: tuple[Symbol, ...]
+    first_letters: tuple[Symbol, ...]
+    lhs: array
+    rhs: array
+
+
 @lru_cache(maxsize=None)
-def _conformality_rows(A: TransitionMatrix, words: tuple[Word, ...]) -> tuple[tuple, ...]:
-    """The parts of the conformality rows over ``words`` that no measure
-    changes, one column each in the order of the words: the words, their
-    first letters, their shift images, each image's one part when it is
-    exactly one atom (else None), and whether the right-hand side reads the
-    word's mass.  Planned once per (matrix, word tuple), like
-    ``cylinders.shift_image``: they depend on nothing else, and the suites
+def _conformality_rows(A: TransitionMatrix, words: tuple[Word, ...]) -> _RowPlan:
+    """The plan of the conformality rows over ``words``: what they read
+    that no measure changes.  Planned once per (matrix, word tuple), like
+    ``cylinders.shift_image``: it depends on nothing else, and the suites
     check many measures over one word list.  The unmemoized function is
-    ``_conformality_rows.__wrapped__``."""
+    ``_conformality_rows.__wrapped__``.
+
+    The table is the word list itself when each word's parent comes before
+    it, as in a sorted prefix-closed list, and otherwise the sorted set of
+    the words and their prefixes.  A row reads its word's mass unless the
+    word is inadmissible, which is when its image is empty (see
+    ``verify_conformality``).  An image that is exactly one atom is, on a
+    rule kind, the forced extension of its base (``words.forced_extension``):
+    the word's tail alpha[1:], or for a one-letter word the atom's first
+    letter.  The row reads the atom's mass from the table when the base is
+    in it: the base's own mass when its run is empty, else a planned atom,
+    one per distinct base.  Every other image goes through
+    ``measure_setexpr``.  The columns of positions are arrays of C ints,
+    so a long word list's plan holds no int object per word.
+    """
     if not all(words):
         raise ValueError("conformality needs non-empty cylinder words")
-    images = tuple(shift_image(A, alpha) for alpha in words)
-    atoms = tuple(s.atoms[0] if len(s.atoms) == 1 and not (s.points or s.families or s.whole_space)
-                  else None for s in images)
-    reads_mass = tuple(len(alpha) == 1 or not s.is_empty for alpha, s in zip(words, images))
-    return words, tuple(alpha[0] for alpha in words), images, atoms, reads_mass
+    # A word as long as the longest is no parent or tail of another, so on
+    # a list that is its own table only shorter words need their position:
+    # a row reads its own word at its own index.
+    limit = max(2, max(map(len, words)))
+    table = words
+    position = {w: i for i, w in enumerate(table) if len(w) < limit}
+    position[()] = -1
+    parents = array("i", (position.get(w[:-1], -2) for w in table))   # -2: not listed
+    if -2 in parents or not all(map(int.__lt__, parents, range(len(table)))):
+        table = tuple(sorted({w[:k] for w in words for k in range(1, len(w) + 1)}))
+        position = dict(zip(table, range(len(table))))
+        position[()] = -1
+        parents = array("i", (position[w[:-1]] for w in table))
+    letters = tuple(w[-1] for w in table)
+    stop = A.spec.descent_stop
+    stop_of = {s: stop(s) for s in set(letters)} if stop else {}
+    atom_of = array("i", [-1]) * len(table)
+    bases, lhs, rhs = array("i"), array("i"), array("i")
+    stops: list[Symbol] = []
+    images: list[SetExpr] = []
+    for i, alpha in enumerate(words):
+        s = shift_image(A, alpha)
+        one_atom = len(s.atoms) == 1 and not (s.points or s.families or s.whole_space)
+        reads_mass = one_atom or len(alpha) == 1 or not s.is_empty
+        rhs.append((i if table is words else position[alpha]) if reads_mass else -1)
+        b = None
+        if one_atom and stop:
+            b = position.get(alpha[1:] if len(alpha) > 1 else s.atoms[0][:1])
+        if b is None:
+            images.append(s)
+            lhs.append(-1 - len(images))
+            continue
+        if atom_of[b] < 0:
+            e = stop_of[letters[b]]
+            atom_of[b] = b if e == letters[b] else len(table) + len(stops)
+            if e != letters[b]:
+                bases.append(b)
+                stops.append(e)
+        lhs.append(atom_of[b])
+    del position, atom_of   # before the last columns, which would raise a long list's peak
+    firsts = tuple(alpha[0] for alpha in words)
+    return _RowPlan(table, parents, letters, tuple({*letters, *stops}), bases, tuple(stops),
+                    tuple(reversed(images)), firsts, tuple(set(firsts)), lhs, rhs)
 
 
-def _conformality_residuals(m: Measure, test_cylinders: Iterable[Word]) -> list[float]:
+def _conformality_residuals(m: Measure, test_cylinders: Iterable[Word]) -> Iterator[float]:
     """|mu(shift(C)) - lam exp(-beta*weight(first letter)) mu(C)| for each
-    word, in order; ``verify_conformality`` reports the worst of them."""
+    word, in order, as an iterator over the masses of one check, so that
+    ``verify_conformality`` keeps only the worst of them."""
     words = tuple(test_cylinders)
     if not words:
         raise ValueError("conformality needs at least one cylinder word")
-    factors: dict[Symbol, float] = {}
-    residuals = []
-    for alpha, a, image, atom, reads_mass in zip(*_conformality_rows(m.matrix, words)):
-        lhs = measure_setexpr(m, image) if atom is None else m._cyl_mass(atom)
-        mass = m._cyl_mass(alpha) if reads_mass else 0.0
-        f = factors.get(a)
-        if f is None:
-            f = factors[a] = m.lam * math.exp(-m.beta * m.weight.value(a))
-        residuals.append(abs(lhs - f * mass))
-    return residuals
+    plan = _conformality_rows(m.matrix, words)
+    masses = m._mass_table(plan)
+    masses.extend([measure_setexpr(m, s) for s in plan.images])
+    masses.append(0.0)
+    factors = {a: m.lam * math.exp(-m.beta * m.weight.value(a)) for a in plan.first_letters}
+    return (abs(masses[i] - factors[a] * masses[j])
+            for a, i, j in zip(plan.firsts, plan.lhs, plan.rhs))
 
 
 def verify_conformality(m: Measure, test_cylinders: Iterable[Word]) -> ConformalityReport:
@@ -754,17 +891,19 @@ def verify_conformality(m: Measure, test_cylinders: Iterable[Word]) -> Conformal
 
     What a row needs besides the measure is planned once per (matrix, word
     tuple) by ``_conformality_rows``, and every later check over the same
-    words, by any measure, reads it back.  A one-atom image weighs
-    ``_cyl_mass(atom)``, which is ``measure_setexpr`` of it (the fsum of
-    one number is that number); every other image goes through
-    ``measure_setexpr``.  The factor lam exp(-beta*weight(a)) is formed
-    once per first letter a per call, the same product as per row.
+    words, by any measure, reads it back.  Each check fills the measure's
+    mass table over the plan once (``Measure._mass_table``), and each row
+    reads two entries of it: the mass of its word, and that of its image's
+    one atom, which is ``_cyl_mass(atom)``, so ``measure_setexpr`` of the
+    image (the fsum of one number is that number).  Every other image goes
+    through ``measure_setexpr``.  The factor lam exp(-beta*weight(a)) is
+    formed once per first letter a per call, the same product as per row.
 
     Admissibility is checked once per (matrix, word), where the image is
     built, and never per measure: a single letter is admissible, and a
     longer word is admissible exactly when its image is non-empty (the
-    image holds the atom alpha[1:]).  So the right-hand side reads
-    ``_cyl_mass`` unchecked, or 0 on an empty image, which is ``cyl_mass``
+    image holds the atom alpha[1:]).  So the right-hand side reads the
+    word's mass unchecked, or 0 on an empty image, which is ``cyl_mass``
     on every word; the image's parts are read unchecked too.  A check over
     no cylinder would read as a pass, so an empty word list is refused, as
     is an empty word, and a nan residual makes the worst residual nan.

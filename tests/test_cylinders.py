@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -413,29 +414,48 @@ def test_oracle_on_a_wider_universe(kind, n_configs, n_pairs):
     assert (rep.n_configs, rep.n_pairs) == (n_configs, n_pairs)
 
 
+def assert_random_triple_meets(A, rng, universe, elem_sizes, n_triples):
+    """Meets of random triples of subbasis elements against the raw
+    membership of each configuration of ``universe`` (the arguments of
+    ``build_universe``), and associativity on the nose, as the normal form
+    is canonical.  Repeated meets reach part-pair shapes single
+    decompositions never produce."""
+    from gcms.cylinders import meet
+    u = build_universe(A, *universe)
+    elems = subbasis_elements(A, *elem_sizes)
+    dec = [decompose(e) for e in elems]
+    raw = {}
+
+    def raw_row(i):
+        if i not in raw:
+            raw[i] = np.array([raw_member(c, elems[i]) for c in u.configs])
+        return raw[i]
+
+    for _ in range(n_triples):
+        i, j, k = (rng.randrange(len(elems)) for _ in range(3))
+        expr = meet(meet(dec[i], dec[j]), dec[k])
+        counts = setexpr_count_vec(u, expr)
+        expected = raw_row(i) & raw_row(j) & raw_row(k)
+        assert not (counts > 1).any(), (elems[i], elems[j], elems[k])
+        assert ((counts == 1) == expected).all(), (elems[i], elems[j], elems[k])
+        assert expr == meet(dec[i], meet(dec[j], dec[k])), (elems[i], elems[j], elems[k])
+
+
 @pytest.mark.parametrize("kind", ["renewal", "pair_renewal", "prime_renewal",
                                   "alternating_renewal"])
 def test_random_triple_intersections(kind):
-    # repeated meets reach part-pair shapes single decompositions never produce
     import random
-    import numpy as np
-    from gcms.cylinders import meet
     from gcms.matrices import by_kind
-    random.seed(20240809)
-    A = by_kind(kind)
-    u = build_universe(A, 4, 5, 20)
-    elems = subbasis_elements(A, 2, 3, 3)
-    raw = np.array([[raw_member(c, e) for c in u.configs] for e in elems])
-    dec = [decompose(e) for e in elems]
-    for _ in range(400):
-        i, j, k = (random.randrange(len(elems)) for _ in range(3))
-        expr = meet(meet(dec[i], dec[j]), dec[k])
-        counts = setexpr_count_vec(u, expr)
-        expected = raw[i] & raw[j] & raw[k]
-        assert not (counts > 1).any(), (elems[i], elems[j], elems[k])
-        assert ((counts == 1) == expected).all(), (elems[i], elems[j], elems[k])
-        # the normal form is canonical, so the meet is associative on the nose
-        assert expr == meet(dec[i], meet(dec[j], dec[k])), (elems[i], elems[j], elems[k])
+    assert_random_triple_meets(by_kind(kind), random.Random(20240809), (4, 5, 20), (2, 3, 3), 400)
+
+
+@given(residue_kinds())
+@settings(max_examples=25, deadline=None)
+def test_drawn_residue_kinds_triple_intersections(description):
+    # inverse letters up to 7 reach every drawn irregular row as a sieve
+    import random
+    with residue_matrix(*description) as A:
+        assert_random_triple_meets(A, random.Random(repr(description)), (4, 7, 20), (2, 4, 7), 200)
 
 
 def test_explicit_matrix_oracle():

@@ -181,6 +181,22 @@ def test_residue_kinds_refuse_an_irregular_row_1_without_a_cover():
         matrices._residue_kind(3, {1: {0}, 2: {1}}, growth=None, counts=None, stem_sums=None)
 
 
+@pytest.mark.parametrize("modulus, irregular, message", [
+    (2, {2: set()}, "residue set of row 2 is empty"),
+    (2, {2: {2}}, r"row 2 has residues \[2\] outside 0\.\.1"),
+    (2, {2: {0, 1}}, "row 2 holds every class mod 2, so it is cofinite"),
+    (3, {0: {1}}, "row 0 is no letter"),
+    (0, {}, "modulus must be >= 1, not 0"),
+], ids=["empty-residue-set", "residue-out-of-range", "full-residue-set", "row-0", "modulus-0"])
+def test_residue_kinds_refuse_a_description_outside_their_rule(modulus, irregular, message):
+    # each of these was once built: an empty or out-of-range R_2 left row 2
+    # finite, a full one made it cofinite, a row 0 made 0 a predecessor
+    # (predecessors(4) listed it), and modulus 0 failed inside max()
+    with pytest.raises(ValueError, match=message) as info:
+        matrices._residue_kind(modulus, irregular, growth=None, counts=None, stem_sums=None)
+    assert "\n" not in str(info.value)
+
+
 def test_accumulation_catalogs(renewal, pair, prime, alternating):
     def letter_sets(A):
         return [set(c.allowed_terminal_symbols) for c in A.accumulation_catalog]

@@ -17,7 +17,7 @@ from gcms.matrices import by_kind, explicit
 from gcms.thermo import (LOG_POTENTIAL, UNIT_POTENTIAL, Constant, GDiff, LogRatio, beta_c_log,
                          gurevich_pressure, zeta)
 from gcms.verification import conformality_suite, cylinder_words_up_to
-from gcms.words import enumerate_words, generation_layers, is_admissible
+from gcms.words import enumerate_words, forced_extension, generation_layers, is_admissible
 
 LOG2 = math.log(2.0)
 LOG3 = math.log(3.0)
@@ -49,6 +49,11 @@ class ConvexCombination(ms.Measure):
 
     def _cyl_mass(self, alpha):
         return math.fsum(w * m._cyl_mass(alpha) for w, m in self.parts)
+
+    def _mass_table(self, plan):
+        # each entry combines the parts' entries as _cyl_mass combines their masses
+        tables = [m._mass_table(plan) for _, m in self.parts]
+        return [math.fsum(w * x for (w, _), x in zip(self.parts, xs)) for xs in zip(*tables)]
 
     def _sieve_mass(self, prefix, symbols):
         return math.fsum(w * m._sieve_mass(prefix, symbols) for w, m in self.parts)
@@ -862,7 +867,7 @@ def row_residuals(m, words, image_of=shift_image):
 
 
 def assert_rows_bit_identical(m, words):
-    got = ms._conformality_residuals(m, words)
+    got = list(ms._conformality_residuals(m, words))
     assert got == row_residuals(m, words)
     assert max(got) == checked_row_residual(m, words) == ms.verify_conformality(m, words).max_residual
 
@@ -912,9 +917,21 @@ def test_prime_y_measure_rows_read_admissibility_bit_identically(prime):
 def test_conformality_rows_read_a_generator_as_its_list(renewal):
     m = ms.log_eigenmeasure(0.5, renewal)
     words = cylinder_words_up_to(renewal, 4, 5)
-    assert ms._conformality_residuals(m, iter(words)) == row_residuals(m, words)
+    assert list(ms._conformality_residuals(m, iter(words))) == row_residuals(m, words)
     assert (ms.verify_conformality(m, (w for w in words)).max_residual
             == ms.verify_conformality(m, words).max_residual)
+
+
+def test_conformality_rows_read_words_in_any_order_and_repeated(pair):
+    # a sorted prefix-closed list is its own table, repeats of its longest
+    # words too; a reversed list, whose parents come late, is planned on the
+    # sorted closure of its words
+    m = ms.pair_renewal_critical_measure(pair)
+    words = cylinder_words_up_to(pair, 4, 5)
+    longest = [w for w in words if len(w) == 4][:3]
+    for ws, own_table in ((words + longest, True), (words[::-1], False), (longest, False)):
+        assert (ms._conformality_rows(pair, tuple(ws)).table == tuple(ws)) == own_table
+        assert list(ms._conformality_residuals(m, ws)) == row_residuals(m, ws)
 
 
 def test_only_a_one_atom_image_reads_one_cylinder_mass(pair, monkeypatch):
@@ -931,7 +948,8 @@ def test_only_a_one_atom_image_reads_one_cylinder_mass(pair, monkeypatch):
     images = {(1, 3, 2): with_point, (2, 3, 2): with_family}
     monkeypatch.setattr(ms, "shift_image", lambda A, w: images.get(w) or shift_image(A, w))
     words = [(1, 3, 2), (2, 3, 2), (1, 1), (3, 2)]
-    assert ms._conformality_residuals(m, words) == row_residuals(m, words, image_of=ms.shift_image)
+    assert (list(ms._conformality_residuals(m, words))
+            == row_residuals(m, words, image_of=ms.shift_image))
 
 
 def test_cylinder_words_take_one_walk_per_length(monkeypatch):
@@ -1032,6 +1050,49 @@ def test_letter_factors_kept_per_instance_are_bit_identical(build):
         for w in words:
             assert m.cyl_mass(w) == oracle.cyl_mass(w), w
     assert m._factors and not oracle._factors
+
+
+def table_words(plan):
+    """The words of a plan's table, rebuilt from its parents and last letters."""
+    words = []
+    for p, s in zip(plan.parents, plan.letters):
+        words.append((words[p] if p >= 0 else ()) + (s,))
+    return words
+
+
+def convex_pair_measure():
+    pair = by_kind("pair_renewal")
+    return ConvexCombination([(0.25, ms.y_measure(pair, 1, Constant(1.0), 1.2)),
+                              (0.75, ms.y_measure(pair, 2, Constant(1.0), 1.2))])
+
+
+@pytest.mark.parametrize("build, longest_run", [
+    (lambda: ms.sarig_measure_renewal(by_kind("renewal")), 39),
+    (lambda: ms.pair_renewal_critical_measure(by_kind("pair_renewal")), 38),
+    (lambda: ms.log_eigenmeasure(0.5, by_kind("renewal")), 39),
+    (lambda: ms.log_eigenmeasure(beta_c_log(), by_kind("renewal")), 39),
+    (lambda: ms.log_eigenmeasure(2.0, by_kind("renewal")), 39),
+    (lambda: ms.y_measure(by_kind("renewal"), 1, Constant(1.0), 1.2), 39),
+    (lambda: ms.y_measure(by_kind("pair_renewal"), 2, Constant(1.0), 1.2), 38),
+    (lambda: ms.y_measure(by_kind("prime_renewal"), 3, Constant(1.0), 1.3), 5),
+    (convex_pair_measure, 38)],
+    ids=["sarig", "pair-critical", "log-sequence-0.5", "log-sequence-beta_c",
+         "log-family-2.0", "y-renewal", "y-pair-2", "y-prime-walked", "convex-pair"])
+def test_mass_tables_are_bit_identical_to_cylinder_masses(build, longest_run):
+    # words of length <= 3 on letters <= 40, so forced runs reach 39 letters;
+    # the log ratio tells every letter's factor apart, above beta_c on the
+    # boundary family and at and below it on the sequence space, and the
+    # prime y-measure reads the sums of its walk
+    m = build()
+    A = m.matrix
+    plan = ms._conformality_rows(A, tuple(cylinder_words_up_to(A, 3, 40)))
+    words = table_words(plan)
+    assert tuple(words) == plan.table
+    atoms = [words[b] + tuple(range(plan.letters[b] - 1, e - 1, -1))
+             for b, e in zip(plan.atom_bases, plan.atom_stops)]
+    assert atoms == [forced_extension(A, words[b]) for b in plan.atom_bases]
+    assert max(len(a) - len(words[b]) for a, b in zip(atoms, plan.atom_bases)) == longest_run
+    assert list(m._mass_table(plan)) == [m._cyl_mass(w) for w in words + atoms]
 
 
 def test_conformality_detects_corruption(pair):

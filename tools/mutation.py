@@ -204,18 +204,37 @@ CATALOG: dict[str, Mutant] = {
         "        growth=(2.0, 3.0),\n        max_predecessors=2,",
         ("tests/test_measures.py::test_prime_normalizer_against_exact_counts",
          "tests/test_matrices.py::test_max_predecessors_is_the_longest_column")),
-    # measures._conformality_rows: an image with one atom and points read as the atom alone
+    # measures._conformality_rows: an image with one atom and points read as
+    # the atom's mass from the table
     "conformality-one-atom-with-points": Mutant(
         "src/gcms/measures.py",
         "not (s.points or s.families or s.whole_space)",
         "not (s.families or s.whole_space)",
         ("tests/test_measures.py::test_only_a_one_atom_image_reads_one_cylinder_mass",)),
-    # measures._conformality_residuals: a first-letter factor kept under the last letter
+    # measures._conformality_rows: each row's factor keyed by its last letter, not its first
     "conformality-factor-wrong-key": Mutant(
         "src/gcms/measures.py",
-        "            f = factors[a] = ",
-        "            f = factors[alpha[-1]] = ",
+        "firsts = tuple(alpha[0] for alpha in words)",
+        "firsts = tuple(alpha[-1] for alpha in words)",
         ("tests/test_measures.py::test_conformality_rows_read_admissibility_bit_identically",)),
+    # YFamilyMeasure._mass_table: an atom's mass read without its forced run's factors
+    "mass-table-atom-without-run": Mutant(
+        "src/gcms/measures.py",
+        "self._product(range(letters[b] - 1, e - 1, -1), peel[b]) * terms[e]",
+        "peel[b] * terms[e]",
+        ("tests/test_measures.py::test_mass_tables_are_bit_identical_to_cylinder_masses",)),
+    # Measure._peel_column: each word peeled by its parent's last letter, not its own
+    "peel-column-parent-letter": Mutant(
+        "src/gcms/measures.py",
+        "            peel[i] = peel[p] * factors[s]",
+        "            peel[i] = peel[p] * factors[plan.letters[p]]",
+        ("tests/test_measures.py::test_mass_tables_are_bit_identical_to_cylinder_masses",)),
+    # SequenceMeasure._mass_table: a constant weight peeled at the word's length, not length - 1
+    "constant-peel-at-word-length": Mutant(
+        "src/gcms/measures.py",
+        "peels[len(w) - 1] * bv[s]",
+        "peels[len(w)] * bv[s]",
+        ("tests/test_measures.py::test_mass_tables_are_bit_identical_to_cylinder_masses",)),
     # cylinders.shift_image: an inadmissible word imaged as the cylinder on its tail
     "shift-image-skips-admissibility": Mutant(
         "src/gcms/cylinders.py",
@@ -274,6 +293,13 @@ CATALOG: dict[str, Mutant] = {
         "enumerate(dict.fromkeys(classes), 1)",
         "enumerate(dict.fromkeys(classes[:-1]), 1)",
         ("tests/test_matrices.py::test_residue_kinds_derive_the_hand_written_facts",)),
+    # matrices._residue_kind: a row holding every class built, cofinite but labelled irregular
+    "residue-full-set-unchecked": Mutant(
+        "src/gcms/matrices.py",
+        "        if len(r) == m:",
+        "        if False:",
+        ("tests/test_matrices.py::test_residue_kinds_refuse_a_description_outside_their_rule"
+         "[full-residue-set]",)),
     # cli._BOUNDS: the pressure sweep's cap raised past a minute of work
     "cli-bounds-n-max": Mutant(
         "src/gcms/cli.py",
