@@ -216,7 +216,8 @@ def preimages(c: BoundedConfig, n: int) -> list[BoundedConfig]:
 
 def count_preimages_closed_form(A: TransitionMatrix, family_id: int,
                                 n: int) -> int | IntegerInterval:
-    """Closed-form (or interval) size of the n-th preimage generation."""
+    """The kind's size of the n-th preimage generation: exact on a residue
+    kind, an interval on prime renewal (``MatrixKind.counts``)."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if A.spec.counts is None:

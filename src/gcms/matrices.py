@@ -114,16 +114,23 @@ class MatrixKind:
       ``prime_bound`` are built.
     * ``cover``: rows whose supports tile the alphabet.
     * ``growth = (lower, upper)``: generation sizes are at most
-      const * upper**n, and infinitely often at least const * lower**n;
-      None when no rate is certified.  ``growth[0] == growth[1]`` certifies
-      the rate, and its log is the Gurevich entropy, the growth rate of
-      the cycles through a letter.  On renewal and pair renewal row 1
-      holds every letter, so Z_n at base 1 counts the words of length n
-      that end in 1: generation n of the {1}-family.  On alternating
-      renewal row 1 holds the even letters, so Z_n counts the words ending
-      in 1 that start with an even letter: the whole even generation,
-      3^(k-1) at n = 2k, and 0 at odd n.  The rule kinds are irreducible,
-      so the base letter does not matter.
+      const * upper**n, and infinitely often at least const * lower**n.
+      ``growth[0] == growth[1]`` certifies the rate, and its log is the
+      Gurevich entropy, the growth rate of the cycles through a letter.  A
+      residue kind derives it (``_residue_kind``): its rate is the Perron
+      root rho of its backward graph, and both ends are the largest double
+      not above rho, so that a product with it >= 1 still proves a series
+      divergent, and no double lies between it and rho.  Prime renewal
+      states (2, 3).  On renewal and pair renewal row 1 holds every
+      letter, so Z_n at base 1 counts the words of length n that end in 1:
+      generation n of the {1}-family.  On alternating renewal row 1 holds
+      the even letters, so Z_n counts the words ending in 1 that start
+      with an even letter: the whole even generation, 3^(k-1) at n = 2k,
+      and 0 at odd n.  The rule kinds are irreducible, so the base letter
+      does not matter.  A stored matrix has None.  Every kind with
+      boundary families (a non-empty catalog) has a growth rate, so
+      ``measures.growth_band`` needs no refusal: a stored matrix has no
+      families, and the measures refuse it before they ask for a rate.
     * ``max_predecessors``: d, the largest number of predecessors any
       letter has, so a backward walk hands each letter's weight to at most
       d letters of the next layer.  A residue kind (``_residue_kind``):
@@ -140,8 +147,10 @@ class MatrixKind:
       so d = 3, reached at j = 2.  A stored matrix: its longest column.
       On pair and alternating renewal d exceeds the growth rate, so it is
       not ``growth[1]``.
-    * ``counts(family_id, n)``: closed-form (or interval) size of
-      generation n >= 0 of a family's preimage tree; None when unknown.
+    * ``counts(family_id, n)``: the size of generation n >= 0 of a
+      family's preimage tree.  A residue kind derives it exactly, as a path
+      count of its backward graph (``_residue_kind``); prime renewal
+      states an interval, [2^(n-1), 3^n]; None on a stored matrix.
     * ``stem_sums(x, terminals)``: the stem sums of the boundary family
       with these terminal symbols when every letter weighs x, with x below
       the radius the growth band certifies: (1/c_e, {j: T(j)}), where
@@ -211,7 +220,47 @@ def _descent_meet(entry: Callable[[Symbol, Symbol], int]
                                   if c >= 1 and entry(i, c) and entry(j, c))
 
 
-def _residue_kind(modulus: int, irregular: dict[Symbol, set[int]], **facts) -> MatrixKind:
+def _perron_root(graph: tuple[tuple[int, ...], ...]) -> float:
+    """The largest double not above the Perron root rho of the graph's
+    matrix M, M[r][s] the number of edges r -> s (``_residue_kind``).
+
+    A double t = p/q is above rho exactly when every leading principal
+    minor of pI - qM is positive: for a nonnegative M, tI - M is a
+    nonsingular M-matrix iff t > rho, and a matrix with no positive entry
+    off its diagonal is one iff its leading principal minors are all
+    positive (Berman and Plemmons, *Nonnegative Matrices in the
+    Mathematical Sciences*, 1979, ch. 6).  The minors are the pivots of
+    Bareiss's fraction-free elimination, exact on the integers of
+    ``as_integer_ratio``.  Bisection starts from lo = 0 <= rho < hi, one
+    more than the longest row, as rho is at most the largest row sum, and
+    keeps lo not above rho and hi above it.  The midpoint of two doubles
+    with a double between them rounds to a double between them, which is
+    nearer to it than either end, so the loop stops only at adjacent
+    doubles lo <= rho < hi, and lo is the floor.
+    """
+    size = len(graph)
+
+    def above(t: float) -> bool:
+        p, q = t.as_integer_ratio()
+        a = [[p * (r == s) - q * graph[r].count(s) for s in range(size)] for r in range(size)]
+        prev = 1
+        for k in range(size):
+            if a[k][k] <= 0:
+                return False
+            for i in range(k + 1, size):
+                for j in range(k + 1, size):
+                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            prev = a[k][k]
+        return True
+    lo, hi = 0.0, float(max(map(len, graph)) + 1)
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        lo, hi = (lo, mid) if above(mid) else (mid, hi)
+    return lo
+
+
+def _residue_kind(modulus: int, irregular: dict[Symbol, set[int]],
+                  stem_sums: Callable[[float, frozenset[Symbol]],
+                                      tuple[float, dict[Symbol, float]]] | None) -> MatrixKind:
     """The rule kind of a modulus m and residue sets R_i, i in ``irregular``.
 
     An irregular row i is {j : j mod m in R_i} + {i - 1}, row 1 every letter
@@ -224,7 +273,31 @@ def _residue_kind(modulus: int, irregular: dict[Symbol, set[int]], **facts) -> M
     no two R_i overlap (``_descent_meet``), and every column limit is a root
     only if every class is held, which row 1 ensures unless it is irregular;
     then the irregular rows cover the alphabet.  Both are checked, as are
-    the modulus (m >= 1), the rows (letters >= 1) and each R_i.
+    the modulus (m >= 1), the rows (letters >= 1) and each R_i.  The
+    stem sums are the one fact the rule does not give here.
+
+    The backward graph.  Let top be the largest irregular row, or 1.  A
+    letter j above top has the predecessors ``classes[j mod m]``, all of
+    them <= top, and j + 1, again above top and in the next class.  So
+    every letter above top in one class has the same predecessors, up to
+    that one step to the next class, and the backward walk, read per
+    letter up to top and per class above it, is a walk on a finite graph:
+    the states are the letters 1..top and the m classes above top, and
+    state s has one edge to the state of each predecessor of a letter of
+    s.  The letters top + 1..top + m stand for the m classes, in order.
+    A layer of the walk is a vector of integers over the states.
+
+    * ``counts(f, n)``: the total of layer n of the walk from family f's
+      terminals, all <= top, which is the size of generation n, exactly;
+      generation 0 is the empty stem.  Each family keeps its layer totals
+      and its last layer, so asking for n = 1, 2, ..., N walks N layers.
+    * ``growth``: generation sizes grow like rho^n, rho the Perron root of
+      the graph's matrix (Lind and Marcus, *An Introduction to Symbolic
+      Dynamics and Coding*, 1995, ch. 4), so rho is the rate, and its log
+      the Gurevich entropy.  Both ends of the band are rho-hat, the largest
+      double not above rho (``_perron_root``): a floor, so that rho-hat x
+      >= 1 still proves the stem series divergent, and no double lies
+      between rho-hat and rho.
     """
     m, held = modulus, [c for r in irregular.values() for c in r]
     if m < 1:
@@ -253,53 +326,34 @@ def _residue_kind(modulus: int, irregular: dict[Symbol, set[int]], **facts) -> M
     def predecessors(j: Symbol) -> tuple[Symbol, ...]:
         c = classes[j % m]
         return c + (j + 1,) if j >= top else tuple(sorted({*c, j + 1}))
+
+    def state(j: Symbol) -> int:
+        return j - 1 if j <= top else top + (j - top - 1) % m
+    graph = tuple(tuple(state(p) for p in predecessors(j)) for j in range(1, top + m + 1))
+    walks: dict[int, tuple[list[int], list[int]]] = {}
+
+    def counts(family_id: int, n: int) -> int:
+        if not 0 < family_id <= len(columns):
+            raise ValueError(f"no family {family_id}: the families are 1..{len(columns)}")
+        terminals = columns[family_id - 1].allowed_terminal_symbols
+        totals, layer = walks.setdefault(family_id, (
+            [1], [int(s + 1 in terminals) for s in range(len(graph))]))
+        while len(totals) <= n:
+            totals.append(sum(layer))
+            nxt = [0] * len(graph)
+            for s, x in enumerate(layer):
+                if x:
+                    for p in graph[s]:
+                        nxt[p] += x
+            layer[:] = nxt
+        return totals[n]
+    rho = _perron_root(graph)
     return _rule_kind(irregular.__contains__, entry=entry, predecessors=predecessors,
                       irregular_meet=_descent_meet(entry) if len(irregular) > 1 else None,
                       catalog=lambda prime_bound: columns,
                       cover=tuple(sorted(irregular)) if 1 in irregular else (1,),
-                      max_predecessors=1 + max(map(len, classes)), **facts)
-
-
-def _pair_family1_count(n: int) -> int:
-    """Exact size of generation n of the first pair-renewal family.
-
-    Integer iteration of the 2x2 branching matrix; equals
-    ((1-sqrt2)^n + (1-sqrt2)^{n+1} + (1+sqrt2)^n + (1+sqrt2)^{n+1}) / 4.
-    """
-    if n == 0:
-        return 1
-    r, s = 1, 1
-    for _ in range(n - 1):
-        r, s = r + 2 * s, r + s
-    return r + s
-
-
-def _pair_counts(family_id: int, n: int) -> int:
-    if family_id == 1:
-        return _pair_family1_count(n)
-    if family_id == 2:
-        return 1 if n == 0 else _pair_family1_count(n - 1)
-    raise ValueError(f"pair renewal has families 1 and 2, not {family_id}")
-
-
-def _alternating_counts(family_id: int, n: int) -> int:
-    """Exact size of generation n of an alternating-renewal family.
-
-    Letter 1 has the one predecessor 2, an even letter s the odd ones 1 and
-    s + 1, an odd s >= 3 the even ones 2 and s + 1.  If E_n, O_n and N_n
-    count the layer-n words of family 1 starting even, odd and with 1, then
-    O_(n+1) = 2 E_n and N_(n+1) = E_n, so E_(n+1) = 2 O_n - N_n = 3 E_(n-1).
-    From E_1 = 0, O_1 = E_2 = 1 the layers alternate in parity: c(2k) =
-    3^(k-1), c(2k+1) = 2 * 3^(k-1).  Family 2's seed 2 is layer 2 of family
-    1, so c_2(n) = c_1(n + 1).
-    """
-    if family_id not in (1, 2):
-        raise ValueError(f"alternating renewal has families 1 and 2, not {family_id}")
-    n += family_id - 1
-    if n <= 1:
-        return 1
-    k, odd = divmod(n, 2)
-    return (2 if odd else 1) * 3 ** (k - 1)
+                      growth=(rho, rho), max_predecessors=1 + max(map(len, classes)),
+                      counts=counts, stem_sums=stem_sums)
 
 
 def _renewal_stem_sums(x: float, terminals: frozenset[Symbol]) -> tuple[float, dict]:
@@ -351,8 +405,8 @@ def _alternating_stem_sums(x: float, terminals: frozenset[Symbol]) -> tuple[floa
 
     and, as rows 1 and 2 split the alphabet, every non-empty stem starts in
     one of them: 1/c_e = 1 + T(1) + T(2).  The series converge for
-    3x^2 < 1, the band of the growth sqrt 3 that ``_alternating_counts``
-    proves.  Where rounding leaves d <= 0, the value is inf.
+    3x^2 < 1, the band of the growth sqrt 3, the Perron root of the kind's
+    backward graph.  Where rounding leaves d <= 0, the value is inf.
     """
     # rounded as (3x)x, d stays positive at every double the band accepts;
     # 1 - 3(x x) is not positive at one of them
@@ -391,13 +445,8 @@ def _prime_catalog(prime_bound: int) -> tuple[AccumulationColumn, ...]:
 
 #: the rule-defined families, keyed by kind name
 KINDS: dict[str, MatrixKind] = {
-    "renewal": _residue_kind(
-        1, {}, growth=(2.0, 2.0),
-        counts=lambda family_id, n: 1 if n == 0 else 2 ** (n - 1),
-        stem_sums=_renewal_stem_sums),
-    "pair_renewal": _residue_kind(
-        2, {2: {0}}, growth=(1.0 + math.sqrt(2.0), 1.0 + math.sqrt(2.0)),
-        counts=_pair_counts, stem_sums=_pair_stem_sums),
+    "renewal": _residue_kind(1, {}, _renewal_stem_sums),
+    "pair_renewal": _residue_kind(2, {2: {0}}, _pair_stem_sums),
     "prime_renewal": _rule_kind(
         irregular=_is_prime,
         entry=_prime_entry,
@@ -411,9 +460,7 @@ KINDS: dict[str, MatrixKind] = {
         stem_sums=None,
         truncated=True),
     # rows 1 and 2 take the even and the odd columns
-    "alternating_renewal": _residue_kind(
-        2, {1: {0}, 2: {1}}, growth=(math.sqrt(3.0), math.sqrt(3.0)),
-        counts=_alternating_counts, stem_sums=_alternating_stem_sums),
+    "alternating_renewal": _residue_kind(2, {1: {0}, 2: {1}}, _alternating_stem_sums),
 }
 
 

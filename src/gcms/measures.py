@@ -26,7 +26,7 @@ through the continuation sums
 
 The stems behind 1/c(e) are the same sums, so ``normalizer`` computes both
 at once: the kind's closed form (``MatrixKind.stem_sums``) on renewal, pair
-renewal and alternating renewal, and on prime renewal one generation walk.
+renewal and alternating renewal, and on any other kind one generation walk.
 The walk stops once a geometric bound read off its own last layer shows
 that the rest cannot move 1/c(e), and that one bound certifies 1/c(e) and
 every T(j).  One row rule gives the sums they leave out: T(j) = 1/c(e) - 1
@@ -105,10 +105,9 @@ def growth_band(A: TransitionMatrix, weight: Constant, beta: float) -> str:
     upper * x >= 1, and ``"exists"`` otherwise.  A letter weight past the
     largest double makes the series diverge too.  This is the one decision
     of which y-measures exist: the normalizer, the phase table
-    (``phase_row``) and ``constructed_measures`` read it.
+    (``phase_row``) and ``constructed_measures`` read it.  Every kind with
+    boundary families has a growth rate (``MatrixKind``).
     """
-    if A.spec.growth is None:
-        raise Inconclusive(f"no certified growth rate for kind {A.kind}")
     lower, upper = A.spec.growth
     try:
         x = math.exp(beta * weight.c)
@@ -126,10 +125,11 @@ def normalizer(A: TransitionMatrix, family: AccumulationColumn, weight: Constant
     the bounds raises ``Inconclusive``.  Where the kind states its stem
     sums in closed form (``MatrixKind.stem_sums``), they are exact, with no
     tail; a closed form that rounding leaves infinite inside the band
-    raises ``Inconclusive``.  A kind without one, prime renewal, walks the
-    generation layers once and stops at the first layer N whose tail bound
-    is at most 2^-53 times the running 1/c_e, where the rest cannot move
-    the sum by more than an ulp, or at the cap, layer depth + 1.
+    raises ``Inconclusive``.  A kind without one, prime renewal or a drawn
+    residue kind, walks the generation layers once and stops at the first
+    layer N whose tail bound is at most 2^-53 times the running 1/c_e,
+    where the rest cannot move the sum by more than an ulp, or at the cap,
+    layer depth + 1.
 
     The bound.  Let L_n be the total weight of layer n, the stems of
     length n.  The N layers leave out of 1/c_e the stems longer than N.
@@ -374,13 +374,21 @@ class YFamilyMeasure(Measure):
         of prime renewal past the normalizer's walk counts its descent only:
         its other continuations are longer than the walk's depth, so the
         walk's tail bound covers them.
+
+        Where no letter up to j has a known sum or holds every letter (a
+        residue kind whose row 1 is irregular, walked a few layers), the
+        fill starts at T(1) = 0.  The walk's sums hold T(k) for every letter
+        k that begins a word of layers 2..N, so a letter k missing from them
+        begins none: every word d after k that ends in a terminal has
+        |d| >= N, and is a stem of its own longer than the walk, which the
+        walk's tail bound covers.  So T(1) = 0 within ``tail_bound``.
         """
         tails = self.tails
         if j not in tails:
-            k = next(k for k in range(j, 0, -1)
-                     if k in tails or self.matrix.row(k) == ss.ALL)
+            k = next((k for k in range(j, 1, -1)
+                      if k in tails or self.matrix.row(k) == ss.ALL), 1)
             if k not in tails:
-                tails[k] = self.normalizer_value - 1.0
+                tails[k] = self.normalizer_value - 1.0 if self.matrix.row(k) == ss.ALL else 0.0
             for i in range(k + 1, j + 1):
                 tails[i] = self.base_value(i - 1)
         return tails[j]

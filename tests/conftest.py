@@ -96,13 +96,14 @@ def residue_kinds():
 
 @contextmanager
 def residue_matrix(m, irregular):
-    """The matrix of a residue kind without growth, counts or stem sums,
-    registered in ``matrices.KINDS`` under its canonical description while
-    the block runs.  The entry and every matrix built from it leave with
-    the block, as the CLI offers every name in ``KINDS`` as a ``--kind``."""
+    """The matrix of a residue kind, registered in ``matrices.KINDS`` under
+    its canonical description while the block runs.  Its counts and growth
+    rate come from its backward graph, as on the named residue kinds; it
+    has no closed-form stem sums, so its normalizer walks the generation
+    layers.  The entry and every matrix built from it leave with the
+    block, as the CLI offers every name in ``KINDS`` as a ``--kind``."""
     name = f"residue m={m} " + " ".join(f"R{i}={sorted(r)}" for i, r in irregular.items())
-    matrices.KINDS[name] = matrices._residue_kind(m, irregular, growth=None, counts=None,
-                                                  stem_sums=None)
+    matrices.KINDS[name] = matrices._residue_kind(m, irregular, stem_sums=None)
     try:
         yield matrices.by_kind(name)
     finally:

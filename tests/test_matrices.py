@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from gcms import matrices
 from gcms import symbolsets as sset
 from gcms.matrices import explicit, full_shift
 from gcms.symbolsets import ALL, FiniteSet, Sieve
+from gcms.verification import counting_suite
 
 
 def _to_json(A):
@@ -88,7 +90,30 @@ def test_max_predecessors_is_the_longest_column(kind):
     assert A.spec.max_predecessors == max(len(A.predecessors(j)) for j in range(1, 10_001))
 
 
-# the seven facts of each residue kind as they were once written by hand in
+def _pair_family1_count(n):
+    # the integer iteration of the 2x2 branching matrix; equals
+    # ((1-sqrt2)^n + (1-sqrt2)^(n+1) + (1+sqrt2)^n + (1+sqrt2)^(n+1)) / 4
+    if n == 0:
+        return 1
+    r, s = 1, 1
+    for _ in range(n - 1):
+        r, s = r + 2 * s, r + s
+    return r + s
+
+
+def _alternating_count(family_id, n):
+    # letter 1 has the one predecessor 2, an even s the odd ones 1 and s + 1,
+    # an odd s >= 3 the even ones 2 and s + 1, so the layers alternate in
+    # parity: c(2k) = 3^(k-1), c(2k+1) = 2 * 3^(k-1); family 2's seed 2 is
+    # layer 2 of family 1, so c_2(n) = c_1(n + 1)
+    n += family_id - 1
+    if n <= 1:
+        return 1
+    k, odd = divmod(n, 2)
+    return (2 if odd else 1) * 3 ** (k - 1)
+
+
+# the nine facts of each residue kind as they were once written by hand in
 # matrices.KINDS; _residue_kind derives them from the kind's residue rule
 _column = matrices._column
 HAND_WRITTEN = {
@@ -99,7 +124,9 @@ HAND_WRITTEN = {
         irregular_meet=None,
         catalog=lambda prime_bound: (_column(1, {1}),),
         cover=(1,),
-        max_predecessors=2),
+        max_predecessors=2,
+        growth=(2.0, 2.0),
+        counts=lambda family_id, n: 1 if n == 0 else 2 ** (n - 1)),
     "pair_renewal": dict(
         irregular=lambda i: i == 2,
         entry=lambda i, j: 1 if (i == 1 or i == j + 1 or (i == 2 and j % 2 == 0)) else 0,
@@ -107,7 +134,10 @@ HAND_WRITTEN = {
         irregular_meet=None,
         catalog=lambda prime_bound: (_column(1, {1, 2}), _column(2, {1})),
         cover=(1,),
-        max_predecessors=3),
+        max_predecessors=3,
+        growth=(1.0 + math.sqrt(2.0), 1.0 + math.sqrt(2.0)),
+        counts=lambda family_id, n: (_pair_family1_count(n) if family_id == 1
+                                     else 1 if n == 0 else _pair_family1_count(n - 1))),
     "alternating_renewal": dict(
         irregular=lambda i: i in (1, 2),
         entry=lambda i, j: 1 if (i == j + 1 or i == 1 + j % 2) else 0,
@@ -115,7 +145,9 @@ HAND_WRITTEN = {
         irregular_meet=lambda i, j: frozenset(),
         catalog=lambda prime_bound: (_column(1, {1}), _column(2, {2})),
         cover=(1, 2),
-        max_predecessors=2),
+        max_predecessors=2,
+        growth=(math.sqrt(3.0), math.sqrt(3.0)),
+        counts=_alternating_count),
 }
 
 
@@ -135,6 +167,97 @@ def test_residue_kinds_derive_the_hand_written_facts(kind):
         rows = [i for i in letters if hand["irregular"](i)]
         assert all(spec.irregular_meet(i, j) == hand["irregular_meet"](i, j)
                    for i in rows for j in rows if i != j)
+
+
+@pytest.mark.parametrize("kind", sorted(HAND_WRITTEN))
+def test_residue_kinds_derive_the_hand_written_counts_and_growth(kind):
+    # the generation counts and growth doubles once stated by hand, each with
+    # its own proof, against the path counts and Perron root of the backward
+    # graph; the growth doubles are the floors of 2, 1 + sqrt 2 and sqrt 3
+    spec, hand = matrices.KINDS[kind], HAND_WRITTEN[kind]
+    for col in spec.catalog(7):
+        assert [spec.counts(col.id, n) for n in range(41)] \
+            == [hand["counts"](col.id, n) for n in range(41)], col.id
+    assert spec.growth == hand["growth"]
+
+
+def _backward_graph(m, irregular):
+    """The matrix of the backward graph of a residue kind, built from its
+    predecessors: letters 1..top, then letters top + 1..top + m, each
+    standing for its class mod m, so a predecessor above top goes to the
+    state of its class."""
+    spec = matrices._residue_kind(m, irregular, stem_sums=None)
+    top = max(irregular, default=1)
+    size = top + m
+
+    def state(j):
+        return j - 1 if j <= top else next(s for s in range(top, size) if (s + 1 - j) % m == 0)
+    rows = [[0] * size for _ in range(size)]
+    for j in range(1, size + 1):
+        for p in spec.predecessors(j):
+            rows[j - 1][state(p)] += 1
+    return spec, rows
+
+
+def _perron_root_50_digits(rows):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        values = mpmath.eig(mpmath.matrix(rows), left=False, right=False)
+        return max(values, key=lambda v: (mpmath.re(v), -abs(mpmath.im(v))))
+
+
+@given(residue_kinds())
+@settings(max_examples=8, deadline=None)
+def test_drawn_growth_is_the_floor_of_the_perron_root(description):
+    # rho-hat <= rho < the next double, rho from mpmath at 50 digits, which
+    # finds a root that is a double (2 on some drawn kinds) within 1e-40
+    mpmath = pytest.importorskip("mpmath")
+    spec, rows = _backward_graph(*description)
+    rho = _perron_root_50_digits(rows)
+    with mpmath.workdps(50):
+        eps = mpmath.mpf(10) ** -40
+        assert abs(mpmath.im(rho)) < eps
+        low, high = spec.growth
+        assert low == high
+        assert low - eps <= mpmath.re(rho) < math.nextafter(low, math.inf) - eps
+
+
+def test_roadmap_kind_grows_by_one_plus_root_three():
+    # m = 3, R_2 = {0}, R_4 = {1}: the backward graph has 7 states and
+    # Perron root 1 + sqrt 3, so P(0) = log(1 + sqrt 3)
+    mpmath = pytest.importorskip("mpmath")
+    spec = matrices._residue_kind(3, {2: {0}, 4: {1}}, stem_sums=None)
+    low = spec.growth[0]
+    with mpmath.workdps(50):
+        assert low <= 1 + mpmath.sqrt(3) < math.nextafter(low, math.inf)
+    assert spec.growth == (1.0 + math.sqrt(3.0),) * 2
+
+
+@given(residue_kinds())
+@settings(max_examples=10, deadline=None)
+def test_drawn_counting_suites_match(description):
+    # each family's counts against the letter-by-letter backward walk of the
+    # counting suite; generation 0 is the empty stem
+    with residue_matrix(*description) as A:
+        for col in A.accumulation_catalog:
+            rows = counting_suite(A, col.id, 12)
+            assert [r.n for r in rows] == list(range(1, 13))
+            assert all(r.match for r in rows), (col.id, rows)
+            assert A.spec.counts(col.id, 0) == 1
+        with pytest.raises(ValueError, match="no family"):
+            A.spec.counts(len(A.accumulation_catalog) + 1, 3)
+
+
+@given(residue_kinds())
+@settings(max_examples=10, deadline=None)
+def test_every_kind_with_boundary_families_has_a_growth_rate(description):
+    # growth_band reads the rate without a refusal: a kind with families has
+    # one, and a stored matrix has neither
+    with residue_matrix(*description):
+        kinds = [matrices.by_kind(k) for k in matrices.KINDS]
+        for B in kinds + [explicit([[1, 1], [1, 0]]), full_shift(3)]:
+            assert not B.accumulation_catalog or B.spec.growth is not None, B.kind
+            assert B.size is None or (not B.accumulation_catalog and B.spec.growth is None)
 
 
 def _assert_descent_meets_are_row_intersections(A):
@@ -170,15 +293,14 @@ def test_residue_kinds_refuse_overlapping_residues():
     # two irregular rows sharing a class meet in an infinite set, which the
     # cylinder algebra cannot keep finite
     with pytest.raises(ValueError, match="overlap"):
-        matrices._residue_kind(3, {2: {0, 1}, 4: {1}}, growth=None, counts=None,
-                               stem_sums=None)
+        matrices._residue_kind(3, {2: {0, 1}, 4: {1}}, stem_sums=None)
 
 
 def test_residue_kinds_refuse_an_irregular_row_1_without_a_cover():
     # a class that no row holds would have the empty set as its column
     # limit, and the irregular rows would not cover the alphabet
     with pytest.raises(ValueError, match="without a cover"):
-        matrices._residue_kind(3, {1: {0}, 2: {1}}, growth=None, counts=None, stem_sums=None)
+        matrices._residue_kind(3, {1: {0}, 2: {1}}, stem_sums=None)
 
 
 @pytest.mark.parametrize("modulus, irregular, message", [
@@ -193,7 +315,7 @@ def test_residue_kinds_refuse_a_description_outside_their_rule(modulus, irregula
     # finite, a full one made it cofinite, a row 0 made 0 a predecessor
     # (predecessors(4) listed it), and modulus 0 failed inside max()
     with pytest.raises(ValueError, match=message) as info:
-        matrices._residue_kind(modulus, irregular, growth=None, counts=None, stem_sums=None)
+        matrices._residue_kind(modulus, irregular, stem_sums=None)
     assert "\n" not in str(info.value)
 
 

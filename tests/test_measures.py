@@ -83,25 +83,37 @@ def test_normalizer_renewal_values(renewal):
 
 
 def test_normalizer_unsupported_kinds():
-    from gcms.matrices import explicit
+    # a stored matrix has no boundary families and no growth rate, and every
+    # measure refuses it before it would ask for a rate
     A = explicit([[1, 1], [1, 0]])
-    with pytest.raises(ms.Inconclusive):
-        ms.normalizer(A, None, Constant(-1.0), 1.0)  # no boundary, no growth rate
+    assert A.spec.growth is None and not A.accumulation_catalog
+    with pytest.raises(ValueError, match="no accumulation column"):
+        ms.y_measure(A, 1, UNIT_POTENTIAL, 1.0)
+    with pytest.raises(ms.MeasureError, match="no phase table"):
+        ms.phase_row(A, UNIT_POTENTIAL, 1.0, 1e-9)
+    assert ms.constructed_measures(A, 1.0) == {}
 
 
-@given(residue_kinds(), st.floats(0.1, 3.0))
+@given(residue_kinds(), st.floats(0.3, 2.0))
 @settings(max_examples=10, deadline=None)
-def test_drawn_residue_kinds_certify_no_measure(description, beta):
-    # a drawn kind has boundary families but no certified growth rate, so
-    # no measure on them is certified and its pressure is a finite-n slope
+def test_drawn_residue_kinds_are_certified(description, offset):
+    # a drawn kind's growth rate comes from its backward graph, so above its
+    # critical beta its y-measures are built and certified, the phase row
+    # names them and the constant-potential pressure is exact; 0.05 above
+    # it, the walk cannot bound its tail and the y-measure refuses
     with residue_matrix(*description) as A:
-        assert A.accumulation_catalog
-        for build in (lambda: ms.y_measure(A, 1, UNIT_POTENTIAL, beta),
-                      lambda: ms.phase_row(A, UNIT_POTENTIAL, beta, 1e-9),
-                      lambda: ms.constructed_measures(A, beta)):
-            with pytest.raises(ms.Inconclusive, match="no certified growth rate"):
-                build()
-        assert gurevich_pressure(A, UNIT_POTENTIAL, beta, 1, 8).certificate == "limit"
+        critical = math.log(A.spec.growth[0])
+        beta = critical + offset
+        resid = conformality_suite(A, beta)
+        assert len(resid) == len(A.accumulation_catalog)
+        assert max(resid.values()) <= 1e-10, resid
+        n = len(A.accumulation_catalog)
+        assert ms.phase_row(A, UNIT_POTENTIAL, beta, 1e-9) \
+            == (f"{n} extremal" if n > 1 else "1 measure", "not classified", critical)
+        assert gurevich_pressure(A, UNIT_POTENTIAL, beta, 1, 8).certificate == "exact"
+        with pytest.raises(ms.Inconclusive) as info:
+            ms.y_measure(A, 1, UNIT_POTENTIAL, critical + 0.05)
+        assert "\n" not in str(info.value)
 
 
 def test_normalizer_thresholds(renewal, pair, prime):
@@ -329,6 +341,33 @@ def test_walks_without_closed_forms_reach_the_cap(kind, monkeypatch):
             old = _fixed_depth_walk(walking, col, beta)
             assert (new.value, new.tails) == (old.value, old.tails), (col.id, beta)
             assert new.tail_bound <= old.tail_bound, (col.id, beta)
+
+
+CYCLIC_4 = (4, {i: frozenset({i - 1}) for i in range(1, 5)})
+
+
+@given(residue_kinds())
+@settings(max_examples=6, deadline=None)
+@example(CYCLIC_4)
+def test_letters_the_walk_never_reached_have_no_continuations(description):
+    # at a large beta the walk stops after a layer or two, and where row 1
+    # is irregular it may leave letter 1 out of its sums: the row rule then
+    # starts at T(1) = 0, within the tail bound, against the fixed-depth
+    # walk, which reaches every letter asked for
+    with residue_matrix(*description) as A:
+        for beta in (20.0, 30.0, 60.0):
+            for col in A.accumulation_catalog:
+                new = ms.normalizer(A, col, Constant(-1.0), beta)
+                old = _fixed_depth_walk(A, col, beta)
+                assert 1 in old.tails or A.row(1) == ss.ALL
+                slack = new.tail_bound + old.tail_bound + 8 * math.ulp(old.value)
+                assert abs(new.value - old.value) <= slack, (col.id, beta)
+                mu, oracle = _y(A, col, beta, new), _y(A, col, beta, old)
+                for j in range(1, 13):
+                    assert abs(mu._tail(j) - oracle._tail(j)) <= slack, (col.id, beta, j)
+        if description == CYCLIC_4:
+            assert 1 not in ms.y_measure(A, 1, UNIT_POTENTIAL, 20.0).tails
+            assert max(conformality_suite(A, 30.0).values()) <= 1e-10
 
 
 @pytest.mark.parametrize("beta", [1.0987, 1.1, 1.15, 1.17])

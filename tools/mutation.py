@@ -300,6 +300,39 @@ CATALOG: dict[str, Mutant] = {
         "        if False:",
         ("tests/test_matrices.py::test_residue_kinds_refuse_a_description_outside_their_rule"
          "[full-residue-set]",)),
+    # matrices._residue_kind: the backward graph drops the j + 1 edge of the
+    # class states, so a walk above the largest irregular row stops climbing
+    "residue-graph-drops-class-step": Mutant(
+        "src/gcms/matrices.py",
+        "tuple(state(p) for p in predecessors(j))",
+        "tuple(state(p) for p in predecessors(j) if j <= top or p != j + 1)",
+        ("tests/test_matrices.py::test_residue_kinds_derive_the_hand_written_counts_and_growth",)),
+    # matrices._perron_root: the double above the Perron root, not the one below
+    "perron-root-rounded-up": Mutant(
+        "src/gcms/matrices.py",
+        "    return lo\n",
+        "    return hi\n",
+        ("tests/test_matrices.py::test_residue_kinds_derive_the_hand_written_counts_and_growth",)),
+    # matrices._perron_root: a zero leading minor taken as positive, so a root
+    # that is a double (renewal's 2) reads as below itself
+    "perron-minor-zero-pivot": Mutant(
+        "src/gcms/matrices.py",
+        "            if a[k][k] <= 0:",
+        "            if a[k][k] < 0:",
+        ("tests/test_matrices.py::test_residue_kinds_derive_the_hand_written_counts_and_growth",)),
+    # matrices._residue_kind: the count memo starts one layer late
+    "residue-count-memo-off-by-one": Mutant(
+        "src/gcms/matrices.py",
+        "            [1], [int(s + 1 in terminals)",
+        "            [1, 1], [int(s + 1 in terminals)",
+        ("tests/test_matrices.py::test_drawn_counting_suites_match",)),
+    # YFamilyMeasure._tail: a letter 1 the walk never reached read as a row
+    # that holds every letter
+    "tail-unreached-base-as-full-row": Mutant(
+        "src/gcms/measures.py",
+        "self.normalizer_value - 1.0 if self.matrix.row(k) == ss.ALL else 0.0",
+        "self.normalizer_value - 1.0",
+        ("tests/test_measures.py::test_letters_the_walk_never_reached_have_no_continuations",)),
     # cli._BOUNDS: the pressure sweep's cap raised past a minute of work
     "cli-bounds-n-max": Mutant(
         "src/gcms/cli.py",
