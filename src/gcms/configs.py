@@ -180,13 +180,20 @@ def empty_stem_config(A: TransitionMatrix, root_id: int) -> BoundedConfig:
     return BoundedConfig(A, (), A.column_by_id(root_id))
 
 
+_set_matrix = BoundedConfig.matrix.__set__
+_set_stem = BoundedConfig.stem.__set__
+_set_root = BoundedConfig.root.__set__
+
+
 def _config(A: TransitionMatrix, stem: Word, root: AccumulationColumn) -> BoundedConfig:
     """A ``BoundedConfig`` built without its constructor's checks; the caller
-    has made them."""
+    has made them.  Its three fields are stored through their slot
+    descriptors, as ``object.__setattr__`` does past the frozen class's
+    ``__setattr__``, without the attribute lookup by name."""
     c = object.__new__(BoundedConfig)
-    object.__setattr__(c, "matrix", A)
-    object.__setattr__(c, "stem", stem)
-    object.__setattr__(c, "root", root)
+    _set_matrix(c, A)
+    _set_stem(c, stem)
+    _set_root(c, root)
     return c
 
 

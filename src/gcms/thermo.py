@@ -6,10 +6,15 @@ correction constant.  Partition functions are exact (column supports are
 finite on every built-in matrix).  A word's term exp(beta * sum of F)
 depends only on the exact sum of F over its letters, and every double is an
 integer multiple of 2**-1074, so one backward walk counts the words by first
-letter and exact integer sum (``_partition_sum``), for every potential.
-Each distinct sum forms its term once, from the correctly rounded sum that
-``math.fsum`` gives, and count times term is added exactly and rounded once:
-the result is bit for bit the ``math.fsum`` of the enumerated words' terms.
+letter and exact integer sum, for every potential (``_layers``).  The walk
+yields every layer, and layer n holds the words of length n, so one walk
+gives the whole run Z_1..Z_N (``z_series``), and a per-n call reads its
+last layer.  Each layer's total (``_layer_total``) forms each distinct
+sum's term once, from the correctly rounded sum that ``math.fsum`` gives,
+and count times term is added exactly and rounded once: the result is bit
+for bit the ``math.fsum`` of the enumerated words' terms.  Its log comes
+from the same counts, scaled by the largest term, so it stays finite where
+the value underflows or overflows.
 Series with infinite tails carry an explicit Euler-Maclaurin remainder
 bound: the power sums behind zeta, and the log-ratio normalization series,
 whose tail is summed in closed form through the incomplete gamma function.
@@ -18,10 +23,12 @@ whose tail is summed in closed form through the incomplete gamma function.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .configs import BoundedConfig, Configuration, empty_stem_config, preimages
 from .matrices import Symbol, TransitionMatrix, by_kind
@@ -84,6 +91,7 @@ def LogRatio() -> GDiff:
 
 _SCALE = 1 << 1074      # every finite double is an integer multiple of 2**-1074
 _INDEX_BITS = 32        # a key's low bits: its first letter's index (far below 2**32)
+_INDEX_MASK = (1 << _INDEX_BITS) - 1
 
 
 def _scaled(x: float) -> int:
@@ -97,29 +105,28 @@ class ZValue:
     value: float
     n_terms: int
     exact: bool
+    log: float      # log Z_n: finite wherever a word is counted, -inf where none is
 
     def __float__(self) -> float:
         return self.value
 
 
-def _partition_sum(A: TransitionMatrix, F: Potential, beta: float, seeds: Iterable[Symbol],
-                   n: int, keep: Callable[[Symbol], bool] | None = None,
-                   first: Callable[[Symbol], bool] | None = None) -> ZValue:
-    """Sum of exp(beta * sum of F) over the admissible words of length n that
-    end in a seed and start with a letter ``first`` admits, bit for bit the
-    ``math.fsum`` over the enumerated words (see the module docstring).
+def _layers(A: TransitionMatrix, F: Potential, seeds: Iterable[Symbol],
+            keep: Callable[[Symbol], bool] | None = None
+            ) -> Iterator[tuple[dict[int, int], list[Symbol]]]:
+    """The backward walk from ``seeds``: yields layer n after n - 1 steps,
+    for n = 1, 2, ..., with the letters by index.  One walk gives every
+    layer, and layer n is the same dict whichever layer a caller stops at.
 
-    The backward walk prepends every predecessor that ``keep`` admits (the
+    Layer n counts the admissible words of length n that end in a seed by
+    key; each step prepends every predecessor that ``keep`` admits (the
     seed position is not pruned).  A key holds a word's exact sum of F less
     len * F(1), in units of 2**-1074, above the index of its first letter:
     one integer addition per edge moves both, and a constant potential keeps
-    every key small.  A sum over 2**1074 is a correctly rounded int division,
-    so it is the ``math.fsum`` of F over the word.  No word forms no term,
-    so a term that would overflow is never formed.
+    every key small.
     """
     f1 = F.value(1)
     ref = _scaled(f1)
-    mask = (1 << _INDEX_BITS) - 1
     letters: list[Symbol] = []
     index: dict[Symbol, int] = {}
     rel_f: list[int] = []                   # scaled F(s) - F(1), by index
@@ -144,37 +151,84 @@ def _partition_sum(A: TransitionMatrix, F: Potential, beta: float, seeds: Iterab
         return steps
 
     layer = {(rel_f[i] << _INDEX_BITS) + i: 1 for i in map(index_of, seeds)}
-    for _ in range(n - 1):
+    while True:
+        yield layer, letters
         nxt: dict[int, int] = {}
         for key, count in layer.items():
-            steps = rows[key & mask]
+            steps = rows[key & _INDEX_MASK]
             if steps is None:
-                steps = row(key & mask)
+                steps = row(key & _INDEX_MASK)
             for step in steps:
                 k = key + step
                 nxt[k] = nxt.get(k, 0) + count
         layer = nxt
+
+
+def _nth(walk: Iterator[tuple[dict[int, int], list[Symbol]]], n: int
+         ) -> tuple[dict[int, int], list[Symbol]]:
+    """Layer n of a walk, after n - 1 steps and no more."""
+    return next(itertools.islice(walk, n - 1, None))
+
+
+def _layer_total(layer: dict[int, int], letters: list[Symbol], F: Potential, beta: float,
+                 n: int, first: Callable[[Symbol], bool] | None = None) -> ZValue:
+    """Sum of exp(beta * sum of F) over the words of layer n whose first
+    letter ``first`` admits, bit for bit the ``math.fsum`` over the
+    enumerated words (see the module docstring).
+
+    A sum over 2**1074 is a correctly rounded int division, so it is the
+    ``math.fsum`` of F over the word.  No word forms no term, so a term
+    that would overflow is never formed; where one is formed, or the sum
+    passes the largest double, the value is inf.  The log is
+    ``math.log(value)`` where the value is a normal double.  Elsewhere it
+    is the largest term's exponent plus the log of the sum of the terms
+    scaled by it, from the same exact counts, so it is finite wherever a
+    word is counted, whether the value underflows or overflows.
+    """
     counts: dict[int, int] = {}
     for key, count in layer.items():
-        if first is None or first(letters[key & mask]):
+        if first is None or first(letters[key & _INDEX_MASK]):
             rel = key >> _INDEX_BITS
             counts[rel] = counts.get(rel, 0) + count
-    exact = sum(count * _scaled(math.exp(beta * ((rel + n * ref) / _SCALE)))
-                for rel, count in counts.items())
-    return ZValue(exact / _SCALE, sum(counts.values()), True)
+    shift = n * _scaled(F.value(1))
+    try:
+        value = sum(count * _scaled(math.exp(beta * ((rel + shift) / _SCALE)))
+                    for rel, count in counts.items()) / _SCALE
+    except OverflowError:       # a term, or the sum, above the largest double
+        value = math.inf
+    if sys.float_info.min <= value < math.inf:
+        log = math.log(value)
+    elif counts:
+        exponents = [(beta * ((rel + shift) / _SCALE), count) for rel, count in counts.items()]
+        top = max(e for e, _ in exponents)
+        scaled = sum(count * _scaled(math.exp(e - top)) for e, count in exponents)
+        log = top + math.log(scaled / _SCALE)
+    else:
+        log = -math.inf
+    return ZValue(value, sum(counts.values()), True, log)
 
 
-def _cycle_sum(A: TransitionMatrix, F: Potential, beta: float, base: Symbol, n: int,
-               first_return: bool) -> ZValue:
-    """The partition function over ``words.iter_cycles(A, n, base)``, by its
+def _cycle_walk(A: TransitionMatrix, F: Potential, base: Symbol, first_return: bool
+                ) -> tuple[Iterator[tuple[dict[int, int], list[Symbol]]],
+                           Callable[[Symbol], bool]]:
+    """The walk and first-letter filter of ``words.iter_cycles(A, n, base)``'s
     one cycle rule: a cycle (base, t_1, ..., t_n-1) sums F as its rotation
     (t_1, ..., t_n-1, base) does, a backward word ending in base whose first
     letter base may precede.  A first-return cycle's rotation has no base
     before its last letter, so the walk keeps no other."""
+    keep = (lambda s: s != base) if first_return else None
+    return _layers(A, F, (base,), keep), lambda s: A.entry(base, s) == 1
+
+
+def _cycle_sum(A: TransitionMatrix, F: Potential, beta: float, base: Symbol, n: int,
+               first_return: bool) -> ZValue:
+    """The partition function over the length-n cycles, from layer n of the
+    cycle walk."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    keep = (lambda s: s != base) if first_return else None
-    return _partition_sum(A, F, beta, (base,), n, keep, lambda s: A.entry(base, s) == 1)
+    walk, closes = _cycle_walk(A, F, base, first_return)
+    layer, letters = _nth(walk, n)
+    return _layer_total(layer, letters, F, beta, n, closes)
 
 
 def z_n(A: TransitionMatrix, F: Potential, beta: float, base: Symbol, n: int) -> ZValue:
@@ -188,6 +242,17 @@ def z_n_star(A: TransitionMatrix, F: Potential, beta: float, base: Symbol, n: in
     """Partition function restricted to cycles whose first return is exactly n;
     counted by exact Birkhoff sum as in ``z_n``."""
     return _cycle_sum(A, F, beta, base, n, first_return=True)
+
+
+def z_series(A: TransitionMatrix, F: Potential, beta: float, base: Symbol, n_max: int,
+             first_return: bool) -> list[ZValue]:
+    """[Z_1, ..., Z_n_max] through ``base`` from one walk: Z*_n, as
+    ``z_n_star`` gives it, with ``first_return``, and Z_n, as ``z_n`` gives
+    it, without.  Item n - 1 is ``==`` the per-n value, as layer n of the
+    walk is the same whichever layer a caller stops at."""
+    walk, closes = _cycle_walk(A, F, base, first_return)
+    return [_layer_total(layer, letters, F, beta, n, closes)
+            for n, (layer, letters) in zip(range(1, n_max + 1), walk)]
 
 
 def _matmul(X: list[list[float]], Y: list[list[float]]) -> list[list[float]]:
@@ -236,7 +301,8 @@ def pointwise_z(A: TransitionMatrix, F: Potential, beta: float, x: Configuration
         seeds = A.predecessors(x.stem[0])
     else:
         seeds = A.predecessors(x.symbol_at(0))
-    return _partition_sum(A, F, beta, seeds, n)
+    layer, letters = _nth(_layers(A, F, seeds), n)
+    return _layer_total(layer, letters, F, beta, n)
 
 
 def worst(residuals: Iterable[float]) -> float:
@@ -253,13 +319,20 @@ def superadditivity_check(A: TransitionMatrix, F: Potential, beta: float, base: 
     """Verify Z_n * Z_m <= Z_{n+m} for all n + m <= n_max; raises on the
     first counterexample, a nan included.  First-coordinate potentials have
     vanishing variations, so the inequality carries no slack constant.
+
+    It is checked on the logs, log Z_n + log Z_m <= log Z_{n+m}, with a
+    rounding slack of 1e-12 times the left side's size (1e-12 below size
+    1): a Z_n that underflows to 0 or overflows to inf would pass the
+    product form unchecked.  An empty set of n-cycles has log -inf, which
+    passes.
     """
-    zs = {n: z_n(A, F, beta, base, n).value for n in range(1, n_max + 1)}
+    logs = [math.nan] + [z.log for z in z_series(A, F, beta, base, n_max, False)]
     for n in range(1, n_max):
         for m in range(1, n_max - n + 1):
-            lhs, rhs = zs[n] * zs[m], zs[n + m]
-            if not lhs <= rhs * (1 + 1e-12):    # a nan fails too
-                raise AssertionError(f"superadditivity fails at n={n}, m={m}: {lhs} > {rhs}")
+            lhs, rhs = logs[n] + logs[m], logs[n + m]
+            if not (lhs <= rhs or lhs - rhs <= 1e-12 * max(1.0, abs(lhs))):   # a nan fails too
+                raise AssertionError(f"superadditivity fails at n={n}, m={m}: log Z_n + "
+                                     f"log Z_m = {lhs} > log Z_n+m = {rhs}")
 
 
 # --------------------------------------------------------------------------
@@ -286,21 +359,14 @@ def gurevich_pressure(A: TransitionMatrix, F: Potential, beta: float, base: Symb
     series.  Otherwise it is "limit", and the extrapolation is the slope of
     log Z_n between the last two n with Z_n > 0, which are p apart on a
     matrix of period p, or (1/n) log Z_n where only one n has Z_n > 0.
-    Where none has, in floating point, there is no slope, and a
-    ``ValueError`` says so.
+    Where none has, there is no slope, and a ``ValueError`` says so.  The
+    logs are ``ZValue.log``, read from one walk (``z_series``), so a Z_n
+    that underflows or overflows a double still has its finite log.
     """
     if n_max < 4:
         raise ValueError("n_max must be >= 4")
-    logs: list[float] = []
-    values: list[tuple[int, float]] = []
-    for n in range(1, n_max + 1):
-        z = z_n(A, F, beta, base, n)
-        if z.value <= 0.0:
-            logs.append(-math.inf)
-            values.append((n, -math.inf))
-            continue
-        logs.append(math.log(z.value))
-        values.append((n, logs[-1] / n))
+    logs = [z.log for z in z_series(A, F, beta, base, n_max, False)]
+    values = [(n, log / n) for n, log in enumerate(logs, 1)]
     growth = A.spec.growth
     if isinstance(F, Constant) and growth is not None and growth[0] == growth[1]:
         return PressureEstimate(values, A.spec.critical_beta + beta * F.c, "exact")
@@ -391,11 +457,10 @@ def bisect(below: Callable[[float], bool], lo: float, hi: float, tol: float) -> 
 
 def first_return_rows(beta: float) -> list[tuple[int, float, float]]:
     """(n, Z*_n, (n+1)^-beta) for n <= 14: the first-return partition
-    function of the renewal log-ratio potential through the letter 1, by
-    ``z_n_star``, beside the power law it follows."""
-    A = by_kind("renewal")
-    return [(n, z_n_star(A, LOG_POTENTIAL, beta, 1, n).value, (n + 1.0) ** -beta)
-            for n in range(1, 15)]
+    function of the renewal log-ratio potential through the letter 1, from
+    one walk (``z_series``), beside the power law it follows."""
+    zs = z_series(by_kind("renewal"), LOG_POTENTIAL, beta, 1, 14, True)
+    return [(n, z.value, (n + 1.0) ** -beta) for n, z in enumerate(zs, 1)]
 
 
 @dataclass

@@ -35,7 +35,6 @@ dictionaries.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -390,19 +389,15 @@ def conformality_suite(A: TransitionMatrix, beta: float) -> dict[str, float]:
 # --------------------------------------------------------------------------
 
 def pressure_identity_rows(A: TransitionMatrix, beta: float) -> list[tuple[int, float, float]]:
-    """(n, (1/n) log Z_n for the constant potential -1, closed form), n <= 20.
+    """(n, (1/n) log Z_n for the constant potential -1, closed form), n <= 20,
+    from one walk (``thermo.z_series``).
 
     Renewal counts 2^(n-1) cycles of length n through 1, so the closed form
     is h - beta - h / n, with h = log 2 its entropy."""
     h = A.spec.critical_beta
     weight = ms.negate(th.UNIT_POTENTIAL)
-    rows = []
-    for n in range(1, 21):
-        z = th.z_n(A, weight, beta, 1, n)
-        lhs = math.log(z.value) / n
-        rhs = h - beta - h / n
-        rows.append((n, lhs, rhs))
-    return rows
+    zs = th.z_series(A, weight, beta, 1, 20, False)
+    return [(n, z.log / n, h - beta - h / n) for n, z in enumerate(zs, 1)]
 
 
 def pressure_suite(A: TransitionMatrix, beta: float) -> dict[str, float]:

@@ -1,9 +1,10 @@
+import math
 from contextlib import contextmanager
 
 import pytest
 from hypothesis import assume, strategies as st
 
-from gcms import cylinders, matrices
+from gcms import cylinders, matrices, thermo
 from gcms import measures as ms
 from gcms import verification as vf
 
@@ -110,3 +111,18 @@ def residue_matrix(m, irregular):
         del matrices.KINDS[name]
         for key in [k for k in matrices._matrices if k[0] == name]:
             del matrices._matrices[key]
+
+
+def check_renewal_equation(A, F, beta, base, n_max):
+    """Z_n = sum over k = 1..n of Z*_k Z_(n-k), with Z_0 = 1, for n <= n_max
+    (Vere-Jones 1962): a cycle through ``base`` splits at its first return.
+    The counts of words, ``n_terms``, obey it exactly, and the values within
+    rtol 1e-12.  The rule shares no code with the walk's first-return filter;
+    it reads the two series of ``thermo.z_series``."""
+    zs = [thermo.ZValue(1.0, 1, True, 0.0), *thermo.z_series(A, F, beta, base, n_max, False)]
+    stars = [None, *thermo.z_series(A, F, beta, base, n_max, True)]
+    for n in range(1, n_max + 1):
+        parts = [(stars[k], zs[n - k]) for k in range(1, n + 1)]
+        assert zs[n].n_terms == sum(s.n_terms * z.n_terms for s, z in parts), (A, base, n)
+        want = math.fsum(s.value * z.value for s, z in parts)
+        assert zs[n].value == pytest.approx(want, rel=1e-12, abs=0), (A, F, beta, base, n)

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from gcms import cli
 from gcms import measures as ms
+from gcms import thermo as th
 from gcms.cli import main
 from gcms.matrices import by_kind
 from gcms.thermo import Constant
@@ -274,6 +275,65 @@ def test_pressure_log_potential_past_enumeration(capsys):
     assert len(rows) == 21 and rows[-1].startswith("1.3,20,")
 
 
+def _pressure_rows(out):
+    """(n, log_Zn_over_n, extrapolated, certificate) of each row of one beta."""
+    return [(int(n), float(v), float(x), c)
+            for _, n, v, x, c in (r.split(",") for r in out.splitlines()[1:])]
+
+
+def test_pressure_at_a_beta_past_the_doubles(capsys):
+    # every term underflows at beta 800 and overflows at -1000; log Z_n is
+    # read from the largest term, -beta n, plus the log of the cycle count
+    prime = by_kind("prime_renewal")
+    counts = [z.n_terms for z in th.z_series(prime, Constant(0.0), 0.0, 1, 4, False)]
+    code, out = run_cli(["pressure", "--kind", "prime_renewal", "--beta-grid", "800",
+                         "--n-max", "4"], capsys)
+    assert code == 0
+    rows = _pressure_rows(out)
+    assert [n for n, *_ in rows] == [1, 2, 3, 4]
+    for n, v, x, certificate in rows:
+        assert v == pytest.approx(-800.0 + math.log(counts[n - 1]) / n, rel=1e-11)
+        assert x == pytest.approx(-800.0 + math.log(counts[3] / counts[2]), rel=1e-11)
+        assert certificate == "limit"
+    # renewal has 2^(n-1) cycles of length n through 1, each weighing e^(1000 n)
+    code, out = run_cli(["pressure", "--kind", "renewal", "--beta-grid=-1000", "--n-max", "6"],
+                        capsys)
+    assert code == 0
+    assert [(n, v) for n, v, *_ in _pressure_rows(out)] == [
+        (n, pytest.approx(1000.0 + (n - 1) * math.log(2.0) / n, rel=1e-11)) for n in range(1, 7)]
+
+
+def test_pressure_of_the_log_potential_past_the_least_double(capsys):
+    # Z_n underflows from n = 2 on; the descent cycle (1, n, ..., 2), whose
+    # term is (n+1)^-800, outweighs the rest by more than 10^180
+    code, out = run_cli(["pressure", "--kind", "renewal", "--potential", "log",
+                         "--beta-grid", "800", "--n-max", "6"], capsys)
+    assert code == 0
+    assert _pressure_rows(out) == [
+        (n, pytest.approx(-800.0 * math.log(n + 1.0) / n, rel=1e-11), 0.0, "exact")
+        for n in range(1, 7)]
+
+
+def test_pressure_of_the_log_potential_refuses_a_negative_beta(capsys):
+    # the partition functions overflow no longer; the closed form is refused
+    code = main(["pressure", "--kind", "renewal", "--potential", "log", "--beta-grid=-800",
+                 "--n-max", "6"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "gcms: error: beta must be positive\n"
+
+
+def test_pressure_suite_at_a_beta_past_the_doubles(capsys):
+    # every Z_n overflows at beta -1000; the identity rows read log Z_n and
+    # super-additivity is checked on the logs
+    code, out = run_cli(["verify", "--suite", "pressure", "--kind", "renewal",
+                         "--beta=-1000"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["ok"] is True
+    assert payload["residuals"]["pressure_identity_max_residual"] <= 1e-12
+
+
 def test_outputs_are_deterministic(capsys):
     args = ["count", "--kind", "pair_renewal", "--n", "6"]
     _, out1 = run_cli(args, capsys)
@@ -412,10 +472,12 @@ def test_pressure_slope_of_a_stored_cycle_reads_its_one_finite_point(tmp_path, c
      "symbol 3 out of range for size 2"),
     # a count that checks no generation
     (["count", "--kind", "renewal", "--n", "0"], "the count needs n >= 1, not 0"),
-    # a beta this large in size overflows the partition function's and the
-    # normalizer's terms
-    (["pressure", "--kind", "renewal", "--beta-grid=-1000"], "float overflow"),
-    (["verify", "--suite", "pressure", "--kind", "renewal", "--beta=-1000"], "float overflow"),
+    # a beta this large in size overflows the normalizer's terms and the
+    # conformality factor exp(beta); a partition function's log is finite at
+    # every finite beta (test_pressure_at_a_beta_past_the_doubles)
+    (["measure", "--kind", "pair_renewal", "--measure", "y", "--beta=-1000"], "float overflow"),
+    (["verify", "--suite", "conformality", "--kind", "renewal", "--beta", "800"],
+     "float overflow"),
     (["measure", "--kind", "renewal", "--measure", "y", "--beta=-1000"], "float overflow"),
     # a grid value that is not a number, or infinite, gives no row to read
     (["phase", "--kind", "renewal", "--beta-grid=nan"], "grid values must be finite, not nan"),

@@ -1,16 +1,18 @@
 import dataclasses
 import math
+import sys
 
 import mpmath
 import pytest
 
-from gcms import matrices, thermo
+from conftest import check_renewal_equation
+from gcms import matrices, thermo, verification
 from gcms.configs import BoundedConfig, UnboundedConfig, bounded, empty_stem_config
-from gcms.thermo import (Constant, DomainError, GDiff, LOG_POTENTIAL, LogRatio, ZValue,
-                         beta_c_log,
+from gcms.thermo import (Constant, DomainError, GDiff, LOG_POTENTIAL, LogRatio, UNIT_POTENTIAL,
+                         ZValue, beta_c_log,
                          discriminant_log, gurevich_pressure, jn_tn, normalization_series,
                          pointwise_z, power_sum_tail, pressure_log_potential,
-                         superadditivity_check, z_n, z_n_star, z_n_transfer, zeta)
+                         superadditivity_check, z_n, z_n_star, z_n_transfer, z_series, zeta)
 from gcms.words import backward_words, iter_cycles
 
 
@@ -196,9 +198,9 @@ def test_constant_count_edge_cases(renewal):
     swap = matrices.explicit([[0, 1], [1, 0]])
     assert list(iter_cycles(swap, 3, 1)) == []
     for F in (Constant(1e6), LOG_POTENTIAL):
-        assert z_n(swap, F, 1.0, 1, 3) == ZValue(0.0, 0, True)
+        assert z_n(swap, F, 1.0, 1, 3) == ZValue(0.0, 0, True, -math.inf)
         # letter 2 of the renewal matrix has no self-loop
-        assert z_n_star(renewal, F, 1.0, 2, 1) == ZValue(0.0, 0, True)
+        assert z_n_star(renewal, F, 1.0, 2, 1) == ZValue(0.0, 0, True, -math.inf)
         for z in (z_n, z_n_star):
             with pytest.raises(ValueError, match="n must be >= 1"):
                 z(renewal, F, 0.7, 1, 0)
@@ -251,11 +253,27 @@ def test_superadditivity(renewal):
 def test_superadditivity_fails_on_nan(renewal, monkeypatch):
     # a nan compares false with everything, so it must fail the inequality
     # rather than slip past it
-    real = thermo.z_n
-    monkeypatch.setattr(thermo, "z_n", lambda A, F, beta, base, n: (
-        ZValue(math.nan, 0, True) if n == 3 else real(A, F, beta, base, n)))
+    real = thermo.z_series
+    monkeypatch.setattr(thermo, "z_series", lambda *args: [
+        ZValue(math.nan, 0, True, math.nan) if n == 3 else z
+        for n, z in enumerate(real(*args), 1)])
     with pytest.raises(AssertionError, match="superadditivity fails"):
         superadditivity_check(renewal, Constant(1.0), 0.8, 1, 6)
+
+
+def test_superadditivity_is_checked_where_z_overflows(renewal, monkeypatch):
+    # at beta -1000 every Z_n of the weight -1 is inf, so Z_n Z_m <= Z_(n+m)
+    # would hold for any values; the logs stay finite, and a log Z_4 one
+    # lower fails
+    F = Constant(-1.0)
+    superadditivity_check(renewal, F, -1000.0, 1, 8)
+    real = thermo.z_series
+    assert {z.value for z in real(renewal, F, -1000.0, 1, 8, False)} == {math.inf}
+    monkeypatch.setattr(thermo, "z_series", lambda *args: [
+        dataclasses.replace(z, log=z.log - 1.0) if n == 4 else z
+        for n, z in enumerate(real(*args), 1)])
+    with pytest.raises(AssertionError, match="superadditivity fails at n=1, m=3"):
+        superadditivity_check(renewal, F, -1000.0, 1, 8)
 
 
 def test_pressure_suite_reports_a_nan_residual(renewal, monkeypatch):
@@ -264,6 +282,100 @@ def test_pressure_suite_reports_a_nan_residual(renewal, monkeypatch):
     monkeypatch.setattr(verification, "pressure_identity_rows",
                         lambda A, beta: [(1, 0.5, 0.5), (2, math.nan, 0.5), (3, 0.5, 0.25)])
     assert math.isnan(verification.pressure_suite(renewal, 0.7)["pressure_identity_max_residual"])
+
+
+# -- every Z_n from one walk ------------------------------------------------------
+
+SERIES_KINDS = ("renewal", "pair_renewal", "prime_renewal", "alternating_renewal")
+SERIES_POTENTIALS = ((UNIT_POTENTIAL, 0.7), (LOG_POTENTIAL, 1.3))
+
+
+@pytest.mark.parametrize("kind", SERIES_KINDS)
+def test_series_is_the_per_n_values(kind):
+    # layer n of the walk is the same dict whichever layer a caller stops at,
+    # so item n - 1 of the series is == the per-n value, log included
+    A = matrices.by_kind(kind)
+    for F, beta in SERIES_POTENTIALS:
+        for base in (1, 2):
+            for first_return, z in ((False, z_n), (True, z_n_star)):
+                series = z_series(A, F, beta, base, 16, first_return)
+                assert series == [z(A, F, beta, base, n) for n in range(1, 17)], (F, base)
+                # every Z_n here is 0 or a normal double
+                assert all(s.log == (math.log(s.value) if s.n_terms else -math.inf)
+                           for s in series)
+
+
+@pytest.mark.parametrize("kind", SERIES_KINDS)
+def test_series_satisfy_the_renewal_equation(kind):
+    A = matrices.by_kind(kind)
+    for F, beta in SERIES_POTENTIALS:
+        for base in (1, 2):
+            check_renewal_equation(A, F, beta, base, 14)
+
+
+def test_each_walk_yields_only_the_layers_read(renewal, monkeypatch):
+    # one walk per call: a per-n call steps to its last layer and no further,
+    # a series to its n_max-th, and each series reader walks once
+    walks = []
+    layers = thermo._layers
+
+    def counted(*args):
+        walks.append(0)
+        for item in layers(*args):
+            walks[-1] += 1
+            yield item
+
+    monkeypatch.setattr(thermo, "_layers", counted)
+    calls = {
+        "z_n": (lambda: z_n(renewal, LOG_POTENTIAL, 1.3, 1, 7), [7]),
+        "z_n_star": (lambda: z_n_star(renewal, LOG_POTENTIAL, 1.3, 1, 7), [7]),
+        "pointwise_z": (lambda: pointwise_z(renewal, LOG_POTENTIAL, 1.3,
+                                            empty_stem_config(renewal, 1), 7), [7]),
+        "z_series": (lambda: z_series(renewal, LOG_POTENTIAL, 1.3, 1, 9, True), [9]),
+        "gurevich_pressure": (lambda: gurevich_pressure(renewal, LOG_POTENTIAL, 1.3, 1, 12),
+                              [12]),
+        "superadditivity_check": (lambda: superadditivity_check(
+            renewal, UNIT_POTENTIAL, 0.8, 1, 16), [16]),
+        "pressure_identity_rows": (lambda: verification.pressure_identity_rows(renewal, 0.7),
+                                   [20]),
+        "first_return_rows": (lambda: thermo.first_return_rows(1.5), [14]),
+    }
+    for name, (call, want) in calls.items():
+        walks.clear()
+        call()
+        assert walks == want, name
+
+
+def _log_of_enumerated_sum(A, F, beta, n):
+    """log of the sum over the length-n cycles through 1 of exp(beta * sum
+    of F), each sum of F taken by ``math.fsum`` as the walk takes it, at 40
+    digits."""
+    with mpmath.workdps(40):
+        return mpmath.log(mpmath.fsum(mpmath.exp(beta * mpmath.mpf(birkhoff_sum(F, 1.0, c)))
+                                      for c in iter_cycles(A, n, 1)))
+
+
+@pytest.mark.parametrize("beta", [-800.0, 720.0, 800.0])
+def test_log_z_where_the_value_leaves_the_doubles(renewal, prime, beta):
+    # with the weight -1, every term underflows at beta 800 and overflows at
+    # -800, and Z_1 = exp(-720) is subnormal; with the log potential at 800,
+    # Z_n underflows from n = 2 on, and its terms spread wider than the
+    # doubles' exponents (exp(800 log 7 - 1600 log 2) overflows at n = 6);
+    # log Z_n stays finite, read from the largest term
+    for A, F in ((renewal, LOG_POTENTIAL), (renewal, Constant(-1.0)), (prime, Constant(-1.0))):
+        for n in range(1, 7):
+            z = z_n(A, F, beta, 1, n)
+            want = _log_of_enumerated_sum(A, F, beta, n)
+            assert z.log == pytest.approx(float(want), rel=1e-14, abs=0), (A, F, n)
+
+
+def test_a_value_below_the_normal_doubles_reads_its_log_from_the_counts(renewal):
+    # Z_1 = exp(-720), a subnormal: math.log of it keeps only the digits the
+    # subnormal holds, while the log form gives -720 to the last bit
+    z = z_n(renewal, Constant(-1.0), 720.0, 1, 1)
+    assert 0.0 < z.value < sys.float_info.min
+    assert z.log == -720.0
+    assert math.log(z.value) != -720.0
 
 
 # -- Gurevich pressure ----------------------------------------------------------
@@ -471,13 +583,13 @@ def test_discriminant_at_large_beta():
 
 
 def test_discriminant_refuses_a_head_off_the_power_pattern(monkeypatch):
-    z_star = thermo.z_n_star
+    series = thermo.z_series
 
-    def shifted(A, F, beta, base, n):
-        z = z_star(A, F, beta, base, n)
-        return dataclasses.replace(z, value=z.value * 1.01) if n == 7 else z
+    def shifted(*args):
+        return [dataclasses.replace(z, value=z.value * 1.01) if n == 7 else z
+                for n, z in enumerate(series(*args), 1)]
 
-    monkeypatch.setattr(thermo, "z_n_star", shifted)
+    monkeypatch.setattr(thermo, "z_series", shifted)
     with pytest.raises(RuntimeError, match="power pattern"):
         discriminant_log(1.5)
 

@@ -12,10 +12,10 @@ limit over its finite truncations).
 import pytest
 from hypothesis import given, settings
 
-from conftest import residue_kinds, residue_matrix
+from conftest import check_renewal_equation, residue_kinds, residue_matrix
 from gcms.configs import UnboundedConfig, bounded
 from gcms.matrices import by_kind, explicit
-from gcms.thermo import LOG_POTENTIAL, UNIT_POTENTIAL, pointwise_z, z_n, z_n_star
+from gcms.thermo import LOG_POTENTIAL, UNIT_POTENTIAL, pointwise_z, z_n, z_n_star, z_series
 from gcms.words import backward_words, iter_cycles
 
 N = 40
@@ -44,10 +44,16 @@ def kind_and_table(request):
 
 def _check_partition_functions(A, T, potential, beta):
     # a predecessor of j is at most j + 1 or a drawn irregular row (<= 7),
-    # so a cycle of length n <= 12 through 1 stays below 8 + n, far below N
-    for n in range(1, 13):
-        assert z_n(A, potential, beta, 1, n) == z_n(T, potential, beta, 1, n), n
-        assert z_n_star(A, potential, beta, 1, n) == z_n_star(T, potential, beta, 1, n), n
+    # so a cycle of length n <= 12 through 1 stays below 8 + n, far below N;
+    # the one-walk series of either matrix is the per-n values, and the
+    # table's series obey the renewal equation
+    for first_return, z in ((False, z_n), (True, z_n_star)):
+        series = [z_series(M, potential, beta, 1, 12, first_return) for M in (A, T)]
+        for n in range(1, 13):
+            want = z(A, potential, beta, 1, n)
+            assert z(T, potential, beta, 1, n) == want, n
+            assert [s[n - 1] for s in series] == [want, want], n
+    check_renewal_equation(T, potential, beta, 1, 12)
 
 
 def _check_words_and_cycles(A, T):

@@ -78,8 +78,8 @@ CATALOG: dict[str, Mutant] = {
     # thermo.first_return_rows: every cycle counted, not only first returns
     "first-return-cycles": Mutant(
         "src/gcms/thermo.py",
-        "z_n_star(A, LOG_POTENTIAL, beta, 1, n).value",
-        "z_n(A, LOG_POTENTIAL, beta, 1, n).value",
+        'z_series(by_kind("renewal"), LOG_POTENTIAL, beta, 1, 14, True)',
+        'z_series(by_kind("renewal"), LOG_POTENTIAL, beta, 1, 14, False)',
         ("tests/test_cli.py::test_verify_pressure",)),
     # thermo.gurevich_pressure: one finite point, but the slope reads the last n
     "pressure-slope-last-value": Mutant(
@@ -99,12 +99,25 @@ CATALOG: dict[str, Mutant] = {
         "                    if len(out) >= count:",
         "                    if len(out) > count:",
         ("tests/test_words.py::test_periodic_points_are_the_first_points_of_the_full_walk",)),
-    # thermo._partition_sum against the enumeration: words that close no cycle counted
+    # thermo._layer_total against the enumeration: words that close no cycle counted
     "partition-sum-first-letter": Mutant(
         "src/gcms/thermo.py",
-        "        if first is None or first(letters[key & mask]):",
+        "        if first is None or first(letters[key & _INDEX_MASK]):",
         "        if True:",
         ("tests/test_thermo.py::test_partition_functions_are_bit_identical_to_enumeration",)),
+    # thermo.z_series: from n = 2 on, Z_n is the total of layer n - 1
+    "series-lags-a-layer": Mutant(
+        "src/gcms/thermo.py",
+        "zip(range(1, n_max + 1), walk)",
+        "zip(range(1, n_max + 1), itertools.chain([next(walk)] * 2, walk))",
+        ("tests/test_thermo.py::test_series_is_the_per_n_values",)),
+    # thermo._layer_total: the log form scales by the smallest term, whose
+    # ratio to the largest overflows once the terms spread past the doubles
+    "log-form-smallest-exponent": Mutant(
+        "src/gcms/thermo.py",
+        "        top = max(e for e, _ in exponents)",
+        "        top = min(e for e, _ in exponents)",
+        ("tests/test_cli.py::test_pressure_of_the_log_potential_past_the_least_double",)),
     # words.backward_words: a listed predecessor is taken without its entry check
     "walk-entry-check": Mutant(
         "src/gcms/words.py",
@@ -333,6 +346,12 @@ CATALOG: dict[str, Mutant] = {
         "self.normalizer_value - 1.0 if self.matrix.row(k) == ss.ALL else 0.0",
         "self.normalizer_value - 1.0",
         ("tests/test_measures.py::test_letters_the_walk_never_reached_have_no_continuations",)),
+    # configs._config: the root stored in the stem slot of every preimage
+    "config-root-in-stem-slot": Mutant(
+        "src/gcms/configs.py",
+        "    _set_stem(c, stem)",
+        "    _set_stem(c, root)",
+        ("tests/test_configs.py::test_preimages_examples",)),
     # cli._BOUNDS: the pressure sweep's cap raised past a minute of work
     "cli-bounds-n-max": Mutant(
         "src/gcms/cli.py",
