@@ -16,24 +16,29 @@ letter.  ``decompose`` produces the normal form of one element,
 the normal forms under finite intersection, and ``intersect_many`` folds
 it over a chain of elements.
 Building a normal form has two halves: ``normalize`` canonicalizes raw
-parts (it forced-extends each atom and cuts each family to the row of its
-prefix's last letter), and ``_assemble`` turns canonical parts into a
-``SetExpr`` (finite families expanded, empty ones dropped, duplicates
-rejected, parts sorted unless already in order, families by prefix alone
+parts (it turns the points into a mask, rejecting a repeated one,
+forced-extends each atom and cuts each family to the row of its prefix's
+last letter), and ``_assemble`` turns canonical parts into a ``SetExpr``
+(finite families expanded, empty ones dropped, duplicates rejected, atoms
+and families sorted unless already in order, families by prefix alone
 since disjoint parts hold one family per prefix, the whole space folded).
 ``meet`` only assembles: every part it keeps comes from a normal form and
 is already canonical.  Two families are met once per (matrix, family,
 family) (``_meet_families`` is memoized): many meets pair the same ones.
 ``part_contains`` decides membership of a configuration in one part;
-``member`` asks whether some part contains it.  ``meet`` keeps a boundary
+``member`` asks whether some part contains it.  Boundary points are
+numbered once each (``_serial``), and a normal form holds its points as a
+bit mask over those numbers (``SetExpr._mask``) beside the sorted tuple
+``points``, one tuple per distinct mask (``_points_of``).  ``meet`` keeps a
 point of one operand iff the other operand holds it, and one normal form
 meets many others on the same points, so each normal form remembers
-``member``'s answer per point (``SetExpr._held``).  The memo is exact:
-normal forms and points are frozen and ``part_contains`` is pure, so it
-only stores what ``member`` says.  ``decompose`` interns its boundary
-points (``_point``), and every family is interned: ``CylFamily`` returns
-one object per (prefix, symbols), so families compare by identity and
-hash in C, in every memo and row cache keyed by them.
+``member``'s answers as two more masks, the points decided and the points
+held (``SetExpr.holding``).  The memo is exact: normal forms and points
+are frozen and ``part_contains`` is pure, so it only stores what
+``member`` says.  ``decompose`` interns its boundary points (``_point``),
+and every family is interned: ``CylFamily`` returns one object per
+(prefix, symbols), so families compare by identity and hash in C, in
+every memo and row cache keyed by them.
 Normal forms are checked against raw membership (``raw_member``, read off
 the configuration's evaluation) in one place: ``verification``'s oracle
 compares the bit rows of a normal form's parts with the raw membership
@@ -42,10 +47,11 @@ row, for single elements and their meets.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import symbolsets as ss
 from .configs import BoundedConfig, Configuration, GroupWord
@@ -145,14 +151,69 @@ class CylFamily:
         return f"Fam[{format_word(self.prefix)}; {ss.describe(self.symbols)}]"
 
 
+# every boundary point a normal form has held, numbered in order of first
+# use: a point's serial is its bit in every point mask.  The serials are
+# looked up per matrix, so two matrices' points that hash alike (one stem,
+# one root id) are never compared
+_table: list[BoundedConfig] = []
+_serials: defaultdict[TransitionMatrix, dict[BoundedConfig, int]] = defaultdict(dict)
+_point_key = attrgetter("stem", "root.id")
+_prefix = attrgetter("prefix")
+
+
+def _serial(p: BoundedConfig) -> int:
+    serials = _serials[p.matrix]
+    n = serials.get(p)
+    if n is None:
+        n = serials[p] = len(_table)
+        _table.append(p)
+    return n
+
+
+def _mask_of(points: Iterable[BoundedConfig]) -> int:
+    """The mask of ``points``; a point given twice would overlap itself in a
+    disjoint decomposition, so it raises."""
+    mask = 0
+    for p in points:
+        bit = 1 << _serial(p)
+        if mask & bit:
+            raise RuntimeError(f"duplicate point {p!r} in decomposition")
+        mask |= bit
+    return mask
+
+
+def _serials_in(mask: int) -> Iterator[int]:
+    """The serials whose bits ``mask`` sets, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+@lru_cache(maxsize=None)
+def _points_of(mask: int) -> tuple[BoundedConfig, ...]:
+    """The points of ``mask`` sorted by (stem, root id), which no two points
+    of one matrix share: one tuple per distinct mask, sorted once."""
+    return tuple(sorted((_table[n] for n in _serials_in(mask)), key=_point_key))
+
+
 @dataclass(frozen=True)
 class SetExpr:
     """A normal form: the whole-space flag, or disjoint points, atoms and families.
 
-    ``_held`` answers ``member`` for boundary points and keeps the answers;
-    the memo and ``_point_set`` are not fields, so they take no part in
-    equality, hashing or the representation.
+    Beside ``points`` it keeps three point masks (over ``_serial``): its own
+    points (``_mask``), the points it has asked ``member`` about
+    (``_decided``) and those it holds (``_held``), its own decided and held
+    from the start.  They are not fields, so they take no part in equality,
+    hashing or the representation; the constructor reads them off
+    ``points`` (a point given twice raises, as in ``normalize``), and
+    ``_setexpr`` stores them with the fields.  Serials are numbered per
+    process, so the masks mean nothing outside it.  Slotted, with no
+    instance dict: the oracle's meets build thousands of these.
     """
+
+    __slots__ = ("matrix", "whole_space", "points", "atoms", "families",
+                 "_mask", "_decided", "_held")
 
     matrix: TransitionMatrix
     whole_space: bool
@@ -160,33 +221,30 @@ class SetExpr:
     atoms: tuple[Word, ...]
     families: tuple[CylFamily, ...]
 
+    def __post_init__(self) -> None:
+        mask = _mask_of(self.points)
+        _set_mask(self, mask)
+        _set_decided(self, mask)
+        _set_held(self, mask)
+
     @property
     def is_empty(self) -> bool:
         return not (self.whole_space or self.points or self.atoms or self.families)
 
-    @cached_property
-    def _point_memo(self) -> dict[BoundedConfig, bool]:
-        return {}
-
-    @cached_property
-    def _point_set(self) -> frozenset[BoundedConfig]:
-        return frozenset(self.points)
-
-    def _held(self, points: Iterable[BoundedConfig]) -> list[BoundedConfig]:
-        """The points of ``points`` that ``member`` puts in this normal form,
-        each decided once per normal form.  Exact: the normal form and the
-        points are frozen and ``part_contains`` is pure, so an answer never
-        changes; the memo is keyed by the point itself, so a point of another
-        matrix with the same stem and root id is a different key."""
-        memo = self._point_memo
-        held = []
-        for p in points:
-            hit = memo.get(p)
-            if hit is None:
-                hit = memo[p] = member(p, self)
-            if hit:
-                held.append(p)
-        return held
+    def holding(self, mask: int) -> int:
+        """The points of ``mask`` that ``member`` puts in this normal form, as a
+        mask, each asked of ``member`` once per normal form.  Exact: the
+        normal form and the points are frozen and ``part_contains`` is pure,
+        so an answer never changes."""
+        new = mask & ~self._decided
+        if new:
+            held = self._held
+            for n in _serials_in(new):
+                if member(_table[n], self):
+                    held |= 1 << n
+            _set_decided(self, self._decided | new)
+            _set_held(self, held)
+        return mask & self._held
 
     def __repr__(self) -> str:
         if self.whole_space:
@@ -200,7 +258,28 @@ class SetExpr:
         return "SetExpr[" + " U ".join(bits) + "]"
 
 
-_point_key = attrgetter("stem", "root.id")
+(_set_matrix, _set_whole_space, _set_points, _set_atoms, _set_families,
+ _set_mask, _set_decided, _set_held) = (getattr(SetExpr, name).__set__
+                                        for name in SetExpr.__slots__)
+
+
+def _setexpr(A: TransitionMatrix, whole_space: bool, mask: int, atoms: tuple[Word, ...],
+             families: tuple[CylFamily, ...]) -> SetExpr:
+    """A ``SetExpr`` of the points of ``mask`` built without its constructor:
+    its fields and masks are stored through their slot descriptors, as
+    ``object.__setattr__`` does past the frozen class's ``__setattr__``."""
+    s = object.__new__(SetExpr)
+    _set_matrix(s, A)
+    _set_whole_space(s, whole_space)
+    _set_points(s, _points_of(mask))
+    _set_atoms(s, atoms)
+    _set_families(s, families)
+    _set_mask(s, mask)
+    _set_decided(s, mask)
+    _set_held(s, mask)
+    return s
+
+
 # every first-letter cylinder: the whole space less its empty-stem points
 _FIRST_LETTERS = CylFamily((), ss.ALL)
 
@@ -209,24 +288,25 @@ def normalize(A: TransitionMatrix, points: Sequence[BoundedConfig] = (),
               atoms: Iterable[Word] = (), families: Iterable[CylFamily] = ()) -> SetExpr:
     """Canonical SetExpr from raw parts: forced-extended atoms, effective families.
 
-    Each atom is replaced by its forced extension and each family's symbols
-    are cut to the row of its prefix's last letter; ``_assemble`` does the
-    rest.  The raw atoms and family prefixes must be admissible words (a
-    ``Subbasis`` or ``shift_image`` has checked them): they are not checked
-    again, so every part of the result is admissible, which is what lets
-    the measures read the parts unchecked.
+    The points become a mask, each atom is replaced by its forced extension
+    and each family's symbols are cut to the row of its prefix's last
+    letter; ``_assemble`` does the rest.  The raw atoms and family prefixes
+    must be admissible words (a ``Subbasis`` or ``shift_image`` has checked
+    them): they are not checked again, so every part of the result is
+    admissible, which is what lets the measures read the parts unchecked.
     """
+    mask = _mask_of(points)
     atoms = [forced_extension(A, a) for a in atoms]
     families = [CylFamily(f.prefix, ss.intersect(A, f.symbols, A.row(f.prefix[-1])))
                 if f.prefix else f for f in families]
-    return _assemble(A, points, atoms, families)
+    return _assemble(A, mask, atoms, families)
 
 
 def _in_order(parts: Sequence, key, what: str) -> tuple:
     """``parts`` sorted by ``key`` (None: by themselves), which no two of them
     may share: two parts of a disjoint decomposition with one key overlap.
     Parts whose keys already increase strictly are returned as they are; a
-    meet's points and atoms nearly always are, as its operands' were."""
+    meet's atoms nearly always are, as its operands' were."""
     if len(parts) < 2:
         return tuple(parts)
     keys = parts if key is None else [key(p) for p in parts]
@@ -239,9 +319,16 @@ def _in_order(parts: Sequence, key, what: str) -> tuple:
     return tuple(parts[i] for i in order)
 
 
-def _assemble(A: TransitionMatrix, points: Sequence[BoundedConfig], atoms: Iterable[Word],
+@lru_cache(maxsize=None)
+def _empty_stem_mask(A: TransitionMatrix) -> int:
+    """The mask of ``A``'s empty-stem points, one per accumulation column."""
+    return _mask_of(_point(A, (), col) for col in A.accumulation_catalog)
+
+
+def _assemble(A: TransitionMatrix, mask: int, atoms: Iterable[Word],
               families: Iterable[CylFamily]) -> SetExpr:
-    """SetExpr from canonical parts: forced-extended atoms, effective families.
+    """SetExpr from canonical parts: a point mask, forced-extended atoms and
+    effective families.
 
     Families whose symbol set is finite are expanded into atoms and empty
     ones dropped; no points, no families and at most one atom are a normal
@@ -256,17 +343,16 @@ def _assemble(A: TransitionMatrix, points: Sequence[BoundedConfig], atoms: Itera
             out_atoms.extend(forced_extension(A, f.prefix + (k,)) for k in f.symbols.symbols)
         elif not (finite and ss.is_definitely_empty(A, f.symbols)):
             out_fams.append(f)
-    if not points and not out_fams and len(out_atoms) < 2:
-        return SetExpr(A, False, (), tuple(out_atoms), ())
-    out_points = _in_order(points, _point_key, "point")
+    if not mask and not out_fams and len(out_atoms) < 2:
+        return _setexpr(A, False, 0, tuple(out_atoms), ())
     out_atoms = _in_order(out_atoms, None, "cylinder")
-    fams = _in_order(out_fams, attrgetter("prefix"), "family")
+    fams = _in_order(out_fams, _prefix, "family")
     # fold the canonical whole-space decomposition (all empty-stem points
     # plus every first-letter cylinder) back into the whole-space flag
     if (not out_atoms and len(fams) == 1 and fams[0] is _FIRST_LETTERS
-            and set(map(_point_key, out_points)) == {((), c.id) for c in A.accumulation_catalog}):
-        return SetExpr(A, True, (), (), ())
-    return SetExpr(A, False, out_points, out_atoms, fams)
+            and mask == _empty_stem_mask(A)):
+        return _setexpr(A, True, 0, (), ())
+    return _setexpr(A, False, mask, out_atoms, fams)
 
 
 # --------------------------------------------------------------------------
@@ -357,8 +443,9 @@ def meet(s: SetExpr, t: SetExpr) -> SetExpr:
     ``meet``): every part kept is one of theirs, or the same-prefix meet of
     two effective families, which is effective, so the parts are assembled
     without being canonicalized again.  A point of one operand survives iff
-    the other holds it (``SetExpr._held``, which remembers ``member``'s
-    answers), so a normal form met many times decides each point once.
+    the other holds it (``SetExpr.holding``, which remembers ``member``'s
+    answers as masks), so a normal form met many times decides each point
+    once, and the points kept are one mask.
     Every part-against-part case is decidable; a pair this function cannot
     resolve would mean the normal form is not closed, which is an internal
     error.
@@ -374,9 +461,8 @@ def meet(s: SetExpr, t: SetExpr) -> SetExpr:
     families: list[CylFamily] = []
 
     # points survive iff they belong to the other expression
-    points = t._held(s.points) if s.points else []
-    if t.points:
-        points += s._held([q for q in t.points if q not in s._point_set])
+    sm, tm = s._mask, t._mask
+    mask = (sm and t.holding(sm)) | (tm and s.holding(tm))
 
     # a part loop runs only if both its sides hold parts: most meets keep
     # little, and an empty side meets nothing
@@ -405,7 +491,7 @@ def meet(s: SetExpr, t: SetExpr) -> SetExpr:
                 hit = _meet_families(A, f, g)
                 if hit is not None:
                     families.append(hit)
-    return _assemble(A, points, atoms, families)
+    return _assemble(A, mask, atoms, families)
 
 
 def intersect_many(elems: Sequence[Subbasis]) -> SetExpr:
@@ -436,9 +522,15 @@ def part_contains(c: Configuration, part: BoundedConfig | Word | CylFamily) -> b
 
 def member(c: Configuration, s: SetExpr) -> bool:
     """Whether some part of ``s`` contains ``c``: the one membership rule, which
-    ``SetExpr._held`` only remembers."""
-    return s.whole_space or any(part_contains(c, part)
-                                for part in (*s.points, *s.atoms, *s.families))
+    ``SetExpr.holding`` only remembers.  A point part holds exactly itself,
+    so a bounded ``c`` lies on one iff ``s``'s point mask sets its serial."""
+    if s.whole_space:
+        return True
+    if isinstance(c, BoundedConfig):
+        n = _serials[c.matrix].get(c)
+        if n is not None and s._mask >> n & 1:
+            return True
+    return any(part_contains(c, part) for part in (*s.atoms, *s.families))
 
 
 # --------------------------------------------------------------------------

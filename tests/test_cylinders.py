@@ -834,13 +834,41 @@ def test_meet_matches_the_slow_meet_on_random_normal_forms(rows, rng):
 
 def test_point_memo_tells_matrices_apart(renewal, pair):
     # a point of another matrix with the same stem and root id hashes like a
-    # remembered point, and is still no member
+    # point of the normal form, and still gets its own serial: it is no member
+    from gcms.cylinders import _serial
     s = decompose(Subbasis(renewal, (1,), complemented=True))
     p, q = empty_stem_config(renewal, 1), empty_stem_config(pair, 1)
     assert p in s.points and hash(q) == hash(p) and q != p
-    assert s._held([p]) == [p]
-    assert s._held([q]) == [] and not member(q, s)
-    assert s._held([q, p]) == [p] and list(s._point_memo.items()) == [(p, True), (q, False)]
+    bit_p, bit_q = 1 << _serial(p), 1 << _serial(q)
+    assert bit_p != bit_q and s._mask & bit_p and not s._mask & bit_q
+    assert s.holding(bit_p | bit_q) == bit_p
+    assert member(p, s) and not member(q, s)
+    assert s._decided & bit_q and not s._held & bit_q
+    # and the points on one stem with two roots have two serials
+    assert _serial(empty_stem_config(pair, 1)) != _serial(empty_stem_config(pair, 2))
+
+
+def test_normalize_rejects_a_repeated_point(renewal):
+    # a point given twice would overlap itself: the point mask must not merge it
+    from gcms.cylinders import normalize
+    p = empty_stem_config(renewal, 1)
+    with pytest.raises(RuntimeError, match="duplicate point"):
+        normalize(renewal, points=[p, p])
+    with pytest.raises(RuntimeError, match="duplicate point"):
+        SetExpr(renewal, False, (p, p), (), ())
+
+
+def test_normalize_lists_points_by_stem_and_root_whatever_their_serials():
+    # a fresh matrix, whose points no test has numbered yet, numbered here
+    # from the last point to the first: the point tuple is still sorted
+    from gcms.configs import bounded
+    from gcms.cylinders import _roots, _serial, normalize
+    with residue_matrix(2, {2: frozenset({0})}) as A:
+        points = [bounded(A, stem, col.id) for stem in ((), (1,), (2, 1))
+                  for col in _roots(A, stem)]
+        serials = [_serial(p) for p in reversed(points)]
+        assert len(points) > 3 and serials == sorted(serials)
+        assert normalize(A, points=points[::-1]).points == tuple(points)
 
 
 def test_oracle_asks_member_once_per_point_and_normal_form(monkeypatch):
@@ -869,7 +897,12 @@ def test_oracle_meets_each_class_pair_once_and_assembles_little(oracle_classes, 
     # are found by identity.  When every family pair was met afresh and every
     # part row asked part_contains of every configuration, the run made 5,484
     # symbolsets.intersect calls and 47,304 part_contains calls; with family
-    # pairs met once and rows built per group, 755 and 6,927
+    # pairs met once and rows built per group, 755 and 6,927.  When each
+    # normal form kept its points in a set and its member answers in a dict
+    # keyed by point, the meets made 83,372 BoundedConfig.__hash__ calls and
+    # 10,166 BoundedConfig.__eq__ calls; with the points as bit masks, the
+    # meets hash a point once per member call and compare none, and each
+    # distinct mask is sorted into its tuple once
     from collections import Counter
     from gcms import cylinders, verification
     from gcms.configs import BoundedConfig
@@ -877,15 +910,23 @@ def test_oracle_meets_each_class_pair_once_and_assembles_little(oracle_classes, 
     A = by_kind("pair_renewal")
     classes, pairs = oracle_classes(A)
     cylinders._meet_families.cache_clear()     # count the family meets from cold
-    met, counted = [], Counter()
-    meet, in_order, eq = verification.meet, cylinders._in_order, BoundedConfig.__eq__
+    cylinders._points_of.cache_clear()         # and the point sorts
+    met, made, counted = [], [], Counter()
+    meet, eq, point_hash = verification.meet, BoundedConfig.__eq__, BoundedConfig.__hash__
     intersect, contains = sset.intersect, verification.part_contains
-    monkeypatch.setattr(verification, "meet", lambda s, t: met.append((s, t)) or meet(s, t))
-    monkeypatch.setattr(cylinders, "_in_order",
-                        lambda parts, key, what: counted.update([what])
-                        or in_order(parts, key, what))
-    monkeypatch.setattr(BoundedConfig, "__eq__",
-                        lambda p, q: counted.update(["eq"]) or eq(p, q))
+
+    def counted_meet(s, t):
+        met.append((s, t))
+        counted["open meets"] += 1
+        made.append(meet(s, t))
+        counted["open meets"] -= 1
+        return made[-1]
+
+    monkeypatch.setattr(verification, "meet", counted_meet)
+    monkeypatch.setattr(BoundedConfig, "__hash__", lambda p: counted.update(
+        ["hash in meets"] if counted["open meets"] else []) or point_hash(p))
+    monkeypatch.setattr(BoundedConfig, "__eq__", lambda p, q: counted.update(
+        ["eq", "eq in meets"] if counted["open meets"] else ["eq"]) or eq(p, q))
     monkeypatch.setattr(sset, "intersect",
                         lambda *args: counted.update(["intersect"]) or intersect(*args))
     monkeypatch.setattr(verification, "part_contains",
@@ -900,8 +941,10 @@ def test_oracle_meets_each_class_pair_once_and_assembles_little(oracle_classes, 
     # by identity: it compared the matrices by value in each of its meets
     assert counted["matrix eq"] == 0
     assert set(met) == {(classes[i], classes[j]) for i, j in pairs}
-    # _in_order sorts the points once per assembly that goes past the shortcut
-    assert counted["point"] <= 6000
+    # one sort per distinct point mask of the normal forms decomposed and met
+    masks = {s._mask for s in (*classes, *made)}
+    assert cylinders._points_of.cache_info().misses <= len(masks) <= 1000
+    assert counted["hash in meets"] <= 5000 and counted["eq in meets"] == 0
     assert counted["eq"] <= 50000
     assert counted["intersect"] <= 1000
     assert counted["contains"] <= 8000

@@ -196,14 +196,26 @@ CATALOG: dict[str, Mutant] = {
         "len(fams) == 1 and fams[0] is _FIRST_LETTERS",
         "len(fams) == 1 and not fams[0].prefix",
         ("tests/test_cylinders.py::test_small_oracle[renewal]",)),
-    # SetExpr._held: the point memo keyed by stem, so matrices are mixed up
+    # cylinders._serial: the point serials keyed by stem, so the points on
+    # one stem share one bit of every point mask
     "holds-memo-by-stem": Mutant(
         "src/gcms/cylinders.py",
-        "            hit = memo.get(p)\n            if hit is None:\n"
-        "                hit = memo[p] = ",
-        "            hit = memo.get(p.stem)\n            if hit is None:\n"
-        "                hit = memo[p.stem] = ",
+        "    n = serials.get(p)\n    if n is None:\n        n = serials[p] = ",
+        "    n = serials.get(p.stem)\n    if n is None:\n        n = serials[p.stem] = ",
         ("tests/test_cylinders.py::test_point_memo_tells_matrices_apart",)),
+    # cylinders.meet: only s's surviving points kept, t's dropped
+    "meet-keeps-only-s-points": Mutant(
+        "src/gcms/cylinders.py",
+        "    mask = (sm and t.holding(sm)) | (tm and s.holding(tm))",
+        "    mask = sm and t.holding(sm)",
+        ("tests/test_cylinders.py::test_meet_matches_the_member_point_filter[renewal]",)),
+    # cylinders._points_of: a mask's points listed in serial order, not sorted
+    "points-of-skips-sort": Mutant(
+        "src/gcms/cylinders.py",
+        "tuple(sorted((_table[n] for n in _serials_in(mask)), key=_point_key))",
+        "tuple(_table[n] for n in _serials_in(mask))",
+        ("tests/test_cylinders.py::"
+         "test_normalize_lists_points_by_stem_and_root_whatever_their_serials",)),
     # measures.normalizer: the a-posteriori tail bound without its 1/(1 - d x) factor
     "tail-bound-drops-geometric-factor": Mutant(
         "src/gcms/measures.py",
